@@ -37,6 +37,7 @@ from .analytic import (
     threshold_snr,
     throughput_coop,
     throughput_direct,
+    user_outage,
 )
 from .montecarlo import (
     Estimate,
@@ -92,5 +93,6 @@ __all__ = [
     "threshold_snr",
     "throughput_coop",
     "throughput_direct",
+    "user_outage",
     "with_mu",
 ]

@@ -24,6 +24,11 @@ High-SNR behaviour replaces the ordered CDF of the direct link by its
 leading small-argument term, which exposes the decay exponents directly;
 for the cooperative users the relay factor is kept in closed form since
 its slow (logarithmic-over-power) decay has no polynomial leading term.
+
+:func:`user_outage` evaluates both forms for any served user of either
+scenario from one cut and one relay evaluation; the per-user functions
+(``outage_far_exact`` and the like) are views of it, and the throughput
+is a sum over the served users' exact outages.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +59,6 @@ __all__ = [
     "direct_cuts",
     "diversity_order_fit",
     "far_outage_parts",
-    "fixed_gain_constant",
     "near_outage_parts",
     "outage_direct_asymptotic",
     "outage_direct_exact",
@@ -65,9 +69,12 @@ __all__ = [
     "outage_oma",
     "relay_outage",
     "relay_outage_closed",
+    "served_users",
     "threshold_snr",
+    "throughput",
     "throughput_coop",
     "throughput_direct",
+    "user_outage",
 ]
 
 COOP_USERS = ("far", "near")
@@ -101,26 +108,6 @@ def threshold_snr(rate: float, slots: int) -> float:
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate}")
     return 2.0 ** (slots * rate) - 1.0
-
-
-def fixed_gain_constant(cfg: CoopConfig, rho: float | None = None,
-                        mode: str = "literal-kappa") -> float:
-    """Noise-scaling constant of the fixed-gain relay.
-
-    ``literal-kappa`` uses the configured amplification factor (constant
-    1 / relay_gain**2, or the explicit ``relay_const`` override) and is
-    what every closed form in this module consumes.  ``power-normalized``
-    instead sets the gain so the relay's average transmit power is unit,
-    giving ``omega_sr + 1 / rho``; it requires ``rho`` and is provided
-    for comparisons only.
-    """
-    if mode == "literal-kappa":
-        return cfg.noise_scale
-    if mode == "power-normalized":
-        if rho is None:
-            raise ValueError("power-normalized mode requires rho")
-        return cfg.omega_sr + 1.0 / _check_rho(rho)
-    raise ValueError(f"mode must be 'literal-kappa' or 'power-normalized', got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -304,146 +291,107 @@ def relay_outage(cfg: CoopConfig, cut: float, user: str = "far") -> float:
 
 
 # =====================================================================
-# Exact outage, cooperative pair
+# Exact and high-SNR outage of one served user
 # =====================================================================
 
-def far_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
-    """Direct-branch and relay-branch outage factors of the far user.
+def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
+    """Served users of ``cfg`` in report order: ``('far', 'near')`` or 1..M."""
+    if isinstance(cfg, CoopConfig):
+        return COOP_USERS
+    return tuple(range(1, cfg.n_users + 1))
 
-    The far user is served by selection over the two branches, so its
-    outage is the product of these factors.  Returns (1.0, 1.0) when the
-    power split cannot support the far rate and (0.0, 0.0) at zero rate.
+
+def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
+                    user: str | int) -> tuple[float, float, float]:
+    """Direct factor, its small-argument leading term, and relay factor of one user.
+
+    The decode cut is the far-message cut for ``'far'``; for ``'near'``
+    the larger of that cut (SIC stage) and its own-message cut; for
+    single-slot user m the running maximum of the stage cuts up to m.
+    Single-slot users have no relay branch, so their relay factor is 1.
+    An infeasible cut gives (1, 1, 1) and a zero cut (zero rates) gives
+    (0, 0, 0).
     """
-    cuts = coop_cuts(cfg, rho)
-    if cuts.gamma_far == 0.0:
-        return 0.0, 0.0
-    if math.isinf(cuts.far_cut):
-        return 1.0, 1.0
-    direct = ordered_cdf(
-        FadingParams(cfg.mu, cfg.direct_mean("far")),
-        OrderedIndex(cfg.far_rank, cfg.users),
-        cuts.far_cut,
-    )
-    relay = relay_outage(cfg, cuts.far_cut, user="far")
-    return direct, relay
+    if isinstance(cfg, CoopConfig):
+        # direct_mean rejects anything but 'far' and 'near'
+        params = FadingParams(cfg.mu, cfg.direct_mean(user))
+        idx = OrderedIndex(cfg.rank(user), cfg.users)
+        cuts = coop_cuts(cfg, rho)
+        cut = cuts.far_cut if user == "far" else cuts.near_cut
+    elif isinstance(cfg, DirectConfig):
+        if not 1 <= user <= cfg.n_users:
+            raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
+        params = FadingParams(cfg.mu, cfg.omega[user - 1])
+        idx = OrderedIndex(cfg.ranks[user - 1], cfg.pool)
+        cut = float(np.max(direct_cuts(cfg, rho)[:user]))
+    else:
+        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    if math.isinf(cut):
+        return 1.0, 1.0, 1.0
+    if cut == 0.0:
+        return 0.0, 0.0, 0.0
+    relay = relay_outage(cfg, cut, user) if isinstance(cfg, CoopConfig) else 1.0
+    return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
+
+
+def user_outage(cfg: CoopConfig | DirectConfig, rho: float,
+                user: str | int) -> tuple[float, float]:
+    """Exact and high-SNR outage of one served user at transmit SNR ``rho``.
+
+    ``user`` is ``'far'``/``'near'`` for a :class:`CoopConfig` and the
+    1-based served index for a :class:`DirectConfig`.  The exact outage
+    is the ordered CDF of the user's direct gain at its decode cut times
+    the relay factor, since the user is served by selection over two
+    independent branches.  The high-SNR form replaces the ordered CDF by
+    its leading small-argument term, which decays with exponent mu times
+    the user's sort rank; the relay factor decays slower than any power
+    (logarithmic Bessel tail), so it is kept exact.  The high-SNR form is
+    clamped to 1 where the expansion exceeds unity (low SNR, outside its
+    regime).  Returns (1, 1) when the power split cannot support the
+    user's rates.
+    """
+    direct, lead, relay = _outage_factors(cfg, rho, user)
+    return direct * relay, min(1.0, lead * relay)
+
+
+def far_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
+    """(direct, relay) branch outage factors of the far user."""
+    return _outage_factors(cfg, rho, "far")[::2]
+
+
+def near_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
+    """(direct, relay) branch outage factors of the near user."""
+    return _outage_factors(cfg, rho, "near")[::2]
 
 
 def outage_far_exact(cfg: CoopConfig, rho: float) -> float:
     """Exact outage probability of the far user at transmit SNR ``rho``."""
-    direct, relay = far_outage_parts(cfg, rho)
-    return direct * relay
-
-
-def near_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
-    """Direct-branch and relay-branch outage factors of the near user.
-
-    The near user must decode the far message (SIC stage) and then its
-    own; both branches apply the same effective cut, the larger of the
-    two stage cuts.  Returns (1.0, 1.0) when the far stage is infeasible
-    and (0.0, 0.0) when both rates are zero.
-    """
-    cuts = coop_cuts(cfg, rho)
-    if math.isinf(cuts.near_cut):
-        return 1.0, 1.0
-    if cuts.near_cut == 0.0:
-        return 0.0, 0.0
-    direct = ordered_cdf(
-        FadingParams(cfg.mu, cfg.direct_mean("near")),
-        OrderedIndex(cfg.near_rank, cfg.users),
-        cuts.near_cut,
-    )
-    relay = relay_outage(cfg, cuts.near_cut, user="near")
-    return direct, relay
+    return user_outage(cfg, rho, "far")[0]
 
 
 def outage_near_exact(cfg: CoopConfig, rho: float) -> float:
     """Exact outage probability of the near user at transmit SNR ``rho``."""
-    direct, relay = near_outage_parts(cfg, rho)
-    return direct * relay
+    return user_outage(cfg, rho, "near")[0]
 
-
-# =====================================================================
-# Exact outage, non-cooperative users
-# =====================================================================
 
 def outage_direct_exact(cfg: DirectConfig, rho: float, user: int) -> float:
-    """Exact outage of served user ``user`` (1-based) in the single-slot system.
+    """Exact outage of served user ``user`` (1-based) in the single-slot system."""
+    return user_outage(cfg, rho, user)[0]
 
-    The user fails if its gain misses the running maximum of the SIC
-    stage cuts up to its own message; with an infeasible stage the
-    outage is exactly 1.
-    """
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-    cuts = direct_cuts(cfg, rho)
-    cut = float(np.max(cuts[:user]))
-    if math.isinf(cut):
-        return 1.0
-    return ordered_cdf(
-        FadingParams(cfg.mu, cfg.omega[user - 1]),
-        OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-        cut,
-    )
-
-
-# =====================================================================
-# High-SNR asymptotics
-# =====================================================================
 
 def outage_far_asymptotic(cfg: CoopConfig, rho: float) -> float:
-    """High-SNR far-user outage: small-argument direct factor times relay factor.
-
-    The direct branch contributes the polynomial decay (exponent
-    mu * far_rank); the relay factor decays slower than any power thanks
-    to its logarithmic Bessel tail, so it is kept exact.  Clamped to 1
-    where the expansion exceeds unity (low SNR, outside its regime).
-    """
-    cuts = coop_cuts(cfg, rho)
-    if cuts.gamma_far == 0.0:
-        return 0.0
-    if math.isinf(cuts.far_cut):
-        return 1.0
-    lead = ordered_cdf_small_arg(
-        FadingParams(cfg.mu, cfg.direct_mean("far")),
-        OrderedIndex(cfg.far_rank, cfg.users),
-        cuts.far_cut,
-    )
-    return min(1.0, lead * relay_outage(cfg, cuts.far_cut, user="far"))
+    """High-SNR outage of the far user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "far")[1]
 
 
 def outage_near_asymptotic(cfg: CoopConfig, rho: float) -> float:
-    """High-SNR near-user outage, mirroring :func:`outage_far_asymptotic`."""
-    cuts = coop_cuts(cfg, rho)
-    if math.isinf(cuts.near_cut):
-        return 1.0
-    if cuts.near_cut == 0.0:
-        return 0.0
-    lead = ordered_cdf_small_arg(
-        FadingParams(cfg.mu, cfg.direct_mean("near")),
-        OrderedIndex(cfg.near_rank, cfg.users),
-        cuts.near_cut,
-    )
-    return min(1.0, lead * relay_outage(cfg, cuts.near_cut, user="near"))
+    """High-SNR outage of the near user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "near")[1]
 
 
 def outage_direct_asymptotic(cfg: DirectConfig, rho: float, user: int) -> float:
-    """High-SNR outage of served user ``user``: small-argument ordered CDF.
-
-    Decay exponent is mu times the user's sort rank.  Clamped to 1
-    outside the high-SNR regime.
-    """
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-    cuts = direct_cuts(cfg, rho)
-    cut = float(np.max(cuts[:user]))
-    if math.isinf(cut):
-        return 1.0
-    lead = ordered_cdf_small_arg(
-        FadingParams(cfg.mu, cfg.omega[user - 1]),
-        OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-        cut,
-    )
-    return min(1.0, lead)
+    """High-SNR outage of served user ``user`` (1-based) in the single-slot system."""
+    return user_outage(cfg, rho, user)[1]
 
 
 def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
@@ -485,25 +433,25 @@ def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
 # Throughput and orthogonal-access baseline
 # =====================================================================
 
-def throughput_coop(cfg: CoopConfig, rho: float) -> float:
-    """Delay-limited throughput of the cooperative pair in bit/s/Hz.
+def throughput(cfg: CoopConfig | DirectConfig, exact: Sequence[float]) -> float:
+    """Delay-limited throughput in bit/s/Hz from the served users' exact outages.
 
-    Each user contributes its target rate scaled by its success
-    probability; the ceiling rate_far + rate_near is approached when
-    both outages vanish.
+    ``exact`` holds the exact outage of each user of :func:`served_users`,
+    in that order.  Each user contributes its target rate scaled by its
+    success probability, so the ceiling is the sum of the target rates.
     """
-    return (
-        (1.0 - outage_far_exact(cfg, rho)) * cfg.rate_far
-        + (1.0 - outage_near_exact(cfg, rho)) * cfg.rate_near
-    )
+    rates = (cfg.rate_far, cfg.rate_near) if isinstance(cfg, CoopConfig) else cfg.rates
+    return math.fsum((1.0 - p) * rate for p, rate in zip(exact, rates, strict=True))
+
+
+def throughput_coop(cfg: CoopConfig, rho: float) -> float:
+    """Delay-limited throughput of the cooperative pair in bit/s/Hz."""
+    return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
 
 
 def throughput_direct(cfg: DirectConfig, rho: float) -> float:
     """Delay-limited throughput of the single-slot system in bit/s/Hz."""
-    return math.fsum(
-        (1.0 - outage_direct_exact(cfg, rho, user + 1)) * cfg.rates[user]
-        for user in range(cfg.n_users)
-    )
+    return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
 
 
 def outage_oma(cfg: CoopConfig | DirectConfig, rho: float) -> float:

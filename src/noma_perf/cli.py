@@ -30,15 +30,11 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .analytic import (
-    outage_direct_asymptotic,
-    outage_direct_exact,
-    outage_far_asymptotic,
-    outage_far_exact,
-    outage_near_asymptotic,
-    outage_near_exact,
+    COOP_USERS,
     outage_oma,
-    throughput_coop,
-    throughput_direct,
+    served_users,
+    throughput,
+    user_outage,
 )
 from .configs import (
     ConfigError,
@@ -68,15 +64,16 @@ REPORT_COLUMNS = (
     "p_exact", "p_oracle", "rel_err", "p_mc", "mc_stderr", "passed", "gate",
 )
 
-# figure id -> (preset file, scenarios, mu values)
+# figure id -> (sweep scenario, mu values); each figure sweeps the
+# scenario's committed preset file
 _FIGURES = {
-    "fig2": ("coop.ini", ("coop",), (1,)),
-    "fig3": ("coop.ini", ("coop",), (2, 3)),
-    "fig4": ("direct.ini", ("direct",), (1,)),
-    "fig5": ("direct.ini", ("direct",), (2, 3)),
-    "fig6": ("coop.ini", ("coop",), (1, 2, 3)),
-    "fig7": ("direct.ini", ("direct",), (1, 2, 3)),
-    "fig8": ("comparison.ini", ("coop", "direct"), (1,)),
+    "fig2": ("coop", (1,)),
+    "fig3": ("coop", (2, 3)),
+    "fig4": ("direct", (1,)),
+    "fig5": ("direct", (2, 3)),
+    "fig6": ("coop", (1, 2, 3)),
+    "fig7": ("direct", (1, 2, 3)),
+    "fig8": ("compare", (1,)),
 }
 
 _DEFAULT_GRID = (0.0, 40.0, 5.0)
@@ -87,12 +84,23 @@ _DEFAULT_GRID = (0.0, 40.0, 5.0)
 # =====================================================================
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"snr grid must be finite, got {start}..{stop} step {step}")
     if step <= 0:
         raise ConfigError(f"snr-step must be > 0, got {step}")
     if stop < start:
         raise ConfigError(f"snr-stop must be >= snr-start, got {start}..{stop}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + k * step for k in range(count)]
+
+
+def _check_mc_flags(trials: int, seed: int, chunks: int) -> None:
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if chunks < 1:
+        raise ConfigError(f"chunks must be >= 1, got {chunks}")
 
 
 def _parse_mu_list(raw: str) -> list[int]:
@@ -177,8 +185,7 @@ class SweepSpec:
             raise ConfigError(
                 f"scenario must be coop, direct, or compare, got {self.scenario!r}"
             )
-        if self.trials < 0:
-            raise ConfigError(f"trials must be >= 0, got {self.trials}")
+        _check_mc_flags(self.trials, self.seed, self.chunks)
 
 
 def _base_configs(spec: SweepSpec) -> dict[str, CoopConfig | DirectConfig]:
@@ -196,79 +203,73 @@ def _base_configs(spec: SweepSpec) -> dict[str, CoopConfig | DirectConfig]:
     return {s: cfgs[s] for s in wanted}
 
 
-def _coop_users(spec: SweepSpec) -> tuple[str, ...]:
+def _selected_users(spec: SweepSpec, cfg: CoopConfig | DirectConfig) -> tuple:
+    served = served_users(cfg)
     if spec.users is None:
-        return ("far", "near")
-    bad = [u for u in spec.users if u not in ("far", "near")]
-    if bad:
-        raise ConfigError(f"coop users must be 'far' or 'near', got {bad}")
-    return spec.users
-
-
-def _direct_users(spec: SweepSpec, cfg: DirectConfig) -> tuple[int, ...]:
-    if spec.users is None:
-        return tuple(range(1, cfg.n_users + 1))
+        return served
+    if isinstance(cfg, CoopConfig):
+        bad = [u for u in spec.users if u not in served]
+        if bad:
+            raise ConfigError(f"coop users must be 'far' or 'near', got {bad}")
+        return spec.users
     try:
         users = tuple(int(u) for u in spec.users)
     except ValueError as exc:
         raise ConfigError(f"direct users must be integers, got {spec.users}") from exc
-    bad = [u for u in users if not 1 <= u <= cfg.n_users]
+    bad = [u for u in users if u not in served]
     if bad:
         raise ConfigError(f"direct users must be in [1, {cfg.n_users}], got {bad}")
     return users
 
 
-def sweep_rows(spec: SweepSpec) -> list[str]:
-    """Evaluate the sweep and return formatted CSV rows (without header)."""
-    cfgs = _base_configs(spec)
+def _estimates(cfg: CoopConfig | DirectConfig, rho: float, users: tuple,
+               batch: TrialBatch | None) -> dict:
+    """Monte Carlo estimate of each reported user; None without a batch."""
+    if batch is None:
+        return dict.fromkeys(users)
+    if isinstance(cfg, CoopConfig):
+        return dict(zip(COOP_USERS, estimate_outage_coop(cfg, rho, batch)))
+    return {user: estimate_outage_direct(cfg, rho, user, batch) for user in users}
+
+
+def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
+    """Evaluate the sweep on ``cfgs`` and return formatted CSV rows (without header).
+
+    At each SNR point every served user is evaluated once, the throughput
+    is taken from those same values, and rows are emitted only for the
+    users ``spec.users`` selects.
+    """
     grid = _grid(*spec.snr_db)
     mc_on = spec.with_mc and spec.trials > 0
     batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if mc_on else None
     rows: list[str] = []
-    for scenario in ("coop", "direct"):
-        if scenario not in cfgs:
-            continue
-        mu_values = spec.mu_list if spec.mu_list is not None else (cfgs[scenario].mu,)
+    for scenario, base in cfgs.items():
+        served = served_users(base)
+        users = _selected_users(spec, base)
+        mu_values = spec.mu_list if spec.mu_list is not None else (base.mu,)
         for mu in mu_values:
-            cfg = with_mu(cfgs[scenario], mu)
+            cfg = with_mu(base, mu)
             for db in grid:
                 rho = 10.0 ** (db / 10.0)
+                outages = {user: user_outage(cfg, rho, user) for user in served}
+                tput = throughput(cfg, [exact for exact, _ in outages.values()])
                 oma = outage_oma(cfg, rho) if spec.with_oma else None
-                if scenario == "coop":
-                    tput = throughput_coop(cfg, rho)
-                    est = {"far": None, "near": None}
-                    if batch is not None:
-                        est["far"], est["near"] = estimate_outage_coop(cfg, rho, batch)
-                    for user in _coop_users(spec):
-                        exact = (outage_far_exact if user == "far" else outage_near_exact)(cfg, rho)
-                        asym = (outage_far_asymptotic if user == "far" else outage_near_asymptotic)(cfg, rho)
-                        e = est[user]
-                        rows.append(",".join([
-                            f"{db:g}", scenario, str(mu), user,
-                            _fmt(exact), _fmt(asym),
-                            _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
-                            _fmt(oma), _fmt(tput),
-                        ]))
-                else:
-                    tput = throughput_direct(cfg, rho)
-                    for user in _direct_users(spec, cfg):
-                        exact = outage_direct_exact(cfg, rho, user)
-                        asym = outage_direct_asymptotic(cfg, rho, user)
-                        e = (
-                            estimate_outage_direct(cfg, rho, user, batch)
-                            if batch is not None else None
-                        )
-                        rows.append(",".join([
-                            f"{db:g}", scenario, str(mu), str(user),
-                            _fmt(exact), _fmt(asym),
-                            _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
-                            _fmt(oma), _fmt(tput),
-                        ]))
+                est = _estimates(cfg, rho, users, batch)
+                for user in users:
+                    exact, asym = outages[user]
+                    e = est[user]
+                    rows.append(",".join([
+                        f"{db:g}", scenario, str(mu), str(user),
+                        _fmt(exact), _fmt(asym),
+                        _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
+                        _fmt(oma), _fmt(tput),
+                    ]))
     return rows
 
 
 def cmd_sweep(spec: SweepSpec) -> int:
-    _write_lines([",".join(CSV_COLUMNS), *sweep_rows(spec)], spec.output)
+    rows = sweep_rows(spec, _base_configs(spec))
+    _write_lines([",".join(CSV_COLUMNS), *rows], spec.output)
     return 0
 
 
@@ -276,75 +277,26 @@ def cmd_figure(figure: str, *, trials: int = 0, seed: int = 1, chunks: int = 1,
                output: str | None = None) -> int:
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; expected fig2..fig8")
-    preset, scenarios, mus = _FIGURES[figure]
-    cfgs = preset_configs(preset)
-    cfgs = {s: cfgs[s] for s in scenarios}
+    scenario, mus = _FIGURES[figure]
+    spec = SweepSpec(
+        scenario=scenario,
+        mu_list=mus,
+        trials=trials,
+        seed=seed,
+        chunks=chunks,
+        with_oma=True,
+    )
+    cfgs = _base_configs(spec)
     lines = _config_header(figure, cfgs)
     lines.append(",".join(CSV_COLUMNS))
-    scenario = "compare" if len(scenarios) == 2 else scenarios[0]
-    for mu in mus:
-        spec = SweepSpec(
-            scenario=scenario,
-            mu_list=(mu,),
-            trials=trials,
-            seed=seed,
-            chunks=chunks,
-            with_oma=True,
-        )
-        # reuse the sweep path on the preset configs for this mu
-        sub = {s: with_mu(c, mu) for s, c in cfgs.items()}
-        lines.extend(_figure_rows(spec, sub))
+    lines.extend(sweep_rows(spec, cfgs))
     _write_lines(lines, output)
     return 0
 
 
-def _figure_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
-    # same row layout as sweep_rows, but on externally supplied configs
-    grid = _grid(*spec.snr_db)
-    batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if spec.trials > 0 else None
-    rows: list[str] = []
-    for scenario in ("coop", "direct"):
-        if scenario not in cfgs:
-            continue
-        cfg = cfgs[scenario]
-        for db in grid:
-            rho = 10.0 ** (db / 10.0)
-            oma = outage_oma(cfg, rho)
-            if scenario == "coop":
-                tput = throughput_coop(cfg, rho)
-                est = {"far": None, "near": None}
-                if batch is not None:
-                    est["far"], est["near"] = estimate_outage_coop(cfg, rho, batch)
-                for user in ("far", "near"):
-                    exact = (outage_far_exact if user == "far" else outage_near_exact)(cfg, rho)
-                    asym = (outage_far_asymptotic if user == "far" else outage_near_asymptotic)(cfg, rho)
-                    e = est[user]
-                    rows.append(",".join([
-                        f"{db:g}", scenario, str(cfg.mu), user,
-                        _fmt(exact), _fmt(asym),
-                        _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
-                        _fmt(oma), _fmt(tput),
-                    ]))
-            else:
-                tput = throughput_direct(cfg, rho)
-                for user in range(1, cfg.n_users + 1):
-                    exact = outage_direct_exact(cfg, rho, user)
-                    asym = outage_direct_asymptotic(cfg, rho, user)
-                    e = (
-                        estimate_outage_direct(cfg, rho, user, batch)
-                        if batch is not None else None
-                    )
-                    rows.append(",".join([
-                        f"{db:g}", scenario, str(cfg.mu), str(user),
-                        _fmt(exact), _fmt(asym),
-                        _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
-                        _fmt(oma), _fmt(tput),
-                    ]))
-    return rows
-
-
 def cmd_validate(*, config: str | None, trials: int, seed: int, chunks: int,
                  output: str | None) -> int:
+    _check_mc_flags(trials, seed, chunks)
     if config is not None:
         cfgs = list(load_config_file(config).values())
     else:

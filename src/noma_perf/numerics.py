@@ -21,7 +21,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
-    "bessel_k",
     "bessel_k_scaled",
     "compositions",
     "integrate_semi_infinite",
@@ -54,24 +53,10 @@ def log_binomial(n: int, k: int) -> float:
     return log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)
 
 
-def bessel_k(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind, K_order(x), for x > 0.
-
-    Orders are non-negative integers; K is symmetric in the order sign so
-    callers with a negative order pass its absolute value.  Underflows to
-    0.0 for large x (K_v decays like exp(-x)).
-    """
-    if order < 0 or order != int(order):
-        raise ValueError(f"bessel_k requires an integer order >= 0, got {order}")
-    if not x > 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    return float(special.kv(order, x))
-
-
 def bessel_k_scaled(order: int, x: float) -> float:
     """Exponentially scaled K_order(x) * exp(x), usable in log-domain sums.
 
-    Avoids the underflow of ``bessel_k`` for large arguments: the scaled
+    Avoids the underflow of plain K_v for large arguments: the scaled
     value decays only algebraically, so ``log(bessel_k_scaled(v, x)) - x``
     recovers log K_v(x) across the whole double range.
     """

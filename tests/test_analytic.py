@@ -13,7 +13,6 @@ from noma_perf.analytic import (
     direct_cuts,
     diversity_order_fit,
     far_outage_parts,
-    fixed_gain_constant,
     near_outage_parts,
     outage_direct_asymptotic,
     outage_direct_exact,
@@ -27,6 +26,7 @@ from noma_perf.analytic import (
     threshold_snr,
     throughput_coop,
     throughput_direct,
+    user_outage,
 )
 from noma_perf.configs import (
     CoopConfig,
@@ -73,27 +73,14 @@ class TestThresholdSnr:
 class TestFixedGainConstant:
     def test_literal_kappa(self):
         cfg = coop_preset()
-        assert_allclose(fixed_gain_constant(cfg), KAPPA_NOISE_SCALE, rtol=1e-15)
+        assert_allclose(cfg.noise_scale, KAPPA_NOISE_SCALE, rtol=1e-15)
 
     def test_relay_const_override(self):
         base = coop_preset()
         import dataclasses
 
         cfg = dataclasses.replace(base, relay_gain=None, relay_const=2.5)
-        assert fixed_gain_constant(cfg) == 2.5
-
-    def test_power_normalized(self):
-        cfg = coop_preset()
-        rho = 20.0
-        assert_allclose(
-            fixed_gain_constant(cfg, rho, mode="power-normalized"),
-            cfg.omega_sr + 1.0 / rho,
-            rtol=1e-15,
-        )
-        with pytest.raises(ValueError):
-            fixed_gain_constant(cfg, mode="power-normalized")
-        with pytest.raises(ValueError):
-            fixed_gain_constant(cfg, 10.0, mode="nonsense")
+        assert cfg.noise_scale == 2.5
 
 
 class TestCoopCuts:
@@ -311,6 +298,16 @@ class TestDirectExactOutage:
             outage_direct_exact(cfg, 10.0, 0)
         with pytest.raises(ValueError):
             outage_direct_exact(cfg, 10.0, 4)
+
+
+class TestUserOutage:
+    def test_rejects_unknown_user_and_config(self):
+        with pytest.raises(ValueError):
+            user_outage(coop_preset(), 10.0, "middle")
+        with pytest.raises(ValueError):
+            user_outage(direct_preset(), 10.0, 4)
+        with pytest.raises(TypeError):
+            user_outage(object(), 10.0, 1)
 
 
 class TestAsymptotics:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from noma_perf import analytic
 from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
@@ -146,6 +147,40 @@ class TestSweep:
             capsys, "sweep", "--snr-start", "20", "--snr-stop", "10"
         )
         assert code == 2 and "error:" in err
+        for argv in (
+            ("sweep", "--trials", "10", "--chunks", "0"),
+            ("sweep", "--trials", "10", "--seed", "-1"),
+            ("sweep", "--snr-start", "nan"),
+            ("sweep", "--snr-stop", "inf"),
+            ("figure", "fig2", "--trials", "10", "--chunks", "0"),
+            ("validate", "--trials", "-1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+
+    def test_users_filter_keeps_full_sweep_rows(self, capsys):
+        args = ("sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
+        code, full, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, near, _ = run_cli(capsys, *args, "--users", "near")
+        assert code == 0
+        want = [row for row in data_rows(full) if cells(row)["user"] == "near"]
+        assert data_rows(near) == want
+
+    def test_relay_closed_form_once_per_user_and_point(self, capsys, monkeypatch):
+        calls = []
+        closed_form = analytic.relay_outage_closed
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "relay_outage_closed", counted)
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
+        assert code == 0
+        # 2 mu values x 9 SNR points x (far, near, OMA baseline)
+        assert len(calls) == 2 * 9 * 3
 
     def test_missing_scenario_section_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "cooponly.ini"
@@ -202,6 +237,13 @@ class TestFigure:
         tput = [float(c["throughput"]) for c in rows if c["user"] == "far"]
         assert tput == sorted(tput)
         assert tput[-1] > tput[0]
+
+    def test_figure_rows_are_the_preset_sweep(self, capsys):
+        code, fig, _ = run_cli(capsys, "figure", "fig3")
+        assert code == 0
+        code, sweep, _ = run_cli(capsys, "sweep", "--scenario", "coop", "--mu", "2,3", "--oma")
+        assert code == 0
+        assert data_rows(fig) == data_rows(sweep)
 
     def test_unknown_figure_id_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
