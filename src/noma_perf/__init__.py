@@ -42,6 +42,7 @@ from .analytic import (
 from .montecarlo import (
     Estimate,
     TrialBatch,
+    estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
     estimate_outage_far,
@@ -72,6 +73,7 @@ __all__ = [
     "direct_cuts",
     "direct_preset",
     "diversity_order_fit",
+    "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
     "estimate_outage_far",

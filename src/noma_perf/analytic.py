@@ -298,7 +298,9 @@ def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
     """Served users of ``cfg`` in report order: ``('far', 'near')`` or 1..M."""
     if isinstance(cfg, CoopConfig):
         return COOP_USERS
-    return tuple(range(1, cfg.n_users + 1))
+    if isinstance(cfg, DirectConfig):
+        return tuple(range(1, cfg.n_users + 1))
+    raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
 def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,

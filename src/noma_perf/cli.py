@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .analytic import (
-    COOP_USERS,
     outage_oma,
     served_users,
     throughput,
@@ -44,11 +43,7 @@ from .configs import (
     preset_configs,
     with_mu,
 )
-from .montecarlo import (
-    TrialBatch,
-    estimate_outage_coop,
-    estimate_outage_direct,
-)
+from .montecarlo import TrialBatch, estimate_outage
 from .validation import run_validation_suite
 
 logger = logging.getLogger(__name__)
@@ -77,6 +72,8 @@ _FIGURES = {
 }
 
 _DEFAULT_GRID = (0.0, 40.0, 5.0)
+#: most points one SNR grid may have
+_MAX_GRID_POINTS = 10**6
 
 
 # =====================================================================
@@ -90,8 +87,20 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError(f"snr-step must be > 0, got {step}")
     if stop < start:
         raise ConfigError(f"snr-stop must be >= snr-start, got {start}..{stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"snr grid {start}..{stop} step {step} has more than {_MAX_GRID_POINTS} points"
+        )
+    grid = [start + k * step for k in range(math.floor(span) + 1)]
+    try:
+        # 10**(dB/10) is monotone, so the end points bound every point
+        ok = all(0.0 < 10.0 ** (db / 10.0) < math.inf for db in (grid[0], grid[-1]))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"snr grid {start}..{stop} dB must map to a finite linear SNR > 0")
+    return grid
 
 
 def _check_mc_flags(trials: int, seed: int, chunks: int) -> None:
@@ -116,12 +125,6 @@ def _parse_mu_list(raw: str) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     v = float(value)
     if math.isnan(v):
         return ""
@@ -207,29 +210,18 @@ def _selected_users(spec: SweepSpec, cfg: CoopConfig | DirectConfig) -> tuple:
     served = served_users(cfg)
     if spec.users is None:
         return served
-    if isinstance(cfg, CoopConfig):
-        bad = [u for u in spec.users if u not in served]
-        if bad:
-            raise ConfigError(f"coop users must be 'far' or 'near', got {bad}")
-        return spec.users
-    try:
-        users = tuple(int(u) for u in spec.users)
-    except ValueError as exc:
-        raise ConfigError(f"direct users must be integers, got {spec.users}") from exc
+    users = spec.users
+    if isinstance(cfg, DirectConfig):
+        try:
+            users = tuple(int(u) for u in users)
+        except ValueError as exc:
+            raise ConfigError(f"direct users must be integers, got {spec.users}") from exc
     bad = [u for u in users if u not in served]
     if bad:
-        raise ConfigError(f"direct users must be in [1, {cfg.n_users}], got {bad}")
+        raise ConfigError(f"users must be among {served}, got {bad}")
+    if len(set(users)) < len(users):
+        raise ConfigError(f"--users names a user more than once, got {spec.users}")
     return users
-
-
-def _estimates(cfg: CoopConfig | DirectConfig, rho: float, users: tuple,
-               batch: TrialBatch | None) -> dict:
-    """Monte Carlo estimate of each reported user; None without a batch."""
-    if batch is None:
-        return dict.fromkeys(users)
-    if isinstance(cfg, CoopConfig):
-        return dict(zip(COOP_USERS, estimate_outage_coop(cfg, rho, batch)))
-    return {user: estimate_outage_direct(cfg, rho, user, batch) for user in users}
 
 
 def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
@@ -240,6 +232,7 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
     users ``spec.users`` selects.
     """
     grid = _grid(*spec.snr_db)
+    rhos = [10.0 ** (db / 10.0) for db in grid]
     mc_on = spec.with_mc and spec.trials > 0
     batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if mc_on else None
     rows: list[str] = []
@@ -249,12 +242,14 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
         mu_values = spec.mu_list if spec.mu_list is not None else (base.mu,)
         for mu in mu_values:
             cfg = with_mu(base, mu)
-            for db in grid:
-                rho = 10.0 ** (db / 10.0)
+            if batch is None:
+                estimates = [dict.fromkeys(served)] * len(rhos)
+            else:
+                estimates = estimate_outage(cfg, rhos, batch)
+            for db, rho, est in zip(grid, rhos, estimates):
                 outages = {user: user_outage(cfg, rho, user) for user in served}
                 tput = throughput(cfg, [exact for exact, _ in outages.values()])
                 oma = outage_oma(cfg, rho) if spec.with_oma else None
-                est = _estimates(cfg, rho, users, batch)
                 for user in users:
                     exact, asym = outages[user]
                     e = est[user]

@@ -10,8 +10,9 @@ identically.
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
 and per-block failure counts are integers summed in any order.  The
-estimate therefore depends only on (seed, trials), not on how blocks are
-distributed over worker threads, and repeated runs are bit-identical.
+estimate therefore depends only on (seed, trials, rho), not on how blocks
+are distributed over worker threads nor on which other points or users
+the same call replays, and repeated runs are bit-identical.
 The ``NOMA_PERF_THREADS`` environment variable caps worker threads.
 """
 
@@ -22,11 +23,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .analytic import coop_cuts, direct_cuts, threshold_snr
+from .analytic import _check_rho, coop_cuts, direct_cuts, served_users, threshold_snr
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
@@ -42,6 +44,7 @@ __all__ = [
     "direct_events_from_cuts",
     "direct_events_from_sinr",
     "draw_coop_block",
+    "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
     "estimate_outage_far",
@@ -283,7 +286,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], np.ndarray]) -> np.ndarray:
+def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> np.ndarray:
     """Sum worker(block_index, block_trials) counts over all blocks.
 
     Counts are integers, so the sum is exact and order-independent;
@@ -303,22 +306,57 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], np.ndarray]) -> 
 # Estimators
 # =====================================================================
 
+def _coop_block(cfg: CoopConfig, rhos: list[float], rng: np.random.Generator,
+                n: int) -> ArrayLike:
+    """Far and near failure counts of one block at each rho, shape (rhos, 2)."""
+    draw = draw_coop_block(cfg, rng, n)
+    return [[fail.sum() for fail in coop_events_from_sinr(draw, cfg, rho)] for rho in rhos]
+
+
+def _direct_block(cfg: DirectConfig, rhos: list[float], rng: np.random.Generator,
+                  n: int) -> ArrayLike:
+    """Failure counts of one block per rho and served user, shape (rhos, users).
+
+    The pool is drawn once at unit scale (omega / mu == 1.0, so the sums
+    are not rescaled) and each user's column is scaled afterwards.
+    Sorting commutes with a positive scale and rounding is monotone, so
+    this equals sorting a pool drawn at the user's own mean, bit for bit.
+    """
+    base = sample_sorted_gains(FadingParams(cfg.mu, float(cfg.mu)), cfg.pool, rng, size=n)
+    counts = []
+    for user in served_users(cfg):
+        gain = base[:, cfg.ranks[user - 1] - 1] * (cfg.omega[user - 1] / cfg.mu)
+        counts.append([direct_events_from_sinr(gain, cfg, rho, user).sum() for rho in rhos])
+    return np.transpose(counts)
+
+
+def estimate_outage(cfg: CoopConfig | DirectConfig, rhos: Sequence[float],
+                    batch: TrialBatch) -> list[dict]:
+    """Outage estimates of every served user at every transmit SNR in ``rhos``.
+
+    Returns one dict per rho, mapping each served user (``'far'``/``'near'``
+    or 1..M) to its :class:`Estimate`.  Each block draws its gains once and
+    replays the SINR chain for every (rho, user) point, so all points and
+    users of one call see the same draws, and each estimate equals a
+    one-point call at that rho.
+    """
+    rhos = [_check_rho(rho) for rho in rhos]
+    users = served_users(cfg)
+    if not rhos:
+        return []
+    block = _coop_block if isinstance(cfg, CoopConfig) else _direct_block
+    counts = _run_blocks(batch, lambda j, n: block(cfg, rhos, _block_rng(batch.seed, j), n))
+    return [
+        {user: Estimate.from_count(int(c), batch.trials) for user, c in zip(users, row)}
+        for row in counts
+    ]
+
+
 def estimate_outage_coop(cfg: CoopConfig, rho: float, batch: TrialBatch
                          ) -> tuple[Estimate, Estimate]:
     """Far and near outage estimates from one shared set of draws."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"transmit SNR rho must be finite and > 0, got {rho}")
-
-    def worker(block: int, n: int) -> np.ndarray:
-        draw = draw_coop_block(cfg, _block_rng(batch.seed, block), n)
-        far_fail, near_fail = coop_events_from_sinr(draw, cfg, rho)
-        return np.array([far_fail.sum(), near_fail.sum()], dtype=np.int64)
-
-    far_count, near_count = _run_blocks(batch, worker)
-    return (
-        Estimate.from_count(int(far_count), batch.trials),
-        Estimate.from_count(int(near_count), batch.trials),
-    )
+    (point,) = estimate_outage(cfg, [rho], batch)
+    return point["far"], point["near"]
 
 
 def estimate_outage_far(cfg: CoopConfig, rho: float, batch: TrialBatch) -> Estimate:
@@ -334,18 +372,6 @@ def estimate_outage_near(cfg: CoopConfig, rho: float, batch: TrialBatch) -> Esti
 def estimate_outage_direct(cfg: DirectConfig, rho: float, user: int,
                            batch: TrialBatch) -> Estimate:
     """Outage estimate of served user ``user`` in the single-slot system."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"transmit SNR rho must be finite and > 0, got {rho}")
     if not 1 <= user <= cfg.n_users:
         raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-    params = FadingParams(cfg.mu, cfg.omega[user - 1])
-    rank = cfg.ranks[user - 1]
-
-    def worker(block: int, n: int) -> np.ndarray:
-        pool_gains = sample_sorted_gains(params, cfg.pool, _block_rng(batch.seed, block), size=n)
-        gain = pool_gains[:, rank - 1]
-        fail = direct_events_from_sinr(gain, cfg, rho, user)
-        return np.array([fail.sum()], dtype=np.int64)
-
-    (count,) = _run_blocks(batch, worker)
-    return Estimate.from_count(int(count), batch.trials)
+    return estimate_outage(cfg, [rho], batch)[0][user]

@@ -23,21 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analytic import (
-    coop_cuts,
-    direct_cuts,
-    outage_direct_exact,
-    outage_far_exact,
-    outage_near_exact,
-)
+from .analytic import coop_cuts, direct_cuts, served_users, user_outage
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
-from .montecarlo import (
-    Estimate,
-    TrialBatch,
-    estimate_outage_coop,
-    estimate_outage_direct,
-)
+from .montecarlo import TrialBatch, estimate_outage
 from .numerics import integrate_semi_infinite
 
 logger = logging.getLogger(__name__)
@@ -193,47 +182,6 @@ class ComparisonRow:
     gate: str
 
 
-def _gate_row(
-    snr_db: float,
-    scenario: str,
-    mu: int,
-    user: str,
-    exact: float,
-    oracle: float,
-    estimate: Estimate | None,
-    *,
-    oracle_rel_tol: float,
-    mc_sigmas: float,
-) -> ComparisonRow:
-    rel_err = abs(exact - oracle) / max(abs(oracle), 1e-300)
-    ok = rel_err <= oracle_rel_tol
-    gate = f"rel_err<={oracle_rel_tol:g}"
-    p_mc = math.nan
-    mc_stderr = math.nan
-    if estimate is not None:
-        p_mc = estimate.p_hat
-        mc_stderr = estimate.stderr
-        # standard error under the exact probability is the natural null
-        # scale and stays positive even when the empirical count is 0 or n
-        se_exact = math.sqrt(exact * (1.0 - exact) / estimate.trials)
-        tol = mc_sigmas * max(estimate.stderr, se_exact)
-        ok = ok and abs(exact - p_mc) <= tol
-        gate += f" & |exact-mc|<={mc_sigmas:g}se"
-    return ComparisonRow(
-        snr_db=snr_db,
-        scenario=scenario,
-        mu=mu,
-        user=user,
-        p_exact=exact,
-        p_oracle=oracle,
-        rel_err=rel_err,
-        p_mc=p_mc,
-        mc_stderr=mc_stderr,
-        passed=ok,
-        gate=gate,
-    )
-
-
 def run_validation_suite(
     configs: Sequence[CoopConfig | DirectConfig],
     snr_db: Sequence[float],
@@ -253,43 +201,47 @@ def run_validation_suite(
     An empty config or SNR list yields an empty report.
     """
     rows: list[ComparisonRow] = []
+    rhos = [10.0 ** (float(db) / 10.0) for db in snr_db]
     for cfg in configs:
-        for db in snr_db:
-            rho = 10.0 ** (float(db) / 10.0)
-            if isinstance(cfg, CoopConfig):
-                exact = {
-                    "far": outage_far_exact(cfg, rho),
-                    "near": outage_near_exact(cfg, rho),
-                }
-                estimates: dict[str, Estimate | None] = {"far": None, "near": None}
-                if batch is not None and max(exact.values()) > mc_floor:
-                    far_est, near_est = estimate_outage_coop(cfg, rho, batch)
-                    if exact["far"] > mc_floor:
-                        estimates["far"] = far_est
-                    if exact["near"] > mc_floor:
-                        estimates["near"] = near_est
-                for user in ("far", "near"):
-                    rows.append(
-                        _gate_row(
-                            float(db), "coop", cfg.mu, user,
-                            exact[user], outage_oracle(cfg, rho, user),
-                            estimates[user],
-                            oracle_rel_tol=oracle_rel_tol, mc_sigmas=mc_sigmas,
-                        )
-                    )
-            elif isinstance(cfg, DirectConfig):
-                for user in range(1, cfg.n_users + 1):
-                    exact_u = outage_direct_exact(cfg, rho, user)
-                    est = None
-                    if batch is not None and exact_u > mc_floor:
-                        est = estimate_outage_direct(cfg, rho, user, batch)
-                    rows.append(
-                        _gate_row(
-                            float(db), "direct", cfg.mu, str(user),
-                            exact_u, outage_oracle(cfg, rho, user), est,
-                            oracle_rel_tol=oracle_rel_tol, mc_sigmas=mc_sigmas,
-                        )
-                    )
-            else:
-                raise TypeError(f"unsupported config type {type(cfg).__name__}")
+        users = served_users(cfg)
+        scenario = "coop" if isinstance(cfg, CoopConfig) else "direct"
+        exact = [{user: user_outage(cfg, rho, user)[0] for user in users} for rho in rhos]
+        estimates = {}
+        if batch is not None:
+            # one simulation over the points where some user is above the floor
+            simulated = [k for k, point in enumerate(exact) if max(point.values()) > mc_floor]
+            points = estimate_outage(cfg, [rhos[k] for k in simulated], batch)
+            estimates = dict(zip(simulated, points))
+        for k, (db, rho) in enumerate(zip(snr_db, rhos)):
+            for user in users:
+                p = exact[k][user]
+                oracle = outage_oracle(cfg, rho, user)
+                rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
+                ok = rel_err <= oracle_rel_tol
+                gate = f"rel_err<={oracle_rel_tol:g}"
+                p_mc = math.nan
+                mc_stderr = math.nan
+                if k in estimates and p > mc_floor:
+                    est = estimates[k][user]
+                    p_mc = est.p_hat
+                    mc_stderr = est.stderr
+                    # standard error under the exact probability is the natural null
+                    # scale and stays positive even when the empirical count is 0 or n
+                    se_exact = math.sqrt(p * (1.0 - p) / est.trials)
+                    tol = mc_sigmas * max(est.stderr, se_exact)
+                    ok = ok and abs(p - p_mc) <= tol
+                    gate += f" & |exact-mc|<={mc_sigmas:g}se"
+                rows.append(ComparisonRow(
+                    snr_db=float(db),
+                    scenario=scenario,
+                    mu=cfg.mu,
+                    user=str(user),
+                    p_exact=p,
+                    p_oracle=oracle,
+                    rel_err=rel_err,
+                    p_mc=p_mc,
+                    mc_stderr=mc_stderr,
+                    passed=ok,
+                    gate=gate,
+                ))
     return rows

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from noma_perf import analytic
+from noma_perf import analytic, montecarlo
 from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
@@ -154,6 +154,12 @@ class TestSweep:
             ("sweep", "--snr-stop", "inf"),
             ("figure", "fig2", "--trials", "10", "--chunks", "0"),
             ("validate", "--trials", "-1"),
+            ("sweep", "--snr-start", "4000", "--snr-stop", "4000"),
+            ("sweep", "--snr-start", "-4000", "--snr-stop", "-4000"),
+            ("sweep", "--snr-stop", "1e300", "--snr-step", "1e-300"),
+            ("sweep", "--snr-step", "1e-9"),
+            ("sweep", "--scenario", "direct", "--users", "1,1"),
+            ("sweep", "--scenario", "coop", "--users", "far,far"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
@@ -181,6 +187,30 @@ class TestSweep:
         assert code == 0
         # 2 mu values x 9 SNR points x (far, near, OMA baseline)
         assert len(calls) == 2 * 9 * 3
+
+    def test_each_block_drawn_once_per_run(self, capsys, monkeypatch):
+        coop_draws, sorted_draws = [], []
+        draw_coop_block = montecarlo.draw_coop_block
+        sample_sorted_gains = montecarlo.sample_sorted_gains
+
+        def counted_coop(*args, **kwargs):
+            coop_draws.append(args)
+            return draw_coop_block(*args, **kwargs)
+
+        def counted_sorted(*args, **kwargs):
+            sorted_draws.append(args)
+            return sample_sorted_gains(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "draw_coop_block", counted_coop)
+        monkeypatch.setattr(montecarlo, "sample_sorted_gains", counted_sorted)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--scenario", "compare", "--trials", "1000", "--snr-step", "10",
+        )
+        assert code == 0
+        # 5 SNR points, 1 block: one coop draw and one direct pool draw
+        # serve every point and user; each coop draw sorts its own pool
+        assert len(coop_draws) == 1
+        assert len(sorted_draws) - len(coop_draws) == 1
 
     def test_missing_scenario_section_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "cooponly.ini"

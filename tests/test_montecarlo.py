@@ -24,6 +24,7 @@ from noma_perf.montecarlo import (
     direct_events_from_cuts,
     direct_events_from_sinr,
     draw_coop_block,
+    estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
     estimate_outage_far,
@@ -242,6 +243,24 @@ class TestDeterminism:
         assert estimate_outage_far(cfg, rho, batch) == far
         assert estimate_outage_near(cfg, rho, batch) == near
 
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_random_stream_is_pinned(self, chunks):
+        # Failure counts per rho (rows) and served user (columns) of the
+        # committed random stream; any change to them is a change of the
+        # stream.  direct_preset has distinct omegas, so the per-user
+        # scaling of the shared pool is covered.
+        trials = 2 * BLOCK_TRIALS + 1234
+        batch = TrialBatch(trials, seed=5, chunks=chunks)
+        rhos = (1.0, 10.0, 100.0)
+        for cfg, want in (
+            (coop_preset(2), [[525181, 525522], [167790, 364486], [771, 2]]),
+            (direct_preset(2), [[507773, 519282, 525393], [35602, 8219, 20488], [377, 1, 1]]),
+        ):
+            points = estimate_outage(cfg, rhos, batch)
+            got = [[round(e.p_hat * trials) for e in point.values()] for point in points]
+            assert got == want
+            assert all(e.trials == trials for point in points for e in point.values())
+
     def test_thread_cap_env(self, monkeypatch):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
@@ -292,3 +311,8 @@ class TestAgreementWithClosedForms:
             estimate_outage_coop(coop_preset(), 0.0, TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
             estimate_outage_direct(direct_preset(), 10.0, 5, TrialBatch(10, seed=0))
+        with pytest.raises(ValueError):
+            estimate_outage(direct_preset(), [10.0, math.inf], TrialBatch(10, seed=0))
+        with pytest.raises(TypeError):
+            estimate_outage(object(), [10.0], TrialBatch(10, seed=0))
+        assert estimate_outage(coop_preset(), [], TrialBatch(10, seed=0)) == []
