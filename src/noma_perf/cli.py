@@ -206,22 +206,37 @@ def _base_configs(spec: SweepSpec) -> dict[str, CoopConfig | DirectConfig]:
     return {s: cfgs[s] for s in wanted}
 
 
-def _selected_users(spec: SweepSpec, cfg: CoopConfig | DirectConfig) -> tuple:
-    served = served_users(cfg)
+def _selected_users(spec: SweepSpec,
+                    cfgs: dict[str, CoopConfig | DirectConfig]) -> dict[str, tuple]:
+    """Users each scenario emits rows for, in ``--users`` order.
+
+    ``far``/``near`` select coop rows and integers select direct rows, so
+    a compare run can mix both; a scenario that no entry names emits no
+    rows.  An entry that names no served user of any scenario, or names
+    one twice, is an error.
+    """
+    served = {scenario: served_users(cfg) for scenario, cfg in cfgs.items()}
     if spec.users is None:
         return served
-    users = spec.users
-    if isinstance(cfg, DirectConfig):
+    picked: dict[str, list] = {scenario: [] for scenario in cfgs}
+    seen = set()
+    for token in spec.users:
         try:
-            users = tuple(int(u) for u in users)
-        except ValueError as exc:
-            raise ConfigError(f"direct users must be integers, got {spec.users}") from exc
-    bad = [u for u in users if u not in served]
-    if bad:
-        raise ConfigError(f"users must be among {served}, got {bad}")
-    if len(set(users)) < len(users):
-        raise ConfigError(f"--users names a user more than once, got {spec.users}")
-    return users
+            user = int(token)
+        except ValueError:
+            user = token
+        if user in seen:
+            raise ConfigError(f"--users names a user more than once, got {spec.users}")
+        seen.add(user)
+        hits = [scenario for scenario, users in served.items() if user in users]
+        if not hits:
+            known = [u for users in served.values() for u in users]
+            raise ConfigError(
+                f"--users entry {token!r} is not a served user; expected one of {known}"
+            )
+        for scenario in hits:
+            picked[scenario].append(user)
+    return {scenario: tuple(users) for scenario, users in picked.items()}
 
 
 def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
@@ -235,10 +250,13 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
     rhos = [10.0 ** (db / 10.0) for db in grid]
     mc_on = spec.with_mc and spec.trials > 0
     batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if mc_on else None
+    selected = _selected_users(spec, cfgs)
     rows: list[str] = []
     for scenario, base in cfgs.items():
+        users = selected[scenario]
+        if not users:
+            continue
         served = served_users(base)
-        users = _selected_users(spec, base)
         mu_values = spec.mu_list if spec.mu_list is not None else (base.mu,)
         for mu in mu_values:
             cfg = with_mu(base, mu)
@@ -341,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--chunks", type=int, default=1,
                        help="worker chunks for Monte Carlo blocks (never changes results)")
     sweep.add_argument("--users", default=None, metavar="LIST",
-                       help="subset of users: far,near (coop) or 1,2,... (direct)")
+                       help="subset of users: far,near (coop rows) and 1,2,... (direct rows)")
     sweep.add_argument("--out", default=None, metavar="PATH")
     sweep.add_argument("--config", default=None, metavar="INI")
     sweep.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns")

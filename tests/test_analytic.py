@@ -1,12 +1,18 @@
 """Unit tests for the closed-form outage, asymptotics, and throughput."""
 
+import json
 import math
 import warnings
+from fractions import Fraction
 
+import mp_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from noma_perf import analytic
 from noma_perf.analytic import (
     CoopCuts,
     coop_cuts,
@@ -196,14 +202,117 @@ class TestRelayOutage:
         assert 0.0 < vals[0] < vals[-1] <= 1.0
 
     def test_deep_tail_stays_positive_and_accurate(self):
-        # far below 1e-6 the evaluation escalates to extended precision;
-        # the quadrature oracle must still agree
+        # far below 1e-6 the deep branch's series takes over from the
+        # cancelling Bessel sum; the quadrature oracle must still agree
         cfg = with_mu(coop_preset(), 2)
         cut = 3.0 / db_to_linear(45.0)
         closed = relay_outage(cfg, cut)
         assert 0.0 < closed < 1e-7
         ref = relay_outage_quadrature(cfg, cut, method="shifted")
         assert_allclose(closed, ref, rtol=1e-7)
+
+    def test_deep_coefficients_start_with_the_incomplete_gamma_sum(self):
+        # the q = 0 row is sum_{p<mu} t**p / p!, so exp(-t) times it is
+        # the upper incomplete gamma function the deep branch subtracts
+        for mu in range(1, 7):
+            row = analytic._deep_coefficients(mu, 0)
+            assert row == {p: (Fraction(1, math.factorial(p)), 0) for p in range(mu)}
+        # the O(s) terms of mu = 2 cancel exactly between K_1 and K_2
+        assert 0 not in analytic._deep_coefficients(2, 1)
+
+    def test_deep_branch_matches_mp_reference(self):
+        # every row of the table lies below the switch, on the deep branch
+        table = json.loads(mp_reference.TABLE_PATH.read_text(encoding="utf-8"))["rows"]
+        assert {row[0] for row in table} == set(mp_reference.GRID_MU)
+        for mu, omega_sr, omega_rd, noise, cut, ref in table:
+            args = (cut, mu, omega_sr, omega_rd, noise)
+            deep = analytic._relay_outage_deep(*args)
+            assert deep == pytest.approx(ref, rel=1e-10, abs=0.0), args
+            assert relay_outage_closed(cut, mu=mu, omega_sr=omega_sr, omega_rd=omega_rd,
+                                       noise_scale=noise) == deep, args
+
+    # s at which the Bessel sum reaches 1e-6 as t -> 0, for mu = 1..6: the
+    # outage grows with t and s, so the deep branch never sees a larger s
+    DEEP_S_MAX = (6.07454e-08, 5.39410e-04, 1.51857e-02, 9.58308e-02, 3.23604e-01, 7.86845e-01)
+
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_largest_deep_s(self, mu):
+        noise = 1e9  # t = s / (mu**2 * noise) is negligible next to s
+        kw = dict(mu=mu, omega_sr=1.0, omega_rd=1.0, noise_scale=noise)
+        s_max = self.DEEP_S_MAX[mu - 1]
+        assert relay_outage_closed(1.001 * s_max / (mu * mu * noise), **kw) >= 1e-6
+        cut = 0.999 * s_max / (mu * mu * noise)
+        value = relay_outage_closed(cut, **kw)
+        assert value < 1e-6
+        assert value == analytic._relay_outage_deep(cut, mu, 1.0, 1.0, noise)
+        ref = mp_reference.relay_outage_mp(cut, mu, 1.0, 1.0, noise)
+        assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_large_mu_resums_in_decimal(self, monkeypatch):
+        # at mu = 14 near the switch the series' terms are ~1e8 times its
+        # sum, so a double-precision sum would be off by ~1e-9
+        resums = []
+        decimal_sum = analytic._deep_sum_decimal
+
+        def counted(*args):
+            resums.append(args[-1])
+            return decimal_sum(*args)
+
+        monkeypatch.setattr(analytic, "_deep_sum_decimal", counted)
+        mu, noise = 14, 1e9
+        cut = 0.999 * 21.6 / (mu * mu * noise)
+        value = relay_outage_closed(cut, mu=mu, omega_sr=1.0, omega_rd=1.0, noise_scale=noise)
+        assert resums == [32] and value < 1e-6
+        ref = mp_reference.relay_outage_mp(cut, mu, 1.0, 1.0, noise)
+        assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_euler_gamma_digits(self):
+        with mp_reference.mp.workdps(130):
+            digits = mp_reference.mp.nstr(mp_reference.mp.euler, 125)
+        assert digits.startswith(analytic._EULER_GAMMA_DIGITS)
+
+    @pytest.mark.parametrize("mu, omega_sr, omega_rd, noise", [
+        (1, 4.0, 4.0, KAPPA_NOISE_SCALE),
+        (2, 4.0, 4.0, KAPPA_NOISE_SCALE),
+        (3, 0.5, 4.0, 0.1),
+        (6, 3.0, 0.5, 10.0),
+    ])
+    def test_switch_is_continuous_and_monotone(self, mu, omega_sr, omega_rd, noise):
+        kw = dict(mu=mu, omega_sr=omega_sr, omega_rd=omega_rd, noise_scale=noise)
+        args = (mu, omega_sr, omega_rd, noise)
+        lo, hi = 1e-12, 1e2
+        for _ in range(200):  # bisect the cut at which the Bessel sum reaches 1e-6
+            mid = math.sqrt(lo * hi)
+            if analytic._relay_outage_f64(mid, *args) < 1e-6:
+                lo = mid
+            else:
+                hi = mid
+        assert hi / lo - 1.0 < 1e-12
+        # both forms agree at the switch, up to the Bessel sum's own error
+        # there of a few 1e-9
+        assert analytic._relay_outage_deep(hi, *args) == pytest.approx(
+            analytic._relay_outage_f64(hi, *args), rel=1e-8)
+        vals = [relay_outage_closed(c, **kw) for c in np.linspace(0.999 * lo, 1.001 * hi, 401)]
+        assert vals[0] < 1e-6 <= vals[-1]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.integers(1, 6),
+        omega_sr=st.floats(0.1, 10.0),
+        omega_rd=st.floats(0.1, 10.0),
+        noise=st.floats(0.01, 100.0),
+        log_cut=st.floats(-12.0, 2.0),
+        log_step=st.floats(0.0, 2.0),
+    )
+    def test_in_unit_interval_and_nondecreasing(self, mu, omega_sr, omega_rd, noise,
+                                                 log_cut, log_step):
+        kw = dict(mu=mu, omega_sr=omega_sr, omega_rd=omega_rd, noise_scale=noise)
+        low = relay_outage_closed(10.0 ** log_cut, **kw)
+        high = relay_outage_closed(10.0 ** (log_cut + log_step), **kw)
+        assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+        # up to the Bessel sum's few-1e-9 error just above the switch
+        assert low <= high * (1.0 + 1e-8)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

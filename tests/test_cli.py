@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its CSV contract."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,9 @@ class TestSweep:
             ("sweep", "--snr-step", "1e-9"),
             ("sweep", "--scenario", "direct", "--users", "1,1"),
             ("sweep", "--scenario", "coop", "--users", "far,far"),
+            ("sweep", "--scenario", "compare", "--users", "7"),
+            ("sweep", "--scenario", "compare", "--users", "far,1,far"),
+            ("sweep", "--scenario", "direct", "--users", "far"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
@@ -173,6 +180,19 @@ class TestSweep:
         assert code == 0
         want = [row for row in data_rows(full) if cells(row)["user"] == "near"]
         assert data_rows(near) == want
+
+    def test_users_pick_rows_per_scenario_in_compare(self, capsys):
+        args = ("sweep", "--scenario", "compare", "--snr-step", "10", "--oma",
+                "--trials", "2000")
+        code, full, _ = run_cli(capsys, *args)
+        assert code == 0
+        for users, keep in (("far,1", {("coop", "far"), ("direct", "1")}),
+                            ("far", {("coop", "far")})):
+            code, out, _ = run_cli(capsys, *args, "--users", users)
+            assert code == 0, users
+            want = [row for row in data_rows(full)
+                    if (cells(row)["scenario"], cells(row)["user"]) in keep]
+            assert want and data_rows(out) == want, users
 
     def test_relay_closed_form_once_per_user_and_point(self, capsys, monkeypatch):
         calls = []
@@ -363,3 +383,30 @@ class TestFormatting:
         code, out, _ = run_cli(capsys, "figure", "fig8")
         assert code == 0
         assert "nan" not in out and "inf" not in out
+
+
+_NO_MPMATH_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from workloads import _COOP_DEEP_ARGV
+from noma_perf.cli import main
+codes = [main([*_COOP_DEEP_ARGV, "--out", sys.argv[2]]),
+         main(["validate", "--trials", "0", "--out", sys.argv[3]])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "mpmath"))
+"""
+
+
+class TestNumericalPaths:
+    def test_production_runs_never_import_mpmath(self, tmp_path):
+        # the benchmark's coop-deep sweep reaches deep into the relay
+        # closed form's sub-1e-6 branch; validate runs every oracle
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_MPMATH_CHILD, str(root / "perfbench"),
+             str(tmp_path / "sweep.csv"), str(tmp_path / "validate.csv")],
+            capture_output=True, text=True, env=env, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0] []"
