@@ -31,8 +31,11 @@ leading small-argument term, which exposes the decay exponents directly;
 for the cooperative users the relay factor is kept in closed form since
 its slow (logarithmic-over-power) decay has no polynomial leading term.
 
-:func:`user_outage` evaluates both forms for any served user of either
-scenario from one cut and one relay evaluation; the per-user functions
+:func:`user_link` is the one map from a served user to its direct-link
+law, sort index, decode cut and relay mean; the quadrature oracle in
+``validation`` reads the same map.  :func:`user_outage` evaluates both
+forms for any served user of either scenario from one cut and one relay
+evaluation; the per-user functions
 (``outage_far_exact`` and the like) are views of it, and the throughput
 is a sum over the served users' exact outages.
 """
@@ -82,6 +85,7 @@ __all__ = [
     "throughput",
     "throughput_coop",
     "throughput_direct",
+    "user_link",
     "user_outage",
 ]
 
@@ -441,36 +445,56 @@ def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
+def user_link(cfg: CoopConfig | DirectConfig, rho: float,
+              user: str | int) -> tuple[FadingParams, OrderedIndex, float, float | None]:
+    """Direct-link law, sort index, decode cut and relay mean of one served user.
+
+    ``user`` must be one of :func:`served_users` of ``cfg``, equal in
+    type and value: ``'far'``/``'near'`` for a :class:`CoopConfig`, the
+    1-based served index (an ``int``) for a :class:`DirectConfig`.  The
+    decode cut at transmit SNR ``rho`` is the far-message cut for
+    ``'far'``; for ``'near'`` the larger of that cut (SIC stage) and its
+    own-message cut; for single-slot user m the running maximum of the
+    stage cuts up to m.  Single-slot users have no relay branch, so their
+    relay mean is None.
+    """
+    served = served_users(cfg)
+    # one config's served users share one type, so True, 2.0 or "2" never pass
+    if type(user) is not type(served[0]) or user not in served:
+        raise ValueError(f"user must be one of {served}, got {user!r}")
+    if isinstance(cfg, CoopConfig):
+        cuts = coop_cuts(cfg, rho)
+        return (
+            FadingParams(cfg.mu, cfg.direct_mean(user)),
+            OrderedIndex(cfg.rank(user), cfg.users),
+            cuts.far_cut if user == "far" else cuts.near_cut,
+            cfg.relay_mean(user),
+        )
+    return (
+        FadingParams(cfg.mu, cfg.omega[user - 1]),
+        OrderedIndex(cfg.ranks[user - 1], cfg.pool),
+        float(np.max(direct_cuts(cfg, rho)[:user])),
+        None,
+    )
+
+
 def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
                     user: str | int) -> tuple[float, float, float]:
     """Direct factor, its small-argument leading term, and relay factor of one user.
 
-    The decode cut is the far-message cut for ``'far'``; for ``'near'``
-    the larger of that cut (SIC stage) and its own-message cut; for
-    single-slot user m the running maximum of the stage cuts up to m.
-    Single-slot users have no relay branch, so their relay factor is 1.
-    An infeasible cut gives (1, 1, 1) and a zero cut (zero rates) gives
-    (0, 0, 0).
+    Evaluated at the decode cut of :func:`user_link`; the relay factor of
+    a single-slot user is 1.  An infeasible cut gives (1, 1, 1) and a
+    zero cut (zero rates) gives (0, 0, 0).
     """
-    if isinstance(cfg, CoopConfig):
-        # direct_mean rejects anything but 'far' and 'near'
-        params = FadingParams(cfg.mu, cfg.direct_mean(user))
-        idx = OrderedIndex(cfg.rank(user), cfg.users)
-        cuts = coop_cuts(cfg, rho)
-        cut = cuts.far_cut if user == "far" else cuts.near_cut
-    elif isinstance(cfg, DirectConfig):
-        if not 1 <= user <= cfg.n_users:
-            raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-        params = FadingParams(cfg.mu, cfg.omega[user - 1])
-        idx = OrderedIndex(cfg.ranks[user - 1], cfg.pool)
-        cut = float(np.max(direct_cuts(cfg, rho)[:user]))
-    else:
-        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    params, idx, cut, omega_rd = user_link(cfg, rho, user)
     if math.isinf(cut):
         return 1.0, 1.0, 1.0
     if cut == 0.0:
         return 0.0, 0.0, 0.0
-    relay = relay_outage(cfg, cut, user) if isinstance(cfg, CoopConfig) else 1.0
+    relay = 1.0 if omega_rd is None else relay_outage_closed(
+        cut, mu=cfg.mu, omega_sr=cfg.omega_sr, omega_rd=omega_rd,
+        noise_scale=cfg.noise_scale,
+    )
     return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
 
 
@@ -478,8 +502,8 @@ def user_outage(cfg: CoopConfig | DirectConfig, rho: float,
                 user: str | int) -> tuple[float, float]:
     """Exact and high-SNR outage of one served user at transmit SNR ``rho``.
 
-    ``user`` is ``'far'``/``'near'`` for a :class:`CoopConfig` and the
-    1-based served index for a :class:`DirectConfig`.  The exact outage
+    ``user`` is one of :func:`served_users` (see :func:`user_link`, which
+    raises ``ValueError`` for any other value).  The exact outage
     is the ordered CDF of the user's direct gain at its decode cut times
     the relay factor, since the user is served by selection over two
     independent branches.  The high-SNR form replaces the ordered CDF by

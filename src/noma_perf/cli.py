@@ -178,7 +178,6 @@ class SweepSpec:
     trials: int = 0
     seed: int = 1
     chunks: int = 1
-    with_mc: bool = True
     with_oma: bool = False
     output: str | None = None
     config: str | None = None
@@ -248,8 +247,7 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
     """
     grid = _grid(*spec.snr_db)
     rhos = [10.0 ** (db / 10.0) for db in grid]
-    mc_on = spec.with_mc and spec.trials > 0
-    batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if mc_on else None
+    batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if spec.trials > 0 else None
     selected = _selected_users(spec, cfgs)
     rows: list[str] = []
     for scenario, base in cfgs.items():
@@ -362,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="subset of users: far,near (coop rows) and 1,2,... (direct rows)")
     sweep.add_argument("--out", default=None, metavar="PATH")
     sweep.add_argument("--config", default=None, metavar="INI")
-    sweep.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns")
+    sweep.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns (same as --trials 0)")
     sweep.add_argument("--oma", action="store_true",
                        help="fill the orthogonal-access baseline column")
 
@@ -387,6 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
+            _check_mc_flags(args.trials, args.seed, args.chunks)
             users = None
             if args.users is not None:
                 users = tuple(tok for tok in args.users.replace(",", " ").split())
@@ -397,10 +396,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 snr_db=(args.snr_start, args.snr_stop, args.snr_step),
                 mu_list=tuple(_parse_mu_list(args.mu)) if args.mu is not None else None,
                 users=users,
-                trials=args.trials,
+                trials=0 if args.no_mc else args.trials,
                 seed=args.seed,
                 chunks=args.chunks,
-                with_mc=not args.no_mc,
                 with_oma=args.oma,
                 output=args.out,
                 config=args.config,

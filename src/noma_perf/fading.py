@@ -9,12 +9,9 @@ reproducible sampling.
 
 The ordered CDF is evaluated from a short binomial sum in the plain CDF,
 which is numerically benign because every power of the CDF enters with a
-strictly increasing exponent (no like-order cancellation).  An expanded
-alternating form of the same quantity, produced by raising the truncated
-exponential series of the CDF to integer powers, is also provided; it
-matches the structure of the analytic outage expressions and is retained
-for cross-checking, not production use, since its cancellation grows
-without bound as the argument shrinks.
+strictly increasing exponent (no like-order cancellation).  Its
+independent check is the quadrature of the order-statistic density in
+``validation.ordered_cdf_quadrature``.
 """
 
 from __future__ import annotations
@@ -26,24 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import (
-    compositions,
-    log_binomial,
-    log_gamma,
-    log_multinomial,
-    sum_signed_exp,
-)
+from .numerics import log_binomial, log_gamma
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "FadingParams",
     "OrderedIndex",
-    "cdf_small_arg",
     "gamma_cdf",
     "gamma_pdf",
     "ordered_cdf",
-    "ordered_cdf_series",
     "ordered_cdf_small_arg",
     "ordered_pdf",
     "sample_gain",
@@ -156,21 +145,6 @@ def gamma_cdf(p: FadingParams, x):
     return out
 
 
-def cdf_small_arg(p: FadingParams, x):
-    """Leading small-argument term of the CDF: (mu*x/omega)^mu / mu!.
-
-    Relative error is O(x), so this is only meaningful for small x; values
-    are not clamped and exceed 1 for large x by design.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.exp(p.mu * np.log(np.maximum(x, 0.0) * p.rate) - log_gamma(p.mu + 1))
-    out = np.where(x <= 0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # =====================================================================
 # Order statistics of M i.i.d. gains
 # =====================================================================
@@ -253,40 +227,6 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
         + idx.rank * (p.mu * math.log(x * p.rate) - log_gamma(p.mu + 1))
     )
     return math.exp(log_val)
-
-
-def ordered_cdf_series(p: FadingParams, idx: OrderedIndex, x) -> float:
-    """Ordered CDF via the fully expanded alternating sum.
-
-    Expands F(x)^(rank+i) through the binomial theorem over the truncated
-    exponential series, enumerating integer compositions for the powers of
-    the series.  Mirrors the expanded structure used by the closed-form
-    outage expressions.  Kept for validation only: the terms are O(1) while
-    the sum shrinks with x, so cancellation destroys accuracy for small
-    F(x).  Production callers use :func:`ordered_cdf`.
-    """
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    m, total = idx.rank, idx.total
-    psi = x * p.rate
-    log_fact = [log_gamma(k + 1) for k in range(p.mu)]
-    log_psi = math.log(psi)
-    log_terms: list[float] = []
-    signs: list[int] = []
-    for i in range(total - m + 1):
-        log_outer = log_binomial(total - m, i) - math.log(m + i)
-        for q in range(m + i + 1):
-            log_q = log_outer + log_binomial(m + i, q) - q * psi
-            for parts in compositions(q, p.mu):
-                log_term = log_q + log_multinomial(q, parts)
-                for k, exponent in enumerate(parts):
-                    if exponent:
-                        log_term += exponent * (k * log_psi - log_fact[k])
-                log_terms.append(log_term)
-                signs.append(1 if (i + q) % 2 == 0 else -1)
-    value = math.exp(_ordered_prefactor_log(idx)) * sum_signed_exp(log_terms, signs)
-    return value
 
 
 # =====================================================================

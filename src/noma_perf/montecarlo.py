@@ -3,9 +3,9 @@
 Estimators replay the decoding chain on sampled channel gains and count
 failures, working directly on SINR comparisons; they share no algebra
 with the analytic module beyond the SINR definitions themselves, which
-makes them a meaningful cross-check.  Gain-cut event forms are exposed
-separately so tests can verify that both routes label every trial
-identically.
+makes them a meaningful cross-check.  The tests label every trial a
+second time from the decode cuts of ``analytic.user_link`` and check
+that both routes agree trial by trial.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import _check_rho, coop_cuts, direct_cuts, served_users, threshold_snr
+from .analytic import _check_rho, served_users, threshold_snr
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
@@ -39,9 +39,7 @@ __all__ = [
     "ChannelDraw",
     "Estimate",
     "TrialBatch",
-    "coop_events_from_cuts",
     "coop_events_from_sinr",
-    "direct_events_from_cuts",
     "direct_events_from_sinr",
     "draw_coop_block",
     "estimate_outage",
@@ -216,30 +214,6 @@ def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
     return far_fail, near_fail
 
 
-def coop_events_from_cuts(draw: ChannelDraw, cfg: CoopConfig, rho: float):
-    """(far_fail, near_fail) via the analytic gain cuts.
-
-    Same events as :func:`coop_events_from_sinr` whenever the power
-    split supports the far rate; kept separate so tests can assert the
-    two routes agree trial by trial.
-    """
-    cuts = coop_cuts(cfg, rho)
-    h_far = draw.direct[:, cfg.far_rank - 1]
-    h_near = draw.direct[:, cfg.near_rank - 1]
-    y = draw.relay_feed
-    c = cfg.noise_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relay_far_ok = (y > cuts.far_cut) & (
-            draw.relay_far >= cuts.far_cut * c / (y - cuts.far_cut)
-        )
-        relay_near_ok = (y > cuts.near_cut) & (
-            draw.relay_near >= cuts.near_cut * c / (y - cuts.near_cut)
-        )
-    far_fail = (h_far < cuts.far_cut) & ~relay_far_ok
-    near_fail = ~((h_near >= cuts.near_cut) | relay_near_ok)
-    return far_fail, near_fail
-
-
 def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
     """Outage indicators of served user ``user`` from its SIC chain."""
     if not 1 <= user <= cfg.n_users:
@@ -250,14 +224,6 @@ def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
         gamma = threshold_snr(cfg.rates[stage - 1], slots=1)
         fail |= sinr_direct(gain, cfg, rho, stage) < gamma
     return fail
-
-
-def direct_events_from_cuts(gain, cfg: DirectConfig, rho: float, user: int):
-    """Outage indicators of served user ``user`` from the stage-cut maximum."""
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-    cut = float(np.max(direct_cuts(cfg, rho)[:user]))
-    return np.asarray(gain, dtype=float) < cut
 
 
 # =====================================================================

@@ -1,10 +1,9 @@
 """Special-function and combinatorial primitives.
 
 Everything in this module is generic numerics: log-domain gamma/Bessel
-evaluation, adaptive quadrature over semi-infinite intervals, and the
-integer compositions / multinomial weights that show up when a truncated
-exponential series is raised to an integer power.  The closed-form outage
-layer builds on these; nothing here knows about channels or SNR.
+evaluation and adaptive quadrature over semi-infinite intervals.  The
+closed-form outage layer and the quadrature oracles build on these;
+nothing here knows about channels or SNR.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from scipy import integrate, special
 
@@ -22,12 +21,9 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "bessel_k_scaled",
-    "compositions",
     "integrate_semi_infinite",
     "log_binomial",
     "log_gamma",
-    "log_multinomial",
-    "sum_signed_exp",
 ]
 
 
@@ -144,60 +140,3 @@ def integrate_semi_infinite(
             f"semi-infinite quadrature did not converge: {message}", value, err
         )
     return QuadratureResult(value=value, error=err, converged=ok)
-
-
-# =====================================================================
-# Compositions and multinomial weights
-# =====================================================================
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield all length-``parts`` tuples of non-negative ints summing to ``total``.
-
-    Deterministic lexicographic order (first slot slowest).  The number of
-    tuples is C(total + parts - 1, parts - 1); callers expanding powers of a
-    truncated series iterate this to enumerate cross terms.
-    """
-    if total < 0 or parts < 1:
-        raise ValueError(f"compositions requires total >= 0 and parts >= 1, got {total}, {parts}")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def log_multinomial(total: int, parts: Sequence[int]) -> float:
-    """Log multinomial coefficient total! / prod(parts!), validating the sum.
-
-    ``parts`` must be non-negative and sum exactly to ``total``.
-    """
-    if any(p < 0 for p in parts):
-        raise ValueError(f"log_multinomial requires non-negative parts, got {tuple(parts)}")
-    if sum(parts) != total:
-        raise ValueError(
-            f"log_multinomial parts must sum to total: sum{tuple(parts)} != {total}"
-        )
-    return log_gamma(total + 1) - math.fsum(log_gamma(p + 1) for p in parts)
-
-
-def sum_signed_exp(log_terms: Sequence[float], signs: Sequence[int]) -> float:
-    """Compensated evaluation of sum_i signs[i] * exp(log_terms[i]).
-
-    Terms are rescaled by the largest magnitude before exponentiation so
-    the mantissa sum runs near unit scale, then accumulated with exact
-    (fsum) summation.  Intended for alternating series whose terms are
-    much larger than their sum; the result is still limited by the
-    cancellation inherent to the input, which callers must budget for.
-    """
-    if len(log_terms) != len(signs):
-        raise ValueError("log_terms and signs must have equal length")
-    if not log_terms:
-        return 0.0
-    peak = max(log_terms)
-    if peak == -math.inf:
-        return 0.0
-    mantissa = math.fsum(
-        s * math.exp(l - peak) for l, s in zip(log_terms, signs) if l > -math.inf
-    )
-    return math.exp(peak) * mantissa

@@ -1,13 +1,14 @@
 """Independent numerical oracles and the exact-vs-oracle-vs-simulation gate.
 
 The closed-form layer is checked against adaptive quadrature of the
-underlying probability integrals.  The oracles here share only the
-density/CDF primitives with the production code, never its Bessel-sum
-algebra: the relay-branch oracle integrates the first-hop density
-against the conditional second-hop CDF, and the ordered-CDF oracle
-integrates the order-statistic density.  Both are arranged as sums of
-positive terms so that relative accuracy survives even when the result
-is far below one.
+underlying probability integrals.  The oracles share the per-user link
+model (``analytic.user_link``: direct-link law, sort index, decode cut
+and relay mean) and the density/CDF primitives with the production code,
+never its Bessel-sum algebra: the relay-branch oracle integrates the
+first-hop density against the conditional second-hop CDF, and the
+ordered-CDF oracle integrates the order-statistic density.  Both are
+arranged as sums of positive terms so that relative accuracy survives
+even when the result is far below one.
 
 :func:`run_validation_suite` drives the full gate: for every configured
 user and SNR point it compares the exact value against its oracle at a
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analytic import coop_cuts, direct_cuts, served_users, user_outage
+from .analytic import served_users, user_link, user_outage
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
 from .montecarlo import TrialBatch, estimate_outage
@@ -125,40 +126,17 @@ def ordered_cdf_quadrature(
 def outage_oracle(cfg: CoopConfig | DirectConfig, rho: float, user) -> float:
     """Quadrature-only outage for one served user, no Bessel sums involved.
 
-    ``user`` is ``'far'``/``'near'`` for the cooperative scenario and a
-    1-based integer for the single-slot scenario.  Matches the exact
-    closed forms up to quadrature error and is the reference leg of the
+    The user's link comes from :func:`~noma_perf.analytic.user_link`, as
+    for the exact closed form, so ``user`` is one of ``served_users(cfg)``
+    and anything else raises ``ValueError``.  Matches the exact closed
+    forms up to quadrature error and is the reference leg of the
     validation gate.
     """
-    if isinstance(cfg, CoopConfig):
-        cuts = coop_cuts(cfg, rho)
-        cut = cuts.far_cut if user == "far" else cuts.near_cut
-        if user not in ("far", "near"):
-            raise ValueError(f"user must be 'far' or 'near', got {user!r}")
-        if math.isinf(cut):
-            return 1.0
-        if cut == 0.0:
-            return 0.0
-        direct = ordered_cdf_quadrature(
-            FadingParams(cfg.mu, cfg.direct_mean(user)),
-            OrderedIndex(cfg.rank(user), cfg.users),
-            cut,
-        )
-        relay = relay_outage_quadrature(cfg, cut, user)
-        return direct * relay
-    if isinstance(cfg, DirectConfig):
-        user = int(user)
-        if not 1 <= user <= cfg.n_users:
-            raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
-        cut = float(max(direct_cuts(cfg, rho)[:user]))
-        if math.isinf(cut):
-            return 1.0
-        return ordered_cdf_quadrature(
-            FadingParams(cfg.mu, cfg.omega[user - 1]),
-            OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-            cut,
-        )
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    params, idx, cut, omega_rd = user_link(cfg, rho, user)
+    direct = ordered_cdf_quadrature(params, idx, cut)
+    if omega_rd is None:
+        return direct
+    return direct * relay_outage_quadrature(cfg, cut, user)
 
 
 # =====================================================================

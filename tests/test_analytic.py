@@ -415,6 +415,10 @@ class TestUserOutage:
             user_outage(coop_preset(), 10.0, "middle")
         with pytest.raises(ValueError):
             user_outage(direct_preset(), 10.0, 4)
+        # served users match by type and value, never by coercion
+        for user in ("far", "2", 2.0, True):
+            with pytest.raises(ValueError):
+                user_outage(direct_preset(), 10.0, user)
         with pytest.raises(TypeError):
             user_outage(object(), 10.0, 1)
 

@@ -167,6 +167,7 @@ class TestSweep:
             ("sweep", "--scenario", "compare", "--users", "7"),
             ("sweep", "--scenario", "compare", "--users", "far,1,far"),
             ("sweep", "--scenario", "direct", "--users", "far"),
+            ("sweep", "--trials", "-1", "--no-mc"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv

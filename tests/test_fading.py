@@ -10,16 +10,15 @@ from scipy import integrate, special, stats
 from noma_perf.fading import (
     FadingParams,
     OrderedIndex,
-    cdf_small_arg,
     gamma_cdf,
     gamma_pdf,
     ordered_cdf,
-    ordered_cdf_series,
     ordered_cdf_small_arg,
     ordered_pdf,
     sample_gain,
     sample_sorted_gains,
 )
+from noma_perf.validation import ordered_cdf_quadrature
 
 # Frozen closed-form reference points (elementary algebra):
 #   F(mu=2, omega=1, x=1) = 1 - 3 exp(-2)
@@ -133,19 +132,26 @@ class TestGammaCdf:
 
 
 class TestSmallArgCdf:
+    """The leading term of one gain's CDF: the ordered form at rank 1 of 1."""
+
     def test_frozen_leading_term(self):
         # (mu x / omega)^mu / mu! at mu=3, omega=2, x=1e-3
-        assert_allclose(cdf_small_arg(FadingParams(3, 2.0), 1e-3), 5.625e-10, rtol=1e-12)
+        assert_allclose(
+            ordered_cdf_small_arg(FadingParams(3, 2.0), OrderedIndex(1, 1), 1e-3),
+            5.625e-10,
+            rtol=1e-12,
+        )
 
     def test_ratio_to_exact_approaches_one(self):
         p = FadingParams(2, 1.0)
-        ratios = [cdf_small_arg(p, x) / gamma_cdf(p, x) for x in (1e-2, 1e-4, 1e-6)]
+        ratios = [ordered_cdf_small_arg(p, OrderedIndex(1, 1), x) / gamma_cdf(p, x)
+                  for x in (1e-2, 1e-4, 1e-6)]
         errs = [abs(r - 1.0) for r in ratios]
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] < 1e-5
 
     def test_zero_at_origin(self):
-        assert cdf_small_arg(FadingParams(2, 1.0), 0.0) == 0.0
+        assert ordered_cdf_small_arg(FadingParams(2, 1.0), OrderedIndex(1, 1), 0.0) == 0.0
 
 
 class TestOrderedCdf:
@@ -269,8 +275,8 @@ class TestOrderedSmallArg:
 
 class TestOrderedCdfSeries:
     def test_matches_stable_form_at_moderate_arguments(self):
-        # expanded alternating sum agrees with the stable evaluation where
-        # the plain CDF is not tiny (cancellation budget holds there)
+        # the binomial sum in F agrees with the quadrature of the
+        # order-statistic density where the plain CDF is not tiny
         for mu in (1, 2, 3):
             p = FadingParams(mu, 1.3)
             for rank, total in [(1, 5), (2, 3), (3, 5), (5, 5)]:
@@ -280,13 +286,10 @@ class TestOrderedCdfSeries:
                     if not 0.05 <= big_f <= 0.95:
                         continue
                     assert_allclose(
-                        ordered_cdf_series(p, idx, x),
+                        ordered_cdf_quadrature(p, idx, x),
                         ordered_cdf(p, idx, x),
                         rtol=1e-7,
                     )
-
-    def test_zero_at_origin(self):
-        assert ordered_cdf_series(FadingParams(2, 1.0), OrderedIndex(1, 2), 0.0) == 0.0
 
 
 class TestSampling:

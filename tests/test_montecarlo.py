@@ -11,6 +11,7 @@ from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
+    user_link,
 )
 from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, gamma_cdf
@@ -19,9 +20,7 @@ from noma_perf.montecarlo import (
     ChannelDraw,
     Estimate,
     TrialBatch,
-    coop_events_from_cuts,
     coop_events_from_sinr,
-    direct_events_from_cuts,
     direct_events_from_sinr,
     draw_coop_block,
     estimate_outage,
@@ -37,6 +36,25 @@ from noma_perf.montecarlo import (
 
 def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
+
+
+def coop_events_from_cuts(draw, cfg, rho):
+    """(far_fail, near_fail) at the decode cuts the closed form uses: a
+    user fails when its direct gain is below the cut and the relay path
+    misses it (first hop y <= cut, or second hop below cut * c / (y - cut))."""
+    y = draw.relay_feed
+    fails = []
+    for user, relay_gain in (("far", draw.relay_far), ("near", draw.relay_near)):
+        _, idx, cut, _ = user_link(cfg, rho, user)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relay_ok = (y > cut) & (relay_gain >= cut * cfg.noise_scale / (y - cut))
+        fails.append((draw.direct[:, idx.rank - 1] < cut) & ~relay_ok)
+    return tuple(fails)
+
+
+def direct_events_from_cuts(gain, cfg, rho, user):
+    """Outage indicators of single-slot user ``user`` at its decode cut."""
+    return np.asarray(gain, dtype=float) < user_link(cfg, rho, user)[2]
 
 
 def scalar_draw(cfg, h_pool, y, w_f, w_n):

@@ -10,12 +10,9 @@ from scipy import special
 from noma_perf.numerics import (
     QuadratureError,
     bessel_k_scaled,
-    compositions,
     integrate_semi_infinite,
     log_binomial,
     log_gamma,
-    log_multinomial,
-    sum_signed_exp,
 )
 
 # Frozen reference values for K_v(x), computed once from the integral
@@ -130,80 +127,3 @@ class TestIntegrateSemiInfinite:
     def test_rejects_nonfinite_lower(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: 0.0, math.inf)
-
-
-class TestCompositions:
-    def test_counts(self):
-        for total in range(0, 7):
-            for parts in range(1, 5):
-                got = list(compositions(total, parts))
-                assert len(got) == math.comb(total + parts - 1, parts - 1)
-
-    def test_each_tuple_valid_and_unique(self):
-        got = list(compositions(5, 3))
-        assert len(set(got)) == len(got)
-        for tup in got:
-            assert len(tup) == 3
-            assert sum(tup) == 5
-            assert all(v >= 0 for v in tup)
-
-    def test_single_part(self):
-        assert list(compositions(4, 1)) == [(4,)]
-
-    def test_order_deterministic(self):
-        assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            list(compositions(-1, 2))
-        with pytest.raises(ValueError):
-            list(compositions(2, 0))
-
-
-class TestLogMultinomial:
-    def test_binomial_special_case(self):
-        for n in range(0, 10):
-            for k in range(0, n + 1):
-                assert_allclose(
-                    log_multinomial(n, (k, n - k)),
-                    log_binomial(n, k),
-                    atol=1e-12,
-                )
-
-    def test_power_sum_identity(self):
-        # sum over all compositions of q into p parts of the multinomial
-        # coefficients equals p**q
-        for q in range(0, 6):
-            for p in range(1, 4):
-                total = math.fsum(
-                    math.exp(log_multinomial(q, parts)) for parts in compositions(q, p)
-                )
-                assert_allclose(total, float(p**q), rtol=1e-12)
-
-    def test_rejects_mismatched_sum(self):
-        with pytest.raises(ValueError):
-            log_multinomial(4, (1, 2))
-        with pytest.raises(ValueError):
-            log_multinomial(1, (2, -1))
-
-
-class TestSumSignedExp:
-    def test_alternating_exponential_series(self):
-        # sum_k (-1)^k / k! = exp(-1), a heavily cancelling series
-        logs = [-log_gamma(k + 1) for k in range(30)]
-        signs = [1 if k % 2 == 0 else -1 for k in range(30)]
-        assert_allclose(sum_signed_exp(logs, signs), math.exp(-1), rtol=1e-14)
-
-    def test_handles_scale(self):
-        # same series scaled by e^600: terms overflow naive exponentiation
-        logs = [600.0 - log_gamma(k + 1) for k in range(30)]
-        signs = [1 if k % 2 == 0 else -1 for k in range(30)]
-        assert_allclose(sum_signed_exp(logs, signs), math.exp(599.0), rtol=1e-13)
-
-    def test_empty_and_all_negligible(self):
-        assert sum_signed_exp([], []) == 0.0
-        assert sum_signed_exp([-math.inf, -math.inf], [1, -1]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_signed_exp([0.0], [1, -1])

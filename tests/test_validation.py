@@ -123,6 +123,10 @@ class TestOutageOracle:
             outage_oracle(coop_preset(), 10.0, "middle")
         with pytest.raises(ValueError):
             outage_oracle(direct_preset(), 10.0, 9)
+        # the same served users as the closed form, matched by type and value
+        for user in ("far", "2", 2.0, True):
+            with pytest.raises(ValueError):
+                outage_oracle(direct_preset(), 10.0, user)
 
     def test_rejects_unknown_config_type(self):
         with pytest.raises(TypeError):
