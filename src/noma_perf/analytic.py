@@ -445,6 +445,14 @@ def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
+def _check_user(cfg: CoopConfig | DirectConfig, user: str | int) -> None:
+    """Raise ``ValueError`` unless ``user`` is one of :func:`served_users` of ``cfg``."""
+    served = served_users(cfg)
+    # one config's served users share one type, so True, 2.0 or "2" never pass
+    if type(user) is not type(served[0]) or user not in served:
+        raise ValueError(f"user must be one of {served}, got {user!r}")
+
+
 def user_link(cfg: CoopConfig | DirectConfig, rho: float,
               user: str | int) -> tuple[FadingParams, OrderedIndex, float, float | None]:
     """Direct-link law, sort index, decode cut and relay mean of one served user.
@@ -458,10 +466,7 @@ def user_link(cfg: CoopConfig | DirectConfig, rho: float,
     stage cuts up to m.  Single-slot users have no relay branch, so their
     relay mean is None.
     """
-    served = served_users(cfg)
-    # one config's served users share one type, so True, 2.0 or "2" never pass
-    if type(user) is not type(served[0]) or user not in served:
-        raise ValueError(f"user must be one of {served}, got {user!r}")
+    _check_user(cfg, user)
     if isinstance(cfg, CoopConfig):
         cuts = coop_cuts(cfg, rho)
         return (

@@ -10,8 +10,9 @@ reproducible sampling.
 The ordered CDF is evaluated from a short binomial sum in the plain CDF,
 which is numerically benign because every power of the CDF enters with a
 strictly increasing exponent (no like-order cancellation).  Its
-independent check is the quadrature of the order-statistic density in
-``validation.ordered_cdf_quadrature``.
+independent check is the tanh-sinh quadrature of the order-statistic
+density in ``validation.ordered_cdf_quadrature``; the density, like the
+plain density and CDF, takes a whole ndarray of quadrature nodes at once.
 """
 
 from __future__ import annotations
@@ -196,21 +197,28 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x) -> float:
     return min(1.0, max(0.0, value))
 
 
-def ordered_pdf(p: FadingParams, idx: OrderedIndex, x) -> float:
-    """Density of the rank-th smallest of ``total`` i.i.d. gains at scalar ``x``."""
-    x = float(x)
-    if x <= 0 or math.isinf(x):
-        return 0.0
-    big_f = gamma_cdf(p, x)
-    little_f = gamma_pdf(p, x)
+def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
+    """Density of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
+
+    ``x`` is a scalar or an ndarray (the quadrature oracle passes one
+    level of nodes at a time); the density is zero outside (0, inf).
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0) & np.isfinite(x)
+    xs = np.where(inside, x, 1.0)
+    big_f = gamma_cdf(p, xs)
+    little_f = gamma_pdf(p, xs)
     m, total = idx.rank, idx.total
     # 0**0 = 1.0 covers the boundary ranks at F in {0, 1}
-    return (
+    out = np.where(inside, (
         math.exp(_ordered_prefactor_log(idx))
         * little_f
         * big_f ** (m - 1)
         * (1.0 - big_f) ** (total - m)
-    )
+    ), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:

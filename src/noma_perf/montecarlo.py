@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import _check_rho, served_users, threshold_snr
+from .analytic import _check_rho, _check_user, served_users, threshold_snr
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
@@ -215,9 +215,13 @@ def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
 
 
 def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
-    """Outage indicators of served user ``user`` from its SIC chain."""
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
+    """Outage indicators of served user ``user`` from its SIC chain.
+
+    ``user`` is one of ``served_users(cfg)``, an ``int`` in 1..M, as for
+    :func:`~noma_perf.analytic.user_link`; anything else raises
+    ``ValueError``.
+    """
+    _check_user(cfg, user)
     gain = np.asarray(gain, dtype=float)
     fail = np.zeros(gain.shape, dtype=bool)
     for stage in range(1, user + 1):
@@ -337,7 +341,10 @@ def estimate_outage_near(cfg: CoopConfig, rho: float, batch: TrialBatch) -> Esti
 
 def estimate_outage_direct(cfg: DirectConfig, rho: float, user: int,
                            batch: TrialBatch) -> Estimate:
-    """Outage estimate of served user ``user`` in the single-slot system."""
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user must be in [1, {cfg.n_users}], got {user}")
+    """Outage estimate of served user ``user`` in the single-slot system.
+
+    ``user`` follows the served-user contract of
+    :func:`direct_events_from_sinr`.
+    """
+    _check_user(cfg, user)
     return estimate_outage(cfg, [rho], batch)[0][user]

@@ -1,9 +1,11 @@
 """Special-function and combinatorial primitives.
 
 Everything in this module is generic numerics: log-domain gamma/Bessel
-evaluation and adaptive quadrature over semi-infinite intervals.  The
-closed-form outage layer and the quadrature oracles build on these;
-nothing here knows about channels or SNR.
+evaluation and double-exponential quadrature, the exp-sinh rule over
+(lower, infinity) and the tanh-sinh rule over (0, upper).  Both rules
+evaluate every node of a refinement level in one vectorized call of the
+integrand.  The closed-form outage layer and the quadrature oracles
+build on these; nothing here knows about channels or SNR.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate, special
+import numpy as np
+from scipy import special
 
 logger = logging.getLogger(__name__)
 
@@ -21,6 +24,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "bessel_k_scaled",
+    "integrate_from_zero",
     "integrate_semi_infinite",
     "log_binomial",
     "log_gamma",
@@ -64,21 +68,35 @@ def bessel_k_scaled(order: int, x: float) -> float:
 
 
 # =====================================================================
-# Semi-infinite quadrature
+# Double-exponential quadrature
 # =====================================================================
+
+#: the exp-sinh rule keeps |t| < 4.5, so its nodes reach from 2e-31 to
+#: 5e30 past the lower limit
+EXP_SINH_HALF_WIDTH = 4.5
+#: the tanh-sinh rule keeps |t| < 3.5, so its outermost nodes sit 2.7e-23
+#: of the interval from either end
+TANH_SINH_HALF_WIDTH = 3.5
+#: halvings of the unit step before a rule reports non-convergence
+MAX_LEVELS = 10
+#: a rule converges once two successive levels agree to this relative error
+REL_TOL = 1e-12
+
+_HALF_PI = 0.5 * math.pi
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Outcome of an adaptive quadrature run.
+    """Outcome of a double-exponential quadrature run.
 
     Attributes
     ----------
     value : float
-        Estimated integral.
+        Estimated integral, from the finest level evaluated.
     error : float
-        Reported absolute error estimate.
+        Absolute difference between the last two levels.
     converged : bool
-        True when the integrator met its tolerance targets.
+        True when the last two levels agreed to the relative tolerance.
     """
 
     value: float
@@ -87,7 +105,7 @@ class QuadratureResult:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature fails to converge.
+    """Raised when a quadrature rule fails to converge.
 
     Carries the best available estimate so diagnostics can still report
     a number alongside the failure.
@@ -99,44 +117,102 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
+def _double_exponential(
+    fn: Callable[[np.ndarray], np.ndarray],
+    transform: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    half_width: float,
+    raise_on_failure: bool,
+    what: str,
+) -> QuadratureResult:
+    """Trapezoid sums in t of fn(y(t)) * y'(t) over |t| < half_width.
+
+    ``transform`` maps an ndarray of t to the nodes y and weights y'.
+    Level 0 steps t by 1; each further level halves the step and
+    evaluates only the new odd multiples of it, in one call of ``fn``,
+    so no node is evaluated twice.  The rule stops once two successive
+    levels agree to ``REL_TOL`` relative, or after ``MAX_LEVELS``
+    halvings, or as soon as a level sum is not finite.
+    """
+    step = 1.0
+    t = np.arange(-math.floor(half_width), math.floor(half_width) + 1.0)
+    total = 0.0
+    value = error = math.nan
+    for _ in range(MAX_LEVELS + 1):
+        y, weight = transform(t)
+        total += float(np.dot(weight, fn(y)))
+        previous, value = value, step * total
+        error = abs(value - previous)
+        if error <= REL_TOL * abs(value) or not math.isfinite(value):
+            break
+        step *= 0.5
+        t = np.arange(step, half_width, 2.0 * step)
+        t = np.concatenate((-t[::-1], t))
+    converged = error <= REL_TOL * abs(value)
+    if not converged and raise_on_failure:
+        raise QuadratureError(
+            f"{what} quadrature did not converge: levels differ by {error:.3g}"
+            f" at value {value:.6g}", value, error
+        )
+    return QuadratureResult(value=value, error=error, converged=converged)
+
+
 def integrate_semi_infinite(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     lower: float,
     *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-300,
-    max_subdivisions: int = 200,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
-    """Integrate ``fn`` over (lower, infinity) with adaptive quadrature.
+    """Integrate ``fn`` over (lower, infinity) with the exp-sinh rule.
 
-    Uses QUADPACK's semi-infinite rule, which maps the tail onto a finite
-    interval before subdividing adaptively.  ``abs_tol`` defaults to a
-    near-zero floor so that tiny tail integrals are still resolved to
-    ``rel_tol`` relative accuracy rather than accepted as "small enough".
+    The nodes are y = lower + exp(pi/2 sinh t) (Takahasi & Mori 1974),
+    which crowd double-exponentially towards ``lower`` and thin out
+    towards infinity, so features many decades apart in scale are all
+    resolved by one trapezoid sum in t.  ``fn`` receives each level's
+    nodes as one ndarray and returns the integrand values there.  An
+    integrand that decays at both ends is resolved to ``REL_TOL``
+    relative accuracy however small the integral is.
 
     Raises
     ------
     QuadratureError
-        If the error estimate exceeds both tolerances and
+        If two successive levels never agree to ``REL_TOL`` and
         ``raise_on_failure`` is set.  With ``raise_on_failure=False`` a
         non-converged ``QuadratureResult`` is returned instead.
     """
     if not math.isfinite(lower):
         raise ValueError(f"integrate_semi_infinite requires a finite lower limit, got {lower}")
-    value, err, info, *tail = integrate.quad(
-        fn,
-        lower,
-        math.inf,
-        epsabs=abs_tol,
-        epsrel=rel_tol,
-        limit=max_subdivisions,
-        full_output=1,
-    )
-    ok = not tail and err <= max(abs_tol, rel_tol * abs(value))
-    if not ok and raise_on_failure:
-        message = tail[0] if tail else "error estimate above tolerance"
-        raise QuadratureError(
-            f"semi-infinite quadrature did not converge: {message}", value, err
-        )
-    return QuadratureResult(value=value, error=err, converged=ok)
+
+    def transform(t):
+        offset = np.exp(_HALF_PI * np.sinh(t))
+        return lower + offset, _HALF_PI * np.cosh(t) * offset
+
+    return _double_exponential(fn, transform, EXP_SINH_HALF_WIDTH, raise_on_failure,
+                               "semi-infinite")
+
+
+def integrate_from_zero(
+    fn: Callable[[np.ndarray], np.ndarray],
+    upper: float,
+) -> QuadratureResult:
+    """Integrate ``fn`` over (0, upper) with the tanh-sinh rule.
+
+    The nodes are y = upper / (1 + exp(-pi sinh t)), the tanh-sinh map
+    written so that near 0 they equal upper * exp(pi sinh t) to full
+    relative precision; a density vanishing like a power of y at 0
+    therefore keeps its relative accuracy however small the integral.
+    ``fn`` and the stopping rule are as for
+    :func:`integrate_semi_infinite`.
+
+    Raises
+    ------
+    QuadratureError
+        If two successive levels never agree to ``REL_TOL``.
+    """
+    if not (math.isfinite(upper) and upper > 0):
+        raise ValueError(f"integrate_from_zero requires a finite upper limit > 0, got {upper}")
+
+    def transform(t):
+        decay = np.exp(-math.pi * np.sinh(t))
+        return upper / (1.0 + decay), upper * math.pi * np.cosh(t) * decay / (1.0 + decay) ** 2
+
+    return _double_exponential(fn, transform, TANH_SINH_HALF_WIDTH, True, "finite")

@@ -1,14 +1,18 @@
 """Independent numerical oracles and the exact-vs-oracle-vs-simulation gate.
 
-The closed-form layer is checked against adaptive quadrature of the
-underlying probability integrals.  The oracles share the per-user link
-model (``analytic.user_link``: direct-link law, sort index, decode cut
-and relay mean) and the density/CDF primitives with the production code,
-never its Bessel-sum algebra: the relay-branch oracle integrates the
-first-hop density against the conditional second-hop CDF, and the
-ordered-CDF oracle integrates the order-statistic density.  Both are
-arranged as sums of positive terms so that relative accuracy survives
-even when the result is far below one.
+The closed-form layer is checked against double-exponential quadrature
+of the underlying probability integrals (``numerics``).  The oracles
+share the per-user link model (``analytic.user_link``: direct-link law,
+sort index, decode cut and relay mean) and the density/CDF primitives
+with the production code, never its Bessel-sum algebra: the relay-branch
+oracle integrates the first-hop density against the conditional
+second-hop CDF with the exp-sinh rule, and the ordered-CDF oracle
+integrates the order-statistic density with the tanh-sinh rule.  Each
+rule evaluates a whole refinement level of nodes in one vectorized
+integrand call and stops when two levels agree to 1e-12 relative.  Both
+oracles are sums of positive terms, so relative accuracy survives even
+when the result is far below one.  The tests keep a second, independent
+route through scipy's QUADPACK (``tests/quadpack_reference.py``).
 
 :func:`run_validation_suite` drives the full gate: for every configured
 user and SNR point it compares the exact value against its oracle at a
@@ -24,11 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .analytic import served_users, user_link, user_outage
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
 from .montecarlo import TrialBatch, estimate_outage
-from .numerics import integrate_semi_infinite
+from .numerics import integrate_from_zero, integrate_semi_infinite
 
 logger = logging.getLogger(__name__)
 
@@ -49,27 +55,17 @@ MC_PROBABILITY_FLOOR = 1e-4
 # Quadrature oracles
 # =====================================================================
 
-def relay_outage_quadrature(
-    cfg: CoopConfig,
-    cut: float,
-    user: str = "far",
-    *,
-    method: str = "tail",
-    rel_tol: float = 1e-10,
-) -> float:
+def relay_outage_quadrature(cfg: CoopConfig, cut: float, user: str = "far") -> float:
     """Relay-branch outage by direct integration of the probability.
 
     The branch fails when the first-hop gain y stays below ``cut`` or,
     given y > cut, when the second-hop gain misses cut * noise_scale /
-    (y - cut).  Both routes below accumulate positive terms only:
-
-    - ``tail``: first-hop CDF at the cut plus the tail integral over y.
-    - ``shifted``: same integral after substituting t = y - cut, which
-      moves the boundary feature to the origin and gives the adaptive
-      integrator a different subdivision problem.
-
-    The two routes agreeing is itself a useful consistency check and is
-    exercised by the test suite.
+    (y - cut).  The outage is the first-hop CDF at the cut plus the
+    exp-sinh integral over the offset u = y - cut of the first-hop
+    density at cut + u times the second-hop CDF at cut * noise_scale /
+    u.  Both terms are positive, and the exp-sinh nodes resolve u
+    relative to 0 rather than to the cut, from the second-hop knee at
+    u ~ cut * noise_scale up to the first-hop decay at u ~ omega_sr.
     """
     cut = float(cut)
     if math.isnan(cut) or cut < 0:
@@ -82,45 +78,22 @@ def relay_outage_quadrature(
     drop = FadingParams(cfg.mu, cfg.relay_mean(user))
     scaled = cut * cfg.noise_scale
 
-    if method == "tail":
-        def integrand(y: float) -> float:
-            return gamma_pdf(feed, y) * gamma_cdf(drop, scaled / (y - cut))
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return gamma_pdf(feed, cut + u) * gamma_cdf(drop, scaled / u)
 
-        tail = integrate_semi_infinite(integrand, cut, rel_tol=rel_tol)
-        return min(1.0, gamma_cdf(feed, cut) + tail.value)
-    if method == "shifted":
-        def integrand(t: float) -> float:
-            return gamma_pdf(feed, t + cut) * gamma_cdf(drop, scaled / t)
-
-        tail = integrate_semi_infinite(integrand, 0.0, rel_tol=rel_tol)
-        return min(1.0, gamma_cdf(feed, cut) + tail.value)
-    raise ValueError(f"method must be 'tail' or 'shifted', got {method!r}")
+    tail = integrate_semi_infinite(integrand, 0.0)
+    return min(1.0, gamma_cdf(feed, cut) + tail.value)
 
 
-def ordered_cdf_quadrature(
-    params: FadingParams,
-    idx: OrderedIndex,
-    x: float,
-    *,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Ordered CDF by integrating the order-statistic density over (0, x)."""
-    from scipy import integrate
-
+def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) -> float:
+    """Ordered CDF by tanh-sinh integration of the order-statistic density over (0, x)."""
     x = float(x)
     if x <= 0:
         return 0.0
     if math.isinf(x):
         return 1.0
-    value, err = integrate.quad(
-        lambda y: ordered_pdf(params, idx, y),
-        0.0,
-        x,
-        epsabs=1e-300,
-        epsrel=rel_tol,
-        limit=200,
-    )
-    return min(1.0, value)
+    result = integrate_from_zero(lambda y: ordered_pdf(params, idx, y), x)
+    return min(1.0, result.value)
 
 
 def outage_oracle(cfg: CoopConfig | DirectConfig, rho: float, user) -> float:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from quadpack_reference import relay_outage_quadpack
 
 from noma_perf import analytic
 from noma_perf.analytic import (
@@ -184,8 +185,7 @@ class TestRelayOutage:
             )
             for cut in (0.03, 0.3, 1.5):
                 closed = relay_outage(cfg, cut)
-                for method in ("tail", "shifted"):
-                    ref = relay_outage_quadrature(cfg, cut, method=method)
+                for ref in (relay_outage_quadrature(cfg, cut), relay_outage_quadpack(cfg, cut)):
                     assert_allclose(closed, ref, rtol=1e-8)
 
     def test_edge_cases(self):
@@ -208,8 +208,8 @@ class TestRelayOutage:
         cut = 3.0 / db_to_linear(45.0)
         closed = relay_outage(cfg, cut)
         assert 0.0 < closed < 1e-7
-        ref = relay_outage_quadrature(cfg, cut, method="shifted")
-        assert_allclose(closed, ref, rtol=1e-7)
+        for ref in (relay_outage_quadrature(cfg, cut), relay_outage_quadpack(cfg, cut)):
+            assert_allclose(closed, ref, rtol=1e-7)
 
     def test_deep_coefficients_start_with_the_incomplete_gamma_sum(self):
         # the q = 0 row is sum_{p<mu} t**p / p!, so exp(-t) times it is

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its CSV contract."""
 
+import json
 import math
 import os
 import subprocess
@@ -386,28 +387,47 @@ class TestFormatting:
         assert "nan" not in out and "inf" not in out
 
 
-_NO_MPMATH_CHILD = """
-import sys
+_PRODUCTION_RUN_CHILD = """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from workloads import _COOP_DEEP_ARGV
 from noma_perf.cli import main
 codes = [main([*_COOP_DEEP_ARGV, "--out", sys.argv[2]]),
          main(["validate", "--trials", "0", "--out", sys.argv[3]])]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "mpmath"))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
+@pytest.fixture(scope="module")
+def production_run(tmp_path_factory):
+    """Exit codes and imported modules of the benchmark's coop-deep sweep
+    and ``validate --trials 0``, run in one fresh interpreter: the sweep
+    reaches deep into the relay closed form's sub-1e-6 branch, and
+    validate runs every quadrature oracle."""
+    root = Path(__file__).resolve().parents[1]
+    tmp = tmp_path_factory.mktemp("production_run")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PRODUCTION_RUN_CHILD, str(root / "perfbench"),
+         str(tmp / "sweep.csv"), str(tmp / "validate.csv")],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0]
+    return result["modules"]
+
+
+def _imported(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
 class TestNumericalPaths:
-    def test_production_runs_never_import_mpmath(self, tmp_path):
-        # the benchmark's coop-deep sweep reaches deep into the relay
-        # closed form's sub-1e-6 branch; validate runs every oracle
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-        done = subprocess.run(
-            [sys.executable, "-c", _NO_MPMATH_CHILD, str(root / "perfbench"),
-             str(tmp_path / "sweep.csv"), str(tmp_path / "validate.csv")],
-            capture_output=True, text=True, env=env, timeout=300, check=False,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[0, 0] []"
+    def test_production_runs_never_import_mpmath(self, production_run):
+        assert _imported(production_run, "mpmath") == []
+
+    def test_production_runs_never_import_quadpack(self, production_run):
+        # the oracles run the package's own double-exponential rules;
+        # scipy's QUADPACK is only the tests' second route
+        assert _imported(production_run, "scipy.integrate") == []

@@ -253,6 +253,15 @@ class TestOrderedPdf:
         assert ordered_pdf(p, idx, 0.0) == 0.0
         assert ordered_pdf(p, idx, -2.0) == 0.0
 
+    def test_array_matches_scalar_calls(self):
+        p = FadingParams(3, 2.0)
+        idx = OrderedIndex(2, 4)
+        x = np.array([-1.0, 0.0, 1e-9, 0.3, 2.5, 40.0, math.inf])
+        out = ordered_pdf(p, idx, x)
+        assert out.shape == x.shape
+        assert out.tolist() == [ordered_pdf(p, idx, float(v)) for v in x]
+        assert out[0] == out[1] == out[-1] == 0.0 and out[2] > 0.0
+
 
 class TestOrderedSmallArg:
     def test_decay_exponent_is_mu_times_rank(self):

@@ -318,6 +318,15 @@ class TestAgreementWithClosedForms:
         p = gamma_cdf(FadingParams(2, 2.0), cut)
         assert abs(est.p_hat - p) < 4.0 * est.stderr
 
+    @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_direct_user_follows_served_user_contract(self, user):
+        # as for analytic.user_link, a served user matches in type and value
+        cfg = direct_preset()
+        with pytest.raises(ValueError):
+            estimate_outage_direct(cfg, 10.0, user, TrialBatch(10, seed=0))
+        with pytest.raises(ValueError):
+            direct_events_from_sinr(np.ones(4), cfg, 10.0, user)
+
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rate_far=1.5)
         far, near = estimate_outage_coop(coop, db_to_linear(40.0), TrialBatch(10_000, seed=1))

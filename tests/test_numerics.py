@@ -10,6 +10,7 @@ from scipy import special
 from noma_perf.numerics import (
     QuadratureError,
     bessel_k_scaled,
+    integrate_from_zero,
     integrate_semi_infinite,
     log_binomial,
     log_gamma,
@@ -64,12 +65,13 @@ class TestBesselK:
         # hyperbolic cosine so the integrand underflows cleanly
         def oracle(v, x):
             def f(t):
-                if t > 700.0:
-                    return 0.0
-                a = -x * math.cosh(t)
-                return math.exp(a) * math.cosh(v * t) if a > -745 else 0.0
+                a = -x * np.cosh(np.minimum(t, 700.0))
+                out = np.zeros_like(t)
+                keep = (t <= 700.0) & (a > -745)
+                out[keep] = np.exp(a[keep]) * np.cosh(v * t[keep])
+                return out
 
-            return integrate_semi_infinite(f, 0.0, rel_tol=1e-12).value
+            return integrate_semi_infinite(f, 0.0).value
 
         for v in (0, 1, 2, 4):
             for x in (0.3, 1.0, 2.5, 8.0):
@@ -102,28 +104,73 @@ class TestBesselK:
 class TestIntegrateSemiInfinite:
     def test_exponential_tail(self):
         for a in (0.0, 0.7, 5.0):
-            res = integrate_semi_infinite(lambda x: math.exp(-x), a)
+            res = integrate_semi_infinite(lambda x: np.exp(-x), a)
             assert res.converged
             assert_allclose(res.value, math.exp(-a), rtol=1e-12)
 
     def test_gaussian_tail_matches_erfc(self):
-        res = integrate_semi_infinite(lambda x: math.exp(-x * x), 1.0)
+        res = integrate_semi_infinite(lambda x: np.exp(-x * x), 1.0)
         assert_allclose(res.value, 0.5 * math.sqrt(math.pi) * math.erfc(1.0), rtol=1e-12)
 
     def test_tiny_tail_keeps_relative_accuracy(self):
-        # absolute tolerance floor must not swallow a ~1e-12 integral
-        res = integrate_semi_infinite(lambda x: math.exp(-x), 27.0)
+        # a ~1e-12 integral is resolved relatively, not accepted as "small"
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 27.0)
         assert_allclose(res.value, math.exp(-27.0), rtol=1e-9)
 
     def test_divergent_integrand_raises(self):
         with pytest.raises(QuadratureError) as info:
-            integrate_semi_infinite(math.sin, 0.0)
+            integrate_semi_infinite(np.sin, 0.0)
         assert math.isfinite(info.value.error)
 
     def test_failure_can_be_returned(self):
-        res = integrate_semi_infinite(math.sin, 0.0, raise_on_failure=False)
+        res = integrate_semi_infinite(np.sin, 0.0, raise_on_failure=False)
         assert not res.converged
 
     def test_rejects_nonfinite_lower(self):
         with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: 0.0, math.inf)
+            integrate_semi_infinite(np.zeros_like, math.inf)
+
+    def test_each_level_adds_only_new_nodes(self):
+        seen = []
+
+        def f(y):
+            seen.append(y.copy())
+            return np.exp(-y)
+
+        res = integrate_semi_infinite(f, 0.0)
+        nodes = np.concatenate(seen)
+        assert len(seen) > 2 and np.unique(nodes).size == nodes.size
+        # the level difference is the error estimate
+        assert 0.0 <= res.error <= 1e-12 * res.value
+
+
+class TestIntegrateFromZero:
+    def test_polynomial_and_exponential(self):
+        for upper in (0.3, 1.0, 15.0):
+            assert_allclose(integrate_from_zero(lambda y: 3.0 * y * y, upper).value,
+                            upper**3, rtol=1e-13)
+            assert_allclose(integrate_from_zero(lambda y: np.exp(-y), upper).value,
+                            -math.expm1(-upper), rtol=1e-13)
+
+    def test_tiny_interval_keeps_relative_accuracy(self):
+        # a power-law density near 0: the nodes there carry full relative precision
+        for upper in (1e-8, 1e-30):
+            res = integrate_from_zero(lambda y: 6.0 * y**5, upper)
+            assert res.converged
+            assert_allclose(res.value, upper**6, rtol=1e-12)
+
+    def test_endpoint_singularity_converges(self):
+        # the rule stops 2.7e-23 of the interval short of 0, which cuts
+        # sqrt(1.1e-22) ~ 1e-11 off this integral
+        res = integrate_from_zero(lambda y: 0.5 / np.sqrt(y), 4.0)
+        assert res.converged
+        assert_allclose(res.value, 2.0, rtol=1e-10)
+
+    def test_divergent_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_from_zero(lambda y: 1.0 / y, 1.0)
+
+    def test_rejects_bad_upper(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate_from_zero(np.zeros_like, bad)

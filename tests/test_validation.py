@@ -4,7 +4,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from quadpack_reference import ordered_cdf_quadpack, relay_outage_quadpack
 
 from noma_perf.analytic import (
     coop_cuts,
@@ -12,8 +15,11 @@ from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
+    served_users,
+    user_link,
+    user_outage,
 )
-from noma_perf.configs import coop_preset, direct_preset, with_mu
+from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
 from noma_perf.montecarlo import TrialBatch
 from noma_perf.validation import (
@@ -30,23 +36,18 @@ def db_to_linear(snr_db):
 
 
 class TestRelayQuadrature:
-    def test_tail_and_shifted_routes_agree(self):
+    def test_de_and_quadpack_routes_agree(self):
         for mu in (1, 2, 3):
             cfg = with_mu(coop_preset(), mu)
             for cut in (0.01, 0.2, 2.0):
-                tail = relay_outage_quadrature(cfg, cut, method="tail")
-                shifted = relay_outage_quadrature(cfg, cut, method="shifted")
-                assert_allclose(tail, shifted, rtol=1e-9)
-                assert 0.0 < tail < 1.0
+                de = relay_outage_quadrature(cfg, cut)
+                assert_allclose(de, relay_outage_quadpack(cfg, cut), rtol=1e-11)
+                assert 0.0 < de < 1.0
 
     def test_edges(self):
         cfg = coop_preset()
         assert relay_outage_quadrature(cfg, 0.0) == 0.0
         assert relay_outage_quadrature(cfg, math.inf) == 1.0
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            relay_outage_quadrature(coop_preset(), 0.1, method="bogus")
 
 
 class TestOrderedQuadrature:
@@ -62,12 +63,47 @@ class TestOrderedQuadrature:
                         rtol=1e-9,
                     )
 
+    def test_matches_quadpack_at_tiny_x(self):
+        # far below the CDF's knee the value is ~x**(mu * rank); both
+        # routes must still agree relatively
+        params = FadingParams(3, 1.4)
+        idx = OrderedIndex(3, 5)
+        for x in (1e-6, 1e-3):
+            de = ordered_cdf_quadrature(params, idx, x)
+            assert 0.0 < de < 1e-20
+            assert_allclose(de, ordered_cdf_quadpack(params, idx, x), rtol=1e-11)
+
     def test_edges(self):
         params = FadingParams(2, 1.0)
         idx = OrderedIndex(1, 3)
         assert ordered_cdf_quadrature(params, idx, 0.0) == 0.0
         assert ordered_cdf_quadrature(params, idx, -1.0) == 0.0
         assert ordered_cdf_quadrature(params, idx, math.inf) == 1.0
+
+
+class TestQuadpackCrossCheck:
+    GRID_DB = range(0, 61)
+
+    @pytest.mark.parametrize("mu", (1, 2, 3, 6))
+    def test_oracles_match_quadpack_on_preset_grid(self, mu):
+        # every oracle call of the benchmark's oracle-gate grid, plus
+        # mu = 6, against the QUADPACK route: far and near, and every
+        # single-slot user
+        worst = 0.0
+        for cfg in (with_mu(coop_preset(), mu), with_mu(direct_preset(), mu)):
+            for db in self.GRID_DB:
+                rho = db_to_linear(float(db))
+                for user in served_users(cfg):
+                    params, idx, cut, omega_rd = user_link(cfg, rho, user)
+                    pairs = [(ordered_cdf_quadrature(params, idx, cut),
+                              ordered_cdf_quadpack(params, idx, cut))]
+                    if omega_rd is not None:
+                        pairs.append((relay_outage_quadrature(cfg, cut, user),
+                                      relay_outage_quadpack(cfg, cut, user)))
+                    for de, ref in pairs:
+                        assert 0.0 < ref <= 1.0
+                        worst = max(worst, abs(de - ref) / ref)
+        assert worst <= 1e-11
 
 
 class TestOutageOracle:
@@ -128,12 +164,59 @@ class TestOutageOracle:
             with pytest.raises(ValueError):
                 outage_oracle(direct_preset(), 10.0, user)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), mu=st.integers(1, 4), snr_db=st.floats(0.0, 60.0),
+           coop=st.booleans())
+    def test_matches_exact_on_random_configs(self, data, mu, snr_db, coop):
+        positive = st.floats(0.2, 5.0)
+        rate = st.floats(0.05, 2.0)
+        if coop:
+            users = data.draw(st.integers(2, 6))
+            near_rank = data.draw(st.integers(2, users))
+            power_far = data.draw(st.floats(0.55, 0.95))
+            cfg = CoopConfig(
+                users=users, far_rank=data.draw(st.integers(1, near_rank - 1)),
+                near_rank=near_rank, power_far=power_far, power_near=1.0 - power_far,
+                rate_far=data.draw(rate), rate_near=data.draw(rate),
+                relay_gain=data.draw(st.floats(0.3, 2.0)), mu=mu,
+                omega_sd=data.draw(positive), omega_sr=data.draw(positive),
+                omega_rd=data.draw(positive),
+            )
+        else:
+            m = data.draw(st.integers(1, 4))
+            ratio = data.draw(st.floats(0.1, 0.8))
+            weights = [ratio**k for k in range(m)]
+            pool = m + data.draw(st.integers(0, 2))
+            ranks = sorted(data.draw(st.lists(st.integers(1, pool), min_size=m, max_size=m,
+                                              unique=True)))
+            cfg = DirectConfig(
+                power=tuple(w / sum(weights) for w in weights),
+                rates=tuple(data.draw(rate) for _ in range(m)),
+                omega=tuple(data.draw(positive) for _ in range(m)),
+                mu=mu, ranks=tuple(ranks), pool=pool,
+            )
+        rho = db_to_linear(snr_db)
+        for user in served_users(cfg):
+            oracle = outage_oracle(cfg, rho, user)
+            assert 0.0 <= oracle <= 1.0
+            assert abs(user_outage(cfg, rho, user)[0] - oracle) <= 1e-6 * oracle
+
     def test_rejects_unknown_config_type(self):
         with pytest.raises(TypeError):
             outage_oracle(object(), 10.0, "far")
 
 
 class TestValidationSuite:
+    def test_row_fields_are_plain_python_types(self):
+        # a numpy scalar would print as np.True_ or np.float64(...) in a report
+        batch = TrialBatch(trials=5_000, seed=1)
+        rows = run_validation_suite([coop_preset(), direct_preset()], [10.0, 40.0], batch)
+        for row in rows:
+            for name, value in dataclasses.asdict(row).items():
+                assert type(value) in (bool, int, float, str), (name, value)
+            assert type(row.passed) is bool
+            assert type(row.p_oracle) is float and type(row.rel_err) is float
+
     def test_empty_inputs_give_empty_report(self):
         assert run_validation_suite([], [10.0]) == []
         assert run_validation_suite([coop_preset()], []) == []
