@@ -45,8 +45,6 @@ from .montecarlo import (
     estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
-    estimate_outage_far,
-    estimate_outage_near,
 )
 from .validation import (
     ComparisonRow,
@@ -76,8 +74,6 @@ __all__ = [
     "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
-    "estimate_outage_far",
-    "estimate_outage_near",
     "load_config_file",
     "outage_direct_asymptotic",
     "outage_direct_exact",

@@ -421,13 +421,13 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     return _relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale)
 
 
-def relay_outage(cfg: CoopConfig, cut: float, user: str = "far") -> float:
-    """Relay-branch outage for the far or near user of ``cfg`` at gain cut ``cut``."""
+def relay_outage(cfg: CoopConfig, cut: float) -> float:
+    """Relay-branch outage of a served user of ``cfg`` at gain cut ``cut``."""
     return relay_outage_closed(
         cut,
         mu=cfg.mu,
         omega_sr=cfg.omega_sr,
-        omega_rd=cfg.relay_mean(user),
+        omega_rd=cfg.omega_rd,
         noise_scale=cfg.noise_scale,
     )
 
@@ -470,10 +470,10 @@ def user_link(cfg: CoopConfig | DirectConfig, rho: float,
     if isinstance(cfg, CoopConfig):
         cuts = coop_cuts(cfg, rho)
         return (
-            FadingParams(cfg.mu, cfg.direct_mean(user)),
+            FadingParams(cfg.mu, cfg.omega_sd),
             OrderedIndex(cfg.rank(user), cfg.users),
             cuts.far_cut if user == "far" else cuts.near_cut,
-            cfg.relay_mean(user),
+            cfg.omega_rd,
         )
     return (
         FadingParams(cfg.mu, cfg.omega[user - 1]),
@@ -496,10 +496,7 @@ def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
         return 1.0, 1.0, 1.0
     if cut == 0.0:
         return 0.0, 0.0, 0.0
-    relay = 1.0 if omega_rd is None else relay_outage_closed(
-        cut, mu=cfg.mu, omega_sr=cfg.omega_sr, omega_rd=omega_rd,
-        noise_scale=cfg.noise_scale,
-    )
+    relay = 1.0 if omega_rd is None else relay_outage(cfg, cut)
     return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
 
 
@@ -638,22 +635,12 @@ def outage_oma(cfg: CoopConfig | DirectConfig, rho: float) -> float:
         if total_rate == 0.0:
             return 0.0
         cut = threshold_snr(total_rate, slots=2) / rho
-        top_is_near = cfg.near_rank == cfg.users
-        omega_sd = cfg.direct_mean("near") if top_is_near else cfg.omega_sd
-        omega_rd = cfg.relay_mean("near") if top_is_near else cfg.omega_rd
         direct = ordered_cdf(
-            FadingParams(cfg.mu, omega_sd),
+            FadingParams(cfg.mu, cfg.omega_sd),
             OrderedIndex(cfg.users, cfg.users),
             cut,
         )
-        relay = relay_outage_closed(
-            cut,
-            mu=cfg.mu,
-            omega_sr=cfg.omega_sr,
-            omega_rd=omega_rd,
-            noise_scale=cfg.noise_scale,
-        )
-        return direct * relay
+        return direct * relay_outage(cfg, cut)
     if isinstance(cfg, DirectConfig):
         cut = threshold_snr(math.fsum(cfg.rates), slots=1) / rho
         return ordered_cdf(

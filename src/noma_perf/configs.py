@@ -8,8 +8,15 @@ forward relay over a second time slot.  ``DirectConfig`` describes a
 single-slot downlink serving every user by superposition coding with
 successive interference cancellation and no relay.
 
+The cooperative model is the paper's: both served users come from one
+i.i.d. pool of direct links with mean ``omega_sd`` and both relay-to-user
+hops have mean ``omega_rd``.  Per-user mean overrides (the INI keys
+``omega_sd_far``, ``omega_sd_near``, ``omega_rd_far`` and
+``omega_rd_near``) are no longer accepted.
+
 Configs are frozen dataclasses validated on construction; the CLI builds
-them from INI files with the same field names.
+them from INI files with the same field names, each INI section read
+through one table of its keys' parsers.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 import configparser
 import logging
 import math
-import warnings
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -48,9 +55,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
-def _check_mu(mu: int) -> None:
-    if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
-        raise ConfigError(f"mu must be an integer >= 1, got {mu!r}")
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as a plain int; Python and numpy integers >= ``low`` pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 # =====================================================================
@@ -74,20 +83,16 @@ class CoopConfig:
         Target rates in bit/s/Hz; the two-slot protocol doubles the SNR
         thresholds relative to single-slot signalling.  Zero is allowed
         and makes the corresponding outage trivially zero.
-    relay_gain : float
-        Fixed amplification factor of the relay.  The derived constant
-        ``relay_const`` = 1 / relay_gain**2 scales the noise forwarded by
-        the relay; passing ``relay_const`` instead overrides it directly.
+    relay_gain, relay_const : float or None
+        Fixed amplification factor of the relay, or the constant
+        1 / relay_gain**2 that scales the noise it forwards; exactly one
+        of the two is set (pass ``relay_gain=None`` with ``relay_const``).
     mu : int
         Integer fading severity shared by all links.
     omega_sd : float
         Mean direct-link power gain of the sorted pool.
     omega_sr, omega_rd : float
         Mean gains of the source-relay hop and the relay-user hops.
-    omega_sd_far, omega_sd_near, omega_rd_far, omega_rd_near : float or None
-        Optional per-user overrides.  Distinct direct-link means break the
-        identically-distributed assumption behind the sorted pool, so
-        using them emits a warning.
     """
 
     users: int
@@ -103,18 +108,12 @@ class CoopConfig:
     omega_sd: float = 1.0
     omega_sr: float = 4.0
     omega_rd: float = 4.0
-    omega_sd_far: float | None = None
-    omega_sd_near: float | None = None
-    omega_rd_far: float | None = None
-    omega_rd_near: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.users, int) or self.users < 2:
-            raise ConfigError(f"users must be an integer >= 2, got {self.users!r}")
-        for name in ("far_rank", "near_rank"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 1 <= v <= self.users:
-                raise ConfigError(f"{name} must be an integer in [1, users], got {v!r}")
+        for name, low in (("users", 2), ("far_rank", 1), ("near_rank", 1), ("mu", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        if self.near_rank > self.users:
+            raise ConfigError(f"near_rank must not exceed users, got {self.near_rank}")
         if self.far_rank >= self.near_rank:
             raise ConfigError(
                 f"far_rank must be below near_rank, got {self.far_rank} >= {self.near_rank}"
@@ -140,19 +139,8 @@ class CoopConfig:
             _check_positive("relay_gain", self.relay_gain)
         if self.relay_const is not None:
             _check_positive("relay_const", self.relay_const)
-        _check_mu(self.mu)
         for name in ("omega_sd", "omega_sr", "omega_rd"):
             _check_positive(name, getattr(self, name))
-        for name in ("omega_sd_far", "omega_sd_near", "omega_rd_far", "omega_rd_near"):
-            v = getattr(self, name)
-            if v is not None:
-                _check_positive(name, v)
-        if self.omega_sd_far is not None or self.omega_sd_near is not None:
-            warnings.warn(
-                "distinct per-user direct-link means break the i.i.d. assumption "
-                "behind the sorted pool; ordered-statistics results are heuristic",
-                stacklevel=2,
-            )
 
     # -- derived quantities -------------------------------------------
 
@@ -162,22 +150,6 @@ class CoopConfig:
         if self.relay_const is not None:
             return self.relay_const
         return 1.0 / (self.relay_gain * self.relay_gain)
-
-    def direct_mean(self, user: str) -> float:
-        """Mean direct-link gain for 'far' or 'near', honoring overrides."""
-        if user == "far":
-            return self.omega_sd if self.omega_sd_far is None else self.omega_sd_far
-        if user == "near":
-            return self.omega_sd if self.omega_sd_near is None else self.omega_sd_near
-        raise ValueError(f"user must be 'far' or 'near', got {user!r}")
-
-    def relay_mean(self, user: str) -> float:
-        """Mean relay-to-user gain for 'far' or 'near', honoring overrides."""
-        if user == "far":
-            return self.omega_rd if self.omega_rd_far is None else self.omega_rd_far
-        if user == "near":
-            return self.omega_rd if self.omega_rd_near is None else self.omega_rd_near
-        raise ValueError(f"user must be 'far' or 'near', got {user!r}")
 
     def rank(self, user: str) -> int:
         if user == "far":
@@ -267,18 +239,16 @@ class DirectConfig:
             _check_positive(f"rates[{i}]", r)
         for i, w in enumerate(self.omega, start=1):
             _check_positive(f"omega[{i}]", w)
-        _check_mu(self.mu)
-        ranks = self.ranks if self.ranks is not None else tuple(range(1, m + 1))
-        ranks = tuple(int(r) for r in ranks)
+        object.__setattr__(self, "mu", _integer("mu", self.mu, 1))
+        ranks = self.ranks if self.ranks is not None else range(1, m + 1)
+        ranks = tuple(_integer(f"ranks[{i}]", r, 1) for i, r in enumerate(ranks, start=1))
         if len(ranks) != m:
             raise ConfigError(f"ranks must list one sort position per user, got {ranks}")
         if any(r1 >= r2 for r1, r2 in zip(ranks, ranks[1:])):
             raise ConfigError(f"ranks must be strictly ascending, got {ranks}")
-        pool = self.pool if self.pool is not None else max(m, ranks[-1])
-        if not isinstance(pool, int) or pool < ranks[-1] or pool < 1:
-            raise ConfigError(f"pool must be an integer >= max rank, got {pool!r}")
-        if ranks[0] < 1:
-            raise ConfigError(f"ranks must be >= 1, got {ranks}")
+        pool = _integer("pool", max(m, ranks[-1]) if self.pool is None else self.pool, 1)
+        if pool < ranks[-1]:
+            raise ConfigError(f"pool must be >= max rank {ranks[-1]}, got {pool}")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "pool", pool)
 
@@ -341,111 +311,62 @@ def comparison_presets(mu: int = 1) -> tuple[CoopConfig, DirectConfig]:
 # INI loading
 # =====================================================================
 
-def _get_float(section, key: str, where: str) -> float:
-    try:
-        return section.getfloat(key)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}' is not a number: {section.get(key)}") from exc
+def _tokens(raw: str) -> list[str]:
+    return raw.replace(",", " ").split()
 
 
-def _get_int(section, key: str, where: str) -> int:
-    try:
-        return section.getint(key)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}' is not an integer: {section.get(key)}") from exc
+# parser and description of the values of one INI key type
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_NUMBERS = (lambda raw: tuple(float(tok) for tok in _tokens(raw)), "a number list")
+_INTEGERS = (lambda raw: tuple(int(tok) for tok in _tokens(raw)), "an integer list")
 
-
-def _get_floats(section, key: str, where: str) -> tuple[float, ...]:
-    raw = section.get(key)
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}' is not a number list: {raw}") from exc
-
-
-def _get_ints(section, key: str, where: str) -> tuple[int, ...]:
-    raw = section.get(key)
-    try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}' is not an integer list: {raw}") from exc
-
-
+#: every key of a [coop] section: the CoopConfig fields and the relay geometry
 _COOP_KEYS = {
-    "users", "far_rank", "near_rank", "power_far", "power_near", "rate_far",
-    "rate_near", "relay_gain", "relay_const", "mu", "omega_sd", "omega_sr",
-    "omega_rd", "omega_sd_far", "omega_sd_near", "omega_rd_far",
-    "omega_rd_near", "relay_distance", "pathloss_exp",
+    "users": _INTEGER, "far_rank": _INTEGER, "near_rank": _INTEGER,
+    "power_far": _NUMBER, "power_near": _NUMBER, "rate_far": _NUMBER,
+    "rate_near": _NUMBER, "relay_gain": _NUMBER, "relay_const": _NUMBER,
+    "mu": _INTEGER, "omega_sd": _NUMBER, "omega_sr": _NUMBER, "omega_rd": _NUMBER,
+    "relay_distance": _NUMBER, "pathloss_exp": _NUMBER,
 }
-_DIRECT_KEYS = {"power", "rates", "omega", "mu", "ranks", "pool"}
+#: every key of a [direct] section: the DirectConfig fields
+_DIRECT_KEYS = {
+    "power": _NUMBERS, "rates": _NUMBERS, "omega": _NUMBERS,
+    "mu": _INTEGER, "ranks": _INTEGERS, "pool": _INTEGER,
+}
+
+
+def _read_section(section, keys: dict, cls: type, where: str) -> dict:
+    """Parsed values of ``section`` by key; every key must be in ``keys``
+    and every field of ``cls`` without a default must be given."""
+    unknown = set(section.keys()) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for field in fields(cls):
+        if field.default is MISSING and field.name not in section:
+            raise ConfigError(f"{where}: missing required key '{field.name}'")
+    kwargs = {}
+    for key, raw in section.items():
+        parse, what = keys[key]
+        try:
+            kwargs[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: key '{key}' is not {what}: {raw}") from exc
+    return kwargs
 
 
 def _coop_from_section(section, where: str) -> CoopConfig:
-    unknown = set(section.keys()) - _COOP_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in ("users", "far_rank", "near_rank", "power_far", "power_near",
-                "rate_far", "rate_near"):
-        if key not in section:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-    kwargs: dict = {
-        "users": _get_int(section, "users", where),
-        "far_rank": _get_int(section, "far_rank", where),
-        "near_rank": _get_int(section, "near_rank", where),
-        "power_far": _get_float(section, "power_far", where),
-        "power_near": _get_float(section, "power_near", where),
-        "rate_far": _get_float(section, "rate_far", where),
-        "rate_near": _get_float(section, "rate_near", where),
-    }
-    if "mu" in section:
-        kwargs["mu"] = _get_int(section, "mu", where)
-    if "relay_const" in section:
-        kwargs["relay_const"] = _get_float(section, "relay_const", where)
+    kwargs = _read_section(section, _COOP_KEYS, CoopConfig, where)
+    if "relay_gain" not in kwargs and "relay_const" in kwargs:
         kwargs["relay_gain"] = None
-    elif "relay_gain" in section:
-        kwargs["relay_gain"] = _get_float(section, "relay_gain", where)
-    for key in ("omega_sd", "omega_sd_far", "omega_sd_near", "omega_rd_far",
-                "omega_rd_near"):
-        if key in section:
-            kwargs[key] = _get_float(section, key, where)
-    geometric = "relay_distance" in section or "pathloss_exp" in section
-    explicit = "omega_sr" in section or "omega_rd" in section
-    if geometric and explicit:
+    geo = {key: kwargs.pop(key) for key in ("relay_distance", "pathloss_exp") if key in kwargs}
+    if not geo:
+        return CoopConfig(**kwargs)
+    if "omega_sr" in kwargs or "omega_rd" in kwargs:
         raise ConfigError(
             f"{where}: give either relay_distance/pathloss_exp or omega_sr/omega_rd, not both"
         )
-    if explicit:
-        for key in ("omega_sr", "omega_rd"):
-            if key in section:
-                kwargs[key] = _get_float(section, key, where)
-        return CoopConfig(**kwargs)
-    geo = {}
-    if "relay_distance" in section:
-        geo["relay_distance"] = _get_float(section, "relay_distance", where)
-    if "pathloss_exp" in section:
-        geo["pathloss_exp"] = _get_float(section, "pathloss_exp", where)
     return CoopConfig.from_geometry(**geo, **kwargs)
-
-
-def _direct_from_section(section, where: str) -> DirectConfig:
-    unknown = set(section.keys()) - _DIRECT_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in ("power", "rates", "omega"):
-        if key not in section:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-    kwargs: dict = {
-        "power": _get_floats(section, "power", where),
-        "rates": _get_floats(section, "rates", where),
-        "omega": _get_floats(section, "omega", where),
-    }
-    if "mu" in section:
-        kwargs["mu"] = _get_int(section, "mu", where)
-    if "ranks" in section:
-        kwargs["ranks"] = _get_ints(section, "ranks", where)
-    if "pool" in section:
-        kwargs["pool"] = _get_int(section, "pool", where)
-    return DirectConfig(**kwargs)
 
 
 def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectConfig]:
@@ -469,7 +390,9 @@ def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectCon
     if parser.has_section("coop"):
         out["coop"] = _coop_from_section(parser["coop"], f"{source} [coop]")
     if parser.has_section("direct"):
-        out["direct"] = _direct_from_section(parser["direct"], f"{source} [direct]")
+        where = f"{source} [direct]"
+        out["direct"] = DirectConfig(**_read_section(parser["direct"], _DIRECT_KEYS,
+                                                     DirectConfig, where))
     if not out:
         raise ConfigError(f"{source}: no [coop] or [direct] section found")
     return out

@@ -113,22 +113,19 @@ class OrderedIndex:
 def gamma_pdf(p: FadingParams, x):
     """Density of the power gain at ``x`` (scalar or ndarray), zero for x < 0."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float)
-    out = np.zeros_like(xv)
-    pos = xv > 0
-    xp = xv[pos]
+    pos = x > 0
+    xs = np.where(pos, x, 1.0)
     rate = p.rate
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
     log_pdf = (
         p.mu * math.log(rate)
         - log_gamma(p.mu)
-        + (p.mu - 1) * np.log(xp)
-        - rate * xp
+        + (p.mu - 1) * np.log(xs)
+        - rate * xs
     )
-    out[pos] = np.exp(log_pdf)
-    if scalar:
-        return float(out[0])
+    out = np.where(pos, np.exp(log_pdf), 0.0)
+    if out.ndim == 0:
+        return float(out)
     return out
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
-    "estimate_outage_far",
-    "estimate_outage_near",
     "sinr_direct",
     "sinr_slot1",
     "sinr_slot2",
@@ -131,15 +129,10 @@ def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> Channe
     relay-to-near) and is part of the reproducibility contract.
     """
     direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega_sd), cfg.users, rng, size=n)
-    if cfg.omega_sd_far is not None or cfg.omega_sd_near is not None:
-        # per-user override on a sorted pool: rescale the selected columns,
-        # consistent with how the analytic side treats the override
-        direct = direct.copy()
-        direct[:, cfg.far_rank - 1] *= cfg.direct_mean("far") / cfg.omega_sd
-        direct[:, cfg.near_rank - 1] *= cfg.direct_mean("near") / cfg.omega_sd
     relay_feed = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
-    relay_far = sample_gain(FadingParams(cfg.mu, cfg.relay_mean("far")), rng, size=n)
-    relay_near = sample_gain(FadingParams(cfg.mu, cfg.relay_mean("near")), rng, size=n)
+    drop = FadingParams(cfg.mu, cfg.omega_rd)
+    relay_far = sample_gain(drop, rng, size=n)
+    relay_near = sample_gain(drop, rng, size=n)
     return ChannelDraw(
         direct=direct,
         relay_feed=np.asarray(relay_feed),
@@ -327,16 +320,6 @@ def estimate_outage_coop(cfg: CoopConfig, rho: float, batch: TrialBatch
     """Far and near outage estimates from one shared set of draws."""
     (point,) = estimate_outage(cfg, [rho], batch)
     return point["far"], point["near"]
-
-
-def estimate_outage_far(cfg: CoopConfig, rho: float, batch: TrialBatch) -> Estimate:
-    """Far-user outage estimate; see :func:`estimate_outage_coop`."""
-    return estimate_outage_coop(cfg, rho, batch)[0]
-
-
-def estimate_outage_near(cfg: CoopConfig, rho: float, batch: TrialBatch) -> Estimate:
-    """Near-user outage estimate; see :func:`estimate_outage_coop`."""
-    return estimate_outage_coop(cfg, rho, batch)[1]
 
 
 def estimate_outage_direct(cfg: DirectConfig, rho: float, user: int,

@@ -96,7 +96,8 @@ class QuadratureResult:
     error : float
         Absolute difference between the last two levels.
     converged : bool
-        True when the last two levels agreed to the relative tolerance.
+        True when the last two levels agreed to the relative tolerance;
+        a rule that does not converge raises instead of returning.
     """
 
     value: float
@@ -121,7 +122,6 @@ def _double_exponential(
     fn: Callable[[np.ndarray], np.ndarray],
     transform: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     half_width: float,
-    raise_on_failure: bool,
     what: str,
 ) -> QuadratureResult:
     """Trapezoid sums in t of fn(y(t)) * y'(t) over |t| < half_width.
@@ -147,20 +147,17 @@ def _double_exponential(
         step *= 0.5
         t = np.arange(step, half_width, 2.0 * step)
         t = np.concatenate((-t[::-1], t))
-    converged = error <= REL_TOL * abs(value)
-    if not converged and raise_on_failure:
+    if not error <= REL_TOL * abs(value):
         raise QuadratureError(
             f"{what} quadrature did not converge: levels differ by {error:.3g}"
             f" at value {value:.6g}", value, error
         )
-    return QuadratureResult(value=value, error=error, converged=converged)
+    return QuadratureResult(value=value, error=error, converged=True)
 
 
 def integrate_semi_infinite(
     fn: Callable[[np.ndarray], np.ndarray],
     lower: float,
-    *,
-    raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate ``fn`` over (lower, infinity) with the exp-sinh rule.
 
@@ -175,9 +172,7 @@ def integrate_semi_infinite(
     Raises
     ------
     QuadratureError
-        If two successive levels never agree to ``REL_TOL`` and
-        ``raise_on_failure`` is set.  With ``raise_on_failure=False`` a
-        non-converged ``QuadratureResult`` is returned instead.
+        If two successive levels never agree to ``REL_TOL``.
     """
     if not math.isfinite(lower):
         raise ValueError(f"integrate_semi_infinite requires a finite lower limit, got {lower}")
@@ -186,8 +181,7 @@ def integrate_semi_infinite(
         offset = np.exp(_HALF_PI * np.sinh(t))
         return lower + offset, _HALF_PI * np.cosh(t) * offset
 
-    return _double_exponential(fn, transform, EXP_SINH_HALF_WIDTH, raise_on_failure,
-                               "semi-infinite")
+    return _double_exponential(fn, transform, EXP_SINH_HALF_WIDTH, "semi-infinite")
 
 
 def integrate_from_zero(
@@ -215,4 +209,4 @@ def integrate_from_zero(
         decay = np.exp(-math.pi * np.sinh(t))
         return upper / (1.0 + decay), upper * math.pi * np.cosh(t) * decay / (1.0 + decay) ** 2
 
-    return _double_exponential(fn, transform, TANH_SINH_HALF_WIDTH, True, "finite")
+    return _double_exponential(fn, transform, TANH_SINH_HALF_WIDTH, "finite")

@@ -55,7 +55,7 @@ MC_PROBABILITY_FLOOR = 1e-4
 # Quadrature oracles
 # =====================================================================
 
-def relay_outage_quadrature(cfg: CoopConfig, cut: float, user: str = "far") -> float:
+def relay_outage_quadrature(cfg: CoopConfig, cut: float) -> float:
     """Relay-branch outage by direct integration of the probability.
 
     The branch fails when the first-hop gain y stays below ``cut`` or,
@@ -75,7 +75,7 @@ def relay_outage_quadrature(cfg: CoopConfig, cut: float, user: str = "far") -> f
     if math.isinf(cut):
         return 1.0
     feed = FadingParams(cfg.mu, cfg.omega_sr)
-    drop = FadingParams(cfg.mu, cfg.relay_mean(user))
+    drop = FadingParams(cfg.mu, cfg.omega_rd)
     scaled = cut * cfg.noise_scale
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -109,7 +109,7 @@ def outage_oracle(cfg: CoopConfig | DirectConfig, rho: float, user) -> float:
     direct = ordered_cdf_quadrature(params, idx, cut)
     if omega_rd is None:
         return direct
-    return direct * relay_outage_quadrature(cfg, cut, user)
+    return direct * relay_outage_quadrature(cfg, cut)
 
 
 # =====================================================================

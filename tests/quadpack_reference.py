@@ -41,15 +41,15 @@ def _cdf(p: FadingParams, y: float) -> float:
     return float(special.gammainc(p.mu, p.rate * y))
 
 
-def relay_outage_quadpack(cfg: CoopConfig, cut: float, user: str = "far") -> float:
-    """Relay-branch outage of ``user`` at decode cut ``cut``, via QUADPACK."""
+def relay_outage_quadpack(cfg: CoopConfig, cut: float) -> float:
+    """Relay-branch outage of a served user at decode cut ``cut``, via QUADPACK."""
     cut = float(cut)
     if cut == 0.0:
         return 0.0
     if math.isinf(cut):
         return 1.0
     feed = FadingParams(cfg.mu, cfg.omega_sr)
-    drop = FadingParams(cfg.mu, cfg.relay_mean(user))
+    drop = FadingParams(cfg.mu, cfg.omega_rd)
     scaled = cut * cfg.noise_scale
 
     def integrand(y: float) -> float:

@@ -67,9 +67,9 @@ class TestAcceptance:
             cfg = coop_preset(mu)
             for db in GRID_DB:
                 cuts = coop_cuts(cfg, db_to_linear(db))
-                for cut, user in ((cuts.far_cut, "far"), (cuts.near_cut, "near")):
-                    closed = relay_outage(cfg, cut, user)
-                    oracle = relay_outage_quadrature(cfg, cut, user)
+                for cut in (cuts.far_cut, cuts.near_cut):
+                    closed = relay_outage(cfg, cut)
+                    oracle = relay_outage_quadrature(cfg, cut)
                     worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-6 and elapsed < 10.0

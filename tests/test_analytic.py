@@ -551,7 +551,7 @@ class TestOmaBaseline:
             OrderedIndex(cfg.users, cfg.users),
             cut,
         )
-        relay = relay_outage(cfg, cut, user="near")
+        relay = relay_outage(cfg, cut)
         assert_allclose(outage_oma(cfg, rho), direct * relay, rtol=1e-14)
 
     def test_direct_is_top_rank_single_slot(self):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,10 @@ from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
 from noma_perf.configs import coop_preset, direct_preset, load_config_file, with_mu
 
 HEADER = ",".join(CSV_COLUMNS)
+
+
+def preset_ini(name):
+    return resources.files("noma_perf").joinpath(f"presets/{name}.ini").read_text()
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +238,21 @@ class TestSweep:
         # serve every point and user; each coop draw sorts its own pool
         assert len(coop_draws) == 1
         assert len(sorted_draws) - len(coop_draws) == 1
+
+    def test_config_with_both_relay_keys_exits_2(self, capsys, tmp_path):
+        text = preset_ini("coop").replace("relay_gain = 0.9", "relay_gain = 0.9\nrelay_const = 2.0")
+        ini = tmp_path / "both.ini"
+        ini.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--config", str(ini))
+        assert code == 2 and out == ""
+        assert "exactly one of relay_gain and relay_const" in err
+
+    def test_config_with_removed_mean_override_exits_2(self, capsys, tmp_path):
+        ini = tmp_path / "override.ini"
+        ini.write_text(preset_ini("coop") + "omega_sd_far = 0.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--config", str(ini))
+        assert code == 2 and out == ""
+        assert "unknown keys ['omega_sd_far']" in err
 
     def test_missing_scenario_section_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "cooponly.ini"

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -52,19 +55,8 @@ class TestCoopConfig:
     def test_rank_and_mean_accessors(self):
         cfg = make_coop()
         assert cfg.rank("far") == 1 and cfg.rank("near") == 5
-        assert cfg.direct_mean("far") == 1.0
-        assert cfg.relay_mean("near") == 4.0
         with pytest.raises(ValueError):
             cfg.rank("middle")
-
-    def test_per_user_overrides_warn_and_take_effect(self):
-        with pytest.warns(UserWarning):
-            cfg = make_coop(omega_sd_far=0.5, omega_sd_near=2.0)
-        assert cfg.direct_mean("far") == 0.5
-        assert cfg.direct_mean("near") == 2.0
-        cfg = make_coop(omega_rd_far=1.5)  # relay-side override stays silent
-        assert cfg.relay_mean("far") == 1.5
-        assert cfg.relay_mean("near") == 4.0
 
     def test_rejects_bad_structure(self):
         with pytest.raises(ConfigError):
@@ -95,6 +87,21 @@ class TestCoopConfig:
             make_coop(mu=1.5)
         with pytest.raises(ConfigError):
             make_coop(omega_sr=0.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("users", True), ("users", 5.0), ("far_rank", True), ("far_rank", 1.0),
+        ("near_rank", 4.9), ("mu", True), ("mu", np.float64(2.0)),
+    ])
+    def test_integer_fields_reject_bools_and_floats(self, name, bad):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make_coop(**{name: bad})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = make_coop(users=np.int64(5), far_rank=np.int32(1), near_rank=np.uint8(5),
+                        mu=np.int16(2))
+        for name in ("users", "far_rank", "near_rank", "mu"):
+            assert type(getattr(cfg, name)) is int
+        assert cfg == make_coop(mu=2)
 
     def test_rejects_relay_spec_conflicts(self):
         with pytest.raises(ConfigError):
@@ -163,6 +170,21 @@ class TestDirectConfig:
             DirectConfig(ranks=(0, 1), **good)
         with pytest.raises(ConfigError):
             DirectConfig(ranks=(1, 3), pool=2, **good)
+
+    @pytest.mark.parametrize("bad", [
+        dict(ranks=(1.9, 3.7)), dict(ranks=(True, 2)), dict(ranks=(1, 3), pool=4.0),
+        dict(pool=True), dict(mu=True), dict(mu=2.0),
+    ])
+    def test_integer_fields_reject_bools_and_floats(self, bad):
+        good = dict(power=(0.6, 0.4), rates=(1.0, 1.0), omega=(1.0, 1.0))
+        with pytest.raises(ConfigError, match="must be an integer"):
+            DirectConfig(**good, **bad)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = DirectConfig(power=(0.6, 0.4), rates=(1.0, 1.0), omega=(1.0, 1.0),
+                           ranks=np.array([1, 3]), pool=np.int64(4), mu=np.int32(2))
+        assert cfg.ranks == (1, 3) and cfg.pool == 4 and cfg.mu == 2
+        assert all(type(v) is int for v in (*cfg.ranks, cfg.pool, cfg.mu))
 
 
 class TestPresets:
@@ -262,6 +284,38 @@ pathloss_exp = 2.0
         text = self.GOOD.replace("relay_gain = 0.8", "relay_const = 2.0")
         assert load_config_text(text, "inline")["coop"].noise_scale == 2.0
 
+    def test_both_relay_keys_are_rejected(self):
+        text = self.GOOD.replace("relay_gain = 0.8", "relay_gain = 0.8\nrelay_const = 2.0")
+        with pytest.raises(ConfigError, match="exactly one of relay_gain and relay_const"):
+            load_config_text(text, "inline")
+
+    @pytest.mark.parametrize(
+        "key", ["omega_sd_far", "omega_sd_near", "omega_rd_far", "omega_rd_near"]
+    )
+    def test_removed_per_user_mean_keys_are_unknown(self, key):
+        text = self.GOOD.replace("[direct]", f"{key} = 1.0\n\n[direct]")
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            load_config_text(text, "inline")
+
+    def test_required_keys_are_the_fields_without_default(self):
+        required = {
+            "coop": ("users", "far_rank", "near_rank", "power_far", "power_near",
+                     "rate_far", "rate_near"),
+            "direct": ("power", "rates", "omega"),
+        }
+        for section, keys in required.items():
+            for key in keys:
+                text = re.sub(rf"(?m)^{key} = .*\n", "", self.GOOD)
+                with pytest.raises(ConfigError,
+                                   match=rf"\[{section}\]: missing required key '{key}'"):
+                    load_config_text(text, "inline")
+
+    def test_list_keys_name_their_type(self):
+        with pytest.raises(ConfigError, match="'ranks' is not an integer list"):
+            load_config_text(self.GOOD.replace("ranks = 1 4", "ranks = 1 4.5"), "inline")
+        with pytest.raises(ConfigError, match="'power' is not a number list"):
+            load_config_text(self.GOOD.replace("power = 0.6 0.4", "power = 0.6 x"), "inline")
+
     def test_error_messages_name_source_and_key(self):
         with pytest.raises(ConfigError, match=r"inline \[coop\].*users"):
             load_config_text("[coop]\nfar_rank = 1\n", "inline")
@@ -283,6 +337,16 @@ pathloss_exp = 2.0
         assert set(cfgs) == {"coop", "direct"}
         with pytest.raises(ConfigError, match="cannot read"):
             load_config_file(tmp_path / "missing.ini")
+
+
+class TestReadme:
+    def test_ini_block_matches_committed_presets(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        text = "\n".join(line.split("#", 1)[0].rstrip() for line in block.splitlines())
+        cfgs = load_config_text(text, "README")
+        assert cfgs["coop"] == preset_configs("coop")["coop"]
+        assert cfgs["direct"] == preset_configs("direct")["direct"]
 
 
 class TestWithMu:

@@ -18,6 +18,7 @@ from noma_perf.fading import (
     sample_gain,
     sample_sorted_gains,
 )
+from noma_perf.numerics import log_gamma
 from noma_perf.validation import ordered_cdf_quadrature
 
 # Frozen closed-form reference points (elementary algebra):
@@ -87,6 +88,33 @@ class TestGammaPdf:
         assert out.shape == x.shape
         assert out[0] == 0.0 and out[1] == 0.0
         assert_allclose(out[2], gamma_pdf(p, 0.5), rtol=1e-15)
+
+    @staticmethod
+    def masked_pdf(p, x):
+        # reference: the density assembled only on the positive entries
+        # and scattered into zeros; gamma_pdf must match it bit for bit
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros_like(xv)
+        pos = xv > 0
+        xp = xv[pos]
+        out[pos] = np.exp(p.mu * math.log(p.rate) - log_gamma(p.mu)
+                          + (p.mu - 1) * np.log(xp) - p.rate * xp)
+        return out
+
+    def test_bit_identical_to_masked_form(self):
+        x = np.concatenate((
+            [-2.0, -0.0, 0.0, 5e-324, 1e-300, 1e300],
+            np.exp(np.linspace(-700.0, 700.0, 1001)),
+        ))
+        for mu, omega in [(1, 0.3), (2, 1.0), (3, 4.0), (6, 16.0)]:
+            p = FadingParams(mu, omega)
+            assert np.array_equal(gamma_pdf(p, x), self.masked_pdf(p, x))
+            assert np.array_equal(gamma_pdf(p, x.reshape(19, 53)),
+                                  self.masked_pdf(p, x).reshape(19, 53))
+            for xi in x[::25]:
+                value = gamma_pdf(p, float(xi))
+                assert type(value) is float
+                assert value == self.masked_pdf(p, xi)[0]
 
 
 class TestGammaCdf:

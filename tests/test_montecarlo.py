@@ -26,8 +26,6 @@ from noma_perf.montecarlo import (
     estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
-    estimate_outage_far,
-    estimate_outage_near,
     sinr_direct,
     sinr_slot1,
     sinr_slot2,
@@ -119,23 +117,6 @@ class TestDraws:
         assert np.array_equal(a.relay_feed, b.relay_feed)
         assert np.array_equal(a.relay_far, b.relay_far)
         assert np.array_equal(a.relay_near, b.relay_near)
-
-    def test_per_user_mean_overrides_rescale_columns(self):
-        base = coop_preset()
-        with pytest.warns(UserWarning):  # overrides break the i.i.d. pool
-            cfg = dataclasses.replace(base, omega_sd_far=2.0, omega_sd_near=0.5)
-        plain = draw_coop_block(base, np.random.default_rng(3), 400)
-        scaled = draw_coop_block(cfg, np.random.default_rng(3), 400)
-        assert_allclose(
-            scaled.direct[:, cfg.far_rank - 1],
-            plain.direct[:, cfg.far_rank - 1] * 2.0,
-            rtol=1e-15,
-        )
-        assert_allclose(
-            scaled.direct[:, cfg.near_rank - 1],
-            plain.direct[:, cfg.near_rank - 1] * 0.5,
-            rtol=1e-15,
-        )
 
 
 class TestSinrChains:
@@ -249,8 +230,8 @@ class TestDeterminism:
     def test_seed_changes_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        a = estimate_outage_far(cfg, rho, TrialBatch(100_000, seed=1))
-        b = estimate_outage_far(cfg, rho, TrialBatch(100_000, seed=2))
+        a, _ = estimate_outage_coop(cfg, rho, TrialBatch(100_000, seed=1))
+        b, _ = estimate_outage_coop(cfg, rho, TrialBatch(100_000, seed=2))
         assert a.p_hat != b.p_hat
 
     def test_far_near_wrappers_share_draws(self):
@@ -258,8 +239,7 @@ class TestDeterminism:
         rho = db_to_linear(10.0)
         batch = TrialBatch(50_000, seed=3)
         far, near = estimate_outage_coop(cfg, rho, batch)
-        assert estimate_outage_far(cfg, rho, batch) == far
-        assert estimate_outage_near(cfg, rho, batch) == near
+        assert estimate_outage(cfg, [rho], batch) == [{"far": far, "near": near}]
 
     @pytest.mark.parametrize("chunks", [1, 3])
     def test_random_stream_is_pinned(self, chunks):

@@ -122,10 +122,6 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(np.sin, 0.0)
         assert math.isfinite(info.value.error)
 
-    def test_failure_can_be_returned(self):
-        res = integrate_semi_infinite(np.sin, 0.0, raise_on_failure=False)
-        assert not res.converged
-
     def test_rejects_nonfinite_lower(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(np.zeros_like, math.inf)

@@ -98,8 +98,8 @@ class TestQuadpackCrossCheck:
                     pairs = [(ordered_cdf_quadrature(params, idx, cut),
                               ordered_cdf_quadpack(params, idx, cut))]
                     if omega_rd is not None:
-                        pairs.append((relay_outage_quadrature(cfg, cut, user),
-                                      relay_outage_quadpack(cfg, cut, user)))
+                        pairs.append((relay_outage_quadrature(cfg, cut),
+                                      relay_outage_quadpack(cfg, cut)))
                     for de, ref in pairs:
                         assert 0.0 < ref <= 1.0
                         worst = max(worst, abs(de - ref) / ref)
@@ -128,7 +128,7 @@ class TestOutageOracle:
             OrderedIndex(cfg.far_rank, cfg.users),
             cuts.far_cut,
         )
-        relay = relay_outage_quadrature(cfg, cuts.far_cut, "far")
+        relay = relay_outage_quadrature(cfg, cuts.far_cut)
         assert_allclose(outage_oracle(cfg, rho, "far"), direct * relay, rtol=1e-12)
 
     def test_direct_matches_exact_closed_form(self):
