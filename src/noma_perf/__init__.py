@@ -34,6 +34,8 @@ from .analytic import (
     outage_oma,
     relay_outage,
     relay_outage_closed,
+    sic_stages,
+    stage_cuts,
     threshold_snr,
     throughput_coop,
     throughput_direct,
@@ -88,6 +90,8 @@ __all__ = [
     "relay_outage_closed",
     "relay_outage_quadrature",
     "run_validation_suite",
+    "sic_stages",
+    "stage_cuts",
     "threshold_snr",
     "throughput_coop",
     "throughput_direct",

@@ -1,30 +1,33 @@
 """Closed-form outage, asymptotics, and throughput for both scenarios.
 
-The outage of every served user reduces to gain cuts: deterministic
-thresholds on channel power gains, obtained by inverting the SINR
-conditions of the decoding chain at a given transmit SNR.  A user is in
-outage exactly when the relevant gains fall below their cuts, so every
-probability is a CDF evaluation.
+Both deployments decode by successive interference cancellation, and
+:func:`sic_stages` is the one statement of that rule: the (power,
+residual power, SINR threshold) of each stage in decode order, at
+two-slot thresholds for the cooperative pair (far, then near message)
+and one-slot thresholds for the single-slot M-user system.  A served
+user must clear the stages up to its :func:`decode_depth` (far 1, near
+2, single-slot user m m).  :func:`stage_cuts` inverts each stage at a
+given transmit SNR into a gain cut, and a user's decode cut is the
+largest cut up to its depth.  A user is in outage exactly when the
+relevant gains fall below that cut, so every probability is a CDF
+evaluation.  The Monte Carlo replay reads the same stage table forward,
+on sampled gains.
 
-Cooperative scenario: the far message travels over a direct link and,
-in a second slot, over a fixed-gain amplify-and-forward relay; the two
-branches fail independently, so the outage is the product of the direct
-factor (ordered CDF at the cut) and the relay factor.  The relay factor
-has a closed form in modified Bessel functions of the second kind,
-obtained by integrating the first-hop density against the conditional
-second-hop CDF (Gradshteyn-Ryzhik 3.471.9).  It is evaluated in double
-precision on two paths: the Bessel sum 1 - sum K_nu while that stays
-at or above 1e-6, and below it, where the sum cancels against 1, a
-deep branch that expands every K_n by DLMF 10.31.1, sums the cancelling
-terms exactly in rational arithmetic and adds a non-negative series to
-an incomplete gamma function.  The near user decodes the far message
-first (SIC), so its cut is the larger of the far-message cut and its
-own-message cut.
+Cooperative scenario: each message also travels, in a second slot,
+over a fixed-gain amplify-and-forward relay; the two branches fail
+independently, so the outage is the product of the direct factor
+(ordered CDF at the cut) and the relay factor.  The relay factor has a
+closed form in modified Bessel functions of the second kind, obtained
+by integrating the first-hop density against the conditional second-hop
+CDF (Gradshteyn-Ryzhik 3.471.9).  It is evaluated in double precision
+on two paths: the Bessel sum 1 - sum K_nu while that stays at or above
+1e-6, and below it, where the sum cancels against 1, a deep branch that
+expands every K_n by DLMF 10.31.1, sums the cancelling terms exactly in
+rational arithmetic and adds a non-negative series to an incomplete
+gamma function.
 
-Non-cooperative scenario: user m must clear every SIC stage i <= m in a
-single slot, giving a per-stage family of cuts whose running maximum is
-the decode cut; the outage is the ordered CDF of the m-th user's gain at
-that cut.
+Non-cooperative scenario: the outage of user m is the ordered CDF of
+its gain at its decode cut.
 
 High-SNR behaviour replaces the ordered CDF of the direct link by its
 leading small-argument term, which exposes the decay exponents directly;
@@ -46,7 +49,6 @@ import functools
 import logging
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,8 +67,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "COOP_USERS",
-    "CoopCuts",
     "coop_cuts",
+    "decode_depth",
     "direct_cuts",
     "diversity_order_fit",
     "far_outage_parts",
@@ -81,6 +83,8 @@ __all__ = [
     "relay_outage",
     "relay_outage_closed",
     "served_users",
+    "sic_stages",
+    "stage_cuts",
     "threshold_snr",
     "throughput",
     "throughput_coop",
@@ -104,7 +108,7 @@ def _check_rho(rho: float) -> float:
 
 
 # =====================================================================
-# Thresholds and gain cuts
+# SIC stages and gain cuts
 # =====================================================================
 
 def threshold_snr(rate: float, slots: int) -> float:
@@ -122,67 +126,73 @@ def threshold_snr(rate: float, slots: int) -> float:
     return 2.0 ** (slots * rate) - 1.0
 
 
-@dataclass(frozen=True)
-class CoopCuts:
-    """Gain cuts of the cooperative pair at one transmit SNR.
+def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
+    """Served users of ``cfg`` in report order: ``('far', 'near')`` or 1..M."""
+    if isinstance(cfg, CoopConfig):
+        return COOP_USERS
+    if isinstance(cfg, DirectConfig):
+        return tuple(range(1, cfg.n_users + 1))
+    raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
-    Attributes
-    ----------
-    gamma_far, gamma_near : float
-        Two-slot SINR thresholds of the far and near messages.
-    far_cut : float
-        Gain cut for decoding the far message (direct or relay path);
-        infinite when the power split cannot support the far rate, in
-        which case the far message is undecodable at any gain.
-    near_rate_cut : float
-        Gain cut for the near user's own message after SIC.
-    near_cut : float
-        Effective near-user cut: the larger of ``far_cut`` (SIC stage)
-        and ``near_rate_cut``.
+
+def decode_depth(cfg: CoopConfig | DirectConfig, user: str | int) -> int:
+    """Number of leading :func:`sic_stages` that served user ``user`` must clear.
+
+    It is the user's position in decode order: 1 for ``'far'``, 2 for
+    ``'near'``, m for single-slot user m.  ``user`` must be one of
+    :func:`served_users` of ``cfg``, equal in type and value; anything
+    else raises ``ValueError``.
     """
-
-    gamma_far: float
-    gamma_near: float
-    far_cut: float
-    near_rate_cut: float
-    near_cut: float
-
-
-def coop_cuts(cfg: CoopConfig, rho: float) -> CoopCuts:
-    """Invert the cooperative SINR conditions into gain cuts at SNR ``rho``."""
-    rho = _check_rho(rho)
-    gamma_far = threshold_snr(cfg.rate_far, slots=2)
-    gamma_near = threshold_snr(cfg.rate_near, slots=2)
-    headroom = cfg.power_far - cfg.power_near * gamma_far
-    # gamma_far = 0 keeps headroom = power_far > 0, so the cut is 0 there
-    far_cut = gamma_far / (rho * headroom) if headroom > 0 else math.inf
-    near_rate_cut = gamma_near / (cfg.power_near * rho)
-    return CoopCuts(
-        gamma_far=gamma_far,
-        gamma_near=gamma_near,
-        far_cut=far_cut,
-        near_rate_cut=near_rate_cut,
-        near_cut=max(far_cut, near_rate_cut),
-    )
+    served = served_users(cfg)
+    # one config's served users share one type, so True, 2.0 or "2" never pass
+    if type(user) is not type(served[0]) or user not in served:
+        raise ValueError(f"user must be one of {served}, got {user!r}")
+    return served.index(user) + 1
 
 
-def direct_cuts(cfg: DirectConfig, rho: float) -> np.ndarray:
-    """Per-stage gain cuts of the single-slot SIC chain at SNR ``rho``.
+def sic_stages(cfg: CoopConfig | DirectConfig) -> tuple[tuple[float, float, float], ...]:
+    """(power, residual power, SINR threshold) of each SIC stage, in decode order.
 
-    Entry i (0-based) is the gain a user needs to decode message i + 1
-    against the residual interference of messages i + 2 .. M.  Infinite
-    entries mark stages whose power allocation cannot meet the rate no
-    matter the gain.  User m's decode cut is the maximum of the first m
-    entries.
+    Stage i decodes message i against the residual interference of the
+    messages after it, so a receiver with power gain g at transmit SNR
+    rho sees the SINR g * power * rho / (g * residual * rho + 1); the
+    last stage has no residual.  The cooperative pair has two stages,
+    the far then the near message, at two-slot thresholds; the
+    single-slot system has one stage per served user at one-slot
+    thresholds.  This table is the one statement of the decode rule:
+    :func:`stage_cuts` inverts it into gain cuts and the Monte Carlo
+    replay (``montecarlo.stage_failures``) evaluates it on sampled gains.
+    """
+    if isinstance(cfg, CoopConfig):
+        powers, rates, slots = (cfg.power_far, cfg.power_near), (cfg.rate_far, cfg.rate_near), 2
+    elif isinstance(cfg, DirectConfig):
+        powers, rates, slots = cfg.power, cfg.rates, 1
+    else:
+        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    return tuple([(powers[i], math.fsum(powers[i + 1:]), threshold_snr(rates[i], slots))
+                  for i in range(len(powers))])
+
+
+def stage_cuts(cfg: CoopConfig | DirectConfig, rho: float) -> tuple[float, ...]:
+    """Per-stage gain cuts of the SIC chain at transmit SNR ``rho``.
+
+    Entry i (0-based) is the least gain that clears stage i of
+    :func:`sic_stages`, threshold / (rho * (power - threshold *
+    residual)); it is infinite where that headroom is not positive, as
+    no gain then meets the rate.  A served user's decode cut is the
+    largest of the first :func:`decode_depth` entries.
     """
     rho = _check_rho(rho)
-    cuts = np.empty(cfg.n_users)
-    for i in range(cfg.n_users):
-        gamma_i = threshold_snr(cfg.rates[i], slots=1)
-        residual = math.fsum(cfg.power[i + 1:])
-        headroom = cfg.power[i] - gamma_i * residual
-        cuts[i] = gamma_i / (rho * headroom) if headroom > 0 else math.inf
-    return cuts
+    cuts = []
+    for power, residual, gamma in sic_stages(cfg):
+        # gamma = 0 keeps headroom = power > 0, so the cut is 0 there
+        headroom = power - gamma * residual
+        cuts.append(gamma / (rho * headroom) if headroom > 0 else math.inf)
+    return tuple(cuts)
+
+
+#: earlier names of :func:`stage_cuts`, one per deployment
+coop_cuts = direct_cuts = stage_cuts
 
 
 # =====================================================================
@@ -436,23 +446,6 @@ def relay_outage(cfg: CoopConfig, cut: float) -> float:
 # Exact and high-SNR outage of one served user
 # =====================================================================
 
-def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
-    """Served users of ``cfg`` in report order: ``('far', 'near')`` or 1..M."""
-    if isinstance(cfg, CoopConfig):
-        return COOP_USERS
-    if isinstance(cfg, DirectConfig):
-        return tuple(range(1, cfg.n_users + 1))
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
-
-
-def _check_user(cfg: CoopConfig | DirectConfig, user: str | int) -> None:
-    """Raise ``ValueError`` unless ``user`` is one of :func:`served_users` of ``cfg``."""
-    served = served_users(cfg)
-    # one config's served users share one type, so True, 2.0 or "2" never pass
-    if type(user) is not type(served[0]) or user not in served:
-        raise ValueError(f"user must be one of {served}, got {user!r}")
-
-
 def user_link(cfg: CoopConfig | DirectConfig, rho: float,
               user: str | int) -> tuple[FadingParams, OrderedIndex, float, float | None]:
     """Direct-link law, sort index, decode cut and relay mean of one served user.
@@ -460,25 +453,26 @@ def user_link(cfg: CoopConfig | DirectConfig, rho: float,
     ``user`` must be one of :func:`served_users` of ``cfg``, equal in
     type and value: ``'far'``/``'near'`` for a :class:`CoopConfig`, the
     1-based served index (an ``int``) for a :class:`DirectConfig`.  The
-    decode cut at transmit SNR ``rho`` is the far-message cut for
-    ``'far'``; for ``'near'`` the larger of that cut (SIC stage) and its
-    own-message cut; for single-slot user m the running maximum of the
-    stage cuts up to m.  Single-slot users have no relay branch, so their
-    relay mean is None.
+    decode cut at transmit SNR ``rho`` is the largest :func:`stage_cuts`
+    entry up to the user's :func:`decode_depth`: the far-message cut for
+    ``'far'``, the larger of that cut (SIC stage) and the near-message
+    cut for ``'near'``, the running maximum up to stage m for single-slot
+    user m.  Single-slot users have no relay branch, so their relay mean
+    is None.
     """
-    _check_user(cfg, user)
+    depth = decode_depth(cfg, user)
+    cut = max(stage_cuts(cfg, rho)[:depth])
     if isinstance(cfg, CoopConfig):
-        cuts = coop_cuts(cfg, rho)
         return (
             FadingParams(cfg.mu, cfg.omega_sd),
             OrderedIndex(cfg.rank(user), cfg.users),
-            cuts.far_cut if user == "far" else cuts.near_cut,
+            cut,
             cfg.omega_rd,
         )
     return (
         FadingParams(cfg.mu, cfg.omega[user - 1]),
         OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-        float(np.max(direct_cuts(cfg, rho)[:user])),
+        cut,
         None,
     )
 

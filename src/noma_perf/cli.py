@@ -360,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="subset of users: far,near (coop rows) and 1,2,... (direct rows)")
     sweep.add_argument("--out", default=None, metavar="PATH")
     sweep.add_argument("--config", default=None, metavar="INI")
-    sweep.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns (same as --trials 0)")
     sweep.add_argument("--oma", action="store_true",
                        help="fill the orthogonal-access baseline column")
 
@@ -385,7 +384,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            _check_mc_flags(args.trials, args.seed, args.chunks)
             users = None
             if args.users is not None:
                 users = tuple(tok for tok in args.users.replace(",", " ").split())
@@ -396,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 snr_db=(args.snr_start, args.snr_stop, args.snr_step),
                 mu_list=tuple(_parse_mu_list(args.mu)) if args.mu is not None else None,
                 users=users,
-                trials=0 if args.no_mc else args.trials,
+                trials=args.trials,
                 seed=args.seed,
                 chunks=args.chunks,
                 with_oma=args.oma,

@@ -111,9 +111,9 @@ class OrderedIndex:
 # =====================================================================
 
 def gamma_pdf(p: FadingParams, x):
-    """Density of the power gain at ``x`` (scalar or ndarray), zero for x < 0."""
+    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf."""
     x = np.asarray(x, dtype=float)
-    pos = x > 0
+    pos = (x > 0) & (x < math.inf)
     xs = np.where(pos, x, 1.0)
     rate = p.rate
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first

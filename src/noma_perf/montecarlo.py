@@ -1,11 +1,16 @@
 """Monte Carlo outage estimation, independent of the closed-form layer.
 
 Estimators replay the decoding chain on sampled channel gains and count
-failures, working directly on SINR comparisons; they share no algebra
-with the analytic module beyond the SINR definitions themselves, which
-makes them a meaningful cross-check.  The tests label every trial a
-second time from the decode cuts of ``analytic.user_link`` and check
-that both routes agree trial by trial.
+failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
+the one statement of the decode rule that the closed form also inverts
+into gain cuts; here it is evaluated forward, as SINR comparisons, by
+one stage test (:func:`stage_failures`).  Cooperative users run it on
+their direct gain and on the relay's effective gain and fail when both
+branches fail; single-slot users run it on their one gain.  Nothing
+else of the analytic layer is shared: no cut, CDF or relay closed form.
+The tests label every trial a second time from the decode cuts of
+``analytic.user_link`` and check that both routes agree trial by trial,
+and pin the table itself with hand-computed SINRs.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
@@ -28,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import _check_rho, _check_user, served_users, threshold_snr
+from .analytic import COOP_USERS, _check_rho, decode_depth, served_users, sic_stages
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
@@ -45,9 +50,7 @@ __all__ = [
     "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
-    "sinr_direct",
-    "sinr_slot1",
-    "sinr_slot2",
+    "stage_failures",
 ]
 
 # Trials per RNG block.  Fixed so that the mapping trial -> random draw
@@ -142,69 +145,50 @@ def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> Channe
 
 
 # =====================================================================
-# SINR chains
+# SINR replay
 # =====================================================================
 
-def sinr_slot1(draw: ChannelDraw, cfg: CoopConfig, rho: float):
-    """Direct-slot SINRs: far message at far user, far message at near user,
-    and near message at near user after interference cancellation."""
-    h_far = draw.direct[:, cfg.far_rank - 1]
-    h_near = draw.direct[:, cfg.near_rank - 1]
-    far_at_far = h_far * cfg.power_far * rho / (h_far * cfg.power_near * rho + 1.0)
-    far_at_near = h_near * cfg.power_far * rho / (h_near * cfg.power_near * rho + 1.0)
-    near_at_near = h_near * cfg.power_near * rho
-    return far_at_far, far_at_near, near_at_near
+def stage_failures(gain, cfg: CoopConfig | DirectConfig, rho: float, depth: int):
+    """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
+
+    Stage i of ``analytic.sic_stages`` gives the branch the SINR
+    gain * power * rho / (gain * residual * rho + 1); a trial fails when
+    that SINR is below the stage threshold at any of the first ``depth``
+    stages.
+    """
+    stages = sic_stages(cfg)
+    if not 1 <= depth <= len(stages):
+        raise ValueError(f"depth must be in [1, {len(stages)}], got {depth}")
+    gain = np.asarray(gain, dtype=float)
+    fail = None
+    for power, residual, gamma in stages[:depth]:
+        sinr = gain * power * rho
+        if residual:
+            # with no residual the denominator is exactly 1, so skip it
+            sinr /= gain * residual * rho + 1.0
+        miss = sinr < gamma
+        fail = miss if fail is None else fail | miss
+    return fail
 
 
-def sinr_slot2(draw: ChannelDraw, cfg: CoopConfig, rho: float):
-    """Relay-slot SINRs through the fixed-gain amplify-and-forward path.
+def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
+    """(far_fail, near_fail) boolean arrays from the SINR chain of both branches.
 
-    The relay rebroadcasts its noisy slot-1 observation with a fixed
-    amplification, so each second-hop SINR carries the cascaded gain in
-    the numerator and the forwarded noise constant in the denominator.
+    Each user runs :func:`stage_failures` to its decode depth on its
+    direct gain and on its relay branch.  The fixed-gain relay
+    rebroadcasts its noisy slot-1 observation, so the second-hop SINR
+    y * w * power * rho / (y * w * residual * rho + w + c) is the stage
+    SINR at the effective gain y * w / (w + c).  The user is served by
+    selection and fails only when both branches fail.
     """
     y = draw.relay_feed
     c = cfg.noise_scale
-    w_f = draw.relay_far
-    w_n = draw.relay_near
-    casc_f = y * w_f
-    casc_n = y * w_n
-    far_at_far = casc_f * cfg.power_far * rho / (casc_f * cfg.power_near * rho + w_f + c)
-    far_at_near = casc_n * cfg.power_far * rho / (casc_n * cfg.power_near * rho + w_n + c)
-    near_at_near = casc_n * cfg.power_near * rho / (w_n + c)
-    return far_at_far, far_at_near, near_at_near
-
-
-def sinr_direct(gain, cfg: DirectConfig, rho: float, stage: int):
-    """SINR of message ``stage`` (1-based) at a user with power gain ``gain``.
-
-    Earlier messages see the residual interference of all later ones;
-    the last message is decoded interference-free.
-    """
-    if not 1 <= stage <= cfg.n_users:
-        raise ValueError(f"stage must be in [1, {cfg.n_users}], got {stage}")
-    gain = np.asarray(gain, dtype=float)
-    residual = math.fsum(cfg.power[stage:])
-    if residual == 0.0:
-        return gain * cfg.power[stage - 1] * rho
-    return gain * cfg.power[stage - 1] * rho / (gain * residual * rho + 1.0)
-
-
-# =====================================================================
-# Outage events
-# =====================================================================
-
-def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
-    """(far_fail, near_fail) boolean arrays from raw SINR comparisons."""
-    gamma_far = threshold_snr(cfg.rate_far, slots=2)
-    gamma_near = threshold_snr(cfg.rate_near, slots=2)
-    s1_far, s1_far_at_near, s1_near = sinr_slot1(draw, cfg, rho)
-    s2_far, s2_far_at_near, s2_near = sinr_slot2(draw, cfg, rho)
-    far_fail = (s1_far < gamma_far) & (s2_far < gamma_far)
-    near_ok_slot1 = (s1_far_at_near >= gamma_far) & (s1_near >= gamma_near)
-    near_ok_slot2 = (s2_far_at_near >= gamma_far) & (s2_near >= gamma_near)
-    near_fail = ~(near_ok_slot1 | near_ok_slot2)
-    return far_fail, near_fail
+    fails = []
+    for user, w in zip(COOP_USERS, (draw.relay_far, draw.relay_near)):
+        depth = decode_depth(cfg, user)
+        direct = stage_failures(draw.direct[:, cfg.rank(user) - 1], cfg, rho, depth)
+        fails.append(direct & stage_failures(y * w / (w + c), cfg, rho, depth))
+    return tuple(fails)
 
 
 def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
@@ -214,13 +198,7 @@ def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
     :func:`~noma_perf.analytic.user_link`; anything else raises
     ``ValueError``.
     """
-    _check_user(cfg, user)
-    gain = np.asarray(gain, dtype=float)
-    fail = np.zeros(gain.shape, dtype=bool)
-    for stage in range(1, user + 1):
-        gamma = threshold_snr(cfg.rates[stage - 1], slots=1)
-        fail |= sinr_direct(gain, cfg, rho, stage) < gamma
-    return fail
+    return stage_failures(gain, cfg, rho, decode_depth(cfg, user))
 
 
 # =====================================================================
@@ -329,5 +307,5 @@ def estimate_outage_direct(cfg: DirectConfig, rho: float, user: int,
     ``user`` follows the served-user contract of
     :func:`direct_events_from_sinr`.
     """
-    _check_user(cfg, user)
+    decode_depth(cfg, user)  # rejects an unserved user before any draw
     return estimate_outage(cfg, [rho], batch)[0][user]

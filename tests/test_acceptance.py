@@ -13,13 +13,13 @@ import numpy as np
 from scipy import special, stats
 
 from noma_perf.analytic import (
-    coop_cuts,
     diversity_order_fit,
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
     relay_outage,
     served_users,
+    stage_cuts,
     throughput_coop,
     throughput_direct,
     user_outage,
@@ -66,8 +66,8 @@ class TestAcceptance:
         for mu in (1, 2, 3):
             cfg = coop_preset(mu)
             for db in GRID_DB:
-                cuts = coop_cuts(cfg, db_to_linear(db))
-                for cut in (cuts.far_cut, cuts.near_cut):
+                far_cut, near_rate_cut = stage_cuts(cfg, db_to_linear(db))
+                for cut in (far_cut, max(far_cut, near_rate_cut)):
                     closed = relay_outage(cfg, cut)
                     oracle = relay_outage_quadrature(cfg, cut)
                     worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mp_reference
 import numpy as np
 import pytest
+from config_strategies import blocked_users, configs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -15,9 +16,7 @@ from quadpack_reference import relay_outage_quadpack
 
 from noma_perf import analytic
 from noma_perf.analytic import (
-    CoopCuts,
-    coop_cuts,
-    direct_cuts,
+    decode_depth,
     diversity_order_fit,
     far_outage_parts,
     near_outage_parts,
@@ -30,9 +29,13 @@ from noma_perf.analytic import (
     outage_oma,
     relay_outage,
     relay_outage_closed,
+    served_users,
+    sic_stages,
+    stage_cuts,
     threshold_snr,
     throughput_coop,
     throughput_direct,
+    user_link,
     user_outage,
 )
 from noma_perf.configs import (
@@ -93,13 +96,14 @@ class TestFixedGainConstant:
 class TestCoopCuts:
     def test_preset_cut_products(self):
         # scale-free products cut * rho pinned from the 0.8 / 0.2 split
+        cfg = coop_preset()
+        assert [gamma for _, _, gamma in sic_stages(cfg)] == [3.0, 7.0]
         for rho in (1.0, 10.0, 316.0):
-            cuts = coop_cuts(coop_preset(), rho)
-            assert cuts.gamma_far == 3.0
-            assert cuts.gamma_near == 7.0
-            assert_allclose(cuts.far_cut * rho, FAR_CUT_TIMES_RHO, rtol=1e-14)
-            assert_allclose(cuts.near_rate_cut * rho, NEAR_CUT_TIMES_RHO, rtol=1e-14)
-            assert cuts.near_cut == max(cuts.far_cut, cuts.near_rate_cut)
+            far_cut, near_rate_cut = stage_cuts(cfg, rho)
+            assert_allclose(far_cut * rho, FAR_CUT_TIMES_RHO, rtol=1e-14)
+            assert_allclose(near_rate_cut * rho, NEAR_CUT_TIMES_RHO, rtol=1e-14)
+            assert user_link(cfg, rho, "far")[2] == far_cut
+            assert user_link(cfg, rho, "near")[2] == max(far_cut, near_rate_cut)
 
     def test_infeasible_power_split_gives_infinite_cut(self):
         cfg = CoopConfig(
@@ -116,30 +120,38 @@ class TestCoopCuts:
             omega_sr=1.0,
             omega_rd=1.0,
         )
-        cuts = coop_cuts(cfg, 100.0)
-        assert math.isinf(cuts.far_cut)
-        assert math.isinf(cuts.near_cut)
-        assert math.isfinite(cuts.near_rate_cut)
+        far_cut, near_rate_cut = stage_cuts(cfg, 100.0)
+        assert math.isinf(far_cut)
+        assert math.isinf(user_link(cfg, 100.0, "near")[2])
+        assert math.isfinite(near_rate_cut)
 
     def test_zero_far_rate(self):
         import dataclasses
 
         cfg = dataclasses.replace(coop_preset(), rate_far=0.0)
-        cuts = coop_cuts(cfg, 10.0)
-        assert cuts.gamma_far == 0.0
-        assert cuts.far_cut == 0.0
+        assert sic_stages(cfg)[0][2] == 0.0
+        assert stage_cuts(cfg, 10.0)[0] == 0.0
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            coop_cuts(coop_preset(), 0.0)
+            stage_cuts(coop_preset(), 0.0)
         with pytest.raises(ValueError):
-            coop_cuts(coop_preset(), -5.0)
+            stage_cuts(coop_preset(), -5.0)
+
+    def test_one_cut_function_and_decode_depths(self):
+        assert analytic.coop_cuts is analytic.direct_cuts is stage_cuts
+        assert [decode_depth(coop_preset(), u) for u in served_users(coop_preset())] == [1, 2]
+        assert [decode_depth(direct_preset(), u) for u in (1, 2, 3)] == [1, 2, 3]
+        with pytest.raises(ValueError):
+            decode_depth(direct_preset(), "far")
+        with pytest.raises(TypeError):
+            sic_stages(object())
 
 
 class TestDirectCuts:
     def test_preset_cut_products(self):
         for rho in (1.0, 50.0):
-            cuts = direct_cuts(direct_preset(), rho)
+            cuts = stage_cuts(direct_preset(), rho)
             assert_allclose(cuts[0] * rho, DIRECT_CUT1_TIMES_RHO, rtol=1e-14)
             assert_allclose(cuts[1] * rho, DIRECT_CUT2_TIMES_RHO, rtol=1e-14)
             assert_allclose(cuts[2] * rho, DIRECT_CUT3_TIMES_RHO, rtol=1e-14)
@@ -151,7 +163,7 @@ class TestDirectCuts:
             omega=(1.0, 1.0, 1.0),
             mu=1,
         )
-        cuts = direct_cuts(cfg, 10.0)
+        cuts = stage_cuts(cfg, 10.0)
         assert math.isfinite(cuts[0])
         assert math.isinf(cuts[1])
         assert math.isfinite(cuts[2])
@@ -336,12 +348,12 @@ class TestCoopExactOutage:
     def test_direct_part_is_ordered_cdf_at_cut(self):
         cfg = with_mu(coop_preset(), 2)
         rho = db_to_linear(15.0)
-        cuts = coop_cuts(cfg, rho)
+        far_cut = stage_cuts(cfg, rho)[0]
         d, _ = far_outage_parts(cfg, rho)
         ref = ordered_cdf(
             FadingParams(cfg.mu, cfg.omega_sd),
             OrderedIndex(cfg.far_rank, cfg.users),
-            cuts.far_cut,
+            far_cut,
         )
         assert_allclose(d, ref, rtol=1e-15)
 
@@ -380,7 +392,7 @@ class TestDirectExactOutage:
     def test_is_ordered_cdf_at_running_max_cut(self):
         cfg = direct_preset()
         rho = db_to_linear(12.0)
-        cuts = direct_cuts(cfg, rho)
+        cuts = stage_cuts(cfg, rho)
         for user in (1, 2, 3):
             ref = ordered_cdf(
                 FadingParams(cfg.mu, cfg.omega[user - 1]),
@@ -422,6 +434,22 @@ class TestUserOutage:
         with pytest.raises(TypeError):
             user_outage(object(), 10.0, 1)
 
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=configs(), snr_db=st.lists(st.floats(-10.0, 70.0), min_size=2, max_size=2))
+    def test_exact_non_increasing_in_snr_on_random_configs(self, cfg, snr_db):
+        low, high = (db_to_linear(db) for db in sorted(snr_db))
+        for user in served_users(cfg):
+            p_low, p_high = user_outage(cfg, low, user)[0], user_outage(cfg, high, user)[0]
+            assert 0.0 <= p_high <= 1.0
+            # up to the Bessel sum's few-1e-9 error just above its switch
+            assert p_high <= p_low * (1.0 + 1e-8), user
+
+    @settings(max_examples=80, deadline=None)
+    @given(blocked=blocked_users(), snr_db=st.floats(-10.0, 120.0))
+    def test_stage_without_headroom_gives_exactly_one(self, blocked, snr_db):
+        cfg, user = blocked
+        assert user_outage(cfg, db_to_linear(snr_db), user) == (1.0, 1.0)
 
 class TestAsymptotics:
     def test_coop_ratio_near_one_at_high_snr(self):

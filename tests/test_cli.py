@@ -117,7 +117,7 @@ class TestSweep:
         c = cells(data_rows(out)[0])
         assert c["p_mc"] != "" and c["mc_stderr"] != ""
         assert 0.0 <= float(c["p_mc"]) <= 1.0
-        code, out, _ = run_cli(capsys, *args, "--no-mc")
+        code, out, _ = run_cli(capsys, *args, "--trials", "0")
         assert code == 0
         c = cells(data_rows(out)[0])
         assert c["p_mc"] == "" and c["mc_stderr"] == ""
@@ -149,6 +149,13 @@ class TestSweep:
         cfg = load_config_file(str(ini))["direct"]
         assert cells(rows[0])["p_exact"] == f"{outage_direct_exact(cfg, 10.0, 1):.12g}"
 
+    def test_no_mc_flag_is_gone(self, capsys):
+        # --trials 0 (the default) is the one way to leave out the MC columns
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--no-mc"])
+        assert exc.value.code == 2
+        assert "--no-mc" in capsys.readouterr().err
+
     def test_bad_flags_exit_2(self, capsys):
         assert run_cli(capsys, "sweep", "--mu", "0")[0] == 2
         assert run_cli(capsys, "sweep", "--mu", "x")[0] == 2
@@ -173,7 +180,7 @@ class TestSweep:
             ("sweep", "--scenario", "compare", "--users", "7"),
             ("sweep", "--scenario", "compare", "--users", "far,1,far"),
             ("sweep", "--scenario", "direct", "--users", "far"),
-            ("sweep", "--trials", "-1", "--no-mc"),
+            ("sweep", "--trials", "-1"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv

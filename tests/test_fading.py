@@ -117,6 +117,19 @@ class TestGammaPdf:
                 assert value == self.masked_pdf(p, xi)[0]
 
 
+    def test_zero_at_infinity_without_warning(self):
+        # the density vanishes at x = inf, where gamma_cdf reaches 1
+        with np.errstate(all="raise"):
+            for mu in (1, 2, 3):
+                p = FadingParams(mu, 1.5)
+                value = gamma_pdf(p, math.inf)
+                assert type(value) is float and value == 0.0
+                out = gamma_pdf(p, np.array([math.inf, 1.0, -math.inf]))
+                assert out[0] == 0.0 and out[2] == 0.0
+                assert out[1] == gamma_pdf(p, 1.0)
+                assert gamma_cdf(p, math.inf) == 1.0
+
+
 class TestGammaCdf:
     def test_frozen_points(self):
         assert_allclose(gamma_cdf(FadingParams(2, 1.0), 1.0), CDF_MU2_W1_X1, rtol=1e-14)

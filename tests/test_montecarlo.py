@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from config_strategies import blocked_users
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
+    sic_stages,
+    threshold_snr,
     user_link,
 )
 from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
@@ -26,9 +31,7 @@ from noma_perf.montecarlo import (
     estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
-    sinr_direct,
-    sinr_slot1,
-    sinr_slot2,
+    stage_failures,
 )
 
 
@@ -63,6 +66,25 @@ def scalar_draw(cfg, h_pool, y, w_f, w_n):
         relay_far=np.asarray([w_f], dtype=float),
         relay_near=np.asarray([w_n], dtype=float),
     )
+
+
+def with_stage_threshold(cfg, stage, gamma):
+    """``cfg`` with SIC stage ``stage`` at SINR threshold ``gamma`` and every
+    other stage at a threshold of about 7e-13, which no SINR below misses."""
+    slots = 2 if isinstance(cfg, CoopConfig) else 1
+    rates = [1e-12] * len(sic_stages(cfg))
+    rates[stage - 1] = math.log2(1.0 + gamma) / slots
+    if isinstance(cfg, CoopConfig):
+        return dataclasses.replace(cfg, rate_far=rates[0], rate_near=rates[1])
+    return dataclasses.replace(cfg, rates=tuple(rates))
+
+
+def assert_stage_sinr(fails, cfg, stage, want):
+    """The branch SINR of stage ``stage`` is ``want``: ``fails(probe_cfg)``
+    turns True once the stage threshold passes it and stays False below."""
+    for scale, expected in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+        probe = with_stage_threshold(cfg, stage, want * scale)
+        assert bool(fails(probe)) is expected, (stage, want, scale)
 
 
 class TestContainers:
@@ -120,38 +142,69 @@ class TestDraws:
 
 
 class TestSinrChains:
+    """Hand-computed SINRs pin the shared stage table and the stage test:
+    the closed form and the simulator read the same table, so only an
+    outside number catches a wrong power, residual or slot count."""
+
     def test_slot1_hand_computed(self):
         cfg = coop_preset()  # powers 0.8 / 0.2, ranks 1 and 5 of 5
+        assert sic_stages(cfg) == ((0.8, 0.2, 3.0), (0.2, 0.0, 7.0))
         draw = scalar_draw(cfg, [2.0, 2.5, 3.0, 3.5, 4.0], 1.0, 1.0, 1.0)
-        far_at_far, far_at_near, near_at_near = sinr_slot1(draw, cfg, 10.0)
-        assert_allclose(far_at_far[0], 2.0 * 8.0 / (2.0 * 2.0 + 1.0), rtol=1e-15)
-        assert_allclose(far_at_near[0], 4.0 * 8.0 / (4.0 * 2.0 + 1.0), rtol=1e-15)
-        assert_allclose(near_at_near[0], 4.0 * 2.0, rtol=1e-15)
+
+        def far(probe):
+            return coop_events_from_sinr(draw, probe, 10.0)[0][0]
+
+        def near(probe):
+            return coop_events_from_sinr(draw, probe, 10.0)[1][0]
+
+        # the relay branch (effective gain 1 / (1 + c), c = 1.23) misses
+        # each threshold below, so the direct gain decides
+        assert_stage_sinr(far, cfg, 1, 2.0 * 8.0 / (2.0 * 2.0 + 1.0))
+        assert_stage_sinr(near, cfg, 1, 4.0 * 8.0 / (4.0 * 2.0 + 1.0))
+        assert_stage_sinr(near, cfg, 2, 4.0 * 2.0)
 
     def test_slot2_hand_computed(self):
         base = coop_preset()
         cfg = dataclasses.replace(base, relay_gain=None, relay_const=1.0)
         draw = scalar_draw(cfg, [0.1] * 5, 1.0, 2.0, 3.0)
-        far_at_far, far_at_near, near_at_near = sinr_slot2(draw, cfg, 10.0)
+
+        def far(probe):
+            return coop_events_from_sinr(draw, probe, 10.0)[0][0]
+
+        def near(probe):
+            return coop_events_from_sinr(draw, probe, 10.0)[1][0]
+
+        # the direct gain 0.1 misses each threshold below, so the relay decides
         # cascade far: 1 * 2 = 2; denom 2*0.2*10 + 2 + 1 = 7
-        assert_allclose(far_at_far[0], 2.0 * 8.0 / 7.0, rtol=1e-15)
+        assert_stage_sinr(far, cfg, 1, 2.0 * 8.0 / 7.0)
         # cascade near: 3; denom 3*2 + 3 + 1 = 10
-        assert_allclose(far_at_near[0], 3.0 * 8.0 / 10.0, rtol=1e-15)
-        assert_allclose(near_at_near[0], 3.0 * 2.0 / 4.0, rtol=1e-15)
+        assert_stage_sinr(near, cfg, 1, 3.0 * 8.0 / 10.0)
+        assert_stage_sinr(near, cfg, 2, 3.0 * 2.0 / 4.0)
+        # c = 2 tells the forwarded noise apart from the unit receiver noise:
+        # denom 2*0.2*10 + 2 + 2 = 8
+        cfg = dataclasses.replace(base, relay_gain=None, relay_const=2.0)
+        assert_stage_sinr(far, cfg, 1, 2.0 * 8.0 / 8.0)
 
     def test_direct_chain_hand_computed(self):
         cfg = direct_preset()  # powers 0.5 / 0.4 / 0.1
+        assert sic_stages(cfg) == (
+            (0.5, 0.5, threshold_snr(0.2, slots=1)),
+            (0.4, 0.1, 1.0),
+            (0.1, 0.0, 3.0),
+        )
         g = np.array([2.0])
-        assert_allclose(
-            sinr_direct(g, cfg, 10.0, 1)[0], 2.0 * 5.0 / (2.0 * 5.0 + 1.0), rtol=1e-15
-        )
-        assert_allclose(
-            sinr_direct(g, cfg, 10.0, 2)[0], 2.0 * 4.0 / (2.0 * 1.0 + 1.0), rtol=1e-15
-        )
+
+        def stage(depth):
+            return lambda probe: stage_failures(g, probe, 10.0, depth)[0]
+
+        assert_stage_sinr(stage(1), cfg, 1, 2.0 * 5.0 / (2.0 * 5.0 + 1.0))
+        assert_stage_sinr(stage(2), cfg, 2, 2.0 * 4.0 / (2.0 * 1.0 + 1.0))
         # last message decodes interference-free
-        assert_allclose(sinr_direct(g, cfg, 10.0, 3)[0], 2.0 * 1.0, rtol=1e-15)
+        assert_stage_sinr(stage(3), cfg, 3, 2.0 * 1.0)
         with pytest.raises(ValueError):
-            sinr_direct(g, cfg, 10.0, 4)
+            stage_failures(g, cfg, 10.0, 4)
+        with pytest.raises(ValueError):
+            stage_failures(g, cfg, 10.0, 0)
 
 
 class TestEventEquivalence:
@@ -312,6 +365,13 @@ class TestAgreementWithClosedForms:
         far, near = estimate_outage_coop(coop, db_to_linear(40.0), TrialBatch(10_000, seed=1))
         assert far == Estimate(1.0, 0.0, 10_000)
         assert near == Estimate(1.0, 0.0, 10_000)
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocked=blocked_users(), snr_db=st.floats(-10.0, 120.0), seed=st.integers(0, 99))
+    def test_stage_without_headroom_estimates_exactly_one(self, blocked, snr_db, seed):
+        cfg, user = blocked
+        (point,) = estimate_outage(cfg, [db_to_linear(snr_db)], TrialBatch(2000, seed=seed))
+        assert point[user] == Estimate(1.0, 0.0, 2000)
 
     def test_rejects_bad_rho_and_user(self):
         with pytest.raises(ValueError):

@@ -4,22 +4,22 @@ import dataclasses
 import math
 
 import pytest
+from config_strategies import configs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import ordered_cdf_quadpack, relay_outage_quadpack
 
 from noma_perf.analytic import (
-    coop_cuts,
-    direct_cuts,
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
     served_users,
+    stage_cuts,
     user_link,
     user_outage,
 )
-from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
+from noma_perf.configs import coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
 from noma_perf.montecarlo import TrialBatch
 from noma_perf.validation import (
@@ -122,13 +122,13 @@ class TestOutageOracle:
     def test_coop_is_product_of_branch_quadratures(self):
         cfg = coop_preset()
         rho = db_to_linear(15.0)
-        cuts = coop_cuts(cfg, rho)
+        far_cut = stage_cuts(cfg, rho)[0]
         direct = ordered_cdf_quadrature(
             FadingParams(cfg.mu, cfg.omega_sd),
             OrderedIndex(cfg.far_rank, cfg.users),
-            cuts.far_cut,
+            far_cut,
         )
-        relay = relay_outage_quadrature(cfg, cuts.far_cut)
+        relay = relay_outage_quadrature(cfg, far_cut)
         assert_allclose(outage_oracle(cfg, rho, "far"), direct * relay, rtol=1e-12)
 
     def test_direct_matches_exact_closed_form(self):
@@ -146,7 +146,7 @@ class TestOutageOracle:
     def test_direct_uses_running_max_cut(self):
         cfg = direct_preset()
         rho = db_to_linear(12.0)
-        cut = float(max(direct_cuts(cfg, rho)[:2]))
+        cut = max(stage_cuts(cfg, rho)[:2])
         ref = ordered_cdf_quadrature(
             FadingParams(cfg.mu, cfg.omega[1]),
             OrderedIndex(cfg.ranks[1], cfg.pool),
@@ -165,36 +165,8 @@ class TestOutageOracle:
                 outage_oracle(direct_preset(), 10.0, user)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), mu=st.integers(1, 4), snr_db=st.floats(0.0, 60.0),
-           coop=st.booleans())
-    def test_matches_exact_on_random_configs(self, data, mu, snr_db, coop):
-        positive = st.floats(0.2, 5.0)
-        rate = st.floats(0.05, 2.0)
-        if coop:
-            users = data.draw(st.integers(2, 6))
-            near_rank = data.draw(st.integers(2, users))
-            power_far = data.draw(st.floats(0.55, 0.95))
-            cfg = CoopConfig(
-                users=users, far_rank=data.draw(st.integers(1, near_rank - 1)),
-                near_rank=near_rank, power_far=power_far, power_near=1.0 - power_far,
-                rate_far=data.draw(rate), rate_near=data.draw(rate),
-                relay_gain=data.draw(st.floats(0.3, 2.0)), mu=mu,
-                omega_sd=data.draw(positive), omega_sr=data.draw(positive),
-                omega_rd=data.draw(positive),
-            )
-        else:
-            m = data.draw(st.integers(1, 4))
-            ratio = data.draw(st.floats(0.1, 0.8))
-            weights = [ratio**k for k in range(m)]
-            pool = m + data.draw(st.integers(0, 2))
-            ranks = sorted(data.draw(st.lists(st.integers(1, pool), min_size=m, max_size=m,
-                                              unique=True)))
-            cfg = DirectConfig(
-                power=tuple(w / sum(weights) for w in weights),
-                rates=tuple(data.draw(rate) for _ in range(m)),
-                omega=tuple(data.draw(positive) for _ in range(m)),
-                mu=mu, ranks=tuple(ranks), pool=pool,
-            )
+    @given(cfg=configs(), snr_db=st.floats(0.0, 60.0))
+    def test_matches_exact_on_random_configs(self, cfg, snr_db):
         rho = db_to_linear(snr_db)
         for user in served_users(cfg):
             oracle = outage_oracle(cfg, rho, user)
