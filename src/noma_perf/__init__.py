@@ -13,7 +13,6 @@ from .configs import (
     ConfigError,
     CoopConfig,
     DirectConfig,
-    comparison_presets,
     coop_preset,
     direct_preset,
     load_config_file,
@@ -67,7 +66,6 @@ __all__ = [
     "OrderedIndex",
     "TrialBatch",
     "__version__",
-    "comparison_presets",
     "coop_cuts",
     "coop_preset",
     "direct_cuts",

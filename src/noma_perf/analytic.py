@@ -593,6 +593,11 @@ def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
 # Throughput and orthogonal-access baseline
 # =====================================================================
 
+def _target_rates(cfg: CoopConfig | DirectConfig) -> tuple[float, ...]:
+    """Target rates of the served users, in :func:`served_users` order."""
+    return (cfg.rate_far, cfg.rate_near) if isinstance(cfg, CoopConfig) else cfg.rates
+
+
 def throughput(cfg: CoopConfig | DirectConfig, exact: Sequence[float]) -> float:
     """Delay-limited throughput in bit/s/Hz from the served users' exact outages.
 
@@ -600,7 +605,7 @@ def throughput(cfg: CoopConfig | DirectConfig, exact: Sequence[float]) -> float:
     in that order.  Each user contributes its target rate scaled by its
     success probability, so the ceiling is the sum of the target rates.
     """
-    rates = (cfg.rate_far, cfg.rate_near) if isinstance(cfg, CoopConfig) else cfg.rates
+    rates = _target_rates(cfg)
     return math.fsum((1.0 - p) * rate for p, rate in zip(exact, rates, strict=True))
 
 
@@ -617,29 +622,17 @@ def throughput_direct(cfg: DirectConfig, rho: float) -> float:
 def outage_oma(cfg: CoopConfig | DirectConfig, rho: float) -> float:
     """Outage of an orthogonal-access baseline carrying the same total rate.
 
-    The strongest served user is scheduled alone at the sum of the
-    target rates.  For the cooperative deployment the relay still serves
-    that user in the second slot (selection over both branches, each
-    with the doubled-threshold cut); the single-slot deployment keeps
-    one slot and one user.
+    The strongest served user, the last of :func:`served_users` (the
+    near user, or single-slot user M), is scheduled alone at the sum of
+    the target rates, with its direct-link law and sort index from
+    :func:`user_link`.  For the cooperative deployment the relay still
+    serves that user in the second slot (selection over both branches,
+    each with the two-slot threshold cut); the single-slot deployment
+    keeps one slot and one user.  A zero total rate gives a zero cut and
+    an outage of exactly 0.
     """
-    rho = _check_rho(rho)
-    if isinstance(cfg, CoopConfig):
-        total_rate = cfg.rate_far + cfg.rate_near
-        if total_rate == 0.0:
-            return 0.0
-        cut = threshold_snr(total_rate, slots=2) / rho
-        direct = ordered_cdf(
-            FadingParams(cfg.mu, cfg.omega_sd),
-            OrderedIndex(cfg.users, cfg.users),
-            cut,
-        )
-        return direct * relay_outage(cfg, cut)
-    if isinstance(cfg, DirectConfig):
-        cut = threshold_snr(math.fsum(cfg.rates), slots=1) / rho
-        return ordered_cdf(
-            FadingParams(cfg.mu, cfg.omega[-1]),
-            OrderedIndex(cfg.ranks[-1], cfg.pool),
-            cut,
-        )
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    params, idx, _, omega_rd = user_link(cfg, rho, served_users(cfg)[-1])
+    slots = 1 if omega_rd is None else 2
+    cut = threshold_snr(math.fsum(_target_rates(cfg)), slots) / rho
+    direct = ordered_cdf(params, idx, cut)
+    return direct if omega_rd is None else direct * relay_outage(cfg, cut)

@@ -145,8 +145,6 @@ def _config_header(figure: str, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
         if scenario not in cfgs:
             continue
         for key, value in asdict(cfgs[scenario]).items():
-            if value is None:
-                continue
             lines.append(f"# {scenario}.{key} = {_fmt_header_value(value)}")
     return lines
 

@@ -9,14 +9,16 @@ single-slot downlink serving every user by superposition coding with
 successive interference cancellation and no relay.
 
 The cooperative model is the paper's: both served users come from one
-i.i.d. pool of direct links with mean ``omega_sd`` and both relay-to-user
-hops have mean ``omega_rd``.  Per-user mean overrides (the INI keys
-``omega_sd_far``, ``omega_sd_near``, ``omega_rd_far`` and
-``omega_rd_near``) are no longer accepted.
+i.i.d. pool of direct links with mean ``omega_sd``, the relay has one
+fixed gain G (``relay_gain``; its noise constant 1/G**2 is derived), the
+source-relay hop has mean ``omega_sr`` and both relay-to-user hops have
+mean ``omega_rd``.
 
-Configs are frozen dataclasses validated on construction; the CLI builds
-them from INI files with the same field names, each INI section read
-through one table of its keys' parsers.
+Every setting has one spelling.  Configs are frozen dataclasses
+validated on construction; the CLI builds them from INI files whose
+section keys are exactly the dataclass fields, each section read
+through one table of its keys' parsers, so any other key is an
+"unknown keys" error.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "ConfigError",
     "CoopConfig",
     "DirectConfig",
-    "comparison_presets",
     "coop_preset",
     "direct_preset",
     "load_config_file",
@@ -83,10 +84,9 @@ class CoopConfig:
         Target rates in bit/s/Hz; the two-slot protocol doubles the SNR
         thresholds relative to single-slot signalling.  Zero is allowed
         and makes the corresponding outage trivially zero.
-    relay_gain, relay_const : float or None
-        Fixed amplification factor of the relay, or the constant
-        1 / relay_gain**2 that scales the noise it forwards; exactly one
-        of the two is set (pass ``relay_gain=None`` with ``relay_const``).
+    relay_gain : float
+        Fixed amplification factor G of the relay; the noise it forwards
+        is scaled by ``noise_scale`` = 1 / G**2.
     mu : int
         Integer fading severity shared by all links.
     omega_sd : float
@@ -102,8 +102,7 @@ class CoopConfig:
     power_near: float
     rate_far: float
     rate_near: float
-    relay_gain: float | None = 0.9
-    relay_const: float | None = None
+    relay_gain: float = 0.9
     mu: int = 1
     omega_sd: float = 1.0
     omega_sr: float = 4.0
@@ -133,22 +132,14 @@ class CoopConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
-        if (self.relay_gain is None) == (self.relay_const is None):
-            raise ConfigError("exactly one of relay_gain and relay_const must be set")
-        if self.relay_gain is not None:
-            _check_positive("relay_gain", self.relay_gain)
-        if self.relay_const is not None:
-            _check_positive("relay_const", self.relay_const)
-        for name in ("omega_sd", "omega_sr", "omega_rd"):
+        for name in ("relay_gain", "omega_sd", "omega_sr", "omega_rd"):
             _check_positive(name, getattr(self, name))
 
     # -- derived quantities -------------------------------------------
 
     @property
     def noise_scale(self) -> float:
-        """Relay noise constant 1 / relay_gain**2 (or the explicit override)."""
-        if self.relay_const is not None:
-            return self.relay_const
+        """Relay noise constant 1 / relay_gain**2."""
         return 1.0 / (self.relay_gain * self.relay_gain)
 
     def rank(self, user: str) -> int:
@@ -157,29 +148,6 @@ class CoopConfig:
         if user == "near":
             return self.near_rank
         raise ValueError(f"user must be 'far' or 'near', got {user!r}")
-
-    @classmethod
-    def from_geometry(
-        cls,
-        *,
-        relay_distance: float = 0.5,
-        pathloss_exp: float = 2.0,
-        **kwargs,
-    ) -> "CoopConfig":
-        """Place the relay on the unit source-user segment.
-
-        ``omega_sr`` and ``omega_rd`` follow the inverse power law
-        ``d**-pathloss_exp`` for hop lengths ``relay_distance`` and
-        ``1 - relay_distance``.
-        """
-        if not 0 < relay_distance < 1:
-            raise ConfigError(f"relay_distance must lie in (0, 1), got {relay_distance}")
-        _check_positive("pathloss_exp", pathloss_exp)
-        return cls(
-            omega_sr=relay_distance ** -pathloss_exp,
-            omega_rd=(1.0 - relay_distance) ** -pathloss_exp,
-            **kwargs,
-        )
 
 
 # =====================================================================
@@ -293,20 +261,6 @@ def direct_preset(mu: int = 1) -> DirectConfig:
     return with_mu(preset_configs("direct")["direct"], mu)
 
 
-def comparison_presets(mu: int = 1) -> tuple[CoopConfig, DirectConfig]:
-    """Matched pair for a cooperative vs non-cooperative comparison.
-
-    Both deployments serve the weakest and strongest of a pool of three
-    unit-mean direct links with power split 0.8/0.2 and rates 0.5 and
-    1 bit/s/Hz; the cooperative side adds the reference relay geometry.
-    With everything else equal, the relay branch can only lower outage,
-    so the cooperative curves sit below the non-cooperative ones once
-    past the low-SNR regime.
-    """
-    cfgs = preset_configs("comparison")
-    return with_mu(cfgs["coop"], mu), with_mu(cfgs["direct"], mu)
-
-
 # =====================================================================
 # INI loading
 # =====================================================================
@@ -321,13 +275,12 @@ _INTEGER = (int, "an integer")
 _NUMBERS = (lambda raw: tuple(float(tok) for tok in _tokens(raw)), "a number list")
 _INTEGERS = (lambda raw: tuple(int(tok) for tok in _tokens(raw)), "an integer list")
 
-#: every key of a [coop] section: the CoopConfig fields and the relay geometry
+#: every key of a [coop] section: the CoopConfig fields
 _COOP_KEYS = {
     "users": _INTEGER, "far_rank": _INTEGER, "near_rank": _INTEGER,
     "power_far": _NUMBER, "power_near": _NUMBER, "rate_far": _NUMBER,
-    "rate_near": _NUMBER, "relay_gain": _NUMBER, "relay_const": _NUMBER,
-    "mu": _INTEGER, "omega_sd": _NUMBER, "omega_sr": _NUMBER, "omega_rd": _NUMBER,
-    "relay_distance": _NUMBER, "pathloss_exp": _NUMBER,
+    "rate_near": _NUMBER, "relay_gain": _NUMBER, "mu": _INTEGER,
+    "omega_sd": _NUMBER, "omega_sr": _NUMBER, "omega_rd": _NUMBER,
 }
 #: every key of a [direct] section: the DirectConfig fields
 _DIRECT_KEYS = {
@@ -355,20 +308,6 @@ def _read_section(section, keys: dict, cls: type, where: str) -> dict:
     return kwargs
 
 
-def _coop_from_section(section, where: str) -> CoopConfig:
-    kwargs = _read_section(section, _COOP_KEYS, CoopConfig, where)
-    if "relay_gain" not in kwargs and "relay_const" in kwargs:
-        kwargs["relay_gain"] = None
-    geo = {key: kwargs.pop(key) for key in ("relay_distance", "pathloss_exp") if key in kwargs}
-    if not geo:
-        return CoopConfig(**kwargs)
-    if "omega_sr" in kwargs or "omega_rd" in kwargs:
-        raise ConfigError(
-            f"{where}: give either relay_distance/pathloss_exp or omega_sr/omega_rd, not both"
-        )
-    return CoopConfig.from_geometry(**geo, **kwargs)
-
-
 def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectConfig]:
     """Parse INI text with [coop] and/or [direct] sections into configs.
 
@@ -387,12 +326,10 @@ def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectCon
             f"{source}: unknown sections {sorted(unknown)} (expected [coop]/[direct])"
         )
     out: dict[str, CoopConfig | DirectConfig] = {}
-    if parser.has_section("coop"):
-        out["coop"] = _coop_from_section(parser["coop"], f"{source} [coop]")
-    if parser.has_section("direct"):
-        where = f"{source} [direct]"
-        out["direct"] = DirectConfig(**_read_section(parser["direct"], _DIRECT_KEYS,
-                                                     DirectConfig, where))
+    for name, keys, cls in (("coop", _COOP_KEYS, CoopConfig),
+                            ("direct", _DIRECT_KEYS, DirectConfig)):
+        if parser.has_section(name):
+            out[name] = cls(**_read_section(parser[name], keys, cls, f"{source} [{name}]"))
     if not out:
         raise ConfigError(f"{source}: no [coop] or [direct] section found")
     return out

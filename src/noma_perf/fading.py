@@ -110,20 +110,23 @@ class OrderedIndex:
 # Single-gain density and CDF
 # =====================================================================
 
-def gamma_pdf(p: FadingParams, x):
-    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf."""
-    x = np.asarray(x, dtype=float)
-    pos = (x > 0) & (x < math.inf)
-    xs = np.where(pos, x, 1.0)
+def _gamma_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
+    """Density of the power gain at nodes ``xs`` already inside (0, inf)."""
     rate = p.rate
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
-    log_pdf = (
+    return np.exp(
         p.mu * math.log(rate)
         - log_gamma(p.mu)
         + (p.mu - 1) * np.log(xs)
         - rate * xs
     )
-    out = np.where(pos, np.exp(log_pdf), 0.0)
+
+
+def gamma_pdf(p: FadingParams, x):
+    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf."""
+    x = np.asarray(x, dtype=float)
+    pos = (x > 0) & (x < math.inf)
+    out = np.where(pos, _gamma_pdf_inside(p, np.where(pos, x, 1.0)), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -204,7 +207,7 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     inside = (x > 0) & np.isfinite(x)
     xs = np.where(inside, x, 1.0)
     big_f = gamma_cdf(p, xs)
-    little_f = gamma_pdf(p, xs)
+    little_f = _gamma_pdf_inside(p, xs)
     m, total = idx.rank, idx.total
     # 0**0 = 1.0 covers the boundary ranks at F in {0, 1}
     out = np.where(inside, (
@@ -222,7 +225,8 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
     """Leading small-argument term of the ordered CDF.
 
     Equals C(total, rank) * [(mu*x/omega)^mu / mu!]^rank, the dominant
-    behaviour as x -> 0; decays with exponent mu * rank.  Not clamped.
+    behaviour as x -> 0; decays with exponent mu * rank.  Not clamped:
+    past the double range (large x, mu or rank) it returns ``math.inf``.
     """
     x = float(x)
     if x <= 0:
@@ -231,7 +235,10 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
         log_binomial(idx.total, idx.rank)
         + idx.rank * (p.mu * math.log(x * p.rate) - log_gamma(p.mu + 1))
     )
-    return math.exp(log_val)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return math.inf
 
 
 # =====================================================================

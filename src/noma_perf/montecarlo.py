@@ -102,23 +102,22 @@ class ChannelDraw:
     """One block of cooperative-scenario channel gains.
 
     ``direct`` holds the ascending-sorted pool of direct-link gains,
-    shape (n, users); ``relay_feed`` the source-to-relay gains and
-    ``relay_far`` / ``relay_near`` the relay-to-user gains, shape (n,).
+    shape (n, users); ``relay`` the far and near user's effective
+    relay-branch gains (see :func:`draw_coop_block`), each shape (n,).
     """
 
     direct: np.ndarray
-    relay_feed: np.ndarray
-    relay_far: np.ndarray
-    relay_near: np.ndarray
+    relay: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
         n = self.direct.shape[0]
         if self.direct.ndim != 2:
             raise ValueError("direct must be 2-D (trials, users)")
-        for name in ("relay_feed", "relay_far", "relay_near"):
-            arr = getattr(self, name)
+        if len(self.relay) != len(COOP_USERS):
+            raise ValueError(f"relay must hold one gain array per user {COOP_USERS}")
+        for user, arr in zip(COOP_USERS, self.relay):
             if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+                raise ValueError(f"{user} relay gains must have shape ({n},), got {arr.shape}")
 
 
 # =====================================================================
@@ -128,20 +127,23 @@ class ChannelDraw:
 def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> ChannelDraw:
     """Sample ``n`` trials of all cooperative-scenario gains.
 
-    Draw order is fixed (direct pool, relay feed, relay-to-far,
-    relay-to-near) and is part of the reproducibility contract.
+    Draw order is fixed (direct pool, relay feed y, relay-to-far w,
+    relay-to-near w) and is part of the reproducibility contract.  The
+    fixed-gain relay rebroadcasts its noisy slot-1 observation, so the
+    second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
+    is the stage SINR at the effective gain y * w / (w + c), with c the
+    config's ``noise_scale``; each user's effective gain is stored once
+    per block, as no SNR point changes it.
     """
     direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega_sd), cfg.users, rng, size=n)
-    relay_feed = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
+    y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
-    relay_far = sample_gain(drop, rng, size=n)
-    relay_near = sample_gain(drop, rng, size=n)
-    return ChannelDraw(
-        direct=direct,
-        relay_feed=np.asarray(relay_feed),
-        relay_far=np.asarray(relay_far),
-        relay_near=np.asarray(relay_near),
-    )
+    c = cfg.noise_scale
+    relay = []
+    for _ in COOP_USERS:
+        w = sample_gain(drop, rng, size=n)
+        relay.append(y * w / (w + c))
+    return ChannelDraw(direct=direct, relay=tuple(relay))
 
 
 # =====================================================================
@@ -175,19 +177,15 @@ def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
     """(far_fail, near_fail) boolean arrays from the SINR chain of both branches.
 
     Each user runs :func:`stage_failures` to its decode depth on its
-    direct gain and on its relay branch.  The fixed-gain relay
-    rebroadcasts its noisy slot-1 observation, so the second-hop SINR
-    y * w * power * rho / (y * w * residual * rho + w + c) is the stage
-    SINR at the effective gain y * w / (w + c).  The user is served by
-    selection and fails only when both branches fail.
+    direct gain and on its effective relay gain, which ``draw`` holds
+    for the relay of ``cfg``.  The user is served by selection and fails
+    only when both branches fail.
     """
-    y = draw.relay_feed
-    c = cfg.noise_scale
     fails = []
-    for user, w in zip(COOP_USERS, (draw.relay_far, draw.relay_near)):
+    for user, relay in zip(COOP_USERS, draw.relay):
         depth = decode_depth(cfg, user)
         direct = stage_failures(draw.direct[:, cfg.rank(user) - 1], cfg, rho, depth)
-        fails.append(direct & stage_failures(y * w / (w + c), cfg, rho, depth))
+        fails.append(direct & stage_failures(relay, cfg, rho, depth))
     return tuple(fails)
 
 

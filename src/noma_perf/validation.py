@@ -15,10 +15,12 @@ when the result is far below one.  The tests keep a second, independent
 route through scipy's QUADPACK (``tests/quadpack_reference.py``).
 
 :func:`run_validation_suite` drives the full gate: for every configured
-user and SNR point it compares the exact value against its oracle at a
-relative tolerance, and (optionally) against a Monte Carlo estimate at a
-multiple of the binomial standard error wherever the probability is
-large enough for simulation to resolve.
+user and SNR point it compares the exact value against its oracle at the
+relative tolerance ``ORACLE_REL_TOL``, and (optionally) against a Monte
+Carlo estimate at ``MC_SIGMAS`` binomial standard errors wherever the
+probability exceeds ``MC_PROBABILITY_FLOOR``, large enough for
+simulation to resolve.  The three are fixed module constants, not
+options: the gate strings of the report name the values they used.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ __all__ = [
     "run_validation_suite",
 ]
 
+#: largest relative error of the exact outage against its quadrature oracle
+ORACLE_REL_TOL = 1e-6
+#: standard errors the exact outage may differ from its Monte Carlo estimate
+MC_SIGMAS = 3.0
 #: probability below which a 3-sigma Monte Carlo gate is meaningless at
 #: feasible trial counts, so the simulation leg is skipped
 MC_PROBABILITY_FLOOR = 1e-4
@@ -86,11 +92,17 @@ def relay_outage_quadrature(cfg: CoopConfig, cut: float) -> float:
 
 
 def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) -> float:
-    """Ordered CDF by tanh-sinh integration of the order-statistic density over (0, x)."""
+    """Ordered CDF by tanh-sinh integration of the order-statistic density over (0, x).
+
+    Where the plain CDF at ``x`` rounds to 1, the ordered CDF is within
+    ``total`` * 2**-54 of 1 and is returned as 1.0: the density's mass
+    then sits so far below ``x`` that the tanh-sinh nodes can step over
+    it at every level and agree on 0.
+    """
     x = float(x)
     if x <= 0:
         return 0.0
-    if math.isinf(x):
+    if math.isinf(x) or gamma_cdf(params, x) == 1.0:
         return 1.0
     result = integrate_from_zero(lambda y: ordered_pdf(params, idx, y), x)
     return min(1.0, result.value)
@@ -137,17 +149,13 @@ def run_validation_suite(
     configs: Sequence[CoopConfig | DirectConfig],
     snr_db: Sequence[float],
     batch: TrialBatch | None = None,
-    *,
-    oracle_rel_tol: float = 1e-6,
-    mc_sigmas: float = 3.0,
-    mc_floor: float = MC_PROBABILITY_FLOOR,
 ) -> list[ComparisonRow]:
     """Gate every configured user at every SNR point; returns all rows.
 
     Each row compares the exact closed form against its quadrature
-    oracle at ``oracle_rel_tol`` relative error.  When ``batch`` is
-    given, users whose exact outage exceeds ``mc_floor`` are also
-    simulated and gated at ``mc_sigmas`` standard errors; smaller
+    oracle at ``ORACLE_REL_TOL`` relative error.  When ``batch`` is
+    given, users whose exact outage exceeds ``MC_PROBABILITY_FLOOR`` are
+    also simulated and gated at ``MC_SIGMAS`` standard errors; smaller
     probabilities skip the simulation leg (noted in the gate string).
     An empty config or SNR list yields an empty report.
     """
@@ -160,7 +168,8 @@ def run_validation_suite(
         estimates = {}
         if batch is not None:
             # one simulation over the points where some user is above the floor
-            simulated = [k for k, point in enumerate(exact) if max(point.values()) > mc_floor]
+            simulated = [k for k, point in enumerate(exact)
+                         if max(point.values()) > MC_PROBABILITY_FLOOR]
             points = estimate_outage(cfg, [rhos[k] for k in simulated], batch)
             estimates = dict(zip(simulated, points))
         for k, (db, rho) in enumerate(zip(snr_db, rhos)):
@@ -168,20 +177,20 @@ def run_validation_suite(
                 p = exact[k][user]
                 oracle = outage_oracle(cfg, rho, user)
                 rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
-                ok = rel_err <= oracle_rel_tol
-                gate = f"rel_err<={oracle_rel_tol:g}"
+                ok = rel_err <= ORACLE_REL_TOL
+                gate = f"rel_err<={ORACLE_REL_TOL:g}"
                 p_mc = math.nan
                 mc_stderr = math.nan
-                if k in estimates and p > mc_floor:
+                if k in estimates and p > MC_PROBABILITY_FLOOR:
                     est = estimates[k][user]
                     p_mc = est.p_hat
                     mc_stderr = est.stderr
                     # standard error under the exact probability is the natural null
                     # scale and stays positive even when the empirical count is 0 or n
                     se_exact = math.sqrt(p * (1.0 - p) / est.trials)
-                    tol = mc_sigmas * max(est.stderr, se_exact)
+                    tol = MC_SIGMAS * max(est.stderr, se_exact)
                     ok = ok and abs(p - p_mc) <= tol
-                    gate += f" & |exact-mc|<={mc_sigmas:g}se"
+                    gate += f" & |exact-mc|<={MC_SIGMAS:g}se"
                 rows.append(ComparisonRow(
                     snr_db=float(db),
                     scenario=scenario,

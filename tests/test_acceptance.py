@@ -27,9 +27,9 @@ from noma_perf.analytic import (
 from noma_perf.cli import main
 from noma_perf.configs import (
     DirectConfig,
-    comparison_presets,
     coop_preset,
     direct_preset,
+    preset_configs,
 )
 from noma_perf.fading import (
     FadingParams,
@@ -168,7 +168,8 @@ class TestAcceptance:
         )
 
     def test_criterion_5_cooperation_dominates_past_thirty_db(self):
-        coop, direct = comparison_presets()
+        cfgs = preset_configs("comparison")
+        coop, direct = cfgs["coop"], cfgs["direct"]
         points = []
         ok = True
         for db in [d for d in GRID_DB if d >= 30.0]:

@@ -86,11 +86,11 @@ class TestFixedGainConstant:
         assert_allclose(cfg.noise_scale, KAPPA_NOISE_SCALE, rtol=1e-15)
 
     def test_relay_const_override(self):
-        base = coop_preset()
+        # the relay constant c = 1 / G**2 follows the one relay setting, G
         import dataclasses
 
-        cfg = dataclasses.replace(base, relay_gain=None, relay_const=2.5)
-        assert cfg.noise_scale == 2.5
+        cfg = dataclasses.replace(coop_preset(), relay_gain=0.5)
+        assert cfg.noise_scale == 4.0
 
 
 class TestCoopCuts:
@@ -171,15 +171,16 @@ class TestDirectCuts:
 
 class TestRelayOutage:
     CASES = [
-        # (mu, omega_sr, omega_rd, noise_scale)
-        (1, 4.0, 4.0, KAPPA_NOISE_SCALE),
-        (2, 4.0, 4.0, KAPPA_NOISE_SCALE),
-        (3, 4.0, 4.0, KAPPA_NOISE_SCALE),
-        (2, 1.5, 0.7, 2.0),
+        # (mu, omega_sr, omega_rd, relay_gain); gain 0.9 is the preset's
+        # KAPPA_NOISE_SCALE, 2**-0.5 a noise constant of about 2
+        (1, 4.0, 4.0, 0.9),
+        (2, 4.0, 4.0, 0.9),
+        (3, 4.0, 4.0, 0.9),
+        (2, 1.5, 0.7, 2.0**-0.5),
     ]
 
     def test_matches_quadrature_both_routes(self):
-        for mu, omega_sr, omega_rd, noise_scale in self.CASES:
+        for mu, omega_sr, omega_rd, relay_gain in self.CASES:
             cfg = CoopConfig(
                 users=2,
                 far_rank=1,
@@ -188,8 +189,7 @@ class TestRelayOutage:
                 power_near=0.2,
                 rate_far=1.0,
                 rate_near=1.5,
-                relay_gain=None,
-                relay_const=noise_scale,
+                relay_gain=relay_gain,
                 mu=mu,
                 omega_sd=1.0,
                 omega_sr=omega_sr,
@@ -486,6 +486,15 @@ class TestAsymptotics:
         assert outage_far_asymptotic(cfg, 1e-6) == 1.0
         assert outage_direct_asymptotic(direct_preset(), 1e-6, 3) == 1.0
 
+    def test_clamped_to_one_where_leading_term_overflows(self):
+        # at 0 dB the leading term of the near user's ordered CDF passes the
+        # double range at mu = 32 (coop) and mu = 100 (single slot)
+        for cfg, user in ((with_mu(coop_preset(), 32), "near"),
+                          (with_mu(direct_preset(), 100), 3)):
+            exact, asym = user_outage(cfg, 1.0, user)
+            assert 0.0 <= exact <= 1.0
+            assert asym == 1.0
+
 
 class TestDiversityOrderFit:
     def test_recovers_synthetic_power_law(self):
@@ -592,6 +601,25 @@ class TestOmaBaseline:
             cut,
         )
         assert_allclose(outage_oma(cfg, rho), ref, rtol=1e-14)
+
+    def test_coop_schedules_the_near_user_not_the_pool_top(self):
+        import dataclasses
+
+        # near user at rank 3 of a pool of 5: the pool top is not served
+        cfg = dataclasses.replace(coop_preset(2), near_rank=3)
+        rho = db_to_linear(20.0)
+        cut = threshold_snr(cfg.rate_far + cfg.rate_near, slots=2) / rho
+        relay = relay_outage(cfg, cut)
+        params = FadingParams(cfg.mu, cfg.omega_sd)
+        served = ordered_cdf(params, OrderedIndex(3, 5), cut) * relay
+        assert_allclose(outage_oma(cfg, rho), served, rtol=1e-14)
+        assert outage_oma(cfg, rho) > 100.0 * ordered_cdf(params, OrderedIndex(5, 5), cut) * relay
+
+    def test_zero_total_rate_gives_zero(self):
+        import dataclasses
+
+        cfg = dataclasses.replace(coop_preset(), rate_far=0.0, rate_near=0.0)
+        assert outage_oma(cfg, db_to_linear(12.0)) == 0.0
 
     def test_decreasing_in_snr(self):
         for cfg in (coop_preset(), direct_preset()):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from noma_perf import analytic, montecarlo
+from noma_perf import analytic, montecarlo, validation
 from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
@@ -252,7 +252,26 @@ class TestSweep:
         ini.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--config", str(ini))
         assert code == 2 and out == ""
-        assert "exactly one of relay_gain and relay_const" in err
+        assert "unknown keys ['relay_const']" in err
+
+    @pytest.mark.parametrize("key", ["relay_const", "relay_distance", "pathloss_exp"])
+    def test_config_with_removed_relay_key_exits_2(self, capsys, tmp_path, key):
+        ini = tmp_path / "removed.ini"
+        ini.write_text(preset_ini("coop") + f"{key} = 0.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--config", str(ini))
+        assert code == 2 and out == ""
+        assert err == f"error: {ini} [coop]: unknown keys ['{key}']\n"
+
+    @pytest.mark.parametrize("scenario, mu", [("coop", "32"), ("direct", "100")])
+    def test_leading_term_past_double_range_exits_0(self, capsys, scenario, mu):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", scenario, "--mu", mu)
+        assert code == 0 and err == ""
+        rows = [cells(r) for r in data_rows(out)]
+        assert len(rows) == 9 * {"coop": 2, "direct": 3}[scenario]
+        for c in rows:
+            assert math.isfinite(float(c["p_exact"])) and math.isfinite(float(c["p_asymptotic"]))
+            if c["snr_db"] == "0":
+                assert c["p_asymptotic"] == "1"
 
     def test_config_with_removed_mean_override_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "override.ini"
@@ -348,6 +367,20 @@ class TestValidate:
         assert code == 0 and out == ""
         text = target.read_text(encoding="utf-8")
         assert text.startswith(",".join(REPORT_COLUMNS) + "\n")
+
+    def test_oracle_failure_exits_1(self, capsys, monkeypatch):
+        oracle = validation.outage_oracle
+
+        def off_oracle(cfg, rho, user):
+            return oracle(cfg, rho, user) * (1.0 + 1e-5)
+
+        monkeypatch.setattr(validation, "outage_oracle", off_oracle)
+        code, out, err = run_cli(capsys, "validate", "--trials", "0")
+        assert code == 1
+        rows = data_rows(out)
+        assert len(rows) == 9 * 2 + 9 * 3
+        assert all(row.split(",")[-2] == "FAIL" for row in rows)
+        assert err == f"validation: {len(rows)} of {len(rows)} rows failed\n"
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "broken.ini"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from noma_perf.configs import (
+    _COOP_KEYS,
+    _DIRECT_KEYS,
     ConfigError,
     CoopConfig,
     DirectConfig,
-    comparison_presets,
     coop_preset,
     direct_preset,
     load_config_file,
@@ -47,10 +49,6 @@ class TestCoopConfig:
         cfg = make_coop()
         assert cfg.users == 5
         assert_allclose(cfg.noise_scale, 1.0 / 0.81, rtol=1e-15)
-
-    def test_relay_const_override(self):
-        cfg = make_coop(relay_gain=None, relay_const=3.0)
-        assert cfg.noise_scale == 3.0
 
     def test_rank_and_mean_accessors(self):
         cfg = make_coop()
@@ -104,25 +102,12 @@ class TestCoopConfig:
         assert cfg == make_coop(mu=2)
 
     def test_rejects_relay_spec_conflicts(self):
-        with pytest.raises(ConfigError):
+        # relay_gain is the one spelling of the relay: no second field to conflict with
+        with pytest.raises(TypeError, match="relay_const"):
             make_coop(relay_gain=0.9, relay_const=1.0)
-        with pytest.raises(ConfigError):
-            make_coop(relay_gain=None, relay_const=None)
-        with pytest.raises(ConfigError):
-            make_coop(relay_gain=-0.9)
-
-    def test_from_geometry(self):
-        kwargs = {k: v for k, v in COOP_KWARGS.items()
-                  if k not in ("omega_sr", "omega_rd")}
-        cfg = CoopConfig.from_geometry(**kwargs)
-        assert cfg.omega_sr == 4.0 and cfg.omega_rd == 4.0
-        cfg = CoopConfig.from_geometry(relay_distance=0.25, **kwargs)
-        assert_allclose(cfg.omega_sr, 16.0, rtol=1e-15)
-        assert_allclose(cfg.omega_rd, 0.75**-2, rtol=1e-15)
-        with pytest.raises(ConfigError):
-            CoopConfig.from_geometry(relay_distance=1.0, **kwargs)
-        with pytest.raises(ConfigError):
-            CoopConfig.from_geometry(pathloss_exp=0.0, **kwargs)
+        for bad in (-0.9, 0.0, math.inf):
+            with pytest.raises(ConfigError, match="relay_gain must be finite and > 0"):
+                make_coop(relay_gain=bad)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -207,7 +192,8 @@ class TestPresets:
         assert direct_preset(2).mu == 2
 
     def test_comparison_presets_are_matched(self):
-        coop, direct = comparison_presets()
+        cfgs = preset_configs("comparison")
+        coop, direct = cfgs["coop"], cfgs["direct"]
         assert coop.users == direct.pool == 3
         assert (coop.far_rank, coop.near_rank) == direct.ranks
         assert (coop.power_far, coop.power_near) == direct.power
@@ -257,36 +243,20 @@ pool = 4
         assert isinstance(direct, DirectConfig)
         assert direct.ranks == (1, 4) and direct.pool == 4 and direct.mu == 3
 
+    def test_section_keys_are_the_dataclass_fields(self):
+        assert set(_COOP_KEYS) == {f.name for f in fields(CoopConfig)}
+        assert set(_DIRECT_KEYS) == {f.name for f in fields(DirectConfig)}
+
     def test_geometry_keys(self):
-        text = """
-[coop]
-users = 2
-far_rank = 1
-near_rank = 2
-power_far = 0.8
-power_near = 0.2
-rate_far = 1.0
-rate_near = 1.0
-relay_gain = 0.9
-relay_distance = 0.5
-pathloss_exp = 2.0
-"""
-        cfg = load_config_text(text, "inline")["coop"]
-        assert cfg.omega_sr == 4.0 and cfg.omega_rd == 4.0
-
-    def test_geometry_conflicts_with_explicit_means(self):
-        text = self.GOOD + "\n"
-        text = text.replace("omega_sr = 2.0", "omega_sr = 2.0\nrelay_distance = 0.5")
-        with pytest.raises(ConfigError, match="not both"):
-            load_config_text(text, "inline")
-
-    def test_relay_const_takes_precedence(self):
-        text = self.GOOD.replace("relay_gain = 0.8", "relay_const = 2.0")
-        assert load_config_text(text, "inline")["coop"].noise_scale == 2.0
+        # the relay geometry is stated as omega_sr / omega_rd, never as a position
+        for key in ("relay_distance", "pathloss_exp"):
+            text = self.GOOD.replace("[direct]", f"{key} = 0.5\n\n[direct]")
+            with pytest.raises(ConfigError, match=rf"\[coop\]: unknown keys \['{key}'\]"):
+                load_config_text(text, "inline")
 
     def test_both_relay_keys_are_rejected(self):
         text = self.GOOD.replace("relay_gain = 0.8", "relay_gain = 0.8\nrelay_const = 2.0")
-        with pytest.raises(ConfigError, match="exactly one of relay_gain and relay_const"):
+        with pytest.raises(ConfigError, match=r"unknown keys \['relay_const'\]"):
             load_config_text(text, "inline")
 
     @pytest.mark.parametrize(

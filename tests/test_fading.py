@@ -322,6 +322,15 @@ class TestOrderedSmallArg:
             ratio = ordered_cdf_small_arg(p, idx, x) / ordered_cdf(p, idx, x)
             assert abs(ratio - 1.0) < tol
 
+    def test_past_the_double_range_returns_inf(self):
+        # ln of the term is 5 * (32 ln 32 - ln 32!) = 147 at x = 1, and
+        # 5 * 32 * ln 100 = 737 more at x = 100, past ln(max double) = 709.8
+        p = FadingParams(32, 1.0)
+        idx = OrderedIndex(5, 5)
+        assert math.isfinite(ordered_cdf_small_arg(p, idx, 1.0))
+        assert ordered_cdf_small_arg(p, idx, 100.0) == math.inf
+        assert ordered_cdf_small_arg(p, idx, math.inf) == math.inf
+
 
 class TestOrderedCdfSeries:
     def test_matches_stable_form_at_moderate_arguments(self):

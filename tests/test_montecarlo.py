@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo estimators and their determinism contract."""
 
+import copy
 import dataclasses
 import math
 
@@ -19,7 +20,7 @@ from noma_perf.analytic import (
     user_link,
 )
 from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
-from noma_perf.fading import FadingParams, gamma_cdf
+from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
     ChannelDraw,
@@ -39,17 +40,28 @@ def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
 
 
-def coop_events_from_cuts(draw, cfg, rho):
-    """(far_fail, near_fail) at the decode cuts the closed form uses: a
-    user fails when its direct gain is below the cut and the relay path
-    misses it (first hop y <= cut, or second hop below cut * c / (y - cut))."""
-    y = draw.relay_feed
+def raw_coop_block(cfg, rng, n):
+    """The hop gains behind ``draw_coop_block(cfg, rng, n)`` for a generator
+    in the same state, drawn in its order: (direct pool, relay feed y,
+    (w_far, w_near))."""
+    direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega_sd), cfg.users, rng, size=n)
+    y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
+    drop = FadingParams(cfg.mu, cfg.omega_rd)
+    return direct, y, tuple(sample_gain(drop, rng, size=n) for _ in range(2))
+
+
+def coop_events_from_cuts(raw, cfg, rho):
+    """(far_fail, near_fail) of the hop gains ``raw`` at the decode cuts the
+    closed form uses: a user fails when its direct gain is below the cut
+    and the relay path misses it (first hop y <= cut, or second hop below
+    cut * c / (y - cut))."""
+    direct, y, drops = raw
     fails = []
-    for user, relay_gain in (("far", draw.relay_far), ("near", draw.relay_near)):
+    for user, w in zip(("far", "near"), drops):
         _, idx, cut, _ = user_link(cfg, rho, user)
         with np.errstate(divide="ignore", invalid="ignore"):
-            relay_ok = (y > cut) & (relay_gain >= cut * cfg.noise_scale / (y - cut))
-        fails.append((draw.direct[:, idx.rank - 1] < cut) & ~relay_ok)
+            relay_ok = (y > cut) & (w >= cut * cfg.noise_scale / (y - cut))
+        fails.append((direct[:, idx.rank - 1] < cut) & ~relay_ok)
     return tuple(fails)
 
 
@@ -59,12 +71,11 @@ def direct_events_from_cuts(gain, cfg, rho, user):
 
 
 def scalar_draw(cfg, h_pool, y, w_f, w_n):
-    """Single-trial ChannelDraw with explicit gains."""
+    """Single-trial ChannelDraw with explicit hop gains, relayed by ``cfg``'s relay."""
+    c = cfg.noise_scale
     return ChannelDraw(
         direct=np.asarray([h_pool], dtype=float),
-        relay_feed=np.asarray([y], dtype=float),
-        relay_far=np.asarray([w_f], dtype=float),
-        relay_near=np.asarray([w_n], dtype=float),
+        relay=tuple(np.asarray([y * w / (w + c)]) for w in (w_f, w_n)),
     )
 
 
@@ -113,13 +124,13 @@ class TestContainers:
     def test_channel_draw_shape_validation(self):
         good = np.zeros((5, 3))
         vec = np.zeros(5)
-        ChannelDraw(direct=good, relay_feed=vec, relay_far=vec, relay_near=vec)
+        ChannelDraw(direct=good, relay=(vec, vec))
         with pytest.raises(ValueError):
-            ChannelDraw(direct=vec, relay_feed=vec, relay_far=vec, relay_near=vec)
+            ChannelDraw(direct=vec, relay=(vec, vec))
         with pytest.raises(ValueError):
-            ChannelDraw(
-                direct=good, relay_feed=np.zeros(4), relay_far=vec, relay_near=vec
-            )
+            ChannelDraw(direct=good, relay=(np.zeros(4), vec))
+        with pytest.raises(ValueError):
+            ChannelDraw(direct=good, relay=(vec,))
 
 
 class TestDraws:
@@ -127,7 +138,7 @@ class TestDraws:
         cfg = coop_preset()
         draw = draw_coop_block(cfg, np.random.default_rng(0), 1000)
         assert draw.direct.shape == (1000, cfg.users)
-        assert draw.relay_feed.shape == (1000,)
+        assert [g.shape for g in draw.relay] == [(1000,), (1000,)]
         assert np.all(np.diff(draw.direct, axis=-1) >= 0)
         assert np.all(draw.direct > 0)
 
@@ -136,9 +147,17 @@ class TestDraws:
         a = draw_coop_block(cfg, np.random.default_rng(11), 500)
         b = draw_coop_block(cfg, np.random.default_rng(11), 500)
         assert np.array_equal(a.direct, b.direct)
-        assert np.array_equal(a.relay_feed, b.relay_feed)
-        assert np.array_equal(a.relay_far, b.relay_far)
-        assert np.array_equal(a.relay_near, b.relay_near)
+        for ga, gb in zip(a.relay, b.relay, strict=True):
+            assert np.array_equal(ga, gb)
+
+    def test_effective_relay_gains_of_the_hop_draws(self):
+        # each user's relay branch is stored as y * w / (w + c), bit for bit
+        for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5)):
+            draw = draw_coop_block(cfg, np.random.default_rng(3), 700)
+            direct, y, drops = raw_coop_block(cfg, np.random.default_rng(3), 700)
+            assert np.array_equal(draw.direct, direct)
+            for gain, w in zip(draw.relay, drops, strict=True):
+                assert np.array_equal(gain, y * w / (w + cfg.noise_scale))
 
 
 class TestSinrChains:
@@ -165,13 +184,14 @@ class TestSinrChains:
 
     def test_slot2_hand_computed(self):
         base = coop_preset()
-        cfg = dataclasses.replace(base, relay_gain=None, relay_const=1.0)
-        draw = scalar_draw(cfg, [0.1] * 5, 1.0, 2.0, 3.0)
+        cfg = dataclasses.replace(base, relay_gain=1.0)  # c = 1
 
         def far(probe):
+            draw = scalar_draw(probe, [0.1] * 5, 1.0, 2.0, 3.0)
             return coop_events_from_sinr(draw, probe, 10.0)[0][0]
 
         def near(probe):
+            draw = scalar_draw(probe, [0.1] * 5, 1.0, 2.0, 3.0)
             return coop_events_from_sinr(draw, probe, 10.0)[1][0]
 
         # the direct gain 0.1 misses each threshold below, so the relay decides
@@ -180,10 +200,11 @@ class TestSinrChains:
         # cascade near: 3; denom 3*2 + 3 + 1 = 10
         assert_stage_sinr(near, cfg, 1, 3.0 * 8.0 / 10.0)
         assert_stage_sinr(near, cfg, 2, 3.0 * 2.0 / 4.0)
-        # c = 2 tells the forwarded noise apart from the unit receiver noise:
-        # denom 2*0.2*10 + 2 + 2 = 8
-        cfg = dataclasses.replace(base, relay_gain=None, relay_const=2.0)
-        assert_stage_sinr(far, cfg, 1, 2.0 * 8.0 / 8.0)
+        # c = 4 tells the forwarded noise apart from the unit receiver noise:
+        # denom 2*0.2*10 + 2 + 4 = 10
+        cfg = dataclasses.replace(base, relay_gain=0.5)
+        assert_stage_sinr(far, cfg, 1, 2.0 * 8.0 / 10.0)
+        assert_stage_sinr(near, cfg, 2, 3.0 * 2.0 / 7.0)
 
     def test_direct_chain_hand_computed(self):
         cfg = direct_preset()  # powers 0.5 / 0.4 / 0.1
@@ -214,11 +235,12 @@ class TestEventEquivalence:
         rng = np.random.default_rng(2024)
         for mu in (1, 2):
             cfg = with_mu(coop_preset(), mu)
+            raw = raw_coop_block(cfg, copy.deepcopy(rng), 1 << 16)
             draw = draw_coop_block(cfg, rng, 1 << 16)
             for rho_db in (0.0, 10.0, 30.0):
                 rho = db_to_linear(rho_db)
                 far_a, near_a = coop_events_from_sinr(draw, cfg, rho)
-                far_b, near_b = coop_events_from_cuts(draw, cfg, rho)
+                far_b, near_b = coop_events_from_cuts(raw, cfg, rho)
                 assert np.array_equal(far_a, far_b)
                 assert np.array_equal(near_a, near_b)
                 assert 0 < far_a.sum() < far_a.size  # grid exercises both labels
@@ -227,7 +249,8 @@ class TestEventEquivalence:
         cfg = dataclasses.replace(coop_preset(), rate_far=1.5)  # threshold 7 > 4
         draw = draw_coop_block(cfg, np.random.default_rng(8), 4096)
         far_a, near_a = coop_events_from_sinr(draw, cfg, db_to_linear(30.0))
-        far_b, near_b = coop_events_from_cuts(draw, cfg, db_to_linear(30.0))
+        raw = raw_coop_block(cfg, np.random.default_rng(8), 4096)
+        far_b, near_b = coop_events_from_cuts(raw, cfg, db_to_linear(30.0))
         assert far_a.all() and near_a.all()
         assert np.array_equal(far_a, far_b)
         assert np.array_equal(near_a, near_b)

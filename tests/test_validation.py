@@ -19,7 +19,7 @@ from noma_perf.analytic import (
     user_link,
     user_outage,
 )
-from noma_perf.configs import coop_preset, direct_preset, with_mu
+from noma_perf.configs import DirectConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
 from noma_perf.montecarlo import TrialBatch
 from noma_perf.validation import (
@@ -79,6 +79,16 @@ class TestOrderedQuadrature:
         assert ordered_cdf_quadrature(params, idx, 0.0) == 0.0
         assert ordered_cdf_quadrature(params, idx, -1.0) == 0.0
         assert ordered_cdf_quadrature(params, idx, math.inf) == 1.0
+
+    def test_cut_far_past_the_mass_is_one(self):
+        # stage 3 has a headroom of 0.075 - 3 * 0.024999999999999994, about
+        # 1e-17, so it cuts at 2.2e17, where the tanh-sinh levels agreed on 0
+        cfg = DirectConfig(power=(0.675, 0.225, 0.075, 0.024999999999999994),
+                           rates=(1.0, 1.0, 2.0, 1.0), omega=(1.0,) * 4)
+        params, idx, cut, _ = user_link(cfg, 1.0, 3)
+        assert 1e17 < cut < math.inf
+        assert ordered_cdf_quadrature(params, idx, cut) == 1.0
+        assert outage_oracle(cfg, 1.0, 3) == user_outage(cfg, 1.0, 3)[0] == 1.0
 
 
 class TestQuadpackCrossCheck:
@@ -226,11 +236,6 @@ class TestValidationSuite:
         # and the 40 dB deep-tail points stay oracle-only
         assert any(math.isnan(r.p_mc) for r in rows)
 
-    def test_mc_floor_override_disables_simulation(self):
-        batch = TrialBatch(trials=10_000, seed=1)
-        rows = run_validation_suite([coop_preset()], [10.0], batch, mc_floor=1.0)
-        assert all(math.isnan(r.p_mc) for r in rows)
-
     def test_infeasible_config_rows_pass_at_one(self):
         cfg = dataclasses.replace(coop_preset(), rate_far=1.5)
         batch = TrialBatch(trials=5_000, seed=1)
@@ -241,10 +246,6 @@ class TestValidationSuite:
             assert row.p_mc == 1.0
             assert row.mc_stderr == 0.0
             assert row.passed
-
-    def test_zero_tolerance_fails_rows(self):
-        rows = run_validation_suite([coop_preset()], [10.0], oracle_rel_tol=0.0)
-        assert any(not r.passed for r in rows)
 
     def test_rejects_unknown_config_type(self):
         with pytest.raises(TypeError):
