@@ -31,8 +31,9 @@ its gain at its decode cut.
 
 High-SNR behaviour replaces the ordered CDF of the direct link by its
 leading small-argument term, which exposes the decay exponents directly;
-for the cooperative users the relay factor is kept in closed form since
-its slow (logarithmic-over-power) decay has no polynomial leading term.
+for the cooperative users the relay factor, which decays like
+rho**-mu * ln(rho), is kept exact, since no closed form of its leading
+term is implemented yet.
 
 :func:`user_link` is the one map from a served user to its direct-link
 law, sort index, decode cut and relay mean; the quadrature oracle in
@@ -462,19 +463,18 @@ def user_link(cfg: CoopConfig | DirectConfig, rho: float,
     """
     depth = decode_depth(cfg, user)
     cut = max(stage_cuts(cfg, rho)[:depth])
+    params, idx, omega_rd = _user_law(cfg, user)
+    return params, idx, cut, omega_rd
+
+
+def _user_law(cfg: CoopConfig | DirectConfig,
+              user: str | int) -> tuple[FadingParams, OrderedIndex, float | None]:
+    """The SNR-free part of :func:`user_link`: law, sort index and relay mean."""
     if isinstance(cfg, CoopConfig):
-        return (
-            FadingParams(cfg.mu, cfg.omega_sd),
-            OrderedIndex(cfg.rank(user), cfg.users),
-            cut,
-            cfg.omega_rd,
-        )
-    return (
-        FadingParams(cfg.mu, cfg.omega[user - 1]),
-        OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-        cut,
-        None,
-    )
+        return (FadingParams(cfg.mu, cfg.omega_sd), OrderedIndex(cfg.rank(user), cfg.users),
+                cfg.omega_rd)
+    return (FadingParams(cfg.mu, cfg.omega[user - 1]),
+            OrderedIndex(cfg.ranks[user - 1], cfg.pool), None)
 
 
 def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
@@ -504,8 +504,9 @@ def user_outage(cfg: CoopConfig | DirectConfig, rho: float,
     the relay factor, since the user is served by selection over two
     independent branches.  The high-SNR form replaces the ordered CDF by
     its leading small-argument term, which decays with exponent mu times
-    the user's sort rank; the relay factor decays slower than any power
-    (logarithmic Bessel tail), so it is kept exact.  The high-SNR form is
+    the user's sort rank; the relay factor decays like rho**-mu * ln(rho)
+    and is kept exact, since no closed form of its leading term is
+    implemented yet.  The high-SNR form is
     clamped to 1 where the expansion exceeds unity (low SNR, outside its
     regime).  Returns (1, 1) when the power split cannot support the
     user's rates.
@@ -624,14 +625,15 @@ def outage_oma(cfg: CoopConfig | DirectConfig, rho: float) -> float:
 
     The strongest served user, the last of :func:`served_users` (the
     near user, or single-slot user M), is scheduled alone at the sum of
-    the target rates, with its direct-link law and sort index from
+    the target rates, with its direct-link law and sort index as in
     :func:`user_link`.  For the cooperative deployment the relay still
     serves that user in the second slot (selection over both branches,
     each with the two-slot threshold cut); the single-slot deployment
     keeps one slot and one user.  A zero total rate gives a zero cut and
     an outage of exactly 0.
     """
-    params, idx, _, omega_rd = user_link(cfg, rho, served_users(cfg)[-1])
+    params, idx, omega_rd = _user_law(cfg, served_users(cfg)[-1])
+    rho = _check_rho(rho)
     slots = 1 if omega_rd is None else 2
     cut = threshold_snr(math.fsum(_target_rates(cfg)), slots) / rho
     direct = ordered_cdf(params, idx, cut)

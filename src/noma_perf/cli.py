@@ -14,6 +14,10 @@ Three subcommands:
     Run the exact-vs-oracle-vs-simulation gate over the presets (or a
     user config) and exit nonzero if any row fails.
 
+``main`` checks the flags once and hands them to :func:`sweep_rows`
+(``sweep``; ``figure``, a sweep of its preset with the OMA column on)
+or to ``validation.run_validation_suite`` (``validate``).
+
 All SNR values cross the interface in dB and are converted to linear
 scale exactly once.  CSV output uses '.' decimals, 12 significant
 digits, and is byte-identical for a fixed seed regardless of chunk
@@ -23,10 +27,9 @@ count or repetition.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Sequence
 
 from .analytic import (
@@ -44,9 +47,7 @@ from .configs import (
     with_mu,
 )
 from .montecarlo import TrialBatch, estimate_outage
-from .validation import run_validation_suite
-
-logger = logging.getLogger(__name__)
+from .validation import ComparisonRow, run_validation_suite
 
 __all__ = ["main"]
 
@@ -59,16 +60,16 @@ REPORT_COLUMNS = (
     "p_exact", "p_oracle", "rel_err", "p_mc", "mc_stderr", "passed", "gate",
 )
 
-# figure id -> (sweep scenario, mu values); each figure sweeps the
+# figure id -> (sweep --scenario, --mu); each figure sweeps the
 # scenario's committed preset file
 _FIGURES = {
-    "fig2": ("coop", (1,)),
-    "fig3": ("coop", (2, 3)),
-    "fig4": ("direct", (1,)),
-    "fig5": ("direct", (2, 3)),
-    "fig6": ("coop", (1, 2, 3)),
-    "fig7": ("direct", (1, 2, 3)),
-    "fig8": ("compare", (1,)),
+    "fig2": ("coop", "1"),
+    "fig3": ("coop", "2,3"),
+    "fig4": ("direct", "1"),
+    "fig5": ("direct", "2,3"),
+    "fig6": ("coop", "1,2,3"),
+    "fig7": ("direct", "1,2,3"),
+    "fig8": ("compare", "1"),
 }
 
 _DEFAULT_GRID = (0.0, 40.0, 5.0)
@@ -112,7 +113,18 @@ def _check_mc_flags(trials: int, seed: int, chunks: int) -> None:
         raise ConfigError(f"chunks must be >= 1, got {chunks}")
 
 
-def _parse_mu_list(raw: str) -> list[int]:
+def _parse_users(raw: str | None) -> tuple[str, ...] | None:
+    if raw is None:
+        return None
+    users = tuple(raw.replace(",", " ").split())
+    if not users:
+        raise ConfigError("--users given but empty")
+    return users
+
+
+def _parse_mu_list(raw: str | None) -> list[int] | None:
+    if raw is None:
+        return None
     try:
         values = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
@@ -165,45 +177,21 @@ def _write_lines(lines: Sequence[str], out_path: str | None) -> None:
 # Sweep evaluation
 # =====================================================================
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Everything one sweep run needs; built from CLI flags or by tests."""
-
-    scenario: str
-    snr_db: tuple[float, float, float] = _DEFAULT_GRID
-    mu_list: tuple[int, ...] | None = None  # None: keep each config's own mu
-    users: tuple[str, ...] | None = None
-    trials: int = 0
-    seed: int = 1
-    chunks: int = 1
-    with_oma: bool = False
-    output: str | None = None
-    config: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.scenario not in ("coop", "direct", "compare"):
-            raise ConfigError(
-                f"scenario must be coop, direct, or compare, got {self.scenario!r}"
-            )
-        _check_mc_flags(self.trials, self.seed, self.chunks)
-
-
-def _base_configs(spec: SweepSpec) -> dict[str, CoopConfig | DirectConfig]:
-    if spec.config is not None:
-        cfgs = load_config_file(spec.config)
-    elif spec.scenario == "compare":
+def _base_configs(scenario: str, config: str | None) -> dict[str, CoopConfig | DirectConfig]:
+    if config is not None:
+        cfgs = load_config_file(config)
+    elif scenario == "compare":
         cfgs = preset_configs("comparison.ini")
     else:
-        name = "coop.ini" if spec.scenario == "coop" else "direct.ini"
-        cfgs = preset_configs(name)
-    wanted = ("coop", "direct") if spec.scenario == "compare" else (spec.scenario,)
+        cfgs = preset_configs(f"{scenario}.ini")
+    wanted = ("coop", "direct") if scenario == "compare" else (scenario,)
     missing = [s for s in wanted if s not in cfgs]
     if missing:
         raise ConfigError(f"config does not define scenario section(s): {missing}")
     return {s: cfgs[s] for s in wanted}
 
 
-def _selected_users(spec: SweepSpec,
+def _selected_users(users: tuple[str, ...] | None,
                     cfgs: dict[str, CoopConfig | DirectConfig]) -> dict[str, tuple]:
     """Users each scenario emits rows for, in ``--users`` order.
 
@@ -213,48 +201,48 @@ def _selected_users(spec: SweepSpec,
     one twice, is an error.
     """
     served = {scenario: served_users(cfg) for scenario, cfg in cfgs.items()}
-    if spec.users is None:
+    if users is None:
         return served
     picked: dict[str, list] = {scenario: [] for scenario in cfgs}
     seen = set()
-    for token in spec.users:
+    for token in users:
         try:
             user = int(token)
         except ValueError:
             user = token
         if user in seen:
-            raise ConfigError(f"--users names a user more than once, got {spec.users}")
+            raise ConfigError(f"--users names a user more than once, got {users}")
         seen.add(user)
-        hits = [scenario for scenario, users in served.items() if user in users]
+        hits = [scenario for scenario, names in served.items() if user in names]
         if not hits:
-            known = [u for users in served.values() for u in users]
+            known = [u for names in served.values() for u in names]
             raise ConfigError(
                 f"--users entry {token!r} is not a served user; expected one of {known}"
             )
         for scenario in hits:
             picked[scenario].append(user)
-    return {scenario: tuple(users) for scenario, users in picked.items()}
+    return {scenario: tuple(names) for scenario, names in picked.items()}
 
 
-def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
-    """Evaluate the sweep on ``cfgs`` and return formatted CSV rows (without header).
+def sweep_rows(cfgs: dict[str, CoopConfig | DirectConfig], grid: Sequence[float], *,
+               mu_list: Sequence[int] | None = None, users: tuple[str, ...] | None = None,
+               batch: TrialBatch | None = None, with_oma: bool = False) -> list[str]:
+    """CSV rows (without header) of a sweep of ``cfgs`` over the dB ``grid``.
 
-    At each SNR point every served user is evaluated once, the throughput
+    Each config runs at every mu of ``mu_list`` (its own mu if None).  At
+    each SNR point every served user is evaluated once, the throughput
     is taken from those same values, and rows are emitted only for the
-    users ``spec.users`` selects.
+    ``users`` tokens select (every served user if None).  ``batch``
+    fills the Monte Carlo columns and ``with_oma`` the OMA column.
     """
-    grid = _grid(*spec.snr_db)
     rhos = [10.0 ** (db / 10.0) for db in grid]
-    batch = TrialBatch(spec.trials, spec.seed, spec.chunks) if spec.trials > 0 else None
-    selected = _selected_users(spec, cfgs)
+    selected = _selected_users(users, cfgs)
     rows: list[str] = []
     for scenario, base in cfgs.items():
-        users = selected[scenario]
-        if not users:
+        if not selected[scenario]:
             continue
         served = served_users(base)
-        mu_values = spec.mu_list if spec.mu_list is not None else (base.mu,)
-        for mu in mu_values:
+        for mu in mu_list or (base.mu,):
             cfg = with_mu(base, mu)
             if batch is None:
                 estimates = [dict.fromkeys(served)] * len(rhos)
@@ -263,8 +251,8 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
             for db, rho, est in zip(grid, rhos, estimates):
                 outages = {user: user_outage(cfg, rho, user) for user in served}
                 tput = throughput(cfg, [exact for exact, _ in outages.values()])
-                oma = outage_oma(cfg, rho) if spec.with_oma else None
-                for user in users:
+                oma = outage_oma(cfg, rho) if with_oma else None
+                for user in selected[scenario]:
                     exact, asym = outages[user]
                     e = est[user]
                     rows.append(",".join([
@@ -276,62 +264,31 @@ def sweep_rows(spec: SweepSpec, cfgs: dict[str, CoopConfig | DirectConfig]) -> l
     return rows
 
 
-def cmd_sweep(spec: SweepSpec) -> int:
-    rows = sweep_rows(spec, _base_configs(spec))
-    _write_lines([",".join(CSV_COLUMNS), *rows], spec.output)
-    return 0
-
-
-def cmd_figure(figure: str, *, trials: int = 0, seed: int = 1, chunks: int = 1,
-               output: str | None = None) -> int:
-    if figure not in _FIGURES:
-        raise ConfigError(f"unknown figure id {figure!r}; expected fig2..fig8")
-    scenario, mus = _FIGURES[figure]
-    spec = SweepSpec(
-        scenario=scenario,
-        mu_list=mus,
-        trials=trials,
-        seed=seed,
-        chunks=chunks,
-        with_oma=True,
-    )
-    cfgs = _base_configs(spec)
-    lines = _config_header(figure, cfgs)
-    lines.append(",".join(CSV_COLUMNS))
-    lines.extend(sweep_rows(spec, cfgs))
-    _write_lines(lines, output)
-    return 0
-
-
-def cmd_validate(*, config: str | None, trials: int, seed: int, chunks: int,
-                 output: str | None) -> int:
-    _check_mc_flags(trials, seed, chunks)
-    if config is not None:
-        cfgs = list(load_config_file(config).values())
-    else:
-        cfgs = [preset_configs("coop.ini")["coop"], preset_configs("direct.ini")["direct"]]
-    grid = _grid(*_DEFAULT_GRID)
-    batch = TrialBatch(trials, seed, chunks) if trials > 0 else None
-    rows = run_validation_suite(cfgs, grid, batch)
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            f"{r.snr_db:g}", r.scenario, str(r.mu), r.user,
-            _fmt(r.p_exact), _fmt(r.p_oracle), _fmt(r.rel_err),
-            _fmt(r.p_mc), _fmt(r.mc_stderr),
-            "pass" if r.passed else "FAIL", r.gate,
-        ]))
-    _write_lines(lines, output)
-    failed = sum(not r.passed for r in rows)
-    if failed:
-        print(f"validation: {failed} of {len(rows)} rows failed", file=sys.stderr)
-        return 1
-    return 0
+def _report_line(r: ComparisonRow) -> str:
+    return ",".join([
+        f"{r.snr_db:g}", r.scenario, str(r.mu), r.user,
+        _fmt(r.p_exact), _fmt(r.p_oracle), _fmt(r.rel_err),
+        _fmt(r.p_mc), _fmt(r.mc_stderr),
+        "pass" if r.passed else "FAIL", r.gate,
+    ])
 
 
 # =====================================================================
-# Argument parsing
+# Argument parsing and dispatch
 # =====================================================================
+
+def _shared_flags() -> argparse.ArgumentParser:
+    """Flags every subcommand takes; one parser per subcommand, since a
+    parent's actions are shared and ``set_defaults`` would change them all."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--trials", type=int, default=0,
+                        help="Monte Carlo trials per point (0 disables)")
+    shared.add_argument("--seed", type=int, default=1)
+    shared.add_argument("--chunks", type=int, default=1,
+                        help="worker threads for Monte Carlo blocks (never changes results)")
+    shared.add_argument("--out", default=None, metavar="PATH")
+    return shared
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -341,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="evaluate an SNR sweep and emit CSV")
+    sweep = sub.add_parser("sweep", parents=[_shared_flags()],
+                           help="evaluate an SNR sweep and emit CSV")
     sweep.add_argument("--scenario", choices=("coop", "direct", "compare"), default="coop")
     sweep.add_argument("--snr-start", type=float, default=_DEFAULT_GRID[0], metavar="DB")
     sweep.add_argument("--snr-stop", type=float, default=_DEFAULT_GRID[1], metavar="DB")
@@ -349,71 +307,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mu", default=None, metavar="LIST",
                        help="comma-separated fading severities, e.g. 1,2,3 "
                             "(default: the config's own value)")
-    sweep.add_argument("--trials", type=int, default=0,
-                       help="Monte Carlo trials per point (0 disables)")
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--chunks", type=int, default=1,
-                       help="worker chunks for Monte Carlo blocks (never changes results)")
     sweep.add_argument("--users", default=None, metavar="LIST",
                        help="subset of users: far,near (coop rows) and 1,2,... (direct rows)")
-    sweep.add_argument("--out", default=None, metavar="PATH")
     sweep.add_argument("--config", default=None, metavar="INI")
     sweep.add_argument("--oma", action="store_true",
                        help="fill the orthogonal-access baseline column")
 
-    figure = sub.add_parser("figure", help="run a committed figure preset")
+    figure = sub.add_parser("figure", parents=[_shared_flags()],
+                            help="run a committed figure preset")
     figure.add_argument("id", choices=sorted(_FIGURES), metavar="figN",
                         help="one of fig2..fig8")
-    figure.add_argument("--trials", type=int, default=0)
-    figure.add_argument("--seed", type=int, default=1)
-    figure.add_argument("--chunks", type=int, default=1)
-    figure.add_argument("--out", default=None, metavar="PATH")
+    # a figure is a sweep of its preset over the default grid, OMA column on
+    figure.set_defaults(snr_start=_DEFAULT_GRID[0], snr_stop=_DEFAULT_GRID[1],
+                        snr_step=_DEFAULT_GRID[2], users=None, config=None, oma=True)
 
-    validate = sub.add_parser("validate", help="run the exact/oracle/simulation gate")
+    validate = sub.add_parser("validate", parents=[_shared_flags()],
+                              help="run the exact/oracle/simulation gate")
     validate.add_argument("--config", default=None, metavar="INI")
-    validate.add_argument("--trials", type=int, default=1_000_000)
-    validate.add_argument("--seed", type=int, default=1)
-    validate.add_argument("--chunks", type=int, default=1)
-    validate.add_argument("--out", default=None, metavar="PATH")
+    validate.set_defaults(trials=1_000_000, mu=None, users=None)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "figure":
+        args.scenario, args.mu = _FIGURES[args.id]
+    failed = 0
     try:
-        if args.command == "sweep":
-            users = None
-            if args.users is not None:
-                users = tuple(tok for tok in args.users.replace(",", " ").split())
-                if not users:
-                    raise ConfigError("--users given but empty")
-            spec = SweepSpec(
-                scenario=args.scenario,
-                snr_db=(args.snr_start, args.snr_stop, args.snr_step),
-                mu_list=tuple(_parse_mu_list(args.mu)) if args.mu is not None else None,
-                users=users,
-                trials=args.trials,
-                seed=args.seed,
-                chunks=args.chunks,
-                with_oma=args.oma,
-                output=args.out,
-                config=args.config,
-            )
-            return cmd_sweep(spec)
-        if args.command == "figure":
-            return cmd_figure(
-                args.id, trials=args.trials, seed=args.seed,
-                chunks=args.chunks, output=args.out,
-            )
+        users = _parse_users(args.users)
+        mu_list = _parse_mu_list(args.mu)
+        _check_mc_flags(args.trials, args.seed, args.chunks)
+        batch = TrialBatch(args.trials, args.seed, args.chunks) if args.trials > 0 else None
         if args.command == "validate":
-            return cmd_validate(
-                config=args.config, trials=args.trials, seed=args.seed,
-                chunks=args.chunks, output=args.out,
-            )
-        raise AssertionError(f"unhandled command {args.command!r}")
+            cfgs = (load_config_file(args.config) if args.config is not None
+                    else {**preset_configs("coop.ini"), **preset_configs("direct.ini")})
+            report = run_validation_suite(list(cfgs.values()), _grid(*_DEFAULT_GRID), batch)
+            failed = sum(not r.passed for r in report)
+            lines = [",".join(REPORT_COLUMNS), *map(_report_line, report)]
+        else:
+            cfgs = _base_configs(args.scenario, args.config)
+            lines = _config_header(args.id, cfgs) if args.command == "figure" else []
+            lines.append(",".join(CSV_COLUMNS))
+            lines += sweep_rows(cfgs, _grid(args.snr_start, args.snr_stop, args.snr_step),
+                                mu_list=mu_list, users=users, batch=batch,
+                                with_oma=args.oma)
+        _write_lines(lines, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failed:
+        print(f"validation: {failed} of {len(report)} rows failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ and per-block failure counts are integers summed in any order.  The
 estimate therefore depends only on (seed, trials, rho), not on how blocks
 are distributed over worker threads nor on which other points or users
 the same call replays, and repeated runs are bit-identical.
-The ``NOMA_PERF_THREADS`` environment variable caps worker threads.
+``TrialBatch.chunks`` is the worker-thread count, capped by the CPU
+count and the number of blocks.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,8 +36,6 @@ from numpy.typing import ArrayLike
 from .analytic import COOP_USERS, _check_rho, decode_depth, served_users, sic_stages
 from .configs import CoopConfig, DirectConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -203,17 +201,6 @@ def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
 # Block scheduling
 # =====================================================================
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NOMA_PERF_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer NOMA_PERF_THREADS=%r", raw)
-        return os.cpu_count() or 1
-
-
 def _block_sizes(trials: int) -> list[int]:
     sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
     if trials % BLOCK_TRIALS:
@@ -232,7 +219,7 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
     parallelism cannot change the result.
     """
     sizes = _block_sizes(batch.trials)
-    workers = min(batch.chunks, _thread_cap(), len(sizes))
+    workers = min(batch.chunks, os.cpu_count() or 1, len(sizes))
     if workers <= 1:
         parts = [worker(j, n) for j, n in enumerate(sizes)]
     else:

@@ -625,3 +625,9 @@ class TestOmaBaseline:
         for cfg in (coop_preset(), direct_preset()):
             vals = [outage_oma(cfg, db_to_linear(db)) for db in (0.0, 20.0, 40.0)]
             assert vals[0] > vals[1] > vals[2] > 0.0
+
+    def test_rejects_bad_rho(self):
+        for cfg in (coop_preset(), direct_preset()):
+            for rho in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="transmit SNR rho"):
+                    outage_oma(cfg, rho)

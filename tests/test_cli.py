@@ -181,10 +181,18 @@ class TestSweep:
             ("sweep", "--scenario", "compare", "--users", "far,1,far"),
             ("sweep", "--scenario", "direct", "--users", "far"),
             ("sweep", "--trials", "-1"),
+            ("validate", "--trials", "0", "--seed", "-1"),
+            ("validate", "--trials", "0", "--chunks", "0"),
+            ("figure", "fig2", "--seed", "-1"),
+            ("figure", "fig2", "--trials", "-1"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error:") and err.count("\n") == 1, argv
+        # of two bad flags, the --mu error is the one reported
+        code, out, err = run_cli(capsys, "sweep", "--mu", "0", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --mu values must be >= 1, got '0'\n"
 
     def test_users_filter_keeps_full_sweep_rows(self, capsys):
         args = ("sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
@@ -221,6 +229,20 @@ class TestSweep:
         assert code == 0
         # 2 mu values x 9 SNR points x (far, near, OMA baseline)
         assert len(calls) == 2 * 9 * 3
+
+    def test_stage_cuts_once_per_user_and_point(self, capsys, monkeypatch):
+        calls = []
+        cuts = analytic.stage_cuts
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cuts(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "stage_cuts", counted)
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
+        assert code == 0
+        # 2 mu values x 9 SNR points x (far, near); the OMA baseline needs no cut
+        assert len(calls) == 2 * 9 * 2
 
     def test_each_block_drawn_once_per_run(self, capsys, monkeypatch):
         coop_draws, sorted_draws = [], []

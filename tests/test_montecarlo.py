@@ -335,18 +335,6 @@ class TestDeterminism:
             assert got == want
             assert all(e.trials == trials for point in points for e in point.values())
 
-    def test_thread_cap_env(self, monkeypatch):
-        cfg = coop_preset()
-        rho = db_to_linear(10.0)
-        batch = TrialBatch(BLOCK_TRIALS + 17, seed=4, chunks=4)
-        monkeypatch.setenv("NOMA_PERF_THREADS", "1")
-        capped = estimate_outage_coop(cfg, rho, batch)
-        monkeypatch.setenv("NOMA_PERF_THREADS", "4")
-        wide = estimate_outage_coop(cfg, rho, batch)
-        assert capped == wide
-        monkeypatch.setenv("NOMA_PERF_THREADS", "not-a-number")
-        assert estimate_outage_coop(cfg, rho, batch) == capped
-
 
 class TestAgreementWithClosedForms:
     def test_coop_estimates_within_sampling_error(self):

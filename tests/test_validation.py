@@ -5,7 +5,7 @@ import math
 
 import pytest
 from config_strategies import configs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import ordered_cdf_quadpack, relay_outage_quadpack
@@ -176,6 +176,8 @@ class TestOutageOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=configs(), snr_db=st.floats(0.0, 60.0))
+    @example(cfg=DirectConfig(power=(0.675, 0.225, 0.075, 0.024999999999999994),
+                              rates=(1, 1, 2, 1), omega=(1,) * 4), snr_db=0.0)
     def test_matches_exact_on_random_configs(self, cfg, snr_db):
         rho = db_to_linear(snr_db)
         for user in served_users(cfg):
