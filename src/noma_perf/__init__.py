@@ -1,18 +1,18 @@
 """Outage and throughput analysis for NOMA downlinks over Nakagami-m fading.
 
-Two deployments are covered: a two-user cooperative system assisted by a
-fixed-gain amplify-and-forward relay, and a single-slot M-user system
-with successive interference cancellation only.  The package provides
-exact closed-form outage probabilities, their high-SNR asymptotics,
-delay-limited throughput, an independent Monte Carlo simulator, and
-quadrature oracles for validating the closed forms, plus a CSV-emitting
-command line (``noma-perf``).
+Two deployments are covered, both described by one ``ScenarioConfig``: a
+two-user system assisted by a fixed-gain amplify-and-forward relay (the
+config's three relay fields set), and a single-slot M-user system with
+successive interference cancellation only (no relay fields).  The package
+provides exact closed-form outage probabilities, their high-SNR
+asymptotics, delay-limited throughput, an independent Monte Carlo
+simulator, and quadrature oracles for validating the closed forms, plus
+a CSV-emitting command line (``noma-perf``).
 """
 
 from .configs import (
     ConfigError,
-    CoopConfig,
-    DirectConfig,
+    ScenarioConfig,
     coop_preset,
     direct_preset,
     load_config_file,
@@ -59,11 +59,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonRow",
     "ConfigError",
-    "CoopConfig",
-    "DirectConfig",
     "Estimate",
     "FadingParams",
     "OrderedIndex",
+    "ScenarioConfig",
     "TrialBatch",
     "__version__",
     "coop_cuts",

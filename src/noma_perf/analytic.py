@@ -1,33 +1,33 @@
 """Closed-form outage, asymptotics, and throughput for both scenarios.
 
-Both deployments decode by successive interference cancellation, and
-:func:`sic_stages` is the one statement of that rule: the (power,
-residual power, SINR threshold) of each stage in decode order, at
-two-slot thresholds for the cooperative pair (far, then near message)
-and one-slot thresholds for the single-slot M-user system.  A served
-user must clear the stages up to its :func:`decode_depth` (far 1, near
-2, single-slot user m m).  :func:`stage_cuts` inverts each stage at a
-given transmit SNR into a gain cut, and a user's decode cut is the
-largest cut up to its depth.  A user is in outage exactly when the
-relevant gains fall below that cut, so every probability is a CDF
-evaluation.  The Monte Carlo replay reads the same stage table forward,
-on sampled gains.
+Both deployments are one ``ScenarioConfig``, with or without its relay,
+and decode by successive interference cancellation.  :func:`sic_stages`
+is the one statement of that rule: the (power, residual power, SINR
+threshold) of each stage in decode order, at two-slot thresholds for the
+relay config's pair (far, then near message) and one-slot thresholds for
+the single-slot M-user system.  A served user must clear the stages up to
+its :func:`decode_depth` (far 1, near 2, single-slot user m m).
+:func:`stage_cuts` inverts each stage at a given transmit SNR into a
+gain cut, and a user's decode cut is the largest cut up to its depth.  A
+user is in outage exactly when the relevant gains fall below that cut,
+so every probability is a CDF evaluation.  The Monte Carlo replay reads
+the same stage table forward, on sampled gains.
 
-Cooperative scenario: each message also travels, in a second slot,
-over a fixed-gain amplify-and-forward relay; the two branches fail
+With a relay, each message also travels, in a second slot, over a
+fixed-gain amplify-and-forward relay; the two branches fail
 independently, so the outage is the product of the direct factor
 (ordered CDF at the cut) and the relay factor.  The relay factor has a
-closed form in modified Bessel functions of the second kind, obtained
-by integrating the first-hop density against the conditional second-hop
-CDF (Gradshteyn-Ryzhik 3.471.9).  It is evaluated in double precision
-on two paths: the Bessel sum 1 - sum K_nu while that stays at or above
-1e-6, and below it, where the sum cancels against 1, a deep branch that
+closed form in modified Bessel functions of the second kind, obtained by
+integrating the first-hop density against the conditional second-hop CDF
+(Gradshteyn-Ryzhik 3.471.9).  It is evaluated in double precision on two
+paths: the Bessel sum 1 - sum K_nu while that stays at or above 1e-6,
+and below it, where the sum cancels against 1, a deep branch that
 expands every K_n by DLMF 10.31.1, sums the cancelling terms exactly in
 rational arithmetic and adds a non-negative series to an incomplete
 gamma function.
 
-Non-cooperative scenario: the outage of user m is the ordered CDF of
-its gain at its decode cut.
+Without a relay, the outage of user m is the ordered CDF of its gain at
+its decode cut.
 
 High-SNR behaviour replaces the ordered CDF of the direct link by its
 leading small-argument term, which exposes the decay exponents directly;
@@ -38,7 +38,7 @@ term is implemented yet.
 :func:`user_link` is the one map from a served user to its direct-link
 law, sort index, decode cut and relay mean; the quadrature oracle in
 ``validation`` reads the same map.  :func:`user_outage` evaluates both
-forms for any served user of either scenario from one cut and one relay
+forms for any served user of either deployment from one cut and one relay
 evaluation; the per-user functions
 (``outage_far_exact`` and the like) are views of it, and the throughput
 is a sum over the served users' exact outages.
@@ -47,7 +47,6 @@ is a sum over the served users' exact outages.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import warnings
 from typing import Iterable, Sequence
@@ -55,7 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .configs import CoopConfig, DirectConfig
+from .configs import ScenarioConfig
 from .fading import (
     FadingParams,
     OrderedIndex,
@@ -63,8 +62,6 @@ from .fading import (
     ordered_cdf_small_arg,
 )
 from .numerics import bessel_k_scaled, log_binomial, log_gamma
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "COOP_USERS",
@@ -127,16 +124,13 @@ def threshold_snr(rate: float, slots: int) -> float:
     return 2.0 ** (slots * rate) - 1.0
 
 
-def served_users(cfg: CoopConfig | DirectConfig) -> tuple:
-    """Served users of ``cfg`` in report order: ``('far', 'near')`` or 1..M."""
-    if isinstance(cfg, CoopConfig):
-        return COOP_USERS
-    if isinstance(cfg, DirectConfig):
-        return tuple(range(1, cfg.n_users + 1))
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+def served_users(cfg: ScenarioConfig) -> tuple:
+    """Served users of ``cfg`` in report order: ``('far', 'near')`` with a
+    relay, 1..M without."""
+    return COOP_USERS if cfg.has_relay else tuple(range(1, cfg.n_users + 1))
 
 
-def decode_depth(cfg: CoopConfig | DirectConfig, user: str | int) -> int:
+def decode_depth(cfg: ScenarioConfig, user: str | int) -> int:
     """Number of leading :func:`sic_stages` that served user ``user`` must clear.
 
     It is the user's position in decode order: 1 for ``'far'``, 2 for
@@ -151,30 +145,24 @@ def decode_depth(cfg: CoopConfig | DirectConfig, user: str | int) -> int:
     return served.index(user) + 1
 
 
-def sic_stages(cfg: CoopConfig | DirectConfig) -> tuple[tuple[float, float, float], ...]:
+def sic_stages(cfg: ScenarioConfig) -> tuple[tuple[float, float, float], ...]:
     """(power, residual power, SINR threshold) of each SIC stage, in decode order.
 
     Stage i decodes message i against the residual interference of the
     messages after it, so a receiver with power gain g at transmit SNR
     rho sees the SINR g * power * rho / (g * residual * rho + 1); the
-    last stage has no residual.  The cooperative pair has two stages,
-    the far then the near message, at two-slot thresholds; the
-    single-slot system has one stage per served user at one-slot
-    thresholds.  This table is the one statement of the decode rule:
-    :func:`stage_cuts` inverts it into gain cuts and the Monte Carlo
-    replay (``montecarlo.stage_failures``) evaluates it on sampled gains.
+    last stage has no residual.  There is one stage per served user, at
+    two-slot thresholds with a relay and one-slot thresholds without.
+    This table is the one statement of the decode rule: :func:`stage_cuts`
+    inverts it into gain cuts and the Monte Carlo replay
+    (``montecarlo.stage_failures``) evaluates it on sampled gains.
     """
-    if isinstance(cfg, CoopConfig):
-        powers, rates, slots = (cfg.power_far, cfg.power_near), (cfg.rate_far, cfg.rate_near), 2
-    elif isinstance(cfg, DirectConfig):
-        powers, rates, slots = cfg.power, cfg.rates, 1
-    else:
-        raise TypeError(f"unsupported config type {type(cfg).__name__}")
-    return tuple([(powers[i], math.fsum(powers[i + 1:]), threshold_snr(rates[i], slots))
-                  for i in range(len(powers))])
+    powers, slots = cfg.power, 2 if cfg.has_relay else 1
+    return tuple([(powers[i], math.fsum(powers[i + 1:]), threshold_snr(rate, slots))
+                  for i, rate in enumerate(cfg.rates)])
 
 
-def stage_cuts(cfg: CoopConfig | DirectConfig, rho: float) -> tuple[float, ...]:
+def stage_cuts(cfg: ScenarioConfig, rho: float) -> tuple[float, ...]:
     """Per-stage gain cuts of the SIC chain at transmit SNR ``rho``.
 
     Entry i (0-based) is the least gain that clears stage i of
@@ -432,8 +420,8 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     return _relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale)
 
 
-def relay_outage(cfg: CoopConfig, cut: float) -> float:
-    """Relay-branch outage of a served user of ``cfg`` at gain cut ``cut``."""
+def relay_outage(cfg: ScenarioConfig, cut: float) -> float:
+    """Relay-branch outage of a served user of relay config ``cfg`` at cut ``cut``."""
     return relay_outage_closed(
         cut,
         mu=cfg.mu,
@@ -447,42 +435,39 @@ def relay_outage(cfg: CoopConfig, cut: float) -> float:
 # Exact and high-SNR outage of one served user
 # =====================================================================
 
-def user_link(cfg: CoopConfig | DirectConfig, rho: float,
+def user_link(cfg: ScenarioConfig, rho: float,
               user: str | int) -> tuple[FadingParams, OrderedIndex, float, float | None]:
     """Direct-link law, sort index, decode cut and relay mean of one served user.
 
     ``user`` must be one of :func:`served_users` of ``cfg``, equal in
-    type and value: ``'far'``/``'near'`` for a :class:`CoopConfig`, the
-    1-based served index (an ``int``) for a :class:`DirectConfig`.  The
-    decode cut at transmit SNR ``rho`` is the largest :func:`stage_cuts`
-    entry up to the user's :func:`decode_depth`: the far-message cut for
+    type and value: ``'far'``/``'near'`` with a relay, the 1-based
+    served index (an ``int``) without.  The decode cut at transmit SNR
+    ``rho`` is the largest :func:`stage_cuts` entry up to the user's
+    :func:`decode_depth`: the far-message cut for
     ``'far'``, the larger of that cut (SIC stage) and the near-message
     cut for ``'near'``, the running maximum up to stage m for single-slot
-    user m.  Single-slot users have no relay branch, so their relay mean
-    is None.
+    user m.  Without a relay the relay mean is None.
     """
     depth = decode_depth(cfg, user)
     cut = max(stage_cuts(cfg, rho)[:depth])
-    params, idx, omega_rd = _user_law(cfg, user)
+    params, idx, omega_rd = _user_law(cfg, depth - 1)
     return params, idx, cut, omega_rd
 
 
-def _user_law(cfg: CoopConfig | DirectConfig,
-              user: str | int) -> tuple[FadingParams, OrderedIndex, float | None]:
-    """The SNR-free part of :func:`user_link`: law, sort index and relay mean."""
-    if isinstance(cfg, CoopConfig):
-        return (FadingParams(cfg.mu, cfg.omega_sd), OrderedIndex(cfg.rank(user), cfg.users),
-                cfg.omega_rd)
-    return (FadingParams(cfg.mu, cfg.omega[user - 1]),
-            OrderedIndex(cfg.ranks[user - 1], cfg.pool), None)
+def _user_law(cfg: ScenarioConfig,
+              k: int) -> tuple[FadingParams, OrderedIndex, float | None]:
+    """The SNR-free part of :func:`user_link` for the ``k``-th (0-based)
+    served user: law, sort index and relay mean."""
+    return (FadingParams(cfg.mu, cfg.omega[k]), OrderedIndex(cfg.ranks[k], cfg.pool),
+            cfg.omega_rd)
 
 
-def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
+def _outage_factors(cfg: ScenarioConfig, rho: float,
                     user: str | int) -> tuple[float, float, float]:
     """Direct factor, its small-argument leading term, and relay factor of one user.
 
     Evaluated at the decode cut of :func:`user_link`; the relay factor of
-    a single-slot user is 1.  An infeasible cut gives (1, 1, 1) and a
+    a user without a relay is 1.  An infeasible cut gives (1, 1, 1) and a
     zero cut (zero rates) gives (0, 0, 0).
     """
     params, idx, cut, omega_rd = user_link(cfg, rho, user)
@@ -494,7 +479,7 @@ def _outage_factors(cfg: CoopConfig | DirectConfig, rho: float,
     return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
 
 
-def user_outage(cfg: CoopConfig | DirectConfig, rho: float,
+def user_outage(cfg: ScenarioConfig, rho: float,
                 user: str | int) -> tuple[float, float]:
     """Exact and high-SNR outage of one served user at transmit SNR ``rho``.
 
@@ -515,42 +500,42 @@ def user_outage(cfg: CoopConfig | DirectConfig, rho: float,
     return direct * relay, min(1.0, lead * relay)
 
 
-def far_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
+def far_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
     """(direct, relay) branch outage factors of the far user."""
     return _outage_factors(cfg, rho, "far")[::2]
 
 
-def near_outage_parts(cfg: CoopConfig, rho: float) -> tuple[float, float]:
+def near_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
     """(direct, relay) branch outage factors of the near user."""
     return _outage_factors(cfg, rho, "near")[::2]
 
 
-def outage_far_exact(cfg: CoopConfig, rho: float) -> float:
+def outage_far_exact(cfg: ScenarioConfig, rho: float) -> float:
     """Exact outage probability of the far user at transmit SNR ``rho``."""
     return user_outage(cfg, rho, "far")[0]
 
 
-def outage_near_exact(cfg: CoopConfig, rho: float) -> float:
+def outage_near_exact(cfg: ScenarioConfig, rho: float) -> float:
     """Exact outage probability of the near user at transmit SNR ``rho``."""
     return user_outage(cfg, rho, "near")[0]
 
 
-def outage_direct_exact(cfg: DirectConfig, rho: float, user: int) -> float:
+def outage_direct_exact(cfg: ScenarioConfig, rho: float, user: int) -> float:
     """Exact outage of served user ``user`` (1-based) in the single-slot system."""
     return user_outage(cfg, rho, user)[0]
 
 
-def outage_far_asymptotic(cfg: CoopConfig, rho: float) -> float:
+def outage_far_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
     """High-SNR outage of the far user at transmit SNR ``rho``."""
     return user_outage(cfg, rho, "far")[1]
 
 
-def outage_near_asymptotic(cfg: CoopConfig, rho: float) -> float:
+def outage_near_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
     """High-SNR outage of the near user at transmit SNR ``rho``."""
     return user_outage(cfg, rho, "near")[1]
 
 
-def outage_direct_asymptotic(cfg: DirectConfig, rho: float, user: int) -> float:
+def outage_direct_asymptotic(cfg: ScenarioConfig, rho: float, user: int) -> float:
     """High-SNR outage of served user ``user`` (1-based) in the single-slot system."""
     return user_outage(cfg, rho, user)[1]
 
@@ -594,47 +579,41 @@ def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
 # Throughput and orthogonal-access baseline
 # =====================================================================
 
-def _target_rates(cfg: CoopConfig | DirectConfig) -> tuple[float, ...]:
-    """Target rates of the served users, in :func:`served_users` order."""
-    return (cfg.rate_far, cfg.rate_near) if isinstance(cfg, CoopConfig) else cfg.rates
-
-
-def throughput(cfg: CoopConfig | DirectConfig, exact: Sequence[float]) -> float:
+def throughput(cfg: ScenarioConfig, exact: Sequence[float]) -> float:
     """Delay-limited throughput in bit/s/Hz from the served users' exact outages.
 
     ``exact`` holds the exact outage of each user of :func:`served_users`,
     in that order.  Each user contributes its target rate scaled by its
     success probability, so the ceiling is the sum of the target rates.
     """
-    rates = _target_rates(cfg)
-    return math.fsum((1.0 - p) * rate for p, rate in zip(exact, rates, strict=True))
+    return math.fsum((1.0 - p) * rate for p, rate in zip(exact, cfg.rates, strict=True))
 
 
-def throughput_coop(cfg: CoopConfig, rho: float) -> float:
+def throughput_coop(cfg: ScenarioConfig, rho: float) -> float:
     """Delay-limited throughput of the cooperative pair in bit/s/Hz."""
     return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
 
 
-def throughput_direct(cfg: DirectConfig, rho: float) -> float:
+def throughput_direct(cfg: ScenarioConfig, rho: float) -> float:
     """Delay-limited throughput of the single-slot system in bit/s/Hz."""
     return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
 
 
-def outage_oma(cfg: CoopConfig | DirectConfig, rho: float) -> float:
+def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
     """Outage of an orthogonal-access baseline carrying the same total rate.
 
     The strongest served user, the last of :func:`served_users` (the
     near user, or single-slot user M), is scheduled alone at the sum of
     the target rates, with its direct-link law and sort index as in
-    :func:`user_link`.  For the cooperative deployment the relay still
-    serves that user in the second slot (selection over both branches,
-    each with the two-slot threshold cut); the single-slot deployment
-    keeps one slot and one user.  A zero total rate gives a zero cut and
+    :func:`user_link`.  With a relay, the relay still serves that user in
+    the second slot (selection over both branches, each with the two-slot
+    threshold cut); without one, the baseline keeps one slot and one
+    user.  A zero total rate gives a zero cut and
     an outage of exactly 0.
     """
-    params, idx, omega_rd = _user_law(cfg, served_users(cfg)[-1])
+    params, idx, omega_rd = _user_law(cfg, cfg.n_users - 1)
     rho = _check_rho(rho)
     slots = 1 if omega_rd is None else 2
-    cut = threshold_snr(math.fsum(_target_rates(cfg)), slots) / rho
+    cut = threshold_snr(math.fsum(cfg.rates), slots) / rho
     direct = ordered_cdf(params, idx, cut)
     return direct if omega_rd is None else direct * relay_outage(cfg, cut)

@@ -40,8 +40,7 @@ from .analytic import (
 )
 from .configs import (
     ConfigError,
-    CoopConfig,
-    DirectConfig,
+    ScenarioConfig,
     load_config_file,
     preset_configs,
     with_mu,
@@ -151,13 +150,12 @@ def _fmt_header_value(value) -> str:
     return str(value)
 
 
-def _config_header(figure: str, cfgs: dict[str, CoopConfig | DirectConfig]) -> list[str]:
+def _config_header(figure: str, cfgs: dict[str, ScenarioConfig]) -> list[str]:
     lines = [f"# figure = {figure}"]
-    for scenario in ("coop", "direct"):
-        if scenario not in cfgs:
-            continue
-        for key, value in asdict(cfgs[scenario]).items():
-            lines.append(f"# {scenario}.{key} = {_fmt_header_value(value)}")
+    for scenario, cfg in cfgs.items():
+        # a config without a relay leaves the relay fields None: not echoed
+        lines += [f"# {scenario}.{key} = {_fmt_header_value(value)}"
+                  for key, value in asdict(cfg).items() if value is not None]
     return lines
 
 
@@ -177,7 +175,7 @@ def _write_lines(lines: Sequence[str], out_path: str | None) -> None:
 # Sweep evaluation
 # =====================================================================
 
-def _base_configs(scenario: str, config: str | None) -> dict[str, CoopConfig | DirectConfig]:
+def _base_configs(scenario: str, config: str | None) -> dict[str, ScenarioConfig]:
     if config is not None:
         cfgs = load_config_file(config)
     elif scenario == "compare":
@@ -192,7 +190,7 @@ def _base_configs(scenario: str, config: str | None) -> dict[str, CoopConfig | D
 
 
 def _selected_users(users: tuple[str, ...] | None,
-                    cfgs: dict[str, CoopConfig | DirectConfig]) -> dict[str, tuple]:
+                    cfgs: dict[str, ScenarioConfig]) -> dict[str, tuple]:
     """Users each scenario emits rows for, in ``--users`` order.
 
     ``far``/``near`` select coop rows and integers select direct rows, so
@@ -224,7 +222,7 @@ def _selected_users(users: tuple[str, ...] | None,
     return {scenario: tuple(names) for scenario, names in picked.items()}
 
 
-def sweep_rows(cfgs: dict[str, CoopConfig | DirectConfig], grid: Sequence[float], *,
+def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
                mu_list: Sequence[int] | None = None, users: tuple[str, ...] | None = None,
                batch: TrialBatch | None = None, with_oma: bool = False) -> list[str]:
     """CSV rows (without header) of a sweep of ``cfgs`` over the dB ``grid``.

@@ -1,41 +1,36 @@
-"""Scenario configuration containers, canonical presets, and INI loading.
+"""Scenario configuration container, canonical presets, and INI loading.
 
-Two deployments are modelled.  ``CoopConfig`` describes a two-user
-downlink where a far user (weak direct link, low sort rank) and a near
-user (strong direct link, high sort rank) are picked from a pool of M
-sorted users and additionally served through a fixed-gain amplify-and-
-forward relay over a second time slot.  ``DirectConfig`` describes a
-single-slot downlink serving every user by superposition coding with
-successive interference cancellation and no relay.
+One frozen dataclass, ``ScenarioConfig``, describes both deployments of
+the paper.  Each serves ordered users by superposition coding with
+successive interference cancellation: the served users sit at sort
+positions ``ranks`` of a pool of ``pool`` i.i.d. direct links, user m
+with power fraction ``power[m]``, target rate ``rates[m]`` and mean
+direct-link gain ``omega[m]``.  Without a relay this is the single-slot
+M-user system, users 1..M.  With the three relay fields (``relay_gain``
+G, whose noise constant 1/G**2 is derived, the source-relay mean
+``omega_sr`` and the relay-user mean ``omega_rd``) a fixed-gain
+amplify-and-forward relay repeats the superposed signal in a second
+time slot, and exactly two users are served, reported as far and near.
 
-The cooperative model is the paper's: both served users come from one
-i.i.d. pool of direct links with mean ``omega_sd``, the relay has one
-fixed gain G (``relay_gain``; its noise constant 1/G**2 is derived), the
-source-relay hop has mean ``omega_sr`` and both relay-to-user hops have
-mean ``omega_rd``.
-
-Every setting has one spelling.  Configs are frozen dataclasses
-validated on construction; the CLI builds them from INI files whose
-section keys are exactly the dataclass fields, each section read
-through one table of its keys' parsers, so any other key is an
-"unknown keys" error.
+Every setting has one spelling.  Configs are validated on construction;
+the CLI builds them from INI files whose section keys are exactly the
+dataclass fields, read through one table of their parsers: a ``[coop]``
+section is a ``[direct]`` section plus the three relay keys, so any
+other key is an "unknown keys" error.
 """
 
 from __future__ import annotations
 
 import configparser
-import logging
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "ConfigError",
-    "CoopConfig",
-    "DirectConfig",
+    "MAX_RELAY_MU",
+    "ScenarioConfig",
     "coop_preset",
     "direct_preset",
     "load_config_file",
@@ -45,6 +40,17 @@ __all__ = [
 ]
 
 _POWER_SUM_TOL = 1e-9
+
+#: largest fading severity a relay config accepts.  Just below its
+#: deep-branch switch the relay closed form agrees with the quadrature
+#: oracle to 3e-11 and takes at most 10 s from a cold cache up to mu = 40
+#: (relay gains 0.001 to 3); at 41 its double-precision series
+#: overflows there and it returns inf, and from about 100 one call
+#: takes minutes
+MAX_RELAY_MU = 40
+
+#: the fields a relay config sets and a config without one leaves None
+_RELAY_FIELDS = ("relay_gain", "omega_sr", "omega_rd")
 
 
 class ConfigError(ValueError):
@@ -63,100 +69,9 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-# =====================================================================
-# Cooperative (relay-assisted) two-user scenario
-# =====================================================================
-
 @dataclass(frozen=True)
-class CoopConfig:
-    """Relay-assisted two-user downlink over Nakagami-m fading.
-
-    Attributes
-    ----------
-    users : int
-        Pool size M of sorted direct links.
-    far_rank, near_rank : int
-        1-based ascending sort positions of the served far and near user;
-        ``far_rank < near_rank``.
-    power_far, power_near : float
-        Superposition power fractions; sum to 1 with the far user favored.
-    rate_far, rate_near : float
-        Target rates in bit/s/Hz; the two-slot protocol doubles the SNR
-        thresholds relative to single-slot signalling.  Zero is allowed
-        and makes the corresponding outage trivially zero.
-    relay_gain : float
-        Fixed amplification factor G of the relay; the noise it forwards
-        is scaled by ``noise_scale`` = 1 / G**2.
-    mu : int
-        Integer fading severity shared by all links.
-    omega_sd : float
-        Mean direct-link power gain of the sorted pool.
-    omega_sr, omega_rd : float
-        Mean gains of the source-relay hop and the relay-user hops.
-    """
-
-    users: int
-    far_rank: int
-    near_rank: int
-    power_far: float
-    power_near: float
-    rate_far: float
-    rate_near: float
-    relay_gain: float = 0.9
-    mu: int = 1
-    omega_sd: float = 1.0
-    omega_sr: float = 4.0
-    omega_rd: float = 4.0
-
-    def __post_init__(self) -> None:
-        for name, low in (("users", 2), ("far_rank", 1), ("near_rank", 1), ("mu", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
-        if self.near_rank > self.users:
-            raise ConfigError(f"near_rank must not exceed users, got {self.near_rank}")
-        if self.far_rank >= self.near_rank:
-            raise ConfigError(
-                f"far_rank must be below near_rank, got {self.far_rank} >= {self.near_rank}"
-            )
-        _check_positive("power_far", self.power_far)
-        _check_positive("power_near", self.power_near)
-        if self.power_far <= self.power_near:
-            raise ConfigError(
-                "power_far must exceed power_near (far user is decoded first), "
-                f"got {self.power_far} <= {self.power_near}"
-            )
-        if abs(self.power_far + self.power_near - 1.0) > _POWER_SUM_TOL:
-            raise ConfigError(
-                f"power_far + power_near must equal 1, got {self.power_far + self.power_near}"
-            )
-        for name in ("rate_far", "rate_near"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
-        for name in ("relay_gain", "omega_sd", "omega_sr", "omega_rd"):
-            _check_positive(name, getattr(self, name))
-
-    # -- derived quantities -------------------------------------------
-
-    @property
-    def noise_scale(self) -> float:
-        """Relay noise constant 1 / relay_gain**2."""
-        return 1.0 / (self.relay_gain * self.relay_gain)
-
-    def rank(self, user: str) -> int:
-        if user == "far":
-            return self.far_rank
-        if user == "near":
-            return self.near_rank
-        raise ValueError(f"user must be 'far' or 'near', got {user!r}")
-
-
-# =====================================================================
-# Non-cooperative M-user scenario
-# =====================================================================
-
-@dataclass(frozen=True)
-class DirectConfig:
-    """Single-slot M-user downlink with superposition coding and SIC.
+class ScenarioConfig:
+    """NOMA downlink over Nakagami-m fading, with or without a fixed-gain relay.
 
     Attributes
     ----------
@@ -164,18 +79,33 @@ class DirectConfig:
         Power fractions per served user, strictly descending, summing
         to 1.  User 1 gets the most power and is decoded first.
     rates : tuple of float
-        Target rates in bit/s/Hz per served user, strictly positive.
+        Target rates in bit/s/Hz per served user, finite and >= 0.  Zero
+        makes that user's outage trivially zero.  The relay's two-slot
+        protocol doubles the SNR thresholds relative to one slot.
     omega : tuple of float
-        Mean power gain per served user (statistically ordered users
-        have ascending means, but any positive values are accepted).
+        Mean direct-link power gain per served user (statistically
+        ordered users have ascending means, but any positive values are
+        accepted).
     mu : int
-        Integer fading severity shared by all users.
+        Integer fading severity shared by all links; at most
+        ``MAX_RELAY_MU`` with a relay.
     ranks : tuple of int or None
         Ascending 1-based sort positions of the served users inside a
         pool of ``pool`` i.i.d. links.  Default: users 1..M of a pool of
         size M, which is the fully loaded system.
     pool : int or None
-        Sorted pool size; defaults to ``len(power)`` (or ``max(ranks)``).
+        Sorted pool size; defaults to ``max(ranks)`` (``len(power)``
+        with default ranks).
+    relay_gain : float or None
+        Fixed amplification factor G of the relay; the noise it forwards
+        is scaled by ``noise_scale`` = 1 / G**2, which must be finite
+        and > 0.
+    omega_sr, omega_rd : float or None
+        Mean gains of the source-relay hop and the relay-user hops.
+
+    The three relay fields are given together or not at all.  A relay
+    config serves exactly two users, reported as ``'far'`` and
+    ``'near'``; one without serves users 1..M in a single slot.
     """
 
     power: tuple[float, ...]
@@ -184,6 +114,9 @@ class DirectConfig:
     mu: int = 1
     ranks: tuple[int, ...] | None = None
     pool: int | None = None
+    relay_gain: float | None = None
+    omega_sr: float | None = None
+    omega_rd: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "power", tuple(float(a) for a in self.power))
@@ -204,7 +137,8 @@ class DirectConfig:
         if abs(sum(self.power) - 1.0) > _POWER_SUM_TOL:
             raise ConfigError(f"power must sum to 1, got {sum(self.power)}")
         for i, r in enumerate(self.rates, start=1):
-            _check_positive(f"rates[{i}]", r)
+            if not (math.isfinite(r) and r >= 0):
+                raise ConfigError(f"rates[{i}] must be finite and >= 0, got {r!r}")
         for i, w in enumerate(self.omega, start=1):
             _check_positive(f"omega[{i}]", w)
         object.__setattr__(self, "mu", _integer("mu", self.mu, 1))
@@ -219,18 +153,54 @@ class DirectConfig:
             raise ConfigError(f"pool must be >= max rank {ranks[-1]}, got {pool}")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "pool", pool)
+        given = [name for name in _RELAY_FIELDS if getattr(self, name) is not None]
+        if given:
+            self._check_relay(given)
+
+    def _check_relay(self, given: list[str]) -> None:
+        if len(given) != len(_RELAY_FIELDS):
+            raise ConfigError(
+                f"relay_gain, omega_sr and omega_rd must be given together, got only {given}"
+            )
+        if len(self.power) != 2:
+            raise ConfigError(
+                f"a relay config serves exactly two users, got {len(self.power)}"
+            )
+        for name in _RELAY_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+            _check_positive(name, getattr(self, name))
+        square = self.relay_gain * self.relay_gain
+        if not (square > 0 and 0 < 1.0 / square < math.inf):
+            raise ConfigError(
+                f"relay_gain must give a finite noise constant 1/relay_gain**2 > 0, "
+                f"got relay_gain = {self.relay_gain}"
+            )
+        if self.mu > MAX_RELAY_MU:
+            raise ConfigError(f"mu must be <= {MAX_RELAY_MU} with a relay, got {self.mu}")
+
+    @property
+    def has_relay(self) -> bool:
+        """Whether a fixed-gain relay serves the (two) users in a second slot."""
+        return self.relay_gain is not None
 
     @property
     def n_users(self) -> int:
         """Number of served users M."""
         return len(self.power)
 
+    @property
+    def noise_scale(self) -> float | None:
+        """Relay noise constant 1 / relay_gain**2, None without a relay."""
+        if self.relay_gain is None:
+            return None
+        return 1.0 / (self.relay_gain * self.relay_gain)
+
 
 # =====================================================================
 # Canonical presets (committed INI files are the source of truth)
 # =====================================================================
 
-def preset_configs(name: str) -> dict[str, "CoopConfig | DirectConfig"]:
+def preset_configs(name: str) -> dict[str, ScenarioConfig]:
     """Load a committed preset file by name ('coop', 'direct', 'comparison')."""
     from importlib import resources
 
@@ -242,18 +212,18 @@ def preset_configs(name: str) -> dict[str, "CoopConfig | DirectConfig"]:
     return load_config_text(text, f"preset {filename}")
 
 
-def coop_preset(mu: int = 1) -> CoopConfig:
-    """Reference cooperative setup: pool of 5, weakest and strongest served.
+def coop_preset(mu: int = 1) -> ScenarioConfig:
+    """Reference relay setup: pool of 5, weakest and strongest served.
 
-    Far/near power split 0.8/0.2, target rates 1 and 1.5 bit/s/Hz, relay
-    gain 0.9, relay halfway along a unit path with square-law pathloss
-    (both hop means equal 4), unit direct-link mean.
+    Far/near power split 0.8/0.2, target rates 1 and 1.5 bit/s/Hz, unit
+    direct-link means, relay gain 0.9, relay halfway along a unit path
+    with square-law pathloss (both hop means equal 4).
     """
     return with_mu(preset_configs("coop")["coop"], mu)
 
 
-def direct_preset(mu: int = 1) -> DirectConfig:
-    """Reference non-cooperative setup: three users, ascending link quality.
+def direct_preset(mu: int = 1) -> ScenarioConfig:
+    """Reference single-slot setup: three users, ascending link quality.
 
     Power split 0.5/0.4/0.1, rates 0.2/1/2 bit/s/Hz, mean gains
     0.3/1.5/5.
@@ -275,32 +245,30 @@ _INTEGER = (int, "an integer")
 _NUMBERS = (lambda raw: tuple(float(tok) for tok in _tokens(raw)), "a number list")
 _INTEGERS = (lambda raw: tuple(int(tok) for tok in _tokens(raw)), "an integer list")
 
-#: every key of a [coop] section: the CoopConfig fields
-_COOP_KEYS = {
-    "users": _INTEGER, "far_rank": _INTEGER, "near_rank": _INTEGER,
-    "power_far": _NUMBER, "power_near": _NUMBER, "rate_far": _NUMBER,
-    "rate_near": _NUMBER, "relay_gain": _NUMBER, "mu": _INTEGER,
-    "omega_sd": _NUMBER, "omega_sr": _NUMBER, "omega_rd": _NUMBER,
-}
-#: every key of a [direct] section: the DirectConfig fields
-_DIRECT_KEYS = {
+#: every key of a scenario section: the ScenarioConfig fields
+_KEYS = {
     "power": _NUMBERS, "rates": _NUMBERS, "omega": _NUMBERS,
     "mu": _INTEGER, "ranks": _INTEGERS, "pool": _INTEGER,
+    "relay_gain": _NUMBER, "omega_sr": _NUMBER, "omega_rd": _NUMBER,
 }
 
 
-def _read_section(section, keys: dict, cls: type, where: str) -> dict:
-    """Parsed values of ``section`` by key; every key must be in ``keys``
-    and every field of ``cls`` without a default must be given."""
+def _read_section(section, relay: bool, where: str) -> dict:
+    """Parsed values of ``section`` by key.  A [coop] section (``relay``)
+    takes every key of ``_KEYS`` and a [direct] section every key but the
+    relay fields; both must give each field without a default, and
+    [coop] also the relay fields."""
+    keys = [key for key in _KEYS if relay or key not in _RELAY_FIELDS]
     unknown = set(section.keys()) - set(keys)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for field in fields(cls):
-        if field.default is MISSING and field.name not in section:
+    for field in fields(ScenarioConfig):
+        required = field.default is MISSING or (relay and field.name in _RELAY_FIELDS)
+        if required and field.name not in section:
             raise ConfigError(f"{where}: missing required key '{field.name}'")
     kwargs = {}
     for key, raw in section.items():
-        parse, what = keys[key]
+        parse, what = _KEYS[key]
         try:
             kwargs[key] = parse(raw)
         except ValueError as exc:
@@ -308,10 +276,11 @@ def _read_section(section, keys: dict, cls: type, where: str) -> dict:
     return kwargs
 
 
-def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectConfig]:
+def load_config_text(text: str, source: str) -> dict[str, ScenarioConfig]:
     """Parse INI text with [coop] and/or [direct] sections into configs.
 
-    Returns a dict keyed by scenario name.  Raises :class:`ConfigError`
+    Returns a dict keyed by scenario name: the [coop] config has the
+    relay, the [direct] one has none.  Raises :class:`ConfigError`
     naming ``source`` plus the offending section/key for malformed input.
     """
     parser = configparser.ConfigParser()
@@ -325,17 +294,17 @@ def load_config_text(text: str, source: str) -> dict[str, CoopConfig | DirectCon
         raise ConfigError(
             f"{source}: unknown sections {sorted(unknown)} (expected [coop]/[direct])"
         )
-    out: dict[str, CoopConfig | DirectConfig] = {}
-    for name, keys, cls in (("coop", _COOP_KEYS, CoopConfig),
-                            ("direct", _DIRECT_KEYS, DirectConfig)):
+    out: dict[str, ScenarioConfig] = {}
+    for name in ("coop", "direct"):
         if parser.has_section(name):
-            out[name] = cls(**_read_section(parser[name], keys, cls, f"{source} [{name}]"))
+            out[name] = ScenarioConfig(
+                **_read_section(parser[name], name == "coop", f"{source} [{name}]"))
     if not out:
         raise ConfigError(f"{source}: no [coop] or [direct] section found")
     return out
 
 
-def load_config_file(path: str | Path) -> dict[str, CoopConfig | DirectConfig]:
+def load_config_file(path: str | Path) -> dict[str, ScenarioConfig]:
     """Parse an INI file with optional [coop] and [direct] sections."""
     path = Path(path)
     try:
@@ -345,6 +314,6 @@ def load_config_file(path: str | Path) -> dict[str, CoopConfig | DirectConfig]:
     return load_config_text(text, str(path))
 
 
-def with_mu(cfg: CoopConfig | DirectConfig, mu: int):
+def with_mu(cfg: ScenarioConfig, mu: int) -> ScenarioConfig:
     """Copy of ``cfg`` with the fading severity replaced."""
     return replace(cfg, mu=mu)

@@ -4,9 +4,9 @@ Estimators replay the decoding chain on sampled channel gains and count
 failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
 the one statement of the decode rule that the closed form also inverts
 into gain cuts; here it is evaluated forward, as SINR comparisons, by
-one stage test (:func:`stage_failures`).  Cooperative users run it on
-their direct gain and on the relay's effective gain and fail when both
-branches fail; single-slot users run it on their one gain.  Nothing
+one stage test (:func:`stage_failures`).  With a relay, each user runs
+it on its direct gain and on the relay's effective gain and fails when
+both branches fail; without one, on its one gain.  Nothing
 else of the analytic layer is shared: no cut, CDF or relay closed form.
 The tests label every trial a second time from the decode cuts of
 ``analytic.user_link`` and check that both routes agree trial by trial,
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import COOP_USERS, _check_rho, decode_depth, served_users, sic_stages
-from .configs import CoopConfig, DirectConfig
+from .configs import ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
 __all__ = [
@@ -97,33 +97,42 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One block of cooperative-scenario channel gains.
+    """One block of relay-config channel gains.
 
-    ``direct`` holds the ascending-sorted pool of direct-link gains,
-    shape (n, users); ``relay`` the far and near user's effective
-    relay-branch gains (see :func:`draw_coop_block`), each shape (n,).
+    ``direct`` holds the far and near user's direct-link gains and
+    ``relay`` their effective relay-branch gains (see
+    :func:`draw_coop_block`), each shape (n,).
     """
 
-    direct: np.ndarray
+    direct: tuple[np.ndarray, np.ndarray]
     relay: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        n = self.direct.shape[0]
-        if self.direct.ndim != 2:
-            raise ValueError("direct must be 2-D (trials, users)")
-        if len(self.relay) != len(COOP_USERS):
-            raise ValueError(f"relay must hold one gain array per user {COOP_USERS}")
-        for user, arr in zip(COOP_USERS, self.relay):
-            if arr.shape != (n,):
-                raise ValueError(f"{user} relay gains must have shape ({n},), got {arr.shape}")
+        if len(self.direct) != len(COOP_USERS) or len(self.relay) != len(COOP_USERS):
+            raise ValueError(f"direct and relay must hold one gain array per user {COOP_USERS}")
+        shapes = {np.shape(arr) for arr in (*self.direct, *self.relay)}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError(f"gain arrays must share one shape (n,), got {shapes}")
 
 
 # =====================================================================
 # Sampling
 # =====================================================================
 
-def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> ChannelDraw:
-    """Sample ``n`` trials of all cooperative-scenario gains.
+def _served_gains(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Direct-link gains of each served user over ``n`` trials.
+
+    The pool is drawn once at unit scale (omega / mu == 1.0, so the sums
+    are not rescaled) and each user's column is scaled afterwards.
+    Sorting commutes with a positive scale and rounding is monotone, so
+    this equals sorting a pool drawn at the user's own mean, bit for bit.
+    """
+    pool = sample_sorted_gains(FadingParams(cfg.mu, float(cfg.mu)), cfg.pool, rng, size=n)
+    return [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
+
+
+def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> ChannelDraw:
+    """Sample ``n`` trials of all gains of relay config ``cfg``.
 
     Draw order is fixed (direct pool, relay feed y, relay-to-far w,
     relay-to-near w) and is part of the reproducibility contract.  The
@@ -133,7 +142,7 @@ def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> Channe
     config's ``noise_scale``; each user's effective gain is stored once
     per block, as no SNR point changes it.
     """
-    direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega_sd), cfg.users, rng, size=n)
+    direct = _served_gains(cfg, rng, n)
     y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
     c = cfg.noise_scale
@@ -141,14 +150,14 @@ def draw_coop_block(cfg: CoopConfig, rng: np.random.Generator, n: int) -> Channe
     for _ in COOP_USERS:
         w = sample_gain(drop, rng, size=n)
         relay.append(y * w / (w + c))
-    return ChannelDraw(direct=direct, relay=tuple(relay))
+    return ChannelDraw(direct=tuple(direct), relay=tuple(relay))
 
 
 # =====================================================================
 # SINR replay
 # =====================================================================
 
-def stage_failures(gain, cfg: CoopConfig | DirectConfig, rho: float, depth: int):
+def stage_failures(gain, cfg: ScenarioConfig, rho: float, depth: int):
     """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
 
     Stage i of ``analytic.sic_stages`` gives the branch the SINR
@@ -171,7 +180,7 @@ def stage_failures(gain, cfg: CoopConfig | DirectConfig, rho: float, depth: int)
     return fail
 
 
-def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
+def coop_events_from_sinr(draw: ChannelDraw, cfg: ScenarioConfig, rho: float):
     """(far_fail, near_fail) boolean arrays from the SINR chain of both branches.
 
     Each user runs :func:`stage_failures` to its decode depth on its
@@ -180,14 +189,14 @@ def coop_events_from_sinr(draw: ChannelDraw, cfg: CoopConfig, rho: float):
     only when both branches fail.
     """
     fails = []
-    for user, relay in zip(COOP_USERS, draw.relay):
+    for user, direct, relay in zip(COOP_USERS, draw.direct, draw.relay):
         depth = decode_depth(cfg, user)
-        direct = stage_failures(draw.direct[:, cfg.rank(user) - 1], cfg, rho, depth)
-        fails.append(direct & stage_failures(relay, cfg, rho, depth))
+        fails.append(stage_failures(direct, cfg, rho, depth)
+                     & stage_failures(relay, cfg, rho, depth))
     return tuple(fails)
 
 
-def direct_events_from_sinr(gain, cfg: DirectConfig, rho: float, user: int):
+def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
     """Outage indicators of served user ``user`` from its SIC chain.
 
     ``user`` is one of ``served_users(cfg)``, an ``int`` in 1..M, as for
@@ -232,31 +241,23 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
 # Estimators
 # =====================================================================
 
-def _coop_block(cfg: CoopConfig, rhos: list[float], rng: np.random.Generator,
+def _coop_block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator,
                 n: int) -> ArrayLike:
     """Far and near failure counts of one block at each rho, shape (rhos, 2)."""
     draw = draw_coop_block(cfg, rng, n)
     return [[fail.sum() for fail in coop_events_from_sinr(draw, cfg, rho)] for rho in rhos]
 
 
-def _direct_block(cfg: DirectConfig, rhos: list[float], rng: np.random.Generator,
+def _direct_block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator,
                   n: int) -> ArrayLike:
-    """Failure counts of one block per rho and served user, shape (rhos, users).
-
-    The pool is drawn once at unit scale (omega / mu == 1.0, so the sums
-    are not rescaled) and each user's column is scaled afterwards.
-    Sorting commutes with a positive scale and rounding is monotone, so
-    this equals sorting a pool drawn at the user's own mean, bit for bit.
-    """
-    base = sample_sorted_gains(FadingParams(cfg.mu, float(cfg.mu)), cfg.pool, rng, size=n)
+    """Failure counts of one block per rho and served user, shape (rhos, users)."""
     counts = []
-    for user in served_users(cfg):
-        gain = base[:, cfg.ranks[user - 1] - 1] * (cfg.omega[user - 1] / cfg.mu)
+    for user, gain in zip(served_users(cfg), _served_gains(cfg, rng, n)):
         counts.append([direct_events_from_sinr(gain, cfg, rho, user).sum() for rho in rhos])
     return np.transpose(counts)
 
 
-def estimate_outage(cfg: CoopConfig | DirectConfig, rhos: Sequence[float],
+def estimate_outage(cfg: ScenarioConfig, rhos: Sequence[float],
                     batch: TrialBatch) -> list[dict]:
     """Outage estimates of every served user at every transmit SNR in ``rhos``.
 
@@ -270,7 +271,7 @@ def estimate_outage(cfg: CoopConfig | DirectConfig, rhos: Sequence[float],
     users = served_users(cfg)
     if not rhos:
         return []
-    block = _coop_block if isinstance(cfg, CoopConfig) else _direct_block
+    block = _coop_block if cfg.has_relay else _direct_block
     counts = _run_blocks(batch, lambda j, n: block(cfg, rhos, _block_rng(batch.seed, j), n))
     return [
         {user: Estimate.from_count(int(c), batch.trials) for user, c in zip(users, row)}
@@ -278,14 +279,14 @@ def estimate_outage(cfg: CoopConfig | DirectConfig, rhos: Sequence[float],
     ]
 
 
-def estimate_outage_coop(cfg: CoopConfig, rho: float, batch: TrialBatch
+def estimate_outage_coop(cfg: ScenarioConfig, rho: float, batch: TrialBatch
                          ) -> tuple[Estimate, Estimate]:
     """Far and near outage estimates from one shared set of draws."""
     (point,) = estimate_outage(cfg, [rho], batch)
     return point["far"], point["near"]
 
 
-def estimate_outage_direct(cfg: DirectConfig, rho: float, user: int,
+def estimate_outage_direct(cfg: ScenarioConfig, rho: float, user: int,
                            batch: TrialBatch) -> Estimate:
     """Outage estimate of served user ``user`` in the single-slot system.
 

@@ -10,15 +10,12 @@ build on these; nothing here knows about channels or SNR.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import special
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "QuadratureError",

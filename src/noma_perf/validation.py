@@ -25,7 +25,6 @@ options: the gate strings of the report name the values they used.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,12 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import served_users, user_link, user_outage
-from .configs import CoopConfig, DirectConfig
+from .configs import ScenarioConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
 from .montecarlo import TrialBatch, estimate_outage
 from .numerics import integrate_from_zero, integrate_semi_infinite
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ComparisonRow",
@@ -61,8 +58,8 @@ MC_PROBABILITY_FLOOR = 1e-4
 # Quadrature oracles
 # =====================================================================
 
-def relay_outage_quadrature(cfg: CoopConfig, cut: float) -> float:
-    """Relay-branch outage by direct integration of the probability.
+def relay_outage_quadrature(cfg: ScenarioConfig, cut: float) -> float:
+    """Relay-branch outage of relay config ``cfg`` by direct integration.
 
     The branch fails when the first-hop gain y stays below ``cut`` or,
     given y > cut, when the second-hop gain misses cut * noise_scale /
@@ -108,7 +105,7 @@ def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) ->
     return min(1.0, result.value)
 
 
-def outage_oracle(cfg: CoopConfig | DirectConfig, rho: float, user) -> float:
+def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
     """Quadrature-only outage for one served user, no Bessel sums involved.
 
     The user's link comes from :func:`~noma_perf.analytic.user_link`, as
@@ -146,7 +143,7 @@ class ComparisonRow:
 
 
 def run_validation_suite(
-    configs: Sequence[CoopConfig | DirectConfig],
+    configs: Sequence[ScenarioConfig],
     snr_db: Sequence[float],
     batch: TrialBatch | None = None,
 ) -> list[ComparisonRow]:
@@ -163,7 +160,7 @@ def run_validation_suite(
     rhos = [10.0 ** (float(db) / 10.0) for db in snr_db]
     for cfg in configs:
         users = served_users(cfg)
-        scenario = "coop" if isinstance(cfg, CoopConfig) else "direct"
+        scenario = "coop" if cfg.has_relay else "direct"
         exact = [{user: user_outage(cfg, rho, user)[0] for user in users} for rho in rhos]
         estimates = {}
         if batch is not None:

@@ -21,7 +21,7 @@ import math
 
 from scipy import integrate, special
 
-from noma_perf.configs import CoopConfig
+from noma_perf.configs import ScenarioConfig
 from noma_perf.fading import FadingParams, OrderedIndex
 
 #: QUADPACK's relative target, absolute floor and subdivision limit
@@ -41,7 +41,7 @@ def _cdf(p: FadingParams, y: float) -> float:
     return float(special.gammainc(p.mu, p.rate * y))
 
 
-def relay_outage_quadpack(cfg: CoopConfig, cut: float) -> float:
+def relay_outage_quadpack(cfg: ScenarioConfig, cut: float) -> float:
     """Relay-branch outage of a served user at decode cut ``cut``, via QUADPACK."""
     cut = float(cut)
     if cut == 0.0:

@@ -26,7 +26,7 @@ from noma_perf.analytic import (
 )
 from noma_perf.cli import main
 from noma_perf.configs import (
-    DirectConfig,
+    ScenarioConfig,
     coop_preset,
     direct_preset,
     preset_configs,
@@ -133,12 +133,12 @@ class TestAcceptance:
             check(
                 f"coop far mu={mu}",
                 diversity_order_fit((r, outage_far_exact(coop, r)) for r in grid),
-                mu * (coop.far_rank + 1),
+                mu * (coop.ranks[0] + 1),
             )
             check(
                 f"coop near mu={mu}",
                 diversity_order_fit((r, outage_near_exact(coop, r)) for r in grid),
-                mu * (coop.near_rank + 1),
+                mu * (coop.ranks[1] + 1),
             )
             direct = direct_preset(mu)
             for user in (1, 2, 3):
@@ -235,7 +235,7 @@ class TestAcceptance:
         rho = db_to_linear(30.0)
         batch = TrialBatch(200_000, seed=2)
         # far threshold 2**(2*1.5) - 1 = 7 exceeds the 0.8 / 0.2 split ratio
-        coop = dataclasses.replace(coop_preset(), rate_far=1.5)
+        coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
         far_est, near_est = estimate_outage_coop(coop, rho, batch)
         coop_ok = (
             outage_far_exact(coop, rho) == 1.0
@@ -244,7 +244,7 @@ class TestAcceptance:
             and near_est.p_hat == 1.0 and near_est.stderr == 0.0
         )
         # middle stage: threshold 3 exceeds 0.3 / 0.2, poisoning users 2 and 3
-        direct = DirectConfig(
+        direct = ScenarioConfig(
             power=(0.5, 0.3, 0.2),
             rates=(0.5, 2.0, 1.0),
             omega=(1.0, 1.0, 1.0),

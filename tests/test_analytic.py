@@ -39,8 +39,7 @@ from noma_perf.analytic import (
     user_outage,
 )
 from noma_perf.configs import (
-    CoopConfig,
-    DirectConfig,
+    ScenarioConfig,
     coop_preset,
     direct_preset,
     with_mu,
@@ -106,17 +105,12 @@ class TestCoopCuts:
             assert user_link(cfg, rho, "near")[2] == max(far_cut, near_rate_cut)
 
     def test_infeasible_power_split_gives_infinite_cut(self):
-        cfg = CoopConfig(
-            users=2,
-            far_rank=1,
-            near_rank=2,
-            power_far=0.6,
-            power_near=0.4,
-            rate_far=1.0,  # gamma 3 > 0.6 / 0.4
-            rate_near=1.0,
-            relay_gain=0.9,
+        cfg = ScenarioConfig(
+            power=(0.6, 0.4),
+            rates=(1.0, 1.0),  # far gamma 3 > 0.6 / 0.4
+            omega=(1.0, 1.0),
             mu=1,
-            omega_sd=1.0,
+            relay_gain=0.9,
             omega_sr=1.0,
             omega_rd=1.0,
         )
@@ -128,7 +122,7 @@ class TestCoopCuts:
     def test_zero_far_rate(self):
         import dataclasses
 
-        cfg = dataclasses.replace(coop_preset(), rate_far=0.0)
+        cfg = dataclasses.replace(coop_preset(), rates=(0.0, 1.5))
         assert sic_stages(cfg)[0][2] == 0.0
         assert stage_cuts(cfg, 10.0)[0] == 0.0
 
@@ -144,7 +138,7 @@ class TestCoopCuts:
         assert [decode_depth(direct_preset(), u) for u in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(ValueError):
             decode_depth(direct_preset(), "far")
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             sic_stages(object())
 
 
@@ -157,7 +151,7 @@ class TestDirectCuts:
             assert_allclose(cuts[2] * rho, DIRECT_CUT3_TIMES_RHO, rtol=1e-14)
 
     def test_infeasible_stage_is_infinite(self):
-        cfg = DirectConfig(
+        cfg = ScenarioConfig(
             power=(0.5, 0.3, 0.2),
             rates=(0.5, 2.0, 1.0),  # stage 2: gamma 3 > 0.3 / 0.2
             omega=(1.0, 1.0, 1.0),
@@ -181,17 +175,12 @@ class TestRelayOutage:
 
     def test_matches_quadrature_both_routes(self):
         for mu, omega_sr, omega_rd, relay_gain in self.CASES:
-            cfg = CoopConfig(
-                users=2,
-                far_rank=1,
-                near_rank=2,
-                power_far=0.8,
-                power_near=0.2,
-                rate_far=1.0,
-                rate_near=1.5,
-                relay_gain=relay_gain,
+            cfg = ScenarioConfig(
+                power=(0.8, 0.2),
+                rates=(1.0, 1.5),
+                omega=(1.0, 1.0),
                 mu=mu,
-                omega_sd=1.0,
+                relay_gain=relay_gain,
                 omega_sr=omega_sr,
                 omega_rd=omega_rd,
             )
@@ -351,8 +340,8 @@ class TestCoopExactOutage:
         far_cut = stage_cuts(cfg, rho)[0]
         d, _ = far_outage_parts(cfg, rho)
         ref = ordered_cdf(
-            FadingParams(cfg.mu, cfg.omega_sd),
-            OrderedIndex(cfg.far_rank, cfg.users),
+            FadingParams(cfg.mu, cfg.omega[0]),
+            OrderedIndex(cfg.ranks[0], cfg.pool),
             far_cut,
         )
         assert_allclose(d, ref, rtol=1e-15)
@@ -374,7 +363,7 @@ class TestCoopExactOutage:
         import dataclasses
 
         # far threshold 2**(2*1.5) - 1 = 7 exceeds 0.8 / 0.2 = 4
-        cfg = dataclasses.replace(coop_preset(), rate_far=1.5)
+        cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
         for rho_db in (0.0, 60.0):
             rho = db_to_linear(rho_db)
             assert outage_far_exact(cfg, rho) == 1.0
@@ -402,7 +391,7 @@ class TestDirectExactOutage:
             assert_allclose(outage_direct_exact(cfg, rho, user), ref, rtol=1e-15)
 
     def test_infeasible_stage_is_exactly_one(self):
-        cfg = DirectConfig(
+        cfg = ScenarioConfig(
             power=(0.5, 0.3, 0.2),
             rates=(0.5, 2.0, 1.0),
             omega=(1.0, 1.0, 1.0),
@@ -431,7 +420,7 @@ class TestUserOutage:
         for user in ("far", "2", 2.0, True):
             with pytest.raises(ValueError):
                 user_outage(direct_preset(), 10.0, user)
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             user_outage(object(), 10.0, 1)
 
 
@@ -529,9 +518,9 @@ class TestDiversityOrderFit:
             coop = with_mu(coop_preset(), mu)
             far = diversity_order_fit((r, outage_far_exact(coop, r)) for r in grid)
             near = diversity_order_fit((r, outage_near_exact(coop, r)) for r in grid)
-            assert abs(far - mu * (coop.far_rank + 1)) / (mu * (coop.far_rank + 1)) < 0.05
+            assert abs(far - mu * (coop.ranks[0] + 1)) / (mu * (coop.ranks[0] + 1)) < 0.05
             assert (
-                abs(near - mu * (coop.near_rank + 1)) / (mu * (coop.near_rank + 1))
+                abs(near - mu * (coop.ranks[1] + 1)) / (mu * (coop.ranks[1] + 1))
                 < 0.05
             )
             direct = with_mu(direct_preset(), mu)
@@ -547,9 +536,9 @@ class TestThroughput:
     def test_coop_matches_outage_identity(self):
         cfg = coop_preset()
         rho = db_to_linear(18.0)
-        want = (1.0 - outage_far_exact(cfg, rho)) * cfg.rate_far + (
+        want = (1.0 - outage_far_exact(cfg, rho)) * cfg.rates[0] + (
             1.0 - outage_near_exact(cfg, rho)
-        ) * cfg.rate_near
+        ) * cfg.rates[1]
         assert_allclose(throughput_coop(cfg, rho), want, rtol=1e-15)
 
     def test_direct_matches_outage_identity(self):
@@ -564,7 +553,7 @@ class TestThroughput:
     def test_approaches_rate_ceiling(self):
         rho = db_to_linear(50.0)
         coop = coop_preset()
-        assert_allclose(throughput_coop(coop, rho), coop.rate_far + coop.rate_near,
+        assert_allclose(throughput_coop(coop, rho), coop.rates[0] + coop.rates[1],
                         atol=1e-4)
         direct = direct_preset()
         assert_allclose(throughput_direct(direct, rho), math.fsum(direct.rates),
@@ -582,10 +571,10 @@ class TestOmaBaseline:
     def test_coop_is_best_user_two_slot_product(self):
         cfg = coop_preset()
         rho = db_to_linear(12.0)
-        cut = threshold_snr(cfg.rate_far + cfg.rate_near, slots=2) / rho
+        cut = threshold_snr(cfg.rates[0] + cfg.rates[1], slots=2) / rho
         direct = ordered_cdf(
-            FadingParams(cfg.mu, cfg.omega_sd),
-            OrderedIndex(cfg.users, cfg.users),
+            FadingParams(cfg.mu, cfg.omega[0]),
+            OrderedIndex(cfg.pool, cfg.pool),
             cut,
         )
         relay = relay_outage(cfg, cut)
@@ -606,11 +595,11 @@ class TestOmaBaseline:
         import dataclasses
 
         # near user at rank 3 of a pool of 5: the pool top is not served
-        cfg = dataclasses.replace(coop_preset(2), near_rank=3)
+        cfg = dataclasses.replace(coop_preset(2), ranks=(1, 3))
         rho = db_to_linear(20.0)
-        cut = threshold_snr(cfg.rate_far + cfg.rate_near, slots=2) / rho
+        cut = threshold_snr(cfg.rates[0] + cfg.rates[1], slots=2) / rho
         relay = relay_outage(cfg, cut)
-        params = FadingParams(cfg.mu, cfg.omega_sd)
+        params = FadingParams(cfg.mu, cfg.omega[0])
         served = ordered_cdf(params, OrderedIndex(3, 5), cut) * relay
         assert_allclose(outage_oma(cfg, rho), served, rtol=1e-14)
         assert outage_oma(cfg, rho) > 100.0 * ordered_cdf(params, OrderedIndex(5, 5), cut) * relay
@@ -618,7 +607,7 @@ class TestOmaBaseline:
     def test_zero_total_rate_gives_zero(self):
         import dataclasses
 
-        cfg = dataclasses.replace(coop_preset(), rate_far=0.0, rate_near=0.0)
+        cfg = dataclasses.replace(coop_preset(), rates=(0.0, 0.0))
         assert outage_oma(cfg, db_to_linear(12.0)) == 0.0
 
     def test_decreasing_in_snr(self):

@@ -18,7 +18,7 @@ from noma_perf.analytic import (
     throughput_direct,
 )
 from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
-from noma_perf.configs import coop_preset, direct_preset, load_config_file, with_mu
+from noma_perf.configs import MAX_RELAY_MU, coop_preset, direct_preset, load_config_file, with_mu
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -304,11 +304,41 @@ class TestSweep:
 
     def test_missing_scenario_section_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "cooponly.ini"
-        ini.write_text("[coop]\nusers = 3\nnear_rank = 3\n", encoding="utf-8")
+        ini.write_text(preset_ini("coop"), encoding="utf-8")
         code, _, err = run_cli(
             capsys, "sweep", "--scenario", "direct", "--config", str(ini)
         )
-        assert code == 2 and "error:" in err
+        assert code == 2
+        assert err == "error: config does not define scenario section(s): ['direct']\n"
+
+    @pytest.mark.parametrize("gain", ["1e200", "1e-200"])
+    def test_relay_gain_without_finite_noise_constant_exits_2(self, capsys, tmp_path, gain):
+        # 1/G**2 is 0 at G = 1e200 and G*G is 0 at G = 1e-200
+        ini = tmp_path / "gain.ini"
+        ini.write_text(preset_ini("coop").replace("relay_gain = 0.9", f"relay_gain = {gain}"),
+                       encoding="utf-8")
+        for argv in (("sweep", "--scenario", "coop", "--config", str(ini)),
+                     ("validate", "--trials", "0", "--config", str(ini))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+            assert "finite noise constant" in err
+
+    def test_relay_mu_above_bound_exits_2(self, capsys, tmp_path):
+        bad = str(MAX_RELAY_MU + 1)
+        ini = tmp_path / "mu.ini"
+        ini.write_text(preset_ini("coop").replace("mu = 1", f"mu = {bad}"), encoding="utf-8")
+        for argv in (("sweep", "--scenario", "coop", "--mu", bad),
+                     ("sweep", "--scenario", "compare", "--mu", f"1,{bad}"),
+                     ("validate", "--trials", "0", "--config", str(ini))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+            assert f"mu must be <= {MAX_RELAY_MU} with a relay, got {bad}" in err
+        # without a relay, mu has no such bound
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--mu",
+                                 str(4 * MAX_RELAY_MU), "--snr-start", "10", "--snr-stop", "10")
+        assert code == 0 and err == "" and len(data_rows(out)) == 3
 
 
 class TestFigure:
@@ -338,7 +368,7 @@ class TestFigure:
         code, out, _ = run_cli(capsys, "figure", "fig8")
         assert code == 0
         lines = out.splitlines()
-        assert "# coop.users = 3" in lines
+        assert "# coop.pool = 3" in lines
         assert "# direct.power = 0.8 0.2" in lines
         scen = {cells(r)["scenario"] for r in data_rows(out)}
         assert scen == {"coop", "direct"}

@@ -19,7 +19,7 @@ from noma_perf.analytic import (
     threshold_snr,
     user_link,
 )
-from noma_perf.configs import CoopConfig, DirectConfig, coop_preset, direct_preset, with_mu
+from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
@@ -43,8 +43,9 @@ def db_to_linear(snr_db):
 def raw_coop_block(cfg, rng, n):
     """The hop gains behind ``draw_coop_block(cfg, rng, n)`` for a generator
     in the same state, drawn in its order: (direct pool, relay feed y,
-    (w_far, w_near))."""
-    direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega_sd), cfg.users, rng, size=n)
+    (w_far, w_near)).  The pool is drawn at the served users' common mean
+    ``cfg.omega[0]``, not at unit scale as ``draw_coop_block`` draws it."""
+    direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega[0]), cfg.pool, rng, size=n)
     y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
     return direct, y, tuple(sample_gain(drop, rng, size=n) for _ in range(2))
@@ -70,11 +71,11 @@ def direct_events_from_cuts(gain, cfg, rho, user):
     return np.asarray(gain, dtype=float) < user_link(cfg, rho, user)[2]
 
 
-def scalar_draw(cfg, h_pool, y, w_f, w_n):
+def scalar_draw(cfg, h_far, h_near, y, w_f, w_n):
     """Single-trial ChannelDraw with explicit hop gains, relayed by ``cfg``'s relay."""
     c = cfg.noise_scale
     return ChannelDraw(
-        direct=np.asarray([h_pool], dtype=float),
+        direct=(np.asarray([h_far], dtype=float), np.asarray([h_near], dtype=float)),
         relay=tuple(np.asarray([y * w / (w + c)]) for w in (w_f, w_n)),
     )
 
@@ -82,11 +83,8 @@ def scalar_draw(cfg, h_pool, y, w_f, w_n):
 def with_stage_threshold(cfg, stage, gamma):
     """``cfg`` with SIC stage ``stage`` at SINR threshold ``gamma`` and every
     other stage at a threshold of about 7e-13, which no SINR below misses."""
-    slots = 2 if isinstance(cfg, CoopConfig) else 1
     rates = [1e-12] * len(sic_stages(cfg))
-    rates[stage - 1] = math.log2(1.0 + gamma) / slots
-    if isinstance(cfg, CoopConfig):
-        return dataclasses.replace(cfg, rate_far=rates[0], rate_near=rates[1])
+    rates[stage - 1] = math.log2(1.0 + gamma) / (2 if cfg.has_relay else 1)
     return dataclasses.replace(cfg, rates=tuple(rates))
 
 
@@ -122,40 +120,45 @@ class TestContainers:
         assert Estimate.from_count(0, 400) == Estimate(0.0, 0.0, 400)
 
     def test_channel_draw_shape_validation(self):
-        good = np.zeros((5, 3))
         vec = np.zeros(5)
-        ChannelDraw(direct=good, relay=(vec, vec))
+        ChannelDraw(direct=(vec, vec), relay=(vec, vec))
         with pytest.raises(ValueError):
-            ChannelDraw(direct=vec, relay=(vec, vec))
+            ChannelDraw(direct=(np.zeros((5, 3)), vec), relay=(vec, vec))
         with pytest.raises(ValueError):
-            ChannelDraw(direct=good, relay=(np.zeros(4), vec))
+            ChannelDraw(direct=(vec, vec), relay=(np.zeros(4), vec))
         with pytest.raises(ValueError):
-            ChannelDraw(direct=good, relay=(vec,))
+            ChannelDraw(direct=(vec, vec), relay=(vec,))
+        with pytest.raises(ValueError):
+            ChannelDraw(direct=(vec,), relay=(vec, vec))
 
 
 class TestDraws:
     def test_shapes_and_sorted_pool(self):
         cfg = coop_preset()
         draw = draw_coop_block(cfg, np.random.default_rng(0), 1000)
-        assert draw.direct.shape == (1000, cfg.users)
-        assert [g.shape for g in draw.relay] == [(1000,), (1000,)]
-        assert np.all(np.diff(draw.direct, axis=-1) >= 0)
-        assert np.all(draw.direct > 0)
+        assert [g.shape for g in (*draw.direct, *draw.relay)] == [(1000,)] * 4
+        # ranks 1 and 5 of one pool at one mean: the far gain never exceeds the near
+        far, near = draw.direct
+        assert np.all(far <= near)
+        assert np.all(far > 0)
 
     def test_reproducible(self):
         cfg = with_mu(coop_preset(), 2)
         a = draw_coop_block(cfg, np.random.default_rng(11), 500)
         b = draw_coop_block(cfg, np.random.default_rng(11), 500)
-        assert np.array_equal(a.direct, b.direct)
-        for ga, gb in zip(a.relay, b.relay, strict=True):
+        for ga, gb in zip((*a.direct, *a.relay), (*b.direct, *b.relay), strict=True):
             assert np.array_equal(ga, gb)
 
     def test_effective_relay_gains_of_the_hop_draws(self):
-        # each user's relay branch is stored as y * w / (w + c), bit for bit
-        for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5)):
+        # each user's relay branch is stored as y * w / (w + c), and its
+        # direct gain, drawn at unit scale and scaled by omega / mu, equals
+        # its column of a pool drawn at its mean, bit for bit
+        for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5),
+                    dataclasses.replace(coop_preset(3), omega=(0.37, 0.37))):
             draw = draw_coop_block(cfg, np.random.default_rng(3), 700)
             direct, y, drops = raw_coop_block(cfg, np.random.default_rng(3), 700)
-            assert np.array_equal(draw.direct, direct)
+            for gain, rank in zip(draw.direct, cfg.ranks, strict=True):
+                assert np.array_equal(gain, direct[:, rank - 1])
             for gain, w in zip(draw.relay, drops, strict=True):
                 assert np.array_equal(gain, y * w / (w + cfg.noise_scale))
 
@@ -166,9 +169,9 @@ class TestSinrChains:
     outside number catches a wrong power, residual or slot count."""
 
     def test_slot1_hand_computed(self):
-        cfg = coop_preset()  # powers 0.8 / 0.2, ranks 1 and 5 of 5
+        cfg = coop_preset()  # powers 0.8 / 0.2
         assert sic_stages(cfg) == ((0.8, 0.2, 3.0), (0.2, 0.0, 7.0))
-        draw = scalar_draw(cfg, [2.0, 2.5, 3.0, 3.5, 4.0], 1.0, 1.0, 1.0)
+        draw = scalar_draw(cfg, 2.0, 4.0, 1.0, 1.0, 1.0)
 
         def far(probe):
             return coop_events_from_sinr(draw, probe, 10.0)[0][0]
@@ -187,11 +190,11 @@ class TestSinrChains:
         cfg = dataclasses.replace(base, relay_gain=1.0)  # c = 1
 
         def far(probe):
-            draw = scalar_draw(probe, [0.1] * 5, 1.0, 2.0, 3.0)
+            draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
             return coop_events_from_sinr(draw, probe, 10.0)[0][0]
 
         def near(probe):
-            draw = scalar_draw(probe, [0.1] * 5, 1.0, 2.0, 3.0)
+            draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
             return coop_events_from_sinr(draw, probe, 10.0)[1][0]
 
         # the direct gain 0.1 misses each threshold below, so the relay decides
@@ -246,7 +249,7 @@ class TestEventEquivalence:
                 assert 0 < far_a.sum() < far_a.size  # grid exercises both labels
 
     def test_coop_routes_agree_when_infeasible(self):
-        cfg = dataclasses.replace(coop_preset(), rate_far=1.5)  # threshold 7 > 4
+        cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))  # threshold 7 > 4
         draw = draw_coop_block(cfg, np.random.default_rng(8), 4096)
         far_a, near_a = coop_events_from_sinr(draw, cfg, db_to_linear(30.0))
         raw = raw_coop_block(cfg, np.random.default_rng(8), 4096)
@@ -266,7 +269,7 @@ class TestEventEquivalence:
                 assert np.array_equal(a, b)
 
     def test_direct_routes_agree_when_infeasible(self):
-        cfg = DirectConfig(
+        cfg = ScenarioConfig(
             power=(0.5, 0.3, 0.2),
             rates=(0.5, 2.0, 1.0),
             omega=(1.0, 1.0, 1.0),
@@ -355,7 +358,7 @@ class TestAgreementWithClosedForms:
             assert abs(est.p_hat - p) < 4.0 * max(est.stderr, 1e-5)
 
     def test_single_user_single_slot_reduces_to_plain_cdf(self):
-        cfg = DirectConfig(power=(1.0,), rates=(0.5,), omega=(2.0,), mu=2)
+        cfg = ScenarioConfig(power=(1.0,), rates=(0.5,), omega=(2.0,), mu=2)
         rho = 4.0
         est = estimate_outage_direct(cfg, rho, 1, TrialBatch(400_000, seed=12))
         cut = (2.0**0.5 - 1.0) / rho
@@ -372,7 +375,7 @@ class TestAgreementWithClosedForms:
             direct_events_from_sinr(np.ones(4), cfg, 10.0, user)
 
     def test_infeasible_rate_estimates_exactly_one(self):
-        coop = dataclasses.replace(coop_preset(), rate_far=1.5)
+        coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
         far, near = estimate_outage_coop(coop, db_to_linear(40.0), TrialBatch(10_000, seed=1))
         assert far == Estimate(1.0, 0.0, 10_000)
         assert near == Estimate(1.0, 0.0, 10_000)
@@ -391,6 +394,6 @@ class TestAgreementWithClosedForms:
             estimate_outage_direct(direct_preset(), 10.0, 5, TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
             estimate_outage(direct_preset(), [10.0, math.inf], TrialBatch(10, seed=0))
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             estimate_outage(object(), [10.0], TrialBatch(10, seed=0))
         assert estimate_outage(coop_preset(), [], TrialBatch(10, seed=0)) == []
