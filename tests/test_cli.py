@@ -324,6 +324,17 @@ class TestSweep:
             assert err.startswith("error:") and err.count("\n") == 1, argv
             assert "finite noise constant" in err
 
+    def test_large_pool_config_exits_0(self, capsys, tmp_path):
+        # the ordered CDF of a pool this size is a finite probability
+        ini = tmp_path / "pool.ini"
+        ini.write_text("[direct]\npower = 0.8 0.2\nrates = 0.5 1.0\nomega = 1.0 1.0\n"
+                       "ranks = 1 1100\npool = 1100\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--config", str(ini))
+        assert code == 0 and err == ""
+        rows = [cells(r) for r in data_rows(out)]
+        assert len(rows) == 9 * 2
+        assert all(0.0 <= float(c["p_exact"]) <= 1.0 for c in rows)
+
     def test_relay_mu_above_bound_exits_2(self, capsys, tmp_path):
         bad = str(MAX_RELAY_MU + 1)
         ini = tmp_path / "mu.ini"

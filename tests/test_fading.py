@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from noma_perf.fading import (
     FadingParams,
@@ -32,6 +33,20 @@ CDF_MU3_W2_X07 = 0.08972443012460718
 # KS acceptance at the 99.9% level: statistic * sqrt(n) below the
 # asymptotic critical value of the Kolmogorov distribution
 KS_CRIT_999 = 1.9495
+
+
+def binomial_tail_mp(rank, total, big_f):
+    """P(at least ``rank`` of ``total`` draws fall below x) for F(x) =
+    ``big_f``: the order-statistic CDF as a 40-digit sum of its positive
+    binomial terms, which nothing cancels."""
+    with mp.workdps(40):
+        f = mp.mpf(big_f)
+        term = mp.binomial(total, rank) * f**rank * (1 - f) ** (total - rank)
+        acc = term
+        for j in range(rank, total):
+            term *= mp.mpf(total - j) / (j + 1) * f / (1 - f)
+            acc += term
+        return acc
 
 
 def series_cdf(mu, omega, x):
@@ -221,17 +236,35 @@ class TestOrderedCdf:
                 )
 
     def test_matches_regularized_beta(self):
-        # independent route: order-statistic CDF = I_F(rank, total-rank+1)
+        # order-statistic CDF = I_F(rank, total-rank+1), here mpmath's
         for mu, omega in [(1, 1.0), (3, 0.5)]:
             p = FadingParams(mu, omega)
             for total in (3, 5):
                 for rank in range(1, total + 1):
                     for x in (0.05, 0.5, 1.5, 4.0):
                         big_f = gamma_cdf(p, x)
-                        ref = special.betainc(rank, total - rank + 1, big_f)
+                        with mp.workdps(30):
+                            ref = float(mp.betainc(rank, total - rank + 1, 0, big_f,
+                                                   regularized=True))
                         assert_allclose(
                             ordered_cdf(p, OrderedIndex(rank, total), x), ref, rtol=1e-12
                         )
+
+    @pytest.mark.parametrize("total", [20, 40, 60, 100, 1000])
+    def test_matches_exact_binomial_tail_on_large_pools(self, total):
+        # F from 1e-300 to 0.99 reaches both the incomplete-beta path and
+        # the log-domain tail where F**rank underflows; refs below the
+        # double range must clamp to 0
+        p = FadingParams(1, 1.0)  # F(x) = 1 - exp(-x)
+        for rank in sorted({1, 2, total // 4, total // 2, total - 1, total}):
+            for big_f in (1e-300, 1e-30, 1e-3, 0.05, 0.3, 0.7, 0.99):
+                x = -math.log1p(-big_f)
+                got = ordered_cdf(p, OrderedIndex(rank, total), x)
+                ref = binomial_tail_mp(rank, total, gamma_cdf(p, x))
+                if ref < 2.2250738585072014e-308:
+                    assert got == 0.0, (rank, big_f)
+                else:
+                    assert_allclose(got, float(ref), rtol=1e-11, err_msg=f"{rank} {big_f}")
 
     def test_mixture_identity(self):
         # averaging over ranks recovers the plain CDF
@@ -334,11 +367,12 @@ class TestOrderedSmallArg:
 
 class TestOrderedCdfSeries:
     def test_matches_stable_form_at_moderate_arguments(self):
-        # the binomial sum in F agrees with the quadrature of the
-        # order-statistic density where the plain CDF is not tiny
+        # the incomplete beta function of F agrees with the quadrature of
+        # the order-statistic density where the plain CDF is not tiny
         for mu in (1, 2, 3):
             p = FadingParams(mu, 1.3)
-            for rank, total in [(1, 5), (2, 3), (3, 5), (5, 5)]:
+            for rank, total in [(1, 5), (2, 3), (3, 5), (5, 5), (7, 20), (30, 60),
+                                (50, 100), (100, 100)]:
                 idx = OrderedIndex(rank, total)
                 for x in (0.4, 1.0, 2.0, 4.0):
                     big_f = gamma_cdf(p, x)
