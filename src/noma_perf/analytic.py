@@ -35,18 +35,21 @@ for the cooperative users the relay factor, which decays like
 rho**-mu * ln(rho), is kept exact, since no closed form of its leading
 term is implemented yet.
 
-:func:`user_link` is the one map from a served user to its direct-link
-law, sort index, decode cut and relay mean; the quadrature oracle in
-``validation`` reads the same map.  :func:`user_outage` evaluates both
-forms for any served user of either deployment from one cut and one relay
-evaluation; the per-user functions
-(``outage_far_exact`` and the like) are views of it, and the throughput
-is a sum over the served users' exact outages.
+:func:`point_links` is the one map from an SNR point to every served
+user's direct-link law, sort index and decode cut, from one evaluation of
+:func:`stage_cuts`; the quadrature oracle in ``validation`` reads the same
+links.  :func:`link_outage` evaluates both forms for one link from one cut
+and one relay evaluation, and :func:`point_outages` does so for every
+served user of a point.  :func:`user_outage` is its checked one-user
+view; the per-user functions (``outage_far_exact`` and the like) are
+views of it, and the throughput is a sum over the served users' exact
+outages.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from typing import Iterable, Sequence
@@ -70,6 +73,7 @@ __all__ = [
     "direct_cuts",
     "diversity_order_fit",
     "far_outage_parts",
+    "link_outage",
     "near_outage_parts",
     "outage_direct_asymptotic",
     "outage_direct_exact",
@@ -78,6 +82,8 @@ __all__ = [
     "outage_near_asymptotic",
     "outage_near_exact",
     "outage_oma",
+    "point_links",
+    "point_outages",
     "relay_outage",
     "relay_outage_closed",
     "served_users",
@@ -87,11 +93,13 @@ __all__ = [
     "throughput",
     "throughput_coop",
     "throughput_direct",
-    "user_link",
     "user_outage",
 ]
 
 COOP_USERS = ("far", "near")
+
+#: one served user's (direct-link law, sort index, decode cut) at one SNR point
+Link = tuple[FadingParams, OrderedIndex, float]
 
 # exp(-x) underflows past this, so the relay-branch bracket is an exact
 # double-precision zero and the outage saturates at 1
@@ -362,7 +370,8 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     lam = math.log(s) + 2.0 * _EULER_GAMMA
     rest, size_sum = _deep_sum(mu, functools.partial(_deep_row, mu), t, s, lam, 1e-17)
     digits = 16
-    while size_sum > 10.0 ** (digits - 11) * abs(rest):
+    # a double-precision pass that overflowed (inf terms) escalates too
+    while not (math.isfinite(size_sum) and size_sum <= 10.0 ** (digits - 11) * abs(rest)):
         if digits == _EULER_GAMMA_PRECISION:
             raise ArithmeticError(
                 f"relay outage below {_DEEP_SWITCH} at mu={mu}, s={s} cancels past "
@@ -435,79 +444,83 @@ def relay_outage(cfg: ScenarioConfig, cut: float) -> float:
 # Exact and high-SNR outage of one served user
 # =====================================================================
 
-def user_link(cfg: ScenarioConfig, rho: float,
-              user: str | int) -> tuple[FadingParams, OrderedIndex, float, float | None]:
-    """Direct-link law, sort index, decode cut and relay mean of one served user.
+def point_links(cfg: ScenarioConfig, rho: float) -> tuple[Link, ...]:
+    """Direct-link law, sort index and decode cut of every served user at ``rho``.
 
-    ``user`` must be one of :func:`served_users` of ``cfg``, equal in
-    type and value: ``'far'``/``'near'`` with a relay, the 1-based
-    served index (an ``int``) without.  The decode cut at transmit SNR
-    ``rho`` is the largest :func:`stage_cuts` entry up to the user's
-    :func:`decode_depth`: the far-message cut for
-    ``'far'``, the larger of that cut (SIC stage) and the near-message
-    cut for ``'near'``, the running maximum up to stage m for single-slot
-    user m.  Without a relay the relay mean is None.
+    One entry per user of :func:`served_users`, in decode order, all from
+    one :func:`stage_cuts` evaluation.  A user's decode cut is the running
+    maximum of the stage cuts up to its :func:`decode_depth`: the
+    far-message cut for ``'far'``, the larger of that cut (SIC stage) and
+    the near-message cut for ``'near'``, the largest of the first m cuts
+    for single-slot user m.
     """
-    depth = decode_depth(cfg, user)
-    cut = max(stage_cuts(cfg, rho)[:depth])
-    params, idx, omega_rd = _user_law(cfg, depth - 1)
-    return params, idx, cut, omega_rd
+    cuts = itertools.accumulate(stage_cuts(cfg, rho), max)
+    return tuple((FadingParams(cfg.mu, omega), OrderedIndex(rank, cfg.pool), cut)
+                 for omega, rank, cut in zip(cfg.omega, cfg.ranks, cuts, strict=True))
 
 
-def _user_law(cfg: ScenarioConfig,
-              k: int) -> tuple[FadingParams, OrderedIndex, float | None]:
-    """The SNR-free part of :func:`user_link` for the ``k``-th (0-based)
-    served user: law, sort index and relay mean."""
-    return (FadingParams(cfg.mu, cfg.omega[k]), OrderedIndex(cfg.ranks[k], cfg.pool),
-            cfg.omega_rd)
-
-
-def _outage_factors(cfg: ScenarioConfig, rho: float,
-                    user: str | int) -> tuple[float, float, float]:
-    """Direct factor, its small-argument leading term, and relay factor of one user.
-
-    Evaluated at the decode cut of :func:`user_link`; the relay factor of
-    a user without a relay is 1.  An infeasible cut gives (1, 1, 1) and a
-    zero cut (zero rates) gives (0, 0, 0).
-    """
-    params, idx, cut, omega_rd = user_link(cfg, rho, user)
+def _link_factors(cfg: ScenarioConfig, link: Link) -> tuple[float, float, float]:
+    """Direct factor, its small-argument leading term, and relay factor (1
+    without a relay) of one link; (1, 1, 1) at an infeasible cut and
+    (0, 0, 0) at a zero cut (zero rates)."""
+    params, idx, cut = link
     if math.isinf(cut):
         return 1.0, 1.0, 1.0
     if cut == 0.0:
         return 0.0, 0.0, 0.0
-    relay = 1.0 if omega_rd is None else relay_outage(cfg, cut)
+    relay = relay_outage(cfg, cut) if cfg.has_relay else 1.0
     return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
+
+
+def link_outage(cfg: ScenarioConfig, link: Link) -> tuple[float, float]:
+    """Exact and high-SNR outage of one :func:`point_links` entry of ``cfg``.
+
+    The exact outage is the ordered CDF of the user's direct gain at its
+    decode cut times the relay factor, since the user is served by
+    selection over two independent branches.  The high-SNR form replaces
+    the ordered CDF by its leading small-argument term, which decays with
+    exponent mu times the user's sort rank; the relay factor decays like
+    rho**-mu * ln(rho) and is kept exact, since no closed form of its
+    leading term is implemented yet.  The high-SNR form is clamped to 1
+    where the expansion exceeds unity (low SNR, outside its regime).
+    Returns (1, 1) when the power split cannot support the user's rates.
+    """
+    direct, lead, relay = _link_factors(cfg, link)
+    return direct * relay, min(1.0, lead * relay)
+
+
+def point_outages(cfg: ScenarioConfig, rho: float) -> list[tuple[float, float]]:
+    """(exact, high-SNR) outage of every served user at ``rho``, in
+    :func:`served_users` order (see :func:`link_outage`)."""
+    return [link_outage(cfg, link) for link in point_links(cfg, rho)]
+
+
+def _user_link(cfg: ScenarioConfig, rho: float, user: str | int) -> Link:
+    """The :func:`point_links` entry of a served user (see :func:`decode_depth`)."""
+    depth = decode_depth(cfg, user)
+    return point_links(cfg, rho)[depth - 1]
 
 
 def user_outage(cfg: ScenarioConfig, rho: float,
                 user: str | int) -> tuple[float, float]:
     """Exact and high-SNR outage of one served user at transmit SNR ``rho``.
 
-    ``user`` is one of :func:`served_users` (see :func:`user_link`, which
-    raises ``ValueError`` for any other value).  The exact outage
-    is the ordered CDF of the user's direct gain at its decode cut times
-    the relay factor, since the user is served by selection over two
-    independent branches.  The high-SNR form replaces the ordered CDF by
-    its leading small-argument term, which decays with exponent mu times
-    the user's sort rank; the relay factor decays like rho**-mu * ln(rho)
-    and is kept exact, since no closed form of its leading term is
-    implemented yet.  The high-SNR form is
-    clamped to 1 where the expansion exceeds unity (low SNR, outside its
-    regime).  Returns (1, 1) when the power split cannot support the
-    user's rates.
+    ``user`` is one of :func:`served_users`, equal in type and value:
+    ``'far'``/``'near'`` with a relay, the 1-based served index (an
+    ``int``) without; anything else raises ``ValueError``.  See
+    :func:`link_outage` for the two forms.
     """
-    direct, lead, relay = _outage_factors(cfg, rho, user)
-    return direct * relay, min(1.0, lead * relay)
+    return link_outage(cfg, _user_link(cfg, rho, user))
 
 
 def far_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
     """(direct, relay) branch outage factors of the far user."""
-    return _outage_factors(cfg, rho, "far")[::2]
+    return _link_factors(cfg, _user_link(cfg, rho, "far"))[::2]
 
 
 def near_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
     """(direct, relay) branch outage factors of the near user."""
-    return _outage_factors(cfg, rho, "near")[::2]
+    return _link_factors(cfg, _user_link(cfg, rho, "near"))[::2]
 
 
 def outage_far_exact(cfg: ScenarioConfig, rho: float) -> float:
@@ -591,12 +604,12 @@ def throughput(cfg: ScenarioConfig, exact: Sequence[float]) -> float:
 
 def throughput_coop(cfg: ScenarioConfig, rho: float) -> float:
     """Delay-limited throughput of the cooperative pair in bit/s/Hz."""
-    return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
+    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
 
 
 def throughput_direct(cfg: ScenarioConfig, rho: float) -> float:
     """Delay-limited throughput of the single-slot system in bit/s/Hz."""
-    return throughput(cfg, [user_outage(cfg, rho, user)[0] for user in served_users(cfg)])
+    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
 
 
 def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
@@ -605,15 +618,14 @@ def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
     The strongest served user, the last of :func:`served_users` (the
     near user, or single-slot user M), is scheduled alone at the sum of
     the target rates, with its direct-link law and sort index as in
-    :func:`user_link`.  With a relay, the relay still serves that user in
+    :func:`point_links`.  With a relay, the relay still serves that user in
     the second slot (selection over both branches, each with the two-slot
     threshold cut); without one, the baseline keeps one slot and one
     user.  A zero total rate gives a zero cut and
     an outage of exactly 0.
     """
-    params, idx, omega_rd = _user_law(cfg, cfg.n_users - 1)
     rho = _check_rho(rho)
-    slots = 1 if omega_rd is None else 2
-    cut = threshold_snr(math.fsum(cfg.rates), slots) / rho
+    cut = threshold_snr(math.fsum(cfg.rates), 2 if cfg.has_relay else 1) / rho
+    params, idx = FadingParams(cfg.mu, cfg.omega[-1]), OrderedIndex(cfg.ranks[-1], cfg.pool)
     direct = ordered_cdf(params, idx, cut)
-    return direct if omega_rd is None else direct * relay_outage(cfg, cut)
+    return direct * relay_outage(cfg, cut) if cfg.has_relay else direct

@@ -32,12 +32,7 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
-from .analytic import (
-    outage_oma,
-    served_users,
-    throughput,
-    user_outage,
-)
+from .analytic import outage_oma, point_outages, served_users, throughput
 from .configs import (
     ConfigError,
     ScenarioConfig,
@@ -247,7 +242,7 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
             else:
                 estimates = estimate_outage(cfg, rhos, batch)
             for db, rho, est in zip(grid, rhos, estimates):
-                outages = {user: user_outage(cfg, rho, user) for user in served}
+                outages = dict(zip(served, point_outages(cfg, rho), strict=True))
                 tput = throughput(cfg, [exact for exact, _ in outages.values()])
                 oma = outage_oma(cfg, rho) if with_oma else None
                 for user in selected[scenario]:

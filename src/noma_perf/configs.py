@@ -44,9 +44,8 @@ _POWER_SUM_TOL = 1e-9
 #: largest fading severity a relay config accepts.  Just below its
 #: deep-branch switch the relay closed form agrees with the quadrature
 #: oracle to 3e-11 and takes at most 10 s from a cold cache up to mu = 40
-#: (relay gains 0.001 to 3); at 41 its double-precision series
-#: overflows there and it returns inf, and from about 100 one call
-#: takes minutes
+#: (relay gains 0.001 to 3); the cold cost grows past that, to 11-14 s
+#: at mu = 44 and minutes from about mu = 100
 MAX_RELAY_MU = 40
 
 #: the fields a relay config sets and a config without one leaves None

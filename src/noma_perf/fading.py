@@ -112,23 +112,18 @@ class OrderedIndex:
 # Single-gain density and CDF
 # =====================================================================
 
-def _gamma_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
-    """Density of the power gain at nodes ``xs`` already inside (0, inf)."""
+def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
+    """Log density of the power gain at nodes ``xs`` already inside (0, inf)."""
     rate = p.rate
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
-    return np.exp(
-        p.mu * math.log(rate)
-        - log_gamma(p.mu)
-        + (p.mu - 1) * np.log(xs)
-        - rate * xs
-    )
+    return p.mu * math.log(rate) - log_gamma(p.mu) + (p.mu - 1) * np.log(xs) - rate * xs
 
 
 def gamma_pdf(p: FadingParams, x):
     """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf."""
     x = np.asarray(x, dtype=float)
     pos = (x > 0) & (x < math.inf)
-    out = np.where(pos, _gamma_pdf_inside(p, np.where(pos, x, 1.0)), 0.0)
+    out = np.where(pos, np.exp(_gamma_log_pdf_inside(p, np.where(pos, x, 1.0))), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -210,14 +205,14 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     inside = (x > 0) & np.isfinite(x)
     xs = np.where(inside, x, 1.0)
     big_f = gamma_cdf(p, xs)
-    little_f = _gamma_pdf_inside(p, xs)
     m, total = idx.rank, idx.total
-    # 0**0 = 1.0 covers the boundary ranks at F in {0, 1}
-    out = np.where(inside, (
-        math.exp(_ordered_prefactor_log(idx))
-        * little_f
-        * big_f ** (m - 1)
-        * (1.0 - big_f) ** (total - m)
+    # one exponent, so F**(rank-1) cannot underflow before the prefactor
+    # applies; xlogy(0, 0) = 0 covers the boundary ranks at F in {0, 1}
+    out = np.where(inside, np.exp(
+        _ordered_prefactor_log(idx)
+        + _gamma_log_pdf_inside(p, xs)
+        + special.xlogy(m - 1, big_f)
+        + special.xlog1py(total - m, -big_f)
     ), 0.0)
     if out.ndim == 0:
         return float(out)

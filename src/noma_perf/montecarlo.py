@@ -9,8 +9,8 @@ it on its direct gain and on the relay's effective gain and fails when
 both branches fail; without one, on its one gain.  Nothing
 else of the analytic layer is shared: no cut, CDF or relay closed form.
 The tests label every trial a second time from the decode cuts of
-``analytic.user_link`` and check that both routes agree trial by trial,
-and pin the table itself with hand-computed SINRs.
+``analytic.point_links`` and check that both routes agree trial by
+trial, and pin the table itself with hand-computed SINRs.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
@@ -33,13 +33,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import COOP_USERS, _check_rho, decode_depth, served_users, sic_stages
+from .analytic import _check_rho, decode_depth, served_users, sic_stages
 from .configs import ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
 __all__ = [
     "BLOCK_TRIALS",
-    "ChannelDraw",
     "Estimate",
     "TrialBatch",
     "coop_events_from_sinr",
@@ -95,26 +94,6 @@ class Estimate:
         return cls(p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials), trials=trials)
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One block of relay-config channel gains.
-
-    ``direct`` holds the far and near user's direct-link gains and
-    ``relay`` their effective relay-branch gains (see
-    :func:`draw_coop_block`), each shape (n,).
-    """
-
-    direct: tuple[np.ndarray, np.ndarray]
-    relay: tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.direct) != len(COOP_USERS) or len(self.relay) != len(COOP_USERS):
-            raise ValueError(f"direct and relay must hold one gain array per user {COOP_USERS}")
-        shapes = {np.shape(arr) for arr in (*self.direct, *self.relay)}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
-            raise ValueError(f"gain arrays must share one shape (n,), got {shapes}")
-
-
 # =====================================================================
 # Sampling
 # =====================================================================
@@ -131,11 +110,14 @@ def _served_gains(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list
     return [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
 
 
-def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> ChannelDraw:
+def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator,
+                    n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Sample ``n`` trials of all gains of relay config ``cfg``.
 
-    Draw order is fixed (direct pool, relay feed y, relay-to-far w,
-    relay-to-near w) and is part of the reproducibility contract.  The
+    Returns (direct, relay): each served user's direct-link gains and its
+    effective relay-branch gains, in served order, each shape (n,).  Draw
+    order is fixed (direct pool, relay feed y, then one relay-to-user w
+    per served user) and is part of the reproducibility contract.  The
     fixed-gain relay rebroadcasts its noisy slot-1 observation, so the
     second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
     is the stage SINR at the effective gain y * w / (w + c), with c the
@@ -146,11 +128,8 @@ def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> Ch
     y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
     c = cfg.noise_scale
-    relay = []
-    for _ in COOP_USERS:
-        w = sample_gain(drop, rng, size=n)
-        relay.append(y * w / (w + c))
-    return ChannelDraw(direct=tuple(direct), relay=tuple(relay))
+    drops = [sample_gain(drop, rng, size=n) for _ in direct]
+    return direct, [y * w / (w + c) for w in drops]
 
 
 # =====================================================================
@@ -180,27 +159,26 @@ def stage_failures(gain, cfg: ScenarioConfig, rho: float, depth: int):
     return fail
 
 
-def coop_events_from_sinr(draw: ChannelDraw, cfg: ScenarioConfig, rho: float):
-    """(far_fail, near_fail) boolean arrays from the SINR chain of both branches.
+def coop_events_from_sinr(draw: tuple[Sequence, Sequence], cfg: ScenarioConfig, rho: float):
+    """Failure arrays of the served users, in served order, from the SINR chain
+    of both branches.
 
-    Each user runs :func:`stage_failures` to its decode depth on its
-    direct gain and on its effective relay gain, which ``draw`` holds
-    for the relay of ``cfg``.  The user is served by selection and fails
-    only when both branches fail.
+    ``draw`` is a (direct, relay) pair as :func:`draw_coop_block` returns
+    for ``cfg``.  The user at position k (1-based) runs
+    :func:`stage_failures` to depth k, its decode depth, on its direct gain
+    and on its effective relay gain.  The user is served by selection and
+    fails only when both branches fail.
     """
-    fails = []
-    for user, direct, relay in zip(COOP_USERS, draw.direct, draw.relay):
-        depth = decode_depth(cfg, user)
-        fails.append(stage_failures(direct, cfg, rho, depth)
-                     & stage_failures(relay, cfg, rho, depth))
-    return tuple(fails)
+    direct, relay = draw
+    return tuple(stage_failures(d, cfg, rho, depth) & stage_failures(r, cfg, rho, depth)
+                 for depth, (d, r) in enumerate(zip(direct, relay, strict=True), 1))
 
 
 def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
     """Outage indicators of served user ``user`` from its SIC chain.
 
     ``user`` is one of ``served_users(cfg)``, an ``int`` in 1..M, as for
-    :func:`~noma_perf.analytic.user_link`; anything else raises
+    :func:`~noma_perf.analytic.user_outage`; anything else raises
     ``ValueError``.
     """
     return stage_failures(gain, cfg, rho, decode_depth(cfg, user))
@@ -243,7 +221,7 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
 
 def _coop_block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator,
                 n: int) -> ArrayLike:
-    """Far and near failure counts of one block at each rho, shape (rhos, 2)."""
+    """Failure counts of one block per rho and served user, shape (rhos, users)."""
     draw = draw_coop_block(cfg, rng, n)
     return [[fail.sum() for fail in coop_events_from_sinr(draw, cfg, rho)] for rho in rhos]
 

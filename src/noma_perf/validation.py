@@ -2,12 +2,12 @@
 
 The closed-form layer is checked against double-exponential quadrature
 of the underlying probability integrals (``numerics``).  The oracles
-share the per-user link model (``analytic.user_link``: direct-link law,
-sort index, decode cut and relay mean) and the density/CDF primitives
-with the production code, never its Bessel-sum algebra: the relay-branch
-oracle integrates the first-hop density against the conditional
-second-hop CDF with the exp-sinh rule, and the ordered-CDF oracle
-integrates the order-statistic density with the tanh-sinh rule.  Each
+share the per-point links (``analytic.point_links``: each served user's
+direct-link law, sort index and decode cut) and the density/CDF
+primitives with the production code, never its Bessel-sum algebra: the
+relay-branch oracle integrates the first-hop density against the
+conditional second-hop CDF with the exp-sinh rule, and the ordered-CDF
+oracle integrates the order-statistic density with the tanh-sinh rule.  Each
 rule evaluates a whole refinement level of nodes in one vectorized
 integrand call and stops when two levels agree to 1e-12 relative.  Both
 oracles are sums of positive terms, so relative accuracy survives even
@@ -15,8 +15,9 @@ when the result is far below one.  The tests keep a second, independent
 route through scipy's QUADPACK (``tests/quadpack_reference.py``).
 
 :func:`run_validation_suite` drives the full gate: for every configured
-user and SNR point it compares the exact value against its oracle at the
-relative tolerance ``ORACLE_REL_TOL``, and (optionally) against a Monte
+user and SNR point it compares the exact value against its oracle, both
+read from the point's one set of links, at the relative tolerance
+``ORACLE_REL_TOL``, and (optionally) against a Monte
 Carlo estimate at ``MC_SIGMAS`` binomial standard errors wherever the
 probability exceeds ``MC_PROBABILITY_FLOOR``, large enough for
 simulation to resolve.  The three are fixed module constants, not
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import served_users, user_link, user_outage
+from .analytic import Link, _user_link, link_outage, point_links, served_users
 from .configs import ScenarioConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
 from .montecarlo import TrialBatch, estimate_outage
@@ -105,20 +106,23 @@ def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) ->
     return min(1.0, result.value)
 
 
+def _link_oracle(cfg: ScenarioConfig, link: Link) -> float:
+    """Quadrature-only outage of one ``analytic.point_links`` entry of ``cfg``."""
+    params, idx, cut = link
+    direct = ordered_cdf_quadrature(params, idx, cut)
+    return direct * relay_outage_quadrature(cfg, cut) if cfg.has_relay else direct
+
+
 def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
     """Quadrature-only outage for one served user, no Bessel sums involved.
 
-    The user's link comes from :func:`~noma_perf.analytic.user_link`, as
-    for the exact closed form, so ``user`` is one of ``served_users(cfg)``
+    The user's link comes from :func:`~noma_perf.analytic.point_links`, as
+    for the exact closed form; ``user`` is one of ``served_users(cfg)``
     and anything else raises ``ValueError``.  Matches the exact closed
     forms up to quadrature error and is the reference leg of the
     validation gate.
     """
-    params, idx, cut, omega_rd = user_link(cfg, rho, user)
-    direct = ordered_cdf_quadrature(params, idx, cut)
-    if omega_rd is None:
-        return direct
-    return direct * relay_outage_quadrature(cfg, cut)
+    return _link_oracle(cfg, _user_link(cfg, rho, user))
 
 
 # =====================================================================
@@ -161,18 +165,17 @@ def run_validation_suite(
     for cfg in configs:
         users = served_users(cfg)
         scenario = "coop" if cfg.has_relay else "direct"
-        exact = [{user: user_outage(cfg, rho, user)[0] for user in users} for rho in rhos]
+        links = [point_links(cfg, rho) for rho in rhos]
+        exact = [[link_outage(cfg, link)[0] for link in point] for point in links]
         estimates = {}
         if batch is not None:
             # one simulation over the points where some user is above the floor
-            simulated = [k for k, point in enumerate(exact)
-                         if max(point.values()) > MC_PROBABILITY_FLOOR]
+            simulated = [k for k, point in enumerate(exact) if max(point) > MC_PROBABILITY_FLOOR]
             points = estimate_outage(cfg, [rhos[k] for k in simulated], batch)
             estimates = dict(zip(simulated, points))
-        for k, (db, rho) in enumerate(zip(snr_db, rhos)):
-            for user in users:
-                p = exact[k][user]
-                oracle = outage_oracle(cfg, rho, user)
+        for k, db in enumerate(snr_db):
+            for user, p, link in zip(users, exact[k], links[k]):
+                oracle = _link_oracle(cfg, link)
                 rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
                 ok = rel_err <= ORACLE_REL_TOL
                 gate = f"rel_err<={ORACLE_REL_TOL:g}"

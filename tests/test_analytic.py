@@ -27,6 +27,7 @@ from noma_perf.analytic import (
     outage_near_asymptotic,
     outage_near_exact,
     outage_oma,
+    point_links,
     relay_outage,
     relay_outage_closed,
     served_users,
@@ -35,7 +36,6 @@ from noma_perf.analytic import (
     threshold_snr,
     throughput_coop,
     throughput_direct,
-    user_link,
     user_outage,
 )
 from noma_perf.configs import (
@@ -101,8 +101,9 @@ class TestCoopCuts:
             far_cut, near_rate_cut = stage_cuts(cfg, rho)
             assert_allclose(far_cut * rho, FAR_CUT_TIMES_RHO, rtol=1e-14)
             assert_allclose(near_rate_cut * rho, NEAR_CUT_TIMES_RHO, rtol=1e-14)
-            assert user_link(cfg, rho, "far")[2] == far_cut
-            assert user_link(cfg, rho, "near")[2] == max(far_cut, near_rate_cut)
+            (_, _, far), (_, _, near) = point_links(cfg, rho)
+            assert far == far_cut
+            assert near == max(far_cut, near_rate_cut)
 
     def test_infeasible_power_split_gives_infinite_cut(self):
         cfg = ScenarioConfig(
@@ -116,7 +117,7 @@ class TestCoopCuts:
         )
         far_cut, near_rate_cut = stage_cuts(cfg, 100.0)
         assert math.isinf(far_cut)
-        assert math.isinf(user_link(cfg, 100.0, "near")[2])
+        assert math.isinf(point_links(cfg, 100.0)[1][2])
         assert math.isfinite(near_rate_cut)
 
     def test_zero_far_rate(self):
@@ -266,6 +267,28 @@ class TestRelayOutage:
         assert resums == [32] and value < 1e-6
         ref = mp_reference.relay_outage_mp(cut, mu, 1.0, 1.0, noise)
         assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("overflow", [(-math.inf, math.inf), (math.nan, math.nan)],
+                             ids=["inf", "nan"])
+    def test_overflowed_float_pass_resums_in_decimal(self, monkeypatch, overflow):
+        # past mu = 40 near the switch the double-precision pass overflows
+        # (cold calls of 11-14 s at mu = 44); a pass returning inf or nan
+        # must escalate to the decimal re-sum, which then gives the value
+        # of the normal path
+        deep_sum = analytic._deep_sum
+
+        def overflowing(mu, row, t, s, lam, tol):
+            return overflow if isinstance(t, float) else deep_sum(mu, row, t, s, lam, tol)
+
+        noise = 1e9
+        for mu in (1, 2, 3):
+            args = (0.999 * self.DEEP_S_MAX[mu - 1] / (mu * mu * noise), mu, 1.0, 1.0, noise)
+            want = analytic._relay_outage_deep(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "_deep_sum", overflowing)
+                got = analytic._relay_outage_deep(*args)
+            assert 0.0 < want < 1e-6
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), mu
 
     def test_euler_gamma_digits(self):
         with mp_reference.mp.workdps(130):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its CSV contract."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,6 +22,10 @@ from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
 from noma_perf.configs import MAX_RELAY_MU, coop_preset, direct_preset, load_config_file, with_mu
 
 HEADER = ",".join(CSV_COLUMNS)
+#: sha256 of the stdout bytes of each argv (space-separated); regenerate
+#: only for a deliberate change of the output
+CLI_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_digests.json").read_text(encoding="utf-8"))
 
 
 def preset_ini(name):
@@ -230,7 +235,9 @@ class TestSweep:
         # 2 mu values x 9 SNR points x (far, near, OMA baseline)
         assert len(calls) == 2 * 9 * 3
 
-    def test_stage_cuts_once_per_user_and_point(self, capsys, monkeypatch):
+    def test_stage_cuts_once_per_point(self, capsys, monkeypatch):
+        # one tuple of stage cuts serves every user of an SNR point; the
+        # OMA baseline needs no cut
         calls = []
         cuts = analytic.stage_cuts
 
@@ -239,10 +246,19 @@ class TestSweep:
             return cuts(*args, **kwargs)
 
         monkeypatch.setattr(analytic, "stage_cuts", counted)
-        code, _, _ = run_cli(capsys, "sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
-        assert code == 0
-        # 2 mu values x 9 SNR points x (far, near); the OMA baseline needs no cut
-        assert len(calls) == 2 * 9 * 2
+        for argv, want in (
+            # 2 mu values x 9 SNR points
+            (("sweep", "--scenario", "coop", "--mu", "1,2", "--oma"), 2 * 9),
+            # 9 SNR points, three users each
+            (("sweep", "--scenario", "direct", "--oma"), 9),
+            # the gate reads exact values and oracles from one set of cuts:
+            # 2 preset configs x 9 SNR points
+            (("validate", "--trials", "0"), 2 * 9),
+        ):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert len(calls) == want, argv
 
     def test_each_block_drawn_once_per_run(self, capsys, monkeypatch):
         coop_draws, sorted_draws = [], []
@@ -432,12 +448,13 @@ class TestValidate:
         assert text.startswith(",".join(REPORT_COLUMNS) + "\n")
 
     def test_oracle_failure_exits_1(self, capsys, monkeypatch):
-        oracle = validation.outage_oracle
+        # the gate reads each user's oracle from its link of the point
+        oracle = validation._link_oracle
 
-        def off_oracle(cfg, rho, user):
-            return oracle(cfg, rho, user) * (1.0 + 1e-5)
+        def off_oracle(cfg, link):
+            return oracle(cfg, link) * (1.0 + 1e-5)
 
-        monkeypatch.setattr(validation, "outage_oracle", off_oracle)
+        monkeypatch.setattr(validation, "_link_oracle", off_oracle)
         code, out, err = run_cli(capsys, "validate", "--trials", "0")
         assert code == 1
         rows = data_rows(out)
@@ -489,6 +506,12 @@ class TestDeterminism:
             assert ca["p_asymptotic"] == cb["p_asymptotic"]
             assert ca["throughput"] == cb["throughput"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+    def test_stdout_bytes_are_pinned(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[argv]
 
 
 class TestFormatting:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from noma_perf.analytic import user_link
+from noma_perf.analytic import point_links, user_outage
 from noma_perf.configs import (
     _KEYS,
     MAX_RELAY_MU,
@@ -53,12 +53,11 @@ class TestCoopConfig:
 
     def test_rank_and_mean_accessors(self):
         cfg = make_coop()
-        for user, rank in (("far", 1), ("near", 5)):
-            params, idx, _, omega_rd = user_link(cfg, 10.0, user)
+        for (params, idx, _), rank in zip(point_links(cfg, 10.0), (1, 5), strict=True):
             assert (idx.rank, idx.total) == (rank, 5)
-            assert (params.omega, omega_rd) == (1.0, 4.0)
+            assert (params.omega, cfg.omega_rd) == (1.0, 4.0)
         with pytest.raises(ValueError):
-            user_link(cfg, 10.0, "middle")
+            user_outage(cfg, 10.0, "middle")
 
     def test_rejects_bad_structure(self):
         with pytest.raises(ConfigError):

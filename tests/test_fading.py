@@ -372,7 +372,8 @@ class TestOrderedCdfSeries:
         for mu in (1, 2, 3):
             p = FadingParams(mu, 1.3)
             for rank, total in [(1, 5), (2, 3), (3, 5), (5, 5), (7, 20), (30, 60),
-                                (50, 100), (100, 100)]:
+                                (50, 100), (100, 100), (1, 1000), (333, 1000),
+                                (500, 1000), (1000, 1000)]:
                 idx = OrderedIndex(rank, total)
                 for x in (0.4, 1.0, 2.0, 4.0):
                     big_f = gamma_cdf(p, x)

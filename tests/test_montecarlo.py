@@ -15,15 +15,15 @@ from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
+    point_links,
+    served_users,
     sic_stages,
     threshold_snr,
-    user_link,
 )
 from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
-    ChannelDraw,
     Estimate,
     TrialBatch,
     coop_events_from_sinr,
@@ -58,8 +58,7 @@ def coop_events_from_cuts(raw, cfg, rho):
     cut * c / (y - cut))."""
     direct, y, drops = raw
     fails = []
-    for user, w in zip(("far", "near"), drops):
-        _, idx, cut, _ = user_link(cfg, rho, user)
+    for (_, idx, cut), w in zip(point_links(cfg, rho), drops, strict=True):
         with np.errstate(divide="ignore", invalid="ignore"):
             relay_ok = (y > cut) & (w >= cut * cfg.noise_scale / (y - cut))
         fails.append((direct[:, idx.rank - 1] < cut) & ~relay_ok)
@@ -68,16 +67,15 @@ def coop_events_from_cuts(raw, cfg, rho):
 
 def direct_events_from_cuts(gain, cfg, rho, user):
     """Outage indicators of single-slot user ``user`` at its decode cut."""
-    return np.asarray(gain, dtype=float) < user_link(cfg, rho, user)[2]
+    return np.asarray(gain, dtype=float) < point_links(cfg, rho)[user - 1][2]
 
 
 def scalar_draw(cfg, h_far, h_near, y, w_f, w_n):
-    """Single-trial ChannelDraw with explicit hop gains, relayed by ``cfg``'s relay."""
+    """Single-trial (direct, relay) draw with explicit hop gains, relayed by
+    ``cfg``'s relay, as ``draw_coop_block`` returns it."""
     c = cfg.noise_scale
-    return ChannelDraw(
-        direct=(np.asarray([h_far], dtype=float), np.asarray([h_near], dtype=float)),
-        relay=tuple(np.asarray([y * w / (w + c)]) for w in (w_f, w_n)),
-    )
+    return ([np.asarray([h_far], dtype=float), np.asarray([h_near], dtype=float)],
+            [np.asarray([y * w / (w + c)]) for w in (w_f, w_n)])
 
 
 def with_stage_threshold(cfg, stage, gamma):
@@ -119,26 +117,16 @@ class TestContainers:
         assert Estimate.from_count(400, 400) == Estimate(1.0, 0.0, 400)
         assert Estimate.from_count(0, 400) == Estimate(0.0, 0.0, 400)
 
-    def test_channel_draw_shape_validation(self):
-        vec = np.zeros(5)
-        ChannelDraw(direct=(vec, vec), relay=(vec, vec))
-        with pytest.raises(ValueError):
-            ChannelDraw(direct=(np.zeros((5, 3)), vec), relay=(vec, vec))
-        with pytest.raises(ValueError):
-            ChannelDraw(direct=(vec, vec), relay=(np.zeros(4), vec))
-        with pytest.raises(ValueError):
-            ChannelDraw(direct=(vec, vec), relay=(vec,))
-        with pytest.raises(ValueError):
-            ChannelDraw(direct=(vec,), relay=(vec, vec))
-
 
 class TestDraws:
     def test_shapes_and_sorted_pool(self):
         cfg = coop_preset()
-        draw = draw_coop_block(cfg, np.random.default_rng(0), 1000)
-        assert [g.shape for g in (*draw.direct, *draw.relay)] == [(1000,)] * 4
+        direct, relay = draw_coop_block(cfg, np.random.default_rng(0), 1000)
+        # one direct and one relay gain array per served user, in served order
+        assert len(direct) == len(relay) == len(served_users(cfg))
+        assert [g.shape for g in (*direct, *relay)] == [(1000,)] * 4
         # ranks 1 and 5 of one pool at one mean: the far gain never exceeds the near
-        far, near = draw.direct
+        far, near = direct
         assert np.all(far <= near)
         assert np.all(far > 0)
 
@@ -146,7 +134,7 @@ class TestDraws:
         cfg = with_mu(coop_preset(), 2)
         a = draw_coop_block(cfg, np.random.default_rng(11), 500)
         b = draw_coop_block(cfg, np.random.default_rng(11), 500)
-        for ga, gb in zip((*a.direct, *a.relay), (*b.direct, *b.relay), strict=True):
+        for ga, gb in zip((*a[0], *a[1]), (*b[0], *b[1]), strict=True):
             assert np.array_equal(ga, gb)
 
     def test_effective_relay_gains_of_the_hop_draws(self):
@@ -155,11 +143,11 @@ class TestDraws:
         # its column of a pool drawn at its mean, bit for bit
         for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5),
                     dataclasses.replace(coop_preset(3), omega=(0.37, 0.37))):
-            draw = draw_coop_block(cfg, np.random.default_rng(3), 700)
+            gains, relay = draw_coop_block(cfg, np.random.default_rng(3), 700)
             direct, y, drops = raw_coop_block(cfg, np.random.default_rng(3), 700)
-            for gain, rank in zip(draw.direct, cfg.ranks, strict=True):
+            for gain, rank in zip(gains, cfg.ranks, strict=True):
                 assert np.array_equal(gain, direct[:, rank - 1])
-            for gain, w in zip(draw.relay, drops, strict=True):
+            for gain, w in zip(relay, drops, strict=True):
                 assert np.array_equal(gain, y * w / (w + cfg.noise_scale))
 
 
@@ -367,7 +355,7 @@ class TestAgreementWithClosedForms:
 
     @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
     def test_direct_user_follows_served_user_contract(self, user):
-        # as for analytic.user_link, a served user matches in type and value
+        # as for analytic.user_outage, a served user matches in type and value
         cfg = direct_preset()
         with pytest.raises(ValueError):
             estimate_outage_direct(cfg, 10.0, user, TrialBatch(10, seed=0))

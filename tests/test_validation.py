@@ -14,9 +14,9 @@ from noma_perf.analytic import (
     outage_direct_exact,
     outage_far_exact,
     outage_near_exact,
+    point_links,
     served_users,
     stage_cuts,
-    user_link,
     user_outage,
 )
 from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
@@ -85,7 +85,7 @@ class TestOrderedQuadrature:
         # 1e-17, so it cuts at 2.2e17, where the tanh-sinh levels agreed on 0
         cfg = ScenarioConfig(power=(0.675, 0.225, 0.075, 0.024999999999999994),
                            rates=(1.0, 1.0, 2.0, 1.0), omega=(1.0,) * 4)
-        params, idx, cut, _ = user_link(cfg, 1.0, 3)
+        params, idx, cut = point_links(cfg, 1.0)[2]
         assert 1e17 < cut < math.inf
         assert ordered_cdf_quadrature(params, idx, cut) == 1.0
         assert outage_oracle(cfg, 1.0, 3) == user_outage(cfg, 1.0, 3)[0] == 1.0
@@ -103,11 +103,10 @@ class TestQuadpackCrossCheck:
         for cfg in (with_mu(coop_preset(), mu), with_mu(direct_preset(), mu)):
             for db in self.GRID_DB:
                 rho = db_to_linear(float(db))
-                for user in served_users(cfg):
-                    params, idx, cut, omega_rd = user_link(cfg, rho, user)
+                for params, idx, cut in point_links(cfg, rho):
                     pairs = [(ordered_cdf_quadrature(params, idx, cut),
                               ordered_cdf_quadpack(params, idx, cut))]
-                    if omega_rd is not None:
+                    if cfg.has_relay:
                         pairs.append((relay_outage_quadrature(cfg, cut),
                                       relay_outage_quadpack(cfg, cut)))
                     for de, ref in pairs:
