@@ -123,13 +123,17 @@ def threshold_snr(rate: float, slots: int) -> float:
     ``slots`` is the number of orthogonal time slots the transmission
     occupies (2 for the cooperative protocol, 1 for single-slot
     signalling); each slot halves the effective spectral efficiency, so
-    the threshold rises accordingly.
+    the threshold rises accordingly.  A threshold past the double range
+    is ``inf``: no SINR meets it, so every link to it is in outage.
     """
     if slots not in (1, 2):
         raise ValueError(f"slots must be 1 or 2, got {slots}")
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    return 2.0 ** (slots * rate) - 1.0
+    try:
+        return 2.0 ** (slots * rate) - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def served_users(cfg: ScenarioConfig) -> tuple:

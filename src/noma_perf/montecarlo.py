@@ -4,10 +4,10 @@ Estimators replay the decoding chain on sampled channel gains and count
 failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
 the one statement of the decode rule that the closed form also inverts
 into gain cuts; here it is evaluated forward, as SINR comparisons, by
-one stage test (:func:`stage_failures`).  With a relay, each user runs
-it on its direct gain and on the relay's effective gain and fails when
-both branches fail; without one, on its one gain.  Nothing
-else of the analytic layer is shared: no cut, CDF or relay closed form.
+one stage test (:func:`stage_failures`).  Each served user runs it on
+each of its branches (its direct gain and, with a relay, the relay's
+effective gain) and fails where every branch fails.  Nothing else of
+the analytic layer is shared: no cut, CDF or relay closed form.
 The tests label every trial a second time from the decode cuts of
 ``analytic.point_links`` and check that both routes agree trial by
 trial, and pin the table itself with hand-computed SINRs.
@@ -28,6 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,11 +44,13 @@ __all__ = [
     "TrialBatch",
     "coop_events_from_sinr",
     "direct_events_from_sinr",
+    "draw_block",
     "draw_coop_block",
     "estimate_outage",
     "estimate_outage_coop",
     "estimate_outage_direct",
     "stage_failures",
+    "user_failures",
 ]
 
 # Trials per RNG block.  Fixed so that the mapping trial -> random draw
@@ -110,14 +113,13 @@ def _served_gains(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list
     return [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
 
 
-def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator,
-                    n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Sample ``n`` trials of all gains of relay config ``cfg``.
+def draw_block(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list[tuple]:
+    """Sample ``n`` trials of the branch gains of every served user of ``cfg``.
 
-    Returns (direct, relay): each served user's direct-link gains and its
-    effective relay-branch gains, in served order, each shape (n,).  Draw
-    order is fixed (direct pool, relay feed y, then one relay-to-user w
-    per served user) and is part of the reproducibility contract.  The
+    Returns one tuple per served user, in served order, of arrays of shape
+    (n,): ``(direct,)`` without a relay, ``(direct, relay)`` with one.
+    Draw order is fixed (direct pool, relay feed y, then one relay-to-user
+    w per served user) and is part of the reproducibility contract.  The
     fixed-gain relay rebroadcasts its noisy slot-1 observation, so the
     second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
     is the stage SINR at the effective gain y * w / (w + c), with c the
@@ -125,11 +127,13 @@ def draw_coop_block(cfg: ScenarioConfig, rng: np.random.Generator,
     per block, as no SNR point changes it.
     """
     direct = _served_gains(cfg, rng, n)
+    if not cfg.has_relay:
+        return [(gain,) for gain in direct]
     y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
     c = cfg.noise_scale
-    drops = [sample_gain(drop, rng, size=n) for _ in direct]
-    return direct, [y * w / (w + c) for w in drops]
+    return [(gain, y * w / (w + c))
+            for gain, w in zip(direct, (sample_gain(drop, rng, size=n) for _ in direct))]
 
 
 # =====================================================================
@@ -159,19 +163,22 @@ def stage_failures(gain, cfg: ScenarioConfig, rho: float, depth: int):
     return fail
 
 
-def coop_events_from_sinr(draw: tuple[Sequence, Sequence], cfg: ScenarioConfig, rho: float):
-    """Failure arrays of the served users, in served order, from the SINR chain
-    of both branches.
+def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho: float) -> tuple:
+    """Failure arrays of the served users, in served order, from the SINR chain.
 
-    ``draw`` is a (direct, relay) pair as :func:`draw_coop_block` returns
-    for ``cfg``.  The user at position k (1-based) runs
-    :func:`stage_failures` to depth k, its decode depth, on its direct gain
-    and on its effective relay gain.  The user is served by selection and
-    fails only when both branches fail.
+    ``draw`` holds one tuple of branch gains per served user, as
+    :func:`draw_block` returns for ``cfg``.  The user at position k
+    (1-based) runs :func:`stage_failures` to depth k, its decode depth,
+    on each of its branches; it is served by selection and fails only
+    where every branch fails.
     """
-    direct, relay = draw
-    return tuple(stage_failures(d, cfg, rho, depth) & stage_failures(r, cfg, rho, depth)
-                 for depth, (d, r) in enumerate(zip(direct, relay, strict=True), 1))
+    return tuple(reduce(np.logical_and, [stage_failures(g, cfg, rho, depth) for g in branches])
+                 for depth, branches in enumerate(draw, 1))
+
+
+#: earlier names, kept as the same objects
+draw_coop_block = draw_block
+coop_events_from_sinr = user_failures
 
 
 def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
@@ -219,20 +226,10 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
 # Estimators
 # =====================================================================
 
-def _coop_block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator,
-                n: int) -> ArrayLike:
+def _block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator, n: int) -> list:
     """Failure counts of one block per rho and served user, shape (rhos, users)."""
-    draw = draw_coop_block(cfg, rng, n)
-    return [[fail.sum() for fail in coop_events_from_sinr(draw, cfg, rho)] for rho in rhos]
-
-
-def _direct_block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator,
-                  n: int) -> ArrayLike:
-    """Failure counts of one block per rho and served user, shape (rhos, users)."""
-    counts = []
-    for user, gain in zip(served_users(cfg), _served_gains(cfg, rng, n)):
-        counts.append([direct_events_from_sinr(gain, cfg, rho, user).sum() for rho in rhos])
-    return np.transpose(counts)
+    draw = draw_block(cfg, rng, n)
+    return [[np.count_nonzero(fail) for fail in user_failures(draw, cfg, rho)] for rho in rhos]
 
 
 def estimate_outage(cfg: ScenarioConfig, rhos: Sequence[float],
@@ -249,8 +246,7 @@ def estimate_outage(cfg: ScenarioConfig, rhos: Sequence[float],
     users = served_users(cfg)
     if not rhos:
         return []
-    block = _coop_block if cfg.has_relay else _direct_block
-    counts = _run_blocks(batch, lambda j, n: block(cfg, rhos, _block_rng(batch.seed, j), n))
+    counts = _run_blocks(batch, lambda j, n: _block(cfg, rhos, _block_rng(batch.seed, j), n))
     return [
         {user: Estimate.from_count(int(c), batch.trials) for user, c in zip(users, row)}
         for row in counts

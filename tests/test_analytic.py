@@ -78,6 +78,12 @@ class TestThresholdSnr:
         with pytest.raises(ValueError):
             threshold_snr(math.inf, slots=1)
 
+    def test_past_double_range_is_infinite(self):
+        # 2**1024 overflows a double; no SINR meets such a threshold
+        assert threshold_snr(1023.0, slots=1) == 2.0 ** 1023 - 1.0
+        assert threshold_snr(600.0, slots=2) == math.inf
+        assert threshold_snr(1100.0, slots=1) == math.inf
+
 
 class TestFixedGainConstant:
     def test_literal_kappa(self):

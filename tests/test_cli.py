@@ -261,28 +261,28 @@ class TestSweep:
             assert len(calls) == want, argv
 
     def test_each_block_drawn_once_per_run(self, capsys, monkeypatch):
-        coop_draws, sorted_draws = [], []
-        draw_coop_block = montecarlo.draw_coop_block
+        block_draws, sorted_draws = [], []
+        draw_block = montecarlo.draw_block
         sample_sorted_gains = montecarlo.sample_sorted_gains
 
-        def counted_coop(*args, **kwargs):
-            coop_draws.append(args)
-            return draw_coop_block(*args, **kwargs)
+        def counted_block(*args, **kwargs):
+            block_draws.append(args)
+            return draw_block(*args, **kwargs)
 
         def counted_sorted(*args, **kwargs):
             sorted_draws.append(args)
             return sample_sorted_gains(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "draw_coop_block", counted_coop)
+        monkeypatch.setattr(montecarlo, "draw_block", counted_block)
         monkeypatch.setattr(montecarlo, "sample_sorted_gains", counted_sorted)
         code, _, _ = run_cli(
             capsys, "sweep", "--scenario", "compare", "--trials", "1000", "--snr-step", "10",
         )
         assert code == 0
-        # 5 SNR points, 1 block: one coop draw and one direct pool draw
-        # serve every point and user; each coop draw sorts its own pool
-        assert len(coop_draws) == 1
-        assert len(sorted_draws) - len(coop_draws) == 1
+        # 5 SNR points, 1 block: one draw per config serves every point and
+        # user, and each draw sorts its own pool
+        assert [args[0].has_relay for args in block_draws] == [True, False]
+        assert len(sorted_draws) == len(block_draws)
 
     def test_config_with_both_relay_keys_exits_2(self, capsys, tmp_path):
         text = preset_ini("coop").replace("relay_gain = 0.9", "relay_gain = 0.9\nrelay_const = 2.0")
@@ -310,6 +310,34 @@ class TestSweep:
             assert math.isfinite(float(c["p_exact"])) and math.isfinite(float(c["p_asymptotic"]))
             if c["snr_db"] == "0":
                 assert c["p_asymptotic"] == "1"
+
+    @pytest.mark.parametrize("scenario, rates, user", [
+        ("coop", "1.0 600", "near"),
+        ("direct", "0.2 1.0 1100", "3"),
+        # each threshold is finite; only the OMA sum rate passes 1024 bits
+        ("direct", "0.2 1.0 1023", None),
+    ])
+    def test_threshold_past_double_range_is_certain_outage(self, capsys, tmp_path,
+                                                           scenario, rates, user):
+        text = preset_ini(scenario)
+        ini = tmp_path / "rates.ini"
+        ini.write_text(text.replace(
+            next(ln for ln in text.splitlines() if ln.startswith("rates =")), f"rates = {rates}"),
+            encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", scenario, "--config", str(ini),
+                                 "--oma", "--trials", "1000")
+        assert code == 0 and err == ""
+        for c in map(cells, data_rows(out)):
+            assert c["p_oma"] == "1"
+            if c["user"] == user:
+                assert c["p_exact"] == c["p_asymptotic"] == c["p_mc"] == "1"
+        code, out, err = run_cli(capsys, "validate", "--config", str(ini), "--trials", "1000")
+        assert code == 0 and err == ""
+        for row in data_rows(out):
+            c = dict(zip(REPORT_COLUMNS, row.split(",")))
+            assert c["passed"] == "pass"
+            if c["user"] == user:
+                assert c["p_exact"] == c["p_oracle"] == c["p_mc"] == "1"
 
     def test_config_with_removed_mean_override_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "override.ini"

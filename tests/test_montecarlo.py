@@ -28,11 +28,13 @@ from noma_perf.montecarlo import (
     TrialBatch,
     coop_events_from_sinr,
     direct_events_from_sinr,
+    draw_block,
     draw_coop_block,
     estimate_outage,
     estimate_outage_coop,
     estimate_outage_direct,
     stage_failures,
+    user_failures,
 )
 
 
@@ -40,15 +42,19 @@ def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
 
 
-def raw_coop_block(cfg, rng, n):
-    """The hop gains behind ``draw_coop_block(cfg, rng, n)`` for a generator
-    in the same state, drawn in its order: (direct pool, relay feed y,
-    (w_far, w_near)).  The pool is drawn at the served users' common mean
-    ``cfg.omega[0]``, not at unit scale as ``draw_coop_block`` draws it."""
-    direct = sample_sorted_gains(FadingParams(cfg.mu, cfg.omega[0]), cfg.pool, rng, size=n)
+def raw_block(cfg, rng, n, omega=None):
+    """The hop gains behind ``draw_block(cfg, rng, n)`` for a generator in
+    the same state, drawn in its order: (direct pool, relay feed y, one w
+    per served user); without a relay, y is None and there is no w.  The
+    pool is drawn at mean ``omega`` (default: the first served user's),
+    not at unit scale as ``draw_block`` draws it."""
+    omega = cfg.omega[0] if omega is None else omega
+    direct = sample_sorted_gains(FadingParams(cfg.mu, omega), cfg.pool, rng, size=n)
+    if not cfg.has_relay:
+        return direct, None, ()
     y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
-    return direct, y, tuple(sample_gain(drop, rng, size=n) for _ in range(2))
+    return direct, y, tuple(sample_gain(drop, rng, size=n) for _ in cfg.ranks)
 
 
 def coop_events_from_cuts(raw, cfg, rho):
@@ -71,11 +77,12 @@ def direct_events_from_cuts(gain, cfg, rho, user):
 
 
 def scalar_draw(cfg, h_far, h_near, y, w_f, w_n):
-    """Single-trial (direct, relay) draw with explicit hop gains, relayed by
-    ``cfg``'s relay, as ``draw_coop_block`` returns it."""
+    """Single-trial draw with explicit hop gains, relayed by ``cfg``'s
+    relay, as ``draw_block`` returns it: one (direct, relay) tuple per
+    served user."""
     c = cfg.noise_scale
-    return ([np.asarray([h_far], dtype=float), np.asarray([h_near], dtype=float)],
-            [np.asarray([y * w / (w + c)]) for w in (w_f, w_n)])
+    return [(np.asarray([h], dtype=float), np.asarray([y * w / (w + c)]))
+            for h, w in ((h_far, w_f), (h_near, w_n))]
 
 
 def with_stage_threshold(cfg, stage, gamma):
@@ -119,23 +126,31 @@ class TestContainers:
 
 
 class TestDraws:
+    def test_earlier_names_are_the_same_objects(self):
+        assert draw_coop_block is draw_block
+        assert coop_events_from_sinr is user_failures
+
     def test_shapes_and_sorted_pool(self):
-        cfg = coop_preset()
-        direct, relay = draw_coop_block(cfg, np.random.default_rng(0), 1000)
-        # one direct and one relay gain array per served user, in served order
-        assert len(direct) == len(relay) == len(served_users(cfg))
-        assert [g.shape for g in (*direct, *relay)] == [(1000,)] * 4
-        # ranks 1 and 5 of one pool at one mean: the far gain never exceeds the near
-        far, near = direct
-        assert np.all(far <= near)
-        assert np.all(far > 0)
+        for cfg, n_branches in ((coop_preset(), 2), (direct_preset(), 1)):
+            draw = draw_block(cfg, np.random.default_rng(0), 1000)
+            # one tuple of branch gains per served user, in served order:
+            # the direct gain, then the relay's effective gain if any
+            assert len(draw) == len(served_users(cfg))
+            assert [len(branches) for branches in draw] == [n_branches] * len(draw)
+            assert {g.shape for branches in draw for g in branches} == {(1000,)}
+            # ascending ranks of one sorted pool: over its mean, a user's
+            # direct gain never exceeds the next served user's
+            scaled = [branches[0] / omega for branches, omega in zip(draw, cfg.omega)]
+            assert all(np.all(a <= b) for a, b in zip(scaled, scaled[1:]))
+            assert np.all(scaled[0] > 0)
 
     def test_reproducible(self):
-        cfg = with_mu(coop_preset(), 2)
-        a = draw_coop_block(cfg, np.random.default_rng(11), 500)
-        b = draw_coop_block(cfg, np.random.default_rng(11), 500)
-        for ga, gb in zip((*a[0], *a[1]), (*b[0], *b[1]), strict=True):
-            assert np.array_equal(ga, gb)
+        for cfg in (with_mu(coop_preset(), 2), with_mu(direct_preset(), 2)):
+            a = draw_block(cfg, np.random.default_rng(11), 500)
+            b = draw_block(cfg, np.random.default_rng(11), 500)
+            for ta, tb in zip(a, b, strict=True):
+                for ga, gb in zip(ta, tb, strict=True):
+                    assert np.array_equal(ga, gb)
 
     def test_effective_relay_gains_of_the_hop_draws(self):
         # each user's relay branch is stored as y * w / (w + c), and its
@@ -143,12 +158,23 @@ class TestDraws:
         # its column of a pool drawn at its mean, bit for bit
         for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5),
                     dataclasses.replace(coop_preset(3), omega=(0.37, 0.37))):
-            gains, relay = draw_coop_block(cfg, np.random.default_rng(3), 700)
-            direct, y, drops = raw_coop_block(cfg, np.random.default_rng(3), 700)
-            for gain, rank in zip(gains, cfg.ranks, strict=True):
+            draw = draw_block(cfg, np.random.default_rng(3), 700)
+            direct, y, drops = raw_block(cfg, np.random.default_rng(3), 700)
+            for (gain, relay), rank, w in zip(draw, cfg.ranks, drops, strict=True):
                 assert np.array_equal(gain, direct[:, rank - 1])
-            for gain, w in zip(relay, drops, strict=True):
-                assert np.array_equal(gain, y * w / (w + cfg.noise_scale))
+                assert np.array_equal(relay, y * w / (w + cfg.noise_scale))
+        # without a relay the block draws the pool alone, and each user's
+        # one branch is its column of a pool drawn at its own mean
+        for cfg in (direct_preset(), with_mu(direct_preset(), 3)):
+            rng = np.random.default_rng(3)
+            draw = draw_block(cfg, rng, 700)
+            for (gain,), rank, omega in zip(draw, cfg.ranks, cfg.omega, strict=True):
+                direct, y, drops = raw_block(cfg, np.random.default_rng(3), 700, omega)
+                assert (y, drops) == (None, ())
+                assert np.array_equal(gain, direct[:, rank - 1])
+            after_pool = np.random.default_rng(3)
+            raw_block(cfg, after_pool, 700)
+            assert rng.bit_generator.state == after_pool.bit_generator.state
 
 
 class TestSinrChains:
@@ -162,10 +188,10 @@ class TestSinrChains:
         draw = scalar_draw(cfg, 2.0, 4.0, 1.0, 1.0, 1.0)
 
         def far(probe):
-            return coop_events_from_sinr(draw, probe, 10.0)[0][0]
+            return user_failures(draw, probe, 10.0)[0][0]
 
         def near(probe):
-            return coop_events_from_sinr(draw, probe, 10.0)[1][0]
+            return user_failures(draw, probe, 10.0)[1][0]
 
         # the relay branch (effective gain 1 / (1 + c), c = 1.23) misses
         # each threshold below, so the direct gain decides
@@ -179,11 +205,11 @@ class TestSinrChains:
 
         def far(probe):
             draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
-            return coop_events_from_sinr(draw, probe, 10.0)[0][0]
+            return user_failures(draw, probe, 10.0)[0][0]
 
         def near(probe):
             draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
-            return coop_events_from_sinr(draw, probe, 10.0)[1][0]
+            return user_failures(draw, probe, 10.0)[1][0]
 
         # the direct gain 0.1 misses each threshold below, so the relay decides
         # cascade far: 1 * 2 = 2; denom 2*0.2*10 + 2 + 1 = 7
@@ -226,11 +252,11 @@ class TestEventEquivalence:
         rng = np.random.default_rng(2024)
         for mu in (1, 2):
             cfg = with_mu(coop_preset(), mu)
-            raw = raw_coop_block(cfg, copy.deepcopy(rng), 1 << 16)
-            draw = draw_coop_block(cfg, rng, 1 << 16)
+            raw = raw_block(cfg, copy.deepcopy(rng), 1 << 16)
+            draw = draw_block(cfg, rng, 1 << 16)
             for rho_db in (0.0, 10.0, 30.0):
                 rho = db_to_linear(rho_db)
-                far_a, near_a = coop_events_from_sinr(draw, cfg, rho)
+                far_a, near_a = user_failures(draw, cfg, rho)
                 far_b, near_b = coop_events_from_cuts(raw, cfg, rho)
                 assert np.array_equal(far_a, far_b)
                 assert np.array_equal(near_a, near_b)
@@ -238,9 +264,9 @@ class TestEventEquivalence:
 
     def test_coop_routes_agree_when_infeasible(self):
         cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))  # threshold 7 > 4
-        draw = draw_coop_block(cfg, np.random.default_rng(8), 4096)
-        far_a, near_a = coop_events_from_sinr(draw, cfg, db_to_linear(30.0))
-        raw = raw_coop_block(cfg, np.random.default_rng(8), 4096)
+        draw = draw_block(cfg, np.random.default_rng(8), 4096)
+        far_a, near_a = user_failures(draw, cfg, db_to_linear(30.0))
+        raw = raw_block(cfg, np.random.default_rng(8), 4096)
         far_b, near_b = coop_events_from_cuts(raw, cfg, db_to_linear(30.0))
         assert far_a.all() and near_a.all()
         assert np.array_equal(far_a, far_b)
