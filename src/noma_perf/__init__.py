@@ -21,32 +21,16 @@ from .configs import (
 )
 from .fading import FadingParams, OrderedIndex
 from .analytic import (
-    coop_cuts,
-    direct_cuts,
     diversity_order_fit,
-    outage_direct_asymptotic,
-    outage_direct_exact,
-    outage_far_asymptotic,
-    outage_far_exact,
-    outage_near_asymptotic,
-    outage_near_exact,
     outage_oma,
     relay_outage,
     relay_outage_closed,
     sic_stages,
     stage_cuts,
     threshold_snr,
-    throughput_coop,
-    throughput_direct,
     user_outage,
 )
-from .montecarlo import (
-    Estimate,
-    TrialBatch,
-    estimate_outage,
-    estimate_outage_coop,
-    estimate_outage_direct,
-)
+from .montecarlo import Estimate, TrialBatch, estimate_outage
 from .validation import (
     ComparisonRow,
     outage_oracle,
@@ -65,21 +49,11 @@ __all__ = [
     "ScenarioConfig",
     "TrialBatch",
     "__version__",
-    "coop_cuts",
     "coop_preset",
-    "direct_cuts",
     "direct_preset",
     "diversity_order_fit",
     "estimate_outage",
-    "estimate_outage_coop",
-    "estimate_outage_direct",
     "load_config_file",
-    "outage_direct_asymptotic",
-    "outage_direct_exact",
-    "outage_far_asymptotic",
-    "outage_far_exact",
-    "outage_near_asymptotic",
-    "outage_near_exact",
     "outage_oma",
     "outage_oracle",
     "preset_configs",
@@ -90,8 +64,6 @@ __all__ = [
     "sic_stages",
     "stage_cuts",
     "threshold_snr",
-    "throughput_coop",
-    "throughput_direct",
     "user_outage",
     "with_mu",
 ]

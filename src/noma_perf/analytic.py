@@ -41,9 +41,7 @@ user's direct-link law, sort index and decode cut, from one evaluation of
 links.  :func:`link_outage` evaluates both forms for one link from one cut
 and one relay evaluation, and :func:`point_outages` does so for every
 served user of a point.  :func:`user_outage` is its checked one-user
-view; the per-user functions (``outage_far_exact`` and the like) are
-views of it, and the throughput is a sum over the served users' exact
-outages.
+view, and the throughput is a sum over the served users' exact outages.
 """
 
 from __future__ import annotations
@@ -67,20 +65,9 @@ from .fading import (
 from .numerics import bessel_k_scaled, log_binomial, log_gamma
 
 __all__ = [
-    "COOP_USERS",
-    "coop_cuts",
     "decode_depth",
-    "direct_cuts",
     "diversity_order_fit",
-    "far_outage_parts",
     "link_outage",
-    "near_outage_parts",
-    "outage_direct_asymptotic",
-    "outage_direct_exact",
-    "outage_far_asymptotic",
-    "outage_far_exact",
-    "outage_near_asymptotic",
-    "outage_near_exact",
     "outage_oma",
     "point_links",
     "point_outages",
@@ -91,8 +78,6 @@ __all__ = [
     "stage_cuts",
     "threshold_snr",
     "throughput",
-    "throughput_coop",
-    "throughput_direct",
     "user_outage",
 ]
 
@@ -192,10 +177,6 @@ def stage_cuts(cfg: ScenarioConfig, rho: float) -> tuple[float, ...]:
     return tuple(cuts)
 
 
-#: earlier names of :func:`stage_cuts`, one per deployment
-coop_cuts = direct_cuts = stage_cuts
-
-
 # =====================================================================
 # Relay branch closed form
 # =====================================================================
@@ -204,7 +185,7 @@ def _relay_outage_f64(cut: float, mu: int, omega_sr: float, omega_rd: float,
                       noise_scale: float) -> float:
     """Double-precision evaluation of the relay-branch outage at gain cut ``cut``."""
     zc = cut * noise_scale
-    arg = 2.0 * mu * math.sqrt(zc / (omega_sr * omega_rd))
+    arg = 2.0 * mu * math.sqrt(zc / omega_sr / omega_rd)
     log_pref = (
         math.log(2.0)
         + mu * math.log(mu)
@@ -370,7 +351,7 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     """
     t = mu * cut / omega_sr
     # the quotient under the Bessel sum's square root, so s > 0 wherever that sum ran
-    s = mu * mu * (cut * noise_scale / (omega_sr * omega_rd))
+    s = mu * mu * (cut * noise_scale / omega_sr / omega_rd)
     lam = math.log(s) + 2.0 * _EULER_GAMMA
     rest, size_sum = _deep_sum(mu, functools.partial(_deep_row, mu), t, s, lam, 1e-17)
     digits = 16
@@ -411,8 +392,9 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     than 1e5.  Results at or above 1e-6 come from the Bessel sum
     unchanged.
 
-    Returns exactly 0.0 at ``cut = 0`` and exactly 1.0 once the bracket
-    underflows to zero (deep outage).
+    Returns exactly 0.0 at ``cut = 0``, exactly 1.0 once the bracket
+    underflows to zero (deep outage), and the first-hop CDF where s
+    underflows to zero.
     """
     if not isinstance(mu, int) or mu < 1:
         raise ValueError(f"mu must be an integer >= 1, got {mu!r}")
@@ -425,8 +407,15 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
         raise ValueError(f"cut must be >= 0, got {cut}")
     if cut == 0.0:
         return 0.0
-    if math.isinf(cut) or mu * cut / omega_sr > _EXP_UNDERFLOW:
+    # the hop means divide one at a time, so their product cannot overflow
+    s = mu * mu * (cut * noise_scale / omega_sr / omega_rd)
+    # the relay succeeds with probability at most 4**mu exp(-sqrt(s))
+    # (Chernoff bound on (y - cut) w >= cut noise_scale at half the hop
+    # rates), so past the second test every term of the Bessel sum underflows
+    if mu * cut / omega_sr > _EXP_UNDERFLOW or math.sqrt(s) - mu * math.log(4.0) > _EXP_UNDERFLOW:
         return 1.0
+    if s == 0.0:  # no forwarded noise at double precision: only the first hop fails
+        return float(special.gammainc(mu, mu * cut / omega_sr))
     value = _relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
     if value >= _DEEP_SWITCH:
         return value
@@ -517,46 +506,6 @@ def user_outage(cfg: ScenarioConfig, rho: float,
     return link_outage(cfg, _user_link(cfg, rho, user))
 
 
-def far_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
-    """(direct, relay) branch outage factors of the far user."""
-    return _link_factors(cfg, _user_link(cfg, rho, "far"))[::2]
-
-
-def near_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
-    """(direct, relay) branch outage factors of the near user."""
-    return _link_factors(cfg, _user_link(cfg, rho, "near"))[::2]
-
-
-def outage_far_exact(cfg: ScenarioConfig, rho: float) -> float:
-    """Exact outage probability of the far user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "far")[0]
-
-
-def outage_near_exact(cfg: ScenarioConfig, rho: float) -> float:
-    """Exact outage probability of the near user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "near")[0]
-
-
-def outage_direct_exact(cfg: ScenarioConfig, rho: float, user: int) -> float:
-    """Exact outage of served user ``user`` (1-based) in the single-slot system."""
-    return user_outage(cfg, rho, user)[0]
-
-
-def outage_far_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
-    """High-SNR outage of the far user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "far")[1]
-
-
-def outage_near_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
-    """High-SNR outage of the near user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "near")[1]
-
-
-def outage_direct_asymptotic(cfg: ScenarioConfig, rho: float, user: int) -> float:
-    """High-SNR outage of served user ``user`` (1-based) in the single-slot system."""
-    return user_outage(cfg, rho, user)[1]
-
-
 def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
     """Least-squares decay exponent of an outage curve P(rho).
 
@@ -606,16 +555,6 @@ def throughput(cfg: ScenarioConfig, exact: Sequence[float]) -> float:
     return math.fsum((1.0 - p) * rate for p, rate in zip(exact, cfg.rates, strict=True))
 
 
-def throughput_coop(cfg: ScenarioConfig, rho: float) -> float:
-    """Delay-limited throughput of the cooperative pair in bit/s/Hz."""
-    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
-
-
-def throughput_direct(cfg: ScenarioConfig, rho: float) -> float:
-    """Delay-limited throughput of the single-slot system in bit/s/Hz."""
-    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
-
-
 def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
     """Outage of an orthogonal-access baseline carrying the same total rate.
 
@@ -633,3 +572,59 @@ def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
     params, idx = FadingParams(cfg.mu, cfg.omega[-1]), OrderedIndex(cfg.ranks[-1], cfg.pool)
     direct = ordered_cdf(params, idx, cut)
     return direct * relay_outage(cfg, cut) if cfg.has_relay else direct
+
+
+# =====================================================================
+# Per-user views of the functions above; no production path calls them
+# =====================================================================
+
+# perfbench/tracing.py:TRACED pins these names
+coop_cuts = direct_cuts = stage_cuts
+
+
+def far_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
+    """(direct, relay) branch outage factors of the far user."""
+    return _link_factors(cfg, _user_link(cfg, rho, "far"))[::2]
+
+
+def near_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
+    """(direct, relay) branch outage factors of the near user."""
+    return _link_factors(cfg, _user_link(cfg, rho, "near"))[::2]
+
+
+def outage_far_exact(cfg: ScenarioConfig, rho: float) -> float:
+    """Exact outage probability of the far user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "far")[0]
+
+
+def outage_near_exact(cfg: ScenarioConfig, rho: float) -> float:
+    """Exact outage probability of the near user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "near")[0]
+
+
+def outage_direct_exact(cfg: ScenarioConfig, rho: float, user: int) -> float:
+    """Exact outage of served user ``user`` (1-based) in the single-slot system."""
+    return user_outage(cfg, rho, user)[0]
+
+
+def outage_far_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
+    """High-SNR outage of the far user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "far")[1]
+
+
+def outage_near_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
+    """High-SNR outage of the near user at transmit SNR ``rho``."""
+    return user_outage(cfg, rho, "near")[1]
+
+
+def outage_direct_asymptotic(cfg: ScenarioConfig, rho: float, user: int) -> float:
+    """High-SNR outage of served user ``user`` (1-based) in the single-slot system."""
+    return user_outage(cfg, rho, user)[1]
+
+
+def throughput_coop(cfg: ScenarioConfig, rho: float) -> float:
+    """Delay-limited throughput of ``cfg`` in bit/s/Hz at transmit SNR ``rho``."""
+    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
+
+
+throughput_direct = throughput_coop

@@ -42,13 +42,8 @@ __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
     "TrialBatch",
-    "coop_events_from_sinr",
-    "direct_events_from_sinr",
     "draw_block",
-    "draw_coop_block",
     "estimate_outage",
-    "estimate_outage_coop",
-    "estimate_outage_direct",
     "stage_failures",
     "user_failures",
 ]
@@ -176,21 +171,6 @@ def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho: float) -> tup
                  for depth, branches in enumerate(draw, 1))
 
 
-#: earlier names, kept as the same objects
-draw_coop_block = draw_block
-coop_events_from_sinr = user_failures
-
-
-def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
-    """Outage indicators of served user ``user`` from its SIC chain.
-
-    ``user`` is one of ``served_users(cfg)``, an ``int`` in 1..M, as for
-    :func:`~noma_perf.analytic.user_outage`; anything else raises
-    ``ValueError``.
-    """
-    return stage_failures(gain, cfg, rho, decode_depth(cfg, user))
-
-
 # =====================================================================
 # Block scheduling
 # =====================================================================
@@ -253,6 +233,20 @@ def estimate_outage(cfg: ScenarioConfig, rhos: Sequence[float],
     ]
 
 
+# =====================================================================
+# Per-user views of the functions above; no production path calls them
+# =====================================================================
+
+# perfbench/tracing.py:TRACED pins these names
+draw_coop_block = draw_block
+coop_events_from_sinr = user_failures
+
+
+def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
+    """Outage indicators of served user ``user`` (checked) from its SIC chain."""
+    return stage_failures(gain, cfg, rho, decode_depth(cfg, user))
+
+
 def estimate_outage_coop(cfg: ScenarioConfig, rho: float, batch: TrialBatch
                          ) -> tuple[Estimate, Estimate]:
     """Far and near outage estimates from one shared set of draws."""
@@ -262,10 +256,6 @@ def estimate_outage_coop(cfg: ScenarioConfig, rho: float, batch: TrialBatch
 
 def estimate_outage_direct(cfg: ScenarioConfig, rho: float, user: int,
                            batch: TrialBatch) -> Estimate:
-    """Outage estimate of served user ``user`` in the single-slot system.
-
-    ``user`` follows the served-user contract of
-    :func:`direct_events_from_sinr`.
-    """
+    """Outage estimate of served user ``user`` (checked) in the single-slot system."""
     decode_depth(cfg, user)  # rejects an unserved user before any draw
     return estimate_outage(cfg, [rho], batch)[0][user]

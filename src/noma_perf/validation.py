@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import Link, _user_link, link_outage, point_links, served_users
-from .configs import ScenarioConfig
+from .configs import ConfigError, ScenarioConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
 from .montecarlo import TrialBatch, estimate_outage
-from .numerics import integrate_from_zero, integrate_semi_infinite
+from .numerics import QuadratureError, integrate_from_zero, integrate_semi_infinite
 
 __all__ = [
     "ComparisonRow",
@@ -107,10 +107,19 @@ def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) ->
 
 
 def _link_oracle(cfg: ScenarioConfig, link: Link) -> float:
-    """Quadrature-only outage of one ``analytic.point_links`` entry of ``cfg``."""
+    """Quadrature-only outage of one ``analytic.point_links`` entry of ``cfg``; a
+    relay that puts the integrand past the exp-sinh nodes raises ``ConfigError``."""
     params, idx, cut = link
     direct = ordered_cdf_quadrature(params, idx, cut)
-    return direct * relay_outage_quadrature(cfg, cut) if cfg.has_relay else direct
+    if not cfg.has_relay:
+        return direct
+    try:
+        return direct * relay_outage_quadrature(cfg, cut)
+    except QuadratureError as exc:
+        raise ConfigError(
+            f"the relay oracle cannot resolve omega_sr = {cfg.omega_sr:g}, omega_rd = "
+            f"{cfg.omega_rd:g}, relay_gain = {cfg.relay_gain:g} at cut {cut:.6g}: {exc}"
+        ) from exc
 
 
 def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:

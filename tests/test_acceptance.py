@@ -14,14 +14,11 @@ from scipy import special, stats
 
 from noma_perf.analytic import (
     diversity_order_fit,
-    outage_direct_exact,
-    outage_far_exact,
-    outage_near_exact,
+    point_outages,
     relay_outage,
     served_users,
     stage_cuts,
-    throughput_coop,
-    throughput_direct,
+    throughput,
     user_outage,
 )
 from noma_perf.cli import main
@@ -39,12 +36,7 @@ from noma_perf.fading import (
     sample_gain,
     sample_sorted_gains,
 )
-from noma_perf.montecarlo import (
-    TrialBatch,
-    estimate_outage,
-    estimate_outage_coop,
-    estimate_outage_direct,
-)
+from noma_perf.montecarlo import TrialBatch, estimate_outage
 from noma_perf.validation import relay_outage_quadrature
 
 GRID_DB = [5.0 * k for k in range(9)]  # 0, 5, ..., 40 dB
@@ -132,12 +124,12 @@ class TestAcceptance:
             coop = coop_preset(mu)
             check(
                 f"coop far mu={mu}",
-                diversity_order_fit((r, outage_far_exact(coop, r)) for r in grid),
+                diversity_order_fit((r, user_outage(coop, r, "far")[0]) for r in grid),
                 mu * (coop.ranks[0] + 1),
             )
             check(
                 f"coop near mu={mu}",
-                diversity_order_fit((r, outage_near_exact(coop, r)) for r in grid),
+                diversity_order_fit((r, user_outage(coop, r, "near")[0]) for r in grid),
                 mu * (coop.ranks[1] + 1),
             )
             direct = direct_preset(mu)
@@ -145,7 +137,7 @@ class TestAcceptance:
                 check(
                     f"direct user {user} mu={mu}",
                     diversity_order_fit(
-                        (r, outage_direct_exact(direct, r, user)) for r in grid
+                        (r, user_outage(direct, r, user)[0]) for r in grid
                     ),
                     mu * direct.ranks[user - 1],
                 )
@@ -159,8 +151,8 @@ class TestAcceptance:
 
     def test_criterion_4_throughput_ceilings_at_fifty_db(self):
         rho = db_to_linear(50.0)
-        coop = throughput_coop(coop_preset(), rho)
-        direct = throughput_direct(direct_preset(), rho)
+        coop, direct = (throughput(cfg, [p for p, _ in point_outages(cfg, rho)])
+                        for cfg in (coop_preset(), direct_preset()))
         ok = abs(coop - 2.5) <= 0.01 and abs(direct - 3.2) <= 0.01
         report(
             4, "throughput ceilings at 50 dB", ok,
@@ -175,8 +167,8 @@ class TestAcceptance:
         for db in [d for d in GRID_DB if d >= 30.0]:
             rho = db_to_linear(db)
             pairs = (
-                (outage_far_exact(coop, rho), outage_direct_exact(direct, rho, 1)),
-                (outage_near_exact(coop, rho), outage_direct_exact(direct, rho, 2)),
+                (user_outage(coop, rho, "far")[0], user_outage(direct, rho, 1)[0]),
+                (user_outage(coop, rho, "near")[0], user_outage(direct, rho, 2)[0]),
             )
             for p_coop, p_direct in pairs:
                 ok = ok and p_coop <= p_direct
@@ -236,10 +228,11 @@ class TestAcceptance:
         batch = TrialBatch(200_000, seed=2)
         # far threshold 2**(2*1.5) - 1 = 7 exceeds the 0.8 / 0.2 split ratio
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        far_est, near_est = estimate_outage_coop(coop, rho, batch)
+        (point,) = estimate_outage(coop, [rho], batch)
+        far_est, near_est = point["far"], point["near"]
         coop_ok = (
-            outage_far_exact(coop, rho) == 1.0
-            and outage_near_exact(coop, rho) == 1.0
+            user_outage(coop, rho, "far")[0] == 1.0
+            and user_outage(coop, rho, "near")[0] == 1.0
             and far_est.p_hat == 1.0 and far_est.stderr == 0.0
             and near_est.p_hat == 1.0 and near_est.stderr == 0.0
         )
@@ -251,10 +244,11 @@ class TestAcceptance:
             mu=1,
         )
         direct_ok = True
+        (point,) = estimate_outage(direct, [rho], batch)
         for user in (2, 3):
-            est = estimate_outage_direct(direct, rho, user, batch)
+            est = point[user]
             direct_ok = direct_ok and (
-                outage_direct_exact(direct, rho, user) == 1.0
+                user_outage(direct, rho, user)[0] == 1.0
                 and est.p_hat == 1.0 and est.stderr == 0.0
             )
         ok = coop_ok and direct_ok

@@ -1,7 +1,9 @@
 """Unit tests for the closed-form outage, asymptotics, and throughput."""
 
+import dataclasses
 import json
 import math
+import signal
 import warnings
 from fractions import Fraction
 
@@ -18,24 +20,16 @@ from noma_perf import analytic
 from noma_perf.analytic import (
     decode_depth,
     diversity_order_fit,
-    far_outage_parts,
-    near_outage_parts,
-    outage_direct_asymptotic,
-    outage_direct_exact,
-    outage_far_asymptotic,
-    outage_far_exact,
-    outage_near_asymptotic,
-    outage_near_exact,
     outage_oma,
     point_links,
+    point_outages,
     relay_outage,
     relay_outage_closed,
     served_users,
     sic_stages,
     stage_cuts,
     threshold_snr,
-    throughput_coop,
-    throughput_direct,
+    throughput,
     user_outage,
 )
 from noma_perf.configs import (
@@ -60,6 +54,10 @@ KAPPA_NOISE_SCALE = 1.2345679012345678
 
 def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
+
+
+def point_throughput(cfg, rho):
+    return throughput(cfg, [p for p, _ in point_outages(cfg, rho)])
 
 
 class TestThresholdSnr:
@@ -140,7 +138,8 @@ class TestCoopCuts:
             stage_cuts(coop_preset(), -5.0)
 
     def test_one_cut_function_and_decode_depths(self):
-        assert analytic.coop_cuts is analytic.direct_cuts is stage_cuts
+        # one stage-cut tuple per deployment, one entry per served user
+        assert [len(stage_cuts(cfg, 10.0)) for cfg in (coop_preset(), direct_preset())] == [2, 3]
         assert [decode_depth(coop_preset(), u) for u in served_users(coop_preset())] == [1, 2]
         assert [decode_depth(direct_preset(), u) for u in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(ValueError):
@@ -202,6 +201,45 @@ class TestRelayOutage:
         assert relay_outage_closed(math.inf, **kw) == 1.0
         # deep cut: the feeder-link factor alone underflows exp(-745)
         assert relay_outage_closed(4.0 * 746.0 / 2.0, **kw) == 1.0
+
+    @pytest.mark.parametrize("relay_gain, omega_rd", [(1e-12, 4.0), (1e-9, 4.0), (0.9, 1e-300)])
+    def test_vanishing_relay_success_is_exactly_one_at_once(self, relay_gain, omega_rd):
+        # the Bessel argument 2 sqrt(s) passes 2**31 here, where scipy's kve
+        # returns nan, which once sent these cuts to the deep series at
+        # s ~ 1e23 (no return) or into a decimal overflow; the relay
+        # succeeds with probability below 4**mu exp(-sqrt(s)) < exp(-745)
+
+        def timeout(signum, frame):
+            raise TimeoutError("the relay outage took more than 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            for mu in (1, 3):
+                cfg = dataclasses.replace(coop_preset(mu), relay_gain=relay_gain,
+                                          omega_rd=omega_rd)
+                for snr_db in (0.0, 30.0, 60.0):
+                    for _, _, cut in point_links(cfg, db_to_linear(snr_db)):
+                        assert relay_outage(cfg, cut) == 1.0, (mu, snr_db)
+                        assert relay_outage_quadrature(cfg, cut) == pytest.approx(1.0, rel=1e-15)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("omega_sr, omega_rd", [(1e300, 4.0), (1e200, 1e200)])
+    def test_extreme_hop_means_keep_the_small_s_limit(self, omega_sr, omega_rd):
+        # omega_sr * omega_rd overflows, and at (1e200, 1e200) s underflows
+        # too, so only the first hop can fail; at mu = 1 the outage is
+        # 1 - exp(-t) x K_1(x), x = 2 sqrt(s), and by DLMF 10.31.1
+        # x K_1(x) = 1 + s (ln s + 2 gamma - 1) + O(s**2 ln s)
+        for cut in (15.0, 0.015):
+            t = cut / omega_sr
+            s = cut * KAPPA_NOISE_SCALE / omega_sr / omega_rd
+            lead = s * (math.log(s) + 2.0 * analytic._EULER_GAMMA - 1.0) if s else 0.0
+            want = -math.expm1(-t) - math.exp(-t) * lead
+            got = relay_outage_closed(cut, mu=1, omega_sr=omega_sr, omega_rd=omega_rd,
+                                      noise_scale=KAPPA_NOISE_SCALE)
+            assert got == pytest.approx(want, rel=1e-12), cut
 
     def test_monotone_in_cut(self):
         kw = dict(mu=1, omega_sr=4.0, omega_rd=4.0, noise_scale=KAPPA_NOISE_SCALE)
@@ -355,36 +393,26 @@ class TestRelayOutage:
 
 class TestCoopExactOutage:
     def test_product_of_parts(self):
+        # the ordered CDF of the direct gain at the decode cut times the
+        # relay factor at the same cut
         cfg = coop_preset()
         for rho_db in (0.0, 10.0, 25.0):
             rho = db_to_linear(rho_db)
-            d, r = far_outage_parts(cfg, rho)
-            assert_allclose(outage_far_exact(cfg, rho), d * r, rtol=1e-15)
-            d, r = near_outage_parts(cfg, rho)
-            assert_allclose(outage_near_exact(cfg, rho), d * r, rtol=1e-15)
-
-    def test_direct_part_is_ordered_cdf_at_cut(self):
-        cfg = with_mu(coop_preset(), 2)
-        rho = db_to_linear(15.0)
-        far_cut = stage_cuts(cfg, rho)[0]
-        d, _ = far_outage_parts(cfg, rho)
-        ref = ordered_cdf(
-            FadingParams(cfg.mu, cfg.omega[0]),
-            OrderedIndex(cfg.ranks[0], cfg.pool),
-            far_cut,
-        )
-        assert_allclose(d, ref, rtol=1e-15)
+            for user, (params, idx, cut) in zip(("far", "near"), point_links(cfg, rho)):
+                assert_allclose(user_outage(cfg, rho, user)[0],
+                                ordered_cdf(params, idx, cut) * relay_outage(cfg, cut),
+                                rtol=1e-15)
 
     def test_low_snr_saturates_to_one(self):
         cfg = coop_preset()
-        for f in (outage_far_exact, outage_near_exact):
-            assert f(cfg, 1e-9) == pytest.approx(1.0, abs=1e-12)
+        for user in ("far", "near"):
+            assert user_outage(cfg, 1e-9, user)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_decreasing_in_snr(self):
         cfg = coop_preset()
         rhos = db_to_linear(np.arange(0.0, 41.0, 5.0))
-        for f in (outage_far_exact, outage_near_exact):
-            vals = [f(cfg, r) for r in rhos]
+        for user in ("far", "near"):
+            vals = [user_outage(cfg, r, user)[0] for r in rhos]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             assert 0.0 < vals[-1] < vals[0] <= 1.0
 
@@ -395,13 +423,13 @@ class TestCoopExactOutage:
         cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
         for rho_db in (0.0, 60.0):
             rho = db_to_linear(rho_db)
-            assert outage_far_exact(cfg, rho) == 1.0
-            assert outage_near_exact(cfg, rho) == 1.0
+            assert user_outage(cfg, rho, "far")[0] == 1.0
+            assert user_outage(cfg, rho, "near")[0] == 1.0
 
     def test_higher_mu_lowers_outage(self):
         rho = db_to_linear(20.0)
-        far = [outage_far_exact(with_mu(coop_preset(), m), rho) for m in (1, 2, 3)]
-        near = [outage_near_exact(with_mu(coop_preset(), m), rho) for m in (1, 2, 3)]
+        far = [user_outage(with_mu(coop_preset(), m), rho, "far")[0] for m in (1, 2, 3)]
+        near = [user_outage(with_mu(coop_preset(), m), rho, "near")[0] for m in (1, 2, 3)]
         assert far[0] > far[1] > far[2]
         assert near[0] > near[1] > near[2]
 
@@ -417,7 +445,7 @@ class TestDirectExactOutage:
                 OrderedIndex(cfg.ranks[user - 1], cfg.pool),
                 float(np.max(cuts[:user])),
             )
-            assert_allclose(outage_direct_exact(cfg, rho, user), ref, rtol=1e-15)
+            assert_allclose(user_outage(cfg, rho, user)[0], ref, rtol=1e-15)
 
     def test_infeasible_stage_is_exactly_one(self):
         cfg = ScenarioConfig(
@@ -427,16 +455,16 @@ class TestDirectExactOutage:
             mu=1,
         )
         rho = db_to_linear(40.0)
-        assert outage_direct_exact(cfg, rho, 2) == 1.0
-        assert outage_direct_exact(cfg, rho, 3) == 1.0
-        assert outage_direct_exact(cfg, rho, 1) < 1.0
+        assert user_outage(cfg, rho, 2)[0] == 1.0
+        assert user_outage(cfg, rho, 3)[0] == 1.0
+        assert user_outage(cfg, rho, 1)[0] < 1.0
 
     def test_rejects_bad_user(self):
         cfg = direct_preset()
         with pytest.raises(ValueError):
-            outage_direct_exact(cfg, 10.0, 0)
+            user_outage(cfg, 10.0, 0)
         with pytest.raises(ValueError):
-            outage_direct_exact(cfg, 10.0, 4)
+            user_outage(cfg, 10.0, 4)
 
 
 class TestUserOutage:
@@ -474,35 +502,30 @@ class TestAsymptotics:
         for mu in (1, 2, 3):
             cfg = with_mu(coop_preset(), mu)
             rho = db_to_linear(60.0)
-            for exact, asym in (
-                (outage_far_exact, outage_far_asymptotic),
-                (outage_near_exact, outage_near_asymptotic),
-            ):
-                ratio = asym(cfg, rho) / exact(cfg, rho)
-                assert abs(ratio - 1.0) < 0.05
+            for user in ("far", "near"):
+                exact, asym = user_outage(cfg, rho, user)
+                assert abs(asym / exact - 1.0) < 0.05
 
     def test_direct_ratio_near_one_at_high_snr(self):
         for mu in (1, 2, 3):
             cfg = with_mu(direct_preset(), mu)
             rho = db_to_linear(60.0)
             for user in (1, 2, 3):
-                ratio = outage_direct_asymptotic(cfg, rho, user) / outage_direct_exact(
-                    cfg, rho, user
-                )
-                assert abs(ratio - 1.0) < 0.05
+                exact, asym = user_outage(cfg, rho, user)
+                assert abs(asym / exact - 1.0) < 0.05
 
     def test_direct_asym_is_pure_power_law(self):
         cfg = with_mu(direct_preset(), 2)
         for user in (1, 2, 3):
-            p1 = outage_direct_asymptotic(cfg, db_to_linear(50.0), user)
-            p2 = outage_direct_asymptotic(cfg, db_to_linear(60.0), user)
+            p1 = user_outage(cfg, db_to_linear(50.0), user)[1]
+            p2 = user_outage(cfg, db_to_linear(60.0), user)[1]
             slope = math.log10(p1 / p2)  # per decade of rho
             assert_allclose(slope, cfg.mu * cfg.ranks[user - 1], rtol=1e-12)
 
     def test_clamped_to_one_at_low_snr(self):
         cfg = coop_preset()
-        assert outage_far_asymptotic(cfg, 1e-6) == 1.0
-        assert outage_direct_asymptotic(direct_preset(), 1e-6, 3) == 1.0
+        assert user_outage(cfg, 1e-6, "far")[1] == 1.0
+        assert user_outage(direct_preset(), 1e-6, 3)[1] == 1.0
 
     def test_clamped_to_one_where_leading_term_overflows(self):
         # at 0 dB the leading term of the near user's ordered CDF passes the
@@ -545,8 +568,8 @@ class TestDiversityOrderFit:
         grid = [db_to_linear(db) for db in (50.0, 55.0, 60.0)]
         for mu in (1, 2):
             coop = with_mu(coop_preset(), mu)
-            far = diversity_order_fit((r, outage_far_exact(coop, r)) for r in grid)
-            near = diversity_order_fit((r, outage_near_exact(coop, r)) for r in grid)
+            far = diversity_order_fit((r, user_outage(coop, r, "far")[0]) for r in grid)
+            near = diversity_order_fit((r, user_outage(coop, r, "near")[0]) for r in grid)
             assert abs(far - mu * (coop.ranks[0] + 1)) / (mu * (coop.ranks[0] + 1)) < 0.05
             assert (
                 abs(near - mu * (coop.ranks[1] + 1)) / (mu * (coop.ranks[1] + 1))
@@ -555,7 +578,7 @@ class TestDiversityOrderFit:
             direct = with_mu(direct_preset(), mu)
             for user in (1, 2, 3):
                 got = diversity_order_fit(
-                    (r, outage_direct_exact(direct, r, user)) for r in grid
+                    (r, user_outage(direct, r, user)[0]) for r in grid
                 )
                 want = mu * direct.ranks[user - 1]
                 assert abs(got - want) / want < 0.05
@@ -565,34 +588,33 @@ class TestThroughput:
     def test_coop_matches_outage_identity(self):
         cfg = coop_preset()
         rho = db_to_linear(18.0)
-        want = (1.0 - outage_far_exact(cfg, rho)) * cfg.rates[0] + (
-            1.0 - outage_near_exact(cfg, rho)
+        want = (1.0 - user_outage(cfg, rho, "far")[0]) * cfg.rates[0] + (
+            1.0 - user_outage(cfg, rho, "near")[0]
         ) * cfg.rates[1]
-        assert_allclose(throughput_coop(cfg, rho), want, rtol=1e-15)
+        assert_allclose(point_throughput(cfg, rho), want, rtol=1e-15)
 
     def test_direct_matches_outage_identity(self):
         cfg = direct_preset()
         rho = db_to_linear(18.0)
         want = sum(
-            (1.0 - outage_direct_exact(cfg, rho, u + 1)) * cfg.rates[u]
+            (1.0 - user_outage(cfg, rho, u + 1)[0]) * cfg.rates[u]
             for u in range(cfg.n_users)
         )
-        assert_allclose(throughput_direct(cfg, rho), want, rtol=1e-14)
+        assert_allclose(point_throughput(cfg, rho), want, rtol=1e-14)
 
     def test_approaches_rate_ceiling(self):
         rho = db_to_linear(50.0)
         coop = coop_preset()
-        assert_allclose(throughput_coop(coop, rho), coop.rates[0] + coop.rates[1],
+        assert_allclose(point_throughput(coop, rho), coop.rates[0] + coop.rates[1],
                         atol=1e-4)
         direct = direct_preset()
-        assert_allclose(throughput_direct(direct, rho), math.fsum(direct.rates),
+        assert_allclose(point_throughput(direct, rho), math.fsum(direct.rates),
                         atol=1e-4)
 
     def test_monotone_in_snr(self):
-        coop, direct = coop_preset(), direct_preset()
         rhos = db_to_linear(np.arange(0.0, 41.0, 5.0))
-        for f, cfg in ((throughput_coop, coop), (throughput_direct, direct)):
-            vals = [f(cfg, r) for r in rhos]
+        for cfg in (coop_preset(), direct_preset()):
+            vals = [point_throughput(cfg, r) for r in rhos]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 

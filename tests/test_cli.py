@@ -12,12 +12,7 @@ from pathlib import Path
 import pytest
 
 from noma_perf import analytic, montecarlo, validation
-from noma_perf.analytic import (
-    outage_direct_exact,
-    outage_far_exact,
-    outage_oma,
-    throughput_direct,
-)
+from noma_perf.analytic import outage_oma, point_outages, throughput, user_outage
 from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
 from noma_perf.configs import MAX_RELAY_MU, coop_preset, direct_preset, load_config_file, with_mu
 
@@ -74,9 +69,10 @@ class TestSweep:
         rho = 10.0
         for row, user in zip(rows, (1, 2, 3)):
             c = cells(row)
-            assert c["p_exact"] == f"{outage_direct_exact(cfg, rho, user):.12g}"
+            assert c["p_exact"] == f"{user_outage(cfg, rho, user)[0]:.12g}"
             assert c["p_oma"] == f"{outage_oma(cfg, rho):.12g}"
-            assert c["throughput"] == f"{throughput_direct(cfg, rho):.12g}"
+            exact = [p for p, _ in point_outages(cfg, rho)]
+            assert c["throughput"] == f"{throughput(cfg, exact):.12g}"
 
     def test_coop_rows_come_before_direct_in_compare(self, capsys):
         code, out, _ = run_cli(
@@ -152,7 +148,7 @@ class TestSweep:
         rows = data_rows(out)
         assert len(rows) == 2
         cfg = load_config_file(str(ini))["direct"]
-        assert cells(rows[0])["p_exact"] == f"{outage_direct_exact(cfg, 10.0, 1):.12g}"
+        assert cells(rows[0])["p_exact"] == f"{user_outage(cfg, 10.0, 1)[0]:.12g}"
 
     def test_no_mc_flag_is_gone(self, capsys):
         # --trials 0 (the default) is the one way to leave out the MC columns
@@ -368,6 +364,27 @@ class TestSweep:
             assert err.startswith("error:") and err.count("\n") == 1, argv
             assert "finite noise constant" in err
 
+    @pytest.mark.parametrize("omega_sr, omega_rd, validate_code", [
+        ("1e200", "1e200", 0),  # omega_sr * omega_rd overflows
+        ("1e300", "4.0", 2),  # the relay oracle's nodes stop near 5e30
+    ])
+    def test_extreme_hop_means_exit_0_or_2(self, capsys, tmp_path, omega_sr, omega_rd,
+                                           validate_code):
+        ini = tmp_path / "hops.ini"
+        ini.write_text(preset_ini("coop").replace("omega_sr = 4.0", f"omega_sr = {omega_sr}")
+                       .replace("omega_rd = 4.0", f"omega_rd = {omega_rd}"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--config", str(ini))
+        assert code == 0 and err == ""
+        assert all(0.0 < float(cells(r)["p_exact"]) < 1e-190 for r in data_rows(out))
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(ini))
+        if validate_code == 0:
+            assert code == 0 and err == ""
+            assert all(row.split(",")[-2] == "pass" for row in data_rows(out))
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
+            assert err.count("\n") == 1
+
     def test_large_pool_config_exits_0(self, capsys, tmp_path):
         # the ordered CDF of a pool this size is a finite probability
         ini = tmp_path / "pool.ini"
@@ -551,7 +568,7 @@ class TestFormatting:
         assert code == 0
         rho = 10.0 ** 1.7
         c = cells(data_rows(out)[0])
-        value = outage_far_exact(coop_preset(), rho)
+        value = user_outage(coop_preset(), rho, "far")[0]
         assert c["p_exact"] == f"{value:.12g}"
         assert float(c["p_exact"]) == pytest.approx(value, rel=1e-11)
 

@@ -1,6 +1,7 @@
 """Every name the package exports, and every function the benchmark's
 tracer wraps, resolves in ``noma_perf``, and the wrapped functions are
-the ones the production runs call.
+the ones the production runs call.  The README's library example runs
+as printed.
 
 ``perfbench/tracing.py`` replaces the functions named in its ``TRACED``
 table by timing wrappers; a name missing from the package breaks every
@@ -22,7 +23,30 @@ import noma_perf
 from noma_perf.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(noma_perf.__path__))
+#: per-user views that ``TRACED`` pins and no production path calls: each
+#: resolves in its module for the tracer, and no ``__all__`` exports it
+#: (``test_views`` covers them)
+PARKED = (
+    ("analytic", "coop_cuts"),
+    ("analytic", "direct_cuts"),
+    ("analytic", "far_outage_parts"),
+    ("analytic", "near_outage_parts"),
+    ("analytic", "outage_far_exact"),
+    ("analytic", "outage_near_exact"),
+    ("analytic", "outage_direct_exact"),
+    ("analytic", "outage_far_asymptotic"),
+    ("analytic", "outage_near_asymptotic"),
+    ("analytic", "outage_direct_asymptotic"),
+    ("analytic", "throughput_coop"),
+    ("analytic", "throughput_direct"),
+    ("montecarlo", "estimate_outage_coop"),
+    ("montecarlo", "estimate_outage_direct"),
+    ("montecarlo", "draw_coop_block"),
+    ("montecarlo", "coop_events_from_sinr"),
+    ("montecarlo", "direct_events_from_sinr"),
+)
 
 
 def traced_spans() -> dict[tuple[str, str], str]:
@@ -58,6 +82,18 @@ def test_package_all_resolves():
     assert [name for name in noma_perf.__all__ if not hasattr(noma_perf, name)] == []
 
 
+def test_parked_views_stay_out_of_every_all():
+    traced = traced_spans()
+    assert [entry for entry in PARKED if entry not in traced] == []
+    assert [(module, name) for module, name in PARKED
+            if not callable(getattr(importlib.import_module(f"noma_perf.{module}"), name, None))
+            ] == []
+    exported = set(noma_perf.__all__).union(
+        *(importlib.import_module(f"noma_perf.{module}").__all__ for module in MODULES))
+    hidden = {name for _, name in PARKED} | {"COOP_USERS"}
+    assert sorted(hidden & exported) == []
+
+
 def test_traced_spans_stay_on_the_production_path(capsys, monkeypatch):
     # rebind each traced function by identity in every module, as the
     # tracer does, and count the calls of each span group
@@ -87,3 +123,24 @@ def test_traced_spans_stay_on_the_production_path(capsys, monkeypatch):
     spans = ("analytic.relay_closed", "montecarlo.draw", "montecarlo.replay", "fading.sample",
              "numerics.quad", "fading.pdf_cdf")
     assert [span for span in spans if calls[span] == 0] == []
+
+
+def test_readme_library_use_runs():
+    # the first python block under "## Library use"; a bare expression
+    # whose comment starts with a literal (up to a colon) must evaluate
+    # to that literal
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    checked = 0
+    for line in code.splitlines():
+        expr, _, comment = line.partition("  # ")
+        try:
+            tree = ast.parse(expr.strip(), mode="eval")
+            want = ast.literal_eval(comment.split(":", 1)[0].strip())
+        except (SyntaxError, ValueError):
+            continue
+        assert eval(compile(tree, str(README), "eval"), namespace) == want, line
+        checked += 1
+    assert checked == 2

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noma_perf.analytic import (
-    outage_direct_exact,
-    outage_far_exact,
-    outage_near_exact,
+    decode_depth,
     point_links,
     served_users,
     sic_stages,
     threshold_snr,
+    user_outage,
 )
 from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
@@ -26,13 +25,8 @@ from noma_perf.montecarlo import (
     BLOCK_TRIALS,
     Estimate,
     TrialBatch,
-    coop_events_from_sinr,
-    direct_events_from_sinr,
     draw_block,
-    draw_coop_block,
     estimate_outage,
-    estimate_outage_coop,
-    estimate_outage_direct,
     stage_failures,
     user_failures,
 )
@@ -126,10 +120,6 @@ class TestContainers:
 
 
 class TestDraws:
-    def test_earlier_names_are_the_same_objects(self):
-        assert draw_coop_block is draw_block
-        assert coop_events_from_sinr is user_failures
-
     def test_shapes_and_sorted_pool(self):
         for cfg, n_branches in ((coop_preset(), 2), (direct_preset(), 1)):
             draw = draw_block(cfg, np.random.default_rng(0), 1000)
@@ -278,7 +268,7 @@ class TestEventEquivalence:
         for rho_db in (0.0, 15.0, 30.0):
             rho = db_to_linear(rho_db)
             for user in (1, 2, 3):
-                a = direct_events_from_sinr(gain, cfg, rho, user)
+                a = stage_failures(gain, cfg, rho, decode_depth(cfg, user))
                 b = direct_events_from_cuts(gain, cfg, rho, user)
                 assert np.array_equal(a, b)
 
@@ -290,7 +280,7 @@ class TestEventEquivalence:
             mu=1,
         )
         gain = np.random.default_rng(9).gamma(1.0, 5.0, size=4096)
-        a = direct_events_from_sinr(gain, cfg, db_to_linear(40.0), 2)
+        a = stage_failures(gain, cfg, db_to_linear(40.0), decode_depth(cfg, 2))
         b = direct_events_from_cuts(gain, cfg, db_to_linear(40.0), 2)
         assert a.all()
         assert np.array_equal(a, b)
@@ -301,38 +291,25 @@ class TestDeterminism:
         cfg = coop_preset()
         rho = db_to_linear(10.0)
         batch = TrialBatch(trials=3 * BLOCK_TRIALS // 2, seed=5)
-        assert estimate_outage_coop(cfg, rho, batch) == estimate_outage_coop(
-            cfg, rho, batch
-        )
+        assert estimate_outage(cfg, [rho], batch) == estimate_outage(cfg, [rho], batch)
 
     def test_chunks_do_not_change_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
         trials = 2 * BLOCK_TRIALS + 1234
-        one = estimate_outage_coop(cfg, rho, TrialBatch(trials, seed=5, chunks=1))
-        many = estimate_outage_coop(cfg, rho, TrialBatch(trials, seed=5, chunks=4))
+        one = estimate_outage(cfg, [rho], TrialBatch(trials, seed=5, chunks=1))
+        many = estimate_outage(cfg, [rho], TrialBatch(trials, seed=5, chunks=4))
         assert one == many
-        d_one = estimate_outage_direct(
-            direct_preset(), rho, 2, TrialBatch(trials, seed=5, chunks=1)
-        )
-        d_many = estimate_outage_direct(
-            direct_preset(), rho, 2, TrialBatch(trials, seed=5, chunks=3)
-        )
+        d_one = estimate_outage(direct_preset(), [rho], TrialBatch(trials, seed=5, chunks=1))
+        d_many = estimate_outage(direct_preset(), [rho], TrialBatch(trials, seed=5, chunks=3))
         assert d_one == d_many
 
     def test_seed_changes_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        a, _ = estimate_outage_coop(cfg, rho, TrialBatch(100_000, seed=1))
-        b, _ = estimate_outage_coop(cfg, rho, TrialBatch(100_000, seed=2))
+        a = estimate_outage(cfg, [rho], TrialBatch(100_000, seed=1))[0]["far"]
+        b = estimate_outage(cfg, [rho], TrialBatch(100_000, seed=2))[0]["far"]
         assert a.p_hat != b.p_hat
-
-    def test_far_near_wrappers_share_draws(self):
-        cfg = coop_preset()
-        rho = db_to_linear(10.0)
-        batch = TrialBatch(50_000, seed=3)
-        far, near = estimate_outage_coop(cfg, rho, batch)
-        assert estimate_outage(cfg, [rho], batch) == [{"far": far, "near": near}]
 
     @pytest.mark.parametrize("chunks", [1, 3])
     def test_random_stream_is_pinned(self, chunks):
@@ -357,24 +334,26 @@ class TestAgreementWithClosedForms:
     def test_coop_estimates_within_sampling_error(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        far, near = estimate_outage_coop(cfg, rho, TrialBatch(400_000, seed=6))
-        p_far = outage_far_exact(cfg, rho)
-        p_near = outage_near_exact(cfg, rho)
+        (point,) = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=6))
+        far, near = point["far"], point["near"]
+        p_far = user_outage(cfg, rho, "far")[0]
+        p_near = user_outage(cfg, rho, "near")[0]
         assert abs(far.p_hat - p_far) < 4.0 * far.stderr
         assert abs(near.p_hat - p_near) < 4.0 * near.stderr
 
     def test_direct_estimates_within_sampling_error(self):
         cfg = with_mu(direct_preset(), 2)
         rho = db_to_linear(10.0)
+        (point,) = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=6))
         for user in (1, 2, 3):
-            est = estimate_outage_direct(cfg, rho, user, TrialBatch(400_000, seed=6))
-            p = outage_direct_exact(cfg, rho, user)
+            est = point[user]
+            p = user_outage(cfg, rho, user)[0]
             assert abs(est.p_hat - p) < 4.0 * max(est.stderr, 1e-5)
 
     def test_single_user_single_slot_reduces_to_plain_cdf(self):
         cfg = ScenarioConfig(power=(1.0,), rates=(0.5,), omega=(2.0,), mu=2)
         rho = 4.0
-        est = estimate_outage_direct(cfg, rho, 1, TrialBatch(400_000, seed=12))
+        est = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=12))[0][1]
         cut = (2.0**0.5 - 1.0) / rho
         p = gamma_cdf(FadingParams(2, 2.0), cut)
         assert abs(est.p_hat - p) < 4.0 * est.stderr
@@ -384,15 +363,12 @@ class TestAgreementWithClosedForms:
         # as for analytic.user_outage, a served user matches in type and value
         cfg = direct_preset()
         with pytest.raises(ValueError):
-            estimate_outage_direct(cfg, 10.0, user, TrialBatch(10, seed=0))
-        with pytest.raises(ValueError):
-            direct_events_from_sinr(np.ones(4), cfg, 10.0, user)
+            stage_failures(np.ones(4), cfg, 10.0, decode_depth(cfg, user))
 
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        far, near = estimate_outage_coop(coop, db_to_linear(40.0), TrialBatch(10_000, seed=1))
-        assert far == Estimate(1.0, 0.0, 10_000)
-        assert near == Estimate(1.0, 0.0, 10_000)
+        (point,) = estimate_outage(coop, [db_to_linear(40.0)], TrialBatch(10_000, seed=1))
+        assert point == {"far": Estimate(1.0, 0.0, 10_000), "near": Estimate(1.0, 0.0, 10_000)}
 
     @settings(max_examples=30, deadline=None)
     @given(blocked=blocked_users(), snr_db=st.floats(-10.0, 120.0), seed=st.integers(0, 99))
@@ -403,9 +379,9 @@ class TestAgreementWithClosedForms:
 
     def test_rejects_bad_rho_and_user(self):
         with pytest.raises(ValueError):
-            estimate_outage_coop(coop_preset(), 0.0, TrialBatch(10, seed=0))
+            estimate_outage(coop_preset(), [0.0], TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
-            estimate_outage_direct(direct_preset(), 10.0, 5, TrialBatch(10, seed=0))
+            stage_failures(np.ones(4), direct_preset(), 10.0, decode_depth(direct_preset(), 5))
         with pytest.raises(ValueError):
             estimate_outage(direct_preset(), [10.0, math.inf], TrialBatch(10, seed=0))
         with pytest.raises(AttributeError):

@@ -11,9 +11,6 @@ from numpy.testing import assert_allclose
 from quadpack_reference import ordered_cdf_quadpack, relay_outage_quadpack
 
 from noma_perf.analytic import (
-    outage_direct_exact,
-    outage_far_exact,
-    outage_near_exact,
     point_links,
     served_users,
     stage_cuts,
@@ -121,12 +118,10 @@ class TestOutageOracle:
             cfg = with_mu(coop_preset(), mu)
             for db in (0.0, 10.0, 25.0):
                 rho = db_to_linear(db)
-                assert_allclose(
-                    outage_oracle(cfg, rho, "far"), outage_far_exact(cfg, rho), rtol=1e-8
-                )
-                assert_allclose(
-                    outage_oracle(cfg, rho, "near"), outage_near_exact(cfg, rho), rtol=1e-8
-                )
+                for user in ("far", "near"):
+                    assert_allclose(
+                        outage_oracle(cfg, rho, user), user_outage(cfg, rho, user)[0], rtol=1e-8
+                    )
 
     def test_coop_is_product_of_branch_quadratures(self):
         cfg = coop_preset()
@@ -148,7 +143,7 @@ class TestOutageOracle:
                 for user in (1, 2, 3):
                     assert_allclose(
                         outage_oracle(cfg, rho, user),
-                        outage_direct_exact(cfg, rho, user),
+                        user_outage(cfg, rho, user)[0],
                         rtol=1e-8,
                     )
 
