@@ -230,30 +230,29 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
     """
     rhos = [10.0 ** (db / 10.0) for db in grid]
     selected = _selected_users(users, cfgs)
+    runs = [(scenario, with_mu(base, mu)) for scenario, base in cfgs.items()
+            if selected[scenario] for mu in mu_list or (base.mu,)]
+    if batch is None:
+        estimates = [[dict.fromkeys(served_users(cfg))] * len(rhos) for _, cfg in runs]
+    else:
+        # one call: configs that share a pool share its draws
+        estimates = estimate_outage([cfg for _, cfg in runs], rhos, batch)
     rows: list[str] = []
-    for scenario, base in cfgs.items():
-        if not selected[scenario]:
-            continue
-        served = served_users(base)
-        for mu in mu_list or (base.mu,):
-            cfg = with_mu(base, mu)
-            if batch is None:
-                estimates = [dict.fromkeys(served)] * len(rhos)
-            else:
-                estimates = estimate_outage(cfg, rhos, batch)
-            for db, rho, est in zip(grid, rhos, estimates):
-                outages = dict(zip(served, point_outages(cfg, rho), strict=True))
-                tput = throughput(cfg, [exact for exact, _ in outages.values()])
-                oma = outage_oma(cfg, rho) if with_oma else None
-                for user in selected[scenario]:
-                    exact, asym = outages[user]
-                    e = est[user]
-                    rows.append(",".join([
-                        f"{db:g}", scenario, str(mu), str(user),
-                        _fmt(exact), _fmt(asym),
-                        _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
-                        _fmt(oma), _fmt(tput),
-                    ]))
+    for (scenario, cfg), run_estimates in zip(runs, estimates):
+        served = served_users(cfg)
+        for db, rho, est in zip(grid, rhos, run_estimates):
+            outages = dict(zip(served, point_outages(cfg, rho), strict=True))
+            tput = throughput(cfg, [exact for exact, _ in outages.values()])
+            oma = outage_oma(cfg, rho) if with_oma else None
+            for user in selected[scenario]:
+                exact, asym = outages[user]
+                e = est[user]
+                rows.append(",".join([
+                    f"{db:g}", scenario, str(cfg.mu), str(user),
+                    _fmt(exact), _fmt(asym),
+                    _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
+                    _fmt(oma), _fmt(tput),
+                ]))
     return rows
 
 

@@ -137,10 +137,14 @@ def gamma_cdf(p: FadingParams, x):
     truncated exponential series of that argument.
     """
     x = np.asarray(x, dtype=float)
-    out = special.gammainc(p.mu, np.maximum(x, 0.0) * p.rate)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # a product past the double range is inf, where the CDF is exactly 1;
+    # a scalar multiplies as a Python float, which overflows silently, so
+    # the common scalar call skips the cost of the error-state context
+    if x.ndim == 0:
+        return float(special.gammainc(p.mu, max(float(x), 0.0) * p.rate))
+    with np.errstate(over="ignore"):
+        arg = np.maximum(x, 0.0) * p.rate
+    return special.gammainc(p.mu, arg)
 
 
 # =====================================================================

@@ -14,22 +14,28 @@ trial, and pin the table itself with hand-computed SINRs.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
-and per-block failure counts are integers summed in any order.  The
-estimate therefore depends only on (seed, trials, rho), not on how blocks
-are distributed over worker threads nor on which other points or users
-the same call replays, and repeated runs are bit-identical.
-``TrialBatch.chunks`` is the worker-thread count, capped by the CPU
-count and the number of blocks.
+and per-block failure counts are integers summed in any order.  Configs
+of one call that share ``(mu, pool)`` share that draw: a fresh generator
+per group draws the unit-scale sorted pool, then the relay hops if a
+config of the group has a relay, and each config reads the prefix of
+that stream it would draw alone.  The estimate therefore depends only on
+(config, seed, trials, rho), not on how blocks are distributed over
+worker threads, nor on which other points, users or configs the same
+call replays, nor on the tile size of the replay, and repeated runs are
+bit-identical.  ``TrialBatch.chunks`` is the worker-thread count, capped
+by the CPU count and the number of blocks.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -41,7 +47,10 @@ from .fading import FadingParams, sample_gain, sample_sorted_gains
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
+    "TILE_TRIALS",
     "TrialBatch",
+    "UnitDraw",
+    "branch_gains",
     "draw_block",
     "estimate_outage",
     "stage_failures",
@@ -51,6 +60,12 @@ __all__ = [
 # Trials per RNG block.  Fixed so that the mapping trial -> random draw
 # depends only on (seed, trials); never change without a major release.
 BLOCK_TRIALS = 1 << 18
+
+# Trials per tile.  A block is drawn in consecutive tile-sized slices of
+# its generator, so the raw exponentials behind one draw never exceed a
+# tile, and replayed tile by tile, so the (points, tile) SINR arrays of
+# every SNR point stay in a core's cache.  No count depends on it.
+TILE_TRIALS = 1 << 13
 
 
 # =====================================================================
@@ -96,52 +111,95 @@ class Estimate:
 # Sampling
 # =====================================================================
 
-def _served_gains(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    """Direct-link gains of each served user over ``n`` trials.
+class UnitDraw(NamedTuple):
+    """Hop gains of one block at unit scale (mean ``mu``, so omega / mu == 1.0).
 
-    The pool is drawn once at unit scale (omega / mu == 1.0, so the sums
-    are not rescaled) and each user's column is scaled afterwards.
+    ``pool`` is the direct pool sorted ascending, shape (n, pool); ``y``
+    the relay feed, shape (n,), and ``w`` one relay-to-user gain per user
+    behind the relay, shape (n,) each, or None and () when no config of
+    the draw has a relay.
+    """
+
+    pool: np.ndarray
+    y: np.ndarray | None
+    w: tuple[np.ndarray, ...]
+
+
+def _sliced(sample: Callable[[int], np.ndarray], n: int, *shape: int) -> np.ndarray:
+    """``sample(k)`` over ``n`` trials, drawn in consecutive ``TILE_TRIALS`` slices.
+
+    A generator fills a draw in order, so the slices equal one
+    ``sample(n)`` bit for bit, while the raw exponentials behind them
+    never exceed one slice.
+    """
+    out = np.empty((n, *shape))
+    for start in range(0, n, TILE_TRIALS):
+        stop = min(start + TILE_TRIALS, n)
+        out[start:stop] = sample(stop - start)
+    return out
+
+
+def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int) -> UnitDraw:
+    """Sample ``n`` trials of the hop gains that every config of ``cfgs`` replays.
+
+    The configs must share ``mu`` and ``pool``.  Draw order is fixed and
+    part of the reproducibility contract: the direct pool, then, when a
+    config has a relay, the relay feed y and one w per user behind the
+    relay (as many as the config that serves most).  Each config reads a
+    prefix of that stream, the same gains it would draw alone, so one
+    draw serves the whole group.  :func:`branch_gains` scales the unit
+    draw to each config.
+    """
+    mu, pool = cfgs[0].mu, cfgs[0].pool
+    if any((cfg.mu, cfg.pool) != (mu, pool) for cfg in cfgs):
+        raise ValueError("configs that share a draw must share mu and pool")
+    unit = FadingParams(mu, float(mu))
+    direct = _sliced(lambda k: sample_sorted_gains(unit, pool, rng, size=k), n, pool)
+    relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
+    if not relayed:
+        return UnitDraw(direct, None, ())
+    hops = [_sliced(lambda k: sample_gain(unit, rng, size=k), n) for _ in range(1 + relayed)]
+    return UnitDraw(direct, hops[0], tuple(hops[1:]))
+
+
+def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None)) -> list[tuple]:
+    """Branch gains of every served user of ``cfg`` on ``trials`` of ``draw``.
+
+    Returns one tuple per served user, in served order, of arrays over
+    those trials: ``(direct,)`` without a relay, ``(direct, relay)`` with
+    one.  Each unit-scale gain is scaled by its own mean over ``mu``.
     Sorting commutes with a positive scale and rounding is monotone, so
-    this equals sorting a pool drawn at the user's own mean, bit for bit.
-    """
-    pool = sample_sorted_gains(FadingParams(cfg.mu, float(cfg.mu)), cfg.pool, rng, size=n)
-    return [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
-
-
-def draw_block(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> list[tuple]:
-    """Sample ``n`` trials of the branch gains of every served user of ``cfg``.
-
-    Returns one tuple per served user, in served order, of arrays of shape
-    (n,): ``(direct,)`` without a relay, ``(direct, relay)`` with one.
-    Draw order is fixed (direct pool, relay feed y, then one relay-to-user
-    w per served user) and is part of the reproducibility contract.  The
-    fixed-gain relay rebroadcasts its noisy slot-1 observation, so the
-    second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
+    a user's direct gain equals its column of a pool drawn at its own
+    mean, bit for bit, and each hop gain equals one drawn at its mean.
+    The fixed-gain relay rebroadcasts its noisy slot-1 observation, so
+    the second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
     is the stage SINR at the effective gain y * w / (w + c), with c the
-    config's ``noise_scale``; each user's effective gain is stored once
-    per block, as no SNR point changes it.
+    config's ``noise_scale``.
     """
-    direct = _served_gains(cfg, rng, n)
+    pool = draw.pool[trials]
+    direct = [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
     if not cfg.has_relay:
         return [(gain,) for gain in direct]
-    y = sample_gain(FadingParams(cfg.mu, cfg.omega_sr), rng, size=n)
-    drop = FadingParams(cfg.mu, cfg.omega_rd)
+    y = draw.y[trials] * (cfg.omega_sr / cfg.mu)
     c = cfg.noise_scale
-    return [(gain, y * w / (w + c))
-            for gain, w in zip(direct, (sample_gain(drop, rng, size=n) for _ in direct))]
+    drops = (w[trials] * (cfg.omega_rd / cfg.mu) for w in draw.w)
+    return [(gain, y * w / (w + c)) for gain, w in zip(direct, drops)]
 
 
 # =====================================================================
 # SINR replay
 # =====================================================================
 
-def stage_failures(gain, cfg: ScenarioConfig, rho: float, depth: int):
+def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int):
     """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
 
     Stage i of ``analytic.sic_stages`` gives the branch the SINR
     gain * power * rho / (gain * residual * rho + 1); a trial fails when
     that SINR is below the stage threshold at any of the first ``depth``
-    stages.
+    stages.  ``rho`` is a scalar or a column of shape (points, 1); a
+    column gives one row per SNR point, shape (points, trials), and each
+    row equals the scalar call at its rho: the products are taken
+    left to right, ``(gain * power) * rho``, either way.
     """
     stages = sic_stages(cfg)
     if not 1 <= depth <= len(stages):
@@ -158,14 +216,15 @@ def stage_failures(gain, cfg: ScenarioConfig, rho: float, depth: int):
     return fail
 
 
-def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho: float) -> tuple:
+def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho) -> tuple:
     """Failure arrays of the served users, in served order, from the SINR chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
-    :func:`draw_block` returns for ``cfg``.  The user at position k
-    (1-based) runs :func:`stage_failures` to depth k, its decode depth,
-    on each of its branches; it is served by selection and fails only
-    where every branch fails.
+    :func:`branch_gains` returns for ``cfg``, and ``rho`` is a scalar or
+    a column of SNR points (see :func:`stage_failures`).  The user at
+    position k (1-based) runs :func:`stage_failures` to depth k, its
+    decode depth, on each of its branches; it is served by selection and
+    fails only where every branch fails.
     """
     return tuple(reduce(np.logical_and, [stage_failures(g, cfg, rho, depth) for g in branches])
                  for depth, branches in enumerate(draw, 1))
@@ -206,30 +265,46 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
 # Estimators
 # =====================================================================
 
-def _block(cfg: ScenarioConfig, rhos: list[float], rng: np.random.Generator, n: int) -> list:
-    """Failure counts of one block per rho and served user, shape (rhos, users)."""
-    draw = draw_block(cfg, rng, n)
-    return [[np.count_nonzero(fail) for fail in user_failures(draw, cfg, rho)] for rho in rhos]
+def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
+                    batch: TrialBatch) -> list[list[dict]]:
+    """Outage estimates of every served user of each config at every SNR in ``rhos``.
 
-
-def estimate_outage(cfg: ScenarioConfig, rhos: Sequence[float],
-                    batch: TrialBatch) -> list[dict]:
-    """Outage estimates of every served user at every transmit SNR in ``rhos``.
-
-    Returns one dict per rho, mapping each served user (``'far'``/``'near'``
-    or 1..M) to its :class:`Estimate`.  Each block draws its gains once and
-    replays the SINR chain for every (rho, user) point, so all points and
-    users of one call see the same draws, and each estimate equals a
-    one-point call at that rho.
+    Returns, per config of ``cfgs`` in order, one dict per rho mapping
+    each served user (``'far'``/``'near'`` or 1..M) to its
+    :class:`Estimate`.  Each block draws once per group of configs that
+    share ``(mu, pool)`` and replays the SINR chain of every config of
+    the group, tile by tile, at every rho at once.  Every config reads
+    the stream it would draw alone, so each estimate equals a
+    one-config, one-point call at that rho.
     """
     rhos = [_check_rho(rho) for rho in rhos]
-    users = served_users(cfg)
-    if not rhos:
-        return []
-    counts = _run_blocks(batch, lambda j, n: _block(cfg, rhos, _block_rng(batch.seed, j), n))
+    users = [served_users(cfg) for cfg in cfgs]
+    if not (rhos and cfgs):
+        return [[] for _ in cfgs]
+    # config i counts its users in columns edges[i]..edges[i + 1] of a block's table
+    edges = list(accumulate((len(names) for names in users), initial=0))
+    groups = defaultdict(list)
+    for i, cfg in enumerate(cfgs):
+        groups[cfg.mu, cfg.pool].append(i)
+    rho_col = np.array(rhos)[:, np.newaxis]
+
+    def block(j: int, n: int) -> np.ndarray:
+        counts = np.zeros((len(rhos), edges[-1]), dtype=np.int64)
+        for members in groups.values():
+            draw = draw_block([cfgs[i] for i in members], _block_rng(batch.seed, j), n)
+            for start in range(0, n, TILE_TRIALS):
+                tile = slice(start, min(start + TILE_TRIALS, n))
+                for i in members:
+                    fails = user_failures(branch_gains(draw, cfgs[i], tile), cfgs[i], rho_col)
+                    for col, fail in enumerate(fails, edges[i]):
+                        counts[:, col] += [np.count_nonzero(row) for row in fail]
+        return counts
+
+    counts = _run_blocks(batch, block)
     return [
-        {user: Estimate.from_count(int(c), batch.trials) for user, c in zip(users, row)}
-        for row in counts
+        [{user: Estimate.from_count(int(c), batch.trials) for user, c in zip(names, row[edges[i]:])}
+         for row in counts]
+        for i, names in enumerate(users)
     ]
 
 
@@ -250,7 +325,7 @@ def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
 def estimate_outage_coop(cfg: ScenarioConfig, rho: float, batch: TrialBatch
                          ) -> tuple[Estimate, Estimate]:
     """Far and near outage estimates from one shared set of draws."""
-    (point,) = estimate_outage(cfg, [rho], batch)
+    ((point,),) = estimate_outage([cfg], [rho], batch)
     return point["far"], point["near"]
 
 
@@ -258,4 +333,4 @@ def estimate_outage_direct(cfg: ScenarioConfig, rho: float, user: int,
                            batch: TrialBatch) -> Estimate:
     """Outage estimate of served user ``user`` (checked) in the single-slot system."""
     decode_depth(cfg, user)  # rejects an unserved user before any draw
-    return estimate_outage(cfg, [rho], batch)[0][user]
+    return estimate_outage([cfg], [rho], batch)[0][0][user]

@@ -180,7 +180,7 @@ def run_validation_suite(
         if batch is not None:
             # one simulation over the points where some user is above the floor
             simulated = [k for k, point in enumerate(exact) if max(point) > MC_PROBABILITY_FLOOR]
-            points = estimate_outage(cfg, [rhos[k] for k in simulated], batch)
+            (points,) = estimate_outage([cfg], [rhos[k] for k in simulated], batch)
             estimates = dict(zip(simulated, points))
         for k, db in enumerate(snr_db):
             for user, p, link in zip(users, exact[k], links[k]):

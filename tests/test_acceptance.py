@@ -94,7 +94,7 @@ class TestAcceptance:
                     exact = {u: user_outage(cfg, rho, u)[0] for u in served_users(cfg)}
                     if max(exact.values()) > floor:
                         gated.append((rho, exact))
-                estimates = estimate_outage(cfg, [rho for rho, _ in gated], batch)
+                (estimates,) = estimate_outage([cfg], [rho for rho, _ in gated], batch)
                 for (_, exact), est in zip(gated, estimates):
                     for user, p in exact.items():
                         if p > floor:
@@ -228,7 +228,7 @@ class TestAcceptance:
         batch = TrialBatch(200_000, seed=2)
         # far threshold 2**(2*1.5) - 1 = 7 exceeds the 0.8 / 0.2 split ratio
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        (point,) = estimate_outage(coop, [rho], batch)
+        ((point,),) = estimate_outage([coop], [rho], batch)
         far_est, near_est = point["far"], point["near"]
         coop_ok = (
             user_outage(coop, rho, "far")[0] == 1.0
@@ -244,7 +244,7 @@ class TestAcceptance:
             mu=1,
         )
         direct_ok = True
-        (point,) = estimate_outage(direct, [rho], batch)
+        ((point,),) = estimate_outage([direct], [rho], batch)
         for user in (2, 3):
             est = point[user]
             direct_ok = direct_ok and (

@@ -202,6 +202,7 @@ class TestRelayOutage:
         # deep cut: the feeder-link factor alone underflows exp(-745)
         assert relay_outage_closed(4.0 * 746.0 / 2.0, **kw) == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("relay_gain, omega_rd", [(1e-12, 4.0), (1e-9, 4.0), (0.9, 1e-300)])
     def test_vanishing_relay_success_is_exactly_one_at_once(self, relay_gain, omega_rd):
         # the Bessel argument 2 sqrt(s) passes 2**31 here, where scipy's kve

@@ -275,10 +275,10 @@ class TestSweep:
             capsys, "sweep", "--scenario", "compare", "--trials", "1000", "--snr-step", "10",
         )
         assert code == 0
-        # 5 SNR points, 1 block: one draw per config serves every point and
-        # user, and each draw sorts its own pool
-        assert [args[0].has_relay for args in block_draws] == [True, False]
-        assert len(sorted_draws) == len(block_draws)
+        # 5 SNR points, 1 block: both configs share (mu, pool), so one draw
+        # serves every config, point and user, and sorts one pool
+        assert [[cfg.has_relay for cfg in args[0]] for args in block_draws] == [[True, False]]
+        assert len(sorted_draws) == 1
 
     def test_config_with_both_relay_keys_exits_2(self, capsys, tmp_path):
         text = preset_ini("coop").replace("relay_gain = 0.9", "relay_gain = 0.9\nrelay_const = 2.0")

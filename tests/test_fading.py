@@ -186,6 +186,14 @@ class TestGammaCdf:
         vals = gamma_cdf(p, xs)
         assert np.all(np.diff(vals) >= 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_product_past_double_range_is_one_without_warning(self):
+        # x * mu / omega overflows to inf, where the CDF is exactly 1
+        for mu in (1, 3):
+            p = FadingParams(mu, 1e-300)
+            assert gamma_cdf(p, 1e10) == 1.0
+            assert gamma_cdf(p, np.array([1e10, 0.0])).tolist() == [1.0, 0.0]
+
 
 class TestSmallArgCdf:
     """The leading term of one gain's CDF: the ordered form at rank 1 of 1."""

@@ -19,12 +19,21 @@ from noma_perf.analytic import (
     threshold_snr,
     user_outage,
 )
-from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
+from noma_perf import montecarlo
+from noma_perf.configs import (
+    ScenarioConfig,
+    coop_preset,
+    direct_preset,
+    preset_configs,
+    with_mu,
+)
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
     Estimate,
     TrialBatch,
+    UnitDraw,
+    branch_gains,
     draw_block,
     estimate_outage,
     stage_failures,
@@ -37,7 +46,7 @@ def db_to_linear(snr_db):
 
 
 def raw_block(cfg, rng, n, omega=None):
-    """The hop gains behind ``draw_block(cfg, rng, n)`` for a generator in
+    """The hop gains behind ``draw_block([cfg], rng, n)`` for a generator in
     the same state, drawn in its order: (direct pool, relay feed y, one w
     per served user); without a relay, y is None and there is no w.  The
     pool is drawn at mean ``omega`` (default: the first served user's),
@@ -70,9 +79,14 @@ def direct_events_from_cuts(gain, cfg, rho, user):
     return np.asarray(gain, dtype=float) < point_links(cfg, rho)[user - 1][2]
 
 
+def one_draw(cfg, rng, n):
+    """The branch gains of ``cfg`` over ``n`` trials, drawn for it alone."""
+    return branch_gains(draw_block([cfg], rng, n), cfg)
+
+
 def scalar_draw(cfg, h_far, h_near, y, w_f, w_n):
     """Single-trial draw with explicit hop gains, relayed by ``cfg``'s
-    relay, as ``draw_block`` returns it: one (direct, relay) tuple per
+    relay, as ``branch_gains`` returns it: one (direct, relay) tuple per
     served user."""
     c = cfg.noise_scale
     return [(np.asarray([h], dtype=float), np.asarray([y * w / (w + c)]))
@@ -122,7 +136,7 @@ class TestContainers:
 class TestDraws:
     def test_shapes_and_sorted_pool(self):
         for cfg, n_branches in ((coop_preset(), 2), (direct_preset(), 1)):
-            draw = draw_block(cfg, np.random.default_rng(0), 1000)
+            draw = one_draw(cfg, np.random.default_rng(0), 1000)
             # one tuple of branch gains per served user, in served order:
             # the direct gain, then the relay's effective gain if any
             assert len(draw) == len(served_users(cfg))
@@ -136,8 +150,8 @@ class TestDraws:
 
     def test_reproducible(self):
         for cfg in (with_mu(coop_preset(), 2), with_mu(direct_preset(), 2)):
-            a = draw_block(cfg, np.random.default_rng(11), 500)
-            b = draw_block(cfg, np.random.default_rng(11), 500)
+            a = one_draw(cfg, np.random.default_rng(11), 500)
+            b = one_draw(cfg, np.random.default_rng(11), 500)
             for ta, tb in zip(a, b, strict=True):
                 for ga, gb in zip(ta, tb, strict=True):
                     assert np.array_equal(ga, gb)
@@ -147,8 +161,9 @@ class TestDraws:
         # direct gain, drawn at unit scale and scaled by omega / mu, equals
         # its column of a pool drawn at its mean, bit for bit
         for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5),
-                    dataclasses.replace(coop_preset(3), omega=(0.37, 0.37))):
-            draw = draw_block(cfg, np.random.default_rng(3), 700)
+                    dataclasses.replace(coop_preset(3), omega=(0.37, 0.37)),
+                    dataclasses.replace(coop_preset(), omega_sr=2.5, omega_rd=7.0)):
+            draw = one_draw(cfg, np.random.default_rng(3), 700)
             direct, y, drops = raw_block(cfg, np.random.default_rng(3), 700)
             for (gain, relay), rank, w in zip(draw, cfg.ranks, drops, strict=True):
                 assert np.array_equal(gain, direct[:, rank - 1])
@@ -157,7 +172,7 @@ class TestDraws:
         # one branch is its column of a pool drawn at its own mean
         for cfg in (direct_preset(), with_mu(direct_preset(), 3)):
             rng = np.random.default_rng(3)
-            draw = draw_block(cfg, rng, 700)
+            draw = one_draw(cfg, rng, 700)
             for (gain,), rank, omega in zip(draw, cfg.ranks, cfg.omega, strict=True):
                 direct, y, drops = raw_block(cfg, np.random.default_rng(3), 700, omega)
                 assert (y, drops) == (None, ())
@@ -165,6 +180,41 @@ class TestDraws:
             after_pool = np.random.default_rng(3)
             raw_block(cfg, after_pool, 700)
             assert rng.bit_generator.state == after_pool.bit_generator.state
+
+
+    def test_draw_in_tile_slices_equals_one_draw(self, monkeypatch):
+        # a block is drawn in consecutive tile-sized slices of its
+        # generator: no sampler call draws more than a tile of trials, and
+        # the unit draw equals one draw of the whole block, bit for bit
+        sizes = []
+        for name in ("sample_gain", "sample_sorted_gains"):
+            def counted(*args, size, _sample=getattr(montecarlo, name)):
+                sizes.append(size)
+                return _sample(*args, size=size)
+            monkeypatch.setattr(montecarlo, name, counted)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 1000)
+        shared = preset_configs("comparison.ini")
+        for cfgs in ([shared["coop"], shared["direct"]], [with_mu(coop_preset(), 3)],
+                     [with_mu(direct_preset(), 20)]):
+            draw = draw_block(cfgs, np.random.default_rng(4), 2500)
+            rng = np.random.default_rng(4)
+            unit = FadingParams(cfgs[0].mu, float(cfgs[0].mu))
+            assert np.array_equal(draw.pool, sample_sorted_gains(unit, cfgs[0].pool, rng, size=2500))
+            if any(cfg.has_relay for cfg in cfgs):
+                # the relay feed, then one relay-to-user gain per served user
+                assert len(draw.w) == 2
+                for hop in (draw.y, *draw.w):
+                    assert np.array_equal(hop, sample_gain(unit, rng, size=2500))
+            else:
+                assert (draw.y, draw.w) == (None, ())
+        assert max(sizes) == 1000 and sizes[-1] == 500
+
+    def test_shared_draw_needs_one_mu_and_pool(self):
+        for other in (with_mu(direct_preset(), 2), coop_preset()):
+            with pytest.raises(ValueError):
+                draw_block([direct_preset(), other], np.random.default_rng(0), 10)
+        draw = draw_block([direct_preset()], np.random.default_rng(0), 10)
+        assert isinstance(draw, UnitDraw) and draw.pool.shape == (10, 3)
 
 
 class TestSinrChains:
@@ -243,7 +293,7 @@ class TestEventEquivalence:
         for mu in (1, 2):
             cfg = with_mu(coop_preset(), mu)
             raw = raw_block(cfg, copy.deepcopy(rng), 1 << 16)
-            draw = draw_block(cfg, rng, 1 << 16)
+            draw = one_draw(cfg, rng, 1 << 16)
             for rho_db in (0.0, 10.0, 30.0):
                 rho = db_to_linear(rho_db)
                 far_a, near_a = user_failures(draw, cfg, rho)
@@ -254,7 +304,7 @@ class TestEventEquivalence:
 
     def test_coop_routes_agree_when_infeasible(self):
         cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))  # threshold 7 > 4
-        draw = draw_block(cfg, np.random.default_rng(8), 4096)
+        draw = one_draw(cfg, np.random.default_rng(8), 4096)
         far_a, near_a = user_failures(draw, cfg, db_to_linear(30.0))
         raw = raw_block(cfg, np.random.default_rng(8), 4096)
         far_b, near_b = coop_events_from_cuts(raw, cfg, db_to_linear(30.0))
@@ -291,24 +341,58 @@ class TestDeterminism:
         cfg = coop_preset()
         rho = db_to_linear(10.0)
         batch = TrialBatch(trials=3 * BLOCK_TRIALS // 2, seed=5)
-        assert estimate_outage(cfg, [rho], batch) == estimate_outage(cfg, [rho], batch)
+        assert estimate_outage([cfg], [rho], batch) == estimate_outage([cfg], [rho], batch)
 
     def test_chunks_do_not_change_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
         trials = 2 * BLOCK_TRIALS + 1234
-        one = estimate_outage(cfg, [rho], TrialBatch(trials, seed=5, chunks=1))
-        many = estimate_outage(cfg, [rho], TrialBatch(trials, seed=5, chunks=4))
+        one = estimate_outage([cfg], [rho], TrialBatch(trials, seed=5, chunks=1))
+        many = estimate_outage([cfg], [rho], TrialBatch(trials, seed=5, chunks=4))
         assert one == many
-        d_one = estimate_outage(direct_preset(), [rho], TrialBatch(trials, seed=5, chunks=1))
-        d_many = estimate_outage(direct_preset(), [rho], TrialBatch(trials, seed=5, chunks=3))
+        d_one = estimate_outage([direct_preset()], [rho], TrialBatch(trials, seed=5, chunks=1))
+        d_many = estimate_outage([direct_preset()], [rho], TrialBatch(trials, seed=5, chunks=3))
         assert d_one == d_many
+
+    def test_one_call_equals_separate_calls(self, monkeypatch):
+        # the comparison preset's coop and direct configs and the direct
+        # preset share (mu, pool) and so one draw per block; the coop
+        # preset has another pool and the last config another mu
+        shared = preset_configs("comparison.ini")
+        cfgs = [shared["coop"], shared["direct"], coop_preset(), with_mu(shared["direct"], 2),
+                direct_preset()]
+        rhos = (1.0, 10.0, 100.0, 1000.0)
+        batch = TrialBatch(BLOCK_TRIALS + 3000, seed=9)
+        alone = [estimate_outage([cfg], rhos, batch)[0] for cfg in cfgs]
+        groups = []
+        draw = montecarlo.draw_block
+
+        def counted(group, rng, n):
+            groups.append([cfgs.index(cfg) for cfg in group])
+            return draw(group, rng, n)
+
+        monkeypatch.setattr(montecarlo, "draw_block", counted)
+        assert estimate_outage(cfgs, rhos, batch) == alone
+        # three groups, each drawn once in each of the two blocks
+        assert sorted(groups) == [[0, 1, 4], [0, 1, 4], [2], [2], [3], [3]]
+
+    def test_counts_do_not_depend_on_tile_or_chunks(self, monkeypatch):
+        shared = preset_configs("comparison.ini")
+        cfgs = [shared["coop"], shared["direct"], direct_preset(2)]
+        rhos = (1.0, 10.0, 100.0)
+        trials = 2 * BLOCK_TRIALS + 1234
+        want = estimate_outage(cfgs, rhos, TrialBatch(trials, seed=5))
+        for tile in (1000, BLOCK_TRIALS, 4 * BLOCK_TRIALS):
+            monkeypatch.setattr(montecarlo, "TILE_TRIALS", tile)
+            for chunks in (1, 2):
+                got = estimate_outage(cfgs, rhos, TrialBatch(trials, seed=5, chunks=chunks))
+                assert got == want, (tile, chunks)
 
     def test_seed_changes_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        a = estimate_outage(cfg, [rho], TrialBatch(100_000, seed=1))[0]["far"]
-        b = estimate_outage(cfg, [rho], TrialBatch(100_000, seed=2))[0]["far"]
+        a = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=1))[0][0]["far"]
+        b = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=2))[0][0]["far"]
         assert a.p_hat != b.p_hat
 
     @pytest.mark.parametrize("chunks", [1, 3])
@@ -324,7 +408,7 @@ class TestDeterminism:
             (coop_preset(2), [[525181, 525522], [167790, 364486], [771, 2]]),
             (direct_preset(2), [[507773, 519282, 525393], [35602, 8219, 20488], [377, 1, 1]]),
         ):
-            points = estimate_outage(cfg, rhos, batch)
+            (points,) = estimate_outage([cfg], rhos, batch)
             got = [[round(e.p_hat * trials) for e in point.values()] for point in points]
             assert got == want
             assert all(e.trials == trials for point in points for e in point.values())
@@ -334,7 +418,7 @@ class TestAgreementWithClosedForms:
     def test_coop_estimates_within_sampling_error(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        (point,) = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=6))
+        ((point,),) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
         far, near = point["far"], point["near"]
         p_far = user_outage(cfg, rho, "far")[0]
         p_near = user_outage(cfg, rho, "near")[0]
@@ -344,7 +428,7 @@ class TestAgreementWithClosedForms:
     def test_direct_estimates_within_sampling_error(self):
         cfg = with_mu(direct_preset(), 2)
         rho = db_to_linear(10.0)
-        (point,) = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=6))
+        ((point,),) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
         for user in (1, 2, 3):
             est = point[user]
             p = user_outage(cfg, rho, user)[0]
@@ -353,7 +437,7 @@ class TestAgreementWithClosedForms:
     def test_single_user_single_slot_reduces_to_plain_cdf(self):
         cfg = ScenarioConfig(power=(1.0,), rates=(0.5,), omega=(2.0,), mu=2)
         rho = 4.0
-        est = estimate_outage(cfg, [rho], TrialBatch(400_000, seed=12))[0][1]
+        est = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=12))[0][0][1]
         cut = (2.0**0.5 - 1.0) / rho
         p = gamma_cdf(FadingParams(2, 2.0), cut)
         assert abs(est.p_hat - p) < 4.0 * est.stderr
@@ -367,23 +451,23 @@ class TestAgreementWithClosedForms:
 
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        (point,) = estimate_outage(coop, [db_to_linear(40.0)], TrialBatch(10_000, seed=1))
+        ((point,),) = estimate_outage([coop], [db_to_linear(40.0)], TrialBatch(10_000, seed=1))
         assert point == {"far": Estimate(1.0, 0.0, 10_000), "near": Estimate(1.0, 0.0, 10_000)}
 
     @settings(max_examples=30, deadline=None)
     @given(blocked=blocked_users(), snr_db=st.floats(-10.0, 120.0), seed=st.integers(0, 99))
     def test_stage_without_headroom_estimates_exactly_one(self, blocked, snr_db, seed):
         cfg, user = blocked
-        (point,) = estimate_outage(cfg, [db_to_linear(snr_db)], TrialBatch(2000, seed=seed))
+        ((point,),) = estimate_outage([cfg], [db_to_linear(snr_db)], TrialBatch(2000, seed=seed))
         assert point[user] == Estimate(1.0, 0.0, 2000)
 
     def test_rejects_bad_rho_and_user(self):
         with pytest.raises(ValueError):
-            estimate_outage(coop_preset(), [0.0], TrialBatch(10, seed=0))
+            estimate_outage([coop_preset()], [0.0], TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
             stage_failures(np.ones(4), direct_preset(), 10.0, decode_depth(direct_preset(), 5))
         with pytest.raises(ValueError):
-            estimate_outage(direct_preset(), [10.0, math.inf], TrialBatch(10, seed=0))
+            estimate_outage([direct_preset()], [10.0, math.inf], TrialBatch(10, seed=0))
         with pytest.raises(AttributeError):
-            estimate_outage(object(), [10.0], TrialBatch(10, seed=0))
-        assert estimate_outage(coop_preset(), [], TrialBatch(10, seed=0)) == []
+            estimate_outage([object()], [10.0], TrialBatch(10, seed=0))
+        assert estimate_outage([coop_preset()], [], TrialBatch(10, seed=0)) == [[]]

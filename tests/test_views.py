@@ -30,6 +30,7 @@ from noma_perf.configs import coop_preset, direct_preset, with_mu
 from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
 from noma_perf.montecarlo import (
     TrialBatch,
+    branch_gains,
     draw_block,
     estimate_outage,
     stage_failures,
@@ -88,7 +89,7 @@ def test_far_near_wrappers_share_draws():
     rho = db_to_linear(10.0)
     batch = TrialBatch(50_000, seed=3)
     far, near = montecarlo.estimate_outage_coop(cfg, rho, batch)
-    assert estimate_outage(cfg, [rho], batch) == [{"far": far, "near": near}]
+    assert estimate_outage([cfg], [rho], batch) == [[{"far": far, "near": near}]]
 
 
 @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
@@ -131,7 +132,7 @@ def link_parts(cfg, rho, user):
 
 
 def fresh_draw(cfg):
-    return draw_block(cfg, np.random.default_rng(7), BATCH.trials)
+    return branch_gains(draw_block([cfg], np.random.default_rng(7), BATCH.trials), cfg)
 
 
 def user_gain(cfg, user):
@@ -168,13 +169,13 @@ VIEWS = {
         analytic.throughput_direct(cfg, rho), exact_throughput(cfg, rho)),
     "estimate_outage_coop": lambda cfg, rho, user: (
         montecarlo.estimate_outage_coop(cfg, rho, BATCH),
-        tuple(estimate_outage(cfg, [rho], BATCH)[0].values())),
+        tuple(estimate_outage([cfg], [rho], BATCH)[0][0].values())),
     "estimate_outage_direct": lambda cfg, rho, user: (
         montecarlo.estimate_outage_direct(cfg, rho, user, BATCH),
-        estimate_outage(cfg, [rho], BATCH)[0][user]),
+        estimate_outage([cfg], [rho], BATCH)[0][0][user]),
     "draw_coop_block": lambda cfg, rho, user: (
-        montecarlo.draw_coop_block(cfg, np.random.default_rng(7), BATCH.trials),
-        fresh_draw(cfg)),
+        montecarlo.draw_coop_block([cfg], np.random.default_rng(7), BATCH.trials),
+        draw_block([cfg], np.random.default_rng(7), BATCH.trials)),
     "coop_events_from_sinr": lambda cfg, rho, user: (
         montecarlo.coop_events_from_sinr(fresh_draw(cfg), cfg, rho),
         user_failures(fresh_draw(cfg), cfg, rho)),
