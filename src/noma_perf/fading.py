@@ -115,12 +115,19 @@ class OrderedIndex:
 def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
     """Log density of the power gain at nodes ``xs`` already inside (0, inf)."""
     rate = p.rate
+    if rate == math.inf:
+        # a mean below mu / DBL_MAX puts all mass at 0: no density inside
+        return np.full(np.shape(xs), -math.inf)
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
     return p.mu * math.log(rate) - log_gamma(p.mu) + (p.mu - 1) * np.log(xs) - rate * xs
 
 
 def gamma_pdf(p: FadingParams, x):
-    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf."""
+    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf.
+
+    A mean so small that ``mu / omega`` overflows puts all mass at 0, so
+    the density is zero everywhere.
+    """
     x = np.asarray(x, dtype=float)
     pos = (x > 0) & (x < math.inf)
     out = np.where(pos, np.exp(_gamma_log_pdf_inside(p, np.where(pos, x, 1.0))), 0.0)
@@ -134,9 +141,13 @@ def gamma_cdf(p: FadingParams, x):
 
     Evaluated as the regularized lower incomplete gamma function at
     ``mu * x / omega``, which for integer ``mu`` equals one minus the
-    truncated exponential series of that argument.
+    truncated exponential series of that argument.  A mean so small that
+    ``mu / omega`` overflows puts all mass at 0, where the CDF steps to 1.
     """
     x = np.asarray(x, dtype=float)
+    if p.rate == math.inf:
+        step = np.where(x > 0, 1.0, 0.0)
+        return float(step) if step.ndim == 0 else step
     # a product past the double range is inf, where the CDF is exactly 1;
     # a scalar multiplies as a Python float, which overflows silently, so
     # the common scalar call skips the cost of the error-state context

@@ -67,6 +67,12 @@ BLOCK_TRIALS = 1 << 18
 # every SNR point stay in a core's cache.  No count depends on it.
 TILE_TRIALS = 1 << 13
 
+# Raw exponentials per slice of a draw at most (1 MiB of doubles).  A
+# trial of a draw takes pool * mu of them, so every preset (pool <= 5,
+# mu <= 3) keeps full tiles, and a large pool at a large mu draws fewer
+# trials per slice, down to one.  No count depends on it.
+DRAW_ELEMENTS = 1 << 17
+
 
 # =====================================================================
 # Containers
@@ -125,16 +131,20 @@ class UnitDraw(NamedTuple):
     w: tuple[np.ndarray, ...]
 
 
-def _sliced(sample: Callable[[int], np.ndarray], n: int, *shape: int) -> np.ndarray:
-    """``sample(k)`` over ``n`` trials, drawn in consecutive ``TILE_TRIALS`` slices.
+def _sliced(sample: Callable[[int], np.ndarray], n: int, shape: tuple[int, ...],
+            raw: int) -> np.ndarray:
+    """``sample(k)`` over ``n`` trials of ``raw`` exponentials each, drawn in
+    consecutive slices of at most ``TILE_TRIALS`` trials and at most
+    ``DRAW_ELEMENTS`` exponentials, or of one trial where one takes more.
 
     A generator fills a draw in order, so the slices equal one
     ``sample(n)`` bit for bit, while the raw exponentials behind them
     never exceed one slice.
     """
+    size = max(1, min(TILE_TRIALS, DRAW_ELEMENTS // raw))
     out = np.empty((n, *shape))
-    for start in range(0, n, TILE_TRIALS):
-        stop = min(start + TILE_TRIALS, n)
+    for start in range(0, n, size):
+        stop = min(start + size, n)
         out[start:stop] = sample(stop - start)
     return out
 
@@ -154,11 +164,13 @@ def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int)
     if any((cfg.mu, cfg.pool) != (mu, pool) for cfg in cfgs):
         raise ValueError("configs that share a draw must share mu and pool")
     unit = FadingParams(mu, float(mu))
-    direct = _sliced(lambda k: sample_sorted_gains(unit, pool, rng, size=k), n, pool)
+    direct = _sliced(lambda k: sample_sorted_gains(unit, pool, rng, size=k), n, (pool,),
+                     pool * mu)
     relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
     if not relayed:
         return UnitDraw(direct, None, ())
-    hops = [_sliced(lambda k: sample_gain(unit, rng, size=k), n) for _ in range(1 + relayed)]
+    hops = [_sliced(lambda k: sample_gain(unit, rng, size=k), n, (), mu)
+            for _ in range(1 + relayed)]
     return UnitDraw(direct, hops[0], tuple(hops[1:]))
 
 

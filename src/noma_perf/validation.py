@@ -8,11 +8,16 @@ primitives with the production code, never its Bessel-sum algebra: the
 relay-branch oracle integrates the first-hop density against the
 conditional second-hop CDF with the exp-sinh rule, and the ordered-CDF
 oracle integrates the order-statistic density with the tanh-sinh rule.  Each
-rule evaluates a whole refinement level of nodes in one vectorized
-integrand call and stops when two levels agree to 1e-12 relative.  Both
-oracles are sums of positive terms, so relative accuracy survives even
-when the result is far below one.  The tests keep a second, independent
-route through scipy's QUADPACK (``tests/quadpack_reference.py``).
+oracle integrates every row of a config at once (:func:`link_oracles`):
+the relay branch over every (point, user) cut, whose exp-sinh nodes in
+the offset u do not depend on the cut, and the ordered CDF once per
+served user over the cuts of the grid.  A refinement level evaluates the
+rows still refining as one (rows, nodes) array, and each row stops when
+its own two levels agree to 1e-12 relative, so every value equals a
+one-row call bit for bit.  Both oracles are sums of positive terms, so
+relative accuracy survives even when the result is far below one.  The
+tests keep a second, independent route through scipy's QUADPACK
+(``tests/quadpack_reference.py``).
 
 :func:`run_validation_suite` drives the full gate: for every configured
 user and SNR point it compares the exact value against its oracle, both
@@ -40,6 +45,7 @@ from .numerics import QuadratureError, integrate_from_zero, integrate_semi_infin
 
 __all__ = [
     "ComparisonRow",
+    "link_oracles",
     "ordered_cdf_quadrature",
     "outage_oracle",
     "relay_outage_quadrature",
@@ -59,6 +65,34 @@ MC_PROBABILITY_FLOOR = 1e-4
 # Quadrature oracles
 # =====================================================================
 
+def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
+    """Relay-branch outage of relay config ``cfg`` at each of ``cuts``.
+
+    Cut 0 gives 0 and an infinite cut 1.  The other cuts are integrated
+    as one batch of exp-sinh rows, since the nodes in u do not depend on
+    the cut; a ``QuadratureError`` names its row as an index of ``cuts``.
+    """
+    out = np.where(cuts > 0, 1.0, 0.0)
+    live = np.flatnonzero((cuts > 0) & (cuts < math.inf))
+    if not live.size:
+        return out
+    feed = FadingParams(cfg.mu, cfg.omega_sr)
+    drop = FadingParams(cfg.mu, cfg.omega_rd)
+    cut = cuts[live]
+    scaled = cut * cfg.noise_scale
+
+    def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return gamma_pdf(feed, cut[rows, None] + u) * gamma_cdf(drop, scaled[rows, None] / u)
+
+    try:
+        tail = integrate_semi_infinite(integrand, np.zeros(live.size))
+    except QuadratureError as exc:
+        exc.row = int(live[exc.row])
+        raise
+    out[live] = np.minimum(1.0, gamma_cdf(feed, cut) + tail.value)
+    return out
+
+
 def relay_outage_quadrature(cfg: ScenarioConfig, cut: float) -> float:
     """Relay-branch outage of relay config ``cfg`` by direct integration.
 
@@ -74,52 +108,57 @@ def relay_outage_quadrature(cfg: ScenarioConfig, cut: float) -> float:
     cut = float(cut)
     if math.isnan(cut) or cut < 0:
         raise ValueError(f"cut must be >= 0, got {cut}")
-    if cut == 0.0:
-        return 0.0
-    if math.isinf(cut):
-        return 1.0
-    feed = FadingParams(cfg.mu, cfg.omega_sr)
-    drop = FadingParams(cfg.mu, cfg.omega_rd)
-    scaled = cut * cfg.noise_scale
+    return float(_relay_outages(cfg, np.array([cut]))[0])
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return gamma_pdf(feed, cut + u) * gamma_cdf(drop, scaled / u)
 
-    tail = integrate_semi_infinite(integrand, 0.0)
-    return min(1.0, gamma_cdf(feed, cut) + tail.value)
+def _ordered_cdfs(params: FadingParams, idx: OrderedIndex, xs: np.ndarray) -> np.ndarray:
+    """Ordered CDF at each of ``xs`` (see :func:`ordered_cdf_quadrature`),
+    every integrated point one tanh-sinh row of a single batch."""
+    out = np.where(xs <= 0, 0.0, 1.0)
+    live = np.flatnonzero(~((xs <= 0) | (gamma_cdf(params, xs) == 1.0)))
+    if live.size:
+        result = integrate_from_zero(lambda y, rows: ordered_pdf(params, idx, y), xs[live])
+        out[live] = np.minimum(1.0, result.value)
+    return out
 
 
 def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) -> float:
     """Ordered CDF by tanh-sinh integration of the order-statistic density over (0, x).
 
-    Where the plain CDF at ``x`` rounds to 1, the ordered CDF is within
-    ``total`` * 2**-54 of 1 and is returned as 1.0: the density's mass
-    then sits so far below ``x`` that the tanh-sinh nodes can step over
-    it at every level and agree on 0.
+    Where the plain CDF at ``x`` rounds to 1 (``x`` = inf included), the
+    ordered CDF is within ``total`` * 2**-54 of 1 and is returned as 1.0:
+    the density's mass then sits so far below ``x`` that the tanh-sinh
+    nodes can step over it at every level and agree on 0.
     """
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    if math.isinf(x) or gamma_cdf(params, x) == 1.0:
-        return 1.0
-    result = integrate_from_zero(lambda y: ordered_pdf(params, idx, y), x)
-    return min(1.0, result.value)
+    return float(_ordered_cdfs(params, idx, np.array([float(x)]))[0])
 
 
-def _link_oracle(cfg: ScenarioConfig, link: Link) -> float:
-    """Quadrature-only outage of one ``analytic.point_links`` entry of ``cfg``; a
-    relay that puts the integrand past the exp-sinh nodes raises ``ConfigError``."""
-    params, idx, cut = link
-    direct = ordered_cdf_quadrature(params, idx, cut)
+def link_oracles(cfg: ScenarioConfig, links: Sequence[Link]) -> list[float]:
+    """Quadrature-only outage of each ``analytic.point_links`` entry of ``cfg``.
+
+    The rows are integrated in batches: the ordered CDF once per direct
+    law and sort index over the cuts of its rows, and with a relay the
+    relay branch once over every cut.  A relay that puts the integrand
+    past the exp-sinh nodes raises ``ConfigError``, naming the cut of the
+    first row that fails.
+    """
+    cuts = np.array([cut for _, _, cut in links], dtype=float)
+    direct = np.empty(len(links))
+    laws: dict[tuple[FadingParams, OrderedIndex], list[int]] = {}
+    for row, (params, idx, _) in enumerate(links):
+        laws.setdefault((params, idx), []).append(row)
+    for (params, idx), rows in laws.items():
+        direct[rows] = _ordered_cdfs(params, idx, cuts[rows])
     if not cfg.has_relay:
-        return direct
+        return direct.tolist()
     try:
-        return direct * relay_outage_quadrature(cfg, cut)
+        relay = _relay_outages(cfg, cuts)
     except QuadratureError as exc:
         raise ConfigError(
             f"the relay oracle cannot resolve omega_sr = {cfg.omega_sr:g}, omega_rd = "
-            f"{cfg.omega_rd:g}, relay_gain = {cfg.relay_gain:g} at cut {cut:.6g}: {exc}"
+            f"{cfg.omega_rd:g}, relay_gain = {cfg.relay_gain:g} at cut {cuts[exc.row]:.6g}: {exc}"
         ) from exc
+    return (direct * relay).tolist()
 
 
 def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
@@ -131,7 +170,7 @@ def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
     forms up to quadrature error and is the reference leg of the
     validation gate.
     """
-    return _link_oracle(cfg, _user_link(cfg, rho, user))
+    return link_oracles(cfg, [_user_link(cfg, rho, user)])[0]
 
 
 # =====================================================================
@@ -176,6 +215,7 @@ def run_validation_suite(
         scenario = "coop" if cfg.has_relay else "direct"
         links = [point_links(cfg, rho) for rho in rhos]
         exact = [[link_outage(cfg, link)[0] for link in point] for point in links]
+        oracles = iter(link_oracles(cfg, [link for point in links for link in point]))
         estimates = {}
         if batch is not None:
             # one simulation over the points where some user is above the floor
@@ -183,8 +223,8 @@ def run_validation_suite(
             (points,) = estimate_outage([cfg], [rhos[k] for k in simulated], batch)
             estimates = dict(zip(simulated, points))
         for k, db in enumerate(snr_db):
-            for user, p, link in zip(users, exact[k], links[k]):
-                oracle = _link_oracle(cfg, link)
+            for user, p in zip(users, exact[k]):
+                oracle = next(oracles)
                 rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
                 ok = rel_err <= ORACLE_REL_TOL
                 gate = f"rel_err<={ORACLE_REL_TOL:g}"

@@ -385,6 +385,18 @@ class TestSweep:
             assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
             assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_direct_mean_past_rate_range_exits_0_without_warning(self, capsys, tmp_path):
+        # mu / 1e-310 overflows: that user's direct link always fails
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(preset_ini("coop").replace("omega = 1.0 1.0", "omega = 1e-310 1.0"),
+                       encoding="utf-8")
+        for argv in (("sweep", "--scenario", "coop", "--trials", "2000"),
+                     ("validate", "--trials", "2000")):
+            code, out, err = run_cli(capsys, *argv, "--config", str(ini))
+            assert (code, err) == (0, ""), argv
+            assert len(data_rows(out)) == 9 * 2
+
     def test_large_pool_config_exits_0(self, capsys, tmp_path):
         # the ordered CDF of a pool this size is a finite probability
         ini = tmp_path / "pool.ini"
@@ -493,13 +505,14 @@ class TestValidate:
         assert text.startswith(",".join(REPORT_COLUMNS) + "\n")
 
     def test_oracle_failure_exits_1(self, capsys, monkeypatch):
-        # the gate reads each user's oracle from its link of the point
-        oracle = validation._link_oracle
+        # the gate reads every user's oracle at every point from one batch
+        # of the config's links
+        oracles = validation.link_oracles
 
-        def off_oracle(cfg, link):
-            return oracle(cfg, link) * (1.0 + 1e-5)
+        def off_oracles(cfg, links):
+            return [value * (1.0 + 1e-5) for value in oracles(cfg, links)]
 
-        monkeypatch.setattr(validation, "_link_oracle", off_oracle)
+        monkeypatch.setattr(validation, "link_oracles", off_oracles)
         code, out, err = run_cli(capsys, "validate", "--trials", "0")
         assert code == 1
         rows = data_rows(out)

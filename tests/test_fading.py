@@ -195,6 +195,32 @@ class TestGammaCdf:
             assert gamma_cdf(p, np.array([1e10, 0.0])).tolist() == [1.0, 0.0]
 
 
+@pytest.mark.filterwarnings("error")
+class TestRateOverflow:
+    """A mean below mu / DBL_MAX makes mu / omega inf: all mass sits at 0."""
+
+    P = FadingParams(1, 1e-310)
+
+    def test_rate_is_inf(self):
+        assert self.P.rate == math.inf
+
+    def test_density_is_zero_everywhere(self):
+        assert gamma_pdf(self.P, [1e-320, 1.0, 2.0]).tolist() == [0.0, 0.0, 0.0]
+        assert gamma_pdf(self.P, 0.0) == 0.0 and gamma_pdf(self.P, 1.0) == 0.0
+        for rank in (1, 3):
+            out = ordered_pdf(self.P, OrderedIndex(rank, 3), np.array([0.0, 1e-320, 1.0]))
+            assert out.tolist() == [0.0, 0.0, 0.0]
+
+    def test_cdf_is_a_unit_step_at_zero(self):
+        assert gamma_cdf(self.P, np.array([-1.0, 0.0, 1e-320, 1.0])).tolist() == [
+            0.0, 0.0, 1.0, 1.0]
+        value = gamma_cdf(self.P, 0.0)
+        assert type(value) is float and value == 0.0
+        assert gamma_cdf(self.P, 1e-320) == 1.0
+        assert ordered_cdf(self.P, OrderedIndex(2, 3), 1.0) == 1.0
+        assert ordered_cdf_quadrature(self.P, OrderedIndex(2, 3), 1.0) == 1.0
+
+
 class TestSmallArgCdf:
     """The leading term of one gain's CDF: the ordered form at rank 1 of 1."""
 

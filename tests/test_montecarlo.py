@@ -209,6 +209,38 @@ class TestDraws:
                 assert (draw.y, draw.w) == (None, ())
         assert max(sizes) == 1000 and sizes[-1] == 500
 
+    def test_draw_slices_stay_within_the_element_budget(self, monkeypatch):
+        # every preset keeps full tiles; a slice asks the generator for at
+        # most DRAW_ELEMENTS exponentials, or one trial's where one takes
+        # more, and the sliced draw equals the unshrunk one bit for bit
+        for name in ("coop.ini", "direct.ini", "comparison.ini"):
+            for cfg in preset_configs(name).values():
+                assert cfg.pool * 3 * montecarlo.TILE_TRIALS <= montecarlo.DRAW_ELEMENTS
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.largest = 0
+
+            def standard_exponential(self, size, **kwargs):
+                self.largest = max(self.largest, math.prod(size))
+                return self.rng.standard_exponential(size, **kwargs)
+
+        wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=3,
+                              ranks=(1, 40), pool=40)
+        groups = [[coop_preset()], [with_mu(direct_preset(), 7)], [wide]]
+        want = [draw_block(cfgs, np.random.default_rng(8), 700) for cfgs in groups]
+        monkeypatch.setattr(montecarlo, "DRAW_ELEMENTS", 100)
+        for cfgs, ref in zip(groups, want):
+            rng = Recording(8)
+            got = draw_block(cfgs, rng, 700)
+            assert len(got.w) == len(ref.w)
+            for a, b in zip((got.pool, got.y, *got.w), (ref.pool, ref.y, *ref.w)):
+                assert np.array_equal(a, b)
+            per_trial = cfgs[0].pool * cfgs[0].mu
+            assert rng.largest == max(100 // per_trial, 1) * per_trial
+        assert [len(ref.w) for ref in want] == [2, 0, 0]
+
     def test_shared_draw_needs_one_mu_and_pool(self):
         for other in (with_mu(direct_preset(), 2), coop_preset()):
             with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 from config_strategies import configs
@@ -16,11 +17,13 @@ from noma_perf.analytic import (
     stage_cuts,
     user_outage,
 )
-from noma_perf.configs import ScenarioConfig, coop_preset, direct_preset, with_mu
-from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
+from noma_perf.configs import ConfigError, ScenarioConfig, coop_preset, direct_preset, with_mu
+from noma_perf.fading import FadingParams, OrderedIndex, gamma_cdf, ordered_cdf
 from noma_perf.montecarlo import TrialBatch
+from noma_perf.numerics import QuadratureError
 from noma_perf.validation import (
     MC_PROBABILITY_FLOOR,
+    link_oracles,
     ordered_cdf_quadrature,
     outage_oracle,
     relay_outage_quadrature,
@@ -182,6 +185,49 @@ class TestOutageOracle:
     def test_rejects_unknown_config_type(self):
         with pytest.raises(AttributeError):
             outage_oracle(object(), 10.0, "far")
+
+
+class TestBatchedOracle:
+    GRID_DB = range(0, 61)
+
+    @staticmethod
+    def one_row(cfg, link):
+        params, idx, cut = link
+        value = ordered_cdf_quadrature(params, idx, cut)
+        return value * relay_outage_quadrature(cfg, cut) if cfg.has_relay else value
+
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_batch_equals_one_row_calls_bit_for_bit(self, mu):
+        # every (point, user) row of the grid in one batch, shuffled, with
+        # a cut-0, a cut-inf and an F(cut) == 1 row of each user mixed in
+        for cfg in (with_mu(coop_preset(), mu), with_mu(direct_preset(), mu)):
+            links = [link for db in self.GRID_DB
+                     for link in point_links(cfg, db_to_linear(float(db)))]
+            for params, idx, _ in point_links(cfg, 1.0):
+                assert gamma_cdf(params, 1e3) == 1.0
+                links += [(params, idx, 0.0), (params, idx, math.inf), (params, idx, 1e3)]
+            random.Random(mu).shuffle(links)
+            assert link_oracles(cfg, links) == [self.one_row(cfg, link) for link in links]
+
+    def test_edge_rows_keep_their_prefilters(self):
+        cfg = coop_preset()
+        params, idx, cut = point_links(cfg, 1.0)[0]
+        rows = [(params, idx, c) for c in (0.0, cut, math.inf, 1e3)]
+        oracle = link_oracles(cfg, rows)
+        assert oracle[0] == 0.0 and oracle[2] == oracle[3] == 1.0
+        assert 0.0 < oracle[1] < 1.0
+        assert all(type(v) is float for v in oracle)
+        assert link_oracles(cfg, []) == []
+
+    def test_relay_failure_names_the_cut_of_the_first_failing_row(self):
+        cfg = dataclasses.replace(coop_preset(), omega_sr=1e300)
+        params, idx, _ = point_links(cfg, 1.0)[0]
+        cuts = [0.0, math.inf, 0.35, 0.015, 3.5]
+        for cut in cuts[2:]:
+            with pytest.raises(QuadratureError):
+                relay_outage_quadrature(cfg, cut)
+        with pytest.raises(ConfigError, match=r"at cut 0\.35: semi-infinite quadrature"):
+            link_oracles(cfg, [(params, idx, cut) for cut in cuts])
 
 
 class TestValidationSuite:
