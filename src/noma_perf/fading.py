@@ -258,30 +258,83 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
 # Sampling
 # =====================================================================
 
-def sample_gain(p: FadingParams, rng: np.random.Generator, size=None) -> np.ndarray:
+def _shape(size) -> tuple[int, ...]:
+    return () if size is None else (tuple(size) if isinstance(size, (tuple, list)) else (size,))
+
+
+def sample_gain(p: FadingParams, rng: np.random.Generator, size=None, *, out=None):
     """Draw power gains as a sum of ``mu`` inverse-transform exponentials.
 
     The inverse-transform path keeps draws reproducible across platforms
-    for a fixed generator state.  Returns shape ``size`` (scalar for None).
+    for a fixed generator state.  Returns shape ``size`` (a float for
+    None).  With ``out``, a C-contiguous float64 array, the gains are
+    drawn in place into it and ``out`` is returned (``size`` is then
+    ignored): at mu = 1 the generator fills ``out`` directly, at mu > 1
+    ``np.sum(..., axis=-1, out=out)`` reduces the raw exponentials into
+    it in the allocating path's summation order, so both paths give the
+    same gains bit for bit for a generator in the same state.
     """
-    shape = () if size is None else (tuple(size) if isinstance(size, (tuple, list)) else (size,))
-    exps = rng.standard_exponential(shape + (p.mu,), method="inv")
-    out = exps.sum(axis=-1) * (p.omega / p.mu)
-    if size is None:
-        return float(out)
-    return out
+    gains = np.empty(_shape(size)) if out is None else out
+    if p.mu == 1:
+        rng.standard_exponential(out=gains, method="inv")
+    else:
+        np.sum(rng.standard_exponential(gains.shape + (p.mu,), method="inv"), axis=-1,
+               out=gains)
+    scale = p.omega / p.mu
+    if scale != 1.0:  # a unit-scale draw (omega == mu) skips an exact no-op
+        gains *= scale
+    return float(gains) if out is None and size is None else gains
 
 
-def sample_sorted_gains(
-    p: FadingParams, total: int, rng: np.random.Generator, size=None
-) -> np.ndarray:
+# Compare-exchange networks (i, j) that sort 1..5 values ascending, with
+# the fewest comparators known for each size (Knuth, TAOCP vol. 3,
+# section 5.3.4); larger pools go to np.sort.
+_SORT_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 1), (1, 2), (0, 1)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2)),
+}
+
+
+def _sort_pools(gains: np.ndarray) -> np.ndarray:
+    """Sort ``gains`` ascending along its last axis, in place, and return it.
+
+    Pools of at most 5 run a compare-exchange network of ``np.minimum``
+    and ``np.maximum`` over the columns, larger pools ``ndarray.sort``.
+    Both return elements of the input, so every pool comes out as the
+    same values bit for bit as ``np.sort`` gives, ties included (the
+    gains are never -0.0 or NaN, the only values a sort could reorder
+    differently).
+    """
+    network = _SORT_NETWORKS.get(gains.shape[-1])
+    if network is None:
+        gains.sort(axis=-1)
+        return gains
+    low = np.empty(gains.shape[:-1])
+    for i, j in network:
+        a, b = gains[..., i], gains[..., j]
+        np.minimum(a, b, out=low)
+        np.maximum(a, b, out=b)
+        a[...] = low
+    return gains
+
+
+def sample_sorted_gains(p: FadingParams, total: int, rng: np.random.Generator, size=None,
+                        *, out=None) -> np.ndarray:
     """Draw ``total`` i.i.d. gains and sort ascending along the last axis.
 
     Element ``rank - 1`` of the result realizes the rank-th order
-    statistic.  Returns shape ``(total,)`` or ``size + (total,)``.
+    statistic.  Returns shape ``(total,)`` or ``size + (total,)``; with
+    ``out`` (C-contiguous float64 whose last axis is ``total``) the gains
+    are drawn by :func:`sample_gain` into it and sorted in place by
+    ``_sort_pools``, and ``out`` is returned.
     """
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
-    shape = () if size is None else (tuple(size) if isinstance(size, (tuple, list)) else (size,))
-    gains = sample_gain(p, rng, size=shape + (total,))
-    return np.sort(np.asarray(gains, dtype=float), axis=-1)
+    if out is None:
+        out = np.empty(_shape(size) + (total,))
+    elif out.shape[-1:] != (total,):
+        raise ValueError(f"out must end in an axis of {total} gains, got shape {out.shape}")
+    return _sort_pools(sample_gain(p, rng, out=out))

@@ -24,6 +24,17 @@ worker threads, nor on which other points, users or configs the same
 call replays, nor on the tile size of the replay, and repeated runs are
 bit-identical.  ``TrialBatch.chunks`` is the worker-thread count, capped
 by the CPU count and the number of blocks.
+
+Every step of a block works in place and keeps its bits: each slice of
+the draw is written by ``fading.sample_gain``/``sample_sorted_gains``
+straight into its rows of the block's arrays, and pools of at most 5
+are sorted there by a min/max compare-exchange network, which gives the
+values ``np.sort`` gives.  The replay writes its SINRs and failures into
+(points, tile) buffers that a block worker allocates once, taking every
+product in the order of the unbuffered stage test, and counts the
+failures of each row by a popcount.  Before any draw, a config whose
+bounded gains (``GAIN_BOUND`` times their means) could overflow a
+simulated SINR is rejected with a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ import os
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,12 +51,13 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import _check_rho, decode_depth, served_users, sic_stages
-from .configs import ScenarioConfig
+from .configs import ConfigError, ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
+    "ReplayScratch",
     "TILE_TRIALS",
     "TrialBatch",
     "UnitDraw",
@@ -62,16 +73,26 @@ __all__ = [
 BLOCK_TRIALS = 1 << 18
 
 # Trials per tile.  A block is drawn in consecutive tile-sized slices of
-# its generator, so the raw exponentials behind one draw never exceed a
-# tile, and replayed tile by tile, so the (points, tile) SINR arrays of
-# every SNR point stay in a core's cache.  No count depends on it.
+# its generator, each in place into its rows of the block's arrays, so
+# the raw exponentials behind one slice never exceed a tile, and
+# replayed tile by tile into (points, tile) buffers that a worker
+# allocates once per block and that stay in a core's cache.  No count
+# depends on it.
 TILE_TRIALS = 1 << 13
 
 # Raw exponentials per slice of a draw at most (1 MiB of doubles).  A
 # trial of a draw takes pool * mu of them, so every preset (pool <= 5,
 # mu <= 3) keeps full tiles, and a large pool at a large mu draws fewer
-# trials per slice, down to one.  No count depends on it.
+# trials per slice, down to one.  At mu = 1 the generator writes a slice
+# into the block with no raw buffer at all.  No count depends on it.
 DRAW_ELEMENTS = 1 << 17
+
+
+# A gain never exceeds this multiple of its mean.  An inverse-transform
+# exponential is -log1p(-u) with u at most 1 - 2**-53, so at most
+# 53 ln 2 ~ 36.74, and a gain is the mean of mu of them times its own
+# mean; the margin covers the roundings of the sum and the scaling.
+GAIN_BOUND = 37.0
 
 
 # =====================================================================
@@ -131,21 +152,19 @@ class UnitDraw(NamedTuple):
     w: tuple[np.ndarray, ...]
 
 
-def _sliced(sample: Callable[[int], np.ndarray], n: int, shape: tuple[int, ...],
-            raw: int) -> np.ndarray:
-    """``sample(k)`` over ``n`` trials of ``raw`` exponentials each, drawn in
-    consecutive slices of at most ``TILE_TRIALS`` trials and at most
-    ``DRAW_ELEMENTS`` exponentials, or of one trial where one takes more.
+def _fill(sample: Callable[[np.ndarray], object], out: np.ndarray, raw: int) -> np.ndarray:
+    """Fill ``out`` along its first axis by ``sample(rows)``, one trial a
+    row of ``raw`` exponentials, in consecutive slices of at most
+    ``TILE_TRIALS`` trials and at most ``DRAW_ELEMENTS`` exponentials, or
+    of one trial where one takes more.
 
-    A generator fills a draw in order, so the slices equal one
-    ``sample(n)`` bit for bit, while the raw exponentials behind them
+    A generator fills a draw in order, so the slices equal one draw of
+    all of ``out`` bit for bit, while the raw exponentials behind them
     never exceed one slice.
     """
-    size = max(1, min(TILE_TRIALS, DRAW_ELEMENTS // raw))
-    out = np.empty((n, *shape))
-    for start in range(0, n, size):
-        stop = min(start + size, n)
-        out[start:stop] = sample(stop - start)
+    step = max(1, min(TILE_TRIALS, DRAW_ELEMENTS // raw))
+    for start in range(0, len(out), step):
+        sample(out[start:start + step])
     return out
 
 
@@ -157,20 +176,22 @@ def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int)
     config has a relay, the relay feed y and one w per user behind the
     relay (as many as the config that serves most).  Each config reads a
     prefix of that stream, the same gains it would draw alone, so one
-    draw serves the whole group.  :func:`branch_gains` scales the unit
-    draw to each config.
+    draw serves the whole group.  Every slice is drawn (and the pool
+    sorted) in place in the block's arrays.  :func:`branch_gains` scales
+    the unit draw to each config.
     """
     mu, pool = cfgs[0].mu, cfgs[0].pool
     if any((cfg.mu, cfg.pool) != (mu, pool) for cfg in cfgs):
         raise ValueError("configs that share a draw must share mu and pool")
     unit = FadingParams(mu, float(mu))
-    direct = _sliced(lambda k: sample_sorted_gains(unit, pool, rng, size=k), n, (pool,),
-                     pool * mu)
+    direct = _fill(lambda rows: sample_sorted_gains(unit, pool, rng, out=rows),
+                   np.empty((n, pool)), pool * mu)
     relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
     if not relayed:
         return UnitDraw(direct, None, ())
-    hops = [_sliced(lambda k: sample_gain(unit, rng, size=k), n, (), mu)
-            for _ in range(1 + relayed)]
+    hops = np.empty((1 + relayed, n))
+    for hop in hops:
+        _fill(lambda rows: sample_gain(unit, rng, out=rows), hop, mu)
     return UnitDraw(direct, hops[0], tuple(hops[1:]))
 
 
@@ -202,7 +223,44 @@ def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None
 # SINR replay
 # =====================================================================
 
-def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int):
+class ReplayScratch(NamedTuple):
+    """Work arrays of one SINR replay, each of the replay's result shape:
+    the SINR and its denominator (float), the misses of one stage and the
+    failures of one branch (bool).  A block worker allocates one set per
+    block and reuses it for every tile and config."""
+
+    sinr: np.ndarray
+    denom: np.ndarray
+    miss: np.ndarray
+    branch: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple[int, ...]) -> "ReplayScratch":
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+                   np.empty(shape, dtype=bool))
+
+
+def _stage_chain(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarray,
+                 scratch: ReplayScratch) -> np.ndarray:
+    """Write into ``out`` where ``gain`` misses any of ``stages`` at ``rho``."""
+    sinr, denom, miss, _ = scratch
+    for i, (power, residual, gamma) in enumerate(stages):
+        np.multiply(gain * power, rho, out=sinr)
+        if residual:
+            # with no residual the denominator is exactly 1, so skip it
+            np.multiply(gain * residual, rho, out=denom)
+            denom += 1.0
+            sinr /= denom
+        if i:
+            np.less(sinr, gamma, out=miss)
+            out |= miss
+        else:
+            np.less(sinr, gamma, out=out)
+    return out
+
+
+def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int, out=None,
+                   scratch: ReplayScratch | None = None):
     """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
 
     Stage i of ``analytic.sic_stages`` gives the branch the SINR
@@ -211,40 +269,91 @@ def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int):
     stages.  ``rho`` is a scalar or a column of shape (points, 1); a
     column gives one row per SNR point, shape (points, trials), and each
     row equals the scalar call at its rho: the products are taken
-    left to right, ``(gain * power) * rho``, either way.
+    left to right, ``(gain * power) * rho`` and ``(gain * residual) * rho
+    + 1.0``, either way.  The failures are written into the bool array
+    ``out`` and the SINRs into ``scratch``, both of the result shape,
+    when given, and allocated otherwise; ``out`` is returned.
     """
     stages = sic_stages(cfg)
     if not 1 <= depth <= len(stages):
         raise ValueError(f"depth must be in [1, {len(stages)}], got {depth}")
     gain = np.asarray(gain, dtype=float)
-    fail = None
-    for power, residual, gamma in stages[:depth]:
-        sinr = gain * power * rho
-        if residual:
-            # with no residual the denominator is exactly 1, so skip it
-            sinr /= gain * residual * rho + 1.0
-        miss = sinr < gamma
-        fail = miss if fail is None else fail | miss
-    return fail
+    shape = np.broadcast_shapes(gain.shape, np.shape(rho))
+    if out is None:
+        out = np.empty(shape, dtype=bool)
+    if scratch is None:
+        scratch = ReplayScratch.empty(shape)
+    return _stage_chain(gain, stages[:depth], rho, out, scratch)
 
 
-def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho) -> tuple:
-    """Failure arrays of the served users, in served order, from the SINR chain.
+def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
+                  scratch: ReplayScratch | None = None) -> np.ndarray:
+    """Failures of the served users, in served order, from the SINR chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
     :func:`branch_gains` returns for ``cfg``, and ``rho`` is a scalar or
     a column of SNR points (see :func:`stage_failures`).  The user at
-    position k (1-based) runs :func:`stage_failures` to depth k, its
-    decode depth, on each of its branches; it is served by selection and
-    fails only where every branch fails.
+    position k (1-based) runs the stage chain to depth k, its decode
+    depth, on each of its branches; it is served by selection and fails
+    only where every branch fails.  Returns a bool array of shape
+    (users, *result shape), row k - 1 for the user at position k: ``out``
+    when given, with its SINR work in ``scratch`` (see
+    :func:`stage_failures`).
     """
-    return tuple(reduce(np.logical_and, [stage_failures(g, cfg, rho, depth) for g in branches])
-                 for depth, branches in enumerate(draw, 1))
+    if out is None or scratch is None:
+        shape = np.broadcast_shapes(np.shape(draw[0][0]), np.shape(rho))
+        out = np.empty((len(draw), *shape), dtype=bool) if out is None else out
+        scratch = ReplayScratch.empty(shape) if scratch is None else scratch
+    stages = sic_stages(cfg)
+    for depth, (branches, fail) in enumerate(zip(draw, out), 1):
+        _stage_chain(branches[0], stages[:depth], rho, fail, scratch)
+        for gain in branches[1:]:
+            fail &= _stage_chain(gain, stages[:depth], rho, scratch.branch, scratch)
+    return out
+
+
+def _check_replay_range(cfg: ScenarioConfig, rho: float) -> None:
+    """Raise :class:`ConfigError` if a simulated SINR of ``cfg`` could
+    overflow at transmit SNR ``rho`` (the largest of a run).
+
+    An overflowed SINR is inf or NaN, and NaN passes every stage test, so
+    such a config is rejected before any draw, naming the mean whose
+    bounded gains (``GAIN_BOUND`` times the mean) could overflow a
+    product of :func:`branch_gains` or :func:`stage_failures`.  Every
+    accepted config keeps its SINRs finite, so a stage at threshold inf
+    fails every trial.
+    """
+    means = {f"omega[{k}]": omega for k, omega in enumerate(cfg.omega, 1)}
+    if cfg.has_relay:
+        y, w = GAIN_BOUND * cfg.omega_sr, GAIN_BOUND * cfg.omega_rd
+        if not (math.isfinite(y * w) and math.isfinite(w + cfg.noise_scale)):
+            raise ConfigError(f"omega_sr = {cfg.omega_sr:g}, omega_rd = {cfg.omega_rd:g}: the "
+                              f"relay's effective gain y * w / (w + c) can overflow in the "
+                              f"Monte Carlo leg")
+        # the effective gain never exceeds y
+        means["omega_sr"] = cfg.omega_sr
+    # powers descend, so stage 1 has the largest power and the largest residual
+    power, residual, _ = sic_stages(cfg)[0]
+    for name, mean in means.items():
+        if not math.isfinite(GAIN_BOUND * mean * max(power, residual) * rho):
+            raise ConfigError(f"{name} = {mean:g} is too large for the Monte Carlo leg: a "
+                              f"simulated SINR can overflow at transmit SNR {rho:g}")
 
 
 # =====================================================================
 # Block scheduling
 # =====================================================================
+
+def _row_counts(fail: np.ndarray) -> np.ndarray:
+    """Number of True entries along the last axis of bool ``fail``: a
+    bool is one byte, 0 or 1, so a popcount of the bytes read 8 at a time
+    counts them, and ``count_nonzero`` counts a ragged tail."""
+    whole = fail.shape[-1] - fail.shape[-1] % 8
+    counts = np.bitwise_count(fail[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.int64)
+    if whole < fail.shape[-1]:
+        counts += np.count_nonzero(fail[..., whole:], axis=-1)
+    return counts
+
 
 def _block_sizes(trials: int) -> list[int]:
     sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
@@ -293,24 +402,32 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
     users = [served_users(cfg) for cfg in cfgs]
     if not (rhos and cfgs):
         return [[] for _ in cfgs]
+    for cfg in cfgs:
+        _check_replay_range(cfg, max(rhos))
     # config i counts its users in columns edges[i]..edges[i + 1] of a block's table
     edges = list(accumulate((len(names) for names in users), initial=0))
     groups = defaultdict(list)
     for i, cfg in enumerate(cfgs):
         groups[cfg.mu, cfg.pool].append(i)
     rho_col = np.array(rhos)[:, np.newaxis]
+    widest = max(len(names) for names in users)
 
     def block(j: int, n: int) -> np.ndarray:
-        counts = np.zeros((len(rhos), edges[-1]), dtype=np.int64)
+        counts = np.zeros((edges[-1], len(rhos)), dtype=np.int64)
+        width = min(n, TILE_TRIALS)
+        scratch = ReplayScratch.empty((len(rhos), width))
+        fails = np.empty((widest, len(rhos), width), dtype=bool)
         for members in groups.values():
             draw = draw_block([cfgs[i] for i in members], _block_rng(batch.seed, j), n)
             for start in range(0, n, TILE_TRIALS):
-                tile = slice(start, min(start + TILE_TRIALS, n))
+                k = min(TILE_TRIALS, n - start)
+                work = scratch if k == width else ReplayScratch(*(a[:, :k] for a in scratch))
                 for i in members:
-                    fails = user_failures(branch_gains(draw, cfgs[i], tile), cfgs[i], rho_col)
-                    for col, fail in enumerate(fails, edges[i]):
-                        counts[:, col] += [np.count_nonzero(row) for row in fail]
-        return counts
+                    branches = branch_gains(draw, cfgs[i], slice(start, start + k))
+                    fail = user_failures(branches, cfgs[i], rho_col,
+                                         fails[:len(branches), :, :k], work)
+                    counts[edges[i]:edges[i + 1]] += _row_counts(fail)
+        return counts.T
 
     counts = _run_blocks(batch, block)
     return [

@@ -397,6 +397,27 @@ class TestSweep:
             assert (code, err) == (0, ""), argv
             assert len(data_rows(out)) == 9 * 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_mean_that_overflows_the_simulated_sinr_exits_2(self, capsys, tmp_path):
+        # gains near 1.7e308 would overflow the SINR to inf or NaN, which
+        # the replay would count as successes (exact outage 1, p_mc 0.66)
+        huge = tmp_path / "huge.ini"
+        huge.write_text("[direct]\npower = 1.0\nrates = 1.7e308\nomega = 1.7e308\nmu = 1\n"
+                        "ranks = 1\npool = 1\n", encoding="utf-8")
+        relay = tmp_path / "relay.ini"
+        relay.write_text(preset_ini("coop").replace("omega_sr = 4.0", "omega_sr = 1.7e308"),
+                         encoding="utf-8")
+        for ini, scenario, field in ((huge, "direct", "omega[1]"), (relay, "coop", "omega_sr")):
+            code, out, err = run_cli(capsys, "sweep", "--scenario", scenario, "--trials", "3000",
+                                     "--config", str(ini))
+            assert (code, out) == (2, ""), ini
+            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        code, out, err = run_cli(capsys, "validate", "--trials", "3000", "--config", str(huge))
+        assert (code, out) == (2, "") and "omega[1]" in err and err.count("\n") == 1
+        # without the simulation leg the same config is fine
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(huge))
+        assert (code, err) == (0, "")
+
     def test_large_pool_config_exits_0(self, capsys, tmp_path):
         # the ordered CDF of a pool this size is a finite probability
         ini = tmp_path / "pool.ini"

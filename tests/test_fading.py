@@ -1,5 +1,6 @@
 """Unit tests for the gamma power-gain statistics and order statistics."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from noma_perf.fading import (
+    _SORT_NETWORKS,
     FadingParams,
     OrderedIndex,
     gamma_cdf,
@@ -18,6 +20,7 @@ from noma_perf.fading import (
     ordered_pdf,
     sample_gain,
     sample_sorted_gains,
+    _sort_pools,
 )
 from noma_perf.numerics import log_gamma
 from noma_perf.validation import ordered_cdf_quadrature
@@ -467,3 +470,68 @@ class TestSampling:
             ref = ordered_cdf(p, OrderedIndex(rank, total), x)
             se = math.sqrt(ref * (1 - ref) / draws.shape[0])
             assert abs(emp - ref) < 4 * se
+
+
+class TestInPlaceSampling:
+    """The ``out=`` path draws the same gains as the allocating path, and
+    the sort network gives the same pools as ``np.sort``, bit for bit."""
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4, 5])
+    def test_network_equals_np_sort(self, pool):
+        rng = np.random.default_rng(pool)
+        # exponentials, then ties and zeros: few distinct values per row
+        cases = [rng.standard_exponential((4096, pool), method="inv"),
+                 rng.integers(0, 3, size=(4096, pool)).astype(float),
+                 np.zeros((3, pool)), np.full((3, pool), math.inf)]
+        for gains in cases:
+            want = np.sort(gains, axis=-1)
+            got = _sort_pools(gains.copy())
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # one pool without a leading axis
+        assert np.array_equal(_sort_pools(cases[0][0].copy()), np.sort(cases[0][0]))
+
+    def test_networks_sort_every_zero_one_input(self):
+        # a comparator network sorts every input iff it sorts every 0-1
+        # input (Knuth, TAOCP vol. 3, 5.3.4, exercise 8)
+        for pool in _SORT_NETWORKS:
+            rows = np.array(list(itertools.product((0.0, 1.0), repeat=pool)))
+            assert np.array_equal(_sort_pools(rows.copy()), np.sort(rows, axis=-1)), pool
+
+    def test_large_pools_sort_in_place(self):
+        gains = np.random.default_rng(6).standard_exponential((500, 40))
+        want = np.sort(gains, axis=-1)
+        got = _sort_pools(gains)
+        assert got is gains and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 7])
+    @pytest.mark.parametrize("omega", [1.0, 2.5, "mu"])
+    def test_sample_gain_out_equals_allocating_path(self, mu, omega):
+        p = FadingParams(mu, float(mu) if omega == "mu" else omega)
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        want = sample_gain(p, a, size=(300, 4))
+        block = np.full((310, 4), -1.0)
+        got = sample_gain(p, b, out=block[5:305])
+        assert got.base is block
+        assert np.array_equal(block[5:305], want)
+        assert (block[:5] == -1.0).all() and (block[305:] == -1.0).all()
+        assert a.bit_generator.state == b.bit_generator.state
+        # the allocating path is the mu-exponential sum it always was
+        exps = np.random.default_rng(21).standard_exponential((300, 4, mu), method="inv")
+        assert np.array_equal(want, exps.sum(axis=-1) * (p.omega / p.mu))
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    @pytest.mark.parametrize("total", [1, 3, 5, 6])
+    def test_sample_sorted_gains_out_equals_allocating_path(self, mu, total):
+        p = FadingParams(mu, 1.7)
+        want = sample_sorted_gains(p, total, np.random.default_rng(5), size=777)
+        out = np.empty((777, total))
+        got = sample_sorted_gains(p, total, np.random.default_rng(5), out=out)
+        assert got is out and np.array_equal(got, want)
+        # and both equal np.sort of the unsorted draw
+        raw = sample_gain(p, np.random.default_rng(5), size=(777, total))
+        assert np.array_equal(want, np.sort(raw, axis=-1))
+
+    def test_sorted_out_must_end_in_the_pool(self):
+        with pytest.raises(ValueError):
+            sample_sorted_gains(FadingParams(1, 1.0), 3, np.random.default_rng(0),
+                                out=np.empty((10, 4)))

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from noma_perf.analytic import (
 )
 from noma_perf import montecarlo
 from noma_perf.configs import (
+    ConfigError,
     ScenarioConfig,
     coop_preset,
     direct_preset,
@@ -30,7 +32,9 @@ from noma_perf.configs import (
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
+    GAIN_BOUND,
     Estimate,
+    ReplayScratch,
     TrialBatch,
     UnitDraw,
     branch_gains,
@@ -184,13 +188,14 @@ class TestDraws:
 
     def test_draw_in_tile_slices_equals_one_draw(self, monkeypatch):
         # a block is drawn in consecutive tile-sized slices of its
-        # generator: no sampler call draws more than a tile of trials, and
-        # the unit draw equals one draw of the whole block, bit for bit
+        # generator, each in place into its rows of the block: no sampler
+        # call draws more than a tile of trials, and the unit draw equals
+        # one draw of the whole block, bit for bit
         sizes = []
         for name in ("sample_gain", "sample_sorted_gains"):
-            def counted(*args, size, _sample=getattr(montecarlo, name)):
-                sizes.append(size)
-                return _sample(*args, size=size)
+            def counted(*args, out, _sample=getattr(montecarlo, name)):
+                sizes.append(len(out))
+                return _sample(*args, out=out)
             monkeypatch.setattr(montecarlo, name, counted)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 1000)
         shared = preset_configs("comparison.ini")
@@ -222,8 +227,10 @@ class TestDraws:
                 self.rng = np.random.default_rng(seed)
                 self.largest = 0
 
-            def standard_exponential(self, size, **kwargs):
-                self.largest = max(self.largest, math.prod(size))
+            def standard_exponential(self, size=None, **kwargs):
+                # an in-place draw passes its array as out= instead of size
+                shape = kwargs["out"].shape if size is None else size
+                self.largest = max(self.largest, math.prod(shape))
                 return self.rng.standard_exponential(size, **kwargs)
 
         wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=3,
@@ -366,6 +373,144 @@ class TestEventEquivalence:
         b = direct_events_from_cuts(gain, cfg, db_to_linear(40.0), 2)
         assert a.all()
         assert np.array_equal(a, b)
+
+
+def reference_stage_failures(gain, cfg, rho, depth):
+    """The stage test written out with fresh arrays, one expression a
+    stage, as the replay computed it before it wrote into buffers."""
+    fail = None
+    for power, residual, gamma in sic_stages(cfg)[:depth]:
+        sinr = gain * power * rho
+        if residual:
+            sinr /= gain * residual * rho + 1.0
+        miss = sinr < gamma
+        fail = miss if fail is None else fail | miss
+    return fail
+
+
+def garbage_scratch(shape):
+    """Replay buffers holding values no replay would write, to show that
+    every cell a replay reads it has written first."""
+    return ReplayScratch(np.full(shape, np.nan), np.full(shape, -1.0),
+                         np.ones(shape, dtype=bool), np.ones(shape, dtype=bool))
+
+
+class TestBufferedReplay:
+    """Writing the replay into reused buffers changes no label."""
+
+    RHOS = np.array([db_to_linear(db) for db in range(0, 41, 5)])[:, np.newaxis]
+
+    def configs(self):
+        shared = preset_configs("comparison.ini")
+        return [shared["coop"], shared["direct"], coop_preset(2), direct_preset(3),
+                dataclasses.replace(coop_preset(), relay_gain=0.5)]
+
+    @pytest.mark.parametrize("rho", [10.0, "column"])
+    def test_buffered_user_failures_equal_the_stage_failures_chain(self, rho):
+        rho = self.RHOS if rho == "column" else rho
+        scratch = out = None
+        for k, cfg in enumerate(self.configs()):
+            draw = one_draw(cfg, np.random.default_rng(k), 3000)
+            shape = np.broadcast_shapes((3000,), np.shape(rho))
+            want = [reduce(np.logical_and, [stage_failures(g, cfg, rho, depth) for g in branches])
+                    for depth, branches in enumerate(draw, 1)]
+            ref = [reduce(np.logical_and, [reference_stage_failures(g, cfg, rho, depth)
+                                           for g in branches])
+                   for depth, branches in enumerate(draw, 1)]
+            # one set of buffers serves every config in turn, as in a block
+            if scratch is None:
+                scratch = garbage_scratch(shape)
+                out = np.ones((3, *shape), dtype=bool)
+            got = user_failures(draw, cfg, rho, out[:len(draw)], scratch)
+            assert got.base is out and got.shape == (len(draw), *shape)
+            for g, w, r in zip(got, want, ref, strict=True):
+                assert np.array_equal(g, w) and np.array_equal(g, r)
+            assert np.array_equal(user_failures(draw, cfg, rho), got)
+
+    def test_partial_tile_views(self):
+        # the last tile of a block replays into the leading columns of
+        # the block's buffers, strided views of them
+        cfg = preset_configs("comparison.ini")["coop"]
+        draw = one_draw(cfg, np.random.default_rng(1), 1234)
+        width = 2048
+        scratch = garbage_scratch((len(self.RHOS), width))
+        out = np.ones((2, len(self.RHOS), width), dtype=bool)
+        view = ReplayScratch(*(a[:, :1234] for a in scratch))
+        got = user_failures(draw, cfg, self.RHOS, out[:, :, :1234], view)
+        assert np.array_equal(got, user_failures(draw, cfg, self.RHOS))
+
+    def test_buffered_stage_failures_equal_allocating_path(self):
+        cfg = direct_preset(2)
+        gain = np.random.default_rng(3).gamma(2.0, 1.0, size=5000)
+        for rho in (10.0, self.RHOS):
+            shape = np.broadcast_shapes(gain.shape, np.shape(rho))
+            scratch = garbage_scratch(shape)
+            for depth in (1, 2, 3):
+                out = np.ones(shape, dtype=bool)
+                got = stage_failures(gain, cfg, rho, depth, out, scratch)
+                assert got is out
+                assert np.array_equal(got, stage_failures(gain, cfg, rho, depth))
+                assert np.array_equal(got, reference_stage_failures(gain, cfg, rho, depth))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 1234, 8192])
+    def test_row_counts(self, width):
+        rng = np.random.default_rng(width)
+        buf = np.empty((3, 4, width), dtype=bool)
+        for k in {width, max(1, width - 3), 1}:
+            fail = buf[:2, :, :k]
+            fail[...] = rng.random(fail.shape) < 0.3
+            got = montecarlo._row_counts(fail)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.count_nonzero(fail, axis=-1))
+
+
+class TestOverflowGuard:
+    """A config whose simulated SINR could overflow is rejected before any
+    draw: an inf or NaN SINR would pass every stage test."""
+
+    @staticmethod
+    def no_draw(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew gains for a config that should be rejected")
+        monkeypatch.setattr(montecarlo, "draw_block", refuse)
+
+    def test_gain_bound_covers_the_largest_draw(self):
+        # -log1p(-u) at the largest u the generator returns, 1 - 2**-53
+        largest = -math.log1p(-(1.0 - 2.0**-53))
+        assert largest == pytest.approx(53 * math.log(2), rel=1e-15) and largest < GAIN_BOUND
+        for mu in (1, 2, 3, 40, 300):
+            gain = np.full((1, mu), largest).sum(axis=-1) * (1.7e300 / mu)
+            assert gain[0] <= GAIN_BOUND * 1.7e300
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_direct_mean_is_rejected(self, monkeypatch):
+        cfg = ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.7e308,), ranks=(1,), pool=1)
+        self.no_draw(monkeypatch)
+        with pytest.raises(ConfigError, match=r"omega\[1\]"):
+            estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["omega_sr", "omega_rd"])
+    def test_huge_relay_hop_mean_is_rejected(self, monkeypatch, field):
+        cfg = dataclasses.replace(coop_preset(), **{field: 1.7e308})
+        self.no_draw(monkeypatch)
+        with pytest.raises(ConfigError, match=field):
+            estimate_outage([cfg], [1.0], TrialBatch(3000, seed=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_is_taken_at_the_largest_rho(self, monkeypatch):
+        cfg = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1e300))
+        ((point,),) = estimate_outage([cfg], [1.0], TrialBatch(3000, seed=1))
+        assert point[2].p_hat < 1e-3  # the strong user's gain clears every cut
+        self.no_draw(monkeypatch)
+        with pytest.raises(ConfigError, match=r"omega\[2\] = 1e\+300"):
+            estimate_outage([cfg], [1.0, 1e10], TrialBatch(3000, seed=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_threshold_fails_every_trial(self):
+        cfg = ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.0,))
+        points = estimate_outage([cfg], [1.0, 1e12], TrialBatch(3000, seed=1))[0]
+        assert [point[1] for point in points] == [Estimate(1.0, 0.0, 3000)] * 2
 
 
 class TestDeterminism:
