@@ -263,23 +263,20 @@ def _shape(size) -> tuple[int, ...]:
 
 
 def sample_gain(p: FadingParams, rng: np.random.Generator, size=None, *, out=None):
-    """Draw power gains as a sum of ``mu`` inverse-transform exponentials.
+    """Draw power gains as gamma(mu, omega / mu) variates, one generator call a draw.
 
-    The inverse-transform path keeps draws reproducible across platforms
-    for a fixed generator state.  Returns shape ``size`` (a float for
-    None).  With ``out``, a C-contiguous float64 array, the gains are
+    ``rng.standard_gamma(mu)`` draws each gain (an exponential at mu = 1,
+    Marsaglia & Tsang's squeeze-and-reject method above it), then the
+    draw is scaled by ``omega / mu``.  Returns shape ``size`` (a float
+    for None).  With ``out``, a C-contiguous float64 array, the gains are
     drawn in place into it and ``out`` is returned (``size`` is then
-    ignored): at mu = 1 the generator fills ``out`` directly, at mu > 1
-    ``np.sum(..., axis=-1, out=out)`` reduces the raw exponentials into
-    it in the allocating path's summation order, so both paths give the
-    same gains bit for bit for a generator in the same state.
+    ignored); both paths give the same gains bit for bit for a generator
+    in the same state.  Draws are bit-identical for the same numpy on the
+    same platform; the rejection steps call the C library's ``log``, so
+    in principle another platform could differ.
     """
     gains = np.empty(_shape(size)) if out is None else out
-    if p.mu == 1:
-        rng.standard_exponential(out=gains, method="inv")
-    else:
-        np.sum(rng.standard_exponential(gains.shape + (p.mu,), method="inv"), axis=-1,
-               out=gains)
+    rng.standard_gamma(p.mu, out=gains)
     scale = p.omega / p.mu
     if scale != 1.0:  # a unit-scale draw (omega == mu) skips an exact no-op
         gains *= scale

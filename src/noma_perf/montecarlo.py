@@ -25,16 +25,18 @@ call replays, nor on the tile size of the replay, and repeated runs are
 bit-identical.  ``TrialBatch.chunks`` is the worker-thread count, capped
 by the CPU count and the number of blocks.
 
-Every step of a block works in place and keeps its bits: each slice of
-the draw is written by ``fading.sample_gain``/``sample_sorted_gains``
-straight into its rows of the block's arrays, and pools of at most 5
-are sorted there by a min/max compare-exchange network, which gives the
-values ``np.sort`` gives.  The replay writes its SINRs and failures into
-(points, tile) buffers that a block worker allocates once, taking every
-product in the order of the unbuffered stage test, and counts the
-failures of each row by a popcount.  Before any draw, a config whose
-bounded gains (``GAIN_BOUND`` times their means) could overflow a
-simulated SINR is rejected with a ``ConfigError``.
+Every step of a block works in place and keeps its bits: one
+``fading.sample_gain``/``sample_sorted_gains`` call draws each of the
+block's arrays straight into it, one gamma variate a gain, and pools of
+at most 5 are sorted there by a min/max compare-exchange network, which
+gives the values ``np.sort`` gives.  The replay writes its SINRs and
+stage passes into (points, tile) buffers that a block worker allocates
+once, taking every product in the order of the unbuffered stage test,
+and counts the failures of each row by a popcount; a trial fails unless
+every SINR it needs reaches its threshold, so a NaN SINR fails.  Before
+any draw, a config whose bounded gains (``GAIN_BOUND`` times their
+means) could overflow a simulated SINR is rejected with a
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -72,27 +74,20 @@ __all__ = [
 # depends only on (seed, trials); never change without a major release.
 BLOCK_TRIALS = 1 << 18
 
-# Trials per tile.  A block is drawn in consecutive tile-sized slices of
-# its generator, each in place into its rows of the block's arrays, so
-# the raw exponentials behind one slice never exceed a tile, and
-# replayed tile by tile into (points, tile) buffers that a worker
-# allocates once per block and that stay in a core's cache.  No count
-# depends on it.
+# Trials per tile.  A block is replayed tile by tile into (points, tile)
+# buffers that a worker allocates once per block and that stay in a
+# core's cache.  No count depends on it.
 TILE_TRIALS = 1 << 13
 
-# Raw exponentials per slice of a draw at most (1 MiB of doubles).  A
-# trial of a draw takes pool * mu of them, so every preset (pool <= 5,
-# mu <= 3) keeps full tiles, and a large pool at a large mu draws fewer
-# trials per slice, down to one.  At mu = 1 the generator writes a slice
-# into the block with no raw buffer at all.  No count depends on it.
-DRAW_ELEMENTS = 1 << 17
-
-
-# A gain never exceeds this multiple of its mean.  An inverse-transform
-# exponential is -log1p(-u) with u at most 1 - 2**-53, so at most
-# 53 ln 2 ~ 36.74, and a gain is the mean of mu of them times its own
-# mean; the margin covers the roundings of the sum and the scaling.
-GAIN_BOUND = 37.0
+# A gain never exceeds this multiple of its mean.  numpy's
+# standard_gamma(mu) / mu is largest at mu = 1 or 2.  At mu = 1 it is an
+# exponential, whose ziggurat tail returns r_e - log1p(-u) with
+# r_e ~ 7.697 and u at most 1 - 2**-53, so at most r_e + 53 ln 2 ~ 44.43.
+# Above, Marsaglia-Tsang returns b (1 + x / sqrt(9 b))**3, b = mu - 1/3,
+# for a normal x whose ziggurat tail keeps |x| < r_n + sqrt(2 * 53 ln 2)
+# ~ 12.23 (r_n ~ 3.654); over mu that is 59.85 at mu = 2, 37.97 at
+# mu = 3, and falls as mu grows.  The margin covers the scaling.
+GAIN_BOUND = 64.0
 
 
 # =====================================================================
@@ -152,22 +147,6 @@ class UnitDraw(NamedTuple):
     w: tuple[np.ndarray, ...]
 
 
-def _fill(sample: Callable[[np.ndarray], object], out: np.ndarray, raw: int) -> np.ndarray:
-    """Fill ``out`` along its first axis by ``sample(rows)``, one trial a
-    row of ``raw`` exponentials, in consecutive slices of at most
-    ``TILE_TRIALS`` trials and at most ``DRAW_ELEMENTS`` exponentials, or
-    of one trial where one takes more.
-
-    A generator fills a draw in order, so the slices equal one draw of
-    all of ``out`` bit for bit, while the raw exponentials behind them
-    never exceed one slice.
-    """
-    step = max(1, min(TILE_TRIALS, DRAW_ELEMENTS // raw))
-    for start in range(0, len(out), step):
-        sample(out[start:start + step])
-    return out
-
-
 def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int) -> UnitDraw:
     """Sample ``n`` trials of the hop gains that every config of ``cfgs`` replays.
 
@@ -176,22 +155,21 @@ def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int)
     config has a relay, the relay feed y and one w per user behind the
     relay (as many as the config that serves most).  Each config reads a
     prefix of that stream, the same gains it would draw alone, so one
-    draw serves the whole group.  Every slice is drawn (and the pool
-    sorted) in place in the block's arrays.  :func:`branch_gains` scales
-    the unit draw to each config.
+    draw serves the whole group.  The pool and each hop are drawn (and
+    the pool sorted) in place, one sampler call each.
+    :func:`branch_gains` scales the unit draw to each config.
     """
     mu, pool = cfgs[0].mu, cfgs[0].pool
     if any((cfg.mu, cfg.pool) != (mu, pool) for cfg in cfgs):
         raise ValueError("configs that share a draw must share mu and pool")
     unit = FadingParams(mu, float(mu))
-    direct = _fill(lambda rows: sample_sorted_gains(unit, pool, rng, out=rows),
-                   np.empty((n, pool)), pool * mu)
+    direct = sample_sorted_gains(unit, pool, rng, size=n)
     relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
     if not relayed:
         return UnitDraw(direct, None, ())
     hops = np.empty((1 + relayed, n))
     for hop in hops:
-        _fill(lambda rows: sample_gain(unit, rng, out=rows), hop, mu)
+        sample_gain(unit, rng, out=hop)
     return UnitDraw(direct, hops[0], tuple(hops[1:]))
 
 
@@ -225,13 +203,13 @@ def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None
 
 class ReplayScratch(NamedTuple):
     """Work arrays of one SINR replay, each of the replay's result shape:
-    the SINR and its denominator (float), the misses of one stage and the
-    failures of one branch (bool).  A block worker allocates one set per
-    block and reuses it for every tile and config."""
+    the SINR and its denominator (float), the passes of one stage and of
+    one branch (bool).  A block worker allocates one set per block and
+    reuses it for every tile and config."""
 
     sinr: np.ndarray
     denom: np.ndarray
-    miss: np.ndarray
+    stage: np.ndarray
     branch: np.ndarray
 
     @classmethod
@@ -240,10 +218,11 @@ class ReplayScratch(NamedTuple):
                    np.empty(shape, dtype=bool))
 
 
-def _stage_chain(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarray,
-                 scratch: ReplayScratch) -> np.ndarray:
-    """Write into ``out`` where ``gain`` misses any of ``stages`` at ``rho``."""
-    sinr, denom, miss, _ = scratch
+def _stage_passes(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarray,
+                  scratch: ReplayScratch) -> np.ndarray:
+    """Write into ``out`` where ``gain`` reaches every one of ``stages`` at
+    ``rho``: a SINR at or above its threshold, so a NaN SINR reaches none."""
+    sinr, denom, stage, _ = scratch
     for i, (power, residual, gamma) in enumerate(stages):
         np.multiply(gain * power, rho, out=sinr)
         if residual:
@@ -252,10 +231,10 @@ def _stage_chain(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarray
             denom += 1.0
             sinr /= denom
         if i:
-            np.less(sinr, gamma, out=miss)
-            out |= miss
+            np.greater_equal(sinr, gamma, out=stage)
+            out &= stage
         else:
-            np.less(sinr, gamma, out=out)
+            np.greater_equal(sinr, gamma, out=out)
     return out
 
 
@@ -264,15 +243,16 @@ def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int, out=None,
     """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
 
     Stage i of ``analytic.sic_stages`` gives the branch the SINR
-    gain * power * rho / (gain * residual * rho + 1); a trial fails when
-    that SINR is below the stage threshold at any of the first ``depth``
-    stages.  ``rho`` is a scalar or a column of shape (points, 1); a
-    column gives one row per SNR point, shape (points, trials), and each
-    row equals the scalar call at its rho: the products are taken
-    left to right, ``(gain * power) * rho`` and ``(gain * residual) * rho
-    + 1.0``, either way.  The failures are written into the bool array
-    ``out`` and the SINRs into ``scratch``, both of the result shape,
-    when given, and allocated otherwise; ``out`` is returned.
+    gain * power * rho / (gain * residual * rho + 1); a trial fails unless
+    that SINR reaches the stage threshold at each of the first ``depth``
+    stages, so a NaN SINR fails.  ``rho`` is a scalar or a column of
+    shape (points, 1); a column gives one row per SNR point, shape
+    (points, trials), and each row equals the scalar call at its rho: the
+    products are taken left to right, ``(gain * power) * rho`` and
+    ``(gain * residual) * rho + 1.0``, either way.  The failures are
+    written into the bool array ``out`` and the SINRs into ``scratch``,
+    both of the result shape, when given, and allocated otherwise;
+    ``out`` is returned.
     """
     stages = sic_stages(cfg)
     if not 1 <= depth <= len(stages):
@@ -283,7 +263,7 @@ def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int, out=None,
         out = np.empty(shape, dtype=bool)
     if scratch is None:
         scratch = ReplayScratch.empty(shape)
-    return _stage_chain(gain, stages[:depth], rho, out, scratch)
+    return np.logical_not(_stage_passes(gain, stages[:depth], rho, out, scratch), out=out)
 
 
 def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
@@ -305,23 +285,24 @@ def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
         out = np.empty((len(draw), *shape), dtype=bool) if out is None else out
         scratch = ReplayScratch.empty(shape) if scratch is None else scratch
     stages = sic_stages(cfg)
-    for depth, (branches, fail) in enumerate(zip(draw, out), 1):
-        _stage_chain(branches[0], stages[:depth], rho, fail, scratch)
+    for depth, (branches, ok) in enumerate(zip(draw, out), 1):
+        _stage_passes(branches[0], stages[:depth], rho, ok, scratch)
         for gain in branches[1:]:
-            fail &= _stage_chain(gain, stages[:depth], rho, scratch.branch, scratch)
-    return out
+            ok |= _stage_passes(gain, stages[:depth], rho, scratch.branch, scratch)
+    # a user fails unless it decodes on some branch
+    return np.logical_not(out, out=out)
 
 
 def _check_replay_range(cfg: ScenarioConfig, rho: float) -> None:
     """Raise :class:`ConfigError` if a simulated SINR of ``cfg`` could
     overflow at transmit SNR ``rho`` (the largest of a run).
 
-    An overflowed SINR is inf or NaN, and NaN passes every stage test, so
-    such a config is rejected before any draw, naming the mean whose
-    bounded gains (``GAIN_BOUND`` times the mean) could overflow a
-    product of :func:`branch_gains` or :func:`stage_failures`.  Every
-    accepted config keeps its SINRs finite, so a stage at threshold inf
-    fails every trial.
+    An overflowed SINR is inf or NaN, which passes or fails a stage
+    whatever the true SINR, so such a config is rejected before any draw,
+    naming the mean whose bounded gains (``GAIN_BOUND`` times the mean)
+    could overflow a product of :func:`branch_gains` or
+    :func:`stage_failures`.  Every accepted config keeps its SINRs finite,
+    so a stage at threshold inf fails every trial.
     """
     means = {f"omega[{k}]": omega for k, omega in enumerate(cfg.omega, 1)}
     if cfg.has_relay:

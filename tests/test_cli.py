@@ -429,6 +429,18 @@ class TestSweep:
         assert len(rows) == 9 * 2
         assert all(0.0 <= float(c["p_exact"]) <= 1.0 for c in rows)
 
+    def test_large_pool_at_large_mu_simulates(self, capsys, tmp_path):
+        # one gamma variate a gain: a (3000, 1504) block at mu 300 draws
+        # no (trials, pool, mu) buffer
+        ini = tmp_path / "pool.ini"
+        ini.write_text("[direct]\npower = 0.8 0.2\nrates = 0.5 1.0\nomega = 1.0 1.0\n"
+                       "ranks = 1 1504\npool = 1504\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--mu", "300",
+                                 "--trials", "3000", "--snr-step", "20", "--config", str(ini))
+        assert (code, err) == (0, "")
+        rows = [cells(r) for r in data_rows(out)]
+        assert len(rows) == 3 * 2 and all(c["p_mc"] != "" for c in rows)
+
     def test_relay_mu_above_bound_exits_2(self, capsys, tmp_path):
         bad = str(MAX_RELAY_MU + 1)
         ini = tmp_path / "mu.ini"

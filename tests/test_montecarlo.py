@@ -186,67 +186,41 @@ class TestDraws:
             assert rng.bit_generator.state == after_pool.bit_generator.state
 
 
-    def test_draw_in_tile_slices_equals_one_draw(self, monkeypatch):
-        # a block is drawn in consecutive tile-sized slices of its
-        # generator, each in place into its rows of the block: no sampler
-        # call draws more than a tile of trials, and the unit draw equals
-        # one draw of the whole block, bit for bit
-        sizes = []
-        for name in ("sample_gain", "sample_sorted_gains"):
-            def counted(*args, out, _sample=getattr(montecarlo, name)):
-                sizes.append(len(out))
-                return _sample(*args, out=out)
-            monkeypatch.setattr(montecarlo, name, counted)
-        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 1000)
-        shared = preset_configs("comparison.ini")
-        for cfgs in ([shared["coop"], shared["direct"]], [with_mu(coop_preset(), 3)],
-                     [with_mu(direct_preset(), 20)]):
-            draw = draw_block(cfgs, np.random.default_rng(4), 2500)
-            rng = np.random.default_rng(4)
-            unit = FadingParams(cfgs[0].mu, float(cfgs[0].mu))
-            assert np.array_equal(draw.pool, sample_sorted_gains(unit, cfgs[0].pool, rng, size=2500))
-            if any(cfg.has_relay for cfg in cfgs):
-                # the relay feed, then one relay-to-user gain per served user
-                assert len(draw.w) == 2
-                for hop in (draw.y, *draw.w):
-                    assert np.array_equal(hop, sample_gain(unit, rng, size=2500))
-            else:
-                assert (draw.y, draw.w) == (None, ())
-        assert max(sizes) == 1000 and sizes[-1] == 500
-
-    def test_draw_slices_stay_within_the_element_budget(self, monkeypatch):
-        # every preset keeps full tiles; a slice asks the generator for at
-        # most DRAW_ELEMENTS exponentials, or one trial's where one takes
-        # more, and the sliced draw equals the unshrunk one bit for bit
-        for name in ("coop.ini", "direct.ini", "comparison.ini"):
-            for cfg in preset_configs(name).values():
-                assert cfg.pool * 3 * montecarlo.TILE_TRIALS <= montecarlo.DRAW_ELEMENTS
-
+    def test_draw_fills_the_block_arrays_in_place(self):
+        # the generator writes every gain straight into the block's
+        # arrays, one call per array with no raw buffer, and the unit draw
+        # equals one draw of the whole block, bit for bit
         class Recording:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
-                self.largest = 0
+                self.outs = []
 
-            def standard_exponential(self, size=None, **kwargs):
-                # an in-place draw passes its array as out= instead of size
-                shape = kwargs["out"].shape if size is None else size
-                self.largest = max(self.largest, math.prod(shape))
-                return self.rng.standard_exponential(size, **kwargs)
+            def standard_gamma(self, shape, size=None, *, out):
+                assert size is None
+                self.outs.append(out)
+                return self.rng.standard_gamma(shape, out=out)
 
+        shared = preset_configs("comparison.ini")
         wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=3,
                               ranks=(1, 40), pool=40)
-        groups = [[coop_preset()], [with_mu(direct_preset(), 7)], [wide]]
-        want = [draw_block(cfgs, np.random.default_rng(8), 700) for cfgs in groups]
-        monkeypatch.setattr(montecarlo, "DRAW_ELEMENTS", 100)
-        for cfgs, ref in zip(groups, want):
-            rng = Recording(8)
-            got = draw_block(cfgs, rng, 700)
-            assert len(got.w) == len(ref.w)
-            for a, b in zip((got.pool, got.y, *got.w), (ref.pool, ref.y, *ref.w)):
-                assert np.array_equal(a, b)
-            per_trial = cfgs[0].pool * cfgs[0].mu
-            assert rng.largest == max(100 // per_trial, 1) * per_trial
-        assert [len(ref.w) for ref in want] == [2, 0, 0]
+        groups = [[shared["coop"], shared["direct"]], [with_mu(coop_preset(), 3)],
+                  [with_mu(direct_preset(), 20)], [wide]]
+        for cfgs in groups:
+            rng = Recording(4)
+            draw = draw_block(cfgs, rng, 2500)
+            arrays = [draw.pool] + ([draw.y, *draw.w] if cfgs[0].has_relay else [])
+            assert len(rng.outs) == len(arrays)
+            for out, array in zip(rng.outs, arrays):
+                assert out.shape == array.shape
+                assert out.__array_interface__["data"] == array.__array_interface__["data"]
+            ref = np.random.default_rng(4)
+            unit = FadingParams(cfgs[0].mu, float(cfgs[0].mu))
+            want = [sample_sorted_gains(unit, cfgs[0].pool, ref, size=2500)]
+            want += [sample_gain(unit, ref, size=2500) for _ in arrays[1:]]
+            for got, ref_gains in zip(arrays, want):
+                assert np.array_equal(got, ref_gains)
+            # the relay feed, then one relay-to-user gain per served user
+            assert len(draw.w) == (2 if cfgs[0].has_relay else 0)
 
     def test_shared_draw_needs_one_mu_and_pool(self):
         for other in (with_mu(direct_preset(), 2), coop_preset()):
@@ -329,6 +303,7 @@ class TestEventEquivalence:
 
     def test_coop_routes_agree_trialwise(self):
         rng = np.random.default_rng(2024)
+        far_fails = far_trials = 0
         for mu in (1, 2):
             cfg = with_mu(coop_preset(), mu)
             raw = raw_block(cfg, copy.deepcopy(rng), 1 << 16)
@@ -339,7 +314,9 @@ class TestEventEquivalence:
                 far_b, near_b = coop_events_from_cuts(raw, cfg, rho)
                 assert np.array_equal(far_a, far_b)
                 assert np.array_equal(near_a, near_b)
-                assert 0 < far_a.sum() < far_a.size  # grid exercises both labels
+                far_fails += far_a.sum()
+                far_trials += far_a.size
+        assert 0 < far_fails < far_trials  # the grid exercises both labels
 
     def test_coop_routes_agree_when_infeasible(self):
         cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))  # threshold 7 > 4
@@ -475,12 +452,39 @@ class TestOverflowGuard:
         monkeypatch.setattr(montecarlo, "draw_block", refuse)
 
     def test_gain_bound_covers_the_largest_draw(self):
-        # -log1p(-u) at the largest u the generator returns, 1 - 2**-53
-        largest = -math.log1p(-(1.0 - 2.0**-53))
-        assert largest == pytest.approx(53 * math.log(2), rel=1e-15) and largest < GAIN_BOUND
-        for mu in (1, 2, 3, 40, 300):
-            gain = np.full((1, mu), largest).sum(axis=-1) * (1.7e300 / mu)
-            assert gain[0] <= GAIN_BOUND * 1.7e300
+        # numpy's ziggurat tails start at r_e (exponential) and r_n (normal)
+        r_e, r_n = 7.69711747013105, 3.65415288536101
+        # a tail step is -log1p(-u), at most at the largest u, 1 - 2**-53
+        step = -math.log1p(-(1.0 - 2.0**-53))
+        assert step == pytest.approx(53 * math.log(2), rel=1e-15)
+        # mu = 1: standard_gamma is an exponential, r_e plus a tail step
+        worst = {1: r_e + step}
+        # mu >= 2: Marsaglia-Tsang's b (1 + x / sqrt(9 b))**3, b = mu - 1/3,
+        # at the largest normal: the tail's yy + yy > xx * xx caps xx
+        x = r_n + math.sqrt(2 * step)
+        for mu in range(2, 301):
+            b = mu - 1 / 3
+            worst[mu] = b * (1 + x / math.sqrt(9 * b)) ** 3 / mu
+        assert worst[1] == pytest.approx(44.43, abs=0.01)
+        assert worst[2] == pytest.approx(59.85, abs=0.01)
+        assert worst[3] == pytest.approx(37.97, abs=0.01)
+        assert all(worst[mu + 1] < worst[mu] for mu in range(2, 300))
+        assert max(worst.values()) == worst[2] < GAIN_BOUND
+        # the scaling to a mean near the double range keeps the bound
+        for mu, gain in worst.items():
+            assert gain * mu * (1.7e300 / mu) <= GAIN_BOUND * 1.7e300
+
+    def test_nan_sinr_fails(self):
+        # a gain of 1e308 overflows both products, and inf / inf is a NaN
+        # SINR; the other trial misses stage 1, whose threshold 3 is above
+        # power / residual = 1
+        cfg = dataclasses.replace(direct_preset(), rates=(2.0, 0.5, 0.5))
+        gain = np.array([1e308, 1.0])
+        with pytest.warns(RuntimeWarning):
+            assert stage_failures(gain, cfg, 1e10, 1).tolist() == [True, True]
+        with pytest.warns(RuntimeWarning):
+            got = user_failures([(gain,)] * 3, cfg, 1e10)
+        assert got.tolist() == [[True, True]] * 3
 
     @pytest.mark.filterwarnings("error")
     def test_huge_direct_mean_is_rejected(self, monkeypatch):
@@ -582,8 +586,8 @@ class TestDeterminism:
         batch = TrialBatch(trials, seed=5, chunks=chunks)
         rhos = (1.0, 10.0, 100.0)
         for cfg, want in (
-            (coop_preset(2), [[525181, 525522], [167790, 364486], [771, 2]]),
-            (direct_preset(2), [[507773, 519282, 525393], [35602, 8219, 20488], [377, 1, 1]]),
+            (coop_preset(2), [[525207, 525522], [168043, 364271], [757, 3]]),
+            (direct_preset(2), [[507758, 519569, 525389], [35990, 8254, 20083], [424, 1, 0]]),
         ):
             (points,) = estimate_outage([cfg], rhos, batch)
             got = [[round(e.p_hat * trials) for e in point.values()] for point in points]
