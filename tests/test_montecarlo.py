@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -221,6 +222,47 @@ class TestDraws:
                 assert np.array_equal(got, ref_gains)
             # the relay feed, then one relay-to-user gain per served user
             assert len(draw.w) == (2 if cfgs[0].has_relay else 0)
+
+    def test_draw_in_tile_slices_equals_one_draw(self):
+        # the generator fills an array element by element, so drawing each
+        # array of a block in consecutive tile-sized row slices, in place,
+        # gives the block's gains bit for bit: the draw does not depend on
+        # how the trials are cut
+        shared = preset_configs("comparison.ini")
+        wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=3,
+                              ranks=(1, 40), pool=40)
+        for cfgs in ([shared["coop"], shared["direct"]], [with_mu(coop_preset(), 3)],
+                     [with_mu(direct_preset(), 20)], [wide]):
+            draw = draw_block(cfgs, np.random.default_rng(4), 2500)
+            rng = np.random.default_rng(4)
+            unit = FadingParams(cfgs[0].mu, float(cfgs[0].mu))
+            for got in (draw.pool, *((draw.y, *draw.w) if cfgs[0].has_relay else ())):
+                sliced = np.empty_like(got)
+                for start in range(0, 2500, 1000):
+                    if got.ndim == 2:
+                        sample_sorted_gains(unit, cfgs[0].pool, rng, out=sliced[start:start + 1000])
+                    else:
+                        sample_gain(unit, rng, out=sliced[start:start + 1000])
+                assert np.array_equal(got, sliced)
+            if not cfgs[0].has_relay:
+                assert (draw.y, draw.w) == (None, ())
+
+    def test_draw_slices_stay_within_the_element_budget(self):
+        # a draw allocates its block arrays and at most one column of
+        # scratch for the sort network, whatever mu is: no buffer grows
+        # with the mu exponentials a gain once summed
+        wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=300,
+                              ranks=(1, 40), pool=40)
+        n = 2000
+        for cfgs in ([with_mu(coop_preset(), 40)], [with_mu(direct_preset(), 300)], [wide]):
+            tracemalloc.start()
+            try:
+                draw = draw_block(cfgs, np.random.default_rng(8), n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block = sum(a.nbytes for a in (draw.pool, draw.y, *draw.w) if a is not None)
+            assert block <= peak <= block + 8 * n + (1 << 16)
 
     def test_shared_draw_needs_one_mu_and_pool(self):
         for other in (with_mu(direct_preset(), 2), coop_preset()):
