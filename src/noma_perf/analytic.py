@@ -62,7 +62,7 @@ from .fading import (
     ordered_cdf,
     ordered_cdf_small_arg,
 )
-from .numerics import bessel_k_scaled, log_binomial, log_gamma
+from .numerics import log_binomial
 
 __all__ = [
     "decode_depth",
@@ -152,7 +152,7 @@ def sic_stages(cfg: ScenarioConfig) -> tuple[tuple[float, float, float], ...]:
     two-slot thresholds with a relay and one-slot thresholds without.
     This table is the one statement of the decode rule: :func:`stage_cuts`
     inverts it into gain cuts and the Monte Carlo replay
-    (``montecarlo.stage_failures``) evaluates it on sampled gains.
+    (``montecarlo.user_failures``) evaluates it on sampled gains.
     """
     powers, slots = cfg.power, 2 if cfg.has_relay else 1
     return tuple([(powers[i], math.fsum(powers[i + 1:]), threshold_snr(rate, slots))
@@ -191,19 +191,19 @@ def _relay_outage_f64(cut: float, mu: int, omega_sr: float, omega_rd: float,
         + mu * math.log(mu)
         - mu * cut / omega_sr
         - mu * math.log(omega_sr)
-        - log_gamma(mu)
+        - math.lgamma(mu)
     )
     half_log = 0.5 * (math.log(zc) + math.log(omega_sr) - math.log(omega_rd))
     log_cut = math.log(cut)
     log_zc_term = math.log(zc) + math.log(mu) - math.log(omega_rd)
     # each K depends only on the order |i - k + 1| (0..mu; 1 alone at
     # mu = 1) and each binomial only on i, so evaluate them once apiece
-    log_bessel = {n: math.log(bessel_k_scaled(n, arg))
+    log_bessel = {n: math.log(special.kve(n, arg))
                   for n in range(1 if mu == 1 else 0, mu + 1)}
     log_binom = [log_binomial(mu - 1, i) for i in range(mu)]
     terms = []
     for k in range(mu):
-        log_k = k * log_zc_term - log_gamma(k + 1)
+        log_k = k * log_zc_term - math.lgamma(k + 1)
         for i in range(mu):
             order = i - k + 1
             log_term = (
@@ -452,19 +452,6 @@ def point_links(cfg: ScenarioConfig, rho: float) -> tuple[Link, ...]:
                  for omega, rank, cut in zip(cfg.omega, cfg.ranks, cuts, strict=True))
 
 
-def _link_factors(cfg: ScenarioConfig, link: Link) -> tuple[float, float, float]:
-    """Direct factor, its small-argument leading term, and relay factor (1
-    without a relay) of one link; (1, 1, 1) at an infeasible cut and
-    (0, 0, 0) at a zero cut (zero rates)."""
-    params, idx, cut = link
-    if math.isinf(cut):
-        return 1.0, 1.0, 1.0
-    if cut == 0.0:
-        return 0.0, 0.0, 0.0
-    relay = relay_outage(cfg, cut) if cfg.has_relay else 1.0
-    return ordered_cdf(params, idx, cut), ordered_cdf_small_arg(params, idx, cut), relay
-
-
 def link_outage(cfg: ScenarioConfig, link: Link) -> tuple[float, float]:
     """Exact and high-SNR outage of one :func:`point_links` entry of ``cfg``.
 
@@ -476,10 +463,17 @@ def link_outage(cfg: ScenarioConfig, link: Link) -> tuple[float, float]:
     rho**-mu * ln(rho) and is kept exact, since no closed form of its
     leading term is implemented yet.  The high-SNR form is clamped to 1
     where the expansion exceeds unity (low SNR, outside its regime).
-    Returns (1, 1) when the power split cannot support the user's rates.
+    Returns (1, 1) when the power split cannot support the user's rates
+    (infinite cut) and (0, 0) at a zero cut (zero rates).
     """
-    direct, lead, relay = _link_factors(cfg, link)
-    return direct * relay, min(1.0, lead * relay)
+    params, idx, cut = link
+    if math.isinf(cut):
+        return 1.0, 1.0
+    if cut == 0.0:
+        return 0.0, 0.0
+    relay = relay_outage(cfg, cut) if cfg.has_relay else 1.0
+    return (ordered_cdf(params, idx, cut) * relay,
+            min(1.0, ordered_cdf_small_arg(params, idx, cut) * relay))
 
 
 def point_outages(cfg: ScenarioConfig, rho: float) -> list[tuple[float, float]]:
@@ -575,56 +569,12 @@ def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
 
 
 # =====================================================================
-# Per-user views of the functions above; no production path calls them
+# Names that perfbench/tracing.py:TRACED pins, bound to the functions
+# whose spans they name
 # =====================================================================
 
-# perfbench/tracing.py:TRACED pins these names
 coop_cuts = direct_cuts = stage_cuts
-
-
-def far_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
-    """(direct, relay) branch outage factors of the far user."""
-    return _link_factors(cfg, _user_link(cfg, rho, "far"))[::2]
-
-
-def near_outage_parts(cfg: ScenarioConfig, rho: float) -> tuple[float, float]:
-    """(direct, relay) branch outage factors of the near user."""
-    return _link_factors(cfg, _user_link(cfg, rho, "near"))[::2]
-
-
-def outage_far_exact(cfg: ScenarioConfig, rho: float) -> float:
-    """Exact outage probability of the far user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "far")[0]
-
-
-def outage_near_exact(cfg: ScenarioConfig, rho: float) -> float:
-    """Exact outage probability of the near user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "near")[0]
-
-
-def outage_direct_exact(cfg: ScenarioConfig, rho: float, user: int) -> float:
-    """Exact outage of served user ``user`` (1-based) in the single-slot system."""
-    return user_outage(cfg, rho, user)[0]
-
-
-def outage_far_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
-    """High-SNR outage of the far user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "far")[1]
-
-
-def outage_near_asymptotic(cfg: ScenarioConfig, rho: float) -> float:
-    """High-SNR outage of the near user at transmit SNR ``rho``."""
-    return user_outage(cfg, rho, "near")[1]
-
-
-def outage_direct_asymptotic(cfg: ScenarioConfig, rho: float, user: int) -> float:
-    """High-SNR outage of served user ``user`` (1-based) in the single-slot system."""
-    return user_outage(cfg, rho, user)[1]
-
-
-def throughput_coop(cfg: ScenarioConfig, rho: float) -> float:
-    """Delay-limited throughput of ``cfg`` in bit/s/Hz at transmit SNR ``rho``."""
-    return throughput(cfg, [exact for exact, _ in point_outages(cfg, rho)])
-
-
-throughput_direct = throughput_coop
+far_outage_parts = near_outage_parts = link_outage
+outage_far_exact = outage_near_exact = outage_direct_exact = link_outage
+outage_far_asymptotic = outage_near_asymptotic = outage_direct_asymptotic = link_outage
+throughput_coop = throughput_direct = throughput

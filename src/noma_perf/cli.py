@@ -125,6 +125,8 @@ def _parse_mu_list(raw: str | None) -> list[int] | None:
         raise ConfigError(f"--mu expects integers, got {raw!r}") from exc
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"--mu values must be >= 1, got {raw!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--mu names a value more than once, got {raw!r}")
     return values
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import log_binomial, log_gamma
+from .numerics import log_binomial
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
         # a mean below mu / DBL_MAX puts all mass at 0: no density inside
         return np.full(np.shape(xs), -math.inf)
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
-    return p.mu * math.log(rate) - log_gamma(p.mu) + (p.mu - 1) * np.log(xs) - rate * xs
+    return p.mu * math.log(rate) - math.lgamma(p.mu) + (p.mu - 1) * np.log(xs) - rate * xs
 
 
 def gamma_pdf(p: FadingParams, x):
@@ -165,9 +165,9 @@ def gamma_cdf(p: FadingParams, x):
 def _ordered_prefactor_log(idx: OrderedIndex) -> float:
     """log of total! / ((rank-1)! (total-rank)!)."""
     return (
-        log_gamma(idx.total + 1)
-        - log_gamma(idx.rank)
-        - log_gamma(idx.total - idx.rank + 1)
+        math.lgamma(idx.total + 1)
+        - math.lgamma(idx.rank)
+        - math.lgamma(idx.total - idx.rank + 1)
     )
 
 
@@ -246,7 +246,7 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
         return 0.0
     log_val = (
         log_binomial(idx.total, idx.rank)
-        + idx.rank * (p.mu * math.log(x * p.rate) - log_gamma(p.mu + 1))
+        + idx.rank * (p.mu * math.log(x * p.rate) - math.lgamma(p.mu + 1))
     )
     try:
         return math.exp(log_val)

@@ -4,9 +4,9 @@ Estimators replay the decoding chain on sampled channel gains and count
 failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
 the one statement of the decode rule that the closed form also inverts
 into gain cuts; here it is evaluated forward, as SINR comparisons, by
-one stage test (:func:`stage_failures`).  Each served user runs it on
-each of its branches (its direct gain and, with a relay, the relay's
-effective gain) and fails where every branch fails.  Nothing else of
+:func:`user_failures`.  Each served user runs the chain up to its decode
+depth on each of its branches (its direct gain and, with a relay, the
+relay's effective gain) and fails where every branch fails.  Nothing else of
 the analytic layer is shared: no cut, CDF or relay closed form.
 The tests label every trial a second time from the decode cuts of
 ``analytic.point_links`` and check that both routes agree trial by
@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import _check_rho, decode_depth, served_users, sic_stages
+from .analytic import _check_rho, served_users, sic_stages
 from .configs import ConfigError, ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
@@ -66,7 +66,6 @@ __all__ = [
     "branch_gains",
     "draw_block",
     "estimate_outage",
-    "stage_failures",
     "user_failures",
 ]
 
@@ -238,53 +237,34 @@ def _stage_passes(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarra
     return out
 
 
-def stage_failures(gain, cfg: ScenarioConfig, rho, depth: int, out=None,
-                   scratch: ReplayScratch | None = None):
-    """True where a branch of power gain ``gain`` misses a SIC stage up to ``depth``.
-
-    Stage i of ``analytic.sic_stages`` gives the branch the SINR
-    gain * power * rho / (gain * residual * rho + 1); a trial fails unless
-    that SINR reaches the stage threshold at each of the first ``depth``
-    stages, so a NaN SINR fails.  ``rho`` is a scalar or a column of
-    shape (points, 1); a column gives one row per SNR point, shape
-    (points, trials), and each row equals the scalar call at its rho: the
-    products are taken left to right, ``(gain * power) * rho`` and
-    ``(gain * residual) * rho + 1.0``, either way.  The failures are
-    written into the bool array ``out`` and the SINRs into ``scratch``,
-    both of the result shape, when given, and allocated otherwise;
-    ``out`` is returned.
-    """
-    stages = sic_stages(cfg)
-    if not 1 <= depth <= len(stages):
-        raise ValueError(f"depth must be in [1, {len(stages)}], got {depth}")
-    gain = np.asarray(gain, dtype=float)
-    shape = np.broadcast_shapes(gain.shape, np.shape(rho))
-    if out is None:
-        out = np.empty(shape, dtype=bool)
-    if scratch is None:
-        scratch = ReplayScratch.empty(shape)
-    return np.logical_not(_stage_passes(gain, stages[:depth], rho, out, scratch), out=out)
-
-
 def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
                   scratch: ReplayScratch | None = None) -> np.ndarray:
     """Failures of the served users, in served order, from the SINR chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
-    :func:`branch_gains` returns for ``cfg``, and ``rho`` is a scalar or
-    a column of SNR points (see :func:`stage_failures`).  The user at
-    position k (1-based) runs the stage chain to depth k, its decode
-    depth, on each of its branches; it is served by selection and fails
-    only where every branch fails.  Returns a bool array of shape
-    (users, *result shape), row k - 1 for the user at position k: ``out``
-    when given, with its SINR work in ``scratch`` (see
-    :func:`stage_failures`).
+    :func:`branch_gains` returns for ``cfg``.  The user at position k
+    (1-based) runs the stage chain to depth k, its decode depth, on each
+    of its branches: stage i of ``analytic.sic_stages`` gives a branch of
+    power gain g the SINR g * power * rho / (g * residual * rho + 1), and
+    the branch passes only where that SINR reaches the stage threshold at
+    each of the first k stages, so a NaN SINR fails.  The user is served
+    by selection and fails only where every branch fails.  ``rho`` is a
+    scalar or a column of shape (points, 1); a column gives one row per
+    SNR point, and each row equals the scalar call at its rho: the
+    products are taken left to right, ``(g * power) * rho`` and
+    ``(g * residual) * rho + 1.0``, either way.  Returns a bool array of
+    shape (users, *result shape), row k - 1 for the user at position k:
+    ``out`` when given, with its SINR work in ``scratch`` (of the result
+    shape), both allocated otherwise.  A draw of more users than ``cfg``
+    serves raises ``ValueError``.
     """
+    stages = sic_stages(cfg)
+    if len(draw) > len(stages):
+        raise ValueError(f"the draw holds {len(draw)} users, cfg serves {len(stages)}")
     if out is None or scratch is None:
         shape = np.broadcast_shapes(np.shape(draw[0][0]), np.shape(rho))
         out = np.empty((len(draw), *shape), dtype=bool) if out is None else out
         scratch = ReplayScratch.empty(shape) if scratch is None else scratch
-    stages = sic_stages(cfg)
     for depth, (branches, ok) in enumerate(zip(draw, out), 1):
         _stage_passes(branches[0], stages[:depth], rho, ok, scratch)
         for gain in branches[1:]:
@@ -301,7 +281,7 @@ def _check_replay_range(cfg: ScenarioConfig, rho: float) -> None:
     whatever the true SINR, so such a config is rejected before any draw,
     naming the mean whose bounded gains (``GAIN_BOUND`` times the mean)
     could overflow a product of :func:`branch_gains` or
-    :func:`stage_failures`.  Every accepted config keeps its SINRs finite,
+    :func:`user_failures`.  Every accepted config keeps its SINRs finite,
     so a stage at threshold inf fails every trial.
     """
     means = {f"omega[{k}]": omega for k, omega in enumerate(cfg.omega, 1)}
@@ -419,28 +399,10 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
 
 
 # =====================================================================
-# Per-user views of the functions above; no production path calls them
+# Names that perfbench/tracing.py:TRACED pins, bound to the functions
+# whose spans they name
 # =====================================================================
 
-# perfbench/tracing.py:TRACED pins these names
 draw_coop_block = draw_block
-coop_events_from_sinr = user_failures
-
-
-def direct_events_from_sinr(gain, cfg: ScenarioConfig, rho: float, user: int):
-    """Outage indicators of served user ``user`` (checked) from its SIC chain."""
-    return stage_failures(gain, cfg, rho, decode_depth(cfg, user))
-
-
-def estimate_outage_coop(cfg: ScenarioConfig, rho: float, batch: TrialBatch
-                         ) -> tuple[Estimate, Estimate]:
-    """Far and near outage estimates from one shared set of draws."""
-    ((point,),) = estimate_outage([cfg], [rho], batch)
-    return point["far"], point["near"]
-
-
-def estimate_outage_direct(cfg: ScenarioConfig, rho: float, user: int,
-                           batch: TrialBatch) -> Estimate:
-    """Outage estimate of served user ``user`` (checked) in the single-slot system."""
-    decode_depth(cfg, user)  # rejects an unserved user before any draw
-    return estimate_outage([cfg], [rho], batch)[0][0][user]
+coop_events_from_sinr = direct_events_from_sinr = user_failures
+estimate_outage_coop = estimate_outage_direct = estimate_outage

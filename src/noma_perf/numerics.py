@@ -1,7 +1,7 @@
-"""Special-function and combinatorial primitives.
+"""Combinatorial and quadrature primitives.
 
-Everything in this module is generic numerics: log-domain gamma/Bessel
-evaluation and double-exponential quadrature, the exp-sinh rule over
+Everything in this module is generic numerics: the log-domain binomial
+coefficient and double-exponential quadrature, the exp-sinh rule over
 (lower, infinity) and the tanh-sinh rule over (0, upper).  Both rules
 integrate a batch of rows, one integral per row, in one level loop: each
 refinement level evaluates the new nodes of every row not yet converged
@@ -19,53 +19,25 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
-    "bessel_k_scaled",
     "integrate_from_zero",
     "integrate_semi_infinite",
     "log_binomial",
-    "log_gamma",
 ]
 
 
 # =====================================================================
-# Log-domain special functions
+# Log-domain binomial coefficient
 # =====================================================================
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Thin wrapper over ``math.lgamma`` with a strict domain check, so that
-    callers never silently evaluate at the poles of gamma.
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def log_binomial(n: int, k: int) -> float:
     """Log of the binomial coefficient C(n, k) for 0 <= k <= n."""
     if k < 0 or k > n:
         raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)
-
-
-def bessel_k_scaled(order: int, x: float) -> float:
-    """Exponentially scaled K_order(x) * exp(x), usable in log-domain sums.
-
-    Avoids the underflow of plain K_v for large arguments: the scaled
-    value decays only algebraically, so ``log(bessel_k_scaled(v, x)) - x``
-    recovers log K_v(x) across the whole double range.
-    """
-    if order < 0 or order != int(order):
-        raise ValueError(f"bessel_k_scaled requires an integer order >= 0, got {order}")
-    if not x > 0:
-        raise ValueError(f"bessel_k_scaled requires x > 0, got {x}")
-    return float(special.kve(order, x))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 # =====================================================================

@@ -49,3 +49,44 @@ def blocked_users(draw, mu=st.integers(1, 4)):
     cfg = dataclasses.replace(cfg, rates=tuple(rates))
     users = [u for u in served_users(cfg) if decode_depth(cfg, u) > stage]
     return cfg, draw(st.sampled_from(users))
+
+
+def log_uniform(low, high):
+    """Floats whose base-10 logarithm is uniform over [log10 low, log10 high]."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def ini_sections(draw):
+    """(scenario, INI text) of one random [coop] or [direct] section.
+
+    A [coop] section serves two users through the relay at mu up to 6; a
+    [direct] section serves one to four users, with mu times pool at most
+    2000.  These caps keep a run well under a second.  Every mean gain is
+    log-uniform over 1e-6..1e30."""
+    relay = draw(st.booleans())
+    m = 2 if relay else draw(st.integers(1, 4))
+    ratio = draw(st.floats(0.05, 0.9))
+    weights = [ratio**k for k in range(m)]
+    if relay:
+        pool = m + draw(st.integers(0, 4))
+        mu = draw(st.integers(1, 6))
+    else:
+        pool = m + draw(st.integers(0, 40))
+        mu = draw(st.integers(1, 2000 // pool))
+    ranks = sorted(draw(st.lists(st.integers(1, pool), min_size=m, max_size=m, unique=True)))
+    rate = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+    mean = log_uniform(1e-6, 1e30)
+    keys = {
+        "power": [w / sum(weights) for w in weights],
+        "rates": [draw(rate) for _ in range(m)],
+        "omega": [draw(mean) for _ in range(m)],
+        "mu": [mu], "ranks": ranks, "pool": [pool],
+    }
+    if relay:
+        keys.update(relay_gain=[draw(log_uniform(1e-3, 1e3))],
+                    omega_sr=[draw(mean)], omega_rd=[draw(mean)])
+    scenario = "coop" if relay else "direct"
+    lines = [f"[{scenario}]", *(f"{key} = {' '.join(map(repr, values))}"
+                                for key, values in keys.items())]
+    return scenario, "\n".join(lines) + "\n"

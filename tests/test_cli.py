@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface and its CSV contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from config_strategies import ini_sections
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noma_perf import analytic, montecarlo, validation
 from noma_perf.analytic import outage_oma, point_outages, throughput, user_outage
@@ -194,6 +200,13 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--mu", "0", "--seed", "-1")
         assert (code, out) == (2, "")
         assert err == "error: --mu values must be >= 1, got '0'\n"
+
+    def test_repeated_mu_exits_2(self, capsys):
+        # as with a repeated --users entry: each row would print twice
+        for mu in ("1,1", "2 3 2"):
+            code, out, err = run_cli(capsys, "sweep", "--mu", mu)
+            assert (code, out) == (2, "")
+            assert err == f"error: --mu names a value more than once, got '{mu}'\n"
 
     def test_users_filter_keeps_full_sweep_rows(self, capsys):
         args = ("sweep", "--scenario", "coop", "--mu", "1,2", "--oma")
@@ -559,6 +572,39 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--config", str(ini))
         assert code == 2
         assert "error:" in err
+
+
+class TestCliContract:
+    """Exit 0, 1 or 2 by the documented rule, and a clean stderr, for
+    random INI sections of both deployments."""
+
+    @staticmethod
+    def run_quietly(argv):
+        """(exit code, stderr, warnings raised) of one in-process run."""
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main(argv)
+        return code, err.getvalue(), [str(w.message) for w in caught]
+
+    @settings(max_examples=300, deadline=None)
+    @given(section=ini_sections(), trials=st.sampled_from([0, 3000]))
+    def test_random_sections_keep_the_exit_contract(self, tmp_path_factory, section, trials):
+        scenario, text = section
+        ini = tmp_path_factory.getbasetemp() / "contract.ini"
+        ini.write_text(text, encoding="utf-8")
+        code, err, caught = self.run_quietly(
+            ["sweep", "--scenario", scenario, "--config", str(ini), "--trials", str(trials),
+             "--oma"])
+        assert code in (0, 2) and caught == [], (code, err, caught)
+        assert "Traceback" not in err and "Warning" not in err, err
+        # exit 1 would mean a failed row; exit 2 only where the relay
+        # oracle cannot resolve the hop means
+        code, err, caught = self.run_quietly(["validate", "--config", str(ini), "--trials", "0"])
+        assert code == 0 or (code == 2 and err.startswith("error: the relay oracle cannot")), (
+            code, err)
+        assert caught == [] and "Traceback" not in err and "Warning" not in err, (err, caught)
 
 
 class TestDeterminism:

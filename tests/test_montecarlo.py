@@ -41,7 +41,6 @@ from noma_perf.montecarlo import (
     branch_gains,
     draw_block,
     estimate_outage,
-    stage_failures,
     user_failures,
 )
 
@@ -328,16 +327,15 @@ class TestSinrChains:
         g = np.array([2.0])
 
         def stage(depth):
-            return lambda probe: stage_failures(g, probe, 10.0, depth)[0]
+            # a single-branch user at position k runs the chain to depth k
+            return lambda probe: user_failures([(g,)] * depth, probe, 10.0)[depth - 1][0]
 
         assert_stage_sinr(stage(1), cfg, 1, 2.0 * 5.0 / (2.0 * 5.0 + 1.0))
         assert_stage_sinr(stage(2), cfg, 2, 2.0 * 4.0 / (2.0 * 1.0 + 1.0))
         # last message decodes interference-free
         assert_stage_sinr(stage(3), cfg, 3, 2.0 * 1.0)
         with pytest.raises(ValueError):
-            stage_failures(g, cfg, 10.0, 4)
-        with pytest.raises(ValueError):
-            stage_failures(g, cfg, 10.0, 0)
+            user_failures([(g,)] * 4, cfg, 10.0)
 
 
 class TestEventEquivalence:
@@ -375,10 +373,10 @@ class TestEventEquivalence:
         gain = np.random.default_rng(77).gamma(2.0, 1.0, size=1 << 16)
         for rho_db in (0.0, 15.0, 30.0):
             rho = db_to_linear(rho_db)
+            fails = user_failures([(gain,)] * 3, cfg, rho)
             for user in (1, 2, 3):
-                a = stage_failures(gain, cfg, rho, decode_depth(cfg, user))
                 b = direct_events_from_cuts(gain, cfg, rho, user)
-                assert np.array_equal(a, b)
+                assert np.array_equal(fails[user - 1], b)
 
     def test_direct_routes_agree_when_infeasible(self):
         cfg = ScenarioConfig(
@@ -388,7 +386,7 @@ class TestEventEquivalence:
             mu=1,
         )
         gain = np.random.default_rng(9).gamma(1.0, 5.0, size=4096)
-        a = stage_failures(gain, cfg, db_to_linear(40.0), decode_depth(cfg, 2))
+        a = user_failures([(gain,)] * 2, cfg, db_to_linear(40.0))[1]
         b = direct_events_from_cuts(gain, cfg, db_to_linear(40.0), 2)
         assert a.all()
         assert np.array_equal(a, b)
@@ -431,19 +429,17 @@ class TestBufferedReplay:
         for k, cfg in enumerate(self.configs()):
             draw = one_draw(cfg, np.random.default_rng(k), 3000)
             shape = np.broadcast_shapes((3000,), np.shape(rho))
-            want = [reduce(np.logical_and, [stage_failures(g, cfg, rho, depth) for g in branches])
+            want = [reduce(np.logical_and, [reference_stage_failures(g, cfg, rho, depth)
+                                            for g in branches])
                     for depth, branches in enumerate(draw, 1)]
-            ref = [reduce(np.logical_and, [reference_stage_failures(g, cfg, rho, depth)
-                                           for g in branches])
-                   for depth, branches in enumerate(draw, 1)]
             # one set of buffers serves every config in turn, as in a block
             if scratch is None:
                 scratch = garbage_scratch(shape)
                 out = np.ones((3, *shape), dtype=bool)
             got = user_failures(draw, cfg, rho, out[:len(draw)], scratch)
             assert got.base is out and got.shape == (len(draw), *shape)
-            for g, w, r in zip(got, want, ref, strict=True):
-                assert np.array_equal(g, w) and np.array_equal(g, r)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
             assert np.array_equal(user_failures(draw, cfg, rho), got)
 
     def test_partial_tile_views(self):
@@ -464,12 +460,17 @@ class TestBufferedReplay:
         for rho in (10.0, self.RHOS):
             shape = np.broadcast_shapes(gain.shape, np.shape(rho))
             scratch = garbage_scratch(shape)
-            for depth in (1, 2, 3):
-                out = np.ones(shape, dtype=bool)
-                got = stage_failures(gain, cfg, rho, depth, out, scratch)
-                assert got is out
-                assert np.array_equal(got, stage_failures(gain, cfg, rho, depth))
-                assert np.array_equal(got, reference_stage_failures(gain, cfg, rho, depth))
+            out = np.ones((3, *shape), dtype=bool)
+            # single-branch users at positions 1..3 run the chain to depths 1..3
+            got = user_failures([(gain,)] * 3, cfg, rho, out, scratch)
+            assert got is out
+            assert np.array_equal(got, user_failures([(gain,)] * 3, cfg, rho))
+            for depth, row in enumerate(got, 1):
+                assert np.array_equal(row, reference_stage_failures(gain, cfg, rho, depth))
+        # each row of a column of rho equals the scalar call at its rho
+        column = user_failures([(gain,)] * 3, cfg, self.RHOS)
+        for k, rho in enumerate(self.RHOS[:, 0]):
+            assert np.array_equal(column[:, k], user_failures([(gain,)] * 3, cfg, rho))
 
     @pytest.mark.parametrize("width", [1, 7, 8, 1234, 8192])
     def test_row_counts(self, width):
@@ -522,8 +523,6 @@ class TestOverflowGuard:
         # power / residual = 1
         cfg = dataclasses.replace(direct_preset(), rates=(2.0, 0.5, 0.5))
         gain = np.array([1e308, 1.0])
-        with pytest.warns(RuntimeWarning):
-            assert stage_failures(gain, cfg, 1e10, 1).tolist() == [True, True]
         with pytest.warns(RuntimeWarning):
             got = user_failures([(gain,)] * 3, cfg, 1e10)
         assert got.tolist() == [[True, True]] * 3
@@ -668,9 +667,13 @@ class TestAgreementWithClosedForms:
     @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
     def test_direct_user_follows_served_user_contract(self, user):
         # as for analytic.user_outage, a served user matches in type and value
+        # estimates are keyed by the served users, and decode depth, the
+        # user's position in the replay, is defined for those alone
         cfg = direct_preset()
+        ((point,),) = estimate_outage([cfg], [10.0], TrialBatch(10, seed=0))
+        assert list(point) == list(served_users(cfg))
         with pytest.raises(ValueError):
-            stage_failures(np.ones(4), cfg, 10.0, decode_depth(cfg, user))
+            decode_depth(cfg, user)
 
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
@@ -688,7 +691,7 @@ class TestAgreementWithClosedForms:
         with pytest.raises(ValueError):
             estimate_outage([coop_preset()], [0.0], TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
-            stage_failures(np.ones(4), direct_preset(), 10.0, decode_depth(direct_preset(), 5))
+            user_failures([(np.ones(4),)] * 4, direct_preset(), 10.0)
         with pytest.raises(ValueError):
             estimate_outage([direct_preset()], [10.0, math.inf], TrialBatch(10, seed=0))
         with pytest.raises(AttributeError):

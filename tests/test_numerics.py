@@ -1,4 +1,4 @@
-"""Unit tests for the special-function and combinatorial primitives."""
+"""Unit tests for the combinatorial and quadrature primitives."""
 
 import collections
 import math
@@ -6,44 +6,16 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special
 
 from noma_perf.numerics import (
     EXP_SINH_HALF_WIDTH,
     MAX_LEVELS,
     REL_TOL,
     QuadratureError,
-    bessel_k_scaled,
     integrate_from_zero,
     integrate_semi_infinite,
     log_binomial,
-    log_gamma,
 )
-
-# Frozen reference values for K_v(x), computed once from the integral
-# representation int_0^inf exp(-x cosh t) cosh(v t) dt with adaptive
-# quadrature at 1e-13 relative tolerance.
-BESSEL_K_REFERENCE = {
-    (0, 0.5): 0.9244190712276659,
-    (1, 1.0): 0.6019072301972347,
-    (2, 3.0): 0.06151045847174204,
-    (3, 1.5): 1.8338037024745795,
-}
-
-
-class TestLogGamma:
-    def test_matches_factorials(self):
-        for n in range(1, 15):
-            assert_allclose(log_gamma(n + 1), math.log(math.factorial(n)), rtol=1e-14)
-
-    def test_half_integer(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert_allclose(log_gamma(0.5), 0.5 * math.log(math.pi), rtol=1e-14)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -3.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
 
 
 class TestLogBinomial:
@@ -57,52 +29,6 @@ class TestLogBinomial:
             log_binomial(3, 4)
         with pytest.raises(ValueError):
             log_binomial(3, -1)
-
-
-class TestBesselK:
-    def test_frozen_integral_representation_values(self):
-        for (v, x), ref in BESSEL_K_REFERENCE.items():
-            assert_allclose(bessel_k_scaled(v, x) * math.exp(-x), ref, rtol=1e-12)
-
-    def test_integral_representation_fresh(self):
-        # recompute the representation with the package quadrature; caps the
-        # hyperbolic cosine so the integrand underflows cleanly
-        def oracle(v, x):
-            def f(t, rows):
-                a = -x * np.cosh(np.minimum(t, 700.0))
-                out = np.zeros_like(t)
-                keep = (t <= 700.0) & (a > -745)
-                out[keep] = np.exp(a[keep]) * np.cosh(v * t[keep])
-                return out
-
-            return integrate_semi_infinite(f, 0.0).value[0]
-
-        for v in (0, 1, 2, 4):
-            for x in (0.3, 1.0, 2.5, 8.0):
-                assert_allclose(bessel_k_scaled(v, x) * math.exp(-x), oracle(v, x),
-                                rtol=1e-10)
-
-    def test_scaled_consistency(self):
-        for v in (0, 1, 3):
-            for x in (0.5, 2.0, 30.0):
-                assert_allclose(bessel_k_scaled(v, x), special.kv(v, x) * math.exp(x),
-                                rtol=1e-12)
-
-    def test_scaled_survives_huge_argument(self):
-        # plain K underflows around x ~ 700; the scaled form must not
-        assert special.kv(1, 800.0) == 0.0
-        val = bessel_k_scaled(1, 1e8)
-        assert 0 < val < 1
-        # asymptotically kve -> sqrt(pi / (2 x))
-        assert_allclose(val, math.sqrt(math.pi / 2e8), rtol=1e-6)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_k_scaled(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_k_scaled(1, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k_scaled(2, -3.0)
 
 
 class TestIntegrateSemiInfinite:
