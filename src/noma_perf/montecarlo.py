@@ -3,14 +3,19 @@
 Estimators replay the decoding chain on sampled channel gains and count
 failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
 the one statement of the decode rule that the closed form also inverts
-into gain cuts; here it is evaluated forward, as SINR comparisons, by
-:func:`user_failures`.  Each served user runs the chain up to its decode
-depth on each of its branches (its direct gain and, with a relay, the
-relay's effective gain) and fails where every branch fails.  Nothing else of
-the analytic layer is shared: no cut, CDF or relay closed form.
-The tests label every trial a second time from the decode cuts of
+into gain cuts; here it decides, by :func:`user_failures`, what the float
+SINR comparisons of that table decide.  Each served user runs the chain up
+to its decode depth on each of its branches (its direct gain and, with a
+relay, the relay's effective gain) and fails where every branch fails.
+The replay first settles each trial against a gain bracket per user and
+SNR point (:func:`gain_bounds`), derived here from the stage table with
+exact rational arithmetic and a rounding-error bound on the float SINR,
+and runs the SINR chain itself only on the few trials inside a bracket.
+Nothing else of the analytic layer is shared: no cut, CDF or relay closed
+form.  The tests label every trial a second time from the decode cuts of
 ``analytic.point_links`` and check that both routes agree trial by
-trial, and pin the table itself with hand-computed SINRs.
+trial, check the bracket against the dense chain at gains ulps from each
+bound, and pin the table itself with hand-computed SINRs.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
@@ -29,11 +34,11 @@ Every step of a block works in place and keeps its bits: one
 ``fading.sample_gain``/``sample_sorted_gains`` call draws each of the
 block's arrays straight into it, one gamma variate a gain, and pools of
 at most 5 are sorted there by a min/max compare-exchange network, which
-gives the values ``np.sort`` gives.  The replay writes its SINRs and
-stage passes into (points, tile) buffers that a block worker allocates
-once, taking every product in the order of the unbuffered stage test,
-and counts the failures of each row by a popcount; a trial fails unless
-every SINR it needs reaches its threshold, so a NaN SINR fails.  Before
+gives the values ``np.sort`` gives.  The bracket of each config is
+computed once per call; the replay writes each tile's failure rows into
+(points, tile) buffers that a block worker allocates once and counts the
+failures of each row by a popcount; a trial fails unless every SINR it
+needs reaches its threshold, so a NaN SINR fails.  Before
 any draw, a config whose bounded gains (``GAIN_BOUND`` times their
 means) could overflow a simulated SINR is rejected with a
 ``ConfigError``.
@@ -43,9 +48,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,6 +66,7 @@ from .fading import FadingParams, sample_gain, sample_sorted_gains
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
+    "GainBounds",
     "ReplayScratch",
     "TILE_TRIALS",
     "TrialBatch",
@@ -66,6 +74,7 @@ __all__ = [
     "branch_gains",
     "draw_block",
     "estimate_outage",
+    "gain_bounds",
     "user_failures",
 ]
 
@@ -126,6 +135,24 @@ class Estimate:
     def from_count(cls, failures: int, trials: int) -> "Estimate":
         p = failures / trials
         return cls(p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials), trials=trials)
+
+
+class _UserEstimates(dict):
+    """Estimates of one SNR point keyed by served user.  As for
+    ``analytic.user_outage``, a user matches in type and value: a lookup
+    by another spelling (``True`` for 1, ``2.0`` for 2, ``"2"``) raises
+    ``ValueError``, and such a key is not ``in`` the point."""
+
+    def __contains__(self, user) -> bool:
+        return any(type(user) is type(served) and user == served for served in self)
+
+    def __getitem__(self, user):
+        if user not in self:
+            raise ValueError(f"user must be one of {tuple(self)}, got {user!r}")
+        return super().__getitem__(user)
+
+    def get(self, user, default=None):
+        return self[user] if user in self else default
 
 
 # =====================================================================
@@ -200,45 +227,134 @@ def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None
 # SINR replay
 # =====================================================================
 
-class ReplayScratch(NamedTuple):
-    """Work arrays of one SINR replay, each of the replay's result shape:
-    the SINR and its denominator (float), the passes of one stage and of
-    one branch (bool).  A block worker allocates one set per block and
-    reuses it for every tile and config."""
+# The replay's bracket lies at gamma * (1 -/+ eta) around each stage
+# threshold gamma, eta = 1 / _ETA_INVERSE = 1e-9 exactly.
+_ETA_INVERSE = 10**9
 
-    sinr: np.ndarray
-    denom: np.ndarray
-    stage: np.ndarray
-    branch: np.ndarray
+
+class GainBounds(NamedTuple):
+    """Gain bracket of a config's stage chain at a set of SNR points.
+
+    ``lo`` and ``hi`` have shape (users, *rho shape), one bracket per
+    served user at its decode depth and SNR point.  A branch gain in
+    [0, ``cap``] below ``lo`` fails the chain, one at or above ``hi``
+    passes it; a gain in between, negative, above ``cap`` or NaN is
+    decided by the chain itself.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    cap: float
+
+
+def _rounded(x, up: bool) -> float:
+    """Fraction ``x`` rounded to a float toward +inf (``up``) or toward -inf."""
+    try:
+        f = float(x)  # int / int division, rounded to nearest
+    except OverflowError:
+        return math.inf if up else sys.float_info.max
+    # a Fraction compares with a float exactly
+    if up and x > f:
+        return math.nextafter(f, math.inf)
+    if not up and x < f:
+        return math.nextafter(f, -math.inf)
+    return f
+
+
+def _stage_bounds(power: float, residual: float, gamma: float, rho: float) -> tuple[float, float]:
+    """(lo, hi) of one stage at ``rho``: a gain in [0, cap] below lo has a
+    float SINR below ``gamma``, one at or above hi a float SINR at or
+    above it.
+
+    The real SINR S(g) = g p rho / (g r rho + 1) rises strictly from 0
+    toward p / r, with d ln S / d ln g = 1 / (1 + g r rho) in (0, 1], and
+    reaches a level L at g = L / (rho (p - L r)), never where p - L r <= 0.
+    lo and hi are the exact gains of the levels gamma (1 -/+ eta), in
+    rational arithmetic, rounded outward; since S grows no faster than g,
+    they lie at least 2 eta apart in ln g.  The float SINR s of
+    ``_stage_passes`` takes 6 roundings (two products, two more and a sum
+    in the denominator, the quotient), each x (1 + d) + e with
+    |d| <= 2**-53 and |e| <= 2**-1075.  The denominator is at least 1, so
+    its absolute errors are relative ones, and for any gain in [0, cap]
+    (no product overflows)
+        |s - S(g)| <= 2**-49 S(g) + (rho + 2) 2**-1074.
+    Where the absolute term is at most gamma eta / 2, that is where
+    gamma / (rho + 2) >= 9.9e-315 (tested at 1e-313 in floats), a gain
+    below lo has S < gamma (1 - eta), so s < gamma, and one at or above hi
+    has S >= gamma (1 + eta), so s >= gamma.  Elsewhere, and where rho is
+    not finite and positive, the stage settles nothing: (0, inf).
+    gamma = 0 passes every gain (s >= 0), and gamma = inf fails every
+    finite SINR.
+    """
+    if not 0.0 < rho < math.inf:
+        return 0.0, math.inf
+    if gamma == 0.0 or gamma == math.inf:
+        return gamma, gamma
+    if gamma / (rho + 2.0) < 1e-313:
+        return 0.0, math.inf
+    # imported here, as in analytic, so that importing the package stays light
+    from fractions import Fraction
+
+    p, r, g, x = Fraction(power), Fraction(residual), Fraction(gamma), Fraction(rho)
+    eta = Fraction(1, _ETA_INVERSE)
+    bounds = []
+    for level, up in ((g * (1 - eta), False), (g * (1 + eta), True)):
+        headroom = p - level * r
+        bounds.append(_rounded(level / (x * headroom), up) if headroom > 0 else math.inf)
+    return bounds[0], bounds[1]
+
+
+def gain_bounds(cfg: ScenarioConfig, rho) -> GainBounds:
+    """The :class:`GainBounds` of ``cfg`` at ``rho``, a scalar or an array
+    of SNR points, from ``analytic.sic_stages`` alone.
+
+    A user at depth k fails below the largest lo of stages 1..k (that
+    stage fails) and passes at or above the largest hi (every stage
+    passes).  ``cap`` keeps every product of the chain finite at the
+    largest rho: a gain above it goes to the chain.
+    """
+    stages = sic_stages(cfg)
+    rho = np.asarray(rho, dtype=float)
+    table = np.array([[_stage_bounds(power, residual, gamma, point)
+                       for power, residual, gamma in stages]
+                      for point in rho.ravel().tolist()]).reshape(-1, len(stages), 2)
+    # (points, stages, lo/hi) -> (lo/hi, users, *rho shape)
+    lo, hi = np.maximum.accumulate(table, axis=1).T.reshape(2, len(stages), *rho.shape)
+    scale = max(max(power, residual) for power, residual, _ in stages)
+    top = float(rho.max()) if rho.size else 1.0
+    cap = sys.float_info.max / 4.0 / scale / max(top, 1.0) if 0.0 < top < math.inf else 0.0
+    return GainBounds(lo, hi, cap)
+
+
+class ReplayScratch(NamedTuple):
+    """Work array of one SINR replay, of the replay's result shape: the
+    trials inside a user's bracket (bool).  A block worker allocates one
+    per block and reuses it for every tile and config."""
+
+    band: np.ndarray
 
     @classmethod
     def empty(cls, shape: tuple[int, ...]) -> "ReplayScratch":
-        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-                   np.empty(shape, dtype=bool))
+        return cls(np.empty(shape, dtype=bool))
 
 
-def _stage_passes(gain: np.ndarray, stages: Sequence[tuple], rho, out: np.ndarray,
-                  scratch: ReplayScratch) -> np.ndarray:
-    """Write into ``out`` where ``gain`` reaches every one of ``stages`` at
-    ``rho``: a SINR at or above its threshold, so a NaN SINR reaches none."""
-    sinr, denom, stage, _ = scratch
-    for i, (power, residual, gamma) in enumerate(stages):
-        np.multiply(gain * power, rho, out=sinr)
+def _stage_passes(gain: np.ndarray, stages: Sequence[tuple], rho: np.ndarray) -> np.ndarray:
+    """Where ``gain`` reaches every one of ``stages`` at ``rho`` (an array
+    of its shape): a SINR at or above its threshold, so a NaN SINR
+    reaches none."""
+    passes = np.ones(np.shape(gain), dtype=bool)
+    for power, residual, gamma in stages:
+        sinr = gain * power * rho
         if residual:
             # with no residual the denominator is exactly 1, so skip it
-            np.multiply(gain * residual, rho, out=denom)
-            denom += 1.0
-            sinr /= denom
-        if i:
-            np.greater_equal(sinr, gamma, out=stage)
-            out &= stage
-        else:
-            np.greater_equal(sinr, gamma, out=out)
-    return out
+            sinr = sinr / (gain * residual * rho + 1.0)
+        passes &= sinr >= gamma
+    return passes
 
 
 def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
-                  scratch: ReplayScratch | None = None) -> np.ndarray:
+                  scratch: ReplayScratch | None = None,
+                  bounds: GainBounds | None = None) -> np.ndarray:
     """Failures of the served users, in served order, from the SINR chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
@@ -248,29 +364,55 @@ def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
     power gain g the SINR g * power * rho / (g * residual * rho + 1), and
     the branch passes only where that SINR reaches the stage threshold at
     each of the first k stages, so a NaN SINR fails.  The user is served
-    by selection and fails only where every branch fails.  ``rho`` is a
-    scalar or a column of shape (points, 1); a column gives one row per
-    SNR point, and each row equals the scalar call at its rho: the
-    products are taken left to right, ``(g * power) * rho`` and
-    ``(g * residual) * rho + 1.0``, either way.  Returns a bool array of
-    shape (users, *result shape), row k - 1 for the user at position k:
-    ``out`` when given, with its SINR work in ``scratch`` (of the result
-    shape), both allocated otherwise.  A draw of more users than ``cfg``
-    serves raises ``ValueError``.
+    by selection and fails only where every branch fails.
+
+    The chain is settled by the user's bracket (``bounds``, from
+    :func:`gain_bounds`; computed here when not given): the user passes
+    where its best branch gain is at or above ``hi`` and fails where that
+    gain is below ``lo``.  The trials in between, a band of about
+    2e-9 p / (p - gamma r) in relative gain around the decode cut, and
+    every trial with a branch gain that is negative, NaN or above ``cap``,
+    are gathered and run the chain itself, products taken left to right,
+    ``(g * power) * rho`` and ``(g * residual) * rho + 1.0``, so every
+    label is the chain's, bit for bit.  ``rho`` is a scalar or a column
+    of shape (points, 1); a column gives one row per SNR point, and each
+    row equals the scalar call at its rho.  Returns a bool array of shape
+    (users, *result shape), row k - 1 for the user at position k: ``out``
+    when given, with the band in ``scratch`` (of the result shape), both
+    allocated otherwise.  A draw of more users than ``cfg`` serves raises
+    ``ValueError``.
     """
     stages = sic_stages(cfg)
     if len(draw) > len(stages):
         raise ValueError(f"the draw holds {len(draw)} users, cfg serves {len(stages)}")
+    bounds = gain_bounds(cfg, rho) if bounds is None else bounds
     if out is None or scratch is None:
         shape = np.broadcast_shapes(np.shape(draw[0][0]), np.shape(rho))
         out = np.empty((len(draw), *shape), dtype=bool) if out is None else out
         scratch = ReplayScratch.empty(shape) if scratch is None else scratch
-    for depth, (branches, ok) in enumerate(zip(draw, out), 1):
-        _stage_passes(branches[0], stages[:depth], rho, ok, scratch)
-        for gain in branches[1:]:
-            ok |= _stage_passes(gain, stages[:depth], rho, scratch.branch, scratch)
-    # a user fails unless it decodes on some branch
-    return np.logical_not(out, out=out)
+    band = scratch.band
+    for depth, (branches, fail, lo, hi) in enumerate(zip(draw, out, bounds.lo, bounds.hi), 1):
+        # the user passes where its best branch does
+        best = branches[0] if len(branches) == 1 else reduce(np.maximum, branches)
+        # fail where not (best >= hi): best < hi would read a NaN as a pass
+        np.greater_equal(best, hi, out=fail)
+        np.logical_not(fail, out=fail)
+        np.greater_equal(best, lo, out=band)
+        band &= fail
+        # a trial with a gain below 0 or past cap, or a NaN gain (np.maximum
+        # and max carry it, and it fails both tests), goes to the chain at
+        # every point
+        if not (best.max(initial=0.0) <= bounds.cap
+                and all(gain.min(initial=0.0) >= 0.0 for gain in branches)):
+            for gain in branches:
+                band |= ~((gain >= 0.0) & (gain <= bounds.cap))
+        if band.any():
+            at = np.nonzero(band)
+            rho_at = np.broadcast_to(rho, band.shape)[at]
+            passes = [_stage_passes(np.broadcast_to(gain, band.shape)[at], stages[:depth], rho_at)
+                      for gain in branches]
+            fail[at] = ~reduce(np.logical_or, passes)
+    return out
 
 
 def _check_replay_range(cfg: ScenarioConfig, rho: float) -> None:
@@ -353,9 +495,11 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
 
     Returns, per config of ``cfgs`` in order, one dict per rho mapping
     each served user (``'far'``/``'near'`` or 1..M) to its
-    :class:`Estimate`.  Each block draws once per group of configs that
-    share ``(mu, pool)`` and replays the SINR chain of every config of
-    the group, tile by tile, at every rho at once.  Every config reads
+    :class:`Estimate`; looking up a user by another spelling (``True``,
+    ``2.0``, ``"2"``) raises ``ValueError``.  Each block draws once per
+    group of configs that share ``(mu, pool)`` and replays the SINR chain
+    of every config of the group, tile by tile, at every rho at once,
+    against brackets computed once per call.  Every config reads
     the stream it would draw alone, so each estimate equals a
     one-config, one-point call at that rho.
     """
@@ -371,6 +515,7 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
     for i, cfg in enumerate(cfgs):
         groups[cfg.mu, cfg.pool].append(i)
     rho_col = np.array(rhos)[:, np.newaxis]
+    bounds = [gain_bounds(cfg, rho_col) for cfg in cfgs]
     widest = max(len(names) for names in users)
 
     def block(j: int, n: int) -> np.ndarray:
@@ -386,13 +531,14 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
                 for i in members:
                     branches = branch_gains(draw, cfgs[i], slice(start, start + k))
                     fail = user_failures(branches, cfgs[i], rho_col,
-                                         fails[:len(branches), :, :k], work)
+                                         fails[:len(branches), :, :k], work, bounds[i])
                     counts[edges[i]:edges[i + 1]] += _row_counts(fail)
         return counts.T
 
     counts = _run_blocks(batch, block)
     return [
-        [{user: Estimate.from_count(int(c), batch.trials) for user, c in zip(names, row[edges[i]:])}
+        [_UserEstimates((user, Estimate.from_count(int(c), batch.trials))
+                        for user, c in zip(names, row[edges[i]:]))
          for row in counts]
         for i, names in enumerate(users)
     ]

@@ -1,10 +1,12 @@
 """Unit tests for the Monte Carlo estimators and their determinism contract."""
 
+import ast
 import copy
 import dataclasses
 import math
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from noma_perf.montecarlo import (
     branch_gains,
     draw_block,
     estimate_outage,
+    gain_bounds,
     user_failures,
 )
 
@@ -394,22 +397,23 @@ class TestEventEquivalence:
 
 def reference_stage_failures(gain, cfg, rho, depth):
     """The stage test written out with fresh arrays, one expression a
-    stage, as the replay computed it before it wrote into buffers."""
+    stage, as the dense replay computed it for every trial: a stage is
+    missed unless its SINR reaches the threshold, so a NaN SINR misses."""
     fail = None
     for power, residual, gamma in sic_stages(cfg)[:depth]:
         sinr = gain * power * rho
         if residual:
             sinr /= gain * residual * rho + 1.0
-        miss = sinr < gamma
+        miss = ~(sinr >= gamma)
         fail = miss if fail is None else fail | miss
     return fail
 
 
 def garbage_scratch(shape):
-    """Replay buffers holding values no replay would write, to show that
-    every cell a replay reads it has written first."""
-    return ReplayScratch(np.full(shape, np.nan), np.full(shape, -1.0),
-                         np.ones(shape, dtype=bool), np.ones(shape, dtype=bool))
+    """A replay buffer holding values no replay would write (every trial
+    in the band), to show that every cell a replay reads it has written
+    first."""
+    return ReplayScratch(np.ones(shape, dtype=bool))
 
 
 class TestBufferedReplay:
@@ -484,6 +488,159 @@ class TestBufferedReplay:
             assert np.array_equal(got, np.count_nonzero(fail, axis=-1))
 
 
+@pytest.fixture
+def chain_gains(monkeypatch):
+    """The gains of every call of the replay's stage chain, in call order."""
+    seen = []
+    chain = montecarlo._stage_passes
+
+    def recorded(gain, stages, rho):
+        seen.append(gain.copy())
+        return chain(gain, stages, rho)
+
+    monkeypatch.setattr(montecarlo, "_stage_passes", recorded)
+    return seen
+
+
+def ulp_neighbours(values, steps=4):
+    """Each finite positive value of ``values`` and its float neighbours
+    1..``steps`` ulps below and above."""
+    out = []
+    for x in np.ravel(values):
+        if 0.0 < x < math.inf:
+            down = up = float(x)
+            out.append(down)
+            for _ in range(steps):
+                down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+                out += [down, up]
+    return out
+
+
+def headroom_configs():
+    """Single-slot configs whose stage 1 has threshold 3 and residual
+    headroom power - 3 * residual of 0 or a few ulps either side: power
+    0.75 + k * 2**-53 and residual 1 - power are exact, so the headroom is
+    4 k * 2**-53 exactly."""
+    cfgs = []
+    for k in range(-3, 4):
+        power = 0.75 + k * 2.0**-53
+        cfgs.append(ScenarioConfig(power=(power, 1.0 - power), rates=(2.0, 0.5), omega=(1.0, 1.0)))
+    return cfgs
+
+
+class TestBracketedReplay:
+    """The replay settles each trial against per-point gain bounds and runs
+    the stage chain only inside them; every label stays the chain's."""
+
+    RHOS = np.array([1e-300, 1e-150, 1e-10, 1.0, 10.0, 1e4, 1e150, 1e300])[:, np.newaxis]
+    EDGE_GAINS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-150, 1e-5, 0.5,
+                  1.0, 3.0, 1e5, 1e150, 1e300, 1e308, math.inf, math.nan]
+
+    def stage_tables(self):
+        shared = preset_configs("comparison.ini")
+        return [
+            direct_preset(), coop_preset(), shared["coop"], shared["direct"],
+            *headroom_configs(),
+            # gamma = 0 at every stage, and gamma = 0 after gamma = inf
+            dataclasses.replace(direct_preset(), rates=(0.0, 0.0, 0.0)),
+            dataclasses.replace(direct_preset(), rates=(1.7e308, 0.0, 0.5)),
+            # gamma = inf last, and past the double range of 2**(2 rate)
+            dataclasses.replace(direct_preset(), rates=(0.2, 0.5, 1.7e308)),
+            dataclasses.replace(coop_preset(), rates=(0.5, 600.0)),
+            # gamma 2**1e-15 - 1, 3 ulps of 1: at rho 1e300 the crossings
+            # are subnormal gains
+            dataclasses.replace(direct_preset(), rates=(1e-15, 1e-15, 1e-15)),
+        ]
+
+    def probe_gains(self, cfg):
+        """The edge gains, and the neighbours of every stage's float
+        crossing and of every user's bounds at every rho."""
+        gains = list(self.EDGE_GAINS)
+        for rho in self.RHOS[:, 0].tolist():
+            for power, residual, gamma in sic_stages(cfg):
+                headroom = power - gamma * residual
+                if headroom > 0:
+                    gains += ulp_neighbours(gamma / (rho * headroom))
+        bounds = gain_bounds(cfg, self.RHOS)
+        gains += ulp_neighbours(bounds.lo) + ulp_neighbours(bounds.hi)
+        return np.array(gains)
+
+    def test_bracket_equals_the_chain_trialwise(self, chain_gains):
+        replayed = chained = 0
+        for cfg in self.stage_tables():
+            gain = self.probe_gains(cfg)
+            other = gain[::-1].copy()
+            users = len(sic_stages(cfg))
+            chain_gains.clear()
+            with np.errstate(all="ignore"):
+                one = user_failures([(gain,)] * users, cfg, self.RHOS)
+                two = user_failures([(gain, other)] * users, cfg, self.RHOS)
+                chained += sum(g.size for g in chain_gains)
+                for depth in range(1, users + 1):
+                    want = reference_stage_failures(gain, cfg, self.RHOS, depth)
+                    assert np.array_equal(one[depth - 1], want), (cfg, depth)
+                    want &= reference_stage_failures(other, cfg, self.RHOS, depth)
+                    assert np.array_equal(two[depth - 1], want), (cfg, depth)
+                    # each row equals the scalar call at its rho
+                    for k, rho in enumerate(self.RHOS[:, 0]):
+                        row = user_failures([(gain,)] * depth, cfg, rho)[-1]
+                        assert np.array_equal(row, one[depth - 1, k]), (cfg, depth, rho)
+            replayed += 2 * one.size
+        # the probes crowd the bands, yet the bracket still settles some
+        # trials (user, point and branch) and the chain decides the rest
+        assert 0 < chained < replayed
+
+    @pytest.mark.parametrize("cfg", [direct_preset(), coop_preset(), *headroom_configs()[2:5]],
+                             ids=["direct", "coop", "headroom-1", "headroom0", "headroom+1"])
+    def test_bounds_bracket_each_stage(self, cfg):
+        bounds = gain_bounds(cfg, self.RHOS)
+        assert bounds.lo.shape == bounds.hi.shape == (len(sic_stages(cfg)), *self.RHOS.shape)
+        assert np.all(bounds.lo <= bounds.hi)
+        for depth, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), 1):
+            # the bounds rise with depth: a deeper user clears more stages
+            if depth > 1:
+                assert np.all(lo >= bounds.lo[depth - 2]) and np.all(hi >= bounds.hi[depth - 2])
+            for rho, l, h in zip(self.RHOS[:, 0].tolist(), lo[:, 0], hi[:, 0]):
+                cuts = [gamma / (rho * (power - gamma * residual))
+                        if power > gamma * residual else math.inf
+                        for power, residual, gamma in sic_stages(cfg)[:depth]]
+                cut = max(cuts)
+                if 0 < cut < 1e300 and l > 0:
+                    assert l < cut < h, (depth, rho)
+                    # at the presets, a narrow band: 2 eta p / (p - gamma r) wide
+                    # at the stage that sets the cut, 8e-9 at the coop far user
+                    if cfg in (direct_preset(), coop_preset()):
+                        assert (h - l) / cut < 1e-8, (depth, rho)
+        # a stage without headroom at gamma (1 + eta) settles no pass
+        power, residual, gamma = sic_stages(cfg)[0]
+        if power <= gamma * residual * (1 + 1e-9):
+            assert np.all(bounds.hi == math.inf)
+
+    def test_chain_runs_only_inside_the_band(self, chain_gains):
+        # the comparison preset at the mc-compare grid, one block: the
+        # chain must see a tiny fraction of the replayed trials, so a
+        # replay that fell back to the dense chain fails here
+        cfgs = list(preset_configs("comparison.ini").values())
+        rhos = [db_to_linear(db) for db in range(0, 41, 5)]
+        estimate_outage(cfgs, rhos, TrialBatch(BLOCK_TRIALS, seed=5))
+        replayed = BLOCK_TRIALS * len(rhos) * sum(len(served_users(cfg)) for cfg in cfgs)
+        assert sum(g.size for g in chain_gains) < 1e-4 * replayed
+
+    def test_montecarlo_reads_only_the_stage_table(self):
+        # no cut, CDF or relay closed form: the replay and its bracket
+        # come from analytic.sic_stages alone
+        import noma_perf.montecarlo as module
+
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert sorted(name for mod, name in imported if mod == "analytic") == [
+            "_check_rho", "served_users", "sic_stages"]
+        assert [name for mod, name in imported if mod is None and name == "analytic"] == []
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    and any("analytic" in alias.name for alias in node.names)]
+
+
 class TestOverflowGuard:
     """A config whose simulated SINR could overflow is rejected before any
     draw: an inf or NaN SINR would pass every stage test."""
@@ -517,7 +674,7 @@ class TestOverflowGuard:
         for mu, gain in worst.items():
             assert gain * mu * (1.7e300 / mu) <= GAIN_BOUND * 1.7e300
 
-    def test_nan_sinr_fails(self):
+    def test_nan_sinr_fails(self, chain_gains):
         # a gain of 1e308 overflows both products, and inf / inf is a NaN
         # SINR; the other trial misses stage 1, whose threshold 3 is above
         # power / residual = 1
@@ -526,6 +683,9 @@ class TestOverflowGuard:
         with pytest.warns(RuntimeWarning):
             got = user_failures([(gain,)] * 3, cfg, 1e10)
         assert got.tolist() == [[True, True]] * 3
+        # the bracket leaves a gain whose products overflow to the chain,
+        # which fails it on the NaN SINR it computes; it settles the other
+        assert np.concatenate(chain_gains).tolist() == [1e308] * 3
 
     @pytest.mark.filterwarnings("error")
     def test_huge_direct_mean_is_rejected(self, monkeypatch):
@@ -674,6 +834,13 @@ class TestAgreementWithClosedForms:
         assert list(point) == list(served_users(cfg))
         with pytest.raises(ValueError):
             decode_depth(cfg, user)
+        # a lookup by another spelling raises as analytic.user_outage does
+        with pytest.raises(ValueError):
+            user_outage(cfg, 10.0, user)
+        with pytest.raises(ValueError, match="user must be one of"):
+            point[user]
+        assert user not in point and point.get(user) is None
+        assert point[int(user)] is point.get(int(user)) and int(user) in point
 
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
