@@ -24,7 +24,9 @@ paths: the Bessel sum 1 - sum K_nu while that stays at or above 1e-6,
 and below it, where the sum cancels against 1, a deep branch that
 expands every K_n by DLMF 10.31.1, sums the cancelling terms exactly in
 rational arithmetic and adds a non-negative series to an incomplete
-gamma function.
+gamma function.  A call that can only land below the switch runs the
+deep series first and skips the Bessel sum when the series lands clearly
+below it, with the same result as evaluating the sum first.
 
 Without a relay, the outage of user m is the ordered CDF of its gain at
 its decode cut.
@@ -35,13 +37,17 @@ for the cooperative users the relay factor, which decays like
 rho**-mu * ln(rho), is kept exact, since no closed form of its leading
 term is implemented yet.
 
-:func:`point_links` is the one map from an SNR point to every served
-user's direct-link law, sort index and decode cut, from one evaluation of
-:func:`stage_cuts`; the quadrature oracle in ``validation`` reads the same
-links.  :func:`link_outage` evaluates both forms for one link from one cut
-and one relay evaluation, and :func:`point_outages` does so for every
-served user of a point.  :func:`user_outage` is its checked one-user
-view, and the throughput is a sum over the served users' exact outages.
+:func:`point_links` is the one map from an SNR point, or a config's
+whole SNR grid, to every served user's direct-link law, sort index and
+decode cut, from one evaluation of :func:`stage_cuts`; the quadrature
+oracle in ``validation`` reads the same links.  :func:`link_outage`
+evaluates both forms for one link from one ordered-CDF call over its cuts
+and one relay evaluation per finite positive cut, and
+:func:`point_outages` does so for every served user.  Over a grid each
+cut and outage is an ndarray whose elements are the one-point values bit
+for bit; a scalar SNR is the one-point view of the same code.
+:func:`user_outage` is its checked one-user view, and the throughput is a
+sum over the served users' exact outages.
 """
 
 from __future__ import annotations
@@ -83,8 +89,9 @@ __all__ = [
 
 COOP_USERS = ("far", "near")
 
-#: one served user's (direct-link law, sort index, decode cut) at one SNR point
-Link = tuple[FadingParams, OrderedIndex, float]
+#: one served user's (direct-link law, sort index, decode cut), the cut a
+#: float at one SNR point or an ndarray over a grid of them
+Link = tuple[FadingParams, OrderedIndex, "float | np.ndarray"]
 
 # exp(-x) underflows past this, so the relay-branch bracket is an exact
 # double-precision zero and the outage saturates at 1
@@ -96,6 +103,11 @@ def _check_rho(rho: float) -> float:
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"transmit SNR rho must be finite and > 0, got {rho}")
     return rho
+
+
+def _rho_grid(rho) -> np.ndarray:
+    """``rho``, one SNR or a 1-D sequence of them, as a float array of checked entries."""
+    return np.array([_check_rho(r) for r in (rho if np.ndim(rho) else (rho,))], dtype=float)
 
 
 # =====================================================================
@@ -159,7 +171,7 @@ def sic_stages(cfg: ScenarioConfig) -> tuple[tuple[float, float, float], ...]:
                   for i, rate in enumerate(cfg.rates)])
 
 
-def stage_cuts(cfg: ScenarioConfig, rho: float) -> tuple[float, ...]:
+def stage_cuts(cfg: ScenarioConfig, rho) -> tuple:
     """Per-stage gain cuts of the SIC chain at transmit SNR ``rho``.
 
     Entry i (0-based) is the least gain that clears stage i of
@@ -167,43 +179,63 @@ def stage_cuts(cfg: ScenarioConfig, rho: float) -> tuple[float, ...]:
     residual)); it is infinite where that headroom is not positive, as
     no gain then meets the rate.  A served user's decode cut is the
     largest of the first :func:`decode_depth` entries.
+
+    ``rho`` is one SNR, giving float entries, or a 1-D sequence of them
+    (a config's whole grid), giving one ndarray per stage over it; each
+    element is the same IEEE quotient a scalar call computes.
     """
-    rho = _check_rho(rho)
+    rhos = _rho_grid(rho)
     cuts = []
-    for power, residual, gamma in sic_stages(cfg):
-        # gamma = 0 keeps headroom = power > 0, so the cut is 0 there
-        headroom = power - gamma * residual
-        cuts.append(gamma / (rho * headroom) if headroom > 0 else math.inf)
-    return tuple(cuts)
+    # a quotient past the double range, or over an SNR so small that
+    # rho * headroom underflows to 0, is an infinite cut
+    with np.errstate(over="ignore", divide="ignore"):
+        for power, residual, gamma in sic_stages(cfg):
+            # gamma = 0 keeps headroom = power > 0, so the cut is 0 there
+            headroom = power - gamma * residual
+            cuts.append(gamma / (rhos * headroom) if headroom > 0
+                        else np.full(rhos.shape, math.inf))
+    return tuple(cuts) if np.ndim(rho) else tuple(cut.item() for cut in cuts)
 
 
 # =====================================================================
 # Relay branch closed form
 # =====================================================================
 
+@functools.cache
+def _bessel_law(mu: int, omega_sr: float, omega_rd: float) -> tuple:
+    """Constants of :func:`_relay_outage_f64` that depend on the law alone.
+
+    Each is the same double that sum computed inline per call:
+    log 2 + mu log mu, mu log omega_sr, lgamma(mu), log omega_sr, log
+    omega_rd, log mu, the log C(mu - 1, i) row, lgamma(k + 1) for k < mu,
+    and the Bessel orders 0..mu.
+    """
+    log_sr, log_rd, log_mu = math.log(omega_sr), math.log(omega_rd), math.log(mu)
+    return (math.log(2.0) + mu * log_mu, mu * log_sr, math.lgamma(mu), log_sr, log_rd, log_mu,
+            [log_binomial(mu - 1, i) for i in range(mu)],
+            [math.lgamma(k + 1) for k in range(mu)],
+            np.arange(mu + 1.0))
+
+
 def _relay_outage_f64(cut: float, mu: int, omega_sr: float, omega_rd: float,
                       noise_scale: float) -> float:
     """Double-precision evaluation of the relay-branch outage at gain cut ``cut``."""
+    (log_2_mu, mu_log_sr, lgamma_mu, log_sr, log_rd, log_mu, log_binom, lgamma_k1,
+     orders) = _bessel_law(mu, omega_sr, omega_rd)
     zc = cut * noise_scale
     arg = 2.0 * mu * math.sqrt(zc / omega_sr / omega_rd)
-    log_pref = (
-        math.log(2.0)
-        + mu * math.log(mu)
-        - mu * cut / omega_sr
-        - mu * math.log(omega_sr)
-        - math.lgamma(mu)
-    )
-    half_log = 0.5 * (math.log(zc) + math.log(omega_sr) - math.log(omega_rd))
+    log_pref = log_2_mu - mu * cut / omega_sr - mu_log_sr - lgamma_mu
+    log_zc = math.log(zc)
+    half_log = 0.5 * (log_zc + log_sr - log_rd)
     log_cut = math.log(cut)
-    log_zc_term = math.log(zc) + math.log(mu) - math.log(omega_rd)
-    # each K depends only on the order |i - k + 1| (0..mu; 1 alone at
-    # mu = 1) and each binomial only on i, so evaluate them once apiece
-    log_bessel = {n: math.log(special.kve(n, arg))
-                  for n in range(1 if mu == 1 else 0, mu + 1)}
-    log_binom = [log_binomial(mu - 1, i) for i in range(mu)]
+    log_zc_term = log_zc + log_mu - log_rd
+    # each K depends only on the order |i - k + 1| (1..mu, and 0 from mu = 2)
+    # and each binomial only on i, so one kve call gives every order;
+    # math.log, not np.log, keeps the bits of a scalar call
+    log_bessel = [math.log(v) for v in special.kve(orders, arg).tolist()]
     terms = []
     for k in range(mu):
-        log_k = k * log_zc_term - math.lgamma(k + 1)
+        log_k = k * log_zc_term - lgamma_k1[k]
         for i in range(mu):
             order = i - k + 1
             log_term = (
@@ -230,6 +262,14 @@ _EULER_GAMMA_PRECISION = len(_EULER_GAMMA_DIGITS) - 2
 
 #: the Bessel sum cancels against 1 below this value; the deep branch takes over
 _DEEP_SWITCH = 1e-6
+#: at mu = 1..6, the s at which the Bessel sum reaches the switch as t -> 0
+#: (6.07454e-8, 5.39410e-4, ... rounded up); the outage grows with t and s,
+#: so no deep-branch value has a larger s
+_DEEP_S_MAX = (6.08e-8, 5.40e-4, 1.52e-2, 9.59e-2, 0.324, 0.787)
+#: near the switch the Bessel sum is off by at most 2e-9 relative at
+#: mu <= 6 (against a 20-digit reference) and the deep series by 1e-11, so
+#: a series value this far below the switch is one the sum puts below it too
+_DEEP_FIRST_MARGIN = 1e-4
 
 
 @functools.cache
@@ -332,7 +372,7 @@ def _deep_sum_decimal(mu: int, t: float, s: float, digits: int) -> tuple[float, 
 
 
 def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
-                       noise_scale: float) -> float:
+                       noise_scale: float, *, resum: bool = True) -> float | None:
     """Relay-branch outage from the small-argument series, without cancellation.
 
     The q = 0 row of :func:`_deep_coefficients` is sum_{p<mu} t**p / p!,
@@ -347,7 +387,8 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     rounding unit of the working precision exceeds 1e-11 (a ratio above
     1e5 in double precision), R is summed again in decimal arithmetic
     at 32, 64 and then 111 digits, the digits of the stored
-    Euler-Mascheroni constant.
+    Euler-Mascheroni constant.  With ``resum=False`` a double-precision
+    pass that needs that re-sum returns None instead.
     """
     t = mu * cut / omega_sr
     # the quotient under the Bessel sum's square root, so s > 0 wherever that sum ran
@@ -357,6 +398,8 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     digits = 16
     # a double-precision pass that overflowed (inf terms) escalates too
     while not (math.isfinite(size_sum) and size_sum <= 10.0 ** (digits - 11) * abs(rest)):
+        if not resum:
+            return None
         if digits == _EULER_GAMMA_PRECISION:
             raise ArithmeticError(
                 f"relay outage below {_DEEP_SWITCH} at mu={mu}, s={s} cancels past "
@@ -392,6 +435,18 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     than 1e5.  Results at or above 1e-6 come from the Bessel sum
     unchanged.
 
+    Which branch serves a call is decided as follows.  Where the call
+    may land below the switch (mu <= 6, s below the largest deep s of
+    its mu, and the first-hop CDF gammainc(mu, t), a lower bound of the
+    outage, below 1e-6), the deep series runs first in double precision;
+    a value below 1e-6 * (1 - 1e-4) is returned without the Bessel sum,
+    since the sum, within about 2e-9 relative of the series there, would
+    fall below the switch too.  Every other call, including one whose series would
+    need the decimal re-sum, evaluates the Bessel sum, keeps it at or
+    above 1e-6 and otherwise takes the deep branch, reusing the series
+    value where it ran.  Each result is bit for bit the one the Bessel
+    sum's own switch gives.
+
     Returns exactly 0.0 at ``cut = 0``, exactly 1.0 once the bracket
     underflows to zero (deep outage), and the first-hop CDF where s
     underflows to zero.
@@ -412,14 +467,24 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     # the relay succeeds with probability at most 4**mu exp(-sqrt(s))
     # (Chernoff bound on (y - cut) w >= cut noise_scale at half the hop
     # rates), so past the second test every term of the Bessel sum underflows
-    if mu * cut / omega_sr > _EXP_UNDERFLOW or math.sqrt(s) - mu * math.log(4.0) > _EXP_UNDERFLOW:
+    t = mu * cut / omega_sr
+    if t > _EXP_UNDERFLOW or math.sqrt(s) - mu * math.log(4.0) > _EXP_UNDERFLOW:
         return 1.0
     if s == 0.0:  # no forwarded noise at double precision: only the first hop fails
-        return float(special.gammainc(mu, mu * cut / omega_sr))
-    value = _relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
+        return float(special.gammainc(mu, t))
+    args = (cut, mu, omega_sr, omega_rd, noise_scale)
+    deep = None
+    # the outage is at least the first-hop CDF gammainc(mu, t), so these
+    # tests only let through calls that may land below the switch
+    if (mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]
+            and special.gammainc(mu, t) < _DEEP_SWITCH):
+        deep = _relay_outage_deep(*args, resum=False)
+        if deep is not None and deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN):
+            return deep
+    value = _relay_outage_f64(*args)
     if value >= _DEEP_SWITCH:
         return value
-    return _relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale)
+    return _relay_outage_deep(*args) if deep is None else deep
 
 
 def relay_outage(cfg: ScenarioConfig, cut: float) -> float:
@@ -437,7 +502,7 @@ def relay_outage(cfg: ScenarioConfig, cut: float) -> float:
 # Exact and high-SNR outage of one served user
 # =====================================================================
 
-def point_links(cfg: ScenarioConfig, rho: float) -> tuple[Link, ...]:
+def point_links(cfg: ScenarioConfig, rho) -> tuple[Link, ...]:
     """Direct-link law, sort index and decode cut of every served user at ``rho``.
 
     One entry per user of :func:`served_users`, in decode order, all from
@@ -446,13 +511,29 @@ def point_links(cfg: ScenarioConfig, rho: float) -> tuple[Link, ...]:
     far-message cut for ``'far'``, the larger of that cut (SIC stage) and
     the near-message cut for ``'near'``, the largest of the first m cuts
     for single-slot user m.
+
+    With a 1-D sequence ``rho`` (a config's whole SNR grid) each user's
+    law and index are built once and its cut is an ndarray over the
+    grid, from one :func:`stage_cuts` call; a scalar ``rho`` is the
+    one-point view, with float cuts.
     """
-    cuts = itertools.accumulate(stage_cuts(cfg, rho), max)
-    return tuple((FadingParams(cfg.mu, omega), OrderedIndex(rank, cfg.pool), cut)
+    grid = np.ndim(rho) > 0
+    cuts = itertools.accumulate(stage_cuts(cfg, rho if grid else [rho]), np.maximum)
+    return tuple((FadingParams(cfg.mu, omega), OrderedIndex(rank, cfg.pool),
+                  cut if grid else cut.item())
                  for omega, rank, cut in zip(cfg.omega, cfg.ranks, cuts, strict=True))
 
 
-def link_outage(cfg: ScenarioConfig, link: Link) -> tuple[float, float]:
+def _relay_factors(cfg: ScenarioConfig, cuts: list[float]) -> list[float]:
+    """Relay factor of each cut: the relay outage at a finite positive cut
+    of a relay config, and 1.0 without a relay, at an infinite cut (where
+    the relay outage is 1) and at a zero cut (where the direct outage is 0)."""
+    if not cfg.has_relay:
+        return [1.0] * len(cuts)
+    return [relay_outage(cfg, cut) if 0.0 < cut < math.inf else 1.0 for cut in cuts]
+
+
+def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
     """Exact and high-SNR outage of one :func:`point_links` entry of ``cfg``.
 
     The exact outage is the ordered CDF of the user's direct gain at its
@@ -465,20 +546,25 @@ def link_outage(cfg: ScenarioConfig, link: Link) -> tuple[float, float]:
     where the expansion exceeds unity (low SNR, outside its regime).
     Returns (1, 1) when the power split cannot support the user's rates
     (infinite cut) and (0, 0) at a zero cut (zero rates).
+
+    A link over a grid gives two ndarrays over it, from one
+    :func:`~noma_perf.fading.ordered_cdf` call and one relay evaluation
+    per finite positive cut; a float cut gives two floats.
     """
     params, idx, cut = link
-    if math.isinf(cut):
-        return 1.0, 1.0
-    if cut == 0.0:
-        return 0.0, 0.0
-    relay = relay_outage(cfg, cut) if cfg.has_relay else 1.0
-    return (ordered_cdf(params, idx, cut) * relay,
-            min(1.0, ordered_cdf_small_arg(params, idx, cut) * relay))
+    cuts = np.atleast_1d(np.asarray(cut, dtype=float))
+    relay = _relay_factors(cfg, cuts.tolist())
+    # an infinite cut reads 1 from both CDF forms, a zero cut 0
+    exact = ordered_cdf(params, idx, cuts) * relay
+    asym = np.array([min(1.0, lead * factor) for lead, factor in
+                     zip(ordered_cdf_small_arg(params, idx, cuts).tolist(), relay)])
+    return (exact, asym) if np.ndim(cut) else (exact.item(), asym.item())
 
 
-def point_outages(cfg: ScenarioConfig, rho: float) -> list[tuple[float, float]]:
+def point_outages(cfg: ScenarioConfig, rho) -> list[tuple]:
     """(exact, high-SNR) outage of every served user at ``rho``, in
-    :func:`served_users` order (see :func:`link_outage`)."""
+    :func:`served_users` order (see :func:`link_outage`); over a 1-D
+    sequence ``rho`` each form is an ndarray over it."""
     return [link_outage(cfg, link) for link in point_links(cfg, rho)]
 
 
@@ -549,7 +635,7 @@ def throughput(cfg: ScenarioConfig, exact: Sequence[float]) -> float:
     return math.fsum((1.0 - p) * rate for p, rate in zip(exact, cfg.rates, strict=True))
 
 
-def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
+def outage_oma(cfg: ScenarioConfig, rho):
     """Outage of an orthogonal-access baseline carrying the same total rate.
 
     The strongest served user, the last of :func:`served_users` (the
@@ -559,13 +645,15 @@ def outage_oma(cfg: ScenarioConfig, rho: float) -> float:
     the second slot (selection over both branches, each with the two-slot
     threshold cut); without one, the baseline keeps one slot and one
     user.  A zero total rate gives a zero cut and
-    an outage of exactly 0.
+    an outage of exactly 0.  Over a 1-D sequence ``rho`` the outage is
+    an ndarray over it, from one ordered-CDF call.
     """
-    rho = _check_rho(rho)
-    cut = threshold_snr(math.fsum(cfg.rates), 2 if cfg.has_relay else 1) / rho
+    rhos = _rho_grid(rho)
+    with np.errstate(over="ignore"):  # a quotient past the double range is inf
+        cuts = threshold_snr(math.fsum(cfg.rates), 2 if cfg.has_relay else 1) / rhos
     params, idx = FadingParams(cfg.mu, cfg.omega[-1]), OrderedIndex(cfg.ranks[-1], cfg.pool)
-    direct = ordered_cdf(params, idx, cut)
-    return direct * relay_outage(cfg, cut) if cfg.has_relay else direct
+    outage = ordered_cdf(params, idx, cuts) * _relay_factors(cfg, cuts.tolist())
+    return outage if np.ndim(rho) else outage.item()
 
 
 # =====================================================================

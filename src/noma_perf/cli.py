@@ -224,11 +224,12 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
                batch: TrialBatch | None = None, with_oma: bool = False) -> list[str]:
     """CSV rows (without header) of a sweep of ``cfgs`` over the dB ``grid``.
 
-    Each config runs at every mu of ``mu_list`` (its own mu if None).  At
-    each SNR point every served user is evaluated once, the throughput
-    is taken from those same values, and rows are emitted only for the
-    ``users`` tokens select (every served user if None).  ``batch``
-    fills the Monte Carlo columns and ``with_oma`` the OMA column.
+    Each config runs at every mu of ``mu_list`` (its own mu if None).
+    Every served user is evaluated once over the whole grid, the
+    throughput at each point is taken from those same values, and rows
+    are emitted only for the ``users`` tokens select (every served user
+    if None).  ``batch`` fills the Monte Carlo columns and ``with_oma``
+    the OMA column.
     """
     rhos = [10.0 ** (db / 10.0) for db in grid]
     selected = _selected_users(users, cfgs)
@@ -241,13 +242,14 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
         estimates = estimate_outage([cfg for _, cfg in runs], rhos, batch)
     rows: list[str] = []
     for (scenario, cfg), run_estimates in zip(runs, estimates):
-        served = served_users(cfg)
-        for db, rho, est in zip(grid, rhos, run_estimates):
-            outages = dict(zip(served, point_outages(cfg, rho), strict=True))
-            tput = throughput(cfg, [exact for exact, _ in outages.values()])
-            oma = outage_oma(cfg, rho) if with_oma else None
+        # each served user's (exact, high-SNR) outages over the whole grid
+        outages = {user: (exact.tolist(), asym.tolist()) for user, (exact, asym)
+                   in zip(served_users(cfg), point_outages(cfg, rhos), strict=True)}
+        omas = outage_oma(cfg, rhos).tolist() if with_oma else [None] * len(rhos)
+        for k, (db, est, oma) in enumerate(zip(grid, run_estimates, omas)):
+            tput = throughput(cfg, [exact[k] for exact, _ in outages.values()])
             for user in selected[scenario]:
-                exact, asym = outages[user]
+                exact, asym = outages[user][0][k], outages[user][1][k]
                 e = est[user]
                 rows.append(",".join([
                     f"{db:g}", scenario, str(cfg.mu), str(user),

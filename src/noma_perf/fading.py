@@ -14,7 +14,9 @@ cancels as the pool grows (relative errors of 4e-9 at a pool of 20,
 0.16 at 40 and 1 at 60 in a sample).  Its independent check is the
 tanh-sinh quadrature of the order-statistic density in
 ``validation.ordered_cdf_quadrature``; the density, like the plain
-density and CDF, takes a whole ndarray of quadrature nodes at once.
+density and CDF, takes a whole ndarray of quadrature nodes at once.  The
+ordered CDF and its leading term take a whole ndarray of cuts too, one
+user's cuts over a config's SNR grid, with the values of scalar calls.
 """
 
 from __future__ import annotations
@@ -171,8 +173,24 @@ def _ordered_prefactor_log(idx: OrderedIndex) -> float:
     )
 
 
-def ordered_cdf(p: FadingParams, idx: OrderedIndex, x) -> float:
-    """CDF of the rank-th smallest of ``total`` i.i.d. gains at scalar ``x``.
+def _ordered_tail_log(idx: OrderedIndex, big_f: float, log_f: float, x: float) -> float:
+    """The binomial tail of :func:`ordered_cdf` summed in the log domain."""
+    m, total = idx.rank, idx.total
+    j = np.arange(m, total + 1)
+    log_p = special.logsumexp(
+        special.gammaln(total + 1) - special.gammaln(j + 1) - special.gammaln(total - j + 1)
+        + j * log_f + (total - j) * math.log1p(-big_f)
+    )
+    if log_p < _LOG_TINY:
+        logger.debug(
+            "ordered_cdf underflow: rank=%d total=%d x=%.3e, clamping to 0", m, total, x
+        )
+        return 0.0
+    return math.exp(log_p)
+
+
+def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
+    """CDF of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
 
     The rank-th smallest gain is below x exactly when at least ``rank``
     of the ``total`` gains are, a binomial tail in the plain CDF F(x)
@@ -182,32 +200,31 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x) -> float:
     the tail's terms C(total, j) F^j (1 - F)^(total - j), j >= rank, are
     summed in the log domain instead; results below the double range
     clamp to 0.0 with a debug log entry.
+
+    ``x`` is a scalar, giving a float, or an ndarray such as one user's
+    cuts over a config's SNR grid, giving an ndarray: one ``gammainc``
+    and one ``betainc`` call cover every point.  scipy's kernels run
+    element by element, so each value equals a scalar call bit for bit;
+    the underflow test and the log-domain rows take ``math.log`` per
+    element, as ``np.log`` may round differently.
     """
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    big_f = gamma_cdf(p, x)
-    if big_f == 0.0:
-        return 0.0
-    if big_f >= 1.0:
-        return 1.0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.where(xs <= 0, 0.0, 1.0)
+    rows = np.flatnonzero(~((xs <= 0) | (xs == math.inf)))
+    big_f = gamma_cdf(p, xs[rows])
+    out[rows] = np.where(big_f == 0.0, 0.0, 1.0)
+    inside = np.flatnonzero(~((big_f == 0.0) | (big_f >= 1.0)))
     m, total = idx.rank, idx.total
-    log_f = math.log(big_f)
-    if m * log_f < _LOG_TINY:
-        j = np.arange(m, total + 1)
-        log_p = special.logsumexp(
-            special.gammaln(total + 1) - special.gammaln(j + 1) - special.gammaln(total - j + 1)
-            + j * log_f + (total - j) * math.log1p(-big_f)
-        )
-        if log_p < _LOG_TINY:
-            logger.debug(
-                "ordered_cdf underflow: rank=%d total=%d x=%.3e, clamping to 0", m, total, x
-            )
-            return 0.0
-        return math.exp(log_p)
-    return float(special.betainc(m, total - m + 1, big_f))
+    beta = []
+    for i, f in zip(inside.tolist(), big_f[inside].tolist()):
+        log_f = math.log(f)
+        if m * log_f < _LOG_TINY:
+            out[rows[i]] = _ordered_tail_log(idx, f, log_f, xs[rows[i]].item())
+        else:
+            beta.append(i)
+    if beta:
+        out[rows[beta]] = special.betainc(m, total - m + 1, big_f[beta])
+    return out if np.ndim(x) else out.item()
 
 
 def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
@@ -234,24 +251,26 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     return out
 
 
-def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x) -> float:
+def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):
     """Leading small-argument term of the ordered CDF.
 
     Equals C(total, rank) * [(mu*x/omega)^mu / mu!]^rank, the dominant
     behaviour as x -> 0; decays with exponent mu * rank.  Not clamped:
     past the double range (large x, mu or rank) it returns ``math.inf``.
+    ``x`` is a scalar, giving a float, or an ndarray, giving an ndarray
+    whose elements are those scalar calls.
     """
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    log_val = (
-        log_binomial(idx.total, idx.rank)
-        + idx.rank * (p.mu * math.log(x * p.rate) - math.lgamma(p.mu + 1))
-    )
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
+    log_c, rate, lgamma_mu1 = log_binomial(idx.total, idx.rank), p.rate, math.lgamma(p.mu + 1)
+    out = []
+    for v in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+        if v <= 0:
+            out.append(0.0)
+            continue
+        try:
+            out.append(math.exp(log_c + idx.rank * (p.mu * math.log(v * rate) - lgamma_mu1)))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out) if np.ndim(x) else out[0]
 
 
 # =====================================================================

@@ -2,7 +2,7 @@
 
 The closed-form layer is checked against double-exponential quadrature
 of the underlying probability integrals (``numerics``).  The oracles
-share the per-point links (``analytic.point_links``: each served user's
+share the links (``analytic.point_links``: each served user's
 direct-link law, sort index and decode cut) and the density/CDF
 primitives with the production code, never its Bessel-sum algebra: the
 relay-branch oracle integrates the first-hop density against the
@@ -21,7 +21,7 @@ tests keep a second, independent route through scipy's QUADPACK
 
 :func:`run_validation_suite` drives the full gate: for every configured
 user and SNR point it compares the exact value against its oracle, both
-read from the point's one set of links, at the relative tolerance
+read from one set of links over the config's grid, at the relative tolerance
 ``ORACLE_REL_TOL``, and (optionally) against a Monte
 Carlo estimate at ``MC_SIGMAS`` binomial standard errors wherever the
 probability exceeds ``MC_PROBABILITY_FLOOR``, large enough for
@@ -213,9 +213,12 @@ def run_validation_suite(
     for cfg in configs:
         users = served_users(cfg)
         scenario = "coop" if cfg.has_relay else "direct"
-        links = [point_links(cfg, rho) for rho in rhos]
-        exact = [[link_outage(cfg, link)[0] for link in point] for point in links]
-        oracles = iter(link_oracles(cfg, [link for point in links for link in point]))
+        links = point_links(cfg, rhos)
+        # per point, the exact outage and the cut of each user in turn
+        exact = list(zip(*(link_outage(cfg, link)[0].tolist() for link in links)))
+        cuts = list(zip(*(cut.tolist() for _, _, cut in links)))
+        oracles = iter(link_oracles(cfg, [(params, idx, cut) for point in cuts
+                                          for (params, idx, _), cut in zip(links, point)]))
         estimates = {}
         if batch is not None:
             # one simulation over the points where some user is above the floor

@@ -1,6 +1,7 @@
 """Unit tests for the closed-form outage, asymptotics, and throughput."""
 
 import dataclasses
+import itertools
 import json
 import math
 import signal
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import relay_outage_quadpack
+from scipy import special
 
 from noma_perf import analytic
 from noma_perf.analytic import (
@@ -58,6 +60,22 @@ def db_to_linear(snr_db):
 
 def point_throughput(cfg, rho):
     return throughput(cfg, [p for p, _ in point_outages(cfg, rho)])
+
+
+def relay_outage_bessel_first(cut, mu, omega_sr, omega_rd, noise_scale):
+    """The relay closed form as it picked its branch before the deep
+    series could run first: the Bessel sum on every call, and the deep
+    series wherever that sum is below the 1e-6 switch."""
+    s = mu * mu * (cut * noise_scale / omega_sr / omega_rd)
+    if (mu * cut / omega_sr > analytic._EXP_UNDERFLOW
+            or math.sqrt(s) - mu * math.log(4.0) > analytic._EXP_UNDERFLOW):
+        return 1.0
+    if s == 0.0:
+        return float(special.gammainc(mu, mu * cut / omega_sr))
+    value = analytic._relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
+    if value >= 1e-6:
+        return value
+    return analytic._relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale)
 
 
 class TestThresholdSnr:
@@ -295,6 +313,35 @@ class TestRelayOutage:
         ref = mp_reference.relay_outage_mp(cut, mu, 1.0, 1.0, noise)
         assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
+    def test_deep_first_bound_covers_every_deep_s(self):
+        # the deep series runs first only below analytic._DEEP_S_MAX, so
+        # that bound must not cut off a deep-branch value
+        assert len(analytic._DEEP_S_MAX) == len(self.DEEP_S_MAX)
+        assert all(a >= b for a, b in zip(analytic._DEEP_S_MAX, self.DEEP_S_MAX))
+
+    @pytest.mark.parametrize("mu", range(1, 13))
+    def test_early_branch_choice_keeps_every_bit(self, mu):
+        # the closed form against the rule it replaced (Bessel sum first,
+        # the deep series below 1e-6) over 1e-3..1e3 times each config's
+        # switch cut, and at relative offsets 1e-15..1e-3 around it:
+        # the Bessel sum and the series differ there by up to 3e-8
+        # relative, so the offsets below that land between the cuts at
+        # which each form reaches 1e-6
+        for omega_sr, omega_rd, noise in itertools.product(
+                mp_reference.GRID_OMEGA_SR, mp_reference.GRID_OMEGA_RD, mp_reference.GRID_NOISE):
+            args = (mu, omega_sr, omega_rd, noise)
+            lo, hi = 1e-16, 1e3
+            while hi / lo - 1.0 > 1e-14:  # bisect the cut where the Bessel sum reaches 1e-6
+                mid = math.sqrt(lo * hi)
+                lo, hi = (mid, hi) if analytic._relay_outage_f64(mid, *args) < 1e-6 else (lo, mid)
+            offsets = np.logspace(-15, -3, 13)
+            cuts = [hi * 10.0 ** (e / 2.0) for e in range(-6, 7)]
+            cuts += [hi * (1.0 + d) for d in np.concatenate([-offsets, offsets])]
+            for cut in cuts:
+                got = relay_outage_closed(cut, mu=mu, omega_sr=omega_sr, omega_rd=omega_rd,
+                                          noise_scale=noise)
+                assert got == relay_outage_bessel_first(cut, *args), (cut, *args)
+
     def test_large_mu_resums_in_decimal(self, monkeypatch):
         # at mu = 14 near the switch the series' terms are ~1e8 times its
         # sum, so a double-precision sum would be off by ~1e-9
@@ -497,6 +544,54 @@ class TestUserOutage:
     def test_stage_without_headroom_gives_exactly_one(self, blocked, snr_db):
         cfg, user = blocked
         assert user_outage(cfg, db_to_linear(snr_db), user) == (1.0, 1.0)
+
+
+class TestGridForms:
+    """A config's whole SNR grid in one call gives, element by element, the
+    bits of one-point calls."""
+
+    @staticmethod
+    def assert_grid_is_points(cfg, rhos):
+        points = [point_outages(cfg, rho) for rho in rhos]
+        for u, (exact, asym) in enumerate(point_outages(cfg, rhos)):
+            assert exact.tolist() == [point[u][0] for point in points]
+            assert asym.tolist() == [point[u][1] for point in points]
+        for u, (params, idx, cuts) in enumerate(point_links(cfg, rhos)):
+            assert [(params, idx, cut) for cut in cuts.tolist()] == [
+                point_links(cfg, rho)[u] for rho in rhos]
+        assert [cuts.tolist() for cuts in stage_cuts(cfg, rhos)] == [
+            list(stage) for stage in zip(*(stage_cuts(cfg, rho) for rho in rhos))]
+        assert outage_oma(cfg, rhos).tolist() == [outage_oma(cfg, rho) for rho in rhos]
+
+    def test_presets_over_the_deep_grid(self):
+        rhos = [db_to_linear(float(db)) for db in range(0, 61, 3)]
+        for mu in (1, 2, 3):
+            for cfg in (coop_preset(mu), with_mu(direct_preset(), mu)):
+                self.assert_grid_is_points(cfg, rhos)
+
+    def test_zero_rates_and_blocked_stages(self):
+        zero = dataclasses.replace(coop_preset(2), rates=(0.0, 0.0))
+        # far threshold 2**(2*1.5) - 1 = 7 exceeds 0.8 / 0.2 = 4
+        blocked = dataclasses.replace(coop_preset(2), rates=(1.5, 1.0))
+        for cfg in (zero, blocked):
+            self.assert_grid_is_points(cfg, [1e-3, 1.0, 1e4])
+        assert point_outages(blocked, [1.0, 1e4])[0][0].tolist() == [1.0, 1.0]
+        assert point_outages(zero, [1.0, 1e4])[1][0].tolist() == [0.0, 0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=configs(), snr_db=st.lists(st.floats(-10.0, 70.0), min_size=1, max_size=6))
+    def test_random_configs(self, cfg, snr_db):
+        self.assert_grid_is_points(cfg, [db_to_linear(db) for db in snr_db])
+
+    def test_empty_grid_and_bad_rho(self):
+        assert [cuts.tolist() for cuts in stage_cuts(coop_preset(), [])] == [[], []]
+        assert outage_oma(coop_preset(), []).tolist() == []
+        for rhos in ([1.0, 0.0], [math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                stage_cuts(coop_preset(), rhos)
+            with pytest.raises(ValueError):
+                outage_oma(coop_preset(), rhos)
+
 
 class TestAsymptotics:
     def test_coop_ratio_near_one_at_high_snr(self):

@@ -163,6 +163,17 @@ class TestSweep:
         assert exc.value.code == 2
         assert "--no-mc" in capsys.readouterr().err
 
+    def test_vanishing_snr_is_certain_outage(self, capsys):
+        # 10**(-323.3) is a subnormal SNR whose product with a stage's
+        # headroom underflows to 0: the cut is infinite, every outage 1
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "compare", "--oma",
+                                 "--snr-start", "-3233", "--snr-stop", "-3233")
+        assert (code, err) == (0, "")
+        rows = [cells(row) for row in data_rows(out)]
+        assert {r["scenario"] for r in rows} == {"coop", "direct"}
+        assert {(r["p_exact"], r["p_asymptotic"], r["p_oma"], r["throughput"]) for r in rows} == {
+            ("1", "1", "1", "0")}
+
     def test_bad_flags_exit_2(self, capsys):
         assert run_cli(capsys, "sweep", "--mu", "0")[0] == 2
         assert run_cli(capsys, "sweep", "--mu", "x")[0] == 2
@@ -244,9 +255,35 @@ class TestSweep:
         # 2 mu values x 9 SNR points x (far, near, OMA baseline)
         assert len(calls) == 2 * 9 * 3
 
-    def test_stage_cuts_once_per_point(self, capsys, monkeypatch):
-        # one tuple of stage cuts serves every user of an SNR point; the
-        # OMA baseline needs no cut
+    def test_bessel_sum_skipped_below_the_switch(self, capsys, monkeypatch):
+        # a relay call whose deep series lands clearly below 1e-6 returns
+        # it without running the Bessel sum, while the closed form still
+        # runs once per user and point; the default grid stops at 40 dB,
+        # above every deep value of these configs, so this one goes to 60
+        results, sums = [], []
+        closed_form, bessel_sum = analytic.relay_outage_closed, analytic._relay_outage_f64
+
+        def counted_closed_form(*args, **kwargs):
+            results.append(closed_form(*args, **kwargs))
+            return results[-1]
+
+        def counted_sum(*args, **kwargs):
+            sums.append(args)
+            return bessel_sum(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "relay_outage_closed", counted_closed_form)
+        monkeypatch.setattr(analytic, "_relay_outage_f64", counted_sum)
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", "coop", "--mu", "1,2", "--oma",
+                             "--snr-stop", "60")
+        assert code == 0
+        # 2 mu values x 13 SNR points x (far, near, OMA baseline)
+        assert len(results) == 2 * 13 * 3
+        deep = sum(value < 1e-6 for value in results)
+        assert deep > 0 and len(sums) == len(results) - deep
+
+    def test_stage_cuts_once_per_config(self, capsys, monkeypatch):
+        # one call gives the stage cuts of a config's whole SNR grid, for
+        # every user; the OMA baseline needs no cut
         calls = []
         cuts = analytic.stage_cuts
 
@@ -256,13 +293,13 @@ class TestSweep:
 
         monkeypatch.setattr(analytic, "stage_cuts", counted)
         for argv, want in (
-            # 2 mu values x 9 SNR points
-            (("sweep", "--scenario", "coop", "--mu", "1,2", "--oma"), 2 * 9),
-            # 9 SNR points, three users each
-            (("sweep", "--scenario", "direct", "--oma"), 9),
-            # the gate reads exact values and oracles from one set of cuts:
-            # 2 preset configs x 9 SNR points
-            (("validate", "--trials", "0"), 2 * 9),
+            # 2 mu values
+            (("sweep", "--scenario", "coop", "--mu", "1,2", "--oma"), 2),
+            # one config, three users
+            (("sweep", "--scenario", "direct", "--oma"), 1),
+            # the gate reads exact values and oracles from one set of
+            # cuts: 2 preset configs
+            (("validate", "--trials", "0"), 2),
         ):
             calls.clear()
             code, _, _ = run_cli(capsys, *argv)

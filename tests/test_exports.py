@@ -16,6 +16,7 @@ import collections
 import functools
 import importlib
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -55,6 +56,12 @@ ONE_ROW_ORACLES = (
     ("validation", "outage_oracle"),
     ("validation", "relay_outage_quadrature"),
     ("validation", "ordered_cdf_quadrature"),
+)
+#: production runs that reach every traced layer between them
+PRODUCTION_ARGVS = (
+    ["sweep", "--scenario", "coop", "--oma"],
+    ["sweep", "--scenario", "compare", "--trials", "1000", "--snr-step", "20", "--oma"],
+    ["validate", "--trials", "0"],
 )
 
 
@@ -145,16 +152,40 @@ def test_traced_spans_stay_on_the_production_path(capsys, monkeypatch):
         for attr, value in list(vars(module).items()):
             if id(value) in wrappers:
                 monkeypatch.setattr(module, attr, wrappers[id(value)])
-    for argv in (["sweep", "--scenario", "coop", "--oma"],
-                 ["sweep", "--scenario", "compare", "--trials", "1000", "--snr-step", "20",
-                  "--oma"],
-                 ["validate", "--trials", "0"]):
+    for argv in PRODUCTION_ARGVS:
         # through the module, so that cli.main itself is the wrapped one
         assert modules["cli"].main(argv) == 0, argv
     capsys.readouterr()
     may_idle = ({traced[entry] for entry in ONE_ROW_ORACLES}
                 - {span for entry, span in traced.items() if entry not in ONE_ROW_ORACLES})
     assert sorted({span for span in traced.values() if not calls[span]} - may_idle) == []
+
+
+def test_relay_closed_form_is_called_scalar_in_float_out(capsys, monkeypatch):
+    # the tracer keys each relay span by float(args[0]) and reads the
+    # result as the value, so the production runs must keep calling the
+    # closed form with one positional Python float cut, finite and
+    # positive, and get a Python float back
+    analytic = importlib.import_module("noma_perf.analytic")
+    closed_form = analytic.relay_outage_closed
+    calls = []
+
+    def checked(*args, **kwargs):
+        result = closed_form(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for module in [noma_perf, *map(importlib.import_module, (f"noma_perf.{m}" for m in MODULES))]:
+        for attr, value in list(vars(module).items()):
+            if value is closed_form:
+                monkeypatch.setattr(module, attr, checked)
+    for argv in PRODUCTION_ARGVS:
+        assert importlib.import_module("noma_perf.cli").main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls
+    assert [(args, result) for args, result in calls
+            if not (len(args) == 1 and type(args[0]) is float and 0.0 < args[0] < math.inf
+                    and type(result) is float)] == []
 
 
 def test_readme_library_use_runs():

@@ -340,6 +340,21 @@ class TestOrderedCdf:
         assert ordered_cdf(p, idx, math.inf) == 1.0
         assert ordered_cdf(p, idx, 1e9) == 1.0
 
+    def test_array_is_scalar_calls_bit_for_bit(self):
+        # one gammainc and one betainc call over the array, the
+        # log-domain tail and the clamps per element
+        xs = np.array([-1.0, 0.0, 1e-300, 1e-110, 1e-75, 1e-20, 1e-3, 0.3, 1.0, 4.0, 60.0,
+                       1e9, math.inf])
+        for p in (FadingParams(1, 1.0), FadingParams(3, 0.7), FadingParams(2, 1e-310)):
+            for idx in (OrderedIndex(1, 1), OrderedIndex(2, 4), OrderedIndex(5, 5),
+                        OrderedIndex(30, 200)):
+                got = ordered_cdf(p, idx, xs)
+                assert isinstance(got, np.ndarray)
+                assert got.tolist() == [ordered_cdf(p, idx, x) for x in xs.tolist()]
+                lead = ordered_cdf_small_arg(p, idx, xs[2:])
+                assert lead.tolist() == [ordered_cdf_small_arg(p, idx, x) for x in xs[2:].tolist()]
+        assert ordered_cdf(FadingParams(1, 1.0), OrderedIndex(1, 2), np.array([])).size == 0
+
 
 class TestOrderedPdf:
     def test_finite_difference_of_cdf(self):
