@@ -40,7 +40,7 @@ from .configs import (
     preset_configs,
     with_mu,
 )
-from .montecarlo import TrialBatch, estimate_outage
+from .montecarlo import MAX_TRIALS, TrialBatch, estimate_outage
 from .validation import ComparisonRow, run_validation_suite
 
 __all__ = ["main"]
@@ -99,8 +99,8 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _check_mc_flags(trials: int, seed: int, chunks: int) -> None:
-    if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be in 0..{MAX_TRIALS} (2**63 - 1), got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if chunks < 1:

@@ -1,21 +1,23 @@
 """Monte Carlo outage estimation, independent of the closed-form layer.
 
-Estimators replay the decoding chain on sampled channel gains and count
+Estimators decide the decoding chain on sampled channel gains and count
 failures.  The chain is the SIC stage table of ``analytic.sic_stages``,
 the one statement of the decode rule that the closed form also inverts
-into gain cuts; here it decides, by :func:`user_failures`, what the float
-SINR comparisons of that table decide.  Each served user runs the chain up
-to its decode depth on each of its branches (its direct gain and, with a
-relay, the relay's effective gain) and fails where every branch fails.
-The replay first settles each trial against a gain bracket per user and
-SNR point (:func:`gain_bounds`), derived here from the stage table with
-exact rational arithmetic and a rounding-error bound on the float SINR,
-and runs the SINR chain itself only on the few trials inside a bracket.
-Nothing else of the analytic layer is shared: no cut, CDF or relay closed
-form.  The tests label every trial a second time from the decode cuts of
-``analytic.point_links`` and check that both routes agree trial by
-trial, check the bracket against the dense chain at gains ulps from each
-bound, and pin the table itself with hand-computed SINRs.
+into gain cuts.  Stage i gives a branch of power gain g the SINR
+g * power * rho / (g * residual * rho + 1), which rises with g, so it
+reaches the stage threshold exactly where g reaches a cut.
+:func:`gain_cuts` computes each stage's cut in rational arithmetic and
+rounds it up to the least float gain whose real SINR reaches the
+threshold, and :func:`user_failures` decides each user with one
+comparison of its best branch gain against the largest cut up to its
+decode depth.  Each served user has one branch per path (its direct
+gain and, with a relay, the relay's effective gain) and fails where
+every branch fails.  Nothing else of the analytic layer is shared: no
+cut, CDF or relay closed form.  The tests label every trial a second
+time from the decode cuts of ``analytic.point_links`` and with the float
+SINR chain, check the comparison against the exact rational SINR at
+gains ulps from each crossing, and pin the table itself with
+hand-computed SINRs.
 
 Reproducibility contract: trials are split into fixed-size blocks; block
 j of a run draws from a generator seeded with (seed, spawn_key=(j,)),
@@ -26,29 +28,26 @@ config of the group has a relay, and each config reads the prefix of
 that stream it would draw alone.  The estimate therefore depends only on
 (config, seed, trials, rho), not on how blocks are distributed over
 worker threads, nor on which other points, users or configs the same
-call replays, nor on the tile size of the replay, and repeated runs are
+call decides, nor on the tile size, and repeated runs are
 bit-identical.  ``TrialBatch.chunks`` is the worker-thread count, capped
-by the CPU count and the number of blocks.
+by the CPU count and the number of blocks; worker w sums blocks w,
+w + workers, ..., each sized from its index, so no schedule is built.
 
 Every step of a block works in place and keeps its bits: one
 ``fading.sample_gain``/``sample_sorted_gains`` call draws each of the
 block's arrays straight into it, one gamma variate a gain, and pools of
 at most 5 are sorted there by a min/max compare-exchange network, which
-gives the values ``np.sort`` gives.  The bracket of each config is
-computed once per call; the replay writes each tile's failure rows into
-(points, tile) buffers that a block worker allocates once and counts the
-failures of each row by a popcount; a trial fails unless every SINR it
-needs reaches its threshold, so a NaN SINR fails.  Before
-any draw, a config whose bounded gains (``GAIN_BOUND`` times their
-means) could overflow a simulated SINR is rejected with a
-``ConfigError``.
+gives the values ``np.sort`` gives.  The cuts of each config are
+computed once per call; each tile's failure rows go into (points, tile)
+buffers that a block worker allocates once, and the failures of each
+row are counted by a popcount.  A gain past the double range is inf and
+a NaN gain fails, so no config is too large to simulate.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,21 +59,20 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import _check_rho, served_users, sic_stages
-from .configs import ConfigError, ScenarioConfig
+from .configs import ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
-    "GainBounds",
-    "ReplayScratch",
+    "MAX_TRIALS",
     "TILE_TRIALS",
     "TrialBatch",
     "UnitDraw",
     "branch_gains",
     "draw_block",
     "estimate_outage",
-    "gain_bounds",
+    "gain_cuts",
     "user_failures",
 ]
 
@@ -87,15 +85,8 @@ BLOCK_TRIALS = 1 << 18
 # core's cache.  No count depends on it.
 TILE_TRIALS = 1 << 13
 
-# A gain never exceeds this multiple of its mean.  numpy's
-# standard_gamma(mu) / mu is largest at mu = 1 or 2.  At mu = 1 it is an
-# exponential, whose ziggurat tail returns r_e - log1p(-u) with
-# r_e ~ 7.697 and u at most 1 - 2**-53, so at most r_e + 53 ln 2 ~ 44.43.
-# Above, Marsaglia-Tsang returns b (1 + x / sqrt(9 b))**3, b = mu - 1/3,
-# for a normal x whose ziggurat tail keeps |x| < r_n + sqrt(2 * 53 ln 2)
-# ~ 12.23 (r_n ~ 3.654); over mu that is 59.85 at mu = 2, 37.97 at
-# mu = 3, and falls as mu grows.  The margin covers the scaling.
-GAIN_BOUND = 64.0
+# Failure counts are int64, so a run holds at most this many trials.
+MAX_TRIALS = 2**63 - 1
 
 
 # =====================================================================
@@ -115,8 +106,8 @@ class TrialBatch:
     chunks: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be an integer in 1..{MAX_TRIALS}, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.chunks, int) or self.chunks < 1:
@@ -211,236 +202,105 @@ def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None
     The fixed-gain relay rebroadcasts its noisy slot-1 observation, so
     the second-hop SINR y * w * power * rho / (y * w * residual * rho + w + c)
     is the stage SINR at the effective gain y * w / (w + c), with c the
-    config's ``noise_scale``.
+    config's ``noise_scale``, computed as y / (1 + c / w) so that no
+    product overflows where the gain itself is finite.  A gain past the
+    double range is inf, and one whose hops both leave it (inf / inf)
+    NaN, silently: :func:`user_failures` decides both.
     """
-    pool = draw.pool[trials]
-    direct = [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
-    if not cfg.has_relay:
-        return [(gain,) for gain in direct]
-    y = draw.y[trials] * (cfg.omega_sr / cfg.mu)
-    c = cfg.noise_scale
-    drops = (w[trials] * (cfg.omega_rd / cfg.mu) for w in draw.w)
-    return [(gain, y * w / (w + c)) for gain, w in zip(direct, drops)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pool = draw.pool[trials]
+        direct = [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
+        if not cfg.has_relay:
+            return [(gain,) for gain in direct]
+        y = draw.y[trials] * (cfg.omega_sr / cfg.mu)
+        c = cfg.noise_scale
+        drops = (w[trials] * (cfg.omega_rd / cfg.mu) for w in draw.w)
+        return [(gain, y / (1.0 + c / w)) for gain, w in zip(direct, drops)]
 
 
 # =====================================================================
-# SINR replay
+# Outage decision
 # =====================================================================
 
-# The replay's bracket lies at gamma * (1 -/+ eta) around each stage
-# threshold gamma, eta = 1 / _ETA_INVERSE = 1e-9 exactly.
-_ETA_INVERSE = 10**9
+def _stage_cut(power: float, residual: float, gamma: float, rho: float) -> float:
+    """The least float gain whose real SINR g p rho / (g r rho + 1) at
+    ``rho`` reaches ``gamma``: NaN where no gain does, inf where that gain
+    lies past the double range.
 
-
-class GainBounds(NamedTuple):
-    """Gain bracket of a config's stage chain at a set of SNR points.
-
-    ``lo`` and ``hi`` have shape (users, *rho shape), one bracket per
-    served user at its decode depth and SNR point.  A branch gain in
-    [0, ``cap``] below ``lo`` fails the chain, one at or above ``hi``
-    passes it; a gain in between, negative, above ``cap`` or NaN is
-    decided by the chain itself.
+    The SINR rises with g and reaches gamma exactly at
+    g = gamma / (rho (p - gamma r)), taken in rationals and rounded up.
+    gamma = 0 gives 0; gamma = inf, or no headroom (p <= gamma r), NaN.
     """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    cap: float
-
-
-def _rounded(x, up: bool) -> float:
-    """Fraction ``x`` rounded to a float toward +inf (``up``) or toward -inf."""
-    try:
-        f = float(x)  # int / int division, rounded to nearest
-    except OverflowError:
-        return math.inf if up else sys.float_info.max
-    # a Fraction compares with a float exactly
-    if up and x > f:
-        return math.nextafter(f, math.inf)
-    if not up and x < f:
-        return math.nextafter(f, -math.inf)
-    return f
-
-
-def _stage_bounds(power: float, residual: float, gamma: float, rho: float) -> tuple[float, float]:
-    """(lo, hi) of one stage at ``rho``: a gain in [0, cap] below lo has a
-    float SINR below ``gamma``, one at or above hi a float SINR at or
-    above it.
-
-    The real SINR S(g) = g p rho / (g r rho + 1) rises strictly from 0
-    toward p / r, with d ln S / d ln g = 1 / (1 + g r rho) in (0, 1], and
-    reaches a level L at g = L / (rho (p - L r)), never where p - L r <= 0.
-    lo and hi are the exact gains of the levels gamma (1 -/+ eta), in
-    rational arithmetic, rounded outward; since S grows no faster than g,
-    they lie at least 2 eta apart in ln g.  The float SINR s of
-    ``_stage_passes`` takes 6 roundings (two products, two more and a sum
-    in the denominator, the quotient), each x (1 + d) + e with
-    |d| <= 2**-53 and |e| <= 2**-1075.  The denominator is at least 1, so
-    its absolute errors are relative ones, and for any gain in [0, cap]
-    (no product overflows)
-        |s - S(g)| <= 2**-49 S(g) + (rho + 2) 2**-1074.
-    Where the absolute term is at most gamma eta / 2, that is where
-    gamma / (rho + 2) >= 9.9e-315 (tested at 1e-313 in floats), a gain
-    below lo has S < gamma (1 - eta), so s < gamma, and one at or above hi
-    has S >= gamma (1 + eta), so s >= gamma.  Elsewhere, and where rho is
-    not finite and positive, the stage settles nothing: (0, inf).
-    gamma = 0 passes every gain (s >= 0), and gamma = inf fails every
-    finite SINR.
-    """
-    if not 0.0 < rho < math.inf:
-        return 0.0, math.inf
-    if gamma == 0.0 or gamma == math.inf:
-        return gamma, gamma
-    if gamma / (rho + 2.0) < 1e-313:
-        return 0.0, math.inf
+    if gamma == math.inf:
+        return math.nan
     # imported here, as in analytic, so that importing the package stays light
     from fractions import Fraction
 
-    p, r, g, x = Fraction(power), Fraction(residual), Fraction(gamma), Fraction(rho)
-    eta = Fraction(1, _ETA_INVERSE)
-    bounds = []
-    for level, up in ((g * (1 - eta), False), (g * (1 + eta), True)):
-        headroom = p - level * r
-        bounds.append(_rounded(level / (x * headroom), up) if headroom > 0 else math.inf)
-    return bounds[0], bounds[1]
+    p, r, g = Fraction(power), Fraction(residual), Fraction(gamma)
+    headroom = p - g * r
+    if headroom <= 0:
+        return math.nan
+    cut = g / (Fraction(rho) * headroom)
+    try:
+        nearest = float(cut)  # int / int division, rounded to nearest
+    except OverflowError:
+        return math.inf
+    # a Fraction compares with a float exactly
+    return math.nextafter(nearest, math.inf) if nearest < cut else nearest
 
 
-def gain_bounds(cfg: ScenarioConfig, rho) -> GainBounds:
-    """The :class:`GainBounds` of ``cfg`` at ``rho``, a scalar or an array
-    of SNR points, from ``analytic.sic_stages`` alone.
+def gain_cuts(cfg: ScenarioConfig, rho) -> np.ndarray:
+    """Per-stage gain cuts of ``cfg`` at ``rho``, from ``analytic.sic_stages`` alone.
 
-    A user at depth k fails below the largest lo of stages 1..k (that
-    stage fails) and passes at or above the largest hi (every stage
-    passes).  ``cap`` keeps every product of the chain finite at the
-    largest rho: a gain above it goes to the chain.
+    ``rho`` is a scalar or an array of SNR points, each finite and > 0.
+    Entry [i, ...] is the least float gain whose real SINR at stage i + 1
+    reaches its threshold at that point, of shape (stages, *rho shape):
+    0 where the threshold is 0, inf where that gain lies past the double
+    range, and NaN where no gain reaches it (an infinite threshold, or
+    no headroom, power <= threshold * residual).
     """
-    stages = sic_stages(cfg)
     rho = np.asarray(rho, dtype=float)
-    table = np.array([[_stage_bounds(power, residual, gamma, point)
-                       for power, residual, gamma in stages]
-                      for point in rho.ravel().tolist()]).reshape(-1, len(stages), 2)
-    # (points, stages, lo/hi) -> (lo/hi, users, *rho shape)
-    lo, hi = np.maximum.accumulate(table, axis=1).T.reshape(2, len(stages), *rho.shape)
-    scale = max(max(power, residual) for power, residual, _ in stages)
-    top = float(rho.max()) if rho.size else 1.0
-    cap = sys.float_info.max / 4.0 / scale / max(top, 1.0) if 0.0 < top < math.inf else 0.0
-    return GainBounds(lo, hi, cap)
-
-
-class ReplayScratch(NamedTuple):
-    """Work array of one SINR replay, of the replay's result shape: the
-    trials inside a user's bracket (bool).  A block worker allocates one
-    per block and reuses it for every tile and config."""
-
-    band: np.ndarray
-
-    @classmethod
-    def empty(cls, shape: tuple[int, ...]) -> "ReplayScratch":
-        return cls(np.empty(shape, dtype=bool))
-
-
-def _stage_passes(gain: np.ndarray, stages: Sequence[tuple], rho: np.ndarray) -> np.ndarray:
-    """Where ``gain`` reaches every one of ``stages`` at ``rho`` (an array
-    of its shape): a SINR at or above its threshold, so a NaN SINR
-    reaches none."""
-    passes = np.ones(np.shape(gain), dtype=bool)
-    for power, residual, gamma in stages:
-        sinr = gain * power * rho
-        if residual:
-            # with no residual the denominator is exactly 1, so skip it
-            sinr = sinr / (gain * residual * rho + 1.0)
-        passes &= sinr >= gamma
-    return passes
+    points = [_check_rho(point) for point in rho.ravel().tolist()]
+    table = [[_stage_cut(*stage, point) for point in points] for stage in sic_stages(cfg)]
+    return np.array(table, dtype=float).reshape(len(table), *rho.shape)
 
 
 def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
-                  scratch: ReplayScratch | None = None,
-                  bounds: GainBounds | None = None) -> np.ndarray:
-    """Failures of the served users, in served order, from the SINR chain.
+                  cuts: np.ndarray | None = None) -> np.ndarray:
+    """Failures of the served users, in served order, of the SIC chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
     :func:`branch_gains` returns for ``cfg``.  The user at position k
-    (1-based) runs the stage chain to depth k, its decode depth, on each
-    of its branches: stage i of ``analytic.sic_stages`` gives a branch of
-    power gain g the SINR g * power * rho / (g * residual * rho + 1), and
-    the branch passes only where that SINR reaches the stage threshold at
-    each of the first k stages, so a NaN SINR fails.  The user is served
-    by selection and fails only where every branch fails.
-
-    The chain is settled by the user's bracket (``bounds``, from
-    :func:`gain_bounds`; computed here when not given): the user passes
-    where its best branch gain is at or above ``hi`` and fails where that
-    gain is below ``lo``.  The trials in between, a band of about
-    2e-9 p / (p - gamma r) in relative gain around the decode cut, and
-    every trial with a branch gain that is negative, NaN or above ``cap``,
-    are gathered and run the chain itself, products taken left to right,
-    ``(g * power) * rho`` and ``(g * residual) * rho + 1.0``, so every
-    label is the chain's, bit for bit.  ``rho`` is a scalar or a column
-    of shape (points, 1); a column gives one row per SNR point, and each
-    row equals the scalar call at its rho.  Returns a bool array of shape
-    (users, *result shape), row k - 1 for the user at position k: ``out``
-    when given, with the band in ``scratch`` (of the result shape), both
-    allocated otherwise.  A draw of more users than ``cfg`` serves raises
-    ``ValueError``.
+    (1-based) must clear the first k stages of ``analytic.sic_stages``,
+    its decode depth, on one of its branches: stage i gives a branch of
+    power gain g the SINR g * power * rho / (g * residual * rho + 1),
+    which reaches the stage threshold exactly where g reaches the
+    stage's cut (``cuts``, from :func:`gain_cuts`; computed here when not
+    given).  So the user fails where ``not (best >= cut)``, with ``best``
+    the largest of its branch gains and ``cut`` the largest cut of stages
+    1..k: each label is the real-arithmetic SINR test of its float gains.
+    A NaN gain, or a NaN cut (a stage that no gain clears), fails; an inf
+    gain passes every stage that has headroom, including one whose cut
+    rounds past the largest float.  ``rho`` is a scalar or a column of
+    shape (points, 1); a column gives one row per SNR point, and each row
+    equals the scalar call at its rho.  Returns a bool array of shape
+    (users, *result shape), row k - 1 for the user at position k:
+    ``out`` when given, allocated otherwise.  A draw of more users than
+    ``cfg`` serves raises ``ValueError``.
     """
-    stages = sic_stages(cfg)
-    if len(draw) > len(stages):
-        raise ValueError(f"the draw holds {len(draw)} users, cfg serves {len(stages)}")
-    bounds = gain_bounds(cfg, rho) if bounds is None else bounds
-    if out is None or scratch is None:
+    cuts = gain_cuts(cfg, rho) if cuts is None else cuts
+    if len(draw) > len(cuts):
+        raise ValueError(f"the draw holds {len(draw)} users, cfg serves {len(cuts)}")
+    if out is None:
         shape = np.broadcast_shapes(np.shape(draw[0][0]), np.shape(rho))
-        out = np.empty((len(draw), *shape), dtype=bool) if out is None else out
-        scratch = ReplayScratch.empty(shape) if scratch is None else scratch
-    band = scratch.band
-    for depth, (branches, fail, lo, hi) in enumerate(zip(draw, out, bounds.lo, bounds.hi), 1):
-        # the user passes where its best branch does
+        out = np.empty((len(draw), *shape), dtype=bool)
+    # the maximum carries a NaN cut to every deeper user
+    for branches, cut, fail in zip(draw, np.maximum.accumulate(cuts), out):
+        # the maximum carries a NaN gain, and not (NaN >= cut) fails it
         best = branches[0] if len(branches) == 1 else reduce(np.maximum, branches)
-        # fail where not (best >= hi): best < hi would read a NaN as a pass
-        np.greater_equal(best, hi, out=fail)
+        np.greater_equal(best, cut, out=fail)
         np.logical_not(fail, out=fail)
-        np.greater_equal(best, lo, out=band)
-        band &= fail
-        # a trial with a gain below 0 or past cap, or a NaN gain (np.maximum
-        # and max carry it, and it fails both tests), goes to the chain at
-        # every point
-        if not (best.max(initial=0.0) <= bounds.cap
-                and all(gain.min(initial=0.0) >= 0.0 for gain in branches)):
-            for gain in branches:
-                band |= ~((gain >= 0.0) & (gain <= bounds.cap))
-        if band.any():
-            at = np.nonzero(band)
-            rho_at = np.broadcast_to(rho, band.shape)[at]
-            passes = [_stage_passes(np.broadcast_to(gain, band.shape)[at], stages[:depth], rho_at)
-                      for gain in branches]
-            fail[at] = ~reduce(np.logical_or, passes)
     return out
-
-
-def _check_replay_range(cfg: ScenarioConfig, rho: float) -> None:
-    """Raise :class:`ConfigError` if a simulated SINR of ``cfg`` could
-    overflow at transmit SNR ``rho`` (the largest of a run).
-
-    An overflowed SINR is inf or NaN, which passes or fails a stage
-    whatever the true SINR, so such a config is rejected before any draw,
-    naming the mean whose bounded gains (``GAIN_BOUND`` times the mean)
-    could overflow a product of :func:`branch_gains` or
-    :func:`user_failures`.  Every accepted config keeps its SINRs finite,
-    so a stage at threshold inf fails every trial.
-    """
-    means = {f"omega[{k}]": omega for k, omega in enumerate(cfg.omega, 1)}
-    if cfg.has_relay:
-        y, w = GAIN_BOUND * cfg.omega_sr, GAIN_BOUND * cfg.omega_rd
-        if not (math.isfinite(y * w) and math.isfinite(w + cfg.noise_scale)):
-            raise ConfigError(f"omega_sr = {cfg.omega_sr:g}, omega_rd = {cfg.omega_rd:g}: the "
-                              f"relay's effective gain y * w / (w + c) can overflow in the "
-                              f"Monte Carlo leg")
-        # the effective gain never exceeds y
-        means["omega_sr"] = cfg.omega_sr
-    # powers descend, so stage 1 has the largest power and the largest residual
-    power, residual, _ = sic_stages(cfg)[0]
-    for name, mean in means.items():
-        if not math.isfinite(GAIN_BOUND * mean * max(power, residual) * rho):
-            raise ConfigError(f"{name} = {mean:g} is too large for the Monte Carlo leg: a "
-                              f"simulated SINR can overflow at transmit SNR {rho:g}")
 
 
 # =====================================================================
@@ -458,13 +318,6 @@ def _row_counts(fail: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _block_sizes(trials: int) -> list[int]:
-    sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
-    if trials % BLOCK_TRIALS:
-        sizes.append(trials % BLOCK_TRIALS)
-    return sizes
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
@@ -472,17 +325,22 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> np.ndarray:
     """Sum worker(block_index, block_trials) counts over all blocks.
 
-    Counts are integers, so the sum is exact and order-independent;
-    parallelism cannot change the result.
+    Worker thread w sums blocks w, w + workers, ..., each sized from its
+    index, so no per-block schedule is built.  Counts are integers, so
+    the sum is exact and order-independent; parallelism cannot change
+    the result.
     """
-    sizes = _block_sizes(batch.trials)
-    workers = min(batch.chunks, os.cpu_count() or 1, len(sizes))
+    blocks = -(-batch.trials // BLOCK_TRIALS)
+    workers = min(batch.chunks, os.cpu_count() or 1, blocks)
+
+    def strided(first: int) -> np.ndarray:
+        return sum(worker(j, min(BLOCK_TRIALS, batch.trials - j * BLOCK_TRIALS))
+                   for j in range(first, blocks, workers))
+
     if workers <= 1:
-        parts = [worker(j, n) for j, n in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, range(len(sizes)), sizes))
-    return np.sum(np.asarray(parts, dtype=np.int64), axis=0)
+        return strided(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(strided, range(workers)))
 
 
 # =====================================================================
@@ -497,9 +355,9 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
     each served user (``'far'``/``'near'`` or 1..M) to its
     :class:`Estimate`; looking up a user by another spelling (``True``,
     ``2.0``, ``"2"``) raises ``ValueError``.  Each block draws once per
-    group of configs that share ``(mu, pool)`` and replays the SINR chain
-    of every config of the group, tile by tile, at every rho at once,
-    against brackets computed once per call.  Every config reads
+    group of configs that share ``(mu, pool)`` and decides every config
+    of the group with :func:`user_failures`, tile by tile, at every rho
+    at once, against cuts computed once per call.  Every config reads
     the stream it would draw alone, so each estimate equals a
     one-config, one-point call at that rho.
     """
@@ -507,31 +365,26 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
     users = [served_users(cfg) for cfg in cfgs]
     if not (rhos and cfgs):
         return [[] for _ in cfgs]
-    for cfg in cfgs:
-        _check_replay_range(cfg, max(rhos))
     # config i counts its users in columns edges[i]..edges[i + 1] of a block's table
     edges = list(accumulate((len(names) for names in users), initial=0))
     groups = defaultdict(list)
     for i, cfg in enumerate(cfgs):
         groups[cfg.mu, cfg.pool].append(i)
     rho_col = np.array(rhos)[:, np.newaxis]
-    bounds = [gain_bounds(cfg, rho_col) for cfg in cfgs]
+    cuts = [gain_cuts(cfg, rho_col) for cfg in cfgs]
     widest = max(len(names) for names in users)
 
     def block(j: int, n: int) -> np.ndarray:
         counts = np.zeros((edges[-1], len(rhos)), dtype=np.int64)
-        width = min(n, TILE_TRIALS)
-        scratch = ReplayScratch.empty((len(rhos), width))
-        fails = np.empty((widest, len(rhos), width), dtype=bool)
+        fails = np.empty((widest, len(rhos), min(n, TILE_TRIALS)), dtype=bool)
         for members in groups.values():
             draw = draw_block([cfgs[i] for i in members], _block_rng(batch.seed, j), n)
             for start in range(0, n, TILE_TRIALS):
                 k = min(TILE_TRIALS, n - start)
-                work = scratch if k == width else ReplayScratch(*(a[:, :k] for a in scratch))
                 for i in members:
                     branches = branch_gains(draw, cfgs[i], slice(start, start + k))
                     fail = user_failures(branches, cfgs[i], rho_col,
-                                         fails[:len(branches), :, :k], work, bounds[i])
+                                         fails[:len(branches), :, :k], cuts[i])
                     counts[edges[i]:edges[i + 1]] += _row_counts(fail)
         return counts.T
 

@@ -63,7 +63,7 @@ def ini_sections(draw):
     A [coop] section serves two users through the relay at mu up to 6; a
     [direct] section serves one to four users, with mu times pool at most
     2000.  These caps keep a run well under a second.  Every mean gain is
-    log-uniform over 1e-6..1e30."""
+    log-uniform over 1e-300..1e300."""
     relay = draw(st.booleans())
     m = 2 if relay else draw(st.integers(1, 4))
     ratio = draw(st.floats(0.05, 0.9))
@@ -76,7 +76,7 @@ def ini_sections(draw):
         mu = draw(st.integers(1, 2000 // pool))
     ranks = sorted(draw(st.lists(st.integers(1, pool), min_size=m, max_size=m, unique=True)))
     rate = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
-    mean = log_uniform(1e-6, 1e30)
+    mean = log_uniform(1e-300, 1e300)
     keys = {
         "power": [w / sum(weights) for w in weights],
         "rates": [draw(rate) for _ in range(m)],

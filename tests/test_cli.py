@@ -448,25 +448,43 @@ class TestSweep:
             assert len(data_rows(out)) == 9 * 2
 
     @pytest.mark.filterwarnings("error")
-    def test_mean_that_overflows_the_simulated_sinr_exits_2(self, capsys, tmp_path):
-        # gains near 1.7e308 would overflow the SINR to inf or NaN, which
-        # the replay would count as successes (exact outage 1, p_mc 0.66)
+    def test_mean_that_overflows_the_simulated_sinr_is_simulated(self, capsys, tmp_path):
+        # gains near 1.7e308 overflow a float SINR to inf or NaN; the
+        # comparison against exact cuts decides them, so the runs are fine
         huge = tmp_path / "huge.ini"
         huge.write_text("[direct]\npower = 1.0\nrates = 1.7e308\nomega = 1.7e308\nmu = 1\n"
                         "ranks = 1\npool = 1\n", encoding="utf-8")
-        relay = tmp_path / "relay.ini"
-        relay.write_text(preset_ini("coop").replace("omega_sr = 4.0", "omega_sr = 1.7e308"),
-                         encoding="utf-8")
-        for ini, scenario, field in ((huge, "direct", "omega[1]"), (relay, "coop", "omega_sr")):
-            code, out, err = run_cli(capsys, "sweep", "--scenario", scenario, "--trials", "3000",
-                                     "--config", str(ini))
-            assert (code, out) == (2, ""), ini
-            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
-        code, out, err = run_cli(capsys, "validate", "--trials", "3000", "--config", str(huge))
-        assert (code, out) == (2, "") and "omega[1]" in err and err.count("\n") == 1
-        # without the simulation leg the same config is fine
-        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(huge))
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--trials", "3000",
+                                 "--config", str(huge))
         assert (code, err) == (0, "")
+        # the threshold is past the double range: exact outage 1, and p_mc 1
+        assert {(cells(r)["p_exact"], cells(r)["p_mc"]) for r in data_rows(out)} == {("1", "1")}
+        for trials in ("3000", "0"):
+            code, out, err = run_cli(capsys, "validate", "--trials", trials, "--config", str(huge))
+            assert (code, err) == (0, ""), trials
+        for field in ("omega_sr", "omega_rd"):
+            relay = tmp_path / f"{field}.ini"
+            relay.write_text(preset_ini("coop").replace(f"{field} = 4.0", f"{field} = 1.7e308"),
+                             encoding="utf-8")
+            code, out, err = run_cli(capsys, "sweep", "--scenario", "coop", "--trials", "3000",
+                                     "--config", str(relay))
+            assert (code, err) == (0, ""), field
+            assert len(data_rows(out)) == 9 * 2
+            # the Monte Carlo leg runs; only the relay oracle cannot resolve
+            # hop means this far apart
+            code, out, err = run_cli(capsys, "validate", "--trials", "3000", "--config", str(relay))
+            assert (code, out) == (2, "") and err.count("\n") == 1, field
+            assert err.startswith("error: the relay oracle cannot resolve ") and field in err
+
+    def test_trials_past_the_int64_counts_exit_2(self, capsys):
+        # failure counts are int64; a larger --trials used to build one
+        # list entry per block and exit 1 with a MemoryError
+        for command in ("sweep", "validate"):
+            for trials in (str(2**63), "99999999999999999999999"):
+                code, out, err = run_cli(capsys, command, "--trials", trials)
+                assert (code, out) == (2, ""), (command, trials)
+                assert err == (f"error: trials must be in 0..{2**63 - 1} (2**63 - 1), "
+                               f"got {trials}\n")
 
     def test_large_pool_config_exits_0(self, capsys, tmp_path):
         # the ordered CDF of a pool this size is a finite probability
@@ -636,6 +654,8 @@ class TestCliContract:
              "--oma"])
         assert code in (0, 2) and caught == [], (code, err, caught)
         assert "Traceback" not in err and "Warning" not in err, err
+        # no mean gain is too large for the Monte Carlo leg
+        assert "Monte Carlo" not in err, err
         # exit 1 would mean a failed row; exit 2 only where the relay
         # oracle cannot resolve the hop means
         code, err, caught = self.run_quietly(["validate", "--config", str(ini), "--trials", "0"])

@@ -4,8 +4,10 @@ import ast
 import copy
 import dataclasses
 import math
+import sys
 import tracemalloc
-from functools import reduce
+from fractions import Fraction
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from noma_perf.analytic import (
 )
 from noma_perf import montecarlo
 from noma_perf.configs import (
-    ConfigError,
     ScenarioConfig,
     coop_preset,
     direct_preset,
@@ -35,15 +36,14 @@ from noma_perf.configs import (
 from noma_perf.fading import FadingParams, gamma_cdf, sample_gain, sample_sorted_gains
 from noma_perf.montecarlo import (
     BLOCK_TRIALS,
-    GAIN_BOUND,
+    MAX_TRIALS,
     Estimate,
-    ReplayScratch,
     TrialBatch,
     UnitDraw,
     branch_gains,
     draw_block,
     estimate_outage,
-    gain_bounds,
+    gain_cuts,
     user_failures,
 )
 
@@ -96,7 +96,7 @@ def scalar_draw(cfg, h_far, h_near, y, w_f, w_n):
     relay, as ``branch_gains`` returns it: one (direct, relay) tuple per
     served user."""
     c = cfg.noise_scale
-    return [(np.asarray([h], dtype=float), np.asarray([y * w / (w + c)]))
+    return [(np.asarray([h], dtype=float), np.asarray([y / (1.0 + c / w)]))
             for h, w in ((h_far, w_f), (h_near, w_n))]
 
 
@@ -128,6 +128,11 @@ class TestContainers:
             TrialBatch(trials=10, seed=0, chunks=0)
         with pytest.raises(ValueError):
             TrialBatch(trials=10.5, seed=0)
+        # failure counts are int64
+        assert MAX_TRIALS == np.iinfo(np.int64).max
+        TrialBatch(trials=MAX_TRIALS, seed=0)
+        with pytest.raises(ValueError, match="trials"):
+            TrialBatch(trials=MAX_TRIALS + 1, seed=0)
 
     def test_estimate_from_count(self):
         est = Estimate.from_count(25, 400)
@@ -164,7 +169,7 @@ class TestDraws:
                     assert np.array_equal(ga, gb)
 
     def test_effective_relay_gains_of_the_hop_draws(self):
-        # each user's relay branch is stored as y * w / (w + c), and its
+        # each user's relay branch is stored as y / (1 + c / w), and its
         # direct gain, drawn at unit scale and scaled by omega / mu, equals
         # its column of a pool drawn at its mean, bit for bit
         for cfg in (coop_preset(), dataclasses.replace(coop_preset(2), relay_gain=0.5),
@@ -174,7 +179,7 @@ class TestDraws:
             direct, y, drops = raw_block(cfg, np.random.default_rng(3), 700)
             for (gain, relay), rank, w in zip(draw, cfg.ranks, drops, strict=True):
                 assert np.array_equal(gain, direct[:, rank - 1])
-                assert np.array_equal(relay, y * w / (w + cfg.noise_scale))
+                assert np.array_equal(relay, y / (1.0 + cfg.noise_scale / w))
         # without a relay the block draws the pool alone, and each user's
         # one branch is its column of a pool drawn at its own mean
         for cfg in (direct_preset(), with_mu(direct_preset(), 3)):
@@ -396,9 +401,11 @@ class TestEventEquivalence:
 
 
 def reference_stage_failures(gain, cfg, rho, depth):
-    """The stage test written out with fresh arrays, one expression a
-    stage, as the dense replay computed it for every trial: a stage is
-    missed unless its SINR reaches the threshold, so a NaN SINR misses."""
+    """The float SINR chain written out with fresh arrays, one expression
+    a stage: a stage is missed unless its float SINR reaches the
+    threshold, so a NaN SINR misses.  It rounds six times a stage, so it
+    can differ from the exact comparison within about 2**-49 of a
+    crossing; on sampled gains it labels every trial alike."""
     fail = None
     for power, residual, gamma in sic_stages(cfg)[:depth]:
         sinr = gain * power * rho
@@ -409,15 +416,9 @@ def reference_stage_failures(gain, cfg, rho, depth):
     return fail
 
 
-def garbage_scratch(shape):
-    """A replay buffer holding values no replay would write (every trial
-    in the band), to show that every cell a replay reads it has written
-    first."""
-    return ReplayScratch(np.ones(shape, dtype=bool))
-
-
 class TestBufferedReplay:
-    """Writing the replay into reused buffers changes no label."""
+    """Writing the comparison into reused buffers changes no label, and on
+    sampled gains every label is the float SINR chain's."""
 
     RHOS = np.array([db_to_linear(db) for db in range(0, 41, 5)])[:, np.newaxis]
 
@@ -429,33 +430,31 @@ class TestBufferedReplay:
     @pytest.mark.parametrize("rho", [10.0, "column"])
     def test_buffered_user_failures_equal_the_stage_failures_chain(self, rho):
         rho = self.RHOS if rho == "column" else rho
-        scratch = out = None
+        out = None
         for k, cfg in enumerate(self.configs()):
             draw = one_draw(cfg, np.random.default_rng(k), 3000)
             shape = np.broadcast_shapes((3000,), np.shape(rho))
             want = [reduce(np.logical_and, [reference_stage_failures(g, cfg, rho, depth)
                                             for g in branches])
                     for depth, branches in enumerate(draw, 1)]
-            # one set of buffers serves every config in turn, as in a block
-            if scratch is None:
-                scratch = garbage_scratch(shape)
+            # one buffer serves every config in turn, as in a block; it
+            # starts with values the comparison must overwrite
+            if out is None:
                 out = np.ones((3, *shape), dtype=bool)
-            got = user_failures(draw, cfg, rho, out[:len(draw)], scratch)
+            got = user_failures(draw, cfg, rho, out[:len(draw)])
             assert got.base is out and got.shape == (len(draw), *shape)
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
             assert np.array_equal(user_failures(draw, cfg, rho), got)
 
     def test_partial_tile_views(self):
-        # the last tile of a block replays into the leading columns of
-        # the block's buffers, strided views of them
+        # the last tile of a block is decided into the leading columns of
+        # the block's buffer, a strided view of it, against the cuts the
+        # estimator computes once per call
         cfg = preset_configs("comparison.ini")["coop"]
         draw = one_draw(cfg, np.random.default_rng(1), 1234)
-        width = 2048
-        scratch = garbage_scratch((len(self.RHOS), width))
-        out = np.ones((2, len(self.RHOS), width), dtype=bool)
-        view = ReplayScratch(*(a[:, :1234] for a in scratch))
-        got = user_failures(draw, cfg, self.RHOS, out[:, :, :1234], view)
+        out = np.ones((2, len(self.RHOS), 2048), dtype=bool)
+        got = user_failures(draw, cfg, self.RHOS, out[:, :, :1234], gain_cuts(cfg, self.RHOS))
         assert np.array_equal(got, user_failures(draw, cfg, self.RHOS))
 
     def test_buffered_stage_failures_equal_allocating_path(self):
@@ -463,10 +462,9 @@ class TestBufferedReplay:
         gain = np.random.default_rng(3).gamma(2.0, 1.0, size=5000)
         for rho in (10.0, self.RHOS):
             shape = np.broadcast_shapes(gain.shape, np.shape(rho))
-            scratch = garbage_scratch(shape)
             out = np.ones((3, *shape), dtype=bool)
-            # single-branch users at positions 1..3 run the chain to depths 1..3
-            got = user_failures([(gain,)] * 3, cfg, rho, out, scratch)
+            # single-branch users at positions 1..3 clear stages 1..k, k = 1..3
+            got = user_failures([(gain,)] * 3, cfg, rho, out)
             assert got is out
             assert np.array_equal(got, user_failures([(gain,)] * 3, cfg, rho))
             for depth, row in enumerate(got, 1):
@@ -486,20 +484,6 @@ class TestBufferedReplay:
             got = montecarlo._row_counts(fail)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.count_nonzero(fail, axis=-1))
-
-
-@pytest.fixture
-def chain_gains(monkeypatch):
-    """The gains of every call of the replay's stage chain, in call order."""
-    seen = []
-    chain = montecarlo._stage_passes
-
-    def recorded(gain, stages, rho):
-        seen.append(gain.copy())
-        return chain(gain, stages, rho)
-
-    monkeypatch.setattr(montecarlo, "_stage_passes", recorded)
-    return seen
 
 
 def ulp_neighbours(values, steps=4):
@@ -528,13 +512,46 @@ def headroom_configs():
     return cfgs
 
 
+@cache
+def exact_stage_passes(gain, stage, rho):
+    """Whether float ``gain`` clears ``stage``, a (power, residual,
+    threshold) row of ``sic_stages``, at ``rho`` in real arithmetic: its
+    SINR in Fractions reaches the threshold.  A NaN gain and an infinite
+    threshold clear nothing; an inf gain, whose true value lies past every
+    finite cut, clears every stage with headroom, power > threshold *
+    residual."""
+    power, residual, gamma = stage
+    if math.isnan(gain) or gamma == math.inf:
+        return False
+    p, r, g = Fraction(power), Fraction(residual), Fraction(gamma)
+    if gain == math.inf:
+        return p - g * r > 0
+    x, rho = Fraction(gain), Fraction(rho)
+    return x * p * rho / (x * r * rho + 1) >= g
+
+
+def exact_user_failures(branches, cfg, rhos, depth):
+    """(points, trials) failures of a user at decode depth ``depth`` whose
+    branches hold the float gains ``branches``, trial by trial in Fractions:
+    a trial fails where a branch gain is NaN, or where no branch clears
+    every stage 1..``depth``."""
+    stages = sic_stages(cfg)[:depth]
+    trials = [[float(g) for g in gains] for gains in zip(*branches)]
+    return np.array([[any(math.isnan(g) for g in gains)
+                      or not any(all(exact_stage_passes(g, stage, rho) for stage in stages)
+                                 for g in gains)
+                      for gains in trials] for rho in rhos])
+
+
 class TestBracketedReplay:
-    """The replay settles each trial against per-point gain bounds and runs
-    the stage chain only inside them; every label stays the chain's."""
+    """Each stage's cut and the float just below it bracket the stage's
+    crossing: the cut clears the stage in real arithmetic and its lower
+    neighbour does not, so one comparison against the cut labels every
+    trial as the exact SINR chain does."""
 
     RHOS = np.array([1e-300, 1e-150, 1e-10, 1.0, 10.0, 1e4, 1e150, 1e300])[:, np.newaxis]
     EDGE_GAINS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-150, 1e-5, 0.5,
-                  1.0, 3.0, 1e5, 1e150, 1e300, 1e308, math.inf, math.nan]
+                  1.0, 3.0, 1e5, 1e150, 1e300, 1e308, sys.float_info.max, math.inf, math.nan]
 
     def stage_tables(self):
         shared = preset_configs("comparison.ini")
@@ -554,80 +571,75 @@ class TestBracketedReplay:
 
     def probe_gains(self, cfg):
         """The edge gains, and the neighbours of every stage's float
-        crossing and of every user's bounds at every rho."""
+        crossing and of every stage's cut at every rho."""
         gains = list(self.EDGE_GAINS)
         for rho in self.RHOS[:, 0].tolist():
             for power, residual, gamma in sic_stages(cfg):
                 headroom = power - gamma * residual
                 if headroom > 0:
                     gains += ulp_neighbours(gamma / (rho * headroom))
-        bounds = gain_bounds(cfg, self.RHOS)
-        gains += ulp_neighbours(bounds.lo) + ulp_neighbours(bounds.hi)
+        gains += ulp_neighbours(gain_cuts(cfg, self.RHOS))
         return np.array(gains)
 
-    def test_bracket_equals_the_chain_trialwise(self, chain_gains):
-        replayed = chained = 0
+    @pytest.mark.filterwarnings("error")
+    def test_bracket_equals_the_chain_trialwise(self):
+        passed = failed = 0
+        rhos = self.RHOS[:, 0].tolist()
         for cfg in self.stage_tables():
             gain = self.probe_gains(cfg)
             other = gain[::-1].copy()
             users = len(sic_stages(cfg))
-            chain_gains.clear()
-            with np.errstate(all="ignore"):
-                one = user_failures([(gain,)] * users, cfg, self.RHOS)
-                two = user_failures([(gain, other)] * users, cfg, self.RHOS)
-                chained += sum(g.size for g in chain_gains)
-                for depth in range(1, users + 1):
-                    want = reference_stage_failures(gain, cfg, self.RHOS, depth)
-                    assert np.array_equal(one[depth - 1], want), (cfg, depth)
-                    want &= reference_stage_failures(other, cfg, self.RHOS, depth)
-                    assert np.array_equal(two[depth - 1], want), (cfg, depth)
-                    # each row equals the scalar call at its rho
-                    for k, rho in enumerate(self.RHOS[:, 0]):
-                        row = user_failures([(gain,)] * depth, cfg, rho)[-1]
-                        assert np.array_equal(row, one[depth - 1, k]), (cfg, depth, rho)
-            replayed += 2 * one.size
-        # the probes crowd the bands, yet the bracket still settles some
-        # trials (user, point and branch) and the chain decides the rest
-        assert 0 < chained < replayed
+            one = user_failures([(gain,)] * users, cfg, self.RHOS)
+            two = user_failures([(gain, other)] * users, cfg, self.RHOS)
+            for depth in range(1, users + 1):
+                want = exact_user_failures([gain], cfg, rhos, depth)
+                assert np.array_equal(one[depth - 1], want), (cfg, depth)
+                want = exact_user_failures([gain, other], cfg, rhos, depth)
+                assert np.array_equal(two[depth - 1], want), (cfg, depth)
+                # each row equals the scalar call at its rho
+                for k, rho in enumerate(rhos):
+                    row = user_failures([(gain,)] * depth, cfg, rho)[-1]
+                    assert np.array_equal(row, one[depth - 1, k]), (cfg, depth, rho)
+            failed += int(one.sum())
+            passed += int((~one).sum())
+        # the probes crowd the crossings from both sides
+        assert passed > 1000 and failed > 1000
 
     @pytest.mark.parametrize("cfg", [direct_preset(), coop_preset(), *headroom_configs()[2:5]],
                              ids=["direct", "coop", "headroom-1", "headroom0", "headroom+1"])
     def test_bounds_bracket_each_stage(self, cfg):
-        bounds = gain_bounds(cfg, self.RHOS)
-        assert bounds.lo.shape == bounds.hi.shape == (len(sic_stages(cfg)), *self.RHOS.shape)
-        assert np.all(bounds.lo <= bounds.hi)
-        for depth, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), 1):
-            # the bounds rise with depth: a deeper user clears more stages
-            if depth > 1:
-                assert np.all(lo >= bounds.lo[depth - 2]) and np.all(hi >= bounds.hi[depth - 2])
-            for rho, l, h in zip(self.RHOS[:, 0].tolist(), lo[:, 0], hi[:, 0]):
-                cuts = [gamma / (rho * (power - gamma * residual))
-                        if power > gamma * residual else math.inf
-                        for power, residual, gamma in sic_stages(cfg)[:depth]]
-                cut = max(cuts)
-                if 0 < cut < 1e300 and l > 0:
-                    assert l < cut < h, (depth, rho)
-                    # at the presets, a narrow band: 2 eta p / (p - gamma r) wide
-                    # at the stage that sets the cut, 8e-9 at the coop far user
-                    if cfg in (direct_preset(), coop_preset()):
-                        assert (h - l) / cut < 1e-8, (depth, rho)
-        # a stage without headroom at gamma (1 + eta) settles no pass
-        power, residual, gamma = sic_stages(cfg)[0]
-        if power <= gamma * residual * (1 + 1e-9):
-            assert np.all(bounds.hi == math.inf)
-
-    def test_chain_runs_only_inside_the_band(self, chain_gains):
-        # the comparison preset at the mc-compare grid, one block: the
-        # chain must see a tiny fraction of the replayed trials, so a
-        # replay that fell back to the dense chain fails here
-        cfgs = list(preset_configs("comparison.ini").values())
-        rhos = [db_to_linear(db) for db in range(0, 41, 5)]
-        estimate_outage(cfgs, rhos, TrialBatch(BLOCK_TRIALS, seed=5))
-        replayed = BLOCK_TRIALS * len(rhos) * sum(len(served_users(cfg)) for cfg in cfgs)
-        assert sum(g.size for g in chain_gains) < 1e-4 * replayed
+        cuts = gain_cuts(cfg, self.RHOS)
+        stages = sic_stages(cfg)
+        assert cuts.shape == (len(stages), *self.RHOS.shape)
+        for stage, row in zip(stages, cuts):
+            power, residual, gamma = stage
+            for rho, cut in zip(self.RHOS[:, 0].tolist(), row[:, 0].tolist()):
+                if math.isnan(cut):
+                    # no gain clears the stage, not even an inf one
+                    assert not exact_stage_passes(math.inf, stage, rho), (stage, rho)
+                elif cut == math.inf:
+                    # only an overflowed gain clears it
+                    assert exact_stage_passes(math.inf, stage, rho)
+                    assert not exact_stage_passes(sys.float_info.max, stage, rho), (stage, rho)
+                else:
+                    assert exact_stage_passes(cut, stage, rho), (stage, rho)
+                    if cut > 0.0:
+                        below = math.nextafter(cut, 0.0)
+                        assert not exact_stage_passes(below, stage, rho), (stage, rho)
+                    else:
+                        assert gamma == 0.0
+                    # within a few ulps of the float quotient of stage_cuts
+                    if 1e-300 < cut < 1e300:
+                        assert cut == pytest.approx(gamma / (rho * (power - gamma * residual)),
+                                                    rel=1e-15), (stage, rho)
+        # stage 1 without headroom: every point's cut is NaN, and so every
+        # user's, as the running maximum carries it down the chain
+        power, residual, gamma = stages[0]
+        if Fraction(power) <= Fraction(gamma) * Fraction(residual):
+            assert np.isnan(np.maximum.accumulate(cuts)).all()
 
     def test_montecarlo_reads_only_the_stage_table(self):
-        # no cut, CDF or relay closed form: the replay and its bracket
+        # no cut, CDF or relay closed form: the comparison and its cuts
         # come from analytic.sic_stages alone
         import noma_perf.montecarlo as module
 
@@ -641,75 +653,82 @@ class TestBracketedReplay:
                     and any("analytic" in alias.name for alias in node.names)]
 
 
+def assert_within_5_se(est, p):
+    """``est`` lies within 5 binomial standard errors, taken at the exact
+    probability ``p``, of ``p``."""
+    assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / est.trials), (est, p)
+
+
 class TestOverflowGuard:
-    """A config whose simulated SINR could overflow is rejected before any
-    draw: an inf or NaN SINR would pass every stage test."""
+    """Overflow cannot flip a label, so no config is too large to
+    simulate: a gain past the double range is inf, which clears every
+    stage with headroom, as its true value lies past every finite cut; a
+    NaN gain fails; and drawing or deciding raises no floating-point
+    warning."""
 
-    @staticmethod
-    def no_draw(monkeypatch):
-        def refuse(*args):
-            raise AssertionError("drew gains for a config that should be rejected")
-        monkeypatch.setattr(montecarlo, "draw_block", refuse)
-
-    def test_gain_bound_covers_the_largest_draw(self):
-        # numpy's ziggurat tails start at r_e (exponential) and r_n (normal)
-        r_e, r_n = 7.69711747013105, 3.65415288536101
-        # a tail step is -log1p(-u), at most at the largest u, 1 - 2**-53
-        step = -math.log1p(-(1.0 - 2.0**-53))
-        assert step == pytest.approx(53 * math.log(2), rel=1e-15)
-        # mu = 1: standard_gamma is an exponential, r_e plus a tail step
-        worst = {1: r_e + step}
-        # mu >= 2: Marsaglia-Tsang's b (1 + x / sqrt(9 b))**3, b = mu - 1/3,
-        # at the largest normal: the tail's yy + yy > xx * xx caps xx
-        x = r_n + math.sqrt(2 * step)
-        for mu in range(2, 301):
-            b = mu - 1 / 3
-            worst[mu] = b * (1 + x / math.sqrt(9 * b)) ** 3 / mu
-        assert worst[1] == pytest.approx(44.43, abs=0.01)
-        assert worst[2] == pytest.approx(59.85, abs=0.01)
-        assert worst[3] == pytest.approx(37.97, abs=0.01)
-        assert all(worst[mu + 1] < worst[mu] for mu in range(2, 300))
-        assert max(worst.values()) == worst[2] < GAIN_BOUND
-        # the scaling to a mean near the double range keeps the bound
-        for mu, gain in worst.items():
-            assert gain * mu * (1.7e300 / mu) <= GAIN_BOUND * 1.7e300
-
-    def test_nan_sinr_fails(self, chain_gains):
-        # a gain of 1e308 overflows both products, and inf / inf is a NaN
-        # SINR; the other trial misses stage 1, whose threshold 3 is above
-        # power / residual = 1
+    def test_nan_sinr_fails(self):
+        # the float chain gives a gain of 1e308 at rho 1e10 the SINR
+        # inf / inf, a NaN; stage 1's threshold 3 is above power / residual
+        # = 1, so its cut is NaN and both trials fail, with no warning
         cfg = dataclasses.replace(direct_preset(), rates=(2.0, 0.5, 0.5))
         gain = np.array([1e308, 1.0])
-        with pytest.warns(RuntimeWarning):
-            got = user_failures([(gain,)] * 3, cfg, 1e10)
-        assert got.tolist() == [[True, True]] * 3
-        # the bracket leaves a gain whose products overflow to the chain,
-        # which fails it on the NaN SINR it computes; it settles the other
-        assert np.concatenate(chain_gains).tolist() == [1e308] * 3
+        with np.errstate(all="ignore"):
+            assert np.isnan((gain * 0.5 * 1e10) / (gain * 0.5 * 1e10 + 1.0))[0]
+        assert np.isnan(gain_cuts(cfg, 1e10)).tolist() == [True, False, False]
+        assert user_failures([(gain,)] * 3, cfg, 1e10).tolist() == [[True, True]] * 3
+        # a NaN gain fails even stages at threshold 0, which 0 and inf clear,
+        # and a NaN branch fails its user whatever the other branch holds
+        free = dataclasses.replace(direct_preset(), rates=(0.0, 0.0, 0.0))
+        gain = np.array([math.nan, 0.0, math.inf])
+        assert user_failures([(gain,)] * 3, free, 1.0).tolist() == [[True, False, False]] * 3
+        other = np.array([math.inf, math.nan, math.inf])
+        assert user_failures([(gain, other)], free, 1.0).tolist() == [[True, True, False]]
+        # a first hop past the double range over a second hop whose c / w
+        # overflows leaves inf / inf, an effective gain no float can hold
+        cfg = dataclasses.replace(coop_preset(), omega_sr=1.7e308, omega_rd=1e-308)
+        draw = branch_gains(draw_block([cfg], np.random.default_rng(1), 3000), cfg)
+        relay = draw[0][1]
+        assert np.isnan(relay).any()
+        assert user_failures(draw, cfg, 1.0)[0][np.isnan(relay)].all()
 
     @pytest.mark.filterwarnings("error")
-    def test_huge_direct_mean_is_rejected(self, monkeypatch):
+    def test_huge_direct_mean_is_simulated(self):
+        # gains at mean 1.7e308 overflow to inf, and the threshold, past
+        # the double range, is inf, which no gain clears: outage is 1
         cfg = ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.7e308,), ranks=(1,), pool=1)
-        self.no_draw(monkeypatch)
-        with pytest.raises(ConfigError, match=r"omega\[1\]"):
-            estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))
+        ((gain,),) = branch_gains(draw_block([cfg], np.random.default_rng(1), 3000), cfg)
+        assert np.isinf(gain).any() and not np.isnan(gain).any()
+        points = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))[0]
+        assert [point[1] for point in points] == [Estimate(1.0, 0.0, 3000)] * 2
+        # at a finite threshold every gain clears the stage
+        cfg = dataclasses.replace(cfg, rates=(1.0,))
+        points = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))[0]
+        assert [point[1] for point in points] == [Estimate(0.0, 0.0, 3000)] * 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field", ["omega_sr", "omega_rd"])
-    def test_huge_relay_hop_mean_is_rejected(self, monkeypatch, field):
+    def test_huge_relay_hop_mean_is_simulated(self, field):
         cfg = dataclasses.replace(coop_preset(), **{field: 1.7e308})
-        self.no_draw(monkeypatch)
-        with pytest.raises(ConfigError, match=field):
-            estimate_outage([cfg], [1.0], TrialBatch(3000, seed=1))
+        relay = branch_gains(draw_block([cfg], np.random.default_rng(1), 3000), cfg)[0][1]
+        # a first hop past the double range overflows the effective gain;
+        # y / (1 + c / w) keeps it finite where only w is huge
+        assert np.isinf(relay).any() == (field == "omega_sr") and not np.isnan(relay).any()
+        rhos = [1.0, 100.0]
+        points = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))[0]
+        for rho, point in zip(rhos, points):
+            for user, est in point.items():
+                assert_within_5_se(est, user_outage(cfg, rho, user)[0])
 
     @pytest.mark.filterwarnings("error")
-    def test_bound_is_taken_at_the_largest_rho(self, monkeypatch):
+    def test_huge_mean_is_simulated_at_a_large_rho(self):
+        # user 2's gains near 1e300 would overflow a float SINR at rho 1e10
         cfg = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1e300))
-        ((point,),) = estimate_outage([cfg], [1.0], TrialBatch(3000, seed=1))
-        assert point[2].p_hat < 1e-3  # the strong user's gain clears every cut
-        self.no_draw(monkeypatch)
-        with pytest.raises(ConfigError, match=r"omega\[2\] = 1e\+300"):
-            estimate_outage([cfg], [1.0, 1e10], TrialBatch(3000, seed=1))
+        rhos = [1.0, 1e10]
+        points = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))[0]
+        assert points[0][1].p_hat > 0.5  # the weak user's outage is about 0.68 at 0 dB
+        for rho, point in zip(rhos, points):
+            for user, est in point.items():
+                assert_within_5_se(est, user_outage(cfg, rho, user)[0])
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_threshold_fails_every_trial(self):
@@ -769,6 +788,31 @@ class TestDeterminism:
             for chunks in (1, 2):
                 got = estimate_outage(cfgs, rhos, TrialBatch(trials, seed=5, chunks=chunks))
                 assert got == want, (tile, chunks)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_huge_batch_reaches_its_first_block(self, monkeypatch, chunks):
+        # 2**63 - 1 trials are 3.5e13 blocks: each worker sizes its blocks
+        # from their indices and starts drawing without a per-block schedule
+        class FirstBlock(Exception):
+            pass
+
+        sizes = []
+
+        def first(cfgs, rng, n):
+            sizes.append(n)
+            raise FirstBlock
+
+        monkeypatch.setattr(montecarlo, "draw_block", first)
+        batch = TrialBatch(MAX_TRIALS, seed=0, chunks=chunks)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                estimate_outage([direct_preset()], [10.0], batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes and set(sizes) == {BLOCK_TRIALS}
+        assert peak < 1 << 20
 
     def test_seed_changes_estimate(self):
         cfg = coop_preset()
