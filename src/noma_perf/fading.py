@@ -284,18 +284,26 @@ def _shape(size) -> tuple[int, ...]:
 def sample_gain(p: FadingParams, rng: np.random.Generator, size=None, *, out=None):
     """Draw power gains as gamma(mu, omega / mu) variates, one generator call a draw.
 
-    ``rng.standard_gamma(mu)`` draws each gain (an exponential at mu = 1,
-    Marsaglia & Tsang's squeeze-and-reject method above it), then the
-    draw is scaled by ``omega / mu``.  Returns shape ``size`` (a float
-    for None).  With ``out``, a C-contiguous float64 array, the gains are
-    drawn in place into it and ``out`` is returned (``size`` is then
-    ignored); both paths give the same gains bit for bit for a generator
-    in the same state.  Draws are bit-identical for the same numpy on the
-    same platform; the rejection steps call the C library's ``log``, so
-    in principle another platform could differ.
+    ``rng.standard_gamma(mu)`` draws each gain (Marsaglia & Tsang's
+    squeeze-and-reject method), then the draw is scaled by
+    ``omega / mu``.  At mu = 1 the gains come from
+    ``rng.standard_exponential`` instead: that ziggurat sampler is the
+    branch ``standard_gamma`` itself takes at shape 1, so the values and
+    the generator's final state are the same bit for bit, without the
+    shape dispatch (4.8 against 6.3 ns a gain on a 2-core Xeon, numpy
+    2.4).  Returns shape ``size`` (a float for None).  With ``out``, a
+    C-contiguous float64 array, the gains are drawn in place into it and
+    ``out`` is returned (``size`` is then ignored); both paths give the
+    same gains bit for bit for a generator in the same state.  Draws are
+    bit-identical for the same numpy on the same platform; the rejection
+    steps call the C library's ``log``, so in principle another platform
+    could differ.
     """
     gains = np.empty(_shape(size)) if out is None else out
-    rng.standard_gamma(p.mu, out=gains)
+    if p.mu == 1:
+        rng.standard_exponential(out=gains)
+    else:
+        rng.standard_gamma(p.mu, out=gains)
     scale = p.omega / p.mu
     if scale != 1.0:  # a unit-scale draw (omega == mu) skips an exact no-op
         gains *= scale
@@ -314,26 +322,42 @@ _SORT_NETWORKS = {
 }
 
 
+# Pools per pass of a compare-exchange network.  A chunk's columns and
+# its scratch column stay in a core's cache across the comparators, and
+# each chunk costs three numpy calls a comparator.  Pools of 3 of a
+# 262144-pool block (2-core Xeon), median ns a pool: 14.4 run at once,
+# 7.7 in chunks of 8192, 7.1 of 32768, 8.5 of 65536.
+_SORT_ROWS = 1 << 15
+
+
 def _sort_pools(gains: np.ndarray) -> np.ndarray:
     """Sort ``gains`` ascending along its last axis, in place, and return it.
 
     Pools of at most 5 run a compare-exchange network of ``np.minimum``
-    and ``np.maximum`` over the columns, larger pools ``ndarray.sort``.
-    Both return elements of the input, so every pool comes out as the
-    same values bit for bit as ``np.sort`` gives, ties included (the
-    gains are never -0.0 or NaN, the only values a sort could reorder
-    differently).
+    and ``np.maximum`` over the columns, ``_SORT_ROWS`` pools at a time
+    (row chunks of each 2-D slice, so any strided view sorts in place),
+    larger pools ``ndarray.sort``.  Every pool goes through the same
+    comparators whatever its chunk, and both ways return elements of the
+    input, so every pool comes out as the same values bit for bit as
+    ``np.sort`` gives, ties included (the gains are never -0.0 or NaN,
+    the only values a sort could reorder differently).
     """
     network = _SORT_NETWORKS.get(gains.shape[-1])
     if network is None:
         gains.sort(axis=-1)
         return gains
-    low = np.empty(gains.shape[:-1])
-    for i, j in network:
-        a, b = gains[..., i], gains[..., j]
-        np.minimum(a, b, out=low)
-        np.maximum(a, b, out=b)
-        a[...] = low
+    table = gains[np.newaxis] if gains.ndim == 1 else gains
+    scratch = np.empty(min(table.shape[-2], _SORT_ROWS))
+    for lead in np.ndindex(table.shape[:-2]):
+        rows = table[lead]
+        for start in range(0, len(rows), _SORT_ROWS):
+            chunk = rows[start:start + _SORT_ROWS]
+            low = scratch[:len(chunk)]
+            for i, j in network:
+                a, b = chunk[:, i], chunk[:, j]
+                np.minimum(a, b, out=low)
+                np.maximum(a, b, out=b)
+                a[...] = low
     return gains
 
 

@@ -35,13 +35,18 @@ w + workers, ..., each sized from its index, so no schedule is built.
 
 Every step of a block works in place and keeps its bits: one
 ``fading.sample_gain``/``sample_sorted_gains`` call draws each of the
-block's arrays straight into it, one gamma variate a gain, and pools of
-at most 5 are sorted there by a min/max compare-exchange network, which
-gives the values ``np.sort`` gives.  The cuts of each config are
-computed once per call; each tile's failure rows go into (points, tile)
-buffers that a block worker allocates once, and the failures of each
-row are counted by a popcount.  A gain past the double range is inf and
-a NaN gain fails, so no config is too large to simulate.
+block's arrays straight into it, one gamma variate a gain (an
+exponential at mu = 1, the same values), and pools of at most 5 are
+sorted there by a min/max compare-exchange network, run over row chunks
+that stay in cache, which gives the values ``np.sort`` gives.  The cuts
+of each config are computed once per call; each tile's failure rows go
+into (points, tile) buffers that a block worker allocates once, and the
+failures of each row are counted by a popcount.  Each numpy call runs
+its loop without the GIL and takes it back at the end, so a worker waits
+whenever the other holds it; ``TILE_TRIALS`` is long enough that a block
+of the comparison preset is replayed in 16 tiles of about 30 calls each,
+not 32.  A gain past the double range is inf and a NaN gain fails, so no
+config is too large to simulate.
 """
 
 from __future__ import annotations
@@ -81,9 +86,16 @@ __all__ = [
 BLOCK_TRIALS = 1 << 18
 
 # Trials per tile.  A block is replayed tile by tile into (points, tile)
-# buffers that a worker allocates once per block and that stay in a
-# core's cache.  No count depends on it.
-TILE_TRIALS = 1 << 13
+# buffers that a worker allocates once per block.  Each tile costs about
+# 30 numpy calls, and a worker waits for the GIL at the end of each call
+# while the other worker holds it, so short tiles cost GIL handoffs; long
+# ones leave a core's cache and hold more memory.  Median paired time of
+# estimate_outage on the comparison preset at 1e6 trials (2-core Xeon)
+# against 8192-trial tiles: one worker 1.01x at 16384 and 1.05x at
+# 32768, two workers 0.85x and 0.78x; but 32768 raised the mc-compare
+# benchmark's peak RSS by 5 MB, past its run-to-run spread, and 16384 by
+# 1.4 MB.  No count depends on it.
+TILE_TRIALS = 1 << 14
 
 # Failure counts are int64, so a run holds at most this many trials.
 MAX_TRIALS = 2**63 - 1

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 
 from noma_perf.fading import (
     _SORT_NETWORKS,
+    _SORT_ROWS,
     FadingParams,
     OrderedIndex,
     gamma_cdf,
@@ -517,6 +518,29 @@ class TestInPlaceSampling:
         got = _sort_pools(gains)
         assert got is gains and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4, 5, 40])
+    @pytest.mark.parametrize("rows", [1, _SORT_ROWS - 1, _SORT_ROWS, _SORT_ROWS + 1,
+                                      3 * _SORT_ROWS + 7])
+    def test_sort_in_place_across_row_chunks(self, pool, rows):
+        # the network runs _SORT_ROWS pools at a time: every pool on either
+        # side of a chunk edge sorts as np.sort does, in place, also under a
+        # leading axis and in strided views, and nothing outside them moves
+        rng = np.random.default_rng(rows + pool)
+        cases = [
+            (rng.standard_exponential((rows, pool)), lambda a: a),
+            (rng.standard_exponential((2, rows, pool)), lambda a: a),
+            (rng.standard_exponential((2, rows + 3, pool + 2)),
+             lambda a: a[:, 2:rows + 2, 1:pool + 1]),
+            (rng.standard_exponential((pool, rows, 2)), lambda a: a.transpose(2, 1, 0)),
+        ]
+        cases[0][0][::5] = rng.integers(0, 2, size=cases[0][0][::5].shape)  # ties
+        for base, view in cases:
+            want = base.copy()
+            view(want)[...] = np.sort(view(base), axis=-1)
+            gains = view(base)
+            assert _sort_pools(gains) is gains
+            assert np.array_equal(base.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("mu", [1, 2, 3, 7])
     @pytest.mark.parametrize("omega", [1.0, 2.5, "mu"])
     def test_sample_gain_out_equals_allocating_path(self, mu, omega):
@@ -532,6 +556,31 @@ class TestInPlaceSampling:
         # the allocating path is one standard_gamma draw, scaled to the mean
         unit = np.random.default_rng(21).standard_gamma(mu, (300, 4))
         assert np.array_equal(want, unit * (p.omega / p.mu))
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("size", [1, 7, 8193, (40, 9)])
+    def test_unit_shape_draws_the_gamma_stream(self, size, omega):
+        # at mu = 1 the gains come from standard_exponential, the branch
+        # that standard_gamma takes at shape 1: the same values and the same
+        # final generator state, on both paths; should a numpy release part
+        # the two, this fails before any p_mc byte moves
+        p = FadingParams(1, omega)
+        ref = np.random.default_rng(17)
+        want = ref.standard_gamma(1.0, size)
+        if omega != 1.0:
+            want *= omega
+        rng = np.random.default_rng(17)
+        got = sample_gain(p, rng, size=size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # out= into a view of a larger block (rows 3.. of a 2-D one)
+        shape = (size,) if isinstance(size, int) else size
+        block = np.full((shape[0] + 5, *shape[1:]), -1.0)
+        rng = np.random.default_rng(17)
+        assert sample_gain(p, rng, out=block[3:3 + shape[0]]).base is block
+        assert np.array_equal(block[3:3 + shape[0]].view(np.uint64), want.view(np.uint64))
+        assert (block[:3] == -1.0).all() and (block[3 + shape[0]:] == -1.0).all()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("mu", [1, 2, 3])
     @pytest.mark.parametrize("total", [1, 3, 5, 6])

@@ -208,6 +208,11 @@ class TestDraws:
                 self.outs.append(out)
                 return self.rng.standard_gamma(shape, out=out)
 
+            def standard_exponential(self, size=None, *, out):
+                assert size is None
+                self.outs.append(out)
+                return self.rng.standard_exponential(out=out)
+
         shared = preset_configs("comparison.ini")
         wide = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1.0), mu=3,
                               ranks=(1, 40), pool=40)
