@@ -37,16 +37,16 @@ for the cooperative users the relay factor, which decays like
 rho**-mu * ln(rho), is kept exact, since no closed form of its leading
 term is implemented yet.
 
-:func:`point_links` is the one map from an SNR point, or a config's
-whole SNR grid, to every served user's direct-link law, sort index and
-decode cut, from one evaluation of :func:`stage_cuts`; the quadrature
-oracle in ``validation`` reads the same links.  :func:`link_outage`
-evaluates both forms for one link from one ordered-CDF call over its cuts
-and one relay evaluation per finite positive cut, and
-:func:`point_outages` does so for every served user.  Over a grid each
-cut and outage is an ndarray whose elements are the one-point values bit
-for bit; a scalar SNR is the one-point view of the same code.
-:func:`user_outage` is its checked one-user view, and the throughput is a
+:func:`point_links` is the one map from a config's SNR grid to every
+served user's direct-link law, sort index and decode cuts over it, from
+one evaluation of :func:`stage_cuts`; the quadrature oracle in
+``validation`` reads the same links.  :func:`link_outage` evaluates both
+forms for one link from one ordered-CDF call over its cuts and one relay
+evaluation per finite positive cut, and :func:`point_outages` does so for
+every served user.  Every SNR that crosses these functions is a 1-D grid
+and every cut and outage an ndarray over it, each element computed
+independently of the others.  :func:`user_outage` is the checked
+one-user, one-point view, on a one-element grid, and the throughput is a
 sum over the served users' exact outages.
 """
 
@@ -89,9 +89,9 @@ __all__ = [
 
 COOP_USERS = ("far", "near")
 
-#: one served user's (direct-link law, sort index, decode cut), the cut a
-#: float at one SNR point or an ndarray over a grid of them
-Link = tuple[FadingParams, OrderedIndex, "float | np.ndarray"]
+#: one served user's (direct-link law, sort index, decode cuts), the cuts an
+#: ndarray over a config's SNR grid
+Link = tuple[FadingParams, OrderedIndex, np.ndarray]
 
 # exp(-x) underflows past this, so the relay-branch bracket is an exact
 # double-precision zero and the outage saturates at 1
@@ -106,8 +106,12 @@ def _check_rho(rho: float) -> float:
 
 
 def _rho_grid(rho) -> np.ndarray:
-    """``rho``, one SNR or a 1-D sequence of them, as a float array of checked entries."""
-    return np.array([_check_rho(r) for r in (rho if np.ndim(rho) else (rho,))], dtype=float)
+    """``rho``, a 1-D sequence of SNRs (a config's grid), as a float array of checked entries."""
+    rhos = np.asarray(rho, dtype=float)
+    if rhos.ndim != 1:
+        raise ValueError(f"transmit SNR rho must be a 1-D grid of SNR points, got shape "
+                         f"{rhos.shape}; a single SNR is the grid [rho]")
+    return np.array([_check_rho(r) for r in rhos.tolist()], dtype=float)
 
 
 # =====================================================================
@@ -171,8 +175,8 @@ def sic_stages(cfg: ScenarioConfig) -> tuple[tuple[float, float, float], ...]:
                   for i, rate in enumerate(cfg.rates)])
 
 
-def stage_cuts(cfg: ScenarioConfig, rho) -> tuple:
-    """Per-stage gain cuts of the SIC chain at transmit SNR ``rho``.
+def stage_cuts(cfg: ScenarioConfig, rho) -> tuple[np.ndarray, ...]:
+    """Per-stage gain cuts of the SIC chain over the transmit SNR grid ``rho``.
 
     Entry i (0-based) is the least gain that clears stage i of
     :func:`sic_stages`, threshold / (rho * (power - threshold *
@@ -180,9 +184,8 @@ def stage_cuts(cfg: ScenarioConfig, rho) -> tuple:
     no gain then meets the rate.  A served user's decode cut is the
     largest of the first :func:`decode_depth` entries.
 
-    ``rho`` is one SNR, giving float entries, or a 1-D sequence of them
-    (a config's whole grid), giving one ndarray per stage over it; each
-    element is the same IEEE quotient a scalar call computes.
+    ``rho`` is a 1-D sequence of SNRs (a config's whole grid), and each
+    entry an ndarray over it, one IEEE quotient per point.
     """
     rhos = _rho_grid(rho)
     cuts = []
@@ -194,7 +197,7 @@ def stage_cuts(cfg: ScenarioConfig, rho) -> tuple:
             headroom = power - gamma * residual
             cuts.append(gamma / (rhos * headroom) if headroom > 0
                         else np.full(rhos.shape, math.inf))
-    return tuple(cuts) if np.ndim(rho) else tuple(cut.item() for cut in cuts)
+    return tuple(cuts)
 
 
 # =====================================================================
@@ -503,7 +506,7 @@ def relay_outage(cfg: ScenarioConfig, cut: float) -> float:
 # =====================================================================
 
 def point_links(cfg: ScenarioConfig, rho) -> tuple[Link, ...]:
-    """Direct-link law, sort index and decode cut of every served user at ``rho``.
+    """Direct-link law, sort index and decode cuts of every served user over ``rho``.
 
     One entry per user of :func:`served_users`, in decode order, all from
     one :func:`stage_cuts` evaluation.  A user's decode cut is the running
@@ -512,15 +515,12 @@ def point_links(cfg: ScenarioConfig, rho) -> tuple[Link, ...]:
     the near-message cut for ``'near'``, the largest of the first m cuts
     for single-slot user m.
 
-    With a 1-D sequence ``rho`` (a config's whole SNR grid) each user's
-    law and index are built once and its cut is an ndarray over the
-    grid, from one :func:`stage_cuts` call; a scalar ``rho`` is the
-    one-point view, with float cuts.
+    ``rho`` is a 1-D sequence of SNRs (a config's whole grid): each
+    user's law and index are built once and its cuts are an ndarray over
+    the grid.
     """
-    grid = np.ndim(rho) > 0
-    cuts = itertools.accumulate(stage_cuts(cfg, rho if grid else [rho]), np.maximum)
-    return tuple((FadingParams(cfg.mu, omega), OrderedIndex(rank, cfg.pool),
-                  cut if grid else cut.item())
+    cuts = itertools.accumulate(stage_cuts(cfg, rho), np.maximum)
+    return tuple((FadingParams(cfg.mu, omega), OrderedIndex(rank, cfg.pool), cut)
                  for omega, rank, cut in zip(cfg.omega, cfg.ranks, cuts, strict=True))
 
 
@@ -544,34 +544,34 @@ def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
     rho**-mu * ln(rho) and is kept exact, since no closed form of its
     leading term is implemented yet.  The high-SNR form is clamped to 1
     where the expansion exceeds unity (low SNR, outside its regime).
-    Returns (1, 1) when the power split cannot support the user's rates
+    Both are (1, 1) where the power split cannot support the user's rates
     (infinite cut) and (0, 0) at a zero cut (zero rates).
 
-    A link over a grid gives two ndarrays over it, from one
+    Returns two ndarrays over the link's cuts, from one
     :func:`~noma_perf.fading.ordered_cdf` call and one relay evaluation
-    per finite positive cut; a float cut gives two floats.
+    per finite positive cut.
     """
-    params, idx, cut = link
-    cuts = np.atleast_1d(np.asarray(cut, dtype=float))
+    params, idx, cuts = link
     relay = _relay_factors(cfg, cuts.tolist())
     # an infinite cut reads 1 from both CDF forms, a zero cut 0
     exact = ordered_cdf(params, idx, cuts) * relay
     asym = np.array([min(1.0, lead * factor) for lead, factor in
                      zip(ordered_cdf_small_arg(params, idx, cuts).tolist(), relay)])
-    return (exact, asym) if np.ndim(cut) else (exact.item(), asym.item())
+    return exact, asym
 
 
 def point_outages(cfg: ScenarioConfig, rho) -> list[tuple]:
-    """(exact, high-SNR) outage of every served user at ``rho``, in
-    :func:`served_users` order (see :func:`link_outage`); over a 1-D
-    sequence ``rho`` each form is an ndarray over it."""
+    """(exact, high-SNR) outage of every served user over the SNR grid
+    ``rho``, in :func:`served_users` order, each form an ndarray over the
+    grid (see :func:`link_outage`)."""
     return [link_outage(cfg, link) for link in point_links(cfg, rho)]
 
 
 def _user_link(cfg: ScenarioConfig, rho: float, user: str | int) -> Link:
-    """The :func:`point_links` entry of a served user (see :func:`decode_depth`)."""
+    """The :func:`point_links` entry of a served user (see :func:`decode_depth`)
+    over the one-element grid ``[rho]``."""
     depth = decode_depth(cfg, user)
-    return point_links(cfg, rho)[depth - 1]
+    return point_links(cfg, [rho])[depth - 1]
 
 
 def user_outage(cfg: ScenarioConfig, rho: float,
@@ -581,9 +581,11 @@ def user_outage(cfg: ScenarioConfig, rho: float,
     ``user`` is one of :func:`served_users`, equal in type and value:
     ``'far'``/``'near'`` with a relay, the 1-based served index (an
     ``int``) without; anything else raises ``ValueError``.  See
-    :func:`link_outage` for the two forms.
+    :func:`link_outage` for the two forms, evaluated here on the
+    one-element grid ``[rho]`` and returned as floats.
     """
-    return link_outage(cfg, _user_link(cfg, rho, user))
+    exact, asym = link_outage(cfg, _user_link(cfg, rho, user))
+    return exact.item(), asym.item()
 
 
 def diversity_order_fit(curve: Iterable[tuple[float, float]]) -> float:
@@ -644,16 +646,15 @@ def outage_oma(cfg: ScenarioConfig, rho):
     :func:`point_links`.  With a relay, the relay still serves that user in
     the second slot (selection over both branches, each with the two-slot
     threshold cut); without one, the baseline keeps one slot and one
-    user.  A zero total rate gives a zero cut and
-    an outage of exactly 0.  Over a 1-D sequence ``rho`` the outage is
-    an ndarray over it, from one ordered-CDF call.
+    user.  A zero total rate gives a zero cut and an outage of exactly 0.
+    ``rho`` is a 1-D sequence of SNRs, and the outage an ndarray over it,
+    from one ordered-CDF call.
     """
     rhos = _rho_grid(rho)
     with np.errstate(over="ignore"):  # a quotient past the double range is inf
         cuts = threshold_snr(math.fsum(cfg.rates), 2 if cfg.has_relay else 1) / rhos
     params, idx = FadingParams(cfg.mu, cfg.omega[-1]), OrderedIndex(cfg.ranks[-1], cfg.pool)
-    outage = ordered_cdf(params, idx, cuts) * _relay_factors(cfg, cuts.tolist())
-    return outage if np.ndim(rho) else outage.item()
+    return ordered_cdf(params, idx, cuts) * _relay_factors(cfg, cuts.tolist())
 
 
 # =====================================================================

@@ -205,7 +205,8 @@ def preset_configs(name: str) -> dict[str, ScenarioConfig]:
 
     filename = name if name.endswith(".ini") else f"{name}.ini"
     try:
-        text = resources.files("noma_perf").joinpath(f"presets/{filename}").read_text()
+        text = (resources.files("noma_perf").joinpath(f"presets/{filename}")
+                .read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"no such preset: {name}") from exc
     return load_config_text(text, f"preset {filename}")
@@ -304,11 +305,11 @@ def load_config_text(text: str, source: str) -> dict[str, ScenarioConfig]:
 
 
 def load_config_file(path: str | Path) -> dict[str, ScenarioConfig]:
-    """Parse an INI file with optional [coop] and [direct] sections."""
+    """Parse a UTF-8 INI file with optional [coop] and [direct] sections."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return load_config_text(text, str(path))
 

@@ -13,10 +13,11 @@ CDF, within about 1e-13 relative of a 40-digit reference up to pools of
 cancels as the pool grows (relative errors of 4e-9 at a pool of 20,
 0.16 at 40 and 1 at 60 in a sample).  Its independent check is the
 tanh-sinh quadrature of the order-statistic density in
-``validation.ordered_cdf_quadrature``; the density, like the plain
-density and CDF, takes a whole ndarray of quadrature nodes at once.  The
-ordered CDF and its leading term take a whole ndarray of cuts too, one
-user's cuts over a config's SNR grid, with the values of scalar calls.
+``validation.ordered_cdf_quadrature``.  Every density and CDF here takes
+an ndarray and returns one: the plain and order-statistic densities and
+the plain CDF a batch of quadrature nodes, the ordered CDF and its
+leading term the 1-D array of one user's cuts over a config's SNR grid,
+each element computed independently of the others.
 """
 
 from __future__ import annotations
@@ -125,21 +126,18 @@ def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
 
 
 def gamma_pdf(p: FadingParams, x):
-    """Density of the power gain at ``x`` (scalar or ndarray), zero for x <= 0 and x = inf.
+    """Density of the power gain at the ndarray ``x``, zero for x <= 0 and x = inf.
 
     A mean so small that ``mu / omega`` overflows puts all mass at 0, so
     the density is zero everywhere.
     """
     x = np.asarray(x, dtype=float)
     pos = (x > 0) & (x < math.inf)
-    out = np.where(pos, np.exp(_gamma_log_pdf_inside(p, np.where(pos, x, 1.0))), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(pos, np.exp(_gamma_log_pdf_inside(p, np.where(pos, x, 1.0))), 0.0)
 
 
 def gamma_cdf(p: FadingParams, x):
-    """CDF of the power gain at ``x`` (scalar or ndarray), zero for x <= 0.
+    """CDF of the power gain at the ndarray ``x``, zero for x <= 0.
 
     Evaluated as the regularized lower incomplete gamma function at
     ``mu * x / omega``, which for integer ``mu`` equals one minus the
@@ -148,13 +146,8 @@ def gamma_cdf(p: FadingParams, x):
     """
     x = np.asarray(x, dtype=float)
     if p.rate == math.inf:
-        step = np.where(x > 0, 1.0, 0.0)
-        return float(step) if step.ndim == 0 else step
-    # a product past the double range is inf, where the CDF is exactly 1;
-    # a scalar multiplies as a Python float, which overflows silently, so
-    # the common scalar call skips the cost of the error-state context
-    if x.ndim == 0:
-        return float(special.gammainc(p.mu, max(float(x), 0.0) * p.rate))
+        return np.where(x > 0, 1.0, 0.0)
+    # a product past the double range is inf, where the CDF is exactly 1
     with np.errstate(over="ignore"):
         arg = np.maximum(x, 0.0) * p.rate
     return special.gammainc(p.mu, arg)
@@ -201,14 +194,14 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     summed in the log domain instead; results below the double range
     clamp to 0.0 with a debug log entry.
 
-    ``x`` is a scalar, giving a float, or an ndarray such as one user's
-    cuts over a config's SNR grid, giving an ndarray: one ``gammainc``
-    and one ``betainc`` call cover every point.  scipy's kernels run
-    element by element, so each value equals a scalar call bit for bit;
-    the underflow test and the log-domain rows take ``math.log`` per
-    element, as ``np.log`` may round differently.
+    ``x`` is a 1-D array of cuts, such as one user's cuts over a config's
+    SNR grid, and the result an ndarray over it: one ``gammainc`` and one
+    ``betainc`` call cover every point.  scipy's kernels run element by
+    element, so each value is independent of the others; the underflow
+    test and the log-domain rows take ``math.log`` per element, as
+    ``np.log`` may round differently.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
     out = np.where(xs <= 0, 0.0, 1.0)
     rows = np.flatnonzero(~((xs <= 0) | (xs == math.inf)))
     big_f = gamma_cdf(p, xs[rows])
@@ -224,14 +217,14 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
             beta.append(i)
     if beta:
         out[rows[beta]] = special.betainc(m, total - m + 1, big_f[beta])
-    return out if np.ndim(x) else out.item()
+    return out
 
 
 def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     """Density of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
 
-    ``x`` is a scalar or an ndarray (the quadrature oracle passes one
-    level of nodes at a time); the density is zero outside (0, inf).
+    ``x`` is an ndarray (the quadrature oracle passes one level of nodes
+    at a time); the density is zero outside (0, inf).
     """
     x = np.asarray(x, dtype=float)
     inside = (x > 0) & np.isfinite(x)
@@ -240,15 +233,12 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     m, total = idx.rank, idx.total
     # one exponent, so F**(rank-1) cannot underflow before the prefactor
     # applies; xlogy(0, 0) = 0 covers the boundary ranks at F in {0, 1}
-    out = np.where(inside, np.exp(
+    return np.where(inside, np.exp(
         _ordered_prefactor_log(idx)
         + _gamma_log_pdf_inside(p, xs)
         + special.xlogy(m - 1, big_f)
         + special.xlog1py(total - m, -big_f)
     ), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):
@@ -257,12 +247,11 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):
     Equals C(total, rank) * [(mu*x/omega)^mu / mu!]^rank, the dominant
     behaviour as x -> 0; decays with exponent mu * rank.  Not clamped:
     past the double range (large x, mu or rank) it returns ``math.inf``.
-    ``x`` is a scalar, giving a float, or an ndarray, giving an ndarray
-    whose elements are those scalar calls.
+    ``x`` is a 1-D array of cuts, and the result an ndarray over it.
     """
     log_c, rate, lgamma_mu1 = log_binomial(idx.total, idx.rank), p.rate, math.lgamma(p.mu + 1)
     out = []
-    for v in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+    for v in np.asarray(x, dtype=float).tolist():
         if v <= 0:
             out.append(0.0)
             continue
@@ -270,7 +259,7 @@ def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):
             out.append(math.exp(log_c + idx.rank * (p.mu * math.log(v * rate) - lgamma_mu1)))
         except OverflowError:
             out.append(math.inf)
-    return np.array(out) if np.ndim(x) else out[0]
+    return np.array(out)
 
 
 # =====================================================================

@@ -264,12 +264,13 @@ def _stage_cut(power: float, residual: float, gamma: float, rho: float) -> float
 def gain_cuts(cfg: ScenarioConfig, rho) -> np.ndarray:
     """Per-stage gain cuts of ``cfg`` at ``rho``, from ``analytic.sic_stages`` alone.
 
-    ``rho`` is a scalar or an array of SNR points, each finite and > 0.
-    Entry [i, ...] is the least float gain whose real SINR at stage i + 1
-    reaches its threshold at that point, of shape (stages, *rho shape):
-    0 where the threshold is 0, inf where that gain lies past the double
-    range, and NaN where no gain reaches it (an infinite threshold, or
-    no headroom, power <= threshold * residual).
+    ``rho`` is an array of SNR points of any shape (a column of them in
+    :func:`estimate_outage`, a 0-d one for a single point), each finite
+    and > 0.  Entry [i, ...] is the least float gain whose real SINR at
+    stage i + 1 reaches its threshold at that point, of shape (stages,
+    *rho shape): 0 where the threshold is 0, inf where that gain lies
+    past the double range, and NaN where no gain reaches it (an infinite
+    threshold, or no headroom, power <= threshold * residual).
     """
     rho = np.asarray(rho, dtype=float)
     points = [_check_rho(point) for point in rho.ravel().tolist()]
@@ -277,34 +278,32 @@ def gain_cuts(cfg: ScenarioConfig, rho) -> np.ndarray:
     return np.array(table, dtype=float).reshape(len(table), *rho.shape)
 
 
-def user_failures(draw: Sequence[tuple], cfg: ScenarioConfig, rho, out=None,
-                  cuts: np.ndarray | None = None) -> np.ndarray:
+def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None) -> np.ndarray:
     """Failures of the served users, in served order, of the SIC chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
-    :func:`branch_gains` returns for ``cfg``.  The user at position k
-    (1-based) must clear the first k stages of ``analytic.sic_stages``,
-    its decode depth, on one of its branches: stage i gives a branch of
-    power gain g the SINR g * power * rho / (g * residual * rho + 1),
-    which reaches the stage threshold exactly where g reaches the
-    stage's cut (``cuts``, from :func:`gain_cuts`; computed here when not
-    given).  So the user fails where ``not (best >= cut)``, with ``best``
-    the largest of its branch gains and ``cut`` the largest cut of stages
-    1..k: each label is the real-arithmetic SINR test of its float gains.
-    A NaN gain, or a NaN cut (a stage that no gain clears), fails; an inf
-    gain passes every stage that has headroom, including one whose cut
-    rounds past the largest float.  ``rho`` is a scalar or a column of
-    shape (points, 1); a column gives one row per SNR point, and each row
-    equals the scalar call at its rho.  Returns a bool array of shape
-    (users, *result shape), row k - 1 for the user at position k:
-    ``out`` when given, allocated otherwise.  A draw of more users than
-    ``cfg`` serves raises ``ValueError``.
+    :func:`branch_gains` returns for a config, and ``cuts`` is that
+    config's :func:`gain_cuts` table.  The user at position k (1-based)
+    must clear the first k stages of ``analytic.sic_stages``, its decode
+    depth, on one of its branches: stage i gives a branch of power gain g
+    the SINR g * power * rho / (g * residual * rho + 1), which reaches
+    the stage threshold exactly where g reaches the stage's cut.  So the
+    user fails where ``not (best >= cut)``, with ``best`` the largest of
+    its branch gains and ``cut`` the largest cut of stages 1..k: each
+    label is the real-arithmetic SINR test of its float gains.  A NaN
+    gain, or a NaN cut (a stage that no gain clears), fails; an inf gain
+    passes every stage that has headroom, including one whose cut rounds
+    past the largest float.  A table over a column of SNR points, shape
+    (stages, points, 1), gives one row per point, each equal to the
+    decision against that point's cuts alone.  Returns a bool array of
+    shape (users, *the gains and a stage's cuts broadcast), row k - 1 for
+    the user at position k: ``out`` when given, allocated otherwise.  A
+    draw of more users than the table has stages raises ``ValueError``.
     """
-    cuts = gain_cuts(cfg, rho) if cuts is None else cuts
     if len(draw) > len(cuts):
-        raise ValueError(f"the draw holds {len(draw)} users, cfg serves {len(cuts)}")
+        raise ValueError(f"the draw holds {len(draw)} users, the cut table {len(cuts)} stages")
     if out is None:
-        shape = np.broadcast_shapes(np.shape(draw[0][0]), np.shape(rho))
+        shape = np.broadcast_shapes(np.shape(draw[0][0]), cuts.shape[1:])
         out = np.empty((len(draw), *shape), dtype=bool)
     # the maximum carries a NaN cut to every deeper user
     for branches, cut, fail in zip(draw, np.maximum.accumulate(cuts), out):
@@ -395,8 +394,7 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
                 k = min(TILE_TRIALS, n - start)
                 for i in members:
                     branches = branch_gains(draw, cfgs[i], slice(start, start + k))
-                    fail = user_failures(branches, cfgs[i], rho_col,
-                                         fails[:len(branches), :, :k], cuts[i])
+                    fail = user_failures(branches, cuts[i], fails[:len(branches), :, :k])
                     counts[edges[i]:edges[i + 1]] += _row_counts(fail)
         return counts.T
 

@@ -8,16 +8,16 @@ primitives with the production code, never its Bessel-sum algebra: the
 relay-branch oracle integrates the first-hop density against the
 conditional second-hop CDF with the exp-sinh rule, and the ordered-CDF
 oracle integrates the order-statistic density with the tanh-sinh rule.  Each
-oracle integrates every row of a config at once (:func:`link_oracles`):
-the relay branch over every (point, user) cut, whose exp-sinh nodes in
-the offset u do not depend on the cut, and the ordered CDF once per
-served user over the cuts of the grid.  A refinement level evaluates the
-rows still refining as one (rows, nodes) array, and each row stops when
-its own two levels agree to 1e-12 relative, so every value equals a
-one-row call bit for bit.  Both oracles are sums of positive terms, so
-relative accuracy survives even when the result is far below one.  The
-tests keep a second, independent route through scipy's QUADPACK
-(``tests/quadpack_reference.py``).
+oracle integrates every row of a config at once (:func:`link_oracles`,
+over links whose cuts span the config's SNR grid): the relay branch over
+every user's cuts in one batch, whose exp-sinh nodes in the offset u do
+not depend on the cut, and the ordered CDF once per served user over its
+cuts.  A refinement level evaluates the rows still refining as one
+(rows, nodes) array, and each row stops when its own two levels agree to
+1e-12 relative, so every value equals a one-row call bit for bit.  Both
+oracles are sums of positive terms, so relative accuracy survives even
+when the result is far below one.  The tests keep a second, independent
+route through scipy's QUADPACK (``tests/quadpack_reference.py``).
 
 :func:`run_validation_suite` drives the full gate: for every configured
 user and SNR point it compares the exact value against its oracle, both
@@ -133,24 +133,20 @@ def ordered_cdf_quadrature(params: FadingParams, idx: OrderedIndex, x: float) ->
     return float(_ordered_cdfs(params, idx, np.array([float(x)]))[0])
 
 
-def link_oracles(cfg: ScenarioConfig, links: Sequence[Link]) -> list[float]:
+def link_oracles(cfg: ScenarioConfig, links: Sequence[Link]) -> list[np.ndarray]:
     """Quadrature-only outage of each ``analytic.point_links`` entry of ``cfg``.
 
-    The rows are integrated in batches: the ordered CDF once per direct
-    law and sort index over the cuts of its rows, and with a relay the
-    relay branch once over every cut.  A relay that puts the integrand
-    past the exp-sinh nodes raises ``ConfigError``, naming the cut of the
-    first row that fails.
+    The links share one SNR grid, as ``point_links`` returns them, and
+    the result holds one ndarray per link, over its cuts.  The ordered CDF is
+    integrated once per link over its cuts, and with a relay the relay
+    branch once over the cuts of every link, concatenated.  A relay that
+    puts the integrand past the exp-sinh nodes raises ``ConfigError``,
+    naming the cut of the first row of that batch that fails.
     """
-    cuts = np.array([cut for _, _, cut in links], dtype=float)
-    direct = np.empty(len(links))
-    laws: dict[tuple[FadingParams, OrderedIndex], list[int]] = {}
-    for row, (params, idx, _) in enumerate(links):
-        laws.setdefault((params, idx), []).append(row)
-    for (params, idx), rows in laws.items():
-        direct[rows] = _ordered_cdfs(params, idx, cuts[rows])
-    if not cfg.has_relay:
-        return direct.tolist()
+    direct = [_ordered_cdfs(params, idx, cuts) for params, idx, cuts in links]
+    if not (cfg.has_relay and links):
+        return direct
+    cuts = np.concatenate([cut for _, _, cut in links])
     try:
         relay = _relay_outages(cfg, cuts)
     except QuadratureError as exc:
@@ -158,7 +154,7 @@ def link_oracles(cfg: ScenarioConfig, links: Sequence[Link]) -> list[float]:
             f"the relay oracle cannot resolve omega_sr = {cfg.omega_sr:g}, omega_rd = "
             f"{cfg.omega_rd:g}, relay_gain = {cfg.relay_gain:g} at cut {cuts[exc.row]:.6g}: {exc}"
         ) from exc
-    return (direct * relay).tolist()
+    return [outage * factor for outage, factor in zip(direct, np.split(relay, len(links)))]
 
 
 def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
@@ -168,9 +164,10 @@ def outage_oracle(cfg: ScenarioConfig, rho: float, user) -> float:
     for the exact closed form; ``user`` is one of ``served_users(cfg)``
     and anything else raises ``ValueError``.  Matches the exact closed
     forms up to quadrature error and is the reference leg of the
-    validation gate.
+    validation gate; it runs :func:`link_oracles` on the one-element grid
+    ``[rho]`` and returns a float.
     """
-    return link_oracles(cfg, [_user_link(cfg, rho, user)])[0]
+    return link_oracles(cfg, [_user_link(cfg, rho, user)])[0].item()
 
 
 # =====================================================================
@@ -214,11 +211,9 @@ def run_validation_suite(
         users = served_users(cfg)
         scenario = "coop" if cfg.has_relay else "direct"
         links = point_links(cfg, rhos)
-        # per point, the exact outage and the cut of each user in turn
+        # per point, the exact outage and the oracle of each user in turn
         exact = list(zip(*(link_outage(cfg, link)[0].tolist() for link in links)))
-        cuts = list(zip(*(cut.tolist() for _, _, cut in links)))
-        oracles = iter(link_oracles(cfg, [(params, idx, cut) for point in cuts
-                                          for (params, idx, _), cut in zip(links, point)]))
+        oracles = list(zip(*(oracle.tolist() for oracle in link_oracles(cfg, links))))
         estimates = {}
         if batch is not None:
             # one simulation over the points where some user is above the floor
@@ -226,8 +221,7 @@ def run_validation_suite(
             (points,) = estimate_outage([cfg], [rhos[k] for k in simulated], batch)
             estimates = dict(zip(simulated, points))
         for k, db in enumerate(snr_db):
-            for user, p in zip(users, exact[k]):
-                oracle = next(oracles)
+            for user, p, oracle in zip(users, exact[k], oracles[k]):
                 rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
                 ok = rel_err <= ORACLE_REL_TOL
                 gate = f"rel_err<={ORACLE_REL_TOL:g}"

@@ -57,8 +57,8 @@ class TestAcceptance:
         worst = 0.0
         for mu in (1, 2, 3):
             cfg = coop_preset(mu)
-            for db in GRID_DB:
-                far_cut, near_rate_cut = stage_cuts(cfg, db_to_linear(db))
+            far_cuts, near_rate_cuts = stage_cuts(cfg, [db_to_linear(db) for db in GRID_DB])
+            for far_cut, near_rate_cut in zip(far_cuts.tolist(), near_rate_cuts.tolist()):
                 for cut in (far_cut, max(far_cut, near_rate_cut)):
                     closed = relay_outage(cfg, cut)
                     oracle = relay_outage_quadrature(cfg, cut)
@@ -152,7 +152,7 @@ class TestAcceptance:
 
     def test_criterion_4_throughput_ceilings_at_fifty_db(self):
         rho = db_to_linear(50.0)
-        coop, direct = (throughput(cfg, [p for p, _ in point_outages(cfg, rho)])
+        coop, direct = (throughput(cfg, [p.item() for p, _ in point_outages(cfg, [rho])])
                         for cfg in (coop_preset(), direct_preset()))
         ok = abs(coop - 2.5) <= 0.01 and abs(direct - 3.2) <= 0.01
         report(
@@ -187,7 +187,7 @@ class TestAcceptance:
             for total in (3, 5):
                 for x in np.linspace(0.05, 6.0, 40):
                     mix = math.fsum(
-                        ordered_cdf(params, OrderedIndex(rank, total), x)
+                        ordered_cdf(params, OrderedIndex(rank, total), np.array([x])).item()
                         for rank in range(1, total + 1)
                     ) / total
                     worst_mix = max(worst_mix, abs(mix - gamma_cdf(params, x)))

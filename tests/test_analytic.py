@@ -59,7 +59,7 @@ def db_to_linear(snr_db):
 
 
 def point_throughput(cfg, rho):
-    return throughput(cfg, [p for p, _ in point_outages(cfg, rho)])
+    return throughput(cfg, [p.item() for p, _ in point_outages(cfg, [rho])])
 
 
 def relay_outage_bessel_first(cut, mu, omega_sr, omega_rd, noise_scale):
@@ -120,10 +120,10 @@ class TestCoopCuts:
         cfg = coop_preset()
         assert [gamma for _, _, gamma in sic_stages(cfg)] == [3.0, 7.0]
         for rho in (1.0, 10.0, 316.0):
-            far_cut, near_rate_cut = stage_cuts(cfg, rho)
+            (far_cut,), (near_rate_cut,) = stage_cuts(cfg, [rho])
             assert_allclose(far_cut * rho, FAR_CUT_TIMES_RHO, rtol=1e-14)
             assert_allclose(near_rate_cut * rho, NEAR_CUT_TIMES_RHO, rtol=1e-14)
-            (_, _, far), (_, _, near) = point_links(cfg, rho)
+            (_, _, (far,)), (_, _, (near,)) = point_links(cfg, [rho])
             assert far == far_cut
             assert near == max(far_cut, near_rate_cut)
 
@@ -137,9 +137,9 @@ class TestCoopCuts:
             omega_sr=1.0,
             omega_rd=1.0,
         )
-        far_cut, near_rate_cut = stage_cuts(cfg, 100.0)
+        (far_cut,), (near_rate_cut,) = stage_cuts(cfg, [100.0])
         assert math.isinf(far_cut)
-        assert math.isinf(point_links(cfg, 100.0)[1][2])
+        assert math.isinf(point_links(cfg, [100.0])[1][2][0])
         assert math.isfinite(near_rate_cut)
 
     def test_zero_far_rate(self):
@@ -147,17 +147,17 @@ class TestCoopCuts:
 
         cfg = dataclasses.replace(coop_preset(), rates=(0.0, 1.5))
         assert sic_stages(cfg)[0][2] == 0.0
-        assert stage_cuts(cfg, 10.0)[0] == 0.0
+        assert stage_cuts(cfg, [10.0])[0].tolist() == [0.0]
 
     def test_rejects_bad_rho(self):
-        with pytest.raises(ValueError):
-            stage_cuts(coop_preset(), 0.0)
-        with pytest.raises(ValueError):
-            stage_cuts(coop_preset(), -5.0)
+        with pytest.raises(ValueError, match="transmit SNR rho must be finite"):
+            stage_cuts(coop_preset(), [0.0])
+        with pytest.raises(ValueError, match="transmit SNR rho must be finite"):
+            stage_cuts(coop_preset(), [-5.0])
 
     def test_one_cut_function_and_decode_depths(self):
         # one stage-cut tuple per deployment, one entry per served user
-        assert [len(stage_cuts(cfg, 10.0)) for cfg in (coop_preset(), direct_preset())] == [2, 3]
+        assert [len(stage_cuts(cfg, [10.0])) for cfg in (coop_preset(), direct_preset())] == [2, 3]
         assert [decode_depth(coop_preset(), u) for u in served_users(coop_preset())] == [1, 2]
         assert [decode_depth(direct_preset(), u) for u in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestCoopCuts:
 class TestDirectCuts:
     def test_preset_cut_products(self):
         for rho in (1.0, 50.0):
-            cuts = stage_cuts(direct_preset(), rho)
+            cuts = [cut.item() for cut in stage_cuts(direct_preset(), [rho])]
             assert_allclose(cuts[0] * rho, DIRECT_CUT1_TIMES_RHO, rtol=1e-14)
             assert_allclose(cuts[1] * rho, DIRECT_CUT2_TIMES_RHO, rtol=1e-14)
             assert_allclose(cuts[2] * rho, DIRECT_CUT3_TIMES_RHO, rtol=1e-14)
@@ -181,7 +181,7 @@ class TestDirectCuts:
             omega=(1.0, 1.0, 1.0),
             mu=1,
         )
-        cuts = stage_cuts(cfg, 10.0)
+        cuts = [cut.item() for cut in stage_cuts(cfg, [10.0])]
         assert math.isfinite(cuts[0])
         assert math.isinf(cuts[1])
         assert math.isfinite(cuts[2])
@@ -238,7 +238,7 @@ class TestRelayOutage:
                 cfg = dataclasses.replace(coop_preset(mu), relay_gain=relay_gain,
                                           omega_rd=omega_rd)
                 for snr_db in (0.0, 30.0, 60.0):
-                    for _, _, cut in point_links(cfg, db_to_linear(snr_db)):
+                    for _, _, (cut,) in point_links(cfg, [db_to_linear(snr_db)]):
                         assert relay_outage(cfg, cut) == 1.0, (mu, snr_db)
                         assert relay_outage_quadrature(cfg, cut) == pytest.approx(1.0, rel=1e-15)
         finally:
@@ -446,9 +446,9 @@ class TestCoopExactOutage:
         cfg = coop_preset()
         for rho_db in (0.0, 10.0, 25.0):
             rho = db_to_linear(rho_db)
-            for user, (params, idx, cut) in zip(("far", "near"), point_links(cfg, rho)):
+            for user, (params, idx, cut) in zip(("far", "near"), point_links(cfg, [rho])):
                 assert_allclose(user_outage(cfg, rho, user)[0],
-                                ordered_cdf(params, idx, cut) * relay_outage(cfg, cut),
+                                ordered_cdf(params, idx, cut) * relay_outage(cfg, cut[0]),
                                 rtol=1e-15)
 
     def test_low_snr_saturates_to_one(self):
@@ -486,12 +486,12 @@ class TestDirectExactOutage:
     def test_is_ordered_cdf_at_running_max_cut(self):
         cfg = direct_preset()
         rho = db_to_linear(12.0)
-        cuts = stage_cuts(cfg, rho)
+        cuts = stage_cuts(cfg, [rho])
         for user in (1, 2, 3):
             ref = ordered_cdf(
                 FadingParams(cfg.mu, cfg.omega[user - 1]),
                 OrderedIndex(cfg.ranks[user - 1], cfg.pool),
-                float(np.max(cuts[:user])),
+                np.max(cuts[:user], axis=0),
             )
             assert_allclose(user_outage(cfg, rho, user)[0], ref, rtol=1e-15)
 
@@ -548,20 +548,25 @@ class TestUserOutage:
 
 class TestGridForms:
     """A config's whole SNR grid in one call gives, element by element, the
-    bits of one-point calls."""
+    bits of one-element-grid calls."""
 
     @staticmethod
     def assert_grid_is_points(cfg, rhos):
-        points = [point_outages(cfg, rho) for rho in rhos]
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+        points = [point_outages(cfg, [rho]) for rho in rhos]
         for u, (exact, asym) in enumerate(point_outages(cfg, rhos)):
-            assert exact.tolist() == [point[u][0] for point in points]
-            assert asym.tolist() == [point[u][1] for point in points]
+            assert bits(exact) == bits([point[u][0][0] for point in points])
+            assert bits(asym) == bits([point[u][1][0] for point in points])
         for u, (params, idx, cuts) in enumerate(point_links(cfg, rhos)):
-            assert [(params, idx, cut) for cut in cuts.tolist()] == [
-                point_links(cfg, rho)[u] for rho in rhos]
-        assert [cuts.tolist() for cuts in stage_cuts(cfg, rhos)] == [
-            list(stage) for stage in zip(*(stage_cuts(cfg, rho) for rho in rhos))]
-        assert outage_oma(cfg, rhos).tolist() == [outage_oma(cfg, rho) for rho in rhos]
+            ones = [point_links(cfg, [rho])[u] for rho in rhos]
+            assert all(one[:2] == (params, idx) for one in ones)
+            assert bits(cuts) == bits([one[2][0] for one in ones])
+        assert [bits(cuts) for cuts in stage_cuts(cfg, rhos)] == [
+            bits([cut[0] for cut in stage])
+            for stage in zip(*(stage_cuts(cfg, [rho]) for rho in rhos))]
+        assert bits(outage_oma(cfg, rhos)) == bits([outage_oma(cfg, [rho])[0] for rho in rhos])
 
     def test_presets_over_the_deep_grid(self):
         rhos = [db_to_linear(float(db)) for db in range(0, 61, 3)]
@@ -591,6 +596,13 @@ class TestGridForms:
                 stage_cuts(coop_preset(), rhos)
             with pytest.raises(ValueError):
                 outage_oma(coop_preset(), rhos)
+
+    def test_rho_is_a_grid(self):
+        # a single SNR is the grid [rho]; a scalar or a 2-D table is refused
+        for rho in (10.0, np.float64(10.0), np.array(10.0), [[10.0]]):
+            for fn in (stage_cuts, point_links, point_outages, outage_oma):
+                with pytest.raises(ValueError, match="1-D grid"):
+                    fn(coop_preset(), rho)
 
 
 class TestAsymptotics:
@@ -722,10 +734,10 @@ class TestOmaBaseline:
         direct = ordered_cdf(
             FadingParams(cfg.mu, cfg.omega[0]),
             OrderedIndex(cfg.pool, cfg.pool),
-            cut,
+            np.array([cut]),
         )
         relay = relay_outage(cfg, cut)
-        assert_allclose(outage_oma(cfg, rho), direct * relay, rtol=1e-14)
+        assert_allclose(outage_oma(cfg, [rho]), direct * relay, rtol=1e-14)
 
     def test_direct_is_top_rank_single_slot(self):
         cfg = direct_preset()
@@ -734,9 +746,9 @@ class TestOmaBaseline:
         ref = ordered_cdf(
             FadingParams(cfg.mu, cfg.omega[-1]),
             OrderedIndex(cfg.ranks[-1], cfg.pool),
-            cut,
+            np.array([cut]),
         )
-        assert_allclose(outage_oma(cfg, rho), ref, rtol=1e-14)
+        assert_allclose(outage_oma(cfg, [rho]), ref, rtol=1e-14)
 
     def test_coop_schedules_the_near_user_not_the_pool_top(self):
         import dataclasses
@@ -747,23 +759,25 @@ class TestOmaBaseline:
         cut = threshold_snr(cfg.rates[0] + cfg.rates[1], slots=2) / rho
         relay = relay_outage(cfg, cut)
         params = FadingParams(cfg.mu, cfg.omega[0])
-        served = ordered_cdf(params, OrderedIndex(3, 5), cut) * relay
-        assert_allclose(outage_oma(cfg, rho), served, rtol=1e-14)
-        assert outage_oma(cfg, rho) > 100.0 * ordered_cdf(params, OrderedIndex(5, 5), cut) * relay
+        cuts = np.array([cut])
+        served = ordered_cdf(params, OrderedIndex(3, 5), cuts) * relay
+        assert_allclose(outage_oma(cfg, [rho]), served, rtol=1e-14)
+        top = ordered_cdf(params, OrderedIndex(5, 5), cuts) * relay
+        assert outage_oma(cfg, [rho]) > 100.0 * top
 
     def test_zero_total_rate_gives_zero(self):
         import dataclasses
 
         cfg = dataclasses.replace(coop_preset(), rates=(0.0, 0.0))
-        assert outage_oma(cfg, db_to_linear(12.0)) == 0.0
+        assert outage_oma(cfg, [db_to_linear(12.0)]).tolist() == [0.0]
 
     def test_decreasing_in_snr(self):
         for cfg in (coop_preset(), direct_preset()):
-            vals = [outage_oma(cfg, db_to_linear(db)) for db in (0.0, 20.0, 40.0)]
+            vals = outage_oma(cfg, [db_to_linear(db) for db in (0.0, 20.0, 40.0)]).tolist()
             assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_rejects_bad_rho(self):
         for cfg in (coop_preset(), direct_preset()):
             for rho in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match="transmit SNR rho"):
-                    outage_oma(cfg, rho)
+                with pytest.raises(ValueError, match="transmit SNR rho must be finite"):
+                    outage_oma(cfg, [rho])

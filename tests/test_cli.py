@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -76,8 +77,8 @@ class TestSweep:
         for row, user in zip(rows, (1, 2, 3)):
             c = cells(row)
             assert c["p_exact"] == f"{user_outage(cfg, rho, user)[0]:.12g}"
-            assert c["p_oma"] == f"{outage_oma(cfg, rho):.12g}"
-            exact = [p for p, _ in point_outages(cfg, rho)]
+            assert c["p_oma"] == f"{outage_oma(cfg, [rho]).item():.12g}"
+            exact = [p.item() for p, _ in point_outages(cfg, [rho])]
             assert c["throughput"] == f"{throughput(cfg, exact):.12g}"
 
     def test_coop_rows_come_before_direct_in_compare(self, capsys):
@@ -662,6 +663,18 @@ class TestCliContract:
         assert code == 0 or (code == 2 and err.startswith("error: the relay oracle cannot")), (
             code, err)
         assert caught == [] and "Traceback" not in err and "Warning" not in err, (err, caught)
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_config_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        # 200 random bytes are bad input, not a UnicodeDecodeError traceback
+        raw = random.Random(24).randbytes(200)
+        with pytest.raises(UnicodeDecodeError):
+            raw.decode("utf-8")
+        ini = tmp_path / "binary.ini"
+        ini.write_bytes(raw)
+        code, out, err = run_cli(capsys, command, "--config", str(ini), "--trials", "0")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config file {ini}: 'utf-8' codec"), err
 
 
 class TestDeterminism:

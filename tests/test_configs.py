@@ -53,7 +53,7 @@ class TestCoopConfig:
 
     def test_rank_and_mean_accessors(self):
         cfg = make_coop()
-        for (params, idx, _), rank in zip(point_links(cfg, 10.0), (1, 5), strict=True):
+        for (params, idx, _), rank in zip(point_links(cfg, [10.0]), (1, 5), strict=True):
             assert (idx.rank, idx.total) == (rank, 5)
             assert (params.omega, cfg.omega_rd) == (1.0, 4.0)
         with pytest.raises(ValueError):

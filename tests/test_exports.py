@@ -206,4 +206,4 @@ def test_readme_library_use_runs():
             continue
         assert eval(compile(tree, str(README), "eval"), namespace) == want, line
         checked += 1
-    assert checked == 2
+    assert checked == 3

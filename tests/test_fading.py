@@ -52,6 +52,13 @@ def binomial_tail_mp(rank, total, big_f):
         return acc
 
 
+def at(fn, *args):
+    """``fn`` at one point: its last argument as a one-element array, and
+    the element it returns as a float."""
+    *head, x = args
+    return fn(*head, np.array([x], dtype=float)).item()
+
+
 def series_cdf(mu, omega, x):
     """Truncated-exponential-series CDF, the textbook integer-shape form."""
     psi = mu * x / omega
@@ -129,10 +136,9 @@ class TestGammaPdf:
             assert np.array_equal(gamma_pdf(p, x), self.masked_pdf(p, x))
             assert np.array_equal(gamma_pdf(p, x.reshape(19, 53)),
                                   self.masked_pdf(p, x).reshape(19, 53))
-            for xi in x[::25]:
-                value = gamma_pdf(p, float(xi))
-                assert type(value) is float
-                assert value == self.masked_pdf(p, xi)[0]
+            masked = self.masked_pdf(p, x)
+            for i in range(0, x.size, 25):
+                assert gamma_pdf(p, x[i:i + 1]).view(np.uint64) == masked[i:i + 1].view(np.uint64)
 
 
     def test_zero_at_infinity_without_warning(self):
@@ -140,12 +146,11 @@ class TestGammaPdf:
         with np.errstate(all="raise"):
             for mu in (1, 2, 3):
                 p = FadingParams(mu, 1.5)
-                value = gamma_pdf(p, math.inf)
-                assert type(value) is float and value == 0.0
+                assert gamma_pdf(p, np.array([math.inf])).tolist() == [0.0]
                 out = gamma_pdf(p, np.array([math.inf, 1.0, -math.inf]))
                 assert out[0] == 0.0 and out[2] == 0.0
-                assert out[1] == gamma_pdf(p, 1.0)
-                assert gamma_cdf(p, math.inf) == 1.0
+                assert out[1] == at(gamma_pdf, p, 1.0)
+                assert gamma_cdf(p, np.array([math.inf])).tolist() == [1.0]
 
 
 class TestGammaCdf:
@@ -217,10 +222,8 @@ class TestRateOverflow:
     def test_cdf_is_a_unit_step_at_zero(self):
         assert gamma_cdf(self.P, np.array([-1.0, 0.0, 1e-320, 1.0])).tolist() == [
             0.0, 0.0, 1.0, 1.0]
-        value = gamma_cdf(self.P, 0.0)
-        assert type(value) is float and value == 0.0
-        assert gamma_cdf(self.P, 1e-320) == 1.0
-        assert ordered_cdf(self.P, OrderedIndex(2, 3), 1.0) == 1.0
+        assert gamma_cdf(self.P, np.array([0.0, 1e-320])).tolist() == [0.0, 1.0]
+        assert at(ordered_cdf, self.P, OrderedIndex(2, 3), 1.0) == 1.0
         assert ordered_cdf_quadrature(self.P, OrderedIndex(2, 3), 1.0) == 1.0
 
 
@@ -230,21 +233,21 @@ class TestSmallArgCdf:
     def test_frozen_leading_term(self):
         # (mu x / omega)^mu / mu! at mu=3, omega=2, x=1e-3
         assert_allclose(
-            ordered_cdf_small_arg(FadingParams(3, 2.0), OrderedIndex(1, 1), 1e-3),
+            at(ordered_cdf_small_arg, FadingParams(3, 2.0), OrderedIndex(1, 1), 1e-3),
             5.625e-10,
             rtol=1e-12,
         )
 
     def test_ratio_to_exact_approaches_one(self):
         p = FadingParams(2, 1.0)
-        ratios = [ordered_cdf_small_arg(p, OrderedIndex(1, 1), x) / gamma_cdf(p, x)
+        ratios = [at(ordered_cdf_small_arg, p, OrderedIndex(1, 1), x) / gamma_cdf(p, x)
                   for x in (1e-2, 1e-4, 1e-6)]
         errs = [abs(r - 1.0) for r in ratios]
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] < 1e-5
 
     def test_zero_at_origin(self):
-        assert ordered_cdf_small_arg(FadingParams(2, 1.0), OrderedIndex(1, 1), 0.0) == 0.0
+        assert at(ordered_cdf_small_arg, FadingParams(2, 1.0), OrderedIndex(1, 1), 0.0) == 0.0
 
 
 class TestOrderedCdf:
@@ -252,7 +255,7 @@ class TestOrderedCdf:
         p = FadingParams(2, 1.5)
         for x in (0.1, 1.0, 5.0):
             assert_allclose(
-                ordered_cdf(p, OrderedIndex(1, 1), x), gamma_cdf(p, x), rtol=1e-14
+                at(ordered_cdf, p, OrderedIndex(1, 1), x), gamma_cdf(p, x), rtol=1e-14
             )
 
     def test_extreme_ranks_have_closed_forms(self):
@@ -262,12 +265,12 @@ class TestOrderedCdf:
             for x in (0.3, 1.2, 3.0):
                 big_f = gamma_cdf(p, x)
                 assert_allclose(
-                    ordered_cdf(p, OrderedIndex(1, total), x),
+                    at(ordered_cdf, p, OrderedIndex(1, total), x),
                     1.0 - (1.0 - big_f) ** total,
                     rtol=1e-13,
                 )
                 assert_allclose(
-                    ordered_cdf(p, OrderedIndex(total, total), x),
+                    at(ordered_cdf, p, OrderedIndex(total, total), x),
                     big_f**total,
                     rtol=1e-13,
                 )
@@ -284,7 +287,7 @@ class TestOrderedCdf:
                             ref = float(mp.betainc(rank, total - rank + 1, 0, big_f,
                                                    regularized=True))
                         assert_allclose(
-                            ordered_cdf(p, OrderedIndex(rank, total), x), ref, rtol=1e-12
+                            at(ordered_cdf, p, OrderedIndex(rank, total), x), ref, rtol=1e-12
                         )
 
     @pytest.mark.parametrize("total", [20, 40, 60, 100, 1000])
@@ -296,7 +299,7 @@ class TestOrderedCdf:
         for rank in sorted({1, 2, total // 4, total // 2, total - 1, total}):
             for big_f in (1e-300, 1e-30, 1e-3, 0.05, 0.3, 0.7, 0.99):
                 x = -math.log1p(-big_f)
-                got = ordered_cdf(p, OrderedIndex(rank, total), x)
+                got = at(ordered_cdf, p, OrderedIndex(rank, total), x)
                 ref = binomial_tail_mp(rank, total, gamma_cdf(p, x))
                 if ref < 2.2250738585072014e-308:
                     assert got == 0.0, (rank, big_f)
@@ -310,7 +313,7 @@ class TestOrderedCdf:
             for total in (2, 5):
                 for x in np.linspace(0.05, 8.0, 40):
                     mix = math.fsum(
-                        ordered_cdf(p, OrderedIndex(rank, total), x)
+                        at(ordered_cdf, p, OrderedIndex(rank, total), x)
                         for rank in range(1, total + 1)
                     ) / total
                     assert abs(mix - gamma_cdf(p, x)) <= 1e-12
@@ -318,32 +321,33 @@ class TestOrderedCdf:
     def test_nonincreasing_in_rank(self):
         p = FadingParams(2, 1.0)
         for x in (0.2, 1.0, 3.0):
-            vals = [ordered_cdf(p, OrderedIndex(r, 5), x) for r in range(1, 6)]
+            vals = [at(ordered_cdf, p, OrderedIndex(r, 5), x) for r in range(1, 6)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_underflow_falls_back_to_leading_term(self):
         # F ~ 1e-75, rank 4: F^4 underflows but the log-domain lead survives
         p = FadingParams(1, 1.0)
         x = 1e-75
-        got = ordered_cdf(p, OrderedIndex(4, 5), x)
+        got = at(ordered_cdf, p, OrderedIndex(4, 5), x)
         assert got > 0.0
-        assert_allclose(got, ordered_cdf_small_arg(p, OrderedIndex(4, 5), x), rtol=1e-10)
+        assert_allclose(got, at(ordered_cdf_small_arg, p, OrderedIndex(4, 5), x), rtol=1e-10)
 
     def test_deep_underflow_clamps_to_zero(self):
         p = FadingParams(1, 1.0)
-        assert ordered_cdf(p, OrderedIndex(5, 5), 1e-110) == 0.0
+        assert at(ordered_cdf, p, OrderedIndex(5, 5), 1e-110) == 0.0
 
     def test_bounds_and_edges(self):
         p = FadingParams(2, 1.0)
         idx = OrderedIndex(2, 4)
-        assert ordered_cdf(p, idx, 0.0) == 0.0
-        assert ordered_cdf(p, idx, -1.0) == 0.0
-        assert ordered_cdf(p, idx, math.inf) == 1.0
-        assert ordered_cdf(p, idx, 1e9) == 1.0
+        assert at(ordered_cdf, p, idx, 0.0) == 0.0
+        assert at(ordered_cdf, p, idx, -1.0) == 0.0
+        assert at(ordered_cdf, p, idx, math.inf) == 1.0
+        assert at(ordered_cdf, p, idx, 1e9) == 1.0
 
     def test_array_is_scalar_calls_bit_for_bit(self):
         # one gammainc and one betainc call over the array, the
-        # log-domain tail and the clamps per element
+        # log-domain tail and the clamps per element: each element is the
+        # one-element call at its cut
         xs = np.array([-1.0, 0.0, 1e-300, 1e-110, 1e-75, 1e-20, 1e-3, 0.3, 1.0, 4.0, 60.0,
                        1e9, math.inf])
         for p in (FadingParams(1, 1.0), FadingParams(3, 0.7), FadingParams(2, 1e-310)):
@@ -351,9 +355,10 @@ class TestOrderedCdf:
                         OrderedIndex(30, 200)):
                 got = ordered_cdf(p, idx, xs)
                 assert isinstance(got, np.ndarray)
-                assert got.tolist() == [ordered_cdf(p, idx, x) for x in xs.tolist()]
+                assert got.tolist() == [at(ordered_cdf, p, idx, x) for x in xs.tolist()]
                 lead = ordered_cdf_small_arg(p, idx, xs[2:])
-                assert lead.tolist() == [ordered_cdf_small_arg(p, idx, x) for x in xs[2:].tolist()]
+                assert lead.tolist() == [at(ordered_cdf_small_arg, p, idx, x)
+                                         for x in xs[2:].tolist()]
         assert ordered_cdf(FadingParams(1, 1.0), OrderedIndex(1, 2), np.array([])).size == 0
 
 
@@ -363,7 +368,7 @@ class TestOrderedPdf:
         idx = OrderedIndex(2, 4)
         for x in (0.3, 1.0, 2.5):
             h = 1e-6
-            fd = (ordered_cdf(p, idx, x + h) - ordered_cdf(p, idx, x - h)) / (2 * h)
+            fd = (at(ordered_cdf, p, idx, x + h) - at(ordered_cdf, p, idx, x - h)) / (2 * h)
             assert_allclose(ordered_pdf(p, idx, x), fd, rtol=1e-5)
 
     def test_integrates_to_cdf(self):
@@ -371,7 +376,7 @@ class TestOrderedPdf:
         idx = OrderedIndex(3, 5)
         for x in (0.5, 2.0, 6.0):
             ref, _ = integrate.quad(lambda y: ordered_pdf(p, idx, y), 0, x, limit=200)
-            assert_allclose(ref, ordered_cdf(p, idx, x), rtol=1e-9)
+            assert_allclose(ref, at(ordered_cdf, p, idx, x), rtol=1e-9)
 
     def test_zero_outside_support(self):
         p = FadingParams(2, 1.0)
@@ -385,7 +390,7 @@ class TestOrderedPdf:
         x = np.array([-1.0, 0.0, 1e-9, 0.3, 2.5, 40.0, math.inf])
         out = ordered_pdf(p, idx, x)
         assert out.shape == x.shape
-        assert out.tolist() == [ordered_pdf(p, idx, float(v)) for v in x]
+        assert out.tolist() == [at(ordered_pdf, p, idx, v) for v in x]
         assert out[0] == out[1] == out[-1] == 0.0 and out[2] > 0.0
 
 
@@ -395,8 +400,8 @@ class TestOrderedSmallArg:
             p = FadingParams(mu, 1.0)
             for rank, total in [(1, 5), (2, 5), (3, 3)]:
                 idx = OrderedIndex(rank, total)
-                v1 = ordered_cdf_small_arg(p, idx, 1e-4)
-                v2 = ordered_cdf_small_arg(p, idx, 1e-5)
+                v1 = at(ordered_cdf_small_arg, p, idx, 1e-4)
+                v2 = at(ordered_cdf_small_arg, p, idx, 1e-5)
                 slope = (math.log10(v1) - math.log10(v2))
                 assert_allclose(slope, mu * rank, rtol=1e-10)
 
@@ -404,7 +409,7 @@ class TestOrderedSmallArg:
         p = FadingParams(2, 1.0)
         idx = OrderedIndex(2, 5)
         for x, tol in [(1e-2, 0.2), (1e-4, 2e-3)]:
-            ratio = ordered_cdf_small_arg(p, idx, x) / ordered_cdf(p, idx, x)
+            ratio = at(ordered_cdf_small_arg, p, idx, x) / at(ordered_cdf, p, idx, x)
             assert abs(ratio - 1.0) < tol
 
     def test_past_the_double_range_returns_inf(self):
@@ -412,9 +417,9 @@ class TestOrderedSmallArg:
         # 5 * 32 * ln 100 = 737 more at x = 100, past ln(max double) = 709.8
         p = FadingParams(32, 1.0)
         idx = OrderedIndex(5, 5)
-        assert math.isfinite(ordered_cdf_small_arg(p, idx, 1.0))
-        assert ordered_cdf_small_arg(p, idx, 100.0) == math.inf
-        assert ordered_cdf_small_arg(p, idx, math.inf) == math.inf
+        assert math.isfinite(at(ordered_cdf_small_arg, p, idx, 1.0))
+        assert at(ordered_cdf_small_arg, p, idx, 100.0) == math.inf
+        assert at(ordered_cdf_small_arg, p, idx, math.inf) == math.inf
 
 
 class TestOrderedCdfSeries:
@@ -433,7 +438,7 @@ class TestOrderedCdfSeries:
                         continue
                     assert_allclose(
                         ordered_cdf_quadrature(p, idx, x),
-                        ordered_cdf(p, idx, x),
+                        at(ordered_cdf, p, idx, x),
                         rtol=1e-7,
                     )
 
@@ -482,7 +487,7 @@ class TestSampling:
         draws = sample_sorted_gains(p, total, np.random.default_rng(9), size=200_000)
         for rank, x in [(1, 0.2), (3, 0.8), (5, 2.0)]:
             emp = float(np.mean(draws[:, rank - 1] <= x))
-            ref = ordered_cdf(p, OrderedIndex(rank, total), x)
+            ref = at(ordered_cdf, p, OrderedIndex(rank, total), x)
             se = math.sqrt(ref * (1 - ref) / draws.shape[0])
             assert abs(emp - ref) < 4 * se
 

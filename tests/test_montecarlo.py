@@ -74,7 +74,7 @@ def coop_events_from_cuts(raw, cfg, rho):
     cut * c / (y - cut))."""
     direct, y, drops = raw
     fails = []
-    for (_, idx, cut), w in zip(point_links(cfg, rho), drops, strict=True):
+    for (_, idx, (cut,)), w in zip(point_links(cfg, [rho]), drops, strict=True):
         with np.errstate(divide="ignore", invalid="ignore"):
             relay_ok = (y > cut) & (w >= cut * cfg.noise_scale / (y - cut))
         fails.append((direct[:, idx.rank - 1] < cut) & ~relay_ok)
@@ -83,7 +83,7 @@ def coop_events_from_cuts(raw, cfg, rho):
 
 def direct_events_from_cuts(gain, cfg, rho, user):
     """Outage indicators of single-slot user ``user`` at its decode cut."""
-    return np.asarray(gain, dtype=float) < point_links(cfg, rho)[user - 1][2]
+    return np.asarray(gain, dtype=float) < point_links(cfg, [rho])[user - 1][2][0]
 
 
 def one_draw(cfg, rng, n):
@@ -295,10 +295,10 @@ class TestSinrChains:
         draw = scalar_draw(cfg, 2.0, 4.0, 1.0, 1.0, 1.0)
 
         def far(probe):
-            return user_failures(draw, probe, 10.0)[0][0]
+            return user_failures(draw, gain_cuts(probe, 10.0))[0][0]
 
         def near(probe):
-            return user_failures(draw, probe, 10.0)[1][0]
+            return user_failures(draw, gain_cuts(probe, 10.0))[1][0]
 
         # the relay branch (effective gain 1 / (1 + c), c = 1.23) misses
         # each threshold below, so the direct gain decides
@@ -312,11 +312,11 @@ class TestSinrChains:
 
         def far(probe):
             draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
-            return user_failures(draw, probe, 10.0)[0][0]
+            return user_failures(draw, gain_cuts(probe, 10.0))[0][0]
 
         def near(probe):
             draw = scalar_draw(probe, 0.1, 0.1, 1.0, 2.0, 3.0)
-            return user_failures(draw, probe, 10.0)[1][0]
+            return user_failures(draw, gain_cuts(probe, 10.0))[1][0]
 
         # the direct gain 0.1 misses each threshold below, so the relay decides
         # cascade far: 1 * 2 = 2; denom 2*0.2*10 + 2 + 1 = 7
@@ -341,14 +341,15 @@ class TestSinrChains:
 
         def stage(depth):
             # a single-branch user at position k runs the chain to depth k
-            return lambda probe: user_failures([(g,)] * depth, probe, 10.0)[depth - 1][0]
+            return lambda probe: user_failures([(g,)] * depth,
+                                               gain_cuts(probe, 10.0))[depth - 1][0]
 
         assert_stage_sinr(stage(1), cfg, 1, 2.0 * 5.0 / (2.0 * 5.0 + 1.0))
         assert_stage_sinr(stage(2), cfg, 2, 2.0 * 4.0 / (2.0 * 1.0 + 1.0))
         # last message decodes interference-free
         assert_stage_sinr(stage(3), cfg, 3, 2.0 * 1.0)
         with pytest.raises(ValueError):
-            user_failures([(g,)] * 4, cfg, 10.0)
+            user_failures([(g,)] * 4, gain_cuts(cfg, 10.0))
 
 
 class TestEventEquivalence:
@@ -363,7 +364,7 @@ class TestEventEquivalence:
             draw = one_draw(cfg, rng, 1 << 16)
             for rho_db in (0.0, 10.0, 30.0):
                 rho = db_to_linear(rho_db)
-                far_a, near_a = user_failures(draw, cfg, rho)
+                far_a, near_a = user_failures(draw, gain_cuts(cfg, rho))
                 far_b, near_b = coop_events_from_cuts(raw, cfg, rho)
                 assert np.array_equal(far_a, far_b)
                 assert np.array_equal(near_a, near_b)
@@ -374,7 +375,7 @@ class TestEventEquivalence:
     def test_coop_routes_agree_when_infeasible(self):
         cfg = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))  # threshold 7 > 4
         draw = one_draw(cfg, np.random.default_rng(8), 4096)
-        far_a, near_a = user_failures(draw, cfg, db_to_linear(30.0))
+        far_a, near_a = user_failures(draw, gain_cuts(cfg, db_to_linear(30.0)))
         raw = raw_block(cfg, np.random.default_rng(8), 4096)
         far_b, near_b = coop_events_from_cuts(raw, cfg, db_to_linear(30.0))
         assert far_a.all() and near_a.all()
@@ -386,7 +387,7 @@ class TestEventEquivalence:
         gain = np.random.default_rng(77).gamma(2.0, 1.0, size=1 << 16)
         for rho_db in (0.0, 15.0, 30.0):
             rho = db_to_linear(rho_db)
-            fails = user_failures([(gain,)] * 3, cfg, rho)
+            fails = user_failures([(gain,)] * 3, gain_cuts(cfg, rho))
             for user in (1, 2, 3):
                 b = direct_events_from_cuts(gain, cfg, rho, user)
                 assert np.array_equal(fails[user - 1], b)
@@ -399,7 +400,7 @@ class TestEventEquivalence:
             mu=1,
         )
         gain = np.random.default_rng(9).gamma(1.0, 5.0, size=4096)
-        a = user_failures([(gain,)] * 2, cfg, db_to_linear(40.0))[1]
+        a = user_failures([(gain,)] * 2, gain_cuts(cfg, db_to_linear(40.0)))[1]
         b = direct_events_from_cuts(gain, cfg, db_to_linear(40.0), 2)
         assert a.all()
         assert np.array_equal(a, b)
@@ -446,11 +447,11 @@ class TestBufferedReplay:
             # starts with values the comparison must overwrite
             if out is None:
                 out = np.ones((3, *shape), dtype=bool)
-            got = user_failures(draw, cfg, rho, out[:len(draw)])
+            got = user_failures(draw, gain_cuts(cfg, rho), out[:len(draw)])
             assert got.base is out and got.shape == (len(draw), *shape)
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
-            assert np.array_equal(user_failures(draw, cfg, rho), got)
+            assert np.array_equal(user_failures(draw, gain_cuts(cfg, rho)), got)
 
     def test_partial_tile_views(self):
         # the last tile of a block is decided into the leading columns of
@@ -459,8 +460,8 @@ class TestBufferedReplay:
         cfg = preset_configs("comparison.ini")["coop"]
         draw = one_draw(cfg, np.random.default_rng(1), 1234)
         out = np.ones((2, len(self.RHOS), 2048), dtype=bool)
-        got = user_failures(draw, cfg, self.RHOS, out[:, :, :1234], gain_cuts(cfg, self.RHOS))
-        assert np.array_equal(got, user_failures(draw, cfg, self.RHOS))
+        got = user_failures(draw, gain_cuts(cfg, self.RHOS), out[:, :, :1234])
+        assert np.array_equal(got, user_failures(draw, gain_cuts(cfg, self.RHOS)))
 
     def test_buffered_stage_failures_equal_allocating_path(self):
         cfg = direct_preset(2)
@@ -469,15 +470,16 @@ class TestBufferedReplay:
             shape = np.broadcast_shapes(gain.shape, np.shape(rho))
             out = np.ones((3, *shape), dtype=bool)
             # single-branch users at positions 1..3 clear stages 1..k, k = 1..3
-            got = user_failures([(gain,)] * 3, cfg, rho, out)
+            got = user_failures([(gain,)] * 3, gain_cuts(cfg, rho), out)
             assert got is out
-            assert np.array_equal(got, user_failures([(gain,)] * 3, cfg, rho))
+            assert np.array_equal(got, user_failures([(gain,)] * 3, gain_cuts(cfg, rho)))
             for depth, row in enumerate(got, 1):
                 assert np.array_equal(row, reference_stage_failures(gain, cfg, rho, depth))
         # each row of a column of rho equals the scalar call at its rho
-        column = user_failures([(gain,)] * 3, cfg, self.RHOS)
+        column = user_failures([(gain,)] * 3, gain_cuts(cfg, self.RHOS))
         for k, rho in enumerate(self.RHOS[:, 0]):
-            assert np.array_equal(column[:, k], user_failures([(gain,)] * 3, cfg, rho))
+            assert np.array_equal(column[:, k],
+                                  user_failures([(gain,)] * 3, gain_cuts(cfg, rho)))
 
     @pytest.mark.parametrize("width", [1, 7, 8, 1234, 8192])
     def test_row_counts(self, width):
@@ -594,8 +596,8 @@ class TestBracketedReplay:
             gain = self.probe_gains(cfg)
             other = gain[::-1].copy()
             users = len(sic_stages(cfg))
-            one = user_failures([(gain,)] * users, cfg, self.RHOS)
-            two = user_failures([(gain, other)] * users, cfg, self.RHOS)
+            one = user_failures([(gain,)] * users, gain_cuts(cfg, self.RHOS))
+            two = user_failures([(gain, other)] * users, gain_cuts(cfg, self.RHOS))
             for depth in range(1, users + 1):
                 want = exact_user_failures([gain], cfg, rhos, depth)
                 assert np.array_equal(one[depth - 1], want), (cfg, depth)
@@ -603,7 +605,7 @@ class TestBracketedReplay:
                 assert np.array_equal(two[depth - 1], want), (cfg, depth)
                 # each row equals the scalar call at its rho
                 for k, rho in enumerate(rhos):
-                    row = user_failures([(gain,)] * depth, cfg, rho)[-1]
+                    row = user_failures([(gain,)] * depth, gain_cuts(cfg, rho))[-1]
                     assert np.array_equal(row, one[depth - 1, k]), (cfg, depth, rho)
             failed += int(one.sum())
             passed += int((~one).sum())
@@ -680,21 +682,22 @@ class TestOverflowGuard:
         with np.errstate(all="ignore"):
             assert np.isnan((gain * 0.5 * 1e10) / (gain * 0.5 * 1e10 + 1.0))[0]
         assert np.isnan(gain_cuts(cfg, 1e10)).tolist() == [True, False, False]
-        assert user_failures([(gain,)] * 3, cfg, 1e10).tolist() == [[True, True]] * 3
+        assert user_failures([(gain,)] * 3, gain_cuts(cfg, 1e10)).tolist() == [[True, True]] * 3
         # a NaN gain fails even stages at threshold 0, which 0 and inf clear,
         # and a NaN branch fails its user whatever the other branch holds
         free = dataclasses.replace(direct_preset(), rates=(0.0, 0.0, 0.0))
         gain = np.array([math.nan, 0.0, math.inf])
-        assert user_failures([(gain,)] * 3, free, 1.0).tolist() == [[True, False, False]] * 3
+        free_cuts = gain_cuts(free, 1.0)
+        assert user_failures([(gain,)] * 3, free_cuts).tolist() == [[True, False, False]] * 3
         other = np.array([math.inf, math.nan, math.inf])
-        assert user_failures([(gain, other)], free, 1.0).tolist() == [[True, True, False]]
+        assert user_failures([(gain, other)], free_cuts).tolist() == [[True, True, False]]
         # a first hop past the double range over a second hop whose c / w
         # overflows leaves inf / inf, an effective gain no float can hold
         cfg = dataclasses.replace(coop_preset(), omega_sr=1.7e308, omega_rd=1e-308)
         draw = branch_gains(draw_block([cfg], np.random.default_rng(1), 3000), cfg)
         relay = draw[0][1]
         assert np.isnan(relay).any()
-        assert user_failures(draw, cfg, 1.0)[0][np.isnan(relay)].all()
+        assert user_failures(draw, gain_cuts(cfg, 1.0))[0][np.isnan(relay)].all()
 
     @pytest.mark.filterwarnings("error")
     def test_huge_direct_mean_is_simulated(self):
@@ -907,7 +910,7 @@ class TestAgreementWithClosedForms:
         with pytest.raises(ValueError):
             estimate_outage([coop_preset()], [0.0], TrialBatch(10, seed=0))
         with pytest.raises(ValueError):
-            user_failures([(np.ones(4),)] * 4, direct_preset(), 10.0)
+            user_failures([(np.ones(4),)] * 4, gain_cuts(direct_preset(), 10.0))
         with pytest.raises(ValueError):
             estimate_outage([direct_preset()], [10.0, math.inf], TrialBatch(10, seed=0))
         with pytest.raises(AttributeError):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from config_strategies import configs
 from hypothesis import example, given, settings
@@ -59,7 +60,7 @@ class TestOrderedQuadrature:
                 for x in (0.05, 0.6, 2.5):
                     assert_allclose(
                         ordered_cdf_quadrature(params, idx, x),
-                        ordered_cdf(params, idx, x),
+                        ordered_cdf(params, idx, np.array([x]))[0],
                         rtol=1e-9,
                     )
 
@@ -85,7 +86,7 @@ class TestOrderedQuadrature:
         # 1e-17, so it cuts at 2.2e17, where the tanh-sinh levels agreed on 0
         cfg = ScenarioConfig(power=(0.675, 0.225, 0.075, 0.024999999999999994),
                            rates=(1.0, 1.0, 2.0, 1.0), omega=(1.0,) * 4)
-        params, idx, cut = point_links(cfg, 1.0)[2]
+        params, idx, (cut,) = point_links(cfg, [1.0])[2]
         assert 1e17 < cut < math.inf
         assert ordered_cdf_quadrature(params, idx, cut) == 1.0
         assert outage_oracle(cfg, 1.0, 3) == user_outage(cfg, 1.0, 3)[0] == 1.0
@@ -100,10 +101,10 @@ class TestQuadpackCrossCheck:
         # mu = 6, against the QUADPACK route: far and near, and every
         # single-slot user
         worst = 0.0
+        rhos = [db_to_linear(float(db)) for db in self.GRID_DB]
         for cfg in (with_mu(coop_preset(), mu), with_mu(direct_preset(), mu)):
-            for db in self.GRID_DB:
-                rho = db_to_linear(float(db))
-                for params, idx, cut in point_links(cfg, rho):
+            for params, idx, cuts in point_links(cfg, rhos):
+                for cut in cuts.tolist():
                     pairs = [(ordered_cdf_quadrature(params, idx, cut),
                               ordered_cdf_quadpack(params, idx, cut))]
                     if cfg.has_relay:
@@ -129,7 +130,7 @@ class TestOutageOracle:
     def test_coop_is_product_of_branch_quadratures(self):
         cfg = coop_preset()
         rho = db_to_linear(15.0)
-        far_cut = stage_cuts(cfg, rho)[0]
+        far_cut = stage_cuts(cfg, [rho])[0].item()
         direct = ordered_cdf_quadrature(
             FadingParams(cfg.mu, cfg.omega[0]),
             OrderedIndex(cfg.ranks[0], cfg.pool),
@@ -153,7 +154,7 @@ class TestOutageOracle:
     def test_direct_uses_running_max_cut(self):
         cfg = direct_preset()
         rho = db_to_linear(12.0)
-        cut = max(stage_cuts(cfg, rho)[:2])
+        cut = max(cuts.item() for cuts in stage_cuts(cfg, [rho])[:2])
         ref = ordered_cdf_quadrature(
             FadingParams(cfg.mu, cfg.omega[1]),
             OrderedIndex(cfg.ranks[1], cfg.pool),
@@ -198,36 +199,46 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("mu", range(1, 7))
     def test_batch_equals_one_row_calls_bit_for_bit(self, mu):
-        # every (point, user) row of the grid in one batch, shuffled, with
-        # a cut-0, a cut-inf and an F(cut) == 1 row of each user mixed in
+        # each user's grid link in one batch, its cuts shuffled with a
+        # cut-0, a cut-inf and an F(cut) == 1 row mixed in: each element
+        # of a grid link's oracle is the one-row call at its cut
+        rng = random.Random(mu)
+        rhos = [db_to_linear(float(db)) for db in self.GRID_DB]
         for cfg in (with_mu(coop_preset(), mu), with_mu(direct_preset(), mu)):
-            links = [link for db in self.GRID_DB
-                     for link in point_links(cfg, db_to_linear(float(db)))]
-            for params, idx, _ in point_links(cfg, 1.0):
-                assert gamma_cdf(params, 1e3) == 1.0
-                links += [(params, idx, 0.0), (params, idx, math.inf), (params, idx, 1e3)]
-            random.Random(mu).shuffle(links)
-            assert link_oracles(cfg, links) == [self.one_row(cfg, link) for link in links]
+            links = []
+            for params, idx, cuts in point_links(cfg, rhos):
+                assert gamma_cdf(params, np.array([1e3])).tolist() == [1.0]
+                row = cuts.tolist() + [0.0, math.inf, 1e3]
+                rng.shuffle(row)
+                links.append((params, idx, np.array(row)))
+            oracles = link_oracles(cfg, links)
+            assert [oracle.tolist() for oracle in oracles] == [
+                [self.one_row(cfg, (params, idx, cut)) for cut in cuts.tolist()]
+                for params, idx, cuts in links]
 
     def test_edge_rows_keep_their_prefilters(self):
         cfg = coop_preset()
-        params, idx, cut = point_links(cfg, 1.0)[0]
-        rows = [(params, idx, c) for c in (0.0, cut, math.inf, 1e3)]
-        oracle = link_oracles(cfg, rows)
+        params, idx, (cut,) = point_links(cfg, [1.0])[0]
+        (oracle,) = link_oracles(cfg, [(params, idx, np.array([0.0, cut, math.inf, 1e3]))])
         assert oracle[0] == 0.0 and oracle[2] == oracle[3] == 1.0
         assert 0.0 < oracle[1] < 1.0
-        assert all(type(v) is float for v in oracle)
+        assert isinstance(oracle, np.ndarray) and oracle.dtype == np.float64
         assert link_oracles(cfg, []) == []
 
     def test_relay_failure_names_the_cut_of_the_first_failing_row(self):
         cfg = dataclasses.replace(coop_preset(), omega_sr=1e300)
-        params, idx, _ = point_links(cfg, 1.0)[0]
+        (params, idx, _), (near_params, near_idx, _) = point_links(cfg, [1.0])
         cuts = [0.0, math.inf, 0.35, 0.015, 3.5]
         for cut in cuts[2:]:
             with pytest.raises(QuadratureError):
                 relay_outage_quadrature(cfg, cut)
         with pytest.raises(ConfigError, match=r"at cut 0\.35: semi-infinite quadrature"):
-            link_oracles(cfg, [(params, idx, cut) for cut in cuts])
+            link_oracles(cfg, [(params, idx, np.array(cuts))])
+        # the relay batch concatenates the links' cuts: a failure in the
+        # second link names that link's cut
+        with pytest.raises(ConfigError, match=r"at cut 0\.015: semi-infinite quadrature"):
+            link_oracles(cfg, [(params, idx, np.array([0.0, math.inf, 0.0])),
+                               (near_params, near_idx, np.array([0.015, 0.35, 3.5]))])
 
 
 class TestValidationSuite:

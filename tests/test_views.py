@@ -35,6 +35,7 @@ from noma_perf.montecarlo import (
     branch_gains,
     draw_block,
     estimate_outage,
+    gain_cuts,
     user_failures,
 )
 
@@ -44,7 +45,8 @@ def db_to_linear(snr_db):
 
 
 def user_link(cfg, rho, user):
-    return point_links(cfg, rho)[decode_depth(cfg, user) - 1]
+    """The user's link on the one-element grid [rho]."""
+    return point_links(cfg, [rho])[decode_depth(cfg, user) - 1]
 
 
 # =====================================================================
@@ -73,13 +75,13 @@ def test_product_of_parts():
         for user, parts in (("far", analytic.far_outage_parts),
                             ("near", analytic.near_outage_parts)):
             params, idx, cut = link = user_link(cfg, rho, user)
-            assert parts(cfg, link)[0] == ordered_cdf(params, idx, cut) * relay_outage(cfg, cut)
+            assert parts(cfg, link)[0] == ordered_cdf(params, idx, cut) * relay_outage(cfg, cut[0])
 
 
 def test_direct_part_is_ordered_cdf_at_cut():
     cfg = with_mu(coop_preset(), 2)
     rho = db_to_linear(15.0)
-    far_cut = stage_cuts(cfg, rho)[0]
+    far_cut = stage_cuts(cfg, [rho])[0]
     link = user_link(cfg, rho, "far")
     assert link[2] == far_cut
     ref = ordered_cdf(
@@ -87,8 +89,8 @@ def test_direct_part_is_ordered_cdf_at_cut():
         OrderedIndex(cfg.ranks[0], cfg.pool),
         far_cut,
     )
-    assert_allclose(analytic.far_outage_parts(cfg, link)[0], ref * relay_outage(cfg, far_cut),
-                    rtol=1e-15)
+    assert_allclose(analytic.far_outage_parts(cfg, link)[0],
+                    ref * relay_outage(cfg, far_cut[0]), rtol=1e-15)
 
 
 def test_rejects_bad_user():
@@ -132,7 +134,7 @@ def test_rejects_bad_rho_and_user(monkeypatch):
         montecarlo.estimate_outage_coop([coop_preset()], [0.0], TrialBatch(10, seed=0))
     # a draw of more users than the config serves is rejected by the replay
     with pytest.raises(ValueError):
-        montecarlo.direct_events_from_sinr([(np.ones(4),)] * 4, direct_preset(), 10.0)
+        montecarlo.direct_events_from_sinr([(np.ones(4),)] * 4, gain_cuts(direct_preset(), 10.0))
 
 
 # =====================================================================
@@ -152,7 +154,7 @@ def outage_form(pinned, form, user=None):
     caller."""
     def view(cfg, rho, caller_user):
         served = caller_user if user is None else user
-        return (pinned(cfg, user_link(cfg, rho, served))[form],
+        return (pinned(cfg, user_link(cfg, rho, served))[form].item(),
                 user_outage(cfg, rho, served)[form])
     return view
 
@@ -160,7 +162,7 @@ def outage_form(pinned, form, user=None):
 def parts(pinned, user):
     def view(cfg, rho, _):
         return (pinned(cfg, user_link(cfg, rho, user)),
-                point_outages(cfg, rho)[decode_depth(cfg, user) - 1])
+                point_outages(cfg, [rho])[decode_depth(cfg, user) - 1])
     return view
 
 
@@ -171,16 +173,16 @@ def parts(pinned, user):
 #: relay preset
 VIEWS = {
     "coop_cuts": (analytic, stage_cuts, lambda cfg, rho, user: (
-        analytic.coop_cuts(cfg, rho), tuple(stage_cuts(cfg, rho)))),
+        analytic.coop_cuts(cfg, [rho]), tuple(stage_cuts(cfg, [rho])))),
     "direct_cuts": (analytic, stage_cuts, lambda cfg, rho, user: (
-        analytic.direct_cuts(cfg, rho), tuple(stage_cuts(cfg, rho)))),
+        analytic.direct_cuts(cfg, [rho]), tuple(stage_cuts(cfg, [rho])))),
     "far_outage_parts": (analytic, link_outage, parts(analytic.far_outage_parts, "far")),
     "near_outage_parts": (analytic, link_outage, parts(analytic.near_outage_parts, "near")),
     "throughput_coop": (analytic, throughput, lambda cfg, rho, user: (
-        analytic.throughput_coop(cfg, [p for p, _ in point_outages(cfg, rho)]),
+        analytic.throughput_coop(cfg, [p.item() for p, _ in point_outages(cfg, [rho])]),
         throughput(cfg, [user_outage(cfg, rho, u)[0] for u in served_users(cfg)]))),
     "throughput_direct": (analytic, throughput, lambda cfg, rho, user: (
-        analytic.throughput_direct(cfg, [p for p, _ in point_outages(cfg, rho)]),
+        analytic.throughput_direct(cfg, [p.item() for p, _ in point_outages(cfg, [rho])]),
         throughput(cfg, [user_outage(cfg, rho, u)[0] for u in served_users(cfg)]))),
     "estimate_outage_coop": (montecarlo, estimate_outage, lambda cfg, rho, user: (
         montecarlo.estimate_outage_coop([cfg], [rho], BATCH),
@@ -192,11 +194,12 @@ VIEWS = {
         montecarlo.draw_coop_block([cfg], np.random.default_rng(7), BATCH.trials),
         draw_block([cfg], np.random.default_rng(7), BATCH.trials))),
     "coop_events_from_sinr": (montecarlo, user_failures, lambda cfg, rho, user: (
-        montecarlo.coop_events_from_sinr(fresh_draw(cfg), cfg, rho),
-        user_failures(fresh_draw(cfg), cfg, rho))),
+        montecarlo.coop_events_from_sinr(fresh_draw(cfg), gain_cuts(cfg, rho)),
+        user_failures(fresh_draw(cfg), gain_cuts(cfg, rho)))),
     "direct_events_from_sinr": (montecarlo, user_failures, lambda cfg, rho, user: (
-        montecarlo.direct_events_from_sinr(fresh_draw(cfg), cfg, rho)[decode_depth(cfg, user) - 1],
-        user_failures(fresh_draw(cfg)[:decode_depth(cfg, user)], cfg, rho)[-1])),
+        montecarlo.direct_events_from_sinr(fresh_draw(cfg), gain_cuts(cfg, rho))[
+            decode_depth(cfg, user) - 1],
+        user_failures(fresh_draw(cfg)[:decode_depth(cfg, user)], gain_cuts(cfg, rho))[-1])),
 }
 for _form, _kind in enumerate(("exact", "asymptotic")):
     for _user in ("far", "near", None):
