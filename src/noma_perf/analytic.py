@@ -59,7 +59,6 @@ import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .configs import ScenarioConfig
 from .fading import (
@@ -68,7 +67,7 @@ from .fading import (
     ordered_cdf,
     ordered_cdf_small_arg,
 )
-from .numerics import log_binomial
+from .numerics import bessel_k_scaled, gamma_p, log_binomial
 
 __all__ = [
     "decode_depth",
@@ -204,27 +203,42 @@ def stage_cuts(cfg: ScenarioConfig, rho) -> tuple[np.ndarray, ...]:
 # Relay branch closed form
 # =====================================================================
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _check_relay_law(mu: int, omega_sr: float, omega_rd: float, noise_scale: float) -> None:
+    """Raise ``ValueError`` unless the relay law of :func:`relay_outage_closed` is valid.
+
+    Cached per law, with argument types kept apart (1 and 1.0 or True
+    are different keys), so each law is checked once however many cuts
+    it serves; a law that fails raises on every call, as nothing is cached
+    for it.
+    """
+    if not isinstance(mu, int) or mu < 1:
+        raise ValueError(f"mu must be an integer >= 1, got {mu!r}")
+    for name, v in (("omega_sr", omega_sr), ("omega_rd", omega_rd),
+                    ("noise_scale", noise_scale)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
 @functools.cache
 def _bessel_law(mu: int, omega_sr: float, omega_rd: float) -> tuple:
     """Constants of :func:`_relay_outage_f64` that depend on the law alone.
 
     Each is the same double that sum computed inline per call:
     log 2 + mu log mu, mu log omega_sr, lgamma(mu), log omega_sr, log
-    omega_rd, log mu, the log C(mu - 1, i) row, lgamma(k + 1) for k < mu,
-    and the Bessel orders 0..mu.
+    omega_rd, log mu, the log C(mu - 1, i) row and lgamma(k + 1) for k < mu.
     """
     log_sr, log_rd, log_mu = math.log(omega_sr), math.log(omega_rd), math.log(mu)
     return (math.log(2.0) + mu * log_mu, mu * log_sr, math.lgamma(mu), log_sr, log_rd, log_mu,
             [log_binomial(mu - 1, i) for i in range(mu)],
-            [math.lgamma(k + 1) for k in range(mu)],
-            np.arange(mu + 1.0))
+            [math.lgamma(k + 1) for k in range(mu)])
 
 
 def _relay_outage_f64(cut: float, mu: int, omega_sr: float, omega_rd: float,
                       noise_scale: float) -> float:
     """Double-precision evaluation of the relay-branch outage at gain cut ``cut``."""
-    (log_2_mu, mu_log_sr, lgamma_mu, log_sr, log_rd, log_mu, log_binom, lgamma_k1,
-     orders) = _bessel_law(mu, omega_sr, omega_rd)
+    (log_2_mu, mu_log_sr, lgamma_mu, log_sr, log_rd, log_mu, log_binom,
+     lgamma_k1) = _bessel_law(mu, omega_sr, omega_rd)
     zc = cut * noise_scale
     arg = 2.0 * mu * math.sqrt(zc / omega_sr / omega_rd)
     log_pref = log_2_mu - mu * cut / omega_sr - mu_log_sr - lgamma_mu
@@ -233,9 +247,8 @@ def _relay_outage_f64(cut: float, mu: int, omega_sr: float, omega_rd: float,
     log_cut = math.log(cut)
     log_zc_term = log_zc + log_mu - log_rd
     # each K depends only on the order |i - k + 1| (1..mu, and 0 from mu = 2)
-    # and each binomial only on i, so one kve call gives every order;
-    # math.log, not np.log, keeps the bits of a scalar call
-    log_bessel = [math.log(v) for v in special.kve(orders, arg).tolist()]
+    # and each binomial only on i, so one recurrence gives every order
+    log_bessel = [math.log(v) for v in bessel_k_scaled(mu, arg)]
     terms = []
     for k in range(mu):
         log_k = k * log_zc_term - lgamma_k1[k]
@@ -380,8 +393,9 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
 
     The q = 0 row of :func:`_deep_coefficients` is sum_{p<mu} t**p / p!,
     whose product with exp(-t) is the regularized upper incomplete gamma
-    function, so the outage is gammainc(mu, t) - exp(-t) * R with R the
-    rows q >= 1.  Both parts are non-negative (R <= 0: the first hop
+    function, so the outage is P(mu, t) - exp(-t) * R with P the
+    regularized lower incomplete gamma function (``numerics.gamma_p``)
+    and R the rows q >= 1.  Both parts are non-negative (R <= 0: the first hop
     failing alone is part of the outage), so nothing cancels against 1.
 
     R itself is an alternating series whose terms grow with s, as
@@ -410,7 +424,7 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
             )
         digits = min(2 * digits, _EULER_GAMMA_PRECISION)
         rest, size_sum = _deep_sum_decimal(mu, t, s, digits)
-    return float(special.gammainc(mu, t)) - math.exp(-t) * rest
+    return gamma_p(mu, t) - math.exp(-t) * rest
 
 
 def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float,
@@ -422,14 +436,16 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     (y - cut)``.  Integrating the first-hop density against the
     second-hop CDF gives, by Gradshteyn-Ryzhik 3.471.9, a double sum of
     K_nu(2 sqrt(s)) with s = (mu / omega_sr) (mu / omega_rd) noise_scale
-    cut, evaluated in double precision as 1 minus the sum.
+    cut, evaluated in double precision as 1 minus the sum, with every
+    e^x K_n(x) of a call from one ``numerics.bessel_k_scaled`` recurrence.
 
     Once that bracket drops below 1e-6 it cancels against 1, and the
     deep branch (:func:`_relay_outage_deep`) takes over: every K_n is
     expanded by DLMF 10.31.1, the terms that cancel are combined exactly
-    in rational arithmetic, and the outage is gammainc(mu, t) -
-    exp(-t) R with t = (mu / omega_sr) cut and R <= 0 a power series in
-    t, s and ln s, all in double precision.  The switch keeps s below
+    in rational arithmetic, and the outage is P(mu, t) - exp(-t) R with
+    P the regularized lower incomplete gamma function
+    (``numerics.gamma_p``), t = (mu / omega_sr) cut and R <= 0 a power
+    series in t, s and ln s, all in double precision.  The switch keeps s below
     about 6.1e-8, 5.4e-4, 0.015, 0.096, 0.32 and 0.79 at mu = 1..6 (the
     s at which the bracket reaches 1e-6 as t -> 0; the outage grows
     with t and s), where the series stays within about 2e-14 relative
@@ -440,7 +456,7 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
 
     Which branch serves a call is decided as follows.  Where the call
     may land below the switch (mu <= 6, s below the largest deep s of
-    its mu, and the first-hop CDF gammainc(mu, t), a lower bound of the
+    its mu, and the first-hop CDF P(mu, t), a lower bound of the
     outage, below 1e-6), the deep series runs first in double precision;
     a value below 1e-6 * (1 - 1e-4) is returned without the Bessel sum,
     since the sum, within about 2e-9 relative of the series there, would
@@ -452,14 +468,11 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
 
     Returns exactly 0.0 at ``cut = 0``, exactly 1.0 once the bracket
     underflows to zero (deep outage), and the first-hop CDF where s
-    underflows to zero.
+    underflows to zero.  ``mu``, the hop means and ``noise_scale`` are
+    checked once per law (:func:`_check_relay_law`), ``cut`` on every
+    call; a bad value raises ``ValueError``.
     """
-    if not isinstance(mu, int) or mu < 1:
-        raise ValueError(f"mu must be an integer >= 1, got {mu!r}")
-    for name, v in (("omega_sr", omega_sr), ("omega_rd", omega_rd),
-                    ("noise_scale", noise_scale)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    _check_relay_law(mu, omega_sr, omega_rd, noise_scale)
     cut = float(cut)
     if math.isnan(cut) or cut < 0:
         raise ValueError(f"cut must be >= 0, got {cut}")
@@ -474,13 +487,13 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     if t > _EXP_UNDERFLOW or math.sqrt(s) - mu * math.log(4.0) > _EXP_UNDERFLOW:
         return 1.0
     if s == 0.0:  # no forwarded noise at double precision: only the first hop fails
-        return float(special.gammainc(mu, t))
+        return gamma_p(mu, t)
     args = (cut, mu, omega_sr, omega_rd, noise_scale)
     deep = None
-    # the outage is at least the first-hop CDF gammainc(mu, t), so these
+    # the outage is at least the first-hop CDF P(mu, t), so these
     # tests only let through calls that may land below the switch
     if (mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]
-            and special.gammainc(mu, t) < _DEEP_SWITCH):
+            and gamma_p(mu, t) < _DEEP_SWITCH):
         deep = _relay_outage_deep(*args, resum=False)
         if deep is not None and deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN):
             return deep

@@ -7,11 +7,12 @@ that power-gain domain: density, CDF, the CDF/PDF of the m-th smallest of
 M i.i.d. gains, small-argument leading terms for high-SNR analysis, and
 reproducible sampling.
 
-The ordered CDF is the regularized incomplete beta function of the plain
-CDF, within about 1e-13 relative of a 40-digit reference up to pools of
-1000.  The alternating binomial sum in the plain CDF that it equals
-cancels as the pool grows (relative errors of 4e-9 at a pool of 20,
-0.16 at 40 and 1 at 60 in a sample).  Its independent check is the
+The ordered CDF is the binomial tail of the plain CDF
+(``numerics.binomial_tail``, the regularized incomplete beta function),
+summed in positive terms from the side away from its mode, so no pool
+makes it cancel; the alternating binomial sum in the plain CDF that it
+equals cancels as the pool grows (relative errors of 4e-9 at a pool of
+20, 0.16 at 40 and 1 at 60 in a sample).  Its independent check is the
 tanh-sinh quadrature of the order-statistic density in
 ``validation.ordered_cdf_quadrature``.  Every density and CDF here takes
 an ndarray and returns one: the plain and order-statistic densities and
@@ -27,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .numerics import log_binomial
+from .numerics import binomial_tail, gamma_p_grid, log_binomial
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +45,10 @@ __all__ = [
     "sample_sorted_gains",
 ]
 
-# Log of the smallest positive double; below this we fall back to a
-# log-domain leading term, and below the representable range we clamp to
-# zero (logged at debug level, never silently NaN).
-_LOG_TINY = math.log(2.2250738585072014e-308)
+#: rates above this can overflow the density's rate * x at nodes below
+#: 1e208; smaller rates skip the error-state switch, which costs more
+#: than the density on a quadrature level
+_WIDE_RATE = 1e100
 
 
 # =====================================================================
@@ -122,7 +122,13 @@ def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
         # a mean below mu / DBL_MAX puts all mass at 0: no density inside
         return np.full(np.shape(xs), -math.inf)
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
-    return p.mu * math.log(rate) - math.lgamma(p.mu) + (p.mu - 1) * np.log(xs) - rate * xs
+    if rate > _WIDE_RATE:
+        # rate * xs may pass the double range: inf there, where the density is 0
+        with np.errstate(over="ignore"):
+            decay = rate * xs
+    else:
+        decay = rate * xs
+    return p.mu * math.log(rate) - math.lgamma(p.mu) + (p.mu - 1) * np.log(xs) - decay
 
 
 def gamma_pdf(p: FadingParams, x):
@@ -139,10 +145,11 @@ def gamma_pdf(p: FadingParams, x):
 def gamma_cdf(p: FadingParams, x):
     """CDF of the power gain at the ndarray ``x``, zero for x <= 0.
 
-    Evaluated as the regularized lower incomplete gamma function at
-    ``mu * x / omega``, which for integer ``mu`` equals one minus the
-    truncated exponential series of that argument.  A mean so small that
-    ``mu / omega`` overflows puts all mass at 0, where the CDF steps to 1.
+    Evaluated as the regularized lower incomplete gamma function
+    P(mu, mu * x / omega) (``numerics.gamma_p_grid``), which for integer
+    ``mu`` equals one minus the truncated exponential series of that
+    argument.  A mean so small that ``mu / omega`` overflows puts all
+    mass at 0, where the CDF steps to 1.
     """
     x = np.asarray(x, dtype=float)
     if p.rate == math.inf:
@@ -150,7 +157,7 @@ def gamma_cdf(p: FadingParams, x):
     # a product past the double range is inf, where the CDF is exactly 1
     with np.errstate(over="ignore"):
         arg = np.maximum(x, 0.0) * p.rate
-    return special.gammainc(p.mu, arg)
+    return gamma_p_grid(p.mu, arg)
 
 
 # =====================================================================
@@ -166,57 +173,36 @@ def _ordered_prefactor_log(idx: OrderedIndex) -> float:
     )
 
 
-def _ordered_tail_log(idx: OrderedIndex, big_f: float, log_f: float, x: float) -> float:
-    """The binomial tail of :func:`ordered_cdf` summed in the log domain."""
-    m, total = idx.rank, idx.total
-    j = np.arange(m, total + 1)
-    log_p = special.logsumexp(
-        special.gammaln(total + 1) - special.gammaln(j + 1) - special.gammaln(total - j + 1)
-        + j * log_f + (total - j) * math.log1p(-big_f)
-    )
-    if log_p < _LOG_TINY:
-        logger.debug(
-            "ordered_cdf underflow: rank=%d total=%d x=%.3e, clamping to 0", m, total, x
-        )
-        return 0.0
-    return math.exp(log_p)
-
-
 def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     """CDF of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
 
     The rank-th smallest gain is below x exactly when at least ``rank``
-    of the ``total`` gains are, a binomial tail in the plain CDF F(x)
-    that equals the regularized incomplete beta function
-    I_F(rank, total - rank + 1).  Where F(x)^rank underflows, that
-    function loses digits (up to 15% of its value at total = 1000), so
-    the tail's terms C(total, j) F^j (1 - F)^(total - j), j >= rank, are
-    summed in the log domain instead; results below the double range
-    clamp to 0.0 with a debug log entry.
+    of the ``total`` gains are: the binomial tail sum_{j >= rank}
+    C(total, j) F^j (1 - F)^(total - j) in the plain CDF F(x), the
+    regularized incomplete beta function I_F(rank, total - rank + 1).
+    ``numerics.binomial_tail`` sums it in positive terms from the side
+    away from its mode, with Loader's saddle-point form for the first
+    term, so its work does not grow with the pool; results below the
+    double range clamp to 0.0 with a debug log entry.
 
     ``x`` is a 1-D array of cuts, such as one user's cuts over a config's
-    SNR grid, and the result an ndarray over it: one ``gammainc`` and one
-    ``betainc`` call cover every point.  scipy's kernels run element by
-    element, so each value is independent of the others; the underflow
-    test and the log-domain rows take ``math.log`` per element, as
-    ``np.log`` may round differently.
+    SNR grid, and the result an ndarray over it: one ``gamma_cdf`` call
+    gives every F, and the tail is summed per element, so each value is
+    independent of the others.
     """
     xs = np.asarray(x, dtype=float)
     out = np.where(xs <= 0, 0.0, 1.0)
     rows = np.flatnonzero(~((xs <= 0) | (xs == math.inf)))
-    big_f = gamma_cdf(p, xs[rows])
-    out[rows] = np.where(big_f == 0.0, 0.0, 1.0)
-    inside = np.flatnonzero(~((big_f == 0.0) | (big_f >= 1.0)))
     m, total = idx.rank, idx.total
-    beta = []
-    for i, f in zip(inside.tolist(), big_f[inside].tolist()):
-        log_f = math.log(f)
-        if m * log_f < _LOG_TINY:
-            out[rows[i]] = _ordered_tail_log(idx, f, log_f, xs[rows[i]].item())
-        else:
-            beta.append(i)
-    if beta:
-        out[rows[beta]] = special.betainc(m, total - m + 1, big_f[beta])
+    tails = []
+    for i, f in zip(rows.tolist(), gamma_cdf(p, xs[rows]).tolist()):
+        # F is 0 or 1 exactly at the edges, where the tail equals it
+        tail = binomial_tail(m, total, f) if 0.0 < f < 1.0 else f
+        if tail == 0.0 < f:
+            logger.debug("ordered_cdf underflow: rank=%d total=%d x=%.3e, clamping to 0",
+                         m, total, xs[i].item())
+        tails.append(tail)
+    out[rows] = tails
     return out
 
 
@@ -232,13 +218,14 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     big_f = gamma_cdf(p, xs)
     m, total = idx.rank, idx.total
     # one exponent, so F**(rank-1) cannot underflow before the prefactor
-    # applies; xlogy(0, 0) = 0 covers the boundary ranks at F in {0, 1}
-    return np.where(inside, np.exp(
-        _ordered_prefactor_log(idx)
-        + _gamma_log_pdf_inside(p, xs)
-        + special.xlogy(m - 1, big_f)
-        + special.xlog1py(total - m, -big_f)
-    ), 0.0)
+    # applies; the boundary ranks drop their power, which is 1 at F in {0, 1}
+    log_pdf = _ordered_prefactor_log(idx) + _gamma_log_pdf_inside(p, xs)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, where the density is 0
+        if m > 1:
+            log_pdf += (m - 1) * np.log(big_f)
+        if total > m:
+            log_pdf += (total - m) * np.log1p(-big_f)
+    return np.where(inside, np.exp(log_pdf), 0.0)
 
 
 def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):

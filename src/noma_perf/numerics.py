@@ -1,6 +1,11 @@
-"""Combinatorial and quadrature primitives.
+"""Special-function, combinatorial and quadrature primitives.
 
-Everything in this module is generic numerics: the log-domain binomial
+Everything in this module is generic numerics.  The integer-shape
+special functions serve the closed forms: the regularized lower
+incomplete gamma function P(mu, x), exponentially scaled modified
+Bessel functions e^x K_n(x) and the binomial tail, each at integer
+shapes and orders, in double precision from committed constant tables
+(``tests/make_kernel_tables.py``).  The rest is the log-domain binomial
 coefficient and double-exponential quadrature, the exp-sinh rule over
 (lower, infinity) and the tanh-sinh rule over (0, upper).  Both rules
 integrate a batch of rows, one integral per row, in one level loop: each
@@ -14,6 +19,8 @@ SNR.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,6 +30,10 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
+    "bessel_k_scaled",
+    "binomial_tail",
+    "gamma_p",
+    "gamma_p_grid",
     "integrate_from_zero",
     "integrate_semi_infinite",
     "log_binomial",
@@ -33,11 +44,447 @@ __all__ = [
 # Log-domain binomial coefficient
 # =====================================================================
 
+#: binomial coefficients with at most this many terms on their short side
+#: are taken as exact integers where a double cannot carry the log-gamma
+#: values (C(1000, 500) = 2.7e299 still fits a double)
+_EXACT_COMB_MAX = 1000
+
 def log_binomial(n: int, k: int) -> float:
-    """Log of the binomial coefficient C(n, k) for 0 <= k <= n."""
+    """Log of the binomial coefficient C(n, k) for 0 <= k <= n.
+
+    A difference of log-gamma values up to n = 1000; past that, where
+    those values grow so large that their difference loses its digits,
+    the log of the exact integer C(n, min(k, n - k)) while that side
+    has at most 1000 terms.
+    """
     if k < 0 or k > n:
         raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
+    if n > _EXACT_COMB_MAX and min(k, n - k) <= _EXACT_COMB_MAX:
+        return math.log(math.comb(n, min(k, n - k)))
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+# =====================================================================
+# Integer-shape special functions
+# =====================================================================
+
+# Constant tables, written by tests/make_kernel_tables.py from mpmath:
+# Chebyshev coefficients of sqrt(x) e^x K_0(x) and K_1(x) for
+# x > 2 in T_k(4/x - 1), the x <= 2 power-series coefficients of I_0,
+# the K_0 harmonic sum, I_1 / (x/2) and the K_1 harmonic sum in
+# q = x**2 / 4, and Stirling's-series remainders log(k!) - ((k + 1/2)
+# log k - k + log sqrt(2 pi)) for k <= 15.
+_K0_CHEB = (
+    2.4403030820659555,
+    -0.0314481013119645,
+    0.0015698838857300533,
+    -0.00012849549581627802,
+    1.39498137188765e-05,
+    -1.8317555227191195e-06,
+    2.766813639445015e-07,
+    -4.660489897687948e-08,
+    8.574034017414225e-09,
+    -1.6975345093890614e-09,
+    3.5773972814003283e-10,
+    -7.957489244477396e-11,
+    1.8559491149549264e-11,
+    -4.514597883374519e-12,
+    1.1403405882073441e-12,
+    -2.9800969231481784e-13,
+    8.032890775068375e-14,
+    -2.2275133267462965e-14,
+    6.340076476276646e-15,
+    -1.848593377920907e-15,
+    5.5120559994043335e-16,
+    -1.6782311257549006e-16,
+    5.2103917776435543e-17,
+    -1.6475805939842632e-17,
+)
+_K1_CHEB = (
+    2.7206261904844427,
+    0.10392373657681724,
+    -0.002857816859622779,
+    0.00019521551847135162,
+    -1.936197974166083e-05,
+    2.406484947837217e-06,
+    -3.5019606030878126e-07,
+    5.7410841254500495e-08,
+    -1.0345762465678097e-08,
+    2.0150497551970347e-09,
+    -4.1903547593419254e-10,
+    9.218315187605315e-11,
+    -2.129967838427791e-11,
+    5.139639673482343e-12,
+    -1.2891739609498229e-12,
+    3.348419666052243e-13,
+    -8.976705182010146e-14,
+    2.4771544242195988e-14,
+    -7.0198370892147685e-15,
+    2.038703166239861e-15,
+    -6.057047270643018e-16,
+    1.8380935752430455e-16,
+    -5.689462849193648e-17,
+    1.7940510478863572e-17,
+)
+_K_SERIES = (
+    (1.0, 0.0, 1.0, 1.0),
+    (1.0, 1.0, 0.5, 1.25),
+    (0.25, 0.375, 0.08333333333333333, 0.2777777777777778),
+    (0.027777777777777776, 0.05092592592592592, 0.006944444444444444, 0.027199074074074073),
+    (0.001736111111111111, 0.003616898148148148, 0.00034722222222222224, 0.0015162037037037036),
+    (6.944444444444444e-05, 0.0001585648148148148, 1.1574074074074073e-05, 5.4783950617283953e-05),
+    (1.9290123456790124e-06, 4.72608024691358e-06, 2.755731922398589e-07, 1.3896762408667172e-06),
+    (3.936759889140842e-08, 1.0207455998272325e-07, 4.920949861426052e-09, 2.613375872835907e-08),
+    (6.151187326782565e-10, 1.6718048413148328e-09, 6.834652585313961e-11, 3.791062453869784e-10),
+    (7.594058428126624e-12, 2.1483350211950277e-11, 7.594058428126623e-13, 4.3726106266713215e-12),
+    (7.594058428126623e-14, 2.224275605476294e-13, 6.903689480115112e-15, 4.106898277957945e-14),
+    (6.276081345559193e-16, 1.895299587006153e-15, 5.230067787965994e-17, 3.202416543243305e-16),
+    (4.358389823304995e-18, 1.3525001839484812e-17, 3.352607556388458e-19, 2.1065588026621898e-18),
+    (2.5789288895295828e-20, 8.201338813682637e-20, 1.842092063949702e-21, 1.1847776309828747e-20),
+)
+_STIRLERR = (
+    0.0,
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
+
+#: Euler-Mascheroni constant
+_EULER_GAMMA = 0.5772156649015329
+_LOG_SQRT_2PI = 0.9189385332046728
+#: the smallest positive normal double and its log; the binomial tail clamps below it
+_TINY = 2.2250738585072014e-308
+_LOG_TINY = math.log(_TINY)
+#: largest shape whose P(mu, x) powers and factorials are taken directly;
+#: larger shapes assemble the Poisson prefactor in logs
+_DIRECT_MU = 40
+#: P(mu, x) sums its series and its complement until the first omitted
+#: term is below this fraction of the sum
+_SERIES_TOL = 2.0 ** -56
+
+
+class _GammaLaw:
+    """Fixed per-shape constants of P(mu, x) for mu >= 2.
+
+    Below ``switch`` = mu - sqrt(mu) (where P is about 0.12..0.16, so the
+    complement loses at most a few bits) P is the Poisson weight
+    e^-x x^mu / mu! times the series sum_k x^k / (mu+1)_k, and at or
+    above it 1 minus e^-x sum_{k<mu} x^k / k!.  ``series`` holds that
+    series' Horner coefficients, highest power first, as many as it
+    needs at the switch (``series_tail`` without the first two);
+    ``upper`` and ``upper_tail`` those of the complement, and ``one``
+    the x past which the complement is below 2**-60, so P rounds to 1.
+    Shapes above ``_DIRECT_MU`` keep instead the normalized factors
+    1 / (mu + k) and (mu - 1 - k), so no coefficient or power leaves the
+    double range, and take the Poisson weights e^-x x^a / a! (a = mu and
+    mu - 1) in Loader's form exp(-stirlerr(a) - a (r - log(1 + r))) /
+    sqrt(2 pi a) with r = (x - a) / a, whose error grows with |x - a|
+    rather than with a log x (log(1 + r) is log1p(r) from r = -1/2 on,
+    log x - log a below).
+    """
+
+    def __init__(self, mu: int):
+        self.mu = mu
+        self.switch = mu - math.sqrt(mu)
+        terms, term, total = 0, 1.0, 1.0
+        while term > _SERIES_TOL * total * (1.0 - self.switch / (mu + terms + 1)):
+            terms += 1
+            term *= self.switch / (mu + terms)
+            total += term
+        one = float(mu)
+        while math.fsum(math.exp(k * math.log(one) - one - math.lgamma(k + 1))
+                        for k in range(mu)) > 2.0 ** -60:
+            one *= 1.125
+        self.one = one
+        self.direct = mu <= _DIRECT_MU
+        if self.direct:
+            # 1 / (mu+1)_k and 1 / k!, each rounded once from the exact integer
+            rising = [math.prod(range(mu + 1, mu + k + 1)) for k in range(terms + 1)]
+            series = [1.0 / r for r in reversed(rising)]
+            upper = [1.0 / math.factorial(k) for k in reversed(range(mu))]
+            self.inv_factorial = 1.0 / math.factorial(mu)
+        else:
+            series = [1.0 / (mu + k) for k in reversed(range(1, terms + 1))]
+            upper = [float(mu - 1 - k) for k in reversed(range(mu - 1))]
+            self.weights = {a: (-_stirlerr(a) - _LOG_SQRT_2PI - 0.5 * math.log(a), math.log(a))
+                            for a in (mu, mu - 1)}
+        # the first two coefficients open each Horner loop, over the tail
+        self.series, self.series_tail = tuple(series), tuple(series[2:])
+        self.upper, self.upper_tail = tuple(upper), tuple(upper[2:])
+
+
+@functools.cache
+def _gamma_law(mu: int) -> _GammaLaw:
+    return _GammaLaw(mu)
+
+
+def _gamma_p_lower(law: _GammaLaw, x, exp):
+    """P(mu, x) below the switch, at a float ``x`` > 0 (``exp`` = math.exp)
+    or elementwise over an ndarray (``exp`` = np.exp, updated in place)."""
+    if law.direct:
+        acc = x * law.series[0]
+        acc += law.series[1]
+        for c in law.series_tail:
+            acc *= x
+            acc += c
+        power = x * x
+        for _ in range(law.mu - 2):
+            power *= x
+        acc *= power
+        weight = exp(-x)
+        weight *= law.inv_factorial
+        acc *= weight
+        return acc
+    acc = x * law.series[0]
+    acc += 1.0
+    acc *= x * law.series[1]
+    acc += 1.0
+    for c in law.series_tail:
+        acc *= x * c
+        acc += 1.0
+    acc *= exp(_log_poisson(law, law.mu, x))
+    return acc
+
+
+def _gamma_p_upper(law: _GammaLaw, x, exp):
+    """P(mu, x) at or above the switch, for ``x`` at most ``law.one``, as
+    :func:`_gamma_p_lower` takes it."""
+    if law.direct:
+        acc = x * law.upper[0]
+        acc += law.upper[1]
+        for c in law.upper_tail:
+            acc *= x
+            acc += c
+        acc *= exp(-x)
+    else:
+        w = 1.0 / x
+        acc = w * law.upper[0]
+        acc += 1.0
+        acc *= law.upper[1] * w
+        acc += 1.0
+        for f in law.upper_tail:
+            acc *= f * w
+            acc += 1.0
+        acc *= exp(_log_poisson(law, law.mu - 1, x))
+    return 1.0 - acc
+
+
+def _log_poisson(law: _GammaLaw, a: int, x):
+    """log(e^-x x^a / a!) in Loader's form (see :class:`_GammaLaw`), at a
+    float ``x`` > 0 or elementwise over an ndarray ``x`` >= 0."""
+    log_norm, log_a = law.weights[a]
+    r = (x - a) / a
+    if isinstance(x, float):
+        log_x = math.log1p(r) if r >= -0.5 else math.log(x) - log_a
+    else:
+        with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0, where P is 0
+            log_x = np.where(r >= -0.5, np.log1p(np.maximum(r, -0.5)), np.log(x) - log_a)
+    return log_norm - a * (r - log_x)
+
+
+def gamma_p(mu: int, x: float) -> float:
+    """Regularized lower incomplete gamma function P(mu, x) at integer mu >= 1.
+
+    The CDF at ``x`` of a unit-rate gamma variate of shape ``mu``: at
+    mu = 1 it is -expm1(-x); above, see :class:`_GammaLaw` for the
+    series below the shape's switch and the complement at or above it
+    (DLMF 8.7.1 and 8.4.10).  The term counts depend on mu alone.
+    ``x`` is a float >= 0 (inf gives 1); :func:`gamma_p_grid` is the same
+    function over an ndarray, with the same operations in the same order.
+    """
+    if mu == 1:
+        return -math.expm1(-x)
+    law = _gamma_law(mu)
+    if x < law.switch:
+        return _gamma_p_lower(law, x, math.exp) if x > 0.0 else 0.0
+    return _gamma_p_upper(law, min(x, law.one), math.exp)
+
+
+def gamma_p_grid(mu: int, x) -> np.ndarray:
+    """:func:`gamma_p` over the ndarray ``x`` (values >= 0), elementwise.
+
+    Each element takes the same operations as a one-element array holding
+    it, whatever its neighbours: the series and the complement run over
+    the whole array when one of them covers it, and over the masked
+    elements otherwise.
+    """
+    x = np.asarray(x, dtype=float)
+    if mu == 1:
+        return -np.expm1(-x)
+    law = _gamma_law(mu)
+    low = x < law.switch
+    count = np.count_nonzero(low)
+    if count == x.size:
+        return _gamma_p_lower(law, x, np.exp)
+    if count == 0:
+        return _gamma_p_upper(law, np.minimum(x, law.one), np.exp)
+    out = np.empty(x.shape)
+    out[low] = _gamma_p_lower(law, x[low], np.exp)
+    high = ~low
+    out[high] = _gamma_p_upper(law, np.minimum(x[high], law.one), np.exp)
+    return out
+
+
+# Horner rows of the x <= 2 series, highest power first, by number of
+# terms: q up to _K_SERIES_REACH[K - 1] needs only the first K, as every
+# series' first omitted term is then below 2**-60 (the sums are >= 1 and
+# K_0 loses at most 4 bits to cancellation there)
+_K_SERIES_HORNER = tuple(tuple(reversed(_K_SERIES[:k])) for k in range(len(_K_SERIES) + 1))
+_K_SERIES_REACH = tuple(min((2.0 ** -60 / c) ** (1.0 / k) for c in _K_SERIES[k] if c)
+                        for k in range(1, len(_K_SERIES)))
+# Clenshaw pairs of the x > 2 expansions, highest order first, without a_0
+_K_CHEB_CLENSHAW = tuple(zip(reversed(_K0_CHEB[1:]), reversed(_K1_CHEB[1:])))
+
+
+def bessel_k_scaled(n: int, x: float) -> list[float]:
+    """[e^x K_0(x), ..., e^x K_n(x)] at a float ``x`` > 0.
+
+    For x <= 2, K_0 and K_1 come from their power series in q = x**2/4
+    (DLMF 10.31.1-2), with as many of 14 terms as q needs; for x > 2
+    from 24-term Chebyshev expansions of sqrt(x) e^x K_nu(x) in 8/x - 2,
+    summed by Clenshaw's recurrence.  Higher orders follow from
+    K_{j+1} = K_{j-1} + (2j/x) K_j (DLMF 10.29.1), which only adds
+    positive terms and so is stable upwards.  Orders whose value passes
+    the double range are inf.
+    """
+    if x <= 2.0:
+        q = 0.25 * x * x
+        i0 = h0 = i1 = h1 = 0.0
+        for c_i0, c_h0, c_i1, c_h1 in _K_SERIES_HORNER[bisect.bisect_left(_K_SERIES_REACH, q) + 1]:
+            i0 = i0 * q + c_i0
+            h0 = h0 * q + c_h0
+            i1 = i1 * q + c_i1
+            h1 = h1 * q + c_h1
+        log_half = math.log(0.5 * x) + _EULER_GAMMA
+        scale = math.exp(x)
+        k0 = (h0 - log_half * i0) * scale
+        k1 = (1.0 / x + 0.5 * x * (log_half * i1 - 0.5 * h1)) * scale
+    else:
+        # b_k = a_k + y b_{k+1} - b_{k+2}, and the sum is (b_0 - b_2) / 2
+        y = 8.0 / x - 2.0
+        b1 = b2 = d1 = d2 = 0.0
+        for a0, a1 in _K_CHEB_CLENSHAW:
+            b1, b2 = y * b1 - b2 + a0, b1
+            d1, d2 = y * d1 - d2 + a1, d1
+        root, y = math.sqrt(x), 0.5 * y
+        k0 = (0.5 * _K0_CHEB[0] + y * b1 - b2) / root
+        k1 = (0.5 * _K1_CHEB[0] + y * d1 - d2) / root
+    out = [k0, k1]
+    for j in range(1, n):
+        out.append(out[j - 1] + (2.0 * j / x) * out[j])
+    return out if n else [k0]
+
+
+def _stirlerr(k: float) -> float:
+    """log(k!) minus its Stirling approximation (k + 1/2) log k - k + log sqrt(2 pi)."""
+    if k <= 15:
+        return _STIRLERR[int(k)]
+    k2 = 1.0 / (k * k)
+    return (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
+
+
+def _bd0(x: float, mean: float, diff: float) -> float:
+    """x log(x / mean) + mean - x, with ``diff`` = x - mean given exactly (Loader)."""
+    total = x + mean
+    if abs(diff) < 0.1 * total:
+        v = diff / total
+        s = diff * v
+        ej = 2.0 * x * v
+        v *= v
+        j = 1
+        while True:
+            ej *= v
+            s1 = s + ej / (2 * j + 1)
+            if s1 == s:
+                return s1
+            s = s1
+            j += 1
+    return x * math.log(x / mean) - diff
+
+
+def _log_binomial_term(j: int, n: int, f: float) -> float:
+    """log C(n, j) f**j (1 - f)**(n - j) for 1 <= j < n and 0 < f < 1.
+
+    Loader's saddle-point form: Stirling remainders and two deviance
+    terms bd0 (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000), so no large logs cancel even for pools far
+    beyond 2**53; both deviances see the one difference j - n f.
+    """
+    nf = n * f
+    diff = j - nf
+    return (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+            - _bd0(float(j), nf, diff) - _bd0(float(n - j), n * (1.0 - f), -diff)
+            + 0.5 * math.log(n / (j * (n - j))) - _LOG_SQRT_2PI)
+
+
+def _binomial_term(j: int, n: int, f: float) -> tuple[float, float]:
+    """C(n, j) f**j (1 - f)**(n - j) and its log, for 1 <= j < n and 0 < f < 1.
+
+    The log is Loader's form, whose error grows with its own magnitude.
+    Where the exact coefficient fits a double and f**j is normal, the
+    product C(n, j) * f**j * exp((n - j) log1p(-f)) is taken instead when
+    its exponent is the smaller of the two: ``pow`` rounds f**j once
+    however small it is.
+    """
+    log_term = _log_binomial_term(j, n, f)
+    if n <= _EXACT_COMB_MAX:
+        power = f ** j
+        if power >= _TINY:
+            exponent = (n - j) * math.log1p(-f)
+            if abs(exponent) < abs(log_term):
+                return math.comb(n, j) * power * math.exp(exponent), log_term
+    return (math.exp(log_term) if log_term >= _LOG_TINY else 0.0), log_term
+
+
+def binomial_tail(rank: int, total: int, f: float) -> float:
+    """sum_{j >= rank} C(total, j) f**j (1 - f)**(total - j), for 0 < f < 1.
+
+    This is the regularized incomplete beta function I_f(rank, total -
+    rank + 1), the probability that at least ``rank`` of ``total``
+    independent events of probability ``f`` occur.  rank = total is
+    f**total and rank = 1 is -expm1(total log1p(-f)).  Otherwise the sum
+    runs from the side away from the mode (total + 1) f: where rank lies
+    at or above it, upwards from the term at ``rank``; below it, as 1
+    minus the sum downwards from the term at rank - 1.  Either way the
+    terms fall from the first one (:func:`_binomial_term`), and the sum
+    stops once the rest is below 2**-54 of it, so the work grows like the
+    square root of min(rank, total - rank), never with ``total`` itself.
+    A result below the smallest normal double is 0.0.
+    """
+    if rank == total:
+        power = f ** total
+        return power if power >= _TINY else 0.0
+    if rank == 1:
+        return -math.expm1(total * math.log1p(-f))
+    upward = rank >= (total + 1) * f
+    odds = f / (1.0 - f)
+    first, log_first = _binomial_term(rank if upward else rank - 1, total, f)
+    term = acc = 1.0
+    for j in range(rank, total) if upward else range(rank - 1, 0, -1):
+        # next term over this one: below 1 and falling from the first term on
+        ratio = (total - j) / (j + 1) * odds if upward else j / (total - j + 1) / odds
+        term *= ratio
+        acc += term
+        if term * ratio <= (1.0 - ratio) * acc * 2.0 ** -54:
+            break
+    if first >= _TINY:
+        tail = first * acc
+    else:
+        log_tail = log_first + math.log(acc)
+        tail = math.exp(log_tail) if log_tail >= _LOG_TINY else 0.0
+    return tail if upward else 1.0 - tail
 
 
 # =====================================================================

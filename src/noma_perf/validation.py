@@ -71,6 +71,9 @@ def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
     Cut 0 gives 0 and an infinite cut 1.  The other cuts are integrated
     as one batch of exp-sinh rows, since the nodes in u do not depend on
     the cut; a ``QuadratureError`` names its row as an index of ``cuts``.
+    The outage at a positive finite cut is positive, so a row whose
+    first-hop CDF and integral both come out 0 has underflowed at every
+    node and raises too, rather than report an outage of 0.
     """
     out = np.where(cuts > 0, 1.0, 0.0)
     live = np.flatnonzero((cuts > 0) & (cuts < math.inf))
@@ -89,7 +92,12 @@ def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
     except QuadratureError as exc:
         exc.row = int(live[exc.row])
         raise
-    out[live] = np.minimum(1.0, gamma_cdf(feed, cut) + tail.value)
+    outage = gamma_cdf(feed, cut) + tail.value
+    lost = np.flatnonzero(outage == 0.0)
+    if lost.size:
+        raise QuadratureError("the integrand underflows at every node", 0.0, 0.0,
+                              int(live[lost[0]]))
+    out[live] = np.minimum(1.0, outage)
     return out
 
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import relay_outage_quadpack
-from scipy import special
 
 from noma_perf import analytic
 from noma_perf.analytic import (
@@ -41,6 +40,7 @@ from noma_perf.configs import (
     with_mu,
 )
 from noma_perf.fading import FadingParams, OrderedIndex, ordered_cdf
+from noma_perf.numerics import gamma_p
 from noma_perf.validation import relay_outage_quadrature
 
 # Frozen threshold / cut constants for the committed presets (elementary
@@ -71,7 +71,7 @@ def relay_outage_bessel_first(cut, mu, omega_sr, omega_rd, noise_scale):
             or math.sqrt(s) - mu * math.log(4.0) > analytic._EXP_UNDERFLOW):
         return 1.0
     if s == 0.0:
-        return float(special.gammainc(mu, mu * cut / omega_sr))
+        return gamma_p(mu, mu * cut / omega_sr)
     value = analytic._relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
     if value >= 1e-6:
         return value
@@ -223,10 +223,11 @@ class TestRelayOutage:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("relay_gain, omega_rd", [(1e-12, 4.0), (1e-9, 4.0), (0.9, 1e-300)])
     def test_vanishing_relay_success_is_exactly_one_at_once(self, relay_gain, omega_rd):
-        # the Bessel argument 2 sqrt(s) passes 2**31 here, where scipy's kve
-        # returns nan, which once sent these cuts to the deep series at
-        # s ~ 1e23 (no return) or into a decimal overflow; the relay
-        # succeeds with probability below 4**mu exp(-sqrt(s)) < exp(-745)
+        # the Bessel argument 2 sqrt(s) passes 2**31 here, where scipy's kve,
+        # which the sum once called, returns nan; that sent these cuts to
+        # the deep series at s ~ 1e23 (no return) or into a decimal
+        # overflow; the relay succeeds with probability below
+        # 4**mu exp(-sqrt(s)) < exp(-745)
 
         def timeout(signum, frame):
             raise TimeoutError("the relay outage took more than 10 s")

@@ -13,9 +13,10 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from config_strategies import ini_sections
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_perf import analytic, montecarlo, validation
@@ -527,6 +528,40 @@ class TestSweep:
         assert code == 0 and err == "" and len(data_rows(out)) == 3
 
 
+class TestHugePool:
+    """A pool far past any array: the ordered CDF's work follows the rank."""
+
+    INI = ("[direct]\npower = 0.8 0.2\nrates = 0.5 1.0\nomega = 1.0 1.0\nmu = 3\n"
+           "ranks = 1 40\npool = 100000000000000000000\n")
+
+    @staticmethod
+    def reference(cut, rank, total):
+        """Ordered CDF of a unit-mean mu = 3 gain at ``cut``: the binomial
+        tail in the 60-digit gamma CDF, as 1 minus its rank lower terms."""
+        with mp.workdps(60):
+            f = mp.gammainc(3, 0, 3 * mp.mpf(cut), regularized=True)
+            lower = mp.fsum(mp.binomial(total, j) * f**j * (1 - f) ** (total - j)
+                            for j in range(rank))
+            return float(1 - lower)
+
+    def test_exits_0_with_the_mpmath_value(self, capsys, tmp_path):
+        ini = tmp_path / "huge.ini"
+        ini.write_text(self.INI, encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--config", str(ini),
+                                 "--snr-start", "60", "--snr-stop", "60")
+        assert code == 0 and err == ""
+        rows = [cells(row) for row in data_rows(out)]
+        cfg = load_config_file(ini)["direct"]
+        links = analytic.point_links(cfg, [1e6])
+        for user, row, (_, idx, cut) in zip(analytic.served_users(cfg), rows, links, strict=True):
+            value = user_outage(cfg, 1e6, user)[0]
+            assert row["p_exact"] == f"{value:.12g}"
+            # the leading term C(pool, rank) F**rank is past 1, so it clamps
+            assert row["p_asymptotic"] == "1"
+            ref = self.reference(cut[0], idx.rank, idx.total)
+            assert abs(value - ref) <= 1e-12 * ref, (idx.rank, value, ref)
+
+
 class TestFigure:
     def test_header_echoes_preset_values(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "fig4")
@@ -646,6 +681,12 @@ class TestCliContract:
 
     @settings(max_examples=300, deadline=None)
     @given(section=ini_sections(), trials=st.sampled_from([0, 3000]))
+    # hop means 128 decades apart: the relay oracle's integrand underflows
+    # at every node where the exact outage is still 1e-305
+    @example(section=("coop", "[coop]\npower = 0.6666666666666666 0.3333333333333333\n"
+                              "rates = 0.0 1.0\nomega = 1.0 1.0\nmu = 3\nranks = 1 2\npool = 2\n"
+                              "relay_gain = 1.0\nomega_sr = 1e+116\nomega_rd = 1e-12\n"),
+             trials=0)
     def test_random_sections_keep_the_exit_contract(self, tmp_path_factory, section, trials):
         scenario, text = section
         ini = tmp_path_factory.getbasetemp() / "contract.ini"
@@ -751,6 +792,18 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
+_BLOCKED_SCIPY_CHILD = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+from workloads import _COOP_DEEP_ARGV
+from noma_perf.cli import main
+argvs = [["figure", "fig7"], _COOP_DEEP_ARGV, ["validate", "--trials", "0"]]
+codes = [main([*argv, "--out", f"{sys.argv[2]}/blocked{i}.csv"]) for i, argv in enumerate(argvs)]
+print(json.dumps({"argvs": argvs, "codes": codes}))
+"""
+
+
 @pytest.fixture(scope="module")
 def production_run(tmp_path_factory):
     """Exit codes and imported modules of the benchmark's coop-deep sweep
@@ -784,3 +837,24 @@ class TestNumericalPaths:
         # the oracles run the package's own double-exponential rules;
         # scipy's QUADPACK is only the tests' second route
         assert _imported(production_run, "scipy.integrate") == []
+
+    def test_production_runs_never_import_scipy(self, production_run):
+        # the special functions are the package's own integer-shape kernels
+        assert _imported(production_run, "scipy") == []
+
+    def test_production_runs_need_no_scipy(self, tmp_path):
+        # with scipy blocked from import, the commands print the same bytes
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_SCIPY_CHILD, str(root / "perfbench"), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0, 0, 0]
+        for i, argv in enumerate(result["argvs"]):
+            free = tmp_path / f"free{i}.csv"
+            assert main([*argv, "--out", str(free)]) == 0
+            assert (tmp_path / f"blocked{i}.csv").read_bytes() == free.read_bytes(), argv

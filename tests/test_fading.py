@@ -345,9 +345,8 @@ class TestOrderedCdf:
         assert at(ordered_cdf, p, idx, 1e9) == 1.0
 
     def test_array_is_scalar_calls_bit_for_bit(self):
-        # one gammainc and one betainc call over the array, the
-        # log-domain tail and the clamps per element: each element is the
-        # one-element call at its cut
+        # one gamma_p_grid call over the array, the binomial tail and the
+        # clamps per element: each element is the one-element call at its cut
         xs = np.array([-1.0, 0.0, 1e-300, 1e-110, 1e-75, 1e-20, 1e-3, 0.3, 1.0, 4.0, 60.0,
                        1e9, math.inf])
         for p in (FadingParams(1, 1.0), FadingParams(3, 0.7), FadingParams(2, 1e-310)):
