@@ -368,9 +368,12 @@ def bessel_k_scaled(n: int, x: float) -> list[float]:
             i1 = i1 * q + c_i1
             h1 = h1 * q + c_h1
         log_half = math.log(0.5 * x) + _EULER_GAMMA
-        scale = math.exp(x)
-        k0 = (h0 - log_half * i0) * scale
-        k1 = (1.0 / x + 0.5 * x * (log_half * i1 - 0.5 * h1)) * scale
+        # e^x = 1 + expm1(x) keeps the leading 1/x of K_1 to one rounding
+        grow = math.expm1(x)
+        k0 = h0 - log_half * i0
+        k0 += k0 * grow
+        inv, rest = 1.0 / x, 0.5 * x * (log_half * i1 - 0.5 * h1)
+        k1 = inv + (rest + (inv + rest) * grow)
     else:
         # b_k = a_k + y b_{k+1} - b_{k+2}, and the sum is (b_0 - b_2) / 2
         y = 8.0 / x - 2.0
@@ -383,7 +386,7 @@ def bessel_k_scaled(n: int, x: float) -> list[float]:
         k1 = (0.5 * _K1_CHEB[0] + y * d1 - d2) / root
     out = [k0, k1]
     for j in range(1, n):
-        out.append(out[j - 1] + (2.0 * j / x) * out[j])
+        out.append(out[j - 1] + 2.0 * j * out[j] / x)
     return out if n else [k0]
 
 
