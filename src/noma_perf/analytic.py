@@ -24,9 +24,12 @@ paths: the Bessel sum 1 - sum K_nu while that stays at or above 1e-6,
 and below it, where the sum cancels against 1, a deep branch that
 expands every K_n by DLMF 10.31.1, sums the cancelling terms exactly in
 rational arithmetic and adds a non-negative series to an incomplete
-gamma function.  A call that can only land below the switch runs the
-deep series first and skips the Bessel sum when the series lands clearly
-below it, with the same result as evaluating the sum first.
+gamma function.  At mu <= 6 the deep series also serves the band
+[1e-5, 1e-3), where the sum has already lost 3 to 5 digits.  A call
+that can only land below the band's top runs the deep series first and
+skips the Bessel sum when the series lands in the band or clearly below
+the switch; below the switch that is the result evaluating the sum
+first gives.
 
 Without a relay, the outage of user m is the ordered CDF of its gain at
 its decode cut.
@@ -278,14 +281,21 @@ _EULER_GAMMA_PRECISION = len(_EULER_GAMMA_DIGITS) - 2
 
 #: the Bessel sum cancels against 1 below this value; the deep branch takes over
 _DEEP_SWITCH = 1e-6
-#: at mu = 1..6, the s at which the Bessel sum reaches the switch as t -> 0
-#: (6.07454e-8, 5.39410e-4, ... rounded up); the outage grows with t and s,
-#: so no deep-branch value has a larger s
-_DEEP_S_MAX = (6.08e-8, 5.40e-4, 1.52e-2, 9.59e-2, 0.324, 0.787)
 #: near the switch the Bessel sum is off by at most 2e-9 relative at
 #: mu <= 6 (against a 20-digit reference) and the deep series by 1e-11, so
 #: a series value this far below the switch is one the sum puts below it too
 _DEEP_FIRST_MARGIN = 1e-4
+#: at mu <= 6 the deep series, in double precision, also serves the values
+#: in this band, where the Bessel sum keeps only 11 to 13 of its 16 digits
+#: and the series cancels by at most 860 (mu = 6, at the top); between the
+#: switch and the band the sum stays, since the series would move those
+#: values by up to the sum's own 2e-9 error, past the 1e-9 at which
+#: perfbench/reference.json holds them
+_DEEP_BAND = (1e-5, 1e-3)
+#: at mu = 1..6, the s at which the outage reaches the top of the band as
+#: t -> 0 (1.117943e-4, 2.539424e-2, ... rounded up); the outage grows
+#: with t and s, so no value below the band's top has a larger s
+_DEEP_S_MAX = (1.12e-4, 2.54e-2, 0.219, 0.771, 1.85, 3.57)
 
 
 @functools.cache
@@ -336,17 +346,32 @@ def _deep_coefficients(mu: int, q: int) -> dict[int, tuple]:
     return {p: (a, b) for p, (a, b) in sorted(row.items()) if a or b}
 
 
+class _DeepRows(dict):
+    """Rows q >= 1 of :func:`_deep_coefficients` for one mu, built on first
+    use: ``rows[q]`` is the tuple of (p, alpha, beta) of power q, each
+    coefficient converted by ``convert``."""
+
+    def __init__(self, mu: int, convert):
+        super().__init__()
+        self.mu, self.convert = mu, convert
+
+    def __missing__(self, q: int) -> tuple:
+        row = self[q] = tuple((p, self.convert(a), self.convert(b))
+                              for p, (a, b) in _deep_coefficients(self.mu, q).items())
+        return row
+
+
 @functools.cache
-def _deep_row(mu: int, q: int) -> tuple[tuple[int, float, float], ...]:
-    """Row q >= 1 of :func:`_deep_coefficients` as (p, alpha, beta) floats."""
-    return tuple((p, float(a), float(b)) for p, (a, b) in _deep_coefficients(mu, q).items())
+def _deep_rows(mu: int) -> _DeepRows:
+    """The rows of ``mu`` as floats, kept for the process."""
+    return _DeepRows(mu, float)
 
 
-def _deep_sum(mu: int, row, t, s, lam, tol):
+def _deep_sum(mu: int, rows, t, s, lam, tol):
     """R = sum_{q>=1} s**q sum_p t**p (alpha + beta * lam), and the sum of
     its terms' magnitudes.
 
-    Runs on floats or on Decimals alike: ``row(q)`` gives the (p, alpha,
+    Runs on floats or on Decimals alike: ``rows[q]`` gives the (p, alpha,
     beta) of power q in the type of ``t``, ``s`` and ``lam``, and the sum
     stops once a row's magnitude falls below ``tol`` of R.
     """
@@ -358,9 +383,10 @@ def _deep_sum(mu: int, row, t, s, lam, tol):
         q += 1
         s_pow *= s
         term = size = 0
-        for p, alpha, beta in row(q):
-            term += t_pow[p] * (alpha + beta * lam)
-            size += t_pow[p] * (abs(alpha) + abs(beta * lam))
+        for p, alpha, beta in rows[q]:
+            tp, b = t_pow[p], beta * lam
+            term += tp * (alpha + b)
+            size += tp * (abs(alpha) + abs(b))
         rest += s_pow * term
         size_sum += s_pow * size
         # past q = mu every (k, i) pair feeds the row, p = 0 included, so
@@ -376,19 +402,15 @@ def _deep_sum_decimal(mu: int, t: float, s: float, digits: int) -> tuple[float, 
     with localcontext() as ctx:
         ctx.prec = digits
         lam = Decimal(s).ln() + 2 * Decimal(_EULER_GAMMA_DIGITS)
-
-        def row(q):
-            return [(p, Decimal(a.numerator) / a.denominator,
-                     Decimal(b.numerator) / b.denominator)
-                    for p, (a, b) in _deep_coefficients(mu, q).items()]
-
-        rest, size_sum = _deep_sum(mu, row, Decimal(t), Decimal(s), lam,
+        rows = _DeepRows(mu, lambda c: Decimal(c.numerator) / c.denominator)
+        rest, size_sum = _deep_sum(mu, rows, Decimal(t), Decimal(s), lam,
                                    Decimal(10) ** -(digits + 1))
         return float(rest), float(size_sum)
 
 
 def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
-                       noise_scale: float, *, resum: bool = True) -> float | None:
+                       noise_scale: float, *, resum: bool = True,
+                       first_hop: float | None = None) -> float | None:
     """Relay-branch outage from the small-argument series, without cancellation.
 
     The q = 0 row of :func:`_deep_coefficients` is sum_{p<mu} t**p / p!,
@@ -405,13 +427,14 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     1e5 in double precision), R is summed again in decimal arithmetic
     at 32, 64 and then 111 digits, the digits of the stored
     Euler-Mascheroni constant.  With ``resum=False`` a double-precision
-    pass that needs that re-sum returns None instead.
+    pass that needs that re-sum returns None instead.  ``first_hop`` is
+    P(mu, t) where the caller has it already.
     """
     t = mu * cut / omega_sr
     # the quotient under the Bessel sum's square root, so s > 0 wherever that sum ran
     s = mu * mu * (cut * noise_scale / omega_sr / omega_rd)
     lam = math.log(s) + 2.0 * _EULER_GAMMA
-    rest, size_sum = _deep_sum(mu, functools.partial(_deep_row, mu), t, s, lam, 1e-17)
+    rest, size_sum = _deep_sum(mu, _deep_rows(mu), t, s, lam, 1e-17)
     digits = 16
     # a double-precision pass that overflowed (inf terms) escalates too
     while not (math.isfinite(size_sum) and size_sum <= 10.0 ** (digits - 11) * abs(rest)):
@@ -424,7 +447,9 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
             )
         digits = min(2 * digits, _EULER_GAMMA_PRECISION)
         rest, size_sum = _deep_sum_decimal(mu, t, s, digits)
-    return gamma_p(mu, t) - math.exp(-t) * rest
+    if first_hop is None:
+        first_hop = gamma_p(mu, t)
+    return first_hop - math.exp(-t) * rest
 
 
 def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float,
@@ -451,20 +476,24 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     with t and s), where the series stays within about 2e-14 relative
     of a 20-digit reference; at larger mu, where s reaches further, the
     series is summed again in decimal arithmetic once it cancels by more
-    than 1e5.  Results at or above 1e-6 come from the Bessel sum
-    unchanged.
+    than 1e5.  Results at or above 1e-6 come from the Bessel sum, except
+    at mu <= 6 in the band [1e-5, 1e-3): there the sum keeps only 11 to
+    13 of its 16 digits, and the deep series in double precision, which
+    cancels by at most 860 up to 1e-3, serves the value instead (within
+    about 2e-14 of mpmath, where the sum is off by up to 2.4e-10).
 
     Which branch serves a call is decided as follows.  Where the call
-    may land below the switch (mu <= 6, s below the largest deep s of
-    its mu, and the first-hop CDF P(mu, t), a lower bound of the
-    outage, below 1e-6), the deep series runs first in double precision;
-    a value below 1e-6 * (1 - 1e-4) is returned without the Bessel sum,
-    since the sum, within about 2e-9 relative of the series there, would
-    fall below the switch too.  Every other call, including one whose series would
-    need the decimal re-sum, evaluates the Bessel sum, keeps it at or
-    above 1e-6 and otherwise takes the deep branch, reusing the series
-    value where it ran.  Each result is bit for bit the one the Bessel
-    sum's own switch gives.
+    may land below the band's top (mu <= 6, s below the s at which the
+    outage of its mu reaches 1e-3 as t -> 0, and the first-hop CDF
+    P(mu, t), a lower bound of the outage, below 1e-3), the deep series
+    runs first in double precision.  A value in the band is returned,
+    and so is one below 1e-6 * (1 - 1e-4), since the Bessel sum, within
+    about 2e-9 relative of the series there, would fall below the switch
+    too.  Every other call, including one whose series would need the
+    decimal re-sum, evaluates the Bessel sum, keeps it at or above 1e-6
+    and otherwise takes the deep branch, reusing the series value where
+    it ran.  Outside the band each result is bit for bit the one the
+    Bessel sum's own switch gives.
 
     Returns exactly 0.0 at ``cut = 0``, exactly 1.0 once the bracket
     underflows to zero (deep outage), and the first-hop CDF where s
@@ -491,11 +520,13 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     args = (cut, mu, omega_sr, omega_rd, noise_scale)
     deep = None
     # the outage is at least the first-hop CDF P(mu, t), so these
-    # tests only let through calls that may land below the switch
-    if (mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]
-            and gamma_p(mu, t) < _DEEP_SWITCH):
-        deep = _relay_outage_deep(*args, resum=False)
-        if deep is not None and deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN):
+    # tests only let through calls that may land below the band's top
+    if mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]:
+        first_hop = gamma_p(mu, t)
+        if first_hop < _DEEP_BAND[1]:
+            deep = _relay_outage_deep(*args, resum=False, first_hop=first_hop)
+        if deep is not None and (deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN)
+                                 or _DEEP_BAND[0] <= deep < _DEEP_BAND[1]):
             return deep
     value = _relay_outage_f64(*args)
     if value >= _DEEP_SWITCH:

@@ -45,11 +45,6 @@ __all__ = [
     "sample_sorted_gains",
 ]
 
-#: rates above this can overflow the density's rate * x at nodes below
-#: 1e208; smaller rates skip the error-state switch, which costs more
-#: than the density on a quadrature level
-_WIDE_RATE = 1e100
-
 
 # =====================================================================
 # Parameter containers
@@ -122,11 +117,8 @@ def _gamma_log_pdf_inside(p: FadingParams, xs: np.ndarray) -> np.ndarray:
         # a mean below mu / DBL_MAX puts all mass at 0: no density inside
         return np.full(np.shape(xs), -math.inf)
     # log-domain assembly keeps mu**mu / omega**mu from overflowing first
-    if rate > _WIDE_RATE:
-        # rate * xs may pass the double range: inf there, where the density is 0
-        with np.errstate(over="ignore"):
-            decay = rate * xs
-    else:
+    # rate * xs may pass the double range: inf there, where the density is 0
+    with np.errstate(over="ignore"):
         decay = rate * xs
     return p.mu * math.log(rate) - math.lgamma(p.mu) + (p.mu - 1) * np.log(xs) - decay
 
@@ -182,8 +174,10 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     regularized incomplete beta function I_F(rank, total - rank + 1).
     ``numerics.binomial_tail`` sums it in positive terms from the side
     away from its mode, with Loader's saddle-point form for the first
-    term, so its work does not grow with the pool; results below the
-    double range clamp to 0.0 with a debug log entry.
+    term, and integrates the beta density on that side where the sum
+    would take more than 1000 terms, so its work is bounded for any
+    pool; results below the double range clamp to 0.0 with a debug log
+    entry.
 
     ``x`` is a 1-D array of cuts, such as one user's cuts over a config's
     SNR grid, and the result an ndarray over it: one ``gamma_cdf`` call

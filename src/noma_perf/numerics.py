@@ -417,18 +417,18 @@ def _bd0(x: float, mean: float, diff: float) -> float:
     return x * math.log(x / mean) - diff
 
 
-def _log_binomial_term(j: int, n: int, f: float) -> float:
-    """log C(n, j) f**j (1 - f)**(n - j) for 1 <= j < n and 0 < f < 1.
+def _log_binomial_term(j: int, n: int, mean: float, rest: float, diff: float) -> float:
+    """log C(n, j) f**j (1 - f)**(n - j) for 1 <= j < n and 0 < f < 1,
+    given the means ``mean`` = n f and ``rest`` = n (1 - f) and the
+    deviation ``diff`` = j - n f.
 
     Loader's saddle-point form: Stirling remainders and two deviance
     terms bd0 (C. Loader, "Fast and accurate computation of binomial
     probabilities", 2000), so no large logs cancel even for pools far
-    beyond 2**53; both deviances see the one difference j - n f.
+    beyond 2**53; both deviances see the one difference ``diff``.
     """
-    nf = n * f
-    diff = j - nf
     return (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
-            - _bd0(float(j), nf, diff) - _bd0(float(n - j), n * (1.0 - f), -diff)
+            - _bd0(float(j), mean, diff) - _bd0(float(n - j), rest, -diff)
             + 0.5 * math.log(n / (j * (n - j))) - _LOG_SQRT_2PI)
 
 
@@ -441,7 +441,8 @@ def _binomial_term(j: int, n: int, f: float) -> tuple[float, float]:
     its exponent is the smaller of the two: ``pow`` rounds f**j once
     however small it is.
     """
-    log_term = _log_binomial_term(j, n, f)
+    nf = n * f
+    log_term = _log_binomial_term(j, n, nf, n * (1.0 - f), j - nf)
     if n <= _EXACT_COMB_MAX:
         power = f ** j
         if power >= _TINY:
@@ -449,6 +450,14 @@ def _binomial_term(j: int, n: int, f: float) -> tuple[float, float]:
             if abs(exponent) < abs(log_term):
                 return math.comb(n, j) * power * math.exp(exponent), log_term
     return (math.exp(log_term) if log_term >= _LOG_TINY else 0.0), log_term
+
+
+#: terms the summed binomial tail takes at most; a tail that needs more
+#: (a spread sqrt(total f (1 - f)) above about 100) is integrated instead
+_TAIL_TERMS = 1000
+#: the tail integral stops where its integrand is below e**-45 of its
+#: value at the cut, 2e-20 of it
+_TAIL_LOG_REACH = -45.0
 
 
 def binomial_tail(rank: int, total: int, f: float) -> float:
@@ -462,9 +471,11 @@ def binomial_tail(rank: int, total: int, f: float) -> float:
     at or above it, upwards from the term at ``rank``; below it, as 1
     minus the sum downwards from the term at rank - 1.  Either way the
     terms fall from the first one (:func:`_binomial_term`), and the sum
-    stops once the rest is below 2**-54 of it, so the work grows like the
-    square root of min(rank, total - rank), never with ``total`` itself.
-    A result below the smallest normal double is 0.0.
+    stops once the rest is below 2**-54 of it.  A sum that would need
+    more than 1000 terms, whose count grows like the spread sqrt(total f
+    (1 - f)), is taken as the same side's integral of the beta density
+    instead (:func:`_binomial_tail_integral`), so the work is bounded
+    for any pool.  A result below the smallest normal double is 0.0.
     """
     if rank == total:
         power = f ** total
@@ -473,21 +484,73 @@ def binomial_tail(rank: int, total: int, f: float) -> float:
         return -math.expm1(total * math.log1p(-f))
     upward = rank >= (total + 1) * f
     odds = f / (1.0 - f)
-    first, log_first = _binomial_term(rank if upward else rank - 1, total, f)
+    steps = range(rank, total) if upward else range(rank - 1, 0, -1)
     term = acc = 1.0
-    for j in range(rank, total) if upward else range(rank - 1, 0, -1):
+    for j in steps[:_TAIL_TERMS]:
         # next term over this one: below 1 and falling from the first term on
         ratio = (total - j) / (j + 1) * odds if upward else j / (total - j + 1) / odds
         term *= ratio
         acc += term
         if term * ratio <= (1.0 - ratio) * acc * 2.0 ** -54:
             break
+    else:
+        if (total - rank if upward else rank - 1) > _TAIL_TERMS:
+            log_tail = _binomial_tail_integral(rank, total, f, upward)
+            tail = math.exp(log_tail) if log_tail >= _LOG_TINY else 0.0
+            return tail if upward else 1.0 - tail
+    first, log_first = _binomial_term(rank if upward else rank - 1, total, f)
     if first >= _TINY:
         tail = first * acc
     else:
         log_tail = log_first + math.log(acc)
         tail = math.exp(log_tail) if log_tail >= _LOG_TINY else 0.0
     return tail if upward else 1.0 - tail
+
+
+def _binomial_tail_integral(rank: int, total: int, f: float, upward: bool) -> float:
+    """Log of the side of :func:`binomial_tail` away from the mode, as an integral.
+
+    With j = rank - 1 and m = total - 1, the tail is the integral over t
+    from 0 to f of the beta density total * C(m, j) t**j (1 - t)**(m - j)
+    (DLMF 8.17.1), and 1 minus the tail the integral from f to 1.  Each
+    runs over the offset w = |t - f| from the cut, where the density
+    peaks within 1 / total of w = 0 and falls off log-concavely, so it is
+    integrated by :func:`integrate_from_zero` up to the offset where it
+    drops below e**-45 of its value at w = 0, doubled or halved from the
+    spread sqrt(f (1 - f) / total) until it does.  The density is
+    Loader's saddle-point form (:func:`_log_binomial_term`) with its
+    deviation d = j - m t taken as the exactly rounded j - m f plus or
+    minus m w, and its means as j - d and m - j + d, so no rounding of t
+    or of m f, whose ulp passes the spread once m f passes 2**53, shifts
+    the density.  The search for the offset stays within half the way to
+    t = 0 or 1.  Returns the log of the integral (on the side
+    ``upward`` says), -inf if it underflows.
+    """
+    j, m = rank - 1, total - 1
+    # j - m f with f as the exact binary fraction it is, rounded once
+    num, den = f.as_integer_ratio()
+    d0 = (j * den - m * num) / den
+    step = m if upward else -m
+    log_total = math.log(total)
+
+    def log_density(w: float) -> float:
+        d = d0 + step * w
+        return log_total + _log_binomial_term(j, m, j - d, m - j + d, d)
+
+    peak = log_density(0.0)
+    # the density there is far below e**-45 of its peak whenever the
+    # sum would pass 1000 terms
+    limit = 0.5 * (f if upward else 1.0 - f)
+    reach = min(limit, math.sqrt(f * (1.0 - f) / total))
+    while reach < limit and log_density(reach) - peak > _TAIL_LOG_REACH:
+        reach = min(limit, 2.0 * reach)
+    while log_density(0.5 * reach) - peak <= _TAIL_LOG_REACH:
+        reach *= 0.5
+    result = integrate_from_zero(
+        lambda w, rows: np.array([[math.exp(log_density(v) - peak) for v in row]
+                                  for row in w.tolist()]), reach)
+    value = float(result.value[0])
+    return peak + math.log(value) if value > 0.0 else -math.inf
 
 
 # =====================================================================

@@ -60,6 +60,9 @@ MC_SIGMAS = 3.0
 #: feasible trial counts, so the simulation leg is skipped
 MC_PROBABILITY_FLOOR = 1e-4
 
+#: log of the smallest positive (subnormal) double
+_LOG_SMALLEST = math.log(5e-324)
+
 
 # =====================================================================
 # Quadrature oracles
@@ -71,9 +74,16 @@ def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
     Cut 0 gives 0 and an infinite cut 1.  The other cuts are integrated
     as one batch of exp-sinh rows, since the nodes in u do not depend on
     the cut; a ``QuadratureError`` names its row as an index of ``cuts``.
-    The outage at a positive finite cut is positive, so a row whose
-    first-hop CDF and integral both come out 0 has underflowed at every
-    node and raises too, rather than report an outage of 0.
+    A row whose first-hop CDF and integral both come out 0 has lost its
+    outage to underflow at every node, and raises too, where a lower
+    bound of the outage is still a double; where the bound is below the
+    double range, 0 stands as the outage rounded.  The bound is the
+    larger of the first-hop CDF F_sr(cut) and F_sr(cut + v) F_rd(cut *
+    noise_scale / v) at v = sqrt(cut * noise_scale * omega_sr /
+    omega_rd) (the branch fails when y - cut < v and the second hop
+    misses), each CDF taken as P(mu, x) >= e^-x x^mu / mu!: with t =
+    mu * cut / omega_sr and s = t * mu * noise_scale / omega_rd, the
+    arguments are t, t + sqrt(s) and sqrt(s).
     """
     out = np.where(cuts > 0, 1.0, 0.0)
     live = np.flatnonzero((cuts > 0) & (cuts < math.inf))
@@ -94,6 +104,13 @@ def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
         raise
     outage = gamma_cdf(feed, cut) + tail.value
     lost = np.flatnonzero(outage == 0.0)
+    t = feed.rate * cut[lost]
+    root = np.sqrt(t * drop.rate * cfg.noise_scale)
+    with np.errstate(divide="ignore"):  # log 0 = -inf where t or s underflows
+        log_bound = np.maximum(cfg.mu * np.log(t),
+                               cfg.mu * (np.log(t + root) + np.log(root)) - 2.0 * root
+                               - math.lgamma(cfg.mu + 1)) - t - math.lgamma(cfg.mu + 1)
+    lost = lost[log_bound > _LOG_SMALLEST]
     if lost.size:
         raise QuadratureError("the integrand underflows at every node", 0.0, 0.0,
                               int(live[lost[0]]))

@@ -17,7 +17,7 @@ mpmath at 40 or 50 digits and committed as float literals:
   k = 0..15, the small-k table of Loader's binomial terms (C. Loader,
   "Fast and accurate computation of binomial probabilities", 2000).
 
-``tests/test_numerics.py`` checks that the committed tables equal what
+``tests/test_kernels.py`` checks that the committed tables equal what
 this script computes.  Print them, to paste into ``numerics.py``, with
 
     python tests/make_kernel_tables.py

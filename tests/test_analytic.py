@@ -65,13 +65,20 @@ def point_throughput(cfg, rho):
 def relay_outage_bessel_first(cut, mu, omega_sr, omega_rd, noise_scale):
     """The relay closed form as it picked its branch before the deep
     series could run first: the Bessel sum on every call, and the deep
-    series wherever that sum is below the 1e-6 switch."""
+    series wherever that sum is below the 1e-6 switch, or (at mu <= 6,
+    s below the band's bound) where its double-precision pass lands in
+    the band of analytic._DEEP_BAND."""
     s = mu * mu * (cut * noise_scale / omega_sr / omega_rd)
     if (mu * cut / omega_sr > analytic._EXP_UNDERFLOW
             or math.sqrt(s) - mu * math.log(4.0) > analytic._EXP_UNDERFLOW):
         return 1.0
     if s == 0.0:
         return gamma_p(mu, mu * cut / omega_sr)
+    if mu <= len(analytic._DEEP_S_MAX) and s < analytic._DEEP_S_MAX[mu - 1]:
+        deep = analytic._relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale,
+                                           resum=False)
+        if deep is not None and analytic._DEEP_BAND[0] <= deep < analytic._DEEP_BAND[1]:
+            return deep
     value = analytic._relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
     if value >= 1e-6:
         return value
@@ -319,6 +326,47 @@ class TestRelayOutage:
         # that bound must not cut off a deep-branch value
         assert len(analytic._DEEP_S_MAX) == len(self.DEEP_S_MAX)
         assert all(a >= b for a, b in zip(analytic._DEEP_S_MAX, self.DEEP_S_MAX))
+
+    # s at which the outage reaches the top of the series band, 1e-3, as
+    # t -> 0, for mu = 1..6
+    BAND_S_MAX = (1.117943e-04, 2.539424e-02, 2.181475e-01, 7.704733e-01, 1.843142e+00,
+                  3.562095e+00)
+
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_series_serves_the_band(self, mu):
+        # up to the band's top the deep series serves the value, within
+        # 5e-14 of mpmath where the Bessel sum is off by up to 2.4e-10
+        noise = 1e9
+        kw = dict(mu=mu, omega_sr=1.0, omega_rd=1.0, noise_scale=noise)
+        s_top = self.BAND_S_MAX[mu - 1]
+        assert analytic._DEEP_S_MAX[mu - 1] >= s_top
+        assert relay_outage_closed(1.001 * s_top / (mu * mu * noise), **kw) >= 1e-3
+        cuts = [frac * s_top / (mu * mu * noise) for frac in (0.999, 0.6)]
+        for cut in cuts:
+            value = relay_outage_closed(cut, **kw)
+            assert analytic._DEEP_BAND[0] <= value < analytic._DEEP_BAND[1]
+            assert value == analytic._relay_outage_deep(cut, mu, 1.0, 1.0, noise)
+        # against mpmath at the band's top, where the series cancels most
+        ref = mp_reference.relay_outage_mp(cuts[0], mu, 1.0, 1.0, noise)
+        assert relay_outage_closed(cuts[0], **kw) == pytest.approx(ref, rel=5e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu, omega_sr, omega_rd, noise", [
+        (1, 4.0, 4.0, KAPPA_NOISE_SCALE),
+        (3, 0.5, 4.0, 0.1),
+        (6, 3.0, 0.5, 10.0),
+    ])
+    @pytest.mark.parametrize("edge", [1e-5, 1e-3])
+    def test_band_edges_are_monotone(self, mu, omega_sr, omega_rd, noise, edge):
+        # the Bessel sum and the series meet at each edge of the band
+        # within the sum's error there, far below the step of the grid
+        kw = dict(mu=mu, omega_sr=omega_sr, omega_rd=omega_rd, noise_scale=noise)
+        lo, hi = 1e-12, 1e2
+        for _ in range(200):  # bisect the cut at which the closed form reaches the edge
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if relay_outage_closed(mid, **kw) < edge else (lo, mid)
+        vals = [relay_outage_closed(c, **kw) for c in np.linspace(0.999 * lo, 1.001 * hi, 201)]
+        assert vals[0] < edge <= vals[-1]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("mu", range(1, 13))
     def test_early_branch_choice_keeps_every_bit(self, mu):

@@ -258,10 +258,11 @@ class TestSweep:
         assert len(calls) == 2 * 9 * 3
 
     def test_bessel_sum_skipped_below_the_switch(self, capsys, monkeypatch):
-        # a relay call whose deep series lands clearly below 1e-6 returns
-        # it without running the Bessel sum, while the closed form still
-        # runs once per user and point; the default grid stops at 40 dB,
-        # above every deep value of these configs, so this one goes to 60
+        # a relay call whose deep series lands clearly below 1e-6, or at
+        # mu <= 6 in the series band [1e-5, 1e-3), returns it without
+        # running the Bessel sum, while the closed form still runs once
+        # per user and point; the default grid stops at 40 dB, above
+        # every deep value of these configs, so this one goes to 60
         results, sums = [], []
         closed_form, bessel_sum = analytic.relay_outage_closed, analytic._relay_outage_f64
 
@@ -281,7 +282,8 @@ class TestSweep:
         # 2 mu values x 13 SNR points x (far, near, OMA baseline)
         assert len(results) == 2 * 13 * 3
         deep = sum(value < 1e-6 for value in results)
-        assert deep > 0 and len(sums) == len(results) - deep
+        band = sum(analytic._DEEP_BAND[0] <= value < analytic._DEEP_BAND[1] for value in results)
+        assert deep > 0 and band > 0 and len(sums) == len(results) - deep - band
 
     def test_stage_cuts_once_per_config(self, capsys, monkeypatch):
         # one call gives the stage cuts of a config's whole SNR grid, for
@@ -436,6 +438,20 @@ class TestSweep:
             assert (code, out) == (2, "")
             assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
             assert err.count("\n") == 1
+
+    def test_relay_outage_below_the_double_range_exits_0(self, capsys, tmp_path):
+        # at mu = 3 and hop means 1e116 every relay outage is below 5e-324:
+        # the closed form and the oracle both round it to 0, and the rows
+        # pass rather than the oracle reporting that it cannot resolve them
+        ini = tmp_path / "underflow.ini"
+        ini.write_text(preset_ini("coop").replace("mu = 1", "mu = 3")
+                       .replace("omega_sr = 4.0", "omega_sr = 1e116")
+                       .replace("omega_rd = 4.0", "omega_rd = 1e116"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(ini))
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in data_rows(out)]
+        assert len(rows) == 9 * 2
+        assert all(r[4:7] == ["0", "0", "0"] and r[-2] == "pass" for r in rows)
 
     @pytest.mark.filterwarnings("error")
     def test_direct_mean_past_rate_range_exits_0_without_warning(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ grid.  Both numbers are printed (run with ``-s`` to see them).
 """
 
 import math
+import time
 
 import make_kernel_tables
 import mpmath as mp
@@ -49,13 +50,9 @@ class TestKernelTables:
         assert _K_SERIES == make_kernel_tables.k_series()
         assert _STIRLERR == make_kernel_tables.stirlerr()
 
-    def test_chebyshev_tables_reach_their_tail_bound(self):
-        # the full regeneration (``python tests/make_kernel_tables.py``)
-        # takes seconds; here the committed expansions are cut where the
-        # script cuts them, and the accuracy tests below check the values
-        for coef in (_K0_CHEB, _K1_CHEB):
-            assert len(coef) == 24
-            assert abs(coef[-1]) < 1e-16 * abs(coef[0])
+    def test_chebyshev_tables_are_the_script_output(self):
+        assert _K0_CHEB == make_kernel_tables.k_cheb(0)
+        assert _K1_CHEB == make_kernel_tables.k_cheb(1)
 
 
 class TestGammaP:
@@ -189,6 +186,46 @@ class TestBinomialTail:
                 if r < TINY:
                     assert binomial_tail(rank, total, f) == 0.0
         _report("binomial tail, pools 1..1000 and 1e20", ours, theirs)
+
+    @staticmethod
+    def reference_from_rank(rank, total, f):
+        """The tail as a 40-digit sum of its terms from ``rank`` upwards,
+        past the mode and on until they fall below 1e-45 of the sum."""
+        with mp.workdps(40):
+            f = mp.mpf(f)
+            q = 1 - f
+            term = mp.exp(mp.loggamma(total + 1) - mp.loggamma(rank + 1)
+                          - mp.loggamma(total - rank + 1) + rank * mp.log(f)
+                          + (total - rank) * mp.log(q))
+            acc, j = term, rank
+            while j < total and (j < total * f or term > acc * mp.mpf(10) ** -45):
+                term *= mp.mpf(total - j) / (j + 1) * f / q
+                acc += term
+                j += 1
+            return float(acc)
+
+    def test_mid_pool_ranks_stay_bounded_and_accurate(self):
+        # near the mode the terms fall off over the spread sqrt(total f (1 - f)),
+        # 500 at a pool of 1e6 and 5e9 at 1e20, where the sum would take
+        # about 1e10 terms; both take the beta-density integral instead
+        cases = [(500000, 0.5), (500000, 0.4995), (500700, 0.5), (499000, 0.5),
+                 (505000, 0.5), (300000, 0.3)]
+        refs = [self.reference_from_rank(rank, 10**6, f) for rank, f in cases]
+        start = time.perf_counter()
+        ours = _worst([binomial_tail(rank, 10**6, f) for rank, f in cases], refs)
+        theirs = _worst([special.betainc(rank, 10**6 - rank + 1, f) for rank, f in cases], refs)
+        total = 10**20
+        # a symmetric pool: the tail at rank total / 2 and f = 1/2 is
+        # 1/2 + C(total, total / 2) / 2**(total + 1)
+        with mp.workdps(40):
+            half = float(0.5 + mp.exp(mp.loggamma(total + 1) - 2 * mp.loggamma(total // 2 + 1)
+                                      - total * mp.log(2)) / 2)
+        ours = max(ours, _worst([binomial_tail(total // 2, total, 0.5)], [half]))
+        theirs = max(theirs, _worst([special.betainc(total // 2, total // 2 + 1, 0.5)], [half]))
+        # 40 spreads above the mode the tail is below the double range
+        assert binomial_tail(total // 2 + 2 * 10**11, total, 0.5) == 0.0
+        assert time.perf_counter() - start < 0.5
+        _report("binomial tail, mid-pool ranks of 1e6 and 1e20", ours, theirs)
 
     def test_huge_pool_costs_what_its_rank_costs(self):
         # the terms summed do not grow with the pool: a pool of 1e20 at
