@@ -348,16 +348,17 @@ def _deep_coefficients(mu: int, q: int) -> dict[int, tuple]:
 
 class _DeepRows(dict):
     """Rows q >= 1 of :func:`_deep_coefficients` for one mu, built on first
-    use: ``rows[q]`` is the tuple of (p, alpha, beta) of power q, each
-    coefficient converted by ``convert``."""
+    use: ``rows[q]`` is the tuple of (p, alpha, beta, |alpha|, |beta|) of
+    power q, each coefficient converted by ``convert``."""
 
     def __init__(self, mu: int, convert):
         super().__init__()
         self.mu, self.convert = mu, convert
 
     def __missing__(self, q: int) -> tuple:
-        row = self[q] = tuple((p, self.convert(a), self.convert(b))
-                              for p, (a, b) in _deep_coefficients(self.mu, q).items())
+        row = self[q] = tuple((p, a, b, abs(a), abs(b)) for p, a, b in (
+            (p, self.convert(a), self.convert(b))
+            for p, (a, b) in _deep_coefficients(self.mu, q).items()))
         return row
 
 
@@ -372,10 +373,12 @@ def _deep_sum(mu: int, rows, t, s, lam, tol):
     its terms' magnitudes.
 
     Runs on floats or on Decimals alike: ``rows[q]`` gives the (p, alpha,
-    beta) of power q in the type of ``t``, ``s`` and ``lam``, and the sum
-    stops once a row's magnitude falls below ``tol`` of R.
+    beta, |alpha|, |beta|) of power q in the type of ``t``, ``s`` and
+    ``lam``, and the sum stops once a row's magnitude falls below ``tol``
+    of R.
     """
     t_pow = [t ** p for p in range(mu)]
+    lam_size = abs(lam)
     rest = size_sum = 0
     s_pow = 1
     q = 0
@@ -383,10 +386,11 @@ def _deep_sum(mu: int, rows, t, s, lam, tol):
         q += 1
         s_pow *= s
         term = size = 0
-        for p, alpha, beta in rows[q]:
-            tp, b = t_pow[p], beta * lam
-            term += tp * (alpha + b)
-            size += tp * (abs(alpha) + abs(b))
+        for p, alpha, beta, alpha_size, beta_size in rows[q]:
+            tp = t_pow[p]
+            term += tp * (alpha + beta * lam)
+            # |beta| |lam| is |beta lam| exactly: rounding ignores signs
+            size += tp * (alpha_size + beta_size * lam_size)
         rest += s_pow * term
         size_sum += s_pow * size
         # past q = mu every (k, i) pair feeds the row, p = 0 included, so
