@@ -204,28 +204,48 @@ class TestBinomialTail:
                 j += 1
             return float(acc)
 
+    @staticmethod
+    def reference_by_integral(rank, total, f):
+        """I_f(rank, total - rank + 1) as a 60-digit integral of the beta
+        density from 0 to f, split at its mode (or f) and at a few
+        spreads below it."""
+        with mp.workdps(60):
+            f = mp.mpf(f)
+            a, b = rank, total - rank + 1
+            log_norm = mp.loggamma(a + b) - mp.loggamma(a) - mp.loggamma(b)
+            spread = mp.sqrt(f * (1 - f) / total)
+            centre = min(f, mp.mpf(a - 1) / (a + b - 2))
+            points = sorted({*(centre + k * spread for k in (-60, -20, -10, -5, -2, 0)), f})
+            return float(mp.quad(lambda t: mp.exp(log_norm + (a - 1) * mp.log(t)
+                                                  + (b - 1) * mp.log(1 - t)), points))
+
     def test_mid_pool_ranks_stay_bounded_and_accurate(self):
         # near the mode the terms fall off over the spread sqrt(total f (1 - f)),
         # 500 at a pool of 1e6 and 5e9 at 1e20, where the sum would take
         # about 1e10 terms; both take the beta-density integral instead
-        cases = [(500000, 0.5), (500000, 0.4995), (500700, 0.5), (499000, 0.5),
-                 (505000, 0.5), (300000, 0.3)]
-        refs = [self.reference_from_rank(rank, 10**6, f) for rank, f in cases]
-        start = time.perf_counter()
-        ours = _worst([binomial_tail(rank, 10**6, f) for rank, f in cases], refs)
-        theirs = _worst([special.betainc(rank, 10**6 - rank + 1, f) for rank, f in cases], refs)
-        total = 10**20
+        big = 10**20
+        cases = [(rank, 10**6, f) for rank, f in ((500000, 0.5), (500000, 0.4995), (500700, 0.5),
+                                                  (499000, 0.5), (505000, 0.5), (300000, 0.3))]
+        refs = [self.reference_from_rank(*case) for case in cases]
         # a symmetric pool: the tail at rank total / 2 and f = 1/2 is
         # 1/2 + C(total, total / 2) / 2**(total + 1)
+        cases.append((big // 2, big, 0.5))
         with mp.workdps(40):
-            half = float(0.5 + mp.exp(mp.loggamma(total + 1) - 2 * mp.loggamma(total // 2 + 1)
-                                      - total * mp.log(2)) / 2)
-        ours = max(ours, _worst([binomial_tail(total // 2, total, 0.5)], [half]))
-        theirs = max(theirs, _worst([special.betainc(total // 2, total // 2 + 1, 0.5)], [half]))
+            refs.append(float(0.5 + mp.exp(mp.loggamma(big + 1) - 2 * mp.loggamma(big // 2 + 1)
+                                           - big * mp.log(2)) / 2))
+        # at f = 0.3 the product (total - 1) f is not a double: the
+        # deviation from the mean must come from the exact fraction
+        for rank in (3 * 10**19 + 10**10, 3 * 10**19 - 10**10):
+            cases.append((rank, big, 0.3))
+            refs.append(self.reference_by_integral(rank, big, 0.3))
+        start = time.perf_counter()
+        values = [binomial_tail(*case) for case in cases]
         # 40 spreads above the mode the tail is below the double range
-        assert binomial_tail(total // 2 + 2 * 10**11, total, 0.5) == 0.0
+        assert binomial_tail(big // 2 + 2 * 10**11, big, 0.5) == 0.0
         assert time.perf_counter() - start < 0.5
-        _report("binomial tail, mid-pool ranks of 1e6 and 1e20", ours, theirs)
+        theirs = [special.betainc(rank, total - rank + 1, f) for rank, total, f in cases]
+        _report("binomial tail, mid-pool ranks of 1e6 and 1e20", _worst(values, refs),
+                _worst(theirs, refs))
 
     def test_huge_pool_costs_what_its_rank_costs(self):
         # the terms summed do not grow with the pool: a pool of 1e20 at
