@@ -70,7 +70,7 @@ from .fading import (
     ordered_cdf,
     ordered_cdf_small_arg,
 )
-from .numerics import bessel_k_scaled, gamma_p, log_binomial
+from .numerics import _EULER_GAMMA, bessel_k_scaled, gamma_p, log_binomial
 
 __all__ = [
     "decode_depth",
@@ -276,7 +276,6 @@ _EULER_GAMMA_DIGITS = (
     "0.57721566490153286060651209008240243104215933593992359880576723488486772677766467"
     "0936947063291746749514631447249"
 )
-_EULER_GAMMA = float(_EULER_GAMMA_DIGITS)
 _EULER_GAMMA_PRECISION = len(_EULER_GAMMA_DIGITS) - 2
 
 #: the Bessel sum cancels against 1 below this value; the deep branch takes over

@@ -40,7 +40,7 @@ from .configs import (
     preset_configs,
     with_mu,
 )
-from .montecarlo import MAX_TRIALS, TrialBatch, estimate_outage
+from .montecarlo import MAX_TRIALS, Estimate, TrialBatch, estimate_outage
 from .validation import ComparisonRow, run_validation_suite
 
 __all__ = ["main"]
@@ -187,8 +187,9 @@ def _base_configs(scenario: str, config: str | None) -> dict[str, ScenarioConfig
 
 
 def _selected_users(users: tuple[str, ...] | None,
-                    cfgs: dict[str, ScenarioConfig]) -> dict[str, tuple]:
-    """Users each scenario emits rows for, in ``--users`` order.
+                    cfgs: dict[str, ScenarioConfig]) -> dict[str, tuple[int, ...]]:
+    """Served positions (0-based, decode order) of the users each scenario
+    emits rows for, in ``--users`` order.
 
     ``far``/``near`` select coop rows and integers select direct rows, so
     a compare run can mix both; a scenario that no entry names emits no
@@ -197,7 +198,7 @@ def _selected_users(users: tuple[str, ...] | None,
     """
     served = {scenario: served_users(cfg) for scenario, cfg in cfgs.items()}
     if users is None:
-        return served
+        return {scenario: tuple(range(len(names))) for scenario, names in served.items()}
     picked: dict[str, list] = {scenario: [] for scenario in cfgs}
     seen = set()
     for token in users:
@@ -215,8 +216,8 @@ def _selected_users(users: tuple[str, ...] | None,
                 f"--users entry {token!r} is not a served user; expected one of {known}"
             )
         for scenario in hits:
-            picked[scenario].append(user)
-    return {scenario: tuple(names) for scenario, names in picked.items()}
+            picked[scenario].append(served[scenario].index(user))
+    return {scenario: tuple(positions) for scenario, positions in picked.items()}
 
 
 def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
@@ -235,25 +236,23 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
     selected = _selected_users(users, cfgs)
     runs = [(scenario, with_mu(base, mu)) for scenario, base in cfgs.items()
             if selected[scenario] for mu in mu_list or (base.mu,)]
-    if batch is None:
-        estimates = [[dict.fromkeys(served_users(cfg))] * len(rhos) for _, cfg in runs]
-    else:
-        # one call: configs that share a pool share its draws
-        estimates = estimate_outage([cfg for _, cfg in runs], rhos, batch)
+    # one call: configs that share a pool share its draws
+    counts = [None] * len(runs) if batch is None else [
+        fails.tolist() for fails in estimate_outage([cfg for _, cfg in runs], rhos, batch)]
     rows: list[str] = []
-    for (scenario, cfg), run_estimates in zip(runs, estimates):
+    for (scenario, cfg), fails in zip(runs, counts):
+        labels = [str(user) for user in served_users(cfg)]
         # each served user's (exact, high-SNR) outages over the whole grid
-        outages = {user: (exact.tolist(), asym.tolist()) for user, (exact, asym)
-                   in zip(served_users(cfg), point_outages(cfg, rhos), strict=True)}
+        outages = [(exact.tolist(), asym.tolist()) for exact, asym in point_outages(cfg, rhos)]
         omas = outage_oma(cfg, rhos).tolist() if with_oma else [None] * len(rhos)
-        for k, (db, est, oma) in enumerate(zip(grid, run_estimates, omas)):
-            tput = throughput(cfg, [exact[k] for exact, _ in outages.values()])
-            for user in selected[scenario]:
-                exact, asym = outages[user][0][k], outages[user][1][k]
-                e = est[user]
+        for k, (db, oma) in enumerate(zip(grid, omas)):
+            tput = throughput(cfg, [exact[k] for exact, _ in outages])
+            for i in selected[scenario]:
+                exact, asym = outages[i]
+                e = Estimate.from_count(fails[i][k], batch.trials) if fails else None
                 rows.append(",".join([
-                    f"{db:g}", scenario, str(cfg.mu), str(user),
-                    _fmt(exact), _fmt(asym),
+                    f"{db:g}", scenario, str(cfg.mu), labels[i],
+                    _fmt(exact[k]), _fmt(asym[k]),
                     _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
                     _fmt(oma), _fmt(tput),
                 ]))

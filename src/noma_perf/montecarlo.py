@@ -64,7 +64,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import _check_rho, served_users, sic_stages
-from .configs import ScenarioConfig
+from .configs import ConfigError, ScenarioConfig
 from .fading import FadingParams, sample_gain, sample_sorted_gains
 
 __all__ = [
@@ -138,24 +138,6 @@ class Estimate:
     def from_count(cls, failures: int, trials: int) -> "Estimate":
         p = failures / trials
         return cls(p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials), trials=trials)
-
-
-class _UserEstimates(dict):
-    """Estimates of one SNR point keyed by served user.  As for
-    ``analytic.user_outage``, a user matches in type and value: a lookup
-    by another spelling (``True`` for 1, ``2.0`` for 2, ``"2"``) raises
-    ``ValueError``, and such a key is not ``in`` the point."""
-
-    def __contains__(self, user) -> bool:
-        return any(type(user) is type(served) and user == served for served in self)
-
-    def __getitem__(self, user):
-        if user not in self:
-            raise ValueError(f"user must be one of {tuple(self)}, got {user!r}")
-        return super().__getitem__(user)
-
-    def get(self, user, default=None):
-        return self[user] if user in self else default
 
 
 # =====================================================================
@@ -359,31 +341,36 @@ def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> n
 # =====================================================================
 
 def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
-                    batch: TrialBatch) -> list[list[dict]]:
-    """Outage estimates of every served user of each config at every SNR in ``rhos``.
+                    batch: TrialBatch) -> list[np.ndarray]:
+    """Failure counts of every served user of each config at every SNR in ``rhos``.
 
-    Returns, per config of ``cfgs`` in order, one dict per rho mapping
-    each served user (``'far'``/``'near'`` or 1..M) to its
-    :class:`Estimate`; looking up a user by another spelling (``True``,
-    ``2.0``, ``"2"``) raises ``ValueError``.  Each block draws once per
-    group of configs that share ``(mu, pool)`` and decides every config
-    of the group with :func:`user_failures`, tile by tile, at every rho
-    at once, against cuts computed once per call.  Every config reads
-    the stream it would draw alone, so each estimate equals a
-    one-config, one-point call at that rho.
+    Returns, per config of ``cfgs`` in order, an int64 array of shape
+    (users, points), rows in decode order as ``analytic.point_outages``
+    returns them, each count out of ``batch.trials`` (see
+    :meth:`Estimate.from_count`).  Each block draws once per group of
+    configs that share ``(mu, pool)`` and decides every config of the
+    group with :func:`user_failures`, tile by tile, at every rho at once,
+    against cuts computed once per call.  Every config reads the stream it
+    would draw alone, so each column equals a one-config, one-point call.
+    A pool whose block of gains has no array, or no memory, raises
+    ``ConfigError`` before any count.
     """
     rhos = [_check_rho(rho) for rho in rhos]
-    users = [served_users(cfg) for cfg in cfgs]
+    users = [len(served_users(cfg)) for cfg in cfgs]
     if not (rhos and cfgs):
-        return [[] for _ in cfgs]
-    # config i counts its users in columns edges[i]..edges[i + 1] of a block's table
-    edges = list(accumulate((len(names) for names in users), initial=0))
+        return [np.zeros((n, len(rhos)), dtype=np.int64) for n in users]
+    largest, pool = min(BLOCK_TRIALS, batch.trials), max(cfg.pool for cfg in cfgs)
+    if largest * pool > np.iinfo(np.intp).max // 8:  # bytes of float64 gains
+        raise ConfigError(f"pool {pool} is too large to simulate: a block of {largest} "
+                          f"trials would hold {largest * pool} gains")
+    # config i counts its users in rows edges[i]..edges[i + 1] of a block's table
+    edges = list(accumulate(users, initial=0))
     groups = defaultdict(list)
     for i, cfg in enumerate(cfgs):
         groups[cfg.mu, cfg.pool].append(i)
     rho_col = np.array(rhos)[:, np.newaxis]
     cuts = [gain_cuts(cfg, rho_col) for cfg in cfgs]
-    widest = max(len(names) for names in users)
+    widest = max(users)
 
     def block(j: int, n: int) -> np.ndarray:
         counts = np.zeros((edges[-1], len(rhos)), dtype=np.int64)
@@ -396,15 +383,13 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
                     branches = branch_gains(draw, cfgs[i], slice(start, start + k))
                     fail = user_failures(branches, cuts[i], fails[:len(branches), :, :k])
                     counts[edges[i]:edges[i + 1]] += _row_counts(fail)
-        return counts.T
+        return counts
 
-    counts = _run_blocks(batch, block)
-    return [
-        [_UserEstimates((user, Estimate.from_count(int(c), batch.trials))
-                        for user, c in zip(names, row[edges[i]:]))
-         for row in counts]
-        for i, names in enumerate(users)
-    ]
+    try:
+        counts = _run_blocks(batch, block)
+    except MemoryError as exc:
+        raise ConfigError(f"a block of {largest} trials at pool {pool}: {exc}") from exc
+    return np.split(counts, edges[1:-1])
 
 
 # =====================================================================

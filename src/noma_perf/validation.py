@@ -40,7 +40,7 @@ import numpy as np
 from .analytic import Link, _user_link, link_outage, point_links, served_users
 from .configs import ConfigError, ScenarioConfig
 from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdf
-from .montecarlo import TrialBatch, estimate_outage
+from .montecarlo import Estimate, TrialBatch, estimate_outage
 from .numerics import QuadratureError, integrate_from_zero, integrate_semi_infinite
 
 __all__ = [
@@ -236,43 +236,32 @@ def run_validation_suite(
         users = served_users(cfg)
         scenario = "coop" if cfg.has_relay else "direct"
         links = point_links(cfg, rhos)
-        # per point, the exact outage and the oracle of each user in turn
-        exact = list(zip(*(link_outage(cfg, link)[0].tolist() for link in links)))
-        oracles = list(zip(*(oracle.tolist() for oracle in link_oracles(cfg, links))))
-        estimates = {}
+        # each user's exact outage, oracle and failure count over the grid
+        exact = [link_outage(cfg, link)[0].tolist() for link in links]
+        oracles = [oracle.tolist() for oracle in link_oracles(cfg, links)]
+        fails = np.zeros((len(users), len(rhos)), dtype=np.int64)
         if batch is not None:
             # one simulation over the points where some user is above the floor
-            simulated = [k for k, point in enumerate(exact) if max(point) > MC_PROBABILITY_FLOOR]
-            (points,) = estimate_outage([cfg], [rhos[k] for k in simulated], batch)
-            estimates = dict(zip(simulated, points))
+            simulated = (np.array(exact) > MC_PROBABILITY_FLOOR).any(axis=0)
+            fails[:, simulated] = estimate_outage([cfg], np.array(rhos)[simulated], batch)[0]
         for k, db in enumerate(snr_db):
-            for user, p, oracle in zip(users, exact[k], oracles[k]):
+            for i, user in enumerate(users):
+                p, oracle = exact[i][k], oracles[i][k]
                 rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
                 ok = rel_err <= ORACLE_REL_TOL
                 gate = f"rel_err<={ORACLE_REL_TOL:g}"
-                p_mc = math.nan
-                mc_stderr = math.nan
-                if k in estimates and p > MC_PROBABILITY_FLOOR:
-                    est = estimates[k][user]
-                    p_mc = est.p_hat
-                    mc_stderr = est.stderr
+                p_mc = mc_stderr = math.nan
+                # a user above the floor makes its point simulated
+                if batch is not None and p > MC_PROBABILITY_FLOOR:
+                    est = Estimate.from_count(int(fails[i, k]), batch.trials)
+                    p_mc, mc_stderr = est.p_hat, est.stderr
                     # standard error under the exact probability is the natural null
                     # scale and stays positive even when the empirical count is 0 or n
-                    se_exact = math.sqrt(p * (1.0 - p) / est.trials)
-                    tol = MC_SIGMAS * max(est.stderr, se_exact)
+                    tol = MC_SIGMAS * max(est.stderr, math.sqrt(p * (1.0 - p) / est.trials))
                     ok = ok and abs(p - p_mc) <= tol
                     gate += f" & |exact-mc|<={MC_SIGMAS:g}se"
                 rows.append(ComparisonRow(
-                    snr_db=float(db),
-                    scenario=scenario,
-                    mu=cfg.mu,
-                    user=str(user),
-                    p_exact=p,
-                    p_oracle=oracle,
-                    rel_err=rel_err,
-                    p_mc=p_mc,
-                    mc_stderr=mc_stderr,
-                    passed=ok,
-                    gate=gate,
-                ))
+                    snr_db=float(db), scenario=scenario, mu=cfg.mu, user=str(user), p_exact=p,
+                    p_oracle=oracle, rel_err=rel_err, p_mc=p_mc, mc_stderr=mc_stderr,
+                    passed=ok, gate=gate))
     return rows

@@ -36,7 +36,7 @@ from noma_perf.fading import (
     sample_gain,
     sample_sorted_gains,
 )
-from noma_perf.montecarlo import TrialBatch, estimate_outage
+from noma_perf.montecarlo import Estimate, TrialBatch, estimate_outage
 from noma_perf.validation import relay_outage_quadrature
 
 GRID_DB = [5.0 * k for k in range(9)]  # 0, 5, ..., 40 dB
@@ -79,8 +79,9 @@ class TestAcceptance:
         worst_z = 0.0
         checked = 0
 
-        def gate(exact, est):
+        def gate(exact, failures):
             nonlocal worst_z, checked
+            est = Estimate.from_count(failures, batch.trials)
             se = max(est.stderr, math.sqrt(exact * (1.0 - exact) / est.trials))
             worst_z = max(worst_z, abs(exact - est.p_hat) / se)
             checked += 1
@@ -92,14 +93,14 @@ class TestAcceptance:
                 gated = []
                 for db in GRID_DB:
                     rho = db_to_linear(db)
-                    exact = {u: user_outage(cfg, rho, u)[0] for u in served_users(cfg)}
-                    if max(exact.values()) > floor:
+                    exact = [user_outage(cfg, rho, u)[0] for u in served_users(cfg)]
+                    if max(exact) > floor:
                         gated.append((rho, exact))
-                (estimates,) = estimate_outage([cfg], [rho for rho, _ in gated], batch)
-                for (_, exact), est in zip(gated, estimates):
-                    for user, p in exact.items():
+                (counts,) = estimate_outage([cfg], [rho for rho, _ in gated], batch)
+                for (_, exact), column in zip(gated, counts.T.tolist(), strict=True):
+                    for p, failures in zip(exact, column, strict=True):
                         if p > floor:
-                            gate(p, est[user])
+                            gate(p, failures)
         elapsed = time.perf_counter() - start
         ok = worst_z <= 3.0 and elapsed < 300.0
         report(
@@ -229,8 +230,8 @@ class TestAcceptance:
         batch = TrialBatch(200_000, seed=2)
         # far threshold 2**(2*1.5) - 1 = 7 exceeds the 0.8 / 0.2 split ratio
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        ((point,),) = estimate_outage([coop], [rho], batch)
-        far_est, near_est = point["far"], point["near"]
+        (counts,) = estimate_outage([coop], [rho], batch)
+        far_est, near_est = (Estimate.from_count(c, batch.trials) for (c,) in counts.tolist())
         coop_ok = (
             user_outage(coop, rho, "far")[0] == 1.0
             and user_outage(coop, rho, "near")[0] == 1.0
@@ -245,9 +246,9 @@ class TestAcceptance:
             mu=1,
         )
         direct_ok = True
-        ((point,),) = estimate_outage([direct], [rho], batch)
+        (counts,) = estimate_outage([direct], [rho], batch)
         for user in (2, 3):
-            est = point[user]
+            est = Estimate.from_count(int(counts[user - 1, 0]), batch.trials)
             direct_ok = direct_ok and (
                 user_outage(direct, rho, user)[0] == 1.0
                 and est.p_hat == 1.0 and est.stderr == 0.0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import relay_outage_quadpack
 
-from noma_perf import analytic
+from noma_perf import analytic, numerics
 from noma_perf.analytic import (
     decode_depth,
     diversity_order_fit,
@@ -435,6 +435,9 @@ class TestRelayOutage:
         with mp_reference.mp.workdps(130):
             digits = mp_reference.mp.nstr(mp_reference.mp.euler, 125)
         assert digits.startswith(analytic._EULER_GAMMA_DIGITS)
+        # the one double of the constant is the digits rounded, bit for bit
+        assert numerics._EULER_GAMMA == float(analytic._EULER_GAMMA_DIGITS)
+        assert numerics._EULER_GAMMA.hex() == "0x1.2788cfc6fb619p-1"
 
     @pytest.mark.parametrize("mu, omega_sr, omega_rd, noise", [
         (1, 4.0, 4.0, KAPPA_NOISE_SCALE),

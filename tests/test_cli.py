@@ -577,6 +577,36 @@ class TestHugePool:
             ref = self.reference(cut[0], idx.rank, idx.total)
             assert abs(value - ref) <= 1e-12 * ref, (idx.rank, value, ref)
 
+    def test_simulation_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
+        # one trial of this pool is past any array, so nothing is allocated
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew gains for a pool that no array holds")
+
+        monkeypatch.setattr(montecarlo, "draw_block", no_draw)
+        ini = tmp_path / "huge.ini"
+        ini.write_text(self.INI, encoding="utf-8")
+        for command in ("sweep", "validate"):
+            code, out, err = run_cli(capsys, command, "--config", str(ini), "--trials", "1",
+                                     *(("--scenario", "direct") if command == "sweep" else ()))
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: pool 100000000000000000000 is too large to simulate")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("chunks", ["1", "2"])
+    def test_refused_allocation_exits_2(self, capsys, monkeypatch, chunks):
+        # numpy's refusal of a block's gains, raised by a stand-in sampler
+        # so that no test allocates a real multi-GiB block
+        def refuse(p, total, rng, size=None, *, out=None):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+
+        monkeypatch.setattr(montecarlo, "sample_sorted_gains", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "direct", "--trials", "600000",
+                                 "--chunks", chunks)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: a block of {2**18} trials at pool 3: Unable to allocate")
+        assert "Unable to allocate 74.5 GiB" in err and err.count("\n") == 1
+
 
 class TestFigure:
     def test_header_echoes_preset_values(self, capsys):

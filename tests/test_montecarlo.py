@@ -660,10 +660,18 @@ class TestBracketedReplay:
                     and any("analytic" in alias.name for alias in node.names)]
 
 
-def assert_within_5_se(est, p):
-    """``est`` lies within 5 binomial standard errors, taken at the exact
-    probability ``p``, of ``p``."""
-    assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / est.trials), (est, p)
+def assert_within_5_se(failures, trials, p):
+    """``failures`` of ``trials`` lie within 5 binomial standard errors,
+    taken at the exact probability ``p``, of ``p``."""
+    p_hat = failures / trials
+    assert abs(p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), (failures, trials, p)
+
+
+def assert_same_counts(got, want):
+    """Per-config failure counts equal in dtype, shape and every count."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and (a == b).all()
 
 
 class TestOverflowGuard:
@@ -706,12 +714,12 @@ class TestOverflowGuard:
         cfg = ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.7e308,), ranks=(1,), pool=1)
         ((gain,),) = branch_gains(draw_block([cfg], np.random.default_rng(1), 3000), cfg)
         assert np.isinf(gain).any() and not np.isnan(gain).any()
-        points = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))[0]
-        assert [point[1] for point in points] == [Estimate(1.0, 0.0, 3000)] * 2
+        (counts,) = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))
+        assert counts.tolist() == [[3000, 3000]]
         # at a finite threshold every gain clears the stage
         cfg = dataclasses.replace(cfg, rates=(1.0,))
-        points = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))[0]
-        assert [point[1] for point in points] == [Estimate(0.0, 0.0, 3000)] * 2
+        (counts,) = estimate_outage([cfg], [1.0, 10.0], TrialBatch(3000, seed=1))
+        assert counts.tolist() == [[0, 0]]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field", ["omega_sr", "omega_rd"])
@@ -722,27 +730,27 @@ class TestOverflowGuard:
         # y / (1 + c / w) keeps it finite where only w is huge
         assert np.isinf(relay).any() == (field == "omega_sr") and not np.isnan(relay).any()
         rhos = [1.0, 100.0]
-        points = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))[0]
-        for rho, point in zip(rhos, points):
-            for user, est in point.items():
-                assert_within_5_se(est, user_outage(cfg, rho, user)[0])
+        (counts,) = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))
+        for user, row in zip(served_users(cfg), counts.tolist(), strict=True):
+            for rho, failures in zip(rhos, row, strict=True):
+                assert_within_5_se(failures, 3000, user_outage(cfg, rho, user)[0])
 
     @pytest.mark.filterwarnings("error")
     def test_huge_mean_is_simulated_at_a_large_rho(self):
         # user 2's gains near 1e300 would overflow a float SINR at rho 1e10
         cfg = ScenarioConfig(power=(0.8, 0.2), rates=(0.5, 1.0), omega=(1.0, 1e300))
         rhos = [1.0, 1e10]
-        points = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))[0]
-        assert points[0][1].p_hat > 0.5  # the weak user's outage is about 0.68 at 0 dB
-        for rho, point in zip(rhos, points):
-            for user, est in point.items():
-                assert_within_5_se(est, user_outage(cfg, rho, user)[0])
+        (counts,) = estimate_outage([cfg], rhos, TrialBatch(3000, seed=1))
+        assert counts[0, 0] > 1500  # the weak user's outage is about 0.68 at 0 dB
+        for user, row in zip(served_users(cfg), counts.tolist(), strict=True):
+            for rho, failures in zip(rhos, row, strict=True):
+                assert_within_5_se(failures, 3000, user_outage(cfg, rho, user)[0])
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_threshold_fails_every_trial(self):
         cfg = ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.0,))
-        points = estimate_outage([cfg], [1.0, 1e12], TrialBatch(3000, seed=1))[0]
-        assert [point[1] for point in points] == [Estimate(1.0, 0.0, 3000)] * 2
+        (counts,) = estimate_outage([cfg], [1.0, 1e12], TrialBatch(3000, seed=1))
+        assert counts.tolist() == [[3000, 3000]]
 
 
 class TestDeterminism:
@@ -750,7 +758,8 @@ class TestDeterminism:
         cfg = coop_preset()
         rho = db_to_linear(10.0)
         batch = TrialBatch(trials=3 * BLOCK_TRIALS // 2, seed=5)
-        assert estimate_outage([cfg], [rho], batch) == estimate_outage([cfg], [rho], batch)
+        assert_same_counts(estimate_outage([cfg], [rho], batch),
+                           estimate_outage([cfg], [rho], batch))
 
     def test_chunks_do_not_change_estimate(self):
         cfg = coop_preset()
@@ -758,10 +767,10 @@ class TestDeterminism:
         trials = 2 * BLOCK_TRIALS + 1234
         one = estimate_outage([cfg], [rho], TrialBatch(trials, seed=5, chunks=1))
         many = estimate_outage([cfg], [rho], TrialBatch(trials, seed=5, chunks=4))
-        assert one == many
+        assert_same_counts(one, many)
         d_one = estimate_outage([direct_preset()], [rho], TrialBatch(trials, seed=5, chunks=1))
         d_many = estimate_outage([direct_preset()], [rho], TrialBatch(trials, seed=5, chunks=3))
-        assert d_one == d_many
+        assert_same_counts(d_one, d_many)
 
     def test_one_call_equals_separate_calls(self, monkeypatch):
         # the comparison preset's coop and direct configs and the direct
@@ -772,7 +781,7 @@ class TestDeterminism:
                 direct_preset()]
         rhos = (1.0, 10.0, 100.0, 1000.0)
         batch = TrialBatch(BLOCK_TRIALS + 3000, seed=9)
-        alone = [estimate_outage([cfg], rhos, batch)[0] for cfg in cfgs]
+        alone = [count for cfg in cfgs for count in estimate_outage([cfg], rhos, batch)]
         groups = []
         draw = montecarlo.draw_block
 
@@ -781,7 +790,7 @@ class TestDeterminism:
             return draw(group, rng, n)
 
         monkeypatch.setattr(montecarlo, "draw_block", counted)
-        assert estimate_outage(cfgs, rhos, batch) == alone
+        assert_same_counts(estimate_outage(cfgs, rhos, batch), alone)
         # three groups, each drawn once in each of the two blocks
         assert sorted(groups) == [[0, 1, 4], [0, 1, 4], [2], [2], [3], [3]]
 
@@ -795,7 +804,7 @@ class TestDeterminism:
             monkeypatch.setattr(montecarlo, "TILE_TRIALS", tile)
             for chunks in (1, 2):
                 got = estimate_outage(cfgs, rhos, TrialBatch(trials, seed=5, chunks=chunks))
-                assert got == want, (tile, chunks)
+                assert_same_counts(got, want)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_huge_batch_reaches_its_first_block(self, monkeypatch, chunks):
@@ -825,35 +834,46 @@ class TestDeterminism:
     def test_seed_changes_estimate(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        a = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=1))[0][0]["far"]
-        b = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=2))[0][0]["far"]
-        assert a.p_hat != b.p_hat
+        (a,) = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=1))
+        (b,) = estimate_outage([cfg], [rho], TrialBatch(100_000, seed=2))
+        assert a[0, 0] != b[0, 0]  # the far user
 
     @pytest.mark.parametrize("chunks", [1, 3])
     def test_random_stream_is_pinned(self, chunks):
-        # Failure counts per rho (rows) and served user (columns) of the
+        # Failure counts per served user (rows) and rho (columns) of the
         # committed random stream; any change to them is a change of the
         # stream.  direct_preset has distinct omegas, so the per-user
         # scaling of the shared pool is covered.
-        trials = 2 * BLOCK_TRIALS + 1234
-        batch = TrialBatch(trials, seed=5, chunks=chunks)
+        batch = TrialBatch(2 * BLOCK_TRIALS + 1234, seed=5, chunks=chunks)
         rhos = (1.0, 10.0, 100.0)
         for cfg, want in (
-            (coop_preset(2), [[525207, 525522], [168043, 364271], [757, 3]]),
-            (direct_preset(2), [[507758, 519569, 525389], [35990, 8254, 20083], [424, 1, 0]]),
+            (coop_preset(2), [[525207, 168043, 757], [525522, 364271, 3]]),
+            (direct_preset(2), [[507758, 35990, 424], [519569, 8254, 1], [525389, 20083, 0]]),
         ):
-            (points,) = estimate_outage([cfg], rhos, batch)
-            got = [[round(e.p_hat * trials) for e in point.values()] for point in points]
-            assert got == want
-            assert all(e.trials == trials for point in points for e in point.values())
+            (counts,) = estimate_outage([cfg], rhos, batch)
+            assert counts.dtype == np.int64 and counts.tolist() == want
+
+    def test_counts_are_users_by_points_of_one_point_calls(self):
+        # one int64 row per served user in decode order, one column per
+        # rho, and each column the counts of a one-point call at its rho
+        shared = preset_configs("comparison.ini")
+        cfgs = [shared["coop"], shared["direct"]]
+        rhos = (1.0, 10.0, 100.0)
+        batch = TrialBatch(5000, seed=3)
+        for cfg, counts in zip(cfgs, estimate_outage(cfgs, rhos, batch), strict=True):
+            assert counts.dtype == np.int64
+            assert counts.shape == (len(served_users(cfg)), len(rhos))
+            for j, rho in enumerate(rhos):
+                (column,) = estimate_outage([cfg], [rho], batch)
+                assert column[:, 0].tolist() == counts[:, j].tolist()
 
 
 class TestAgreementWithClosedForms:
     def test_coop_estimates_within_sampling_error(self):
         cfg = coop_preset()
         rho = db_to_linear(10.0)
-        ((point,),) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
-        far, near = point["far"], point["near"]
+        (counts,) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
+        far, near = (Estimate.from_count(c, 400_000) for (c,) in counts.tolist())
         p_far = user_outage(cfg, rho, "far")[0]
         p_near = user_outage(cfg, rho, "near")[0]
         assert abs(far.p_hat - p_far) < 4.0 * far.stderr
@@ -862,49 +882,45 @@ class TestAgreementWithClosedForms:
     def test_direct_estimates_within_sampling_error(self):
         cfg = with_mu(direct_preset(), 2)
         rho = db_to_linear(10.0)
-        ((point,),) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
-        for user in (1, 2, 3):
-            est = point[user]
+        (counts,) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=6))
+        for user, (failures,) in zip((1, 2, 3), counts.tolist(), strict=True):
+            est = Estimate.from_count(failures, 400_000)
             p = user_outage(cfg, rho, user)[0]
             assert abs(est.p_hat - p) < 4.0 * max(est.stderr, 1e-5)
 
     def test_single_user_single_slot_reduces_to_plain_cdf(self):
         cfg = ScenarioConfig(power=(1.0,), rates=(0.5,), omega=(2.0,), mu=2)
         rho = 4.0
-        est = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=12))[0][0][1]
+        (((failures,),),) = estimate_outage([cfg], [rho], TrialBatch(400_000, seed=12))
+        est = Estimate.from_count(int(failures), 400_000)
         cut = (2.0**0.5 - 1.0) / rho
         p = gamma_cdf(FadingParams(2, 2.0), cut)
         assert abs(est.p_hat - p) < 4.0 * est.stderr
 
     @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
     def test_direct_user_follows_served_user_contract(self, user):
-        # as for analytic.user_outage, a served user matches in type and value
-        # estimates are keyed by the served users, and decode depth, the
+        # as for analytic.user_outage, a served user matches in type and
+        # value: counts have one row per served user, and decode depth, the
         # user's position in the replay, is defined for those alone
         cfg = direct_preset()
-        ((point,),) = estimate_outage([cfg], [10.0], TrialBatch(10, seed=0))
-        assert list(point) == list(served_users(cfg))
+        (counts,) = estimate_outage([cfg], [10.0], TrialBatch(10, seed=0))
+        assert counts.shape == (len(served_users(cfg)), 1)
         with pytest.raises(ValueError):
             decode_depth(cfg, user)
-        # a lookup by another spelling raises as analytic.user_outage does
         with pytest.raises(ValueError):
             user_outage(cfg, 10.0, user)
-        with pytest.raises(ValueError, match="user must be one of"):
-            point[user]
-        assert user not in point and point.get(user) is None
-        assert point[int(user)] is point.get(int(user)) and int(user) in point
 
     def test_infeasible_rate_estimates_exactly_one(self):
         coop = dataclasses.replace(coop_preset(), rates=(1.5, 1.5))
-        ((point,),) = estimate_outage([coop], [db_to_linear(40.0)], TrialBatch(10_000, seed=1))
-        assert point == {"far": Estimate(1.0, 0.0, 10_000), "near": Estimate(1.0, 0.0, 10_000)}
+        (counts,) = estimate_outage([coop], [db_to_linear(40.0)], TrialBatch(10_000, seed=1))
+        assert counts.tolist() == [[10_000], [10_000]]
 
     @settings(max_examples=30, deadline=None)
     @given(blocked=blocked_users(), snr_db=st.floats(-10.0, 120.0), seed=st.integers(0, 99))
     def test_stage_without_headroom_estimates_exactly_one(self, blocked, snr_db, seed):
         cfg, user = blocked
-        ((point,),) = estimate_outage([cfg], [db_to_linear(snr_db)], TrialBatch(2000, seed=seed))
-        assert point[user] == Estimate(1.0, 0.0, 2000)
+        (counts,) = estimate_outage([cfg], [db_to_linear(snr_db)], TrialBatch(2000, seed=seed))
+        assert counts[decode_depth(cfg, user) - 1].tolist() == [2000]
 
     def test_rejects_bad_rho_and_user(self):
         with pytest.raises(ValueError):
@@ -915,4 +931,6 @@ class TestAgreementWithClosedForms:
             estimate_outage([direct_preset()], [10.0, math.inf], TrialBatch(10, seed=0))
         with pytest.raises(AttributeError):
             estimate_outage([object()], [10.0], TrialBatch(10, seed=0))
-        assert estimate_outage([coop_preset()], [], TrialBatch(10, seed=0)) == [[]]
+        (empty,) = estimate_outage([coop_preset()], [], TrialBatch(10, seed=0))
+        assert empty.dtype == np.int64 and empty.shape == (2, 0)
+        assert estimate_outage([], [10.0], TrialBatch(10, seed=0)) == []

@@ -107,21 +107,22 @@ def test_far_near_wrappers_share_draws():
     cfg = coop_preset()
     rho = db_to_linear(10.0)
     batch = TrialBatch(50_000, seed=3)
-    ((point,),) = montecarlo.estimate_outage_coop([cfg], [rho], batch)
-    assert list(point) == ["far", "near"]
-    assert estimate_outage([cfg], [rho], batch) == [[point]]
+    (counts,) = montecarlo.estimate_outage_coop([cfg], [rho], batch)
+    assert counts.shape == (2, 1)  # far, near
+    assert same(estimate_outage([cfg], [rho], batch), [counts])
 
 
 @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=["bool", "float", "str"])
 def test_direct_user_follows_served_user_contract(user):
     # as for analytic.user_outage, a served user matches in type and value;
-    # the pinned direct estimator keys its estimates by the served ints
+    # the pinned direct estimator counts one row per served user
     cfg = direct_preset()
     with pytest.raises(ValueError):
         user_outage(cfg, 10.0, user)
-    ((point,),) = montecarlo.estimate_outage_direct([cfg], [10.0], TrialBatch(10, seed=0))
-    assert [type(key) for key in point] == [int] * len(served_users(cfg))
-    assert list(point) == list(served_users(cfg))
+    with pytest.raises(ValueError):
+        decode_depth(cfg, user)
+    (counts,) = montecarlo.estimate_outage_direct([cfg], [10.0], TrialBatch(10, seed=0))
+    assert counts.shape == (len(served_users(cfg)), 1)
 
 
 def test_rejects_bad_rho_and_user(monkeypatch):
@@ -188,8 +189,8 @@ VIEWS = {
         montecarlo.estimate_outage_coop([cfg], [rho], BATCH),
         estimate_outage([cfg], [rho], BATCH))),
     "estimate_outage_direct": (montecarlo, estimate_outage, lambda cfg, rho, user: (
-        montecarlo.estimate_outage_direct([cfg], [rho], BATCH)[0][0][user],
-        estimate_outage([cfg], [rho], BATCH)[0][0][user])),
+        montecarlo.estimate_outage_direct([cfg], [rho], BATCH)[0][decode_depth(cfg, user) - 1],
+        estimate_outage([cfg], [rho], BATCH)[0][decode_depth(cfg, user) - 1])),
     "draw_coop_block": (montecarlo, draw_block, lambda cfg, rho, user: (
         montecarlo.draw_coop_block([cfg], np.random.default_rng(7), BATCH.trials),
         draw_block([cfg], np.random.default_rng(7), BATCH.trials))),
