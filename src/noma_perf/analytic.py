@@ -45,12 +45,12 @@ served user's direct-link law, sort index and decode cuts over it, from
 one evaluation of :func:`stage_cuts`; the quadrature oracle in
 ``validation`` reads the same links.  :func:`link_outage` evaluates both
 forms for one link from one ordered-CDF call over its cuts and one relay
-evaluation per finite positive cut, and :func:`point_outages` does so for
-every served user.  Every SNR that crosses these functions is a 1-D grid
-and every cut and outage an ndarray over it, each element computed
-independently of the others.  :func:`user_outage` is the checked
-one-user, one-point view, on a one-element grid, and the throughput is a
-sum over the served users' exact outages.
+evaluation per cut, and :func:`point_outages` does so for every served
+user.  Every SNR that crosses these functions is a 1-D grid and every
+cut and outage an ndarray over it, each element computed independently
+of the others.  :func:`user_outage` is the checked one-user, one-point
+view, on a one-element grid, and the throughput is a sum over the served
+users' exact outages.
 """
 
 from __future__ import annotations
@@ -412,8 +412,7 @@ def _deep_sum_decimal(mu: int, t: float, s: float, digits: int) -> tuple[float, 
 
 
 def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
-                       noise_scale: float, *, resum: bool = True,
-                       first_hop: float | None = None) -> float | None:
+                       noise_scale: float, *, first_hop: float | None = None) -> float:
     """Relay-branch outage from the small-argument series, without cancellation.
 
     The q = 0 row of :func:`_deep_coefficients` is sum_{p<mu} t**p / p!,
@@ -429,9 +428,8 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     rounding unit of the working precision exceeds 1e-11 (a ratio above
     1e5 in double precision), R is summed again in decimal arithmetic
     at 32, 64 and then 111 digits, the digits of the stored
-    Euler-Mascheroni constant.  With ``resum=False`` a double-precision
-    pass that needs that re-sum returns None instead.  ``first_hop`` is
-    P(mu, t) where the caller has it already.
+    Euler-Mascheroni constant.  ``first_hop`` is P(mu, t) where the
+    caller has it already.
     """
     t = mu * cut / omega_sr
     # the quotient under the Bessel sum's square root, so s > 0 wherever that sum ran
@@ -441,8 +439,6 @@ def _relay_outage_deep(cut: float, mu: int, omega_sr: float, omega_rd: float,
     digits = 16
     # a double-precision pass that overflowed (inf terms) escalates too
     while not (math.isfinite(size_sum) and size_sum <= 10.0 ** (digits - 11) * abs(rest)):
-        if not resum:
-            return None
         if digits == _EULER_GAMMA_PRECISION:
             raise ArithmeticError(
                 f"relay outage below {_DEEP_SWITCH} at mu={mu}, s={s} cancels past "
@@ -492,10 +488,9 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     runs first in double precision.  A value in the band is returned,
     and so is one below 1e-6 * (1 - 1e-4), since the Bessel sum, within
     about 2e-9 relative of the series there, would fall below the switch
-    too.  Every other call, including one whose series would need the
-    decimal re-sum, evaluates the Bessel sum, keeps it at or above 1e-6
-    and otherwise takes the deep branch, reusing the series value where
-    it ran.  Outside the band each result is bit for bit the one the
+    too.  Every other call evaluates the Bessel sum, keeps it at or above
+    1e-6 and otherwise takes the deep branch, reusing the series value
+    where it ran.  Outside the band each result is bit for bit the one the
     Bessel sum's own switch gives.
 
     Returns exactly 0.0 at ``cut = 0``, exactly 1.0 once the bracket
@@ -523,13 +518,14 @@ def relay_outage_closed(cut: float, *, mu: int, omega_sr: float, omega_rd: float
     args = (cut, mu, omega_sr, omega_rd, noise_scale)
     deep = None
     # the outage is at least the first-hop CDF P(mu, t), so these
-    # tests only let through calls that may land below the band's top
-    if mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]:
-        first_hop = gamma_p(mu, t)
-        if first_hop < _DEEP_BAND[1]:
-            deep = _relay_outage_deep(*args, resum=False, first_hop=first_hop)
-        if deep is not None and (deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN)
-                                 or _DEEP_BAND[0] <= deep < _DEEP_BAND[1]):
+    # tests only let through calls that may land below the band's top;
+    # there the double-precision series cancels by at most about 864
+    # (mu = 6), far from the 1e5 at which it is summed again in decimal
+    if (mu <= len(_DEEP_S_MAX) and s < _DEEP_S_MAX[mu - 1]
+            and (first_hop := gamma_p(mu, t)) < _DEEP_BAND[1]):
+        deep = _relay_outage_deep(*args, first_hop=first_hop)
+        if (deep < _DEEP_SWITCH * (1.0 - _DEEP_FIRST_MARGIN)
+                or _DEEP_BAND[0] <= deep < _DEEP_BAND[1]):
             return deep
     value = _relay_outage_f64(*args)
     if value >= _DEEP_SWITCH:
@@ -572,12 +568,10 @@ def point_links(cfg: ScenarioConfig, rho) -> tuple[Link, ...]:
 
 
 def _relay_factors(cfg: ScenarioConfig, cuts: list[float]) -> list[float]:
-    """Relay factor of each cut: the relay outage at a finite positive cut
-    of a relay config, and 1.0 without a relay, at an infinite cut (where
-    the relay outage is 1) and at a zero cut (where the direct outage is 0)."""
+    """Relay factor of each cut: the relay outage with a relay, 1.0 without."""
     if not cfg.has_relay:
         return [1.0] * len(cuts)
-    return [relay_outage(cfg, cut) if 0.0 < cut < math.inf else 1.0 for cut in cuts]
+    return [relay_outage(cfg, cut) for cut in cuts]
 
 
 def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
@@ -595,8 +589,8 @@ def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
     (infinite cut) and (0, 0) at a zero cut (zero rates).
 
     Returns two ndarrays over the link's cuts, from one
-    :func:`~noma_perf.fading.ordered_cdf` call and one relay evaluation
-    per finite positive cut.
+    :func:`~noma_perf.fading.ordered_cdf` call and, with a relay, one
+    relay evaluation per cut.
     """
     params, idx, cuts = link
     relay = _relay_factors(cfg, cuts.tolist())

@@ -131,12 +131,9 @@ def _parse_mu_list(raw: str | None) -> list[int] | None:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    """A float cell at 12 significant digits; NaN, a missing cell, is empty."""
     v = float(value)
-    if math.isnan(v):
-        return ""
-    return f"{v:.12g}"
+    return "" if math.isnan(v) else f"{v:.12g}"
 
 
 def _fmt_header_value(value) -> str:
@@ -191,32 +188,27 @@ def _selected_users(users: tuple[str, ...] | None,
     """Served positions (0-based, decode order) of the users each scenario
     emits rows for, in ``--users`` order.
 
-    ``far``/``near`` select coop rows and integers select direct rows, so
-    a compare run can mix both; a scenario that no entry names emits no
-    rows.  An entry that names no served user of any scenario, or names
-    one twice, is an error.
+    Each entry is a user label exactly as the CSV prints it: ``far``/``near``
+    select coop rows and ``1``, ``2``, ... direct rows, so a compare run can
+    mix both; a scenario that no entry names emits no rows.  An entry that
+    names no served user of any scenario, or names one twice, is an error.
     """
-    served = {scenario: served_users(cfg) for scenario, cfg in cfgs.items()}
+    served = {scenario: [str(user) for user in served_users(cfg)]
+              for scenario, cfg in cfgs.items()}
     if users is None:
-        return {scenario: tuple(range(len(names))) for scenario, names in served.items()}
+        return {scenario: tuple(range(len(labels))) for scenario, labels in served.items()}
+    if len(set(users)) < len(users):
+        raise ConfigError(f"--users names a user more than once, got {users}")
     picked: dict[str, list] = {scenario: [] for scenario in cfgs}
-    seen = set()
     for token in users:
-        try:
-            user = int(token)
-        except ValueError:
-            user = token
-        if user in seen:
-            raise ConfigError(f"--users names a user more than once, got {users}")
-        seen.add(user)
-        hits = [scenario for scenario, names in served.items() if user in names]
+        hits = [scenario for scenario, labels in served.items() if token in labels]
         if not hits:
-            known = [u for names in served.values() for u in names]
+            known = [label for labels in served.values() for label in labels]
             raise ConfigError(
                 f"--users entry {token!r} is not a served user; expected one of {known}"
             )
         for scenario in hits:
-            picked[scenario].append(served[scenario].index(user))
+            picked[scenario].append(served[scenario].index(token))
     return {scenario: tuple(positions) for scenario, positions in picked.items()}
 
 
@@ -244,16 +236,16 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
         labels = [str(user) for user in served_users(cfg)]
         # each served user's (exact, high-SNR) outages over the whole grid
         outages = [(exact.tolist(), asym.tolist()) for exact, asym in point_outages(cfg, rhos)]
-        omas = outage_oma(cfg, rhos).tolist() if with_oma else [None] * len(rhos)
+        omas = outage_oma(cfg, rhos).tolist() if with_oma else [math.nan] * len(rhos)
         for k, (db, oma) in enumerate(zip(grid, omas)):
             tput = throughput(cfg, [exact[k] for exact, _ in outages])
             for i in selected[scenario]:
                 exact, asym = outages[i]
-                e = Estimate.from_count(fails[i][k], batch.trials) if fails else None
+                e = (Estimate.from_count(fails[i][k], batch.trials) if fails
+                     else Estimate(math.nan, math.nan, 0))
                 rows.append(",".join([
                     f"{db:g}", scenario, str(cfg.mu), labels[i],
-                    _fmt(exact[k]), _fmt(asym[k]),
-                    _fmt(e.p_hat if e else None), _fmt(e.stderr if e else None),
+                    _fmt(exact[k]), _fmt(asym[k]), _fmt(e.p_hat), _fmt(e.stderr),
                     _fmt(oma), _fmt(tput),
                 ]))
     return rows

@@ -156,15 +156,6 @@ def gamma_cdf(p: FadingParams, x):
 # Order statistics of M i.i.d. gains
 # =====================================================================
 
-def _ordered_prefactor_log(idx: OrderedIndex) -> float:
-    """log of total! / ((rank-1)! (total-rank)!)."""
-    return (
-        math.lgamma(idx.total + 1)
-        - math.lgamma(idx.rank)
-        - math.lgamma(idx.total - idx.rank + 1)
-    )
-
-
 def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     """CDF of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
 
@@ -185,19 +176,17 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     independent of the others.
     """
     xs = np.asarray(x, dtype=float)
-    out = np.where(xs <= 0, 0.0, 1.0)
-    rows = np.flatnonzero(~((xs <= 0) | (xs == math.inf)))
     m, total = idx.rank, idx.total
     tails = []
-    for i, f in zip(rows.tolist(), gamma_cdf(p, xs[rows]).tolist()):
-        # F is 0 or 1 exactly at the edges, where the tail equals it
+    for v, f in zip(xs.tolist(), gamma_cdf(p, xs).tolist()):
+        # F is 0 or 1 exactly at the edges (x <= 0, x = inf), where the
+        # tail equals it, and NaN at a NaN cut
         tail = binomial_tail(m, total, f) if 0.0 < f < 1.0 else f
         if tail == 0.0 < f:
             logger.debug("ordered_cdf underflow: rank=%d total=%d x=%.3e, clamping to 0",
-                         m, total, xs[i].item())
+                         m, total, v)
         tails.append(tail)
-    out[rows] = tails
-    return out
+    return np.array(tails)
 
 
 def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
@@ -213,7 +202,8 @@ def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     m, total = idx.rank, idx.total
     # one exponent, so F**(rank-1) cannot underflow before the prefactor
     # applies; the boundary ranks drop their power, which is 1 at F in {0, 1}
-    log_pdf = _ordered_prefactor_log(idx) + _gamma_log_pdf_inside(p, xs)
+    log_pdf = (math.log(total) + log_binomial(total - 1, m - 1)
+               + _gamma_log_pdf_inside(p, xs))
     with np.errstate(divide="ignore"):  # log 0 = -inf, where the density is 0
         if m > 1:
             log_pdf += (m - 1) * np.log(big_f)

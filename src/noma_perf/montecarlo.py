@@ -290,7 +290,7 @@ def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None) -> np.ndarr
     # the maximum carries a NaN cut to every deeper user
     for branches, cut, fail in zip(draw, np.maximum.accumulate(cuts), out):
         # the maximum carries a NaN gain, and not (NaN >= cut) fails it
-        best = branches[0] if len(branches) == 1 else reduce(np.maximum, branches)
+        best = reduce(np.maximum, branches)
         np.greater_equal(best, cut, out=fail)
         np.logical_not(fail, out=fail)
     return out

@@ -75,9 +75,8 @@ def relay_outage_bessel_first(cut, mu, omega_sr, omega_rd, noise_scale):
     if s == 0.0:
         return gamma_p(mu, mu * cut / omega_sr)
     if mu <= len(analytic._DEEP_S_MAX) and s < analytic._DEEP_S_MAX[mu - 1]:
-        deep = analytic._relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale,
-                                           resum=False)
-        if deep is not None and analytic._DEEP_BAND[0] <= deep < analytic._DEEP_BAND[1]:
+        deep = analytic._relay_outage_deep(cut, mu, omega_sr, omega_rd, noise_scale)
+        if analytic._DEEP_BAND[0] <= deep < analytic._DEEP_BAND[1]:
             return deep
     value = analytic._relay_outage_f64(cut, mu, omega_sr, omega_rd, noise_scale)
     if value >= 1e-6:
@@ -326,6 +325,23 @@ class TestRelayOutage:
         # that bound must not cut off a deep-branch value
         assert len(analytic._DEEP_S_MAX) == len(self.DEEP_S_MAX)
         assert all(a >= b for a, b in zip(analytic._DEEP_S_MAX, self.DEEP_S_MAX))
+
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_deep_first_series_never_needs_the_decimal_resum(self, mu):
+        # where the deep series runs first (s below analytic._DEEP_S_MAX,
+        # P(mu, t) below the band's top) its double-precision terms stay
+        # within 1e3 of its sum (864 at mu = 6, the corner), far from the
+        # 1e5 at which _relay_outage_deep sums them again in decimal
+        lo, hi = 0.0, 10.0
+        for _ in range(60):  # bisect the t at which P(mu, t) reaches the band's top
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gamma_p(mu, mid) < analytic._DEEP_BAND[1] else (lo, mid)
+        rows = analytic._deep_rows(mu)
+        for s in np.geomspace(1e-12, analytic._DEEP_S_MAX[mu - 1], 20).tolist():
+            lam = math.log(s) + 2.0 * numerics._EULER_GAMMA
+            for t in np.geomspace(1e-12, lo, 20).tolist():
+                rest, size_sum = analytic._deep_sum(mu, rows, t, s, lam, 1e-17)
+                assert size_sum <= 1e3 * abs(rest), (s, t)
 
     # s at which the outage reaches the top of the series band, 1e-3, as
     # t -> 0, for mu = 1..6

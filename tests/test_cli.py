@@ -25,7 +25,8 @@ from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
 from noma_perf.configs import MAX_RELAY_MU, coop_preset, direct_preset, load_config_file, with_mu
 
 HEADER = ",".join(CSV_COLUMNS)
-#: sha256 of the stdout bytes of each argv (space-separated); regenerate
+#: sha256 of the stdout bytes of each argv (space-separated), a validate
+#: report's with its rel_err cells blanked (see blank_rel_err); regenerate
 #: only for a deliberate change of the output
 CLI_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "cli_digests.json").read_text(encoding="utf-8"))
@@ -50,6 +51,26 @@ def data_rows(out):
 
 def cells(row):
     return dict(zip(CSV_COLUMNS, row.split(",")))
+
+
+def blank_rel_err(report):
+    """A validate report with every rel_err cell blanked, each checked first
+    to parse and to be at most 1e-12.
+
+    rel_err prints the quadrature's rounding noise, whose last digits
+    follow numpy's SIMD dispatch of exp (AVX-512 or not); every other
+    cell is the same at both dispatch levels.
+    """
+    col = REPORT_COLUMNS.index("rel_err")
+    header, *rows = report.splitlines()
+    assert header == ",".join(REPORT_COLUMNS)
+    lines = [header]
+    for row in rows:
+        row_cells = row.split(",")
+        assert float(row_cells[col]) <= 1e-12, row
+        row_cells[col] = ""
+        lines.append(",".join(row_cells))
+    return "".join(line + "\n" for line in lines)
 
 
 class TestSweep:
@@ -200,6 +221,9 @@ class TestSweep:
             ("sweep", "--scenario", "compare", "--users", "7"),
             ("sweep", "--scenario", "compare", "--users", "far,1,far"),
             ("sweep", "--scenario", "direct", "--users", "far"),
+            # an entry is a label exactly as the CSV prints it
+            ("sweep", "--scenario", "direct", "--users", "01"),
+            ("sweep", "--scenario", "compare", "--users", "far,+1"),
             ("sweep", "--trials", "-1"),
             ("validate", "--trials", "0", "--seed", "-1"),
             ("validate", "--trials", "0", "--chunks", "0"),
@@ -242,6 +266,31 @@ class TestSweep:
             want = [row for row in data_rows(full)
                     if (cells(row)["scenario"], cells(row)["user"]) in keep]
             assert want and data_rows(out) == want, users
+
+    # coop sections whose far user has a zero cut (rate 0) or whose users
+    # both have infinite cuts (a far threshold past the power split), with
+    # the stdout digests of sweep --oma --trials 20000 and validate
+    # --trials 20000 (rel_err cells blanked)
+    EDGE_CUT_DIGESTS = {
+        "0 3": ("8bda378aec8367115562cf3c25d9faca3be6b60def77df41da0deaa84b39cda2",
+                "86b5a0aeaa1c4660b8c1e6b17b0e4af321c7d544bc30ee490f641dac6d5b5a87"),
+        "1.5 1": ("ef6df5a9dd8c7430cb09449dfeb7efabc7fbc275d0e01d138e8549dfb6c8f54a",
+                  "5068a92c98467899be544411c7b2bb086d29b446237371da8639530720fe08d7"),
+    }
+
+    @pytest.mark.parametrize("rates", sorted(EDGE_CUT_DIGESTS))
+    def test_zero_and_infinite_cuts_are_pinned(self, capsys, tmp_path, rates):
+        ini = tmp_path / "edge.ini"
+        ini.write_text(preset_ini("coop").replace("rates = 1.0 1.5", f"rates = {rates}"),
+                       encoding="utf-8")
+        outs = []
+        for command in ("sweep --oma", "validate"):
+            code, out, err = run_cli(capsys, *command.split(), "--trials", "20000",
+                                     "--config", str(ini))
+            assert code == 0 and err == ""
+            outs.append(blank_rel_err(out) if command == "validate" else out)
+        digests = tuple(hashlib.sha256(out.encode("utf-8")).hexdigest() for out in outs)
+        assert digests == self.EDGE_CUT_DIGESTS[rates]
 
     def test_relay_closed_form_once_per_user_and_point(self, capsys, monkeypatch):
         calls = []
@@ -703,6 +752,17 @@ class TestValidate:
         assert all(row.split(",")[-2] == "FAIL" for row in rows)
         assert err == f"validation: {len(rows)} of {len(rows)} rows failed\n"
 
+    def test_large_pool_oracle_agrees_to_1e_13(self, capsys, tmp_path):
+        # the order-statistic density's coefficient at a pool of 1e5,
+        # as log(total) + log C(total - 1, rank - 1), keeps its digits
+        ini = tmp_path / "pool.ini"
+        ini.write_text("[direct]\npower = 0.6 0.4\nrates = 0.5 1.0\nomega = 1 1\nmu = 3\n"
+                       "ranks = 1 40\npool = 100000\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(ini))
+        assert code == 0 and err == ""
+        rows = [dict(zip(REPORT_COLUMNS, row.split(","))) for row in data_rows(out)]
+        assert len(rows) == 18 and all(float(r["rel_err"]) <= 1e-13 for r in rows)
+
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         ini = tmp_path / "broken.ini"
         ini.write_text("[direct]\npower = 0.5 0.6\nrates = 1.0 1.0\n", encoding="utf-8")
@@ -805,6 +865,8 @@ class TestDeterminism:
     def test_stdout_bytes_are_pinned(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 0 and err == ""
+        if argv.startswith("validate"):
+            out = blank_rel_err(out)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[argv]
 
 

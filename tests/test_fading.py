@@ -360,6 +360,18 @@ class TestOrderedCdf:
                                          for x in xs[2:].tolist()]
         assert ordered_cdf(FadingParams(1, 1.0), OrderedIndex(1, 2), np.array([])).size == 0
 
+    def test_edges_and_nan_pass_through_the_plain_cdf(self):
+        # gamma_cdf gives F = 0 at x <= 0 and F = 1 at x = inf, where the
+        # tail equals F, and NaN at a NaN cut; each is the one-element call
+        xs = np.array([-math.inf, -1.0, -0.0, 0.0, math.inf, math.nan])
+        for p in (FadingParams(1, 1.0), FadingParams(3, 0.7), FadingParams(40, 1e3)):
+            for idx in (OrderedIndex(1, 1), OrderedIndex(2, 4), OrderedIndex(30, 200)):
+                got = ordered_cdf(p, idx, xs)
+                np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 0.0, 1.0, math.nan])
+                assert not np.signbit(got[:4]).any()
+                np.testing.assert_array_equal(
+                    got, [ordered_cdf(p, idx, np.array([x])).item() for x in xs.tolist()])
+
 
 class TestOrderedPdf:
     def test_finite_difference_of_cdf(self):
