@@ -130,10 +130,9 @@ def _parse_mu_list(raw: str | None) -> list[int] | None:
     return values
 
 
-def _fmt(value) -> str:
-    """A float cell at 12 significant digits; NaN, a missing cell, is empty."""
-    v = float(value)
-    return "" if math.isnan(v) else f"{v:.12g}"
+def _cells(values) -> list[str]:
+    """Float cells at 12 significant digits; NaN, a missing cell, is empty."""
+    return ["" if v != v else f"{v:.12g}" for v in values]
 
 
 def _fmt_header_value(value) -> str:
@@ -232,30 +231,35 @@ def sweep_rows(cfgs: dict[str, ScenarioConfig], grid: Sequence[float], *,
     counts = [None] * len(runs) if batch is None else [
         fails.tolist() for fails in estimate_outage([cfg for _, cfg in runs], rhos, batch)]
     rows: list[str] = []
+    missing = [""] * len(rhos)
     for (scenario, cfg), fails in zip(runs, counts):
         labels = [str(user) for user in served_users(cfg)]
         # each served user's (exact, high-SNR) outages over the whole grid
         outages = [(exact.tolist(), asym.tolist()) for exact, asym in point_outages(cfg, rhos)]
-        omas = outage_oma(cfg, rhos).tolist() if with_oma else [math.nan] * len(rhos)
-        for k, (db, oma) in enumerate(zip(grid, omas)):
-            tput = throughput(cfg, [exact[k] for exact, _ in outages])
-            for i in selected[scenario]:
-                exact, asym = outages[i]
-                e = (Estimate.from_count(fails[i][k], batch.trials) if fails
-                     else Estimate(math.nan, math.nan, 0))
-                rows.append(",".join([
-                    f"{db:g}", scenario, str(cfg.mu), labels[i],
-                    _fmt(exact[k]), _fmt(asym[k]), _fmt(e.p_hat), _fmt(e.stderr),
-                    _fmt(oma), _fmt(tput),
-                ]))
+        tputs = [throughput(cfg, point) for point in zip(*(exact for exact, _ in outages))]
+        omas = _cells(outage_oma(cfg, rhos).tolist()) if with_oma else missing
+        tails = [f"{oma},{tput}" for oma, tput in zip(omas, _cells(tputs))]
+        # each selected user's cells from its label to p_oma, point by point
+        middles = []
+        for i in selected[scenario]:
+            exact, asym = outages[i]
+            p_mc = stderr = missing
+            if fails:
+                estimates = [Estimate.from_count(count, batch.trials) for count in fails[i]]
+                p_mc = _cells([e.p_hat for e in estimates])
+                stderr = _cells([e.stderr for e in estimates])
+            middles.append([f"{labels[i]},{a},{b},{c},{d},"
+                            for a, b, c, d in zip(_cells(exact), _cells(asym), p_mc, stderr)])
+        for k, db in enumerate(grid):
+            head = f"{db:g},{scenario},{cfg.mu},"
+            rows += [head + cells[k] + tails[k] for cells in middles]
     return rows
 
 
 def _report_line(r: ComparisonRow) -> str:
     return ",".join([
         f"{r.snr_db:g}", r.scenario, str(r.mu), r.user,
-        _fmt(r.p_exact), _fmt(r.p_oracle), _fmt(r.rel_err),
-        _fmt(r.p_mc), _fmt(r.mc_stderr),
+        *_cells([r.p_exact, r.p_oracle, r.rel_err, r.p_mc, r.mc_stderr]),
         "pass" if r.passed else "FAIL", r.gate,
     ])
 

@@ -640,9 +640,9 @@ def _double_exponential(
             break
         y, weight = transform(t, active)
         values = fn(y, active)
-        # a matrix product would sum each row in another order
-        total[active] += [np.dot(w, v) for w, v in zip(np.broadcast_to(weight, values.shape),
-                                                       values)]
+        # one dot kernel call per row, as np.dot of two vectors makes; a
+        # matrix product would sum each row in another order
+        total[active] += np.vecdot(weight, values)
         previous, level = value[active], step * total[active]
         value[active] = level
         error[active] = diff = np.abs(level - previous)

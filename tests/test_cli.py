@@ -20,9 +20,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_perf import analytic, montecarlo, validation
-from noma_perf.analytic import outage_oma, point_outages, throughput, user_outage
-from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, main
-from noma_perf.configs import MAX_RELAY_MU, coop_preset, direct_preset, load_config_file, with_mu
+from noma_perf.analytic import outage_oma, point_outages, served_users, throughput, user_outage
+from noma_perf.cli import CSV_COLUMNS, REPORT_COLUMNS, _selected_users, main, sweep_rows
+from noma_perf.configs import (
+    MAX_RELAY_MU,
+    coop_preset,
+    direct_preset,
+    load_config_file,
+    load_config_text,
+    preset_configs,
+    with_mu,
+)
+from noma_perf.montecarlo import Estimate, TrialBatch, estimate_outage
 
 HEADER = ",".join(CSV_COLUMNS)
 #: sha256 of the stdout bytes of each argv (space-separated), a validate
@@ -887,6 +896,63 @@ class TestFormatting:
         code, out, _ = run_cli(capsys, "figure", "fig8")
         assert code == 0
         assert "nan" not in out and "inf" not in out
+
+    @staticmethod
+    def cell_by_cell_rows(cfgs, grid, *, mu_list=None, users=None, batch=None,
+                          with_oma=False):
+        """The rows of ``sweep_rows`` built one cell at a time: each float
+        through ``float``, ``math.isnan`` and its own f-string, with the
+        throughput of a point computed just before its rows."""
+        def fmt(value):
+            v = float(value)
+            return "" if math.isnan(v) else f"{v:.12g}"
+
+        rhos = [10.0 ** (db / 10.0) for db in grid]
+        selected = _selected_users(users, cfgs)
+        runs = [(scenario, with_mu(base, mu)) for scenario, base in cfgs.items()
+                if selected[scenario] for mu in mu_list or (base.mu,)]
+        counts = [None] * len(runs) if batch is None else [
+            fails.tolist() for fails in estimate_outage([cfg for _, cfg in runs], rhos, batch)]
+        rows = []
+        for (scenario, cfg), fails in zip(runs, counts):
+            labels = [str(user) for user in served_users(cfg)]
+            outages = [(exact.tolist(), asym.tolist()) for exact, asym in point_outages(cfg, rhos)]
+            omas = outage_oma(cfg, rhos).tolist() if with_oma else [math.nan] * len(rhos)
+            for k, (db, oma) in enumerate(zip(grid, omas)):
+                tput = throughput(cfg, [exact[k] for exact, _ in outages])
+                for i in selected[scenario]:
+                    exact, asym = outages[i]
+                    e = (Estimate.from_count(fails[i][k], batch.trials) if fails
+                         else Estimate(math.nan, math.nan, 0))
+                    rows.append(",".join([
+                        f"{db:g}", scenario, str(cfg.mu), labels[i],
+                        fmt(exact[k]), fmt(asym[k]), fmt(e.p_hat), fmt(e.stderr),
+                        fmt(oma), fmt(tput),
+                    ]))
+        return rows
+
+    # (coop rates or None, sweep_rows keywords): None runs the comparison
+    # presets, with users from both scenarios out of decode order, with and
+    # without Monte Carlo, and without the OMA column; rates "0 3" give the
+    # coop preset a zero cut and "1.5 1" infinite cuts
+    SWEEP_CASES = {
+        "compare-users": (None, dict(users=("near", "2", "far"), with_oma=True)),
+        "compare-users-mc": (None, dict(users=("near", "2", "far"), with_oma=True,
+                                        batch=TrialBatch(20000, seed=28))),
+        "no-oma": (None, dict(mu_list=(1, 3))),
+        "rates-0-3": ("0 3", dict(with_oma=True, batch=TrialBatch(20000, seed=28))),
+        "rates-1.5-1": ("1.5 1", dict(with_oma=True, batch=TrialBatch(20000, seed=28),
+                                      mu_list=(2,))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_sweep_rows_match_the_cell_by_cell_builder(self, case):
+        rates, kwargs = self.SWEEP_CASES[case]
+        cfgs = preset_configs("comparison") if rates is None else load_config_text(
+            preset_ini("coop").replace("rates = 1.0 1.5", f"rates = {rates}"), "edge")
+        grid = [2.5 * k for k in range(25)]
+        rows = sweep_rows(cfgs, grid, **kwargs)
+        assert rows and rows == self.cell_by_cell_rows(cfgs, grid, **kwargs)
 
 
 _PRODUCTION_RUN_CHILD = """

@@ -173,6 +173,23 @@ class TestBatchedRows:
         assert res.value.tolist() == [
             self.one_row(integrate_from_zero, f, b)[1] for f, b in zip(fns, upper)]
 
+    # node counts of both rules' levels and the lengths around BLAS ddot's
+    # unrolling and blocking boundaries
+    DOT_LENGTHS = (*range(1, 200), 255, 256, 257, 511, 512, 1023, 1024, 2047, 4097)
+
+    @pytest.mark.parametrize("shared_weights", [True, False])
+    def test_level_sum_is_each_rows_own_dot_product(self, shared_weights):
+        # a level sums every row with one np.vecdot, which must give each
+        # row the bits of np.dot of its two vectors
+        rng = np.random.default_rng(28)
+        for n in self.DOT_LENGTHS:
+            for rows in (1, 3, 61, 183):
+                values = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-30, 30, (rows, n)))
+                weight = rng.standard_normal(n if shared_weights else (rows, n))
+                want = [np.dot(w, v) for w, v in zip(np.broadcast_to(weight, values.shape),
+                                                     values)]
+                assert np.vecdot(weight, values).tolist() == want, (n, rows)
+
     def test_first_failing_row_is_named(self):
         fns = [lambda y: np.exp(-y), np.sin, lambda y: np.exp(-y), np.cos]
         fn, _ = _rows_of(fns)
