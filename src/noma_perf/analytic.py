@@ -45,12 +45,13 @@ served user's direct-link law, sort index and decode cuts over it, from
 one evaluation of :func:`stage_cuts`; the quadrature oracle in
 ``validation`` reads the same links.  :func:`link_outage` evaluates both
 forms for one link from one ordered-CDF call over its cuts and one relay
-evaluation per cut, and :func:`point_outages` does so for every served
-user.  Every SNR that crosses these functions is a 1-D grid and every
-cut and outage an ndarray over it, each element computed independently
-of the others.  :func:`user_outage` is the checked one-user, one-point
-view, on a one-element grid, and the throughput is a sum over the served
-users' exact outages.
+evaluation per cut, :func:`link_exact` the exact form alone, and
+:func:`point_outages` both forms for every served user.  Every SNR that
+crosses these functions is a 1-D grid and every cut and outage an
+ndarray over it, each element computed independently of the others.
+:func:`user_outage` is the checked one-user, one-point view, on a
+one-element grid, and the throughput is a sum over the served users'
+exact outages.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .numerics import _EULER_GAMMA, bessel_k_scaled, gamma_p, log_binomial
 __all__ = [
     "decode_depth",
     "diversity_order_fit",
+    "link_exact",
     "link_outage",
     "outage_oma",
     "point_links",
@@ -574,6 +576,20 @@ def _relay_factors(cfg: ScenarioConfig, cuts: list[float]) -> list[float]:
     return [relay_outage(cfg, cut) for cut in cuts]
 
 
+def _exact(link: Link, relay: list[float]) -> np.ndarray:
+    """Exact outage of ``link`` over its cuts, given their relay factors."""
+    params, idx, cuts = link
+    # an infinite cut reads 1 from the ordered CDF, a zero cut 0
+    return ordered_cdf(params, idx, cuts) * relay
+
+
+def link_exact(cfg: ScenarioConfig, link: Link) -> np.ndarray:
+    """Exact outage of one :func:`point_links` entry of ``cfg`` over its
+    cuts: the ordered CDF times the relay factor, the first of the two
+    forms of :func:`link_outage`, value for value."""
+    return _exact(link, _relay_factors(cfg, link[2].tolist()))
+
+
 def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
     """Exact and high-SNR outage of one :func:`point_links` entry of ``cfg``.
 
@@ -594,11 +610,9 @@ def link_outage(cfg: ScenarioConfig, link: Link) -> tuple:
     """
     params, idx, cuts = link
     relay = _relay_factors(cfg, cuts.tolist())
-    # an infinite cut reads 1 from both CDF forms, a zero cut 0
-    exact = ordered_cdf(params, idx, cuts) * relay
     asym = np.array([min(1.0, lead * factor) for lead, factor in
                      zip(ordered_cdf_small_arg(params, idx, cuts).tolist(), relay)])
-    return exact, asym
+    return _exact(link, relay), asym
 
 
 def point_outages(cfg: ScenarioConfig, rho) -> list[tuple]:

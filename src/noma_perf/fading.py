@@ -41,6 +41,7 @@ __all__ = [
     "ordered_cdf",
     "ordered_cdf_small_arg",
     "ordered_pdf",
+    "ordered_pdfs",
     "sample_gain",
     "sample_sorted_gains",
 ]
@@ -189,27 +190,70 @@ def ordered_cdf(p: FadingParams, idx: OrderedIndex, x):
     return np.array(tails)
 
 
+def _ordered_terms(p: FadingParams, idx: OrderedIndex) -> tuple[float, ...]:
+    """Constants of one link's order-statistic log density, as doubles.
+
+    The rate mu / omega; log(total) + log C(total - 1, rank - 1); mu
+    log(rate) - log Gamma(mu), or -inf where the rate overflows (all mass
+    at 0, no density inside); and the powers rank - 1 of F and total -
+    rank of 1 - F.
+    """
+    rate = p.rate
+    head = -math.inf if rate == math.inf else p.mu * math.log(rate) - math.lgamma(p.mu)
+    return (rate, math.log(idx.total) + log_binomial(idx.total - 1, idx.rank - 1), head,
+            float(idx.rank - 1), float(idx.total - idx.rank))
+
+
+def _ordered_pdf(mu: int, terms, x) -> np.ndarray:
+    """Order-statistic density at ``x`` from the :func:`_ordered_terms` of
+    its link, each a double or a column broadcast against ``x``."""
+    rate, lead, head, below, above = terms
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0) & np.isfinite(x)
+    xs = np.where(inside, x, 1.0)
+    # rate * xs may pass the double range: inf there, where F is 1 and
+    # the density 0
+    with np.errstate(over="ignore"):
+        decay = rate * xs
+    big_f = gamma_p_grid(mu, decay)
+    # one exponent, so F**(rank-1) cannot underflow before the prefactor
+    # applies; a zero power adds nothing, so the boundary ranks skip the
+    # log of F in {0, 1}
+    log_pdf = lead + (head + (mu - 1) * np.log(xs) - decay)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf: density 0
+        log_pdf += np.where(below > 0, below * np.log(big_f), 0.0)
+        log_pdf += np.where(above > 0, above * np.log1p(-big_f), 0.0)
+    return np.where(inside, np.exp(log_pdf), 0.0)
+
+
 def ordered_pdf(p: FadingParams, idx: OrderedIndex, x):
     """Density of the rank-th smallest of ``total`` i.i.d. gains at ``x``.
 
     ``x`` is an ndarray (the quadrature oracle passes one level of nodes
     at a time); the density is zero outside (0, inf).
     """
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0) & np.isfinite(x)
-    xs = np.where(inside, x, 1.0)
-    big_f = gamma_cdf(p, xs)
-    m, total = idx.rank, idx.total
-    # one exponent, so F**(rank-1) cannot underflow before the prefactor
-    # applies; the boundary ranks drop their power, which is 1 at F in {0, 1}
-    log_pdf = (math.log(total) + log_binomial(total - 1, m - 1)
-               + _gamma_log_pdf_inside(p, xs))
-    with np.errstate(divide="ignore"):  # log 0 = -inf, where the density is 0
-        if m > 1:
-            log_pdf += (m - 1) * np.log(big_f)
-        if total > m:
-            log_pdf += (total - m) * np.log1p(-big_f)
-    return np.where(inside, np.exp(log_pdf), 0.0)
+    return _ordered_pdf(p.mu, _ordered_terms(p, idx), x)
+
+
+def ordered_pdfs(laws):
+    """The order-statistic densities of several links as one function.
+
+    ``laws`` holds (FadingParams, OrderedIndex) pairs of one shape mu.
+    Returns ``pdf(which, x)``, which takes row i of the 2-D ``x`` under
+    law ``which[i]``: each element gets the operations, and the value bit
+    for bit, of :func:`ordered_pdf` of its own law, since each law's
+    constants are the same doubles, broadcast down its rows.
+    """
+    shapes = {p.mu for p, _ in laws}
+    if len(shapes) != 1:
+        raise ValueError(f"the laws must share one shape mu, got {sorted(shapes)}")
+    (mu,) = shapes
+    table = np.array([_ordered_terms(p, idx) for p, idx in laws])
+
+    def pdf(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _ordered_pdf(mu, table[which].T[..., np.newaxis], x)
+
+    return pdf
 
 
 def ordered_cdf_small_arg(p: FadingParams, idx: OrderedIndex, x):

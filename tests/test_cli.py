@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface and its CSV contract."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -18,6 +17,7 @@ import pytest
 from config_strategies import ini_sections
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from stdout_digest import CLI_DIGESTS, stdout_digest
 
 from noma_perf import analytic, montecarlo, validation
 from noma_perf.analytic import outage_oma, point_outages, served_users, throughput, user_outage
@@ -34,11 +34,6 @@ from noma_perf.configs import (
 from noma_perf.montecarlo import Estimate, TrialBatch, estimate_outage
 
 HEADER = ",".join(CSV_COLUMNS)
-#: sha256 of the stdout bytes of each argv (space-separated), a validate
-#: report's with its rel_err cells blanked (see blank_rel_err); regenerate
-#: only for a deliberate change of the output
-CLI_DIGESTS = json.loads(
-    (Path(__file__).parent / "data" / "cli_digests.json").read_text(encoding="utf-8"))
 
 
 def preset_ini(name):
@@ -60,26 +55,6 @@ def data_rows(out):
 
 def cells(row):
     return dict(zip(CSV_COLUMNS, row.split(",")))
-
-
-def blank_rel_err(report):
-    """A validate report with every rel_err cell blanked, each checked first
-    to parse and to be at most 1e-12.
-
-    rel_err prints the quadrature's rounding noise, whose last digits
-    follow numpy's SIMD dispatch of exp (AVX-512 or not); every other
-    cell is the same at both dispatch levels.
-    """
-    col = REPORT_COLUMNS.index("rel_err")
-    header, *rows = report.splitlines()
-    assert header == ",".join(REPORT_COLUMNS)
-    lines = [header]
-    for row in rows:
-        row_cells = row.split(",")
-        assert float(row_cells[col]) <= 1e-12, row
-        row_cells[col] = ""
-        lines.append(",".join(row_cells))
-    return "".join(line + "\n" for line in lines)
 
 
 class TestSweep:
@@ -292,14 +267,13 @@ class TestSweep:
         ini = tmp_path / "edge.ini"
         ini.write_text(preset_ini("coop").replace("rates = 1.0 1.5", f"rates = {rates}"),
                        encoding="utf-8")
-        outs = []
+        digests = []
         for command in ("sweep --oma", "validate"):
             code, out, err = run_cli(capsys, *command.split(), "--trials", "20000",
                                      "--config", str(ini))
             assert code == 0 and err == ""
-            outs.append(blank_rel_err(out) if command == "validate" else out)
-        digests = tuple(hashlib.sha256(out.encode("utf-8")).hexdigest() for out in outs)
-        assert digests == self.EDGE_CUT_DIGESTS[rates]
+            digests.append(stdout_digest(command, out))
+        assert tuple(digests) == self.EDGE_CUT_DIGESTS[rates]
 
     def test_relay_closed_form_once_per_user_and_point(self, capsys, monkeypatch):
         calls = []
@@ -496,6 +470,34 @@ class TestSweep:
             assert (code, out) == (2, "")
             assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mu, validate_code", [(1, 2), (2, 0), (3, 0)])
+    def test_far_apart_hop_means_never_fail_a_row(self, capsys, tmp_path, mu, validate_code):
+        # hop means too far apart for the relay oracle's nodes reject the
+        # config (exit 2, one line), never fail a gate row (exit 1); from
+        # mu = 2 on every relay outage is below the double range, and the
+        # rows pass at 0
+        ini = tmp_path / "apart.ini"
+        ini.write_text(preset_ini("coop").replace("mu = 1", f"mu = {mu}")
+                       .replace("omega_sr = 4.0", "omega_sr = 1e300"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(ini))
+        assert code == validate_code
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
+        else:
+            assert err == "" and all(row.split(",")[-2] == "pass" for row in data_rows(out))
+
+    def test_knee_far_past_the_decay_passes(self, capsys, tmp_path):
+        # the relay oracle keeps its nodes in u where the hops' features do
+        # not fit centred nodes; centred there, it fails rows (exit 1)
+        ini = tmp_path / "knee.ini"
+        ini.write_text(preset_ini("coop").replace("omega_rd = 4.0", "omega_rd = 1e-300"),
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--trials", "0", "--config", str(ini))
+        assert (code, err) == (0, "")
+        rows = data_rows(out)
+        assert len(rows) == 9 * 2 and all(row.split(",")[-2] == "pass" for row in rows)
 
     def test_relay_outage_below_the_double_range_exits_0(self, capsys, tmp_path):
         # at mu = 3 and hop means 1e116 every relay outage is below 5e-324:
@@ -874,9 +876,7 @@ class TestDeterminism:
     def test_stdout_bytes_are_pinned(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 0 and err == ""
-        if argv.startswith("validate"):
-            out = blank_rel_err(out)
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[argv]
+        assert stdout_digest(argv, out) == CLI_DIGESTS[argv]
 
 
 class TestFormatting:

@@ -19,6 +19,7 @@ from noma_perf.fading import (
     ordered_cdf,
     ordered_cdf_small_arg,
     ordered_pdf,
+    ordered_pdfs,
     sample_gain,
     sample_sorted_gains,
     _sort_pools,
@@ -403,6 +404,28 @@ class TestOrderedPdf:
         assert out.shape == x.shape
         assert out.tolist() == [at(ordered_pdf, p, idx, v) for v in x]
         assert out[0] == out[1] == out[-1] == 0.0 and out[2] > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_mixed_laws_equal_one_law_calls_bit_for_bit(self):
+        # each row under its own mean, rank and pool, boundary ranks and
+        # an overflowing rate included, equals the one-law density
+        laws = [(FadingParams(3, 0.5), OrderedIndex(1, 1)),
+                (FadingParams(3, 2.0), OrderedIndex(2, 4)),
+                (FadingParams(3, 2.0), OrderedIndex(4, 4)),
+                (FadingParams(3, 1e-310), OrderedIndex(2, 3)),
+                (FadingParams(3, 1e3), OrderedIndex(7, 40))]
+        rng = np.random.default_rng(29)
+        which = rng.integers(len(laws), size=12)
+        x = 10.0 ** rng.uniform(-12, 3, size=(12, 9))
+        x[:, :4] = [-1.0, 0.0, 1e-320, math.inf]
+        out = ordered_pdfs(laws)(which, x)
+        assert out.tolist() == [ordered_pdf(*laws[k], row).tolist() for k, row in zip(which, x)]
+        assert (out[which == 4, 4:] > 0).any() and (out[which == 3] == 0.0).all()
+
+    def test_mixed_laws_share_one_shape(self):
+        with pytest.raises(ValueError):
+            ordered_pdfs([(FadingParams(1, 1.0), OrderedIndex(1, 2)),
+                          (FadingParams(2, 1.0), OrderedIndex(2, 2))])
 
 
 class TestOrderedSmallArg:

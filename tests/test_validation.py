@@ -12,18 +12,27 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from quadpack_reference import ordered_cdf_quadpack, relay_outage_quadpack
 
+from noma_perf import validation
 from noma_perf.analytic import (
+    link_outage,
     point_links,
+    relay_outage,
     served_users,
     stage_cuts,
     user_outage,
 )
 from noma_perf.configs import ConfigError, ScenarioConfig, coop_preset, direct_preset, with_mu
-from noma_perf.fading import FadingParams, OrderedIndex, gamma_cdf, ordered_cdf
-from noma_perf.montecarlo import TrialBatch
-from noma_perf.numerics import QuadratureError
+from noma_perf.fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_cdf
+from noma_perf.montecarlo import Estimate, TrialBatch
+from noma_perf.numerics import QuadratureError, integrate_semi_infinite
 from noma_perf.validation import (
     MC_PROBABILITY_FLOOR,
+    MC_SIGMAS,
+    ORACLE_REL_TOL,
+    ComparisonRow,
+    _ordered_cdfs,
+    _relay_outages,
+    _relay_scales,
     link_oracles,
     ordered_cdf_quadrature,
     outage_oracle,
@@ -240,6 +249,119 @@ class TestBatchedOracle:
             link_oracles(cfg, [(params, idx, np.array([0.0, math.inf, 0.0])),
                                (near_params, near_idx, np.array([0.015, 0.35, 3.5]))])
 
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_centred_relay_batch_equals_one_row_calls_bit_for_bit(self, mu):
+        # at omega_sr = 1e20 the cuts below about 1e-2 put the second-hop
+        # knee too far below the first-hop decay for centred nodes, so one
+        # batch mixes centred and u-space rows, shuffled among cut-0 and
+        # cut-inf rows
+        cfg = dataclasses.replace(with_mu(coop_preset(), mu), omega_sr=1e20)
+        cuts = [10.0 ** (e / 4) for e in range(-24, 81, 3)] + [0.0, math.inf]
+        random.Random(mu).shuffle(cuts)
+        cuts = np.array(cuts)
+        live = (cuts > 0) & (cuts < math.inf)
+        scale = _relay_scales(cfg, cuts[live])
+        assert (scale != 1.0).any() and (scale == 1.0).any()
+        assert _relay_outages(cfg, cuts).tolist() == [
+            relay_outage_quadrature(cfg, cut) for cut in cuts.tolist()]
+
+    def test_uncentred_relay_rows_keep_the_nodes_in_u(self):
+        # a row whose mass window does not fit the centred nodes gets
+        # exactly the exp-sinh sum over the offset u itself
+        cfg = dataclasses.replace(coop_preset(), omega_sr=1e20)
+        feed = FadingParams(cfg.mu, cfg.omega_sr)
+        drop = FadingParams(cfg.mu, cfg.omega_rd)
+        for cut in (1e-6, 1e-4):
+            scaled = cut * cfg.noise_scale
+            assert _relay_scales(cfg, np.array([cut])).tolist() == [1.0]
+            tail = integrate_semi_infinite(
+                lambda u, rows: gamma_pdf(feed, cut + u) * gamma_cdf(drop, scaled / u), 0.0)
+            assert relay_outage_quadrature(cfg, cut) == min(
+                1.0, gamma_cdf(feed, np.array([cut]))[0] + tail.value[0])
+
+    @pytest.mark.parametrize("mu, raises", [(1, True), (2, False), (3, False)])
+    def test_far_apart_hop_means_keep_the_nodes_in_u(self, mu, raises):
+        # at omega_sr = 1e300 the first-hop decay sits far past the knee,
+        # so no row fits the centred nodes and every row keeps the u-space
+        # nodes, which cannot resolve it at mu = 1 (nor can centred ones),
+        # so the config is rejected rather than failed; from mu = 2 on
+        # every outage is below the double range, and 0 stands
+        cfg = dataclasses.replace(with_mu(coop_preset(), mu), omega_sr=1e300)
+        rhos = [db_to_linear(float(db)) for db in range(0, 61)]
+        cuts = np.concatenate([cut for _, _, cut in point_links(cfg, rhos)])
+        assert (_relay_scales(cfg, cuts) == 1.0).all()
+        for cut in cuts.tolist():
+            if raises:
+                with pytest.raises(QuadratureError):
+                    relay_outage_quadrature(cfg, cut)
+            else:
+                assert relay_outage_quadrature(cfg, cut) == 0.0
+
+    def test_knee_far_past_the_decay_keeps_the_nodes_in_u(self):
+        # at omega_rd = 1e-300 the second-hop knee sits far above the
+        # first-hop decay: nodes centred between them would converge to a
+        # truncated value (0.976 against an exact 1 at 0 dB, and the gate
+        # would fail); no row fits, and the u-space nodes agree with the
+        # closed form
+        cfg = dataclasses.replace(coop_preset(), omega_rd=1e-300)
+        rhos = [db_to_linear(float(db)) for db in range(0, 41, 5)]
+        cuts = np.concatenate([cut for _, _, cut in point_links(cfg, rhos)])
+        assert (_relay_scales(cfg, cuts) == 1.0).all()
+        assert_allclose(_relay_outages(cfg, cuts), [relay_outage(cfg, cut) for cut in cuts],
+                        rtol=1e-12)
+
+    def test_cross_user_ordered_batch_equals_one_link_calls_bit_for_bit(self):
+        # one tanh-sinh batch over links of different means, ranks and
+        # pools, each element the one-link, one-cut call
+        rng = random.Random(29)
+        links = []
+        for omega, rank, total in ((0.5, 1, 1), (1.0, 1, 3), (2.0, 2, 3), (4.0, 3, 3),
+                                   (1e3, 7, 40), (1e-3, 1, 2)):
+            params, idx = FadingParams(3, omega), OrderedIndex(rank, total)
+            row = [10.0 ** rng.uniform(-12, 2) for _ in range(17)] + [0.0, math.inf]
+            rng.shuffle(row)
+            links.append((params, idx, np.array(row)))
+        assert [cdf.tolist() for cdf in _ordered_cdfs(links)] == [
+            [ordered_cdf_quadrature(params, idx, x) for x in xs.tolist()]
+            for params, idx, xs in links]
+        assert _ordered_cdfs([]) == []
+
+
+def row_by_row_report(configs, snr_db, batch=None):
+    """The gate as one row at a time: the reference that the column form
+    of ``run_validation_suite`` must reproduce, field for field."""
+    rows = []
+    rhos = [10.0 ** (float(db) / 10.0) for db in snr_db]
+    for cfg in configs:
+        users = served_users(cfg)
+        scenario = "coop" if cfg.has_relay else "direct"
+        links = point_links(cfg, rhos)
+        exact = [link_outage(cfg, link)[0].tolist() for link in links]
+        oracles = [oracle.tolist() for oracle in link_oracles(cfg, links)]
+        fails = np.zeros((len(users), len(rhos)), dtype=np.int64)
+        if batch is not None:
+            simulated = (np.array(exact) > MC_PROBABILITY_FLOOR).any(axis=0)
+            fails[:, simulated] = validation.estimate_outage(
+                [cfg], np.array(rhos)[simulated], batch)[0]
+        for k, db in enumerate(snr_db):
+            for i, user in enumerate(users):
+                p, oracle = exact[i][k], oracles[i][k]
+                rel_err = abs(p - oracle) / max(abs(oracle), 1e-300)
+                ok = rel_err <= ORACLE_REL_TOL
+                gate = f"rel_err<={ORACLE_REL_TOL:g}"
+                p_mc = mc_stderr = math.nan
+                if batch is not None and p > MC_PROBABILITY_FLOOR:
+                    est = Estimate.from_count(int(fails[i, k]), batch.trials)
+                    p_mc, mc_stderr = est.p_hat, est.stderr
+                    tol = MC_SIGMAS * max(est.stderr, math.sqrt(p * (1.0 - p) / est.trials))
+                    ok = ok and abs(p - p_mc) <= tol
+                    gate += f" & |exact-mc|<={MC_SIGMAS:g}se"
+                rows.append(ComparisonRow(
+                    snr_db=float(db), scenario=scenario, mu=cfg.mu, user=str(user), p_exact=p,
+                    p_oracle=oracle, rel_err=rel_err, p_mc=p_mc, mc_stderr=mc_stderr,
+                    passed=ok, gate=gate))
+    return rows
+
 
 class TestValidationSuite:
     def test_row_fields_are_plain_python_types(self):
@@ -303,3 +425,28 @@ class TestValidationSuite:
     def test_rejects_unknown_config_type(self):
         with pytest.raises(AttributeError):
             run_validation_suite([object()], [10.0])
+
+    @pytest.mark.parametrize("case", ["presets", "simulated", "failing", "infeasible"])
+    def test_rows_match_the_row_by_row_builder(self, case, monkeypatch):
+        # NaN fields (no simulation leg) compare by repr
+        grid = [0.0, 2.5, 10.0, 22.5, 40.0]
+        cfgs, batch = {
+            "presets": ([with_mu(coop_preset(), 2), direct_preset()], None),
+            "simulated": ([coop_preset(), with_mu(direct_preset(), 3)],
+                          TrialBatch(trials=20_000, seed=29)),
+            "failing": ([coop_preset(), direct_preset()], TrialBatch(trials=1_000, seed=3)),
+            "infeasible": ([dataclasses.replace(coop_preset(), rates=(1.5, 1.5))],
+                           TrialBatch(trials=5_000, seed=1)),
+        }[case]
+        if case == "failing":
+            # a simulation where one trial in three fails for every user
+            # fails the Monte Carlo leg of most simulated rows
+            monkeypatch.setattr(validation, "estimate_outage", lambda cfgs, rhos, batch: [
+                np.full((len(served_users(cfg)), len(rhos)), batch.trials // 3) for cfg in cfgs])
+        rows = run_validation_suite(cfgs, grid, batch)
+        reference = row_by_row_report(cfgs, grid, batch)
+        assert rows and [repr(row) for row in rows] == [repr(row) for row in reference]
+        assert [[type(v) for v in dataclasses.astuple(row)] for row in rows] == [
+            [type(v) for v in dataclasses.astuple(row)] for row in reference]
+        if case == "failing":
+            assert {row.passed for row in rows if "mc" in row.gate} == {True, False}
