@@ -30,23 +30,33 @@ that stream it would draw alone.  The estimate therefore depends only on
 worker threads, nor on which other points, users or configs the same
 call decides, nor on the tile size, and repeated runs are
 bit-identical.  ``TrialBatch.chunks`` is the worker-thread count, capped
-by the CPU count and the number of blocks; worker w sums blocks w,
-w + workers, ..., each sized from its index, so no schedule is built.
+by the CPUs the process may run on and the number of blocks; worker w
+sums blocks w, w + workers, ..., each sized from its index, so no
+schedule is built.
 
-Every step of a block works in place and keeps its bits: one
+A block worker allocates its arrays once per call and every step after
+that works in place and keeps its bits.  The worker's first draw, of the
+widest group at its largest block, allocates the draw array that every
+later group and block draws into: one
 ``fading.sample_gain``/``sample_sorted_gains`` call draws each of the
 block's arrays straight into it, one gamma variate a gain (an
 exponential at mu = 1, the same values), and pools of at most 5 are
 sorted there by a min/max compare-exchange network, run over row chunks
-that stay in cache, which gives the values ``np.sort`` gives.  The cuts
-of each config are computed once per call; each tile's failure rows go
-into (points, tile) buffers that a block worker allocates once, and the
-failures of each row are counted by a popcount.  Each numpy call runs
-its loop without the GIL and takes it back at the end, so a worker waits
-whenever the other holds it; ``TILE_TRIALS`` is long enough that a block
-of the comparison preset is replayed in 16 tiles of about 30 calls each,
-not 32.  A gain past the double range is inf and a NaN gain fails, so no
-config is too large to simulate.
+that stay in cache, which gives the values ``np.sort`` gives.  Each tile
+is replayed in the worker's tile rows: :func:`branch_gains` writes the
+scaled direct gains and the relay gains there, with the operations and
+bits of its allocating form, and configs of a group with the same direct
+gains read one copy of them.  The failure rows, the best-branch row and
+the counts are the worker's too, and the failures of each row are
+counted by a popcount.  A tile row is 128 KiB, glibc's default mmap
+threshold, so an array of that size allocated per tile would be mapped,
+trimmed and faulted in again and again.  No array outlives the call,
+and the cuts of each config are computed once per call.  Each numpy
+call runs its loop without the GIL and takes it back at the end, so a
+worker waits whenever the other holds it; ``TILE_TRIALS`` is long
+enough that a block of the comparison preset is replayed in 16 tiles of
+about 30 calls each, not 32.  A gain past the double range is inf and a
+NaN gain fails, so no config is too large to simulate.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -85,16 +95,18 @@ __all__ = [
 # depends only on (seed, trials); never change without a major release.
 BLOCK_TRIALS = 1 << 18
 
-# Trials per tile.  A block is replayed tile by tile into (points, tile)
-# buffers that a worker allocates once per block.  Each tile costs about
-# 30 numpy calls, and a worker waits for the GIL at the end of each call
-# while the other worker holds it, so short tiles cost GIL handoffs; long
-# ones leave a core's cache and hold more memory.  Median paired time of
-# estimate_outage on the comparison preset at 1e6 trials (2-core Xeon)
+# Trials per tile.  A block is replayed tile by tile into tile rows and
+# (points, tile) failure rows that a worker allocates once per call.  Each
+# tile costs about 30 numpy calls, and a worker waits for the GIL at the
+# end of each call while the other worker holds it, so short tiles cost
+# GIL handoffs; long ones leave a core's cache and hold more memory.
+# Median paired time of estimate_outage on the comparison preset at 1e6
+# trials (2-core Xeon, measured when each tile allocated its gains)
 # against 8192-trial tiles: one worker 1.01x at 16384 and 1.05x at
-# 32768, two workers 0.85x and 0.78x; but 32768 raised the mc-compare
-# benchmark's peak RSS by 5 MB, past its run-to-run spread, and 16384 by
-# 1.4 MB.  No count depends on it.
+# 32768, two workers 0.85x and 0.78x.  A worker's tile scratch grows with
+# the tile: on the comparison preset (6 float rows and 2 users' failure rows
+# at 18 points) it is 1.4 MB at 16384 trials and 2.8 MB at 32768.  No
+# count depends on it.
 TILE_TRIALS = 1 << 14
 
 # Failure counts are int64, so a run holds at most this many trials.
@@ -158,7 +170,15 @@ class UnitDraw(NamedTuple):
     w: tuple[np.ndarray, ...]
 
 
-def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int) -> UnitDraw:
+def _draw_width(cfgs: Sequence[ScenarioConfig]) -> int:
+    """Gains a trial of :func:`draw_block` holds for ``cfgs``: the pool,
+    then, with a relay, the relay feed and one hop per user behind it."""
+    relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
+    return cfgs[0].pool + (1 + relayed if relayed else 0)
+
+
+def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int, *,
+               out=None) -> UnitDraw:
     """Sample ``n`` trials of the hop gains that every config of ``cfgs`` replays.
 
     The configs must share ``mu`` and ``pool``.  Draw order is fixed and
@@ -167,24 +187,39 @@ def draw_block(cfgs: Sequence[ScenarioConfig], rng: np.random.Generator, n: int)
     relay (as many as the config that serves most).  Each config reads a
     prefix of that stream, the same gains it would draw alone, so one
     draw serves the whole group.  The pool and each hop are drawn (and
-    the pool sorted) in place, one sampler call each.
-    :func:`branch_gains` scales the unit draw to each config.
+    the pool sorted) in place, one sampler call each, into views of one
+    flat float64 array: the pool's n * pool gains first, then the hops'.
+    With ``out``, a C-contiguous 1-D float64 array of at least that many
+    elements, that array is ``out`` (a worker reuses one across blocks);
+    without, it is allocated to fit.  Both give the same gains bit for
+    bit.  :func:`branch_gains` scales the unit draw to each config.
     """
     mu, pool = cfgs[0].mu, cfgs[0].pool
     if any((cfg.mu, cfg.pool) != (mu, pool) for cfg in cfgs):
         raise ValueError("configs that share a draw must share mu and pool")
     unit = FadingParams(mu, float(mu))
-    direct = sample_sorted_gains(unit, pool, rng, size=n)
-    relayed = max((len(cfg.ranks) for cfg in cfgs if cfg.has_relay), default=0)
-    if not relayed:
+    width = _draw_width(cfgs)
+    if out is None:
+        out = np.empty(n * width)
+    direct = sample_sorted_gains(unit, pool, rng, out=out[:n * pool].reshape(n, pool))
+    if width == pool:
         return UnitDraw(direct, None, ())
-    hops = np.empty((1 + relayed, n))
+    hops = out[n * pool:n * width].reshape(width - pool, n)
     for hop in hops:
         sample_gain(unit, rng, out=hop)
     return UnitDraw(direct, hops[0], tuple(hops[1:]))
 
 
-def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None)) -> list[tuple]:
+def _branch_rows(cfg: ScenarioConfig) -> int:
+    """Rows of :func:`branch_gains`' output for ``cfg``: one direct gain
+    per user, then, with a relay, the scaled feed and one relay gain per
+    user."""
+    users = len(cfg.ranks)
+    return users + (1 + users if cfg.has_relay else 0)
+
+
+def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None), *,
+                 out=None) -> list[tuple]:
     """Branch gains of every served user of ``cfg`` on ``trials`` of ``draw``.
 
     Returns one tuple per served user, in served order, of arrays over
@@ -200,16 +235,33 @@ def branch_gains(draw: UnitDraw, cfg: ScenarioConfig, trials: slice = slice(None
     product overflows where the gain itself is finite.  A gain past the
     double range is inf, and one whose hops both leave it (inf / inf)
     NaN, silently: :func:`user_failures` decides both.
+
+    The gains are rows of one float64 array, written in place: the
+    direct gains first, then, with a relay, the scaled feed y and the
+    relay gains.  With ``out``, at least that many rows as long as
+    ``trials``, they are rows of ``out`` (a worker reuses one per tile);
+    without, the array is allocated.  Both give the same gains bit for
+    bit.
     """
+    pool = draw.pool[trials]
+    users = len(cfg.ranks)
+    if out is None:
+        out = np.empty((_branch_rows(cfg), len(pool)))
+    direct = out[:users]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pool = draw.pool[trials]
-        direct = [pool[:, rank - 1] * (omega / cfg.mu) for rank, omega in zip(cfg.ranks, cfg.omega)]
+        for gain, rank, omega in zip(direct, cfg.ranks, cfg.omega):
+            np.multiply(pool[:, rank - 1], omega / cfg.mu, out=gain)
         if not cfg.has_relay:
             return [(gain,) for gain in direct]
-        y = draw.y[trials] * (cfg.omega_sr / cfg.mu)
-        c = cfg.noise_scale
-        drops = (w[trials] * (cfg.omega_rd / cfg.mu) for w in draw.w)
-        return [(gain, y / (1.0 + c / w)) for gain, w in zip(direct, drops)]
+        y = np.multiply(draw.y[trials], cfg.omega_sr / cfg.mu, out=out[users])
+        relay = out[users + 1:2 * users + 1]
+        for gain, w in zip(relay, draw.w):
+            # y / (1.0 + c / w), one operation at a time
+            np.multiply(w[trials], cfg.omega_rd / cfg.mu, out=gain)
+            np.divide(cfg.noise_scale, gain, out=gain)
+            np.add(1.0, gain, out=gain)
+            np.divide(y, gain, out=gain)
+        return list(zip(direct, relay))
 
 
 # =====================================================================
@@ -260,7 +312,7 @@ def gain_cuts(cfg: ScenarioConfig, rho) -> np.ndarray:
     return np.array(table, dtype=float).reshape(len(table), *rho.shape)
 
 
-def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None) -> np.ndarray:
+def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None, *, best=None) -> np.ndarray:
     """Failures of the served users, in served order, of the SIC chain.
 
     ``draw`` holds one tuple of branch gains per served user, as
@@ -279,8 +331,11 @@ def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None) -> np.ndarr
     (stages, points, 1), gives one row per point, each equal to the
     decision against that point's cuts alone.  Returns a bool array of
     shape (users, *the gains and a stage's cuts broadcast), row k - 1 for
-    the user at position k: ``out`` when given, allocated otherwise.  A
-    draw of more users than the table has stages raises ``ValueError``.
+    the user at position k: ``out`` when given, allocated otherwise.
+    ``best``, a float64 array of one branch gain's shape, holds the best
+    gain of each user of several branches in turn; it is allocated per
+    user when None, with the same labels.  A draw of more users than the
+    table has stages raises ``ValueError``.
     """
     if len(draw) > len(cuts):
         raise ValueError(f"the draw holds {len(draw)} users, the cut table {len(cuts)} stages")
@@ -290,8 +345,8 @@ def user_failures(draw: Sequence[tuple], cuts: np.ndarray, out=None) -> np.ndarr
     # the maximum carries a NaN cut to every deeper user
     for branches, cut, fail in zip(draw, np.maximum.accumulate(cuts), out):
         # the maximum carries a NaN gain, and not (NaN >= cut) fails it
-        best = reduce(np.maximum, branches)
-        np.greater_equal(best, cut, out=fail)
+        top = reduce(lambda a, b: np.maximum(a, b, out=best), branches)
+        np.greater_equal(top, cut, out=fail)
         np.logical_not(fail, out=fail)
     return out
 
@@ -315,25 +370,62 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _run_blocks(batch: TrialBatch, worker: Callable[[int, int], ArrayLike]) -> np.ndarray:
-    """Sum worker(block_index, block_trials) counts over all blocks.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Worker thread w sums blocks w, w + workers, ..., each sized from its
-    index, so no per-block schedule is built.  Counts are integers, so
-    the sum is exact and order-independent; parallelism cannot change
-    the result.
+
+def _run_blocks(batch: TrialBatch,
+                worker: Callable[[Iterator[tuple[int, int]]], ArrayLike]) -> np.ndarray:
+    """Sum the counts of ``worker`` over the blocks of ``batch``.
+
+    Each worker thread makes one ``worker`` call, which sums its blocks
+    (block_index, block_trials) as an iterator hands them over: blocks w,
+    w + workers, ..., each sized from its index, so no per-block schedule
+    is built, and a worker can allocate its scratch once for all of them.
+    The thread count is ``batch.chunks`` capped by the CPUs the process
+    may run on and by the number of blocks.  Counts are integers, so the
+    sum is exact and order-independent; parallelism cannot change the
+    result.
     """
     blocks = -(-batch.trials // BLOCK_TRIALS)
-    workers = min(batch.chunks, os.cpu_count() or 1, blocks)
+    workers = min(batch.chunks, _usable_cpus(), blocks)
 
-    def strided(first: int) -> np.ndarray:
-        return sum(worker(j, min(BLOCK_TRIALS, batch.trials - j * BLOCK_TRIALS))
-                   for j in range(first, blocks, workers))
+    def strided(first: int) -> ArrayLike:
+        return worker((j, min(BLOCK_TRIALS, batch.trials - j * BLOCK_TRIALS))
+                      for j in range(first, blocks, workers))
 
     if workers <= 1:
         return strided(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(strided, range(workers)))
+
+
+def _tile_plan(cfgs: Sequence[ScenarioConfig], members: list[int]) -> tuple[list[tuple], int]:
+    """How the configs ``members`` of one draw group fill a tile's rows.
+
+    Returns ``(plan, rows)``: one ``(i, row, donor)`` per member, in the
+    order a tile is filled, and the tile rows the group uses.  A member
+    whose direct gains (ranks and means over ``mu``) an earlier member
+    already computed, and that has no relay, reads the direct rows of
+    that ``donor``; every other member writes its :func:`branch_gains`
+    from tile row ``row`` on, with ``donor`` None.  Relay configs come
+    first, so that a direct config of the same users finds their rows.
+    """
+    plan, donors, rows = [], {}, 0
+    for i in sorted(members, key=lambda i: not cfgs[i].has_relay):
+        cfg = cfgs[i]
+        key = (cfg.ranks, tuple(omega / cfg.mu for omega in cfg.omega))
+        if key in donors and not cfg.has_relay:
+            plan.append((i, None, donors[key]))
+            continue
+        donors.setdefault(key, i)
+        plan.append((i, rows, None))
+        rows += _branch_rows(cfg)
+    return plan, rows
 
 
 # =====================================================================
@@ -352,41 +444,62 @@ def estimate_outage(cfgs: Sequence[ScenarioConfig], rhos: Sequence[float],
     group with :func:`user_failures`, tile by tile, at every rho at once,
     against cuts computed once per call.  Every config reads the stream it
     would draw alone, so each column equals a one-config, one-point call.
-    A pool whose block of gains has no array, or no memory, raises
-    ``ConfigError`` before any count.
+    A worker's first draw, of the widest group at its largest block,
+    sizes the arrays it reuses for every later block: the draw, the tile
+    rows, the failure rows and the counts.  A pool whose block of gains
+    has no array, or no memory, raises ``ConfigError`` before any count.
     """
     rhos = [_check_rho(rho) for rho in rhos]
     users = [len(served_users(cfg)) for cfg in cfgs]
     if not (rhos and cfgs):
         return [np.zeros((n, len(rhos)), dtype=np.int64) for n in users]
-    largest, pool = min(BLOCK_TRIALS, batch.trials), max(cfg.pool for cfg in cfgs)
-    if largest * pool > np.iinfo(np.intp).max // 8:  # bytes of float64 gains
-        raise ConfigError(f"pool {pool} is too large to simulate: a block of {largest} "
-                          f"trials would hold {largest * pool} gains")
-    # config i counts its users in rows edges[i]..edges[i + 1] of a block's table
-    edges = list(accumulate(users, initial=0))
-    groups = defaultdict(list)
+    shared = defaultdict(list)
     for i, cfg in enumerate(cfgs):
-        groups[cfg.mu, cfg.pool].append(i)
+        shared[cfg.mu, cfg.pool].append(i)
+    # widest draw first, so that the first draw of a worker fits every later one
+    groups = sorted((([cfgs[i] for i in members], *_tile_plan(cfgs, members))
+                     for members in shared.values()),
+                    key=lambda group: -_draw_width(group[0]))
+    largest, width = min(BLOCK_TRIALS, batch.trials), _draw_width(groups[0][0])
+    tile_rows = max(rows for _, _, rows in groups)
+    pool = max(cfg.pool for cfg in cfgs)
+    if largest * width > np.iinfo(np.intp).max // 8:  # bytes of float64 gains
+        raise ConfigError(f"pool {pool} is too large to simulate: a block of {largest} "
+                          f"trials would hold {largest * width} gains")
+    # config i counts its users in rows edges[i]..edges[i + 1] of the table
+    edges = list(accumulate(users, initial=0))
     rho_col = np.array(rhos)[:, np.newaxis]
     cuts = [gain_cuts(cfg, rho_col) for cfg in cfgs]
-    widest = max(users)
 
-    def block(j: int, n: int) -> np.ndarray:
+    def worker(blocks: Iterator[tuple[int, int]]) -> np.ndarray:
         counts = np.zeros((edges[-1], len(rhos)), dtype=np.int64)
-        fails = np.empty((widest, len(rhos), min(n, TILE_TRIALS)), dtype=bool)
-        for members in groups.values():
-            draw = draw_block([cfgs[i] for i in members], _block_rng(batch.seed, j), n)
-            for start in range(0, n, TILE_TRIALS):
-                k = min(TILE_TRIALS, n - start)
-                for i in members:
-                    branches = branch_gains(draw, cfgs[i], slice(start, start + k))
-                    fail = user_failures(branches, cuts[i], fails[:len(branches), :, :k])
-                    counts[edges[i]:edges[i + 1]] += _row_counts(fail)
+        scratch = None
+        for j, n in blocks:
+            for group, plan, _ in groups:
+                draw = draw_block(group, _block_rng(batch.seed, j), n, out=scratch)
+                if scratch is None:
+                    # the draw's own array, sized by the worker's widest, largest draw
+                    scratch = draw.pool.base
+                    tile = min(n, TILE_TRIALS)
+                    rows = np.empty((tile_rows, tile))
+                    fails = np.empty((max(users), len(rhos), tile), dtype=bool)
+                    best = np.empty(tile)
+                for start in range(0, n, TILE_TRIALS):
+                    k = min(TILE_TRIALS, n - start)
+                    trials = slice(start, start + k)
+                    branches = {}
+                    for i, row, donor in plan:
+                        if donor is None:
+                            branches[i] = branch_gains(draw, cfgs[i], trials, out=rows[row:, :k])
+                        else:
+                            branches[i] = [gains[:1] for gains in branches[donor]]
+                        fail = user_failures(branches[i], cuts[i], fails[:users[i], :, :k],
+                                             best=best[:k])
+                        counts[edges[i]:edges[i + 1]] += _row_counts(fail)
         return counts
 
     try:
-        counts = _run_blocks(batch, block)
+        counts = _run_blocks(batch, worker)
     except MemoryError as exc:
         raise ConfigError(f"a block of {largest} trials at pool {pool}: {exc}") from exc
     return np.split(counts, edges[1:-1])

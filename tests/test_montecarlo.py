@@ -6,6 +6,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache, reduce
 from pathlib import Path
@@ -753,6 +754,123 @@ class TestOverflowGuard:
         assert counts.tolist() == [[3000, 3000]]
 
 
+def draw_arrays(draw):
+    """The arrays of a ``UnitDraw`` in draw order."""
+    return [draw.pool] + ([] if draw.y is None else [draw.y, *draw.w])
+
+
+class TestWorkerScratch:
+    """A block worker allocates its arrays once per call and writes every
+    block and tile into them; each in-place path gives the bits of the
+    allocating one."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_branch_gains_into_rows_equal_the_allocating_form(self):
+        shared = preset_configs("comparison.ini")
+        cfgs = [shared["coop"], shared["direct"], coop_preset(2), direct_preset(3),
+                dataclasses.replace(coop_preset(), relay_gain=0.5),
+                # the huge means of TestOverflowGuard, whose gains reach inf
+                # and NaN (inf / inf where c / w overflows)
+                dataclasses.replace(coop_preset(), omega_sr=1.7e308, omega_rd=1e-308),
+                dataclasses.replace(coop_preset(), omega_sr=1.7e308),
+                dataclasses.replace(coop_preset(), omega_rd=1.7e308),
+                ScenarioConfig(power=(1.0,), rates=(1.7e308,), omega=(1.7e308,), ranks=(1,),
+                               pool=1)]
+        tile, n = 2048, 3000
+        # stale gains, which no branch gain equals, in rows shared by every config
+        rows = np.full((8, tile), -1.0)
+        reached = []
+        for seed, cfg in enumerate(cfgs):
+            draw = draw_block([cfg], np.random.default_rng(seed), n)
+            # a whole tile, then the partial last one, into the leading columns
+            for start in range(0, n, tile):
+                trials = slice(start, min(start + tile, n))
+                got = branch_gains(draw, cfg, trials, out=rows[1:, :trials.stop - start])
+                want = branch_gains(draw, cfg, trials)
+                assert [len(g) for g in got] == [len(w) for w in want]
+                for gains, wanted in zip(got, want, strict=True):
+                    for a, b in zip(gains, wanted, strict=True):
+                        assert np.shares_memory(a, rows) and not np.shares_memory(b, rows)
+                        assert np.array_equal(a, b, equal_nan=True)
+                        reached.append((np.isinf(a).any(), np.isnan(a).any()))
+            # the rows above the config's are left alone
+            assert np.all(rows[0] == -1.0)
+        assert np.any(reached, axis=0).tolist() == [True, True]
+
+    def test_reused_draw_equals_fresh_draws(self):
+        # one array, sized for the widest group at a full block, serves
+        # every group of a call and every block, the partial last one too
+        shared = preset_configs("comparison.ini")
+        groups = [[coop_preset()], [shared["coop"], shared["direct"]],
+                  [with_mu(direct_preset(), 2)], [direct_preset()]]
+        full, last = 2500, 1234
+        # the coop preset's widest trial: a pool of 5, the relay feed and 2 hops
+        scratch = np.full(8 * full, -1.0)
+        for j, n in enumerate((full, full, last)):
+            for group in groups:
+                draw = draw_block(group, montecarlo._block_rng(7, j), n, out=scratch)
+                fresh = draw_block(group, montecarlo._block_rng(7, j), n)
+                assert [a.shape for a in draw_arrays(draw)] == [a.shape for a in draw_arrays(fresh)]
+                for a, b in zip(draw_arrays(draw), draw_arrays(fresh), strict=True):
+                    assert np.shares_memory(a, scratch)
+                    assert np.array_equal(a, b)
+                # the allocating form draws into one flat array of its own,
+                # which the estimator keeps as its worker's scratch
+                base = fresh.pool.base
+                assert base.ndim == 1 and base.size == sum(a.size for a in draw_arrays(fresh))
+                assert all(np.shares_memory(a, base) for a in draw_arrays(fresh))
+
+    def test_estimate_memory_does_not_grow_with_blocks_or_tiles(self):
+        # one worker over 4 blocks, the last partial, of 16 tiles each
+        shared = preset_configs("comparison.ini")
+        cfgs = [shared["coop"], shared["direct"]]
+        rhos = [db_to_linear(db) for db in range(0, 35, 2)]
+        batch = TrialBatch(3 * BLOCK_TRIALS + 1234, seed=3)
+        # a first call's one-off imports and caches are not the worker's
+        estimate_outage(cfgs, rhos, TrialBatch(1000, seed=3))
+        tracemalloc.start()
+        try:
+            estimate_outage(cfgs, rhos, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = montecarlo.TILE_TRIALS
+        # a pool of 3, the relay feed and 2 hops a trial
+        draw = 8 * BLOCK_TRIALS * (3 + 3)
+        # 5 float rows (the 2 direct gains both configs read, the scaled
+        # feed and 2 relay gains), the best-branch row and the failure rows
+        # of 2 users at every point
+        scratch = 8 * tile * (5 + 1) + 2 * len(rhos) * tile
+        # the sort network's scratch column (1 << 15 floats), a tile's
+        # popcounts (a byte per 8 trials) and small objects
+        slack = 8 * (1 << 15) + 2 * len(rhos) * tile // 8 + (1 << 16)
+        assert draw < peak <= draw + scratch + slack
+
+    def test_workers_are_capped_by_the_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        batch = TrialBatch(2 * BLOCK_TRIALS, seed=0, chunks=2)
+        want = estimate_outage([direct_preset()], [10.0], TrialBatch(2 * BLOCK_TRIALS, seed=0))
+        # pinned to one of the host's 2 CPUs, the process runs one worker
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert_same_counts(estimate_outage([direct_preset()], [10.0], batch), want)
+        assert pools == []
+        # without an affinity mask, the host's CPU count caps the workers
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        assert_same_counts(estimate_outage([direct_preset()], [10.0], batch), want)
+        assert pools == [2]
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert_same_counts(estimate_outage([direct_preset()], [10.0], batch), want)
+        assert pools == [2]
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         cfg = coop_preset()
@@ -785,9 +903,9 @@ class TestDeterminism:
         groups = []
         draw = montecarlo.draw_block
 
-        def counted(group, rng, n):
+        def counted(group, rng, n, **kwargs):
             groups.append([cfgs.index(cfg) for cfg in group])
-            return draw(group, rng, n)
+            return draw(group, rng, n, **kwargs)
 
         monkeypatch.setattr(montecarlo, "draw_block", counted)
         assert_same_counts(estimate_outage(cfgs, rhos, batch), alone)
@@ -815,7 +933,7 @@ class TestDeterminism:
 
         sizes = []
 
-        def first(cfgs, rng, n):
+        def first(cfgs, rng, n, **kwargs):
             sizes.append(n)
             raise FirstBlock
 
