@@ -702,14 +702,14 @@ def outage_oma(cfg: ScenarioConfig, rho):
     the second slot (selection over both branches, each with the two-slot
     threshold cut); without one, the baseline keeps one slot and one
     user.  A zero total rate gives a zero cut and an outage of exactly 0.
-    ``rho`` is a 1-D sequence of SNRs, and the outage an ndarray over it,
-    from one ordered-CDF call.
+    ``rho`` is a 1-D sequence of SNRs, and the outage an ndarray over it:
+    :func:`link_exact` of that user's OMA link.
     """
     rhos = _rho_grid(rho)
     with np.errstate(over="ignore"):  # a quotient past the double range is inf
         cuts = threshold_snr(math.fsum(cfg.rates), 2 if cfg.has_relay else 1) / rhos
-    params, idx = FadingParams(cfg.mu, cfg.omega[-1]), OrderedIndex(cfg.ranks[-1], cfg.pool)
-    return ordered_cdf(params, idx, cuts) * _relay_factors(cfg, cuts.tolist())
+    return link_exact(cfg, (FadingParams(cfg.mu, cfg.omega[-1]),
+                            OrderedIndex(cfg.ranks[-1], cfg.pool), cuts))
 
 
 # =====================================================================

@@ -6,8 +6,8 @@ incomplete gamma function P(mu, x), exponentially scaled modified
 Bessel functions e^x K_n(x) and the binomial tail, each at integer
 shapes and orders, in double precision from committed constant tables
 (``tests/make_kernel_tables.py``).  The rest is the log-domain binomial
-coefficient and double-exponential quadrature, the exp-sinh rule over
-(lower, infinity) and the tanh-sinh rule over (0, upper).  Both rules
+coefficient and quadrature: the trapezoid rule in ln u over per-row
+windows of (0, infinity) and the tanh-sinh rule over (0, upper).  Both rules
 integrate a batch of rows, one integral per row, in one level loop: each
 refinement level evaluates the new nodes of every row not yet converged
 as one (rows, nodes) array in a single call of the integrand, and a row
@@ -554,12 +554,12 @@ def _binomial_tail_integral(rank: int, total: int, f: float, upward: bool) -> fl
 
 
 # =====================================================================
-# Double-exponential quadrature
+# Quadrature
 # =====================================================================
 
-#: the exp-sinh rule keeps |t| < 4.5, so its nodes reach from 2e-31 to
-#: 5e30 past the lower limit
-EXP_SINH_HALF_WIDTH = 4.5
+#: the ln-u trapezoid maps |t| <= 5 onto each row's window, so its first
+#: level has 11 nodes a row
+LOG_TRAPEZOID_HALF_WIDTH = 5.0
 #: the tanh-sinh rule keeps |t| < 3.5, so its outermost nodes sit 2.7e-23
 #: of the interval from either end
 TANH_SINH_HALF_WIDTH = 3.5
@@ -567,8 +567,6 @@ TANH_SINH_HALF_WIDTH = 3.5
 MAX_LEVELS = 10
 #: a rule converges once two successive levels agree to this relative error
 REL_TOL = 1e-12
-
-_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -608,14 +606,14 @@ class QuadratureError(RuntimeError):
         self.row = row
 
 
-def _double_exponential(
+def _trapezoid_levels(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     transform: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    rows: int,
+    offset: np.ndarray,
     half_width: float,
     what: str,
 ) -> QuadratureResult:
-    """Per-row trapezoid sums in t of fn(y(t)) * y'(t) over |t| < half_width.
+    """Per-row trapezoid sums in t of fn(y(t)) * y'(t) over |t| <= half_width.
 
     ``transform(t, active)`` maps an ndarray of t to the nodes y of the
     rows ``active``, shape (rows, nodes), and the weights y', of the same
@@ -623,7 +621,9 @@ def _double_exponential(
     steps t by 1; each further level halves the step and evaluates only
     the new odd multiples of it, in one call ``fn(y, active)`` for every
     row still refining, so no node is evaluated twice.  A row stops once
-    its two successive levels agree to ``REL_TOL`` relative, or as soon
+    its two successive levels differ by at most ``REL_TOL`` times its
+    ``offset`` (a known part added to its integral) plus its level, but
+    no finer than a subnormal sum can resolve, or as soon
     as its level sum is not finite; the others go on, up to
     ``MAX_LEVELS`` halvings.  Each row's level sum is its own dot
     product, so a row sees exactly the levels, and gets exactly the
@@ -631,6 +631,7 @@ def _double_exponential(
     """
     step = 1.0
     t = np.arange(-math.floor(half_width), math.floor(half_width) + 1.0)
+    rows = offset.size
     total = np.zeros(rows)
     value = np.full(rows, math.nan)
     error = np.full(rows, math.nan)
@@ -646,11 +647,12 @@ def _double_exponential(
         previous, level = value[active], step * total[active]
         value[active] = level
         error[active] = diff = np.abs(level - previous)
-        active = active[~((diff <= REL_TOL * np.abs(level)) | ~np.isfinite(level))]
+        done = diff <= REL_TOL * np.maximum(np.abs(offset[active] + level), _TINY)
+        active = active[~(done | ~np.isfinite(level))]
         step *= 0.5
         t = np.arange(step, half_width, 2.0 * step)
         t = np.concatenate((-t[::-1], t))
-    failed = np.flatnonzero(~(error <= REL_TOL * np.abs(value)))
+    failed = np.flatnonzero(~(error <= REL_TOL * np.maximum(np.abs(offset + value), _TINY)))
     if failed.size:
         row = int(failed[0])
         raise QuadratureError(
@@ -670,34 +672,45 @@ def _row_limits(limit, name: str) -> np.ndarray:
 
 def integrate_semi_infinite(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lower,
+    low,
+    high,
+    offset=0.0,
 ) -> QuadratureResult:
-    """Integrate ``fn`` over (lower, infinity) with the exp-sinh rule, row by row.
+    """Integrate over (0, infinity) by the trapezoid rule in v = ln u, row by row.
 
-    The nodes are y = lower + exp(pi/2 sinh t) (Takahasi & Mori 1974),
-    which crowd double-exponentially towards ``lower`` and thin out
-    towards infinity, so features many decades apart in scale are all
-    resolved by one trapezoid sum in t.  ``lower`` holds one limit per
-    row (a scalar is one row).  ``fn(y, rows)`` receives one level's
-    nodes of the rows still refining, shape (len(rows), nodes), with
-    ``rows`` their indices into ``lower``, and returns the integrand
-    values there.  An integrand that decays at both ends is resolved to
-    ``REL_TOL`` relative accuracy however small the integral is.
+    Row r sums g(v) = e^v f(e^v), the integrand f in v, over its own
+    window ``low[r]`` <= v <= ``high[r]``, onto which the level loop's t
+    maps linearly; ``fn(v, rows)`` returns g at one level's nodes of the
+    rows still refining, shape (len(rows), nodes), ``rows`` indexing the
+    windows.  Formed as one product, g stays a normal double where f
+    alone would underflow.  On a g that decays at both window ends the
+    rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56(3),
+    2014); the mass outside is the caller's to bound.  A row stops once
+    two levels agree to ``REL_TOL`` relative to ``offset``, a known part
+    the integral is added to (default 0), plus the integral.  Limits and
+    offset take a scalar or one value per row.
 
     Raises
     ------
+    ValueError
+        If a window is not finite or runs backwards.
     QuadratureError
-        If two successive levels of some row never agree to ``REL_TOL``.
+        If two successive levels of some row never agree.
     """
-    lower = _row_limits(lower, "integrate_semi_infinite")
-    if not np.isfinite(lower).all():
-        raise ValueError(f"integrate_semi_infinite requires finite lower limits, got {lower}")
+    low, high, offset = np.broadcast_arrays(*(_row_limits(limit, "integrate_semi_infinite")
+                                              for limit in (low, high, offset)))
+    if not (np.isfinite(low).all() and np.isfinite(high).all() and (low <= high).all()):
+        raise ValueError(f"integrate_semi_infinite requires finite windows low <= high, "
+                         f"got {low} and {high}")
+    mid = 0.5 * (low + high)
+    stretch = 0.5 * (high - low) / LOG_TRAPEZOID_HALF_WIDTH
 
     def transform(t, active):
-        offset = np.exp(_HALF_PI * np.sinh(t))
-        return lower[active, None] + offset, _HALF_PI * np.cosh(t) * offset
+        v = mid[active, None] + stretch[active, None] * t
+        # contiguous weights: a level sum is then each row's own dot product
+        return v, np.repeat(stretch[active, None], t.size, axis=1)
 
-    return _double_exponential(fn, transform, lower.size, EXP_SINH_HALF_WIDTH, "semi-infinite")
+    return _trapezoid_levels(fn, transform, offset, LOG_TRAPEZOID_HALF_WIDTH, "semi-infinite")
 
 
 def integrate_from_zero(
@@ -727,4 +740,4 @@ def integrate_from_zero(
         top = upper[active, None]
         return top / (1.0 + decay), top * math.pi * np.cosh(t) * decay / (1.0 + decay) ** 2
 
-    return _double_exponential(fn, transform, upper.size, TANH_SINH_HALF_WIDTH, "finite")
+    return _trapezoid_levels(fn, transform, np.zeros(upper.size), TANH_SINH_HALF_WIDTH, "finite")

@@ -1,29 +1,28 @@
 """Independent numerical oracles and the exact-vs-oracle-vs-simulation gate.
 
-The closed-form layer is checked against double-exponential quadrature
-of the underlying probability integrals (``numerics``).  The oracles
-share the links (``analytic.point_links``: each served user's
-direct-link law, sort index and decode cut) and the density/CDF
-primitives with the production code, never its Bessel-sum algebra: the
-relay-branch oracle integrates the first-hop density against the
-conditional second-hop CDF with the exp-sinh rule, and the ordered-CDF
-oracle integrates the order-statistic density with the tanh-sinh rule.
-Each oracle integrates every row of a config at once
-(:func:`link_oracles`, over links whose cuts span the config's SNR
-grid), in one batch over the cuts of every served user.
+The closed-form layer is checked against quadrature of the underlying
+probability integrals (``numerics``).  The oracles share the links
+(``analytic.point_links``: each served user's direct-link law, sort
+index and decode cut) and the density/CDF primitives with the
+production code, never its Bessel-sum algebra: the relay-branch oracle
+integrates the first-hop density against the conditional second-hop
+CDF with the trapezoid rule in ln u, and the ordered-CDF oracle
+integrates the order-statistic density with the tanh-sinh rule.  Each
+oracle integrates every row of a config at once (:func:`link_oracles`,
+over links whose cuts span the config's SNR grid), in one batch over
+the cuts of every served user.
 
-The relay rows run on exp-sinh nodes z scaled to each row, u = c_r * z
-in the offset u past the cut, centred at c_r = sqrt(u_knee * u_decay)
-between the second-hop knee u_knee = cut * noise_scale * mu / omega_rd
-and the first-hop decay u_decay = omega_sr / mu, where the integrand
-sits.  A row is centred only where its mass window [ln min(u_knee,
-u_decay) - 45, ln max(u_knee, u_decay, cut) + ln 800] fits inside the
-nodes' reach c_r * e^(+-(pi/2) sinh 4.5), and its scaled nodes stay
-normal doubles.  Elsewhere centred nodes could miss part of the mass
-and still converge, to a truncated value, so the row keeps the nodes in
-u itself (c_r = 1): they either resolve it or fail to converge, and the
-config is then rejected rather than failed.  The ordered-CDF rows each carry
-their own link's law, rank and pool (``fading.ordered_pdfs``).
+Every relay row runs the one rule over its own mass window in v = ln u
+of the offset u past the cut, [min(ln u_knee, ln u_decay) - 37, ln
+u_decay + ln 800], between the second-hop knee u_knee = cut *
+noise_scale * mu / omega_rd and the first-hop decay u_decay = omega_sr
+/ mu, where the integrand sits; the mass outside the window is below
+40 e^-37 of the outage for every mu up to ``configs.MAX_RELAY_MU`` = 40.  A
+row is resolved to 1e-12 relative to the first-hop CDF plus its
+integral.  Only a first-hop mass past the largest double is out of
+reach, and its config is then rejected rather than failed.  The
+ordered-CDF rows each carry their own link's law, rank and pool
+(``fading.ordered_pdfs``).
 
 A refinement level evaluates the rows still refining as one (rows,
 nodes) array, and each row stops when its own two levels agree to
@@ -54,14 +53,9 @@ import numpy as np
 
 from .analytic import Link, _user_link, link_exact, point_links, served_users
 from .configs import ConfigError, ScenarioConfig
-from .fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_pdfs
+from .fading import FadingParams, OrderedIndex, _gamma_log_pdf_inside, gamma_cdf, ordered_pdfs
 from .montecarlo import TrialBatch, estimate_outage
-from .numerics import (
-    EXP_SINH_HALF_WIDTH,
-    QuadratureError,
-    integrate_from_zero,
-    integrate_semi_infinite,
-)
+from .numerics import QuadratureError, integrate_from_zero, integrate_semi_infinite
 
 __all__ = [
     "ComparisonRow",
@@ -86,81 +80,70 @@ _MC_GATE = f"{_ORACLE_GATE} & |exact-mc|<={MC_SIGMAS:g}se"
 
 #: log of the smallest positive (subnormal) double
 _LOG_SMALLEST = math.log(5e-324)
-#: the relay integrand's mass lies above its smaller feature (second-hop
-#: knee or first-hop decay) divided by e^45, and below 800 times the
-#: largest of those two and the cut
-_MASS_BELOW = 45.0
+#: the relay integrand's mass in ln u lies above its smaller feature
+#: (second-hop knee or first-hop decay) less 37 and below the first-hop
+#: decay plus ln 800, for every mu up to ``configs.MAX_RELAY_MU``
+_MASS_BELOW = 37.0
 _MASS_ABOVE = math.log(800.0)
-#: the exp-sinh nodes reach e^(+-(pi/2) sinh 4.5) times their scale
-_NODE_REACH = 0.5 * math.pi * math.sinh(EXP_SINH_HALF_WIDTH)
-#: largest |ln c_r| whose scaled nodes all stay normal doubles
-_CENTRE_LIMIT = -math.log(2.2250738585072014e-308) - _NODE_REACH
+#: the highest window edge: e^709 stays a little below the largest double
+_LOG_U_MAX = 709.0
 
 
 # =====================================================================
 # Quadrature oracles
 # =====================================================================
 
-def _relay_scales(cfg: ScenarioConfig, cut: np.ndarray) -> np.ndarray:
-    """The scale c_r of each row's relay nodes, u = c_r * z for exp-sinh nodes z.
-
-    c_r is sqrt(u_knee * u_decay), the geometric mean of the second-hop
-    knee u_knee = cut * noise_scale * mu / omega_rd and the first-hop
-    decay u_decay = omega_sr / mu, where a row's integrand mass window
-    [ln min(u_knee, u_decay) - 45, ln max(u_knee, u_decay, cut) + ln 800]
-    fits inside the nodes' reach c_r * e^(+-(pi/2) sinh 4.5); every other
-    row keeps c_r = 1, the nodes in u itself, as does a row whose scaled
-    nodes would leave the normal doubles.
-    """
-    decay = math.log(cfg.omega_sr) - math.log(cfg.mu)
-    with np.errstate(divide="ignore"):  # a product below the double range: log 0 = -inf
-        knee = np.log(cut * cfg.noise_scale) + (math.log(cfg.mu) - math.log(cfg.omega_rd))
-    centre = 0.5 * (knee + decay)
-    low = np.minimum(knee, decay) - _MASS_BELOW
-    high = np.maximum(np.maximum(knee, decay), np.log(cut)) + _MASS_ABOVE
-    fits = ((low >= centre - _NODE_REACH) & (high <= centre + _NODE_REACH)
-            & (np.abs(centre) <= _CENTRE_LIMIT))
-    return np.exp(np.where(fits, centre, 0.0))
-
-
 def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
     """Relay-branch outage of relay config ``cfg`` at each of ``cuts``.
 
-    Cut 0 gives 0 and an infinite cut 1.  The other cuts are integrated
-    as one batch of exp-sinh rows, each on nodes u = c_r * z scaled to
-    its own integrand (:func:`_relay_scales`); a ``QuadratureError``
-    names its row as an index of ``cuts``.  A row whose first-hop CDF and
-    integral both come out 0 has lost its outage to underflow at every
-    node, and raises too, where a lower bound of the outage is still a
-    double; where the bound is below the double range, 0 stands as the
-    outage rounded.  The bound is the larger of the first-hop CDF
-    F_sr(cut) and F_sr(cut + v) F_rd(cut * noise_scale / v) at v =
-    sqrt(cut * noise_scale * omega_sr / omega_rd) (the branch fails when
-    y - cut < v and the second hop misses), each CDF taken as P(mu, x)
-    >= e^-x x^mu / mu!: with t = mu * cut / omega_sr and s = t * mu *
-    noise_scale / omega_rd, the arguments are t, t + sqrt(s) and sqrt(s).
+    Cut 0 gives 0, and a cut where the first-hop CDF F_sr is 1 (an
+    infinite cut included) gives 1.  The other cuts are one batch of
+    ln-u trapezoid rows over their mass windows (module docstring), each
+    resolving F_sr(cut) plus its integral; a ``QuadratureError`` names
+    its row as an index of ``cuts``.  A row whose outage comes out 0 has
+    lost it to underflow at every node, as has every row where u_decay *
+    800 passes e^709, beyond every node: such a row raises where a lower
+    bound of the outage is still a double, and 0 stands as the outage
+    rounded where the bound is below the double range.  The bound is the
+    larger of F_sr(cut) and F_sr(cut + v) F_rd(cut * noise_scale / v) at
+    v = sqrt(cut * noise_scale * omega_sr / omega_rd) (the branch fails
+    when y - cut < v and the second hop misses), each CDF taken as
+    P(mu, x) >= e^-x x^mu / mu!: with t = mu * cut / omega_sr and s = t
+    * mu * noise_scale / omega_rd, the arguments are t, t + sqrt(s) and
+    sqrt(s).
     """
-    out = np.where(cuts > 0, 1.0, 0.0)
-    live = np.flatnonzero((cuts > 0) & (cuts < math.inf))
-    if not live.size:
-        return out
     feed = FadingParams(cfg.mu, cfg.omega_sr)
     drop = FadingParams(cfg.mu, cfg.omega_rd)
-    cut = cuts[live]
+    first = gamma_cdf(feed, cuts)
+    out = np.where(cuts > 0, 1.0, 0.0)
+    live = np.flatnonzero((cuts > 0) & (first < 1.0))
+    if not live.size:
+        return out
+    cut, first = cuts[live], first[live]
     scaled = cut * cfg.noise_scale
-    scale = _relay_scales(cfg, cut)
+    decay = math.log(cfg.omega_sr) - math.log(cfg.mu)
+    if decay + _MASS_ABOVE > _LOG_U_MAX:
+        outage, why = np.zeros(live.size), "the first-hop mass lies past the double range"
+    else:
+        with np.errstate(divide="ignore"):  # a product below the double range: log 0 = -inf
+            knee = np.log(scaled) + (math.log(cfg.mu) - math.log(cfg.omega_rd))
+        low = np.maximum(np.minimum(knee, decay) - _MASS_BELOW, _LOG_SMALLEST)
 
-    def integrand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        c = scale[rows, None]
-        u = c * z
-        return c * gamma_pdf(feed, cut[rows, None] + u) * gamma_cdf(drop, scaled[rows, None] / u)
+        def integrand(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            # u * f_sr(cut + u) * F_rd(cut * noise_scale / u) at u = e^v, the
+            # first two factors as one exponential
+            u = np.exp(v)
+            with np.errstate(over="ignore"):  # a quotient past the double range: F_rd = 1
+                reach = scaled[rows, None] / u
+            return (np.exp(v + _gamma_log_pdf_inside(feed, cut[rows, None] + u))
+                    * gamma_cdf(drop, reach))
 
-    try:
-        tail = integrate_semi_infinite(integrand, np.zeros(live.size))
-    except QuadratureError as exc:
-        exc.row = int(live[exc.row])
-        raise
-    outage = gamma_cdf(feed, cut) + tail.value
+        try:
+            tail = integrate_semi_infinite(integrand, low, decay + _MASS_ABOVE, first)
+        except QuadratureError as exc:
+            exc.row = int(live[exc.row])
+            raise
+        outage, why = first + tail.value, "the integrand underflows at every node"
     lost = np.flatnonzero(outage == 0.0)
     t = feed.rate * cut[lost]
     root = np.sqrt(t * drop.rate * cfg.noise_scale)
@@ -170,8 +153,7 @@ def _relay_outages(cfg: ScenarioConfig, cuts: np.ndarray) -> np.ndarray:
                                - math.lgamma(cfg.mu + 1)) - t - math.lgamma(cfg.mu + 1)
     lost = lost[log_bound > _LOG_SMALLEST]
     if lost.size:
-        raise QuadratureError("the integrand underflows at every node", 0.0, 0.0,
-                              int(live[lost[0]]))
+        raise QuadratureError(why, 0.0, 0.0, int(live[lost[0]]))
     out[live] = np.minimum(1.0, outage)
     return out
 
@@ -182,12 +164,10 @@ def relay_outage_quadrature(cfg: ScenarioConfig, cut: float) -> float:
     The branch fails when the first-hop gain y stays below ``cut`` or,
     given y > cut, when the second-hop gain misses cut * noise_scale /
     (y - cut).  The outage is the first-hop CDF at the cut plus the
-    exp-sinh integral over the offset u = y - cut of the first-hop
-    density at cut + u times the second-hop CDF at cut * noise_scale /
-    u.  Both terms are positive, and the exp-sinh nodes resolve u
-    relative to 0 rather than to the cut, from the second-hop knee at
-    u ~ cut * noise_scale up to the first-hop decay at u ~ omega_sr,
-    centred between the two where both fit (see :func:`_relay_scales`).
+    integral over the offset u = y - cut of the first-hop density at cut
+    + u times the second-hop CDF at cut * noise_scale / u, taken in ln u
+    over the row's mass window (see :func:`_relay_outages`).  Both terms
+    are positive, so relative accuracy survives at any size.
     """
     cut = float(cut)
     if math.isnan(cut) or cut < 0:
@@ -232,9 +212,9 @@ def link_oracles(cfg: ScenarioConfig, links: Sequence[Link]) -> list[np.ndarray]
     the result holds one ndarray per link, over its cuts.  The ordered
     CDF is integrated once over the cuts of every link, concatenated,
     each row under its own link's law, rank and pool, and with a relay
-    the relay branch once over the same cuts.  A relay that puts the
-    integrand past the exp-sinh nodes raises ``ConfigError``, naming the
-    cut of the first row of that batch that fails.
+    the relay branch once over the same cuts.  A relay the oracle cannot
+    resolve raises ``ConfigError``, naming the cut of the first row of
+    that batch that fails.
     """
     direct = _ordered_cdfs(links)
     if not (cfg.has_relay and links):

@@ -452,7 +452,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("omega_sr, omega_rd, validate_code", [
         ("1e200", "1e200", 0),  # omega_sr * omega_rd overflows
-        ("1e300", "4.0", 2),  # the relay oracle's nodes stop near 5e30
+        ("1e300", "4.0", 0),  # hop means 300 decades apart
+        ("1.7e308", "4.0", 2),  # the first-hop mass lies past the largest double
     ])
     def test_extreme_hop_means_exit_0_or_2(self, capsys, tmp_path, omega_sr, omega_rd,
                                            validate_code):
@@ -468,15 +469,16 @@ class TestSweep:
             assert all(row.split(",")[-2] == "pass" for row in data_rows(out))
         else:
             assert (code, out) == (2, "")
-            assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1e+300")
+            assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1.7e+308")
+            assert err.endswith(": the first-hop mass lies past the double range\n")
             assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("mu, validate_code", [(1, 2), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("mu, validate_code", [(1, 0), (2, 0), (3, 0)])
     def test_far_apart_hop_means_never_fail_a_row(self, capsys, tmp_path, mu, validate_code):
-        # hop means too far apart for the relay oracle's nodes reject the
-        # config (exit 2, one line), never fail a gate row (exit 1); from
-        # mu = 2 on every relay outage is below the double range, and the
-        # rows pass at 0
+        # hop means 300 decades apart: each relay row's window in ln u
+        # holds both, and no gate row fails (exit 1) nor is the config
+        # rejected (exit 2); from mu = 2 on every relay outage is below the
+        # double range, and the rows pass at 0
         ini = tmp_path / "apart.ini"
         ini.write_text(preset_ini("coop").replace("mu = 1", f"mu = {mu}")
                        .replace("omega_sr = 4.0", "omega_sr = 1e300"), encoding="utf-8")
@@ -488,9 +490,29 @@ class TestSweep:
         else:
             assert err == "" and all(row.split(",")[-2] == "pass" for row in data_rows(out))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, preset", [("omega_sr", "4.0"), ("omega_rd", "4.0"),
+                                               ("relay_gain", "0.9")])
+    def test_one_hop_law_pushed_out_validates(self, capsys, tmp_path, field, preset):
+        # the relay oracle's window in ln u follows each row's mass however
+        # far one hop law moves from the other: every such config validates
+        ini = tmp_path / "pushed.ini"
+        for exponent in (18, 30, 100):
+            for value in (f"1e{exponent}", f"1e-{exponent}"):
+                for mu in (1, 2, 3):
+                    ini.write_text(preset_ini("coop").replace("mu = 1", f"mu = {mu}")
+                                   .replace(f"{field} = {preset}", f"{field} = {value}"),
+                                   encoding="utf-8")
+                    code, out, err = run_cli(capsys, "validate", "--trials", "0",
+                                             "--config", str(ini))
+                    assert (code, err) == (0, ""), (value, mu, err)
+                    rows = data_rows(out)
+                    assert len(rows) == 9 * 2 and all(r.split(",")[-2] == "pass" for r in rows)
+
     def test_knee_far_past_the_decay_passes(self, capsys, tmp_path):
-        # the relay oracle keeps its nodes in u where the hops' features do
-        # not fit centred nodes; centred there, it fails rows (exit 1)
+        # the relay window ends at the first-hop decay's edge, however far
+        # the second-hop knee lies above it: a window that stopped short of
+        # the mass would converge to a truncated value and fail rows (exit 1)
         ini = tmp_path / "knee.ini"
         ini.write_text(preset_ini("coop").replace("omega_rd = 4.0", "omega_rd = 1e-300"),
                        encoding="utf-8")
@@ -548,11 +570,17 @@ class TestSweep:
                                      "--config", str(relay))
             assert (code, err) == (0, ""), field
             assert len(data_rows(out)) == 9 * 2
-            # the Monte Carlo leg runs; only the relay oracle cannot resolve
-            # hop means this far apart
+            # the Monte Carlo leg runs; the relay oracle resolves the second
+            # hop's mean and rejects only a first hop whose mass lies past
+            # the largest double
             code, out, err = run_cli(capsys, "validate", "--trials", "3000", "--config", str(relay))
-            assert (code, out) == (2, "") and err.count("\n") == 1, field
-            assert err.startswith("error: the relay oracle cannot resolve ") and field in err
+            if field == "omega_rd":
+                assert (code, err) == (0, "")
+                assert len(data_rows(out)) == 9 * 2
+                assert all(row.split(",")[-2] == "pass" for row in data_rows(out))
+            else:
+                assert (code, out) == (2, "") and err.count("\n") == 1
+                assert err.startswith("error: the relay oracle cannot resolve omega_sr = 1.7e+308")
 
     def test_trials_past_the_int64_counts_exit_2(self, capsys):
         # failure counts are int64; a larger --trials used to build one
@@ -798,8 +826,7 @@ class TestCliContract:
 
     @settings(max_examples=300, deadline=None)
     @given(section=ini_sections(), trials=st.sampled_from([0, 3000]))
-    # hop means 128 decades apart: the relay oracle's integrand underflows
-    # at every node where the exact outage is still 1e-305
+    # hop means 128 decades apart, where the exact outage is still 1e-305
     @example(section=("coop", "[coop]\npower = 0.6666666666666666 0.3333333333333333\n"
                               "rates = 0.0 1.0\nomega = 1.0 1.0\nmu = 3\nranks = 1 2\npool = 2\n"
                               "relay_gain = 1.0\nomega_sr = 1e+116\nomega_rd = 1e-12\n"),
@@ -815,11 +842,10 @@ class TestCliContract:
         assert "Traceback" not in err and "Warning" not in err, err
         # no mean gain is too large for the Monte Carlo leg
         assert "Monte Carlo" not in err, err
-        # exit 1 would mean a failed row; exit 2 only where the relay
-        # oracle cannot resolve the hop means
+        # exit 1 would mean a failed row and exit 2 a relay the oracle
+        # cannot resolve: its windows in ln u reach every hop mean here
         code, err, caught = self.run_quietly(["validate", "--config", str(ini), "--trials", "0"])
-        assert code == 0 or (code == 2 and err.startswith("error: the relay oracle cannot")), (
-            code, err)
+        assert code == 0, (code, err)
         assert caught == [] and "Traceback" not in err and "Warning" not in err, (err, caught)
 
     @pytest.mark.parametrize("command", ["sweep", "validate"])

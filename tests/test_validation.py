@@ -21,8 +21,21 @@ from noma_perf.analytic import (
     stage_cuts,
     user_outage,
 )
-from noma_perf.configs import ConfigError, ScenarioConfig, coop_preset, direct_preset, with_mu
-from noma_perf.fading import FadingParams, OrderedIndex, gamma_cdf, gamma_pdf, ordered_cdf
+from noma_perf.configs import (
+    MAX_RELAY_MU,
+    ConfigError,
+    ScenarioConfig,
+    coop_preset,
+    direct_preset,
+    with_mu,
+)
+from noma_perf.fading import (
+    FadingParams,
+    OrderedIndex,
+    _gamma_log_pdf_inside,
+    gamma_cdf,
+    ordered_cdf,
+)
 from noma_perf.montecarlo import Estimate, TrialBatch
 from noma_perf.numerics import QuadratureError, integrate_semi_infinite
 from noma_perf.validation import (
@@ -32,7 +45,6 @@ from noma_perf.validation import (
     ComparisonRow,
     _ordered_cdfs,
     _relay_outages,
-    _relay_scales,
     link_oracles,
     ordered_cdf_quadrature,
     outage_oracle,
@@ -43,6 +55,26 @@ from noma_perf.validation import (
 
 def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
+
+
+def relay_row(cfg, cut):
+    """(F_sr(cut), the relay integrand in v = ln u, low, high) of one relay
+    oracle row, its window [min(ln knee, ln decay) - 37, ln decay + ln 800]
+    floored at the smallest double, as ``validation`` documents them."""
+    feed, drop = FadingParams(cfg.mu, cfg.omega_sr), FadingParams(cfg.mu, cfg.omega_rd)
+    scaled = cut * cfg.noise_scale
+    # the production rounding: each log taken alone, numpy's for the knee
+    knee = float(np.log(scaled)) + (math.log(cfg.mu) - math.log(cfg.omega_rd))
+    decay = math.log(cfg.omega_sr) - math.log(cfg.mu)
+
+    def integrand(v, rows):
+        u = np.exp(v)
+        with np.errstate(over="ignore"):
+            reach = scaled / u
+        return np.exp(v + _gamma_log_pdf_inside(feed, cut + u)) * gamma_cdf(drop, reach)
+
+    low = max(min(knee, decay) - 37.0, math.log(5e-324))
+    return gamma_cdf(feed, np.array([cut]))[0], integrand, low, decay + math.log(800.0)
 
 
 class TestRelayQuadrature:
@@ -234,81 +266,116 @@ class TestBatchedOracle:
         assert isinstance(oracle, np.ndarray) and oracle.dtype == np.float64
         assert link_oracles(cfg, []) == []
 
-    def test_relay_failure_names_the_cut_of_the_first_failing_row(self):
-        cfg = dataclasses.replace(coop_preset(), omega_sr=1e300)
+    def test_relay_failure_names_the_cut_of_the_first_failing_row(self, monkeypatch):
+        # at omega_sr = 1.7e308 the first-hop mass lies past every node: a
+        # cut whose outage bound is below the double range stands at 0,
+        # the others raise
+        cfg = dataclasses.replace(coop_preset(), omega_sr=1.7e308)
         (params, idx, _), (near_params, near_idx, _) = point_links(cfg, [1.0])
-        cuts = [0.0, math.inf, 0.35, 0.015, 3.5]
-        for cut in cuts[2:]:
+        cuts = [0.0, math.inf, 1e-20, 0.35, 0.015, 3.5]
+        assert relay_outage_quadrature(cfg, 1e-20) == 0.0
+        for cut in cuts[3:]:
             with pytest.raises(QuadratureError):
                 relay_outage_quadrature(cfg, cut)
-        with pytest.raises(ConfigError, match=r"at cut 0\.35: semi-infinite quadrature"):
+        with pytest.raises(ConfigError, match=r"at cut 0\.35: the first-hop mass lies past"):
             link_oracles(cfg, [(params, idx, np.array(cuts))])
         # the relay batch concatenates the links' cuts: a failure in the
         # second link names that link's cut
-        with pytest.raises(ConfigError, match=r"at cut 0\.015: semi-infinite quadrature"):
-            link_oracles(cfg, [(params, idx, np.array([0.0, math.inf, 0.0])),
+        with pytest.raises(ConfigError, match=r"at cut 0\.015: the first-hop mass lies past"):
+            link_oracles(cfg, [(params, idx, np.array([0.0, math.inf, 1e-20])),
                                (near_params, near_idx, np.array([0.015, 0.35, 3.5]))])
+        # the quadrature names its rows among the integrated cuts only: its
+        # second row is the fourth cut here
+
+        def unconverged(fn, low, high, offset):
+            raise QuadratureError("semi-infinite quadrature did not converge", 0.0, 0.0, 1)
+
+        monkeypatch.setattr(validation, "integrate_semi_infinite", unconverged)
+        with pytest.raises(ConfigError, match=r"at cut 3\.5: semi-infinite quadrature"):
+            link_oracles(coop_preset(), [(params, idx, np.array([0.0, math.inf, 0.35, 3.5]))])
 
     @pytest.mark.parametrize("mu", [1, 2, 3])
-    def test_centred_relay_batch_equals_one_row_calls_bit_for_bit(self, mu):
-        # at omega_sr = 1e20 the cuts below about 1e-2 put the second-hop
-        # knee too far below the first-hop decay for centred nodes, so one
-        # batch mixes centred and u-space rows, shuffled among cut-0 and
-        # cut-inf rows
+    def test_centred_relay_batch_equals_one_row_calls_bit_for_bit(self, mu, monkeypatch):
+        # at omega_sr = 1e20 the second-hop knee of the small cuts sits far
+        # below the first-hop decay, so one batch mixes rows whose windows,
+        # each centred on its own mass, differ in width by tens of units of
+        # ln u, shuffled among cut-0 and cut-inf rows
         cfg = dataclasses.replace(with_mu(coop_preset(), mu), omega_sr=1e20)
         cuts = [10.0 ** (e / 4) for e in range(-24, 81, 3)] + [0.0, math.inf]
         random.Random(mu).shuffle(cuts)
         cuts = np.array(cuts)
-        live = (cuts > 0) & (cuts < math.inf)
-        scale = _relay_scales(cfg, cuts[live])
-        assert (scale != 1.0).any() and (scale == 1.0).any()
-        assert _relay_outages(cfg, cuts).tolist() == [
-            relay_outage_quadrature(cfg, cut) for cut in cuts.tolist()]
+        windows = []
 
-    def test_uncentred_relay_rows_keep_the_nodes_in_u(self):
-        # a row whose mass window does not fit the centred nodes gets
-        # exactly the exp-sinh sum over the offset u itself
+        def spy(fn, low, high, offset):
+            windows.append(np.broadcast_to(high, low.shape) - low)
+            return integrate_semi_infinite(fn, low, high, offset)
+
+        monkeypatch.setattr(validation, "integrate_semi_infinite", spy)
+        batch = _relay_outages(cfg, cuts)
+        assert np.ptp(windows[0]) > 20.0
+        assert batch.tolist() == [relay_outage_quadrature(cfg, cut) for cut in cuts.tolist()]
+
+    def test_relay_row_is_the_log_trapezoid_over_its_mass_window(self):
+        # a row's outage is F_sr(cut) plus exactly the ln-u trapezoid sum
+        # over its documented window, resolved against that sum
         cfg = dataclasses.replace(coop_preset(), omega_sr=1e20)
-        feed = FadingParams(cfg.mu, cfg.omega_sr)
-        drop = FadingParams(cfg.mu, cfg.omega_rd)
-        for cut in (1e-6, 1e-4):
-            scaled = cut * cfg.noise_scale
-            assert _relay_scales(cfg, np.array([cut])).tolist() == [1.0]
-            tail = integrate_semi_infinite(
-                lambda u, rows: gamma_pdf(feed, cut + u) * gamma_cdf(drop, scaled / u), 0.0)
-            assert relay_outage_quadrature(cfg, cut) == min(
-                1.0, gamma_cdf(feed, np.array([cut]))[0] + tail.value[0])
+        for cut in (1e-6, 1e-4, 0.3):
+            first, integrand, low, high = relay_row(cfg, cut)
+            tail = integrate_semi_infinite(integrand, low, high, first)
+            assert relay_outage_quadrature(cfg, cut) == min(1.0, first + tail.value[0])
 
-    @pytest.mark.parametrize("mu, raises", [(1, True), (2, False), (3, False)])
-    def test_far_apart_hop_means_keep_the_nodes_in_u(self, mu, raises):
-        # at omega_sr = 1e300 the first-hop decay sits far past the knee,
-        # so no row fits the centred nodes and every row keeps the u-space
-        # nodes, which cannot resolve it at mu = 1 (nor can centred ones),
-        # so the config is rejected rather than failed; from mu = 2 on
-        # every outage is below the double range, and 0 stands
-        cfg = dataclasses.replace(with_mu(coop_preset(), mu), omega_sr=1e300)
+    @pytest.mark.parametrize("over", [{}, {"omega_rd": 1e-300}, {"omega_sr": 1e-3},
+                                      {"omega_rd": 1e30}, {"omega_sr": 1e30}])
+    def test_window_holds_the_mass_up_to_max_relay_mu(self, over):
+        # the integrand's mass past the window's upper edge (the first-hop
+        # decay times 800) is below 1e-15 of the outage, and below its
+        # lower edge below MAX_RELAY_MU * e^-37 = 3.4e-15 of it, at every
+        # mu up to MAX_RELAY_MU and cut far below, near and far above the
+        # decay
+        for mu in (1, 3, MAX_RELAY_MU):
+            cfg = dataclasses.replace(with_mu(coop_preset(), mu), **over)
+            for cut in (1e-6, 1e-3, 0.3, 3.0, 30.0):
+                first, integrand, low, high = relay_row(cfg, cut)
+                if first == 1.0:
+                    continue
+                outage = relay_outage_quadrature(cfg, cut)
+                above = integrate_semi_infinite(integrand, high, high + 30.0, outage).value[0]
+                below = integrate_semi_infinite(integrand, low - 30.0, low, outage).value[0]
+                assert above <= 1e-15 * outage, (mu, cut)
+                assert below <= MAX_RELAY_MU * math.exp(-37.0) * outage, (mu, cut)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_far_apart_hop_means_resolve(self, mu):
+        # at omega_sr = 1e300 the first-hop decay sits 300 decades past the
+        # knee: every row's window holds both, and the oracle matches the
+        # closed form; from mu = 2 on every outage is below the double
+        # range, and 0 stands
         rhos = [db_to_linear(float(db)) for db in range(0, 61)]
+        cfg = dataclasses.replace(with_mu(coop_preset(), mu), omega_sr=1e300)
         cuts = np.concatenate([cut for _, _, cut in point_links(cfg, rhos)])
-        assert (_relay_scales(cfg, cuts) == 1.0).all()
-        for cut in cuts.tolist():
-            if raises:
-                with pytest.raises(QuadratureError):
-                    relay_outage_quadrature(cfg, cut)
-            else:
-                assert relay_outage_quadrature(cfg, cut) == 0.0
+        oracle = _relay_outages(cfg, cuts)
+        if mu == 1:
+            assert_allclose(oracle, [relay_outage(cfg, cut) for cut in cuts], rtol=1e-12)
+        else:
+            assert (oracle == 0.0).all()
 
-    def test_knee_far_past_the_decay_keeps_the_nodes_in_u(self):
+    def test_knee_far_past_the_decay_matches_the_closed_form(self, monkeypatch):
         # at omega_rd = 1e-300 the second-hop knee sits far above the
-        # first-hop decay: nodes centred between them would converge to a
-        # truncated value (0.976 against an exact 1 at 0 dB, and the gate
-        # would fail); no row fits, and the u-space nodes agree with the
-        # closed form
+        # first-hop decay; the window ends at the decay's edge, not the
+        # knee's, so a row takes a few hundred nodes rather than thousands
         cfg = dataclasses.replace(coop_preset(), omega_rd=1e-300)
         rhos = [db_to_linear(float(db)) for db in range(0, 41, 5)]
         cuts = np.concatenate([cut for _, _, cut in point_links(cfg, rhos)])
-        assert (_relay_scales(cfg, cuts) == 1.0).all()
+        nodes = []
+
+        def spy(fn, *limits):
+            return integrate_semi_infinite(lambda v, rows: nodes.append(v.size) or fn(v, rows),
+                                           *limits)
+
+        monkeypatch.setattr(validation, "integrate_semi_infinite", spy)
         assert_allclose(_relay_outages(cfg, cuts), [relay_outage(cfg, cut) for cut in cuts],
                         rtol=1e-12)
+        assert sum(nodes) <= 600 * cuts.size
 
     def test_cross_user_ordered_batch_equals_one_link_calls_bit_for_bit(self):
         # one tanh-sinh batch over links of different means, ranks and
@@ -373,6 +440,16 @@ class TestValidationSuite:
                 assert type(value) in (bool, int, float, str), (name, value)
             assert type(row.passed) is bool
             assert type(row.p_oracle) is float and type(row.rel_err) is float
+
+    @pytest.mark.parametrize("mu, field, value", [
+        (1, "omega_rd", 1e18), (1, "relay_gain", 1e10),
+        (1, "omega_sr", 1e30), (2, "omega_sr", 1e30), (3, "omega_sr", 1e30)])
+    def test_hop_laws_60_decades_apart_pass_every_row(self, mu, field, value):
+        # knee and decay more than 60 decades apart, past the reach of
+        # nodes spanning a fixed range of u, over the oracle-gate grid
+        cfg = dataclasses.replace(with_mu(coop_preset(), mu), **{field: value})
+        rows = run_validation_suite([cfg], [float(db) for db in range(0, 61)])
+        assert len(rows) == 61 * 2 and all(row.passed for row in rows)
 
     def test_empty_inputs_give_empty_report(self):
         assert run_validation_suite([], [10.0]) == []
